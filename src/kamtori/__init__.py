@@ -30,8 +30,6 @@ from .fourier import (
     StripNormEstimate,
     TorusEmbedding,
     analyze,
-    average,
-    directional_derivative,
 )
 from .hamiltonian import (
     Box,
@@ -76,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "analyze",
-    "average",
     "bernstein_1d",
     "bernstein_derivative",
     "bernstein_nd",
@@ -87,7 +84,6 @@ __all__ = [
     "cl_gap",
     "cl_norm",
     "cutoff_extend",
-    "directional_derivative",
     "estimate_gamma",
     "eval_lambda",
     "flow",

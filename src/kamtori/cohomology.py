@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diophantine import FrequencyVector
-from .fourier import FourierMap
+from .fourier import FourierMap, canonical, wavevectors
 
 __all__ = ["CohomologySolution", "DivisorReport", "solve_cohomological"]
 
@@ -65,43 +65,47 @@ def solve_cohomological(
         raise ValueError(
             f"frequency has {om.size} components, map domain is T^{g.dim_domain}"
         )
-    max_order = max(
-        (sum(abs(v) for v in k) for k in g.modes if any(k)), default=0
-    )
+    ks = wavevectors(g.dim_domain, g.trunc_order)
+    order = np.abs(ks).sum(axis=-1)
+    live = g.support() & (order > 0)
+    max_order = int(order[live].max(initial=0))
     if cert and max_order > omega.horizon:
         raise ValueError(
             f"retained modes reach |k|_1 = {max_order} but the Diophantine "
             f"certificate only covers |k|_1 <= {omega.horizon}"
         )
-    modes: dict[tuple[int, ...], np.ndarray] = {}
-    min_div = np.inf
-    worst_k: tuple = ()
-    max_amp = 0.0
-    for k, amp in g.modes.items():
-        if not any(k):
-            continue
-        div = float(np.dot(k, om))
-        adiv = abs(div)
-        if adiv < RESONANCE_TOL:
+    div = ks @ om
+    adiv = np.abs(div)
+    # |div| is even in k, so the canonical half names every offending mode
+    named = live & canonical(ks)
+
+    def first(bad):
+        i = np.unravel_index(np.argmax(bad), bad.shape)  # first in k order
+        return tuple(ks[i].tolist()), i
+
+    resonant = named & (adiv < RESONANCE_TOL)
+    if resonant.any():
+        k, i = first(resonant)
+        raise ValueError(
+            f"resonant mode k = {k}: |k.omega| = {adiv[i]:.3e} below "
+            f"{RESONANCE_TOL:.0e}, equation is not solvable"
+        )
+    if cert:
+        floor = omega.gamma * np.where(live, order, 1.0) ** (-omega.sigma)
+        low = named & (adiv < floor * (1 - 1e-12))
+        if low.any():
+            k, i = first(low)
             raise ValueError(
-                f"resonant mode k = {k}: |k.omega| = {adiv:.3e} below "
-                f"{RESONANCE_TOL:.0e}, equation is not solvable"
+                f"divisor |k.omega| = {adiv[i]:.3e} at k = {k} violates the "
+                f"certified bound gamma |k|^-sigma = {floor[i]:.3e}"
             )
-        if cert:
-            order = sum(abs(v) for v in k)
-            floor = omega.gamma * order ** (-omega.sigma)
-            if adiv < floor * (1 - 1e-12):
-                raise ValueError(
-                    f"divisor |k.omega| = {adiv:.3e} at k = {k} violates the "
-                    f"certified bound gamma |k|^-sigma = {floor:.3e}"
-                )
-        if adiv < min_div:
-            min_div, worst_k = adiv, k
-        amp_k = 1.0 / (2 * np.pi * adiv)
-        max_amp = max(max_amp, amp_k)
-        modes[k] = np.asarray(amp) / (2j * np.pi * div)
-    if not modes:
-        min_div, max_amp = np.inf, 0.0
+    if named.any():
+        worst = np.argmin(np.where(named, adiv, np.inf))
+        min_div = float(adiv.flat[worst])
+        worst_k = tuple(ks.reshape(-1, g.dim_domain)[worst].tolist())
+        max_amp = 1.0 / (2 * np.pi * min_div)
+    else:
+        min_div, worst_k, max_amp = np.inf, (), 0.0
     report = DivisorReport(
         min_divisor=min_div,
         worst_k=worst_k,
@@ -109,5 +113,11 @@ def solve_cohomological(
         max_order=max_order,
         certified=cert,
     )
-    phi = FourierMap(g.dim_domain, g.range_shape, modes, g.trunc_order)
-    return CohomologySolution(solution=phi, average=g.average(), report=report)
+    per_mode = (...,) + (None,) * len(g.range_shape)
+    divisor = np.where(live, 2j * np.pi * div, 1.0)[per_mode]
+    phi = np.where(live[per_mode], g.coeffs / divisor, 0.0)
+    return CohomologySolution(
+        solution=FourierMap._wrap(g.dim_domain, phi),
+        average=g.average(),
+        report=report,
+    )

@@ -1,11 +1,19 @@
 """Truncated real Fourier series on the n-torus.
 
 The central data type is :class:`FourierMap`, a real-valued trigonometric
-polynomial T^n -> R^(range_shape) stored as a dictionary of complex
-amplitudes.  Only one wavevector of each conjugate pair is kept (the one
-whose first nonzero component is positive); the conjugate mode is implied.
-That convention halves memory and makes reality structural: a FourierMap
-cannot represent a non-real map.
+polynomial T^n -> R^(range_shape).  It holds one dense complex array
+``coeffs`` of shape (2M+1,)*n + range_shape: the amplitude of wavevector
+k sits at index k + M, over the full spectrum |k|_inf <= M.  Analysis
+and synthesis are one FFT each on the odd grid of 2M+1 points per axis;
+derivatives, shifts, norms and the cohomological solve are broadcasts
+against the wavevector grid.  Reality is the Hermitian symmetry
+coeffs[-k] = conj(coeffs[k]), which analysis enforces and every operation
+preserves.
+
+Files keep the canonical half-spectrum: one wavevector of each conjugate
+pair, the one whose first nonzero component is positive.  ``modes`` is
+the read-only mapping of the nonzero canonical modes that serialization
+writes.
 
 Torus embeddings K(theta) = W theta + P(theta), which wind around the
 angle coordinates and therefore are not themselves periodic, are handled
@@ -18,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -29,30 +37,26 @@ __all__ = [
     "StripNormEstimate",
     "TorusEmbedding",
     "analyze",
-    "average",
-    "directional_derivative",
-    "strip_norm",
 ]
 
 
-def _is_canonical(k: tuple[int, ...]) -> bool:
-    for ki in k:
-        if ki > 0:
-            return True
-        if ki < 0:
-            return False
-    return True  # k == 0
+def canonical(k) -> np.ndarray:
+    """True where the first nonzero component of k (last axis) is positive.
+
+    k = 0 counts as canonical.  Works on one wavevector or on an array of
+    them.
+    """
+    k = np.asarray(k)
+    mask = np.ones(k.shape[:-1], dtype=bool)
+    for j in reversed(range(k.shape[-1])):
+        mask = (k[..., j] > 0) | ((k[..., j] == 0) & mask)
+    return mask
 
 
-def _neg(k: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-ki for ki in k)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    # np.ascontiguousarray would promote 0-d arrays to 1-d; keep the shape
-    a = np.array(a, order="C")
-    a.flags.writeable = False
-    return a
+def wavevectors(dim_domain: int, trunc_order: int) -> np.ndarray:
+    """Integer wavevector grid, shape (2M+1,)*n + (n,), k at index k + M."""
+    ks = np.arange(-trunc_order, trunc_order + 1)
+    return np.stack(np.meshgrid(*[ks] * dim_domain, indexing="ij"), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class StripNormEstimate:
 class FourierMap:
     """Real trigonometric polynomial on T^n with values in R^(range_shape)."""
 
-    __slots__ = ("dim_domain", "range_shape", "trunc_order", "modes")
+    __slots__ = ("dim_domain", "coeffs")
 
     def __init__(
         self,
@@ -85,11 +89,15 @@ class FourierMap:
         modes: Mapping[tuple[int, ...], np.ndarray],
         trunc_order: int | None = None,
     ):
+        """Build from amplitudes {k: amp}; the conjugate of each k is implied.
+
+        When both k and -k are given, the amplitude at k is the average of
+        amp(k) and conj(amp(-k)); the zero mode keeps its real part.
+        """
         if dim_domain < 1:
             raise ValueError("dim_domain must be >= 1")
         range_shape = tuple(range_shape)
-        folded: dict[tuple[int, ...], np.ndarray] = {}
-        max_order = 0
+        items = []
         for k, amp in modes.items():
             k = tuple(int(ki) for ki in k)
             if len(k) != dim_domain:
@@ -99,30 +107,36 @@ class FourierMap:
                 raise ValueError(
                     f"amplitude for {k} has shape {amp.shape}, expected {range_shape}"
                 )
-            kc = k if _is_canonical(k) else _neg(k)
-            contrib = amp if kc == k else np.conj(amp)
-            if kc in folded:
-                folded[kc] = folded[kc] + contrib
-                # both k and -k supplied: reality symmetrization averages them
-                folded[kc] = folded[kc] / 2.0 if kc != _neg(kc) else folded[kc]
-            else:
-                folded[kc] = contrib
-            max_order = max(max_order, max((abs(ki) for ki in k), default=0))
-        zero = (0,) * dim_domain
-        if zero in folded:
-            folded[zero] = folded[zero].real + 0j
+            items.append((k, amp))
+        max_order = max((max(map(abs, k), default=0) for k, _ in items), default=0)
         if trunc_order is None:
             trunc_order = max_order
         if trunc_order < max_order:
             raise ValueError("trunc_order smaller than largest stored mode")
+        m = int(trunc_order)
+        grid = (2 * m + 1,) * dim_domain
+        total = np.zeros(grid + range_shape, dtype=complex)
+        count = np.zeros(grid + (1,) * len(range_shape))
+        for k, amp in items:
+            for idx, a in (
+                (tuple(m + ki for ki in k), amp),
+                (tuple(m - ki for ki in k), np.conj(amp)),
+            ):
+                total[idx] += a
+                count[idx] += 1
+        self._adopt(dim_domain, total / np.maximum(count, 1))
+
+    def _adopt(self, dim_domain: int, coeffs: np.ndarray) -> None:
+        """Take a Hermitian coefficient array that no one else writes to."""
+        coeffs.flags.writeable = False
         object.__setattr__(self, "dim_domain", dim_domain)
-        object.__setattr__(self, "range_shape", range_shape)
-        object.__setattr__(self, "trunc_order", int(trunc_order))
-        object.__setattr__(
-            self,
-            "modes",
-            MappingProxyType({k: _freeze(v) for k, v in folded.items()}),
-        )
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _wrap(cls, dim_domain: int, coeffs: np.ndarray) -> "FourierMap":
+        self = object.__new__(cls)
+        self._adopt(dim_domain, coeffs)
+        return self
 
     def __setattr__(self, *a):  # immutable value type
         raise AttributeError("FourierMap is immutable")
@@ -130,21 +144,59 @@ class FourierMap:
     # -- basic queries -------------------------------------------------
 
     @property
+    def trunc_order(self) -> int:
+        return (self.coeffs.shape[0] - 1) // 2
+
+    @property
+    def range_shape(self) -> tuple[int, ...]:
+        return self.coeffs.shape[self.dim_domain :]
+
+    @property
     def dim_range(self) -> int:
         return int(np.prod(self.range_shape)) if self.range_shape else 1
-
-    def amplitude(self, k: Iterable[int]) -> np.ndarray:
-        """Complex amplitude of wavevector k (conjugate modes implied)."""
-        k = tuple(int(ki) for ki in k)
-        if _is_canonical(k):
-            a = self.modes.get(k)
-            return a.copy() if a is not None else np.zeros(self.range_shape, complex)
-        a = self.modes.get(_neg(k))
-        return np.conj(a) if a is not None else np.zeros(self.range_shape, complex)
 
     @property
     def grid_size(self) -> int:
         return 2 * self.trunc_order + 1
+
+    def support(self) -> np.ndarray:
+        """Per-mode mask of nonzero amplitudes, shape (2M+1,)*n."""
+        axes = tuple(range(self.dim_domain, self.coeffs.ndim))
+        return np.any(self.coeffs != 0, axis=axes)
+
+    def _kdot(self, v: np.ndarray) -> np.ndarray:
+        """k . v over the wavevector grid, shape (2M+1,)*n."""
+        return wavevectors(self.dim_domain, self.trunc_order) @ np.asarray(
+            v, dtype=float
+        )
+
+    @property
+    def modes(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        """Read-only {k: amplitude} of the nonzero canonical modes, k sorted.
+
+        Derived from ``coeffs`` on each access; compute paths use the array.
+        """
+        m = self.trunc_order
+        ks = wavevectors(self.dim_domain, m)
+        keep = canonical(ks) & self.support()
+        keys = map(tuple, ks[keep].tolist())
+        return MappingProxyType(dict(zip(keys, self.coeffs[keep])))
+
+    def amplitude(self, k: Iterable[int]) -> np.ndarray:
+        """Complex amplitude of wavevector k (zero beyond the truncation)."""
+        idx = tuple(int(ki) + self.trunc_order for ki in k)
+        if min(idx) < 0 or max(idx) >= self.grid_size:
+            return np.zeros(self.range_shape, complex)
+        return self.coeffs[idx].copy()
+
+    def _at_order(self, trunc_order: int) -> np.ndarray:
+        """Coefficients zero-padded or cut to another truncation order."""
+        n, m = self.dim_domain, self.trunc_order
+        if trunc_order >= m:
+            pad = [(trunc_order - m,) * 2] * n + [(0, 0)] * len(self.range_shape)
+            return np.pad(self.coeffs, pad)
+        cut = slice(m - trunc_order, m + trunc_order + 1)
+        return self.coeffs[(cut,) * n]
 
     # -- construction from grids ---------------------------------------
 
@@ -164,54 +216,26 @@ class FourierMap:
         size = nshape[0]
         if size % 2 == 0:
             raise ValueError("grid size must be odd")
-        m = (size - 1) // 2
-        range_shape = samples.shape[dim_domain:]
         axes = tuple(range(dim_domain))
         coeff = np.fft.fftn(samples, axes=axes) / size**dim_domain
         coeff = np.fft.fftshift(coeff, axes=axes)
-        modes: dict[tuple[int, ...], np.ndarray] = {}
-        for idx in np.ndindex(*nshape):
-            k = tuple(i - m for i in idx)
-            if not _is_canonical(k):
-                continue
-            ck = coeff[idx]
-            if k == _neg(k):  # k = 0
-                amp = ck
-            else:
-                cm = coeff[tuple(m - ki for ki in k)]
-                amp = (ck + np.conj(cm)) / 2.0
-            if np.any(amp):
-                modes[k] = amp
-        return cls(dim_domain, range_shape, modes, trunc_order=m)
+        # exact Hermitian symmetry: average k with the conjugate of -k
+        coeff = (coeff + np.conj(np.flip(coeff, axis=axes))) / 2.0
+        return cls._wrap(dim_domain, coeff)
 
     # -- evaluation -----------------------------------------------------
-
-    def _mode_table(self) -> tuple[np.ndarray, np.ndarray]:
-        ks = np.array(sorted(self.modes.keys()), dtype=float).reshape(
-            len(self.modes), self.dim_domain
-        )
-        amps = np.stack([self.modes[tuple(int(v) for v in k)] for k in ks])
-        return ks, amps
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate at arbitrary points; theta has shape (..., n)."""
         theta = np.asarray(theta, dtype=float)
-        scalar_input = theta.shape == (self.dim_domain,)
-        pts = np.atleast_2d(theta.reshape(-1, self.dim_domain))
-        if not self.modes:
-            out = np.zeros((pts.shape[0],) + self.range_shape)
-        else:
-            ks, amps = self._mode_table()
-            phase = np.exp(2j * np.pi * (pts @ ks.T))  # (npts, nmodes)
-            weight = np.where(np.all(ks == 0, axis=1), 1.0, 2.0)
-            flat = amps.reshape(len(ks), -1)
-            # real part of sum_k w_k amp_k e^{2 pi i k.theta}
-            out = np.real((phase * weight) @ flat).reshape(
-                (pts.shape[0],) + self.range_shape
-            )
-        shape = theta.shape[:-1] + self.range_shape
-        out = out.reshape(shape) if not scalar_input else out.reshape(self.range_shape)
-        return out
+        n, m = self.dim_domain, self.trunc_order
+        pts = theta.reshape(-1, n)
+        # e^{2 pi i k_j theta_j} per axis, contracted one axis at a time
+        phase = np.exp(2j * np.pi * np.multiply.outer(pts, np.arange(-m, m + 1)))
+        out = np.tensordot(phase[:, 0], self.coeffs, axes=(1, 0))
+        for j in range(1, n):
+            out = np.einsum("pk,pk...->p...", phase[:, j], out)
+        return out.real.reshape(theta.shape[:-1] + self.range_shape)
 
     def synthesize(self, grid_size: int | None = None) -> np.ndarray:
         """Sample on the uniform grid; inverse of :meth:`from_samples`."""
@@ -221,45 +245,29 @@ class FourierMap:
         m = (size - 1) // 2
         if m < self.trunc_order:
             raise ValueError("grid too small for stored modes")
-        n = self.dim_domain
-        shape = (size,) * n + self.range_shape
-        full = np.zeros(shape, dtype=complex)
-        for k, amp in self.modes.items():
-            idx = tuple(ki + m for ki in k)
-            full[idx] += amp
-            if k != _neg(k):
-                full[tuple(m - ki for ki in k)] += np.conj(amp)
-        axes = tuple(range(n))
-        full = np.fft.ifftshift(full, axes=axes)
-        vals = np.fft.ifftn(full, axes=axes) * size**n
+        axes = tuple(range(self.dim_domain))
+        full = np.fft.ifftshift(self._at_order(m), axes=axes)
+        vals = np.fft.ifftn(full, axes=axes) * size**self.dim_domain
         return np.real(vals)
 
     # -- calculus --------------------------------------------------------
 
+    def _times(self, factor: np.ndarray) -> "FourierMap":
+        """Multiply each mode by a per-mode factor of shape (2M+1,)*n."""
+        per_mode = (...,) + (None,) * len(self.range_shape)
+        return FourierMap._wrap(self.dim_domain, self.coeffs * factor[per_mode])
+
     def partial(self, axis: int) -> "FourierMap":
         """Exact partial derivative with respect to theta_axis."""
-        modes = {
-            k: 2j * np.pi * k[axis] * amp
-            for k, amp in self.modes.items()
-            if k[axis] != 0
-        }
-        return FourierMap(self.dim_domain, self.range_shape, modes, self.trunc_order)
+        ks = wavevectors(self.dim_domain, self.trunc_order)[..., axis]
+        return self._times(2j * np.pi * ks)
 
     def directional(self, omega: np.ndarray) -> "FourierMap":
-        omega = np.asarray(omega, dtype=float)
-        modes = {}
-        for k, amp in self.modes.items():
-            if any(k):
-                modes[k] = 2j * np.pi * float(np.dot(k, omega)) * amp
-        return FourierMap(self.dim_domain, self.range_shape, modes, self.trunc_order)
+        return self._times(2j * np.pi * self._kdot(omega))
 
     def average(self) -> np.ndarray:
         """Zero mode; reality makes the imaginary part vanish exactly."""
-        zero = (0,) * self.dim_domain
-        amp = self.modes.get(zero)
-        if amp is None:
-            return np.zeros(self.range_shape)
-        return amp.real.copy()
+        return self.coeffs[(self.trunc_order,) * self.dim_domain].real.copy()
 
     # -- norms -----------------------------------------------------------
 
@@ -267,16 +275,13 @@ class FourierMap:
         """Coefficient bound for the sup over the complex strip of width rho."""
         if rho < 0:
             raise ValueError("rho must be >= 0")
-        total = 0.0
-        tail = 0.0
-        half = self.trunc_order / 2.0
-        for k, amp in self.modes.items():
-            k1 = sum(abs(ki) for ki in k)
-            weight = 1.0 if k == _neg(k) else 2.0
-            term = weight * float(np.max(np.abs(amp))) * np.exp(2 * np.pi * k1 * rho)
-            total += term
-            if max((abs(ki) for ki in k), default=0) > half:
-                tail += term
+        ks = np.abs(wavevectors(self.dim_domain, self.trunc_order))
+        axes = tuple(range(self.dim_domain, self.coeffs.ndim))
+        amax = np.max(np.abs(self.coeffs), axis=axes, initial=0.0)
+        nz = amax > 0  # zero modes add nothing, even where the weight overflows
+        terms = amax[nz] * np.exp(2 * np.pi * ks.sum(axis=-1)[nz] * rho)
+        total = float(np.sum(terms))
+        tail = float(np.sum(terms[ks.max(axis=-1)[nz] > self.trunc_order / 2.0]))
         flag = total > 0 and tail > 1e-10 * total
         return StripNormEstimate(
             value=total, rho=rho, tail_flag=flag, grid_max=self.grid_sup()
@@ -289,11 +294,7 @@ class FourierMap:
 
     def power(self) -> float:
         """Sum over all modes of |amp|^2 (Parseval partner of the grid mean)."""
-        out = 0.0
-        for k, amp in self.modes.items():
-            weight = 1.0 if k == _neg(k) else 2.0
-            out += weight * float(np.sum(np.abs(amp) ** 2))
-        return out
+        return float(np.sum(np.abs(self.coeffs) ** 2))
 
     # -- algebra ----------------------------------------------------------
 
@@ -303,15 +304,9 @@ class FourierMap:
             or other.range_shape != self.range_shape
         ):
             raise ValueError("incompatible FourierMaps")
-        modes = dict(self.modes)
-        for k, amp in other.modes.items():
-            modes[k] = modes.get(k, 0) + sign * amp
-        return FourierMap(
-            self.dim_domain,
-            self.range_shape,
-            modes,
-            max(self.trunc_order, other.trunc_order),
-        )
+        m = max(self.trunc_order, other.trunc_order)
+        total = self._at_order(m) + sign * other._at_order(m)
+        return FourierMap._wrap(self.dim_domain, total)
 
     def __add__(self, other: "FourierMap") -> "FourierMap":
         return self._binary(other, 1.0)
@@ -320,41 +315,15 @@ class FourierMap:
         return self._binary(other, -1.0)
 
     def scaled(self, c: float) -> "FourierMap":
-        return FourierMap(
-            self.dim_domain,
-            self.range_shape,
-            {k: c * a for k, a in self.modes.items()},
-            self.trunc_order,
-        )
+        return FourierMap._wrap(self.dim_domain, c * self.coeffs)
 
     def resized(self, trunc_order: int) -> "FourierMap":
         """Embed into (or truncate to) a different truncation order."""
-        modes = {
-            k: a
-            for k, a in self.modes.items()
-            if max((abs(ki) for ki in k), default=0) <= trunc_order
-        }
-        return FourierMap(self.dim_domain, self.range_shape, modes, trunc_order)
+        return FourierMap._wrap(self.dim_domain, self._at_order(trunc_order))
 
     def shifted(self, theta0: np.ndarray) -> "FourierMap":
         """Precompose with the rigid rotation theta -> theta + theta0."""
-        theta0 = np.asarray(theta0, dtype=float)
-        modes = {
-            k: a * np.exp(2j * np.pi * float(np.dot(k, theta0)))
-            for k, a in self.modes.items()
-        }
-        return FourierMap(self.dim_domain, self.range_shape, modes, self.trunc_order)
-
-    def component(self, index) -> "FourierMap":
-        """Extract a scalar component as a FourierMap with range shape ()."""
-        modes = {k: np.asarray(a[index]) for k, a in self.modes.items()}
-        return FourierMap(self.dim_domain, (), modes, self.trunc_order)
-
-    @classmethod
-    def zero(
-        cls, dim_domain: int, range_shape: tuple[int, ...], trunc_order: int = 0
-    ) -> "FourierMap":
-        return cls(dim_domain, range_shape, {}, trunc_order)
+        return self._times(np.exp(2j * np.pi * self._kdot(theta0)))
 
     @classmethod
     def constant(cls, value: np.ndarray, dim_domain: int, trunc_order: int = 0):
@@ -363,26 +332,15 @@ class FourierMap:
         return cls(dim_domain, value.shape, {zero: value.astype(complex)}, trunc_order)
 
     def allclose(self, other: "FourierMap", tol: float = 1e-12) -> bool:
-        keys = set(self.modes) | set(other.modes)
-        za = np.zeros(self.range_shape, complex)
-        return all(
-            np.allclose(
-                self.modes.get(k, za), other.modes.get(k, za), rtol=0, atol=tol
-            )
-            for k in keys
-        )
+        m = max(self.trunc_order, other.trunc_order)
+        return np.allclose(self._at_order(m), other._at_order(m), rtol=0, atol=tol)
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
         records = [
-            {
-                "k": list(k),
-                "amp": [
-                    [float(z.real), float(z.imag)] for z in np.ravel(self.modes[k])
-                ],
-            }
-            for k in sorted(self.modes.keys())
+            {"k": list(k), "amp": [[float(z.real), float(z.imag)] for z in np.ravel(a)]}
+            for k, a in self.modes.items()
         ]
         doc = {
             "n": self.dim_domain,
@@ -416,9 +374,9 @@ class FourierMap:
         for j in range(self.dim_range):
             header += [f"re{j}", f"im{j}"]
         writer.writerow(header)
-        for k in sorted(self.modes.keys()):
+        for k, a in self.modes.items():
             row = list(k)
-            for z in np.ravel(self.modes[k]):
+            for z in np.ravel(a):
                 row += [repr(float(z.real)), repr(float(z.imag))]
             writer.writerow(row)
         return out.getvalue()
@@ -452,26 +410,12 @@ class FourierMap:
         )
 
 
-# -- module-level operation names used throughout the package -------------
+# -- module-level analysis entry point --------------------------------------
 
 
 def analyze(samples: np.ndarray, dim_domain: int) -> FourierMap:
     """Discrete Fourier analysis on the uniform odd grid over [0,1)^n."""
     return FourierMap.from_samples(samples, dim_domain)
-
-
-def directional_derivative(f: FourierMap, omega) -> FourierMap:
-    """Derivative along the constant vector field omega (mode-wise exact)."""
-    om = np.asarray(getattr(omega, "omega", omega), dtype=float)
-    return f.directional(om)
-
-
-def average(f: FourierMap) -> np.ndarray:
-    return f.average()
-
-
-def strip_norm(f: FourierMap, rho: float) -> StripNormEstimate:
-    return f.strip_norm(rho)
 
 
 @dataclass(frozen=True)
@@ -487,10 +431,11 @@ class TorusEmbedding:
     periodic: FourierMap
 
     def __post_init__(self):
-        w = np.asarray(self.winding, dtype=float)
+        w = np.array(self.winding, dtype=float)
         if w.shape != (self.periodic.dim_range, self.periodic.dim_domain):
             raise ValueError("winding shape must be (dim_range, dim_domain)")
-        object.__setattr__(self, "winding", _freeze(w))
+        w.flags.writeable = False
+        object.__setattr__(self, "winding", w)
 
     @property
     def dim_domain(self) -> int:
@@ -523,20 +468,11 @@ class TorusEmbedding:
 
     def dk(self) -> FourierMap:
         """Jacobian DK as an (m, n) matrix-valued FourierMap (exact)."""
-        n, m = self.dim_domain, self.dim_range
-        parts = [self.periodic.partial(axis) for axis in range(n)]
-        modes: dict[tuple[int, ...], np.ndarray] = {}
-        keys = set().union(*(p.modes.keys() for p in parts)) if parts else set()
-        for k in keys:
-            amp = np.zeros((m, n), complex)
-            for axis, p in enumerate(parts):
-                a = p.modes.get(k)
-                if a is not None:
-                    amp[:, axis] = a
-            modes[k] = amp
-        zero = (0,) * n
-        modes[zero] = modes.get(zero, np.zeros((m, n), complex)) + self.winding
-        return FourierMap(n, (m, n), modes, self.periodic.trunc_order)
+        per = self.periodic
+        ks = wavevectors(per.dim_domain, per.trunc_order)
+        coeffs = per.coeffs[..., None] * (2j * np.pi * ks)[..., None, :]
+        coeffs[(per.trunc_order,) * per.dim_domain] += self.winding
+        return FourierMap._wrap(per.dim_domain, coeffs)
 
     def directional(self, omega) -> FourierMap:
         """d/dt K(theta + t omega): periodic (the winding shift is constant)."""

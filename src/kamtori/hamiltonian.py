@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fourier import FourierMap, TorusEmbedding
+from .fourier import FourierMap, TorusEmbedding, canonical
 
 __all__ = [
     "Box",
@@ -105,15 +105,6 @@ class Box:
         return np.stack(mesh, axis=-1)
 
 
-def _canonical_k(k: tuple[int, ...]) -> bool:
-    for ki in k:
-        if ki > 0:
-            return True
-        if ki < 0:
-            return False
-    return True
-
-
 class HamiltonianModel:
     """Fourier-Taylor Hamiltonian: entire, with exact term-wise jets."""
 
@@ -129,7 +120,7 @@ class HamiltonianModel:
             if any(mj < 0 for mj in m):
                 raise ValueError("action exponents must be nonnegative")
             c = complex(c)
-            if _canonical_k(k):
+            if canonical(k):
                 key, contrib = (k, m), c
             else:
                 key, contrib = (tuple(-v for v in k), m), np.conj(c)

@@ -147,12 +147,13 @@ def nondegeneracy(
             f"{svals[-1]:.3e}"
         )
     avg_s_inv = np.linalg.inv(avg_s)
+    n_map = FourierMap.from_samples(n_mat, n)
     return NondegeneracyData(
-        n_map=FourierMap.from_samples(n_mat, n),
+        n_map=n_map,
         s_map=FourierMap.from_samples(s, n),
         avg_s=avg_s,
         avg_s_inv=avg_s_inv,
-        norm_n=FourierMap.from_samples(n_mat, n).strip_norm(rho).value,
+        norm_n=n_map.strip_norm(rho).value,
         norm_dk=K.dk().strip_norm(rho).value,
         norm_s_inv=float(np.linalg.norm(avg_s_inv, 2)),
         cond_dk=cond,
@@ -262,7 +263,20 @@ def solve_torus(
     "diverged".  A tripped spectral tail doubles the truncation order, up
     to max_trunc_order, before the next step.  The trace records the
     growth quantities (|DK|, |N|, |<S>^-1|) per accepted step.
+
+    With a FrequencyVector, every retained mode must stay inside its
+    Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
+    rejected before any work, and refinement stops at horizon // n.
     """
+    if isinstance(omega, FrequencyVector):
+        n = K0.dim_domain
+        if n * K0.trunc_order > omega.horizon:
+            raise ValueError(
+                f"K0 truncation order {K0.trunc_order} on T^{n} reaches "
+                f"|k|_1 = {n * K0.trunc_order} beyond the Diophantine horizon "
+                f"{omega.horizon}"
+            )
+        max_trunc_order = min(max_trunc_order, omega.horizon // n)
     K = K0
     trace: list[dict] = []
     best_err = np.inf

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kamtori import FourierMap, TorusEmbedding, analyze
+from kamtori import FourierMap, TorusEmbedding, analyze, solve_cohomological
 
-from conftest import random_trig
+from conftest import GOLDEN, random_trig
 
 
 def brute_dft(samples, n):
@@ -234,3 +235,150 @@ class TestTorusEmbedding:
         K2 = TorusEmbedding(w, K1.periodic)
         with pytest.raises(ValueError, match="winding"):
             K1.difference(K2)
+
+
+# -- properties ---------------------------------------------------------------
+#
+# Each case is a random real trigonometric polynomial: hypothesis picks the
+# domain dimension, range shape, filled and padded orders, density and a seed;
+# the amplitudes come from numpy's generator for that seed.
+
+PROPERTY = settings(max_examples=25, deadline=None)
+OMEGAS = {
+    1: np.array([GOLDEN]),
+    2: np.array([1.0, GOLDEN]),
+}
+
+
+@st.composite
+def trig_maps(draw, orders=(0, 5)):
+    n = draw(st.sampled_from([1, 2]))
+    order = draw(st.integers(*orders))
+    pad = draw(st.integers(0, 2))
+    range_shape = draw(st.sampled_from([(), (2,), (2, 2)]))
+    density = draw(st.sampled_from([0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = {}
+    for idx in np.ndindex(*((2 * order + 1,) * n)):
+        k = tuple(i - order for i in idx)
+        if rng.random() > density:
+            continue
+        amp = rng.standard_normal(range_shape) + 0j
+        if any(k):
+            amp = amp + 1j * rng.standard_normal(range_shape)
+        modes[k] = amp  # non-canonical keys exercise the reality fold
+    return FourierMap(n, range_shape, modes, trunc_order=order + pad)
+
+
+def eval_modes(f, theta, factor=lambda k: 1.0):
+    """Direct sum over the canonical modes: the reference evaluator.
+
+    ``factor(k)`` multiplies each amplitude, so the analytic derivative of
+    the series is evaluated by the same loop.
+    """
+    out = np.zeros(theta.shape[:-1] + f.range_shape)
+    for k, amp in f.modes.items():
+        weight = 2.0 if any(k) else 1.0
+        phase = np.exp(2j * np.pi * (theta @ np.array(k, dtype=float)))
+        term = np.multiply.outer(phase, factor(k) * np.asarray(amp))
+        out += weight * term.real
+    return out
+
+
+def scale(f):
+    return max(1.0, max((float(np.max(np.abs(a))) for a in f.modes.values()),
+                        default=0.0))
+
+
+class TestProperties:
+    @PROPERTY
+    @given(trig_maps())
+    def test_analysis_inverts_synthesis(self, f):
+        back = FourierMap.from_samples(f.synthesize(), f.dim_domain)
+        assert back.trunc_order == f.trunc_order
+        assert back.allclose(f, tol=1e-13 * scale(f))
+
+    @PROPERTY
+    @given(st.sampled_from([1, 2]), st.sampled_from([(), (3,)]),
+           st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_analysis_is_exactly_real(self, n, range_shape, m, seed):
+        samples = np.random.default_rng(seed).standard_normal(
+            (2 * m + 1,) * n + range_shape
+        )
+        f = FourierMap.from_samples(samples, n)
+        for idx in np.ndindex(*((2 * m + 1,) * n)):
+            k = tuple(i - m for i in idx)
+            minus = tuple(-v for v in k)
+            assert np.array_equal(f.amplitude(minus), np.conj(f.amplitude(k)))
+        assert np.all(f.amplitude((0,) * n).imag == 0.0)
+
+    @PROPERTY
+    @given(trig_maps(), st.integers(0, 2))
+    def test_synthesis_is_real_and_matches_series(self, f, extra):
+        size = f.grid_size + 2 * extra
+        vals = f.synthesize(size)
+        assert vals.dtype == np.float64
+        assert vals.shape == (size,) * f.dim_domain + f.range_shape
+        theta = TorusEmbedding.circle(
+            np.zeros(f.dim_domain), trunc_order=(size - 1) // 2
+        ).grid()
+        want = eval_modes(f, theta)
+        assert np.max(np.abs(vals - want), initial=0.0) < 1e-11 * scale(f)
+        assert np.max(np.abs(f(theta) - want), initial=0.0) < 1e-11 * scale(f)
+
+    @PROPERTY
+    @given(trig_maps(), st.integers(0, 2**32 - 1))
+    def test_derivatives_match_analytic(self, f, seed):
+        rng = np.random.default_rng(seed)
+        theta = rng.random((7, f.dim_domain))
+        tol = 1e-10 * scale(f)
+        for axis in range(f.dim_domain):
+            want = eval_modes(f, theta, lambda k: 2j * np.pi * k[axis])
+            assert np.max(np.abs(f.partial(axis)(theta) - want)) < tol
+        omega = rng.standard_normal(f.dim_domain)
+        want = eval_modes(f, theta, lambda k: 2j * np.pi * np.dot(k, omega))
+        assert np.max(np.abs(f.directional(omega)(theta) - want)) < tol
+
+    @PROPERTY
+    @given(trig_maps(), st.integers(0, 2**32 - 1))
+    def test_shift_group_law(self, f, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.random((2, f.dim_domain))
+        assert f.shifted(a).shifted(b).allclose(f.shifted(a + b), 1e-12 * scale(f))
+        assert f.shifted(np.zeros(f.dim_domain)).allclose(f, tol=0.0)
+        theta = rng.random((5, f.dim_domain))
+        assert np.max(np.abs(f.shifted(a)(theta) - f(theta + a))) < 1e-11 * scale(f)
+
+    @PROPERTY
+    @given(trig_maps(), st.integers(0, 3))
+    def test_resize_up_then_down_is_identity(self, f, up):
+        grown = f.resized(f.trunc_order + up)
+        assert grown.trunc_order == f.trunc_order + up
+        back = grown.resized(f.trunc_order)
+        assert back.trunc_order == f.trunc_order
+        assert back.allclose(f, tol=0.0)
+        assert f.allclose(back, tol=0.0)
+
+    @PROPERTY
+    @given(trig_maps(orders=(0, 4)))
+    def test_cohomological_inverse(self, f):
+        omega = OMEGAS[f.dim_domain]
+        sol = solve_cohomological(f, omega)
+        assert np.array_equal(sol.average, f.average())
+        mean = FourierMap.constant(f.average(), f.dim_domain)
+        assert sol.solution.directional(omega).allclose(
+            f - mean, tol=1e-13 * scale(f)
+        )
+
+    @PROPERTY
+    @given(trig_maps(), st.sampled_from([0.0, 0.01, 0.2]))
+    def test_strip_norm_is_weighted_canonical_sum(self, f, rho):
+        want = sum(
+            (2.0 if any(k) else 1.0)
+            * float(np.max(np.abs(amp)))
+            * np.exp(2 * np.pi * sum(abs(v) for v in k) * rho)
+            for k, amp in f.modes.items()
+        )
+        est = f.strip_norm(rho)
+        assert est.value == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert est.value >= est.grid_max - 1e-12 * scale(f)

@@ -190,3 +190,50 @@ class TestSolveTorus:
         assert not res.converged
         assert res.status in ("floored", "max_iter")
         assert res.error < initial
+
+
+def coupled_rotator(eps):
+    """|y|^2/2 + eps (cos 2pi x1 + cos 2pi x2 + cos 2pi (x1 - x2))."""
+    c = eps / 2.0
+    terms = [
+        ((0, 0), (2, 0), 0.5),
+        ((0, 0), (0, 2), 0.5),
+        ((1, 0), (0, 0), c),
+        ((0, 1), (0, 0), c),
+        ((1, -1), (0, 0), c),
+    ]
+    return HamiltonianModel(2, terms)
+
+
+class JetCounter:
+    """Delegates to a model and counts jet evaluations."""
+
+    def __init__(self, model):
+        self.model, self.n, self.calls = model, model.n, 0
+
+    def jet_batch(self, z):
+        self.calls += 1
+        return self.model.jet_batch(z)
+
+
+class TestDiophantineHorizon:
+    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+
+    def test_refinement_stays_inside_horizon_at_n2(self):
+        # refining to M = 64 would retain |k|_1 = 128 > horizon
+        freq = FrequencyVector.estimated(self.omega, sigma=1.1, horizon=64)
+        K0 = TorusEmbedding.circle(self.omega, trunc_order=16)
+        res = solve_torus(coupled_rotator(1e-3), K0, freq, tol=1e-12,
+                          max_trunc_order=freq.horizon)
+        assert res.converged
+        assert 2 * res.torus.trunc_order <= freq.horizon
+
+    def test_k0_beyond_horizon_rejected_before_any_jet(self):
+        freq = FrequencyVector.estimated(self.omega, sigma=1.1, horizon=64)
+        h = JetCounter(coupled_rotator(1e-3))
+        K0 = TorusEmbedding.circle(self.omega, trunc_order=33)
+        with pytest.raises(ValueError, match=r"K0 truncation order 33 .* horizon 64"):
+            solve_torus(h, K0, freq)
+        assert h.calls == 0
+        ok = solve_torus(h, K0.resized(32), freq, max_iter=0)
+        assert h.calls > 0 and ok.iterations == 0
