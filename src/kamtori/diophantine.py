@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "check_diophantine",
     "estimate_gamma",
 ]
+
+_TINY_GAMMA = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -186,12 +188,7 @@ class FrequencyVector:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.verified:
-            report = check_diophantine(omega, self.gamma, self.sigma, self.horizon)
-            if not report.passed:
-                raise ValueError(
-                    f"omega fails the Diophantine bound: worst k={report.worst_k} "
-                    f"margin={report.worst_margin:.3e} < gamma={self.gamma:.3e}"
-                )
+            _require(check_diophantine(omega, self.gamma, self.sigma, self.horizon))
 
     @property
     def dim(self) -> int:
@@ -203,8 +200,26 @@ class FrequencyVector:
 
     @classmethod
     def estimated(cls, omega, sigma: float, horizon: int, safety: float = 1.0):
-        """Build with gamma set to the scan minimum (scaled by safety)."""
-        gamma = estimate_gamma(omega, sigma, horizon) * safety
+        """Build with gamma set to the scan minimum (scaled by safety).
+
+        One scan both estimates and verifies: checked at the smallest
+        positive gamma, the report's worst margin is the estimate, and
+        gamma = safety * margin passes iff it does not exceed the margin.
+        """
+        scan = check_diophantine(omega, _TINY_GAMMA, sigma, horizon)
+        gamma = scan.worst_margin * safety
         if gamma <= 0:
             raise ValueError("omega is resonant within the horizon")
-        return cls(omega, gamma, sigma, horizon)
+        _require(replace(scan, gamma=gamma, passed=bool(scan.worst_margin >= gamma)))
+        freq = cls.unchecked(omega, gamma, sigma, horizon)
+        object.__setattr__(freq, "verified", True)  # the scan above checked it
+        return freq
+
+
+def _require(report: DiophantineReport) -> None:
+    """Raise the named failure of a report that did not pass."""
+    if not report.passed:
+        raise ValueError(
+            f"omega fails the Diophantine bound: worst k={report.worst_k} "
+            f"margin={report.worst_margin:.3e} < gamma={report.gamma:.3e}"
+        )

@@ -510,7 +510,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         nd_trial = nd0
         if not analytic_input and k0_index != 0:
             nd_trial = nondegeneracy(h_stage1, K0, freq, rho=params.rho)
-        k_trial, diag = newton_step(h_stage1, K0, freq, nd=nd_trial)
+        k_trial, diag = newton_step(h_stage1, K0, freq, nd=nd_trial, err=e0_stage)
         e_trial = invariance_error(h_stage1, k_trial, freq, rho=params.rho / 2)
         c_meas = e_trial.norm_grid / e0g**2
         d_meas = diag.correction_sup / e0g

@@ -26,7 +26,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -66,15 +67,20 @@ class StripNormEstimate:
     ``value`` is the coefficient bound sum_k |amp(k)| exp(2 pi |k|_1 rho),
     which dominates sup over the strip of half-width rho.  ``grid_max`` is
     the observed maximum on the real sampling grid (a lower bound for the
-    true sup).  ``tail_flag`` trips when the last dyadic block of modes
-    (|k|_inf > M/2) contributes more than 1e-10 of the total, signalling
-    that the truncation order is suspect.
+    true sup), synthesized from ``source`` on first use.  ``tail_flag``
+    trips when the last dyadic block of modes (|k|_inf > M/2) contributes
+    more than 1e-10 of the total, signalling that the truncation order is
+    suspect.
     """
 
     value: float
     rho: float
     tail_flag: bool
-    grid_max: float
+    source: FourierMap = field(repr=False, compare=False)
+
+    @cached_property
+    def grid_max(self) -> float:
+        return self.source.grid_sup()
 
 
 class FourierMap:
@@ -283,9 +289,7 @@ class FourierMap:
         total = float(np.sum(terms))
         tail = float(np.sum(terms[ks.max(axis=-1)[nz] > self.trunc_order / 2.0]))
         flag = total > 0 and tail > 1e-10 * total
-        return StripNormEstimate(
-            value=total, rho=rho, tail_flag=flag, grid_max=self.grid_sup()
-        )
+        return StripNormEstimate(value=total, rho=rho, tail_flag=flag, source=self)
 
     def grid_sup(self) -> float:
         """Max-norm maximum over the native sampling grid."""

@@ -18,6 +18,13 @@ xi_N is spent cancelling the tangent obstruction:
 which is where invertibility of the averaged torsion (the twist
 condition) enters.  The correction Delta = M xi acts on the periodic part
 of K only; re-analysis on the grid restores exact reality symmetry.
+
+Each iterate K costs one evaluation of H on the grid: solve_torus takes
+one jet of H at K's grid samples, whose gradient gives the defect
+(invariance_error) and whose Hessian gives the one frame build
+(nondegeneracy, which keeps M, M^-1 and S on the grid); newton_step then
+takes that frame and the defect as they are.  A K refined by resizing is
+a new iterate with its own jet and defect.
 """
 
 from __future__ import annotations
@@ -63,8 +70,14 @@ def _omega_array(omega) -> np.ndarray:
     return np.asarray(getattr(omega, "omega", omega), dtype=float)
 
 
+def _jet(hamiltonian, K: TorusEmbedding, grid_size=None):
+    """(value, grad, hess) of H at the samples of K on its grid."""
+    return jet_grid(hamiltonian, K.grid_samples(grid_size))
+
+
 def invariance_error(
-    hamiltonian, K: TorusEmbedding, omega, grid_size=None, rho: float = 0.0
+    hamiltonian, K: TorusEmbedding, omega, grid_size=None, rho: float = 0.0,
+    jet=None,
 ) -> ErrorField:
     """Evaluate the defect on the sampling grid and return it as a map.
 
@@ -73,11 +86,12 @@ def invariance_error(
     over the strip of half-width rho (rho = 0 gives the plain coefficient
     sum); its tail_flag trips when the defect's spectrum has not decayed
     by the truncation order, meaning the grid is too coarse to trust.
+    jet, when given, is the jet of H at K's samples on the same grid; it
+    is evaluated when omitted.
     """
     om = _omega_array(omega)
     gs = grid_size or K.periodic.grid_size
-    samples = K.grid_samples(gs)
-    _, grad, _ = jet_grid(hamiltonian, samples)
+    _, grad, _ = jet if jet is not None else _jet(hamiltonian, K, gs)
     j = symplectic_matrix(K.dim_domain)
     x_h = grad @ j.T
     d_om = K.directional(om).synthesize(gs)
@@ -97,6 +111,8 @@ class NondegeneracyData:
     n_map is N = (DK^T DK)^-1, s_map the torsion S, both as maps on the
     torus; avg_s must be invertible for the Newton step to exist.  The
     norms are coefficient bounds at the rho the data was built with.
+    m, m_inv and s hold the frame M, its inverse and S on the sampling
+    grid, shape grid + (2n, 2n) resp. grid + (n, n), for newton_step.
     """
 
     n_map: FourierMap
@@ -108,34 +124,45 @@ class NondegeneracyData:
     norm_s_inv: float
     cond_dk: float
     frame_min_det: float
+    m: np.ndarray
+    m_inv: np.ndarray
+    s: np.ndarray
 
 
-def _frame_tensors(hamiltonian, K: TorusEmbedding, grid_size=None):
-    """Pointwise DK, N, M, M^-1, S, gram on the sampling grid."""
-    n = K.dim_domain
-    gs = grid_size or K.periodic.grid_size
-    samples = K.grid_samples(gs)
-    _, _, hess = jet_grid(hamiltonian, samples)
-    j = symplectic_matrix(n)
-    a = np.einsum("ij,...jk->...ik", j, hess)
-    dk = K.dk().synthesize(gs)
-    gram = np.einsum("...ji,...jk->...ik", dk, dk)
+def _frame_tensors(hess: np.ndarray, dk: np.ndarray):
+    """Pointwise N, M, M^-1, S and gram from D^2H(K) and DK on the grid."""
+    j = symplectic_matrix(dk.shape[-1])
+    dkt = np.swapaxes(dk, -1, -2)
+    a = j @ hess
+    gram = dkt @ dk
     n_mat = np.linalg.inv(gram)
-    jdkn = np.einsum("ij,...jk,...kl->...il", j, dk, n_mat)
-    m = np.concatenate([dk, jdkn], axis=-1)
+    m = np.concatenate([dk, (j @ dk) @ n_mat], axis=-1)
     m_inv = np.linalg.inv(m)
-    comm = a @ j - np.einsum("ij,...jk->...ik", j, a)
-    s = n_mat @ np.einsum("...ji,...jk,...kl->...il", dk, comm, dk) @ n_mat
-    return dk, n_mat, m, m_inv, s, gram
+    comm = a @ j - j @ a
+    s = n_mat @ (dkt @ comm @ dk) @ n_mat
+    return n_mat, m, m_inv, s, gram
 
 
 def nondegeneracy(
-    hamiltonian, K: TorusEmbedding, omega=None, grid_size=None, rho: float = 0.0
+    hamiltonian, K: TorusEmbedding, omega=None, grid_size=None, rho: float = 0.0,
+    jet=None,
 ) -> NondegeneracyData:
-    """Definition-level non-degeneracy check: frame rank and averaged twist."""
+    """Definition-level non-degeneracy check: frame rank and averaged twist.
+
+    jet, when given, is the jet of H at K's samples on the same grid; it
+    is evaluated when omitted.
+    """
     del omega  # the data depends on (H, K) only
-    dk, n_mat, m, m_inv, s, gram = _frame_tensors(hamiltonian, K, grid_size)
-    cond = float(np.max(np.linalg.cond(gram)))
+    gs = grid_size or K.periodic.grid_size
+    _, _, hess = jet if jet is not None else _jet(hamiltonian, K, gs)
+    dk_map = K.dk()
+    n_mat, m, m_inv, s, gram = _frame_tensors(hess, dk_map.synthesize(gs))
+    # gram is symmetric positive definite: its 2-norm condition number is
+    # the ratio of its extreme eigenvalues (infinite once one is <= 0)
+    lam = np.linalg.eigvalsh(gram)
+    with np.errstate(divide="ignore"):
+        ratio = np.where(lam[..., 0] > 0, lam[..., -1] / lam[..., 0], np.inf)
+    cond = float(np.max(ratio))
     if cond > COND_DK_LIMIT:
         raise ValueError(f"DK rank-deficient on grid: cond(DK^T DK) = {cond:.3e}")
     n = K.dim_domain
@@ -154,15 +181,27 @@ def nondegeneracy(
         avg_s=avg_s,
         avg_s_inv=avg_s_inv,
         norm_n=n_map.strip_norm(rho).value,
-        norm_dk=K.dk().strip_norm(rho).value,
+        norm_dk=dk_map.strip_norm(rho).value,
         norm_s_inv=float(np.linalg.norm(avg_s_inv, 2)),
         cond_dk=cond,
         frame_min_det=float(np.min(np.abs(np.linalg.det(m)))),
+        m=m,
+        m_inv=m_inv,
+        s=s,
     )
 
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """What one Newton step saw and did.
+
+    The step uses one frame build (the NondegeneracyData it is given) and
+    one defect (the ErrorField it is given), both of the iterate K it
+    corrects.  error_before is that defect's grid sup, and tail_flag its
+    spectral tail flag at the rho it was evaluated with: in solve_torus
+    the solve's rho, rho = 0 when newton_step evaluates the defect itself.
+    """
+
     error_before: float
     correction_sup: float
     counterterm: np.ndarray
@@ -176,43 +215,57 @@ class StepDiagnostics:
     tail_flag: bool
 
 
+def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Pointwise matrix-vector product on the grid."""
+    return (mat @ vec[..., None])[..., 0]
+
+
 def newton_step(
     hamiltonian,
     K: TorusEmbedding,
     omega: FrequencyVector,
     nd: NondegeneracyData | None = None,
     grid_size=None,
+    err: ErrorField | None = None,
 ):
     """One quadratically convergent correction K -> K + M xi.
 
-    nd must describe (hamiltonian, K); it is recomputed when omitted.
+    nd and err must describe (hamiltonian, K) on the step's grid: the
+    frame data from nondegeneracy and the defect from invariance_error.
+    Whichever is omitted is computed here, from one shared jet.
     """
     n = K.dim_domain
     gs = grid_size or K.periodic.grid_size
-    if nd is None:
-        nd = nondegeneracy(hamiltonian, K, omega, gs)
-    err = invariance_error(hamiltonian, K, omega, gs)
+    if nd is None or err is None:
+        jet = _jet(hamiltonian, K, gs)
+        if nd is None:
+            nd = nondegeneracy(hamiltonian, K, omega, gs, jet=jet)
+        if err is None:
+            err = invariance_error(hamiltonian, K, omega, gs, jet=jet)
+    if nd.m.shape[:-2] != (gs,) * n:
+        raise ValueError(
+            f"frame data on grid {nd.m.shape[:-2]} does not match the step's "
+            f"grid {(gs,) * n}"
+        )
     e_vals = err.e.synthesize(gs)
-    dk, _, m, m_inv, _, _ = _frame_tensors(hamiltonian, K, gs)
-    s = nd.s_map.synthesize(gs)
-    eta = np.einsum("...ij,...j->...i", m_inv, e_vals)
+    eta = _apply(nd.m_inv, e_vals)
     eta_t, eta_n = eta[..., :n], eta[..., n:]
     grid_axes = tuple(range(eta_n.ndim - 1))
 
     sol_n = solve_cohomological(FourierMap.from_samples(eta_n, n), omega)
     xi_n0 = sol_n.solution.synthesize(gs)
-    s_xi_n0 = np.einsum("...ij,...j->...i", s, xi_n0)
+    s_xi_n0 = _apply(nd.s, xi_n0)
     c_n = nd.avg_s_inv @ (
         -eta_t.mean(axis=grid_axes) - s_xi_n0.mean(axis=grid_axes)
     )
     xi_n = xi_n0 + c_n
 
-    rhs_t = eta_t + np.einsum("...ij,...j->...i", s, xi_n)
+    rhs_t = eta_t + _apply(nd.s, xi_n)
     sol_t = solve_cohomological(FourierMap.from_samples(rhs_t, n), omega)
     xi_t = sol_t.solution.synthesize(gs)
 
     xi = np.concatenate([xi_t, xi_n], axis=-1)
-    delta = np.einsum("...ij,...j->...i", m, xi)
+    delta = _apply(nd.m, xi)
     delta_map = FourierMap.from_samples(delta, n)
     K_next = K.with_periodic(K.periodic + delta_map)
     diag = StepDiagnostics(
@@ -285,7 +338,8 @@ def solve_torus(
     increases = 0
     prev = np.inf
     for it in range(max_iter + 1):
-        err = invariance_error(hamiltonian, K, omega, grid_size, rho)
+        jet = _jet(hamiltonian, K, grid_size)
+        err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)
         if initial is None:
             initial = err.norm_grid
         if err.norm_grid < best_err:
@@ -305,8 +359,10 @@ def solve_torus(
             break
         if err.tail_flag and K.trunc_order * 2 <= max_trunc_order:
             K = K.resized(K.trunc_order * 2)
-        nd = nondegeneracy(hamiltonian, K, omega, grid_size, rho)
-        K, diag = newton_step(hamiltonian, K, omega, nd, grid_size)
+            jet = _jet(hamiltonian, K, grid_size)
+            err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)
+        nd = nondegeneracy(hamiltonian, K, omega, grid_size, rho, jet=jet)
+        K, diag = newton_step(hamiltonian, K, omega, nd, grid_size, err=err)
         trace.append(
             {
                 "iter": it,

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import kamtori.diophantine as diophantine
 from kamtori import FrequencyVector, check_diophantine, estimate_gamma
 
 from conftest import GOLDEN
@@ -119,6 +120,27 @@ class TestFrequencyVector:
         base = FrequencyVector.estimated(np.array([GOLDEN]), 1.0, 500)
         safe = FrequencyVector.estimated(np.array([GOLDEN]), 1.0, 500, safety=0.5)
         assert safe.gamma == pytest.approx(0.5 * base.gamma)
+
+    def test_estimated_scans_once(self, monkeypatch):
+        calls = []
+        scan = diophantine._scan
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(diophantine, "_scan", counted)
+        omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+        freq = FrequencyVector.estimated(omega, 1.1, 40)
+        assert len(calls) == 1
+        assert freq.verified
+        assert freq.gamma == estimate_gamma(omega, 1.1, 40)
+
+    @pytest.mark.parametrize("safety", [1.5, 1.0 + 1e-12])
+    def test_estimated_safety_above_one_rejected(self, safety):
+        want = r"fails the Diophantine bound: worst k=\(1,\)"
+        with pytest.raises(ValueError, match=want):
+            FrequencyVector.estimated(np.array([GOLDEN]), 1.0, 500, safety=safety)
 
     def test_unchecked_skips_scan(self):
         freq = FrequencyVector.unchecked(np.array([1.0, 2.0]), 0.1, 1.5, 10)

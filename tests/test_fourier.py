@@ -156,6 +156,22 @@ class TestStripNorm:
         est = g.strip_norm(rho)
         assert est.value >= g.grid_sup() - 1e-12
 
+    def test_grid_max_synthesizes_on_first_use_only(self, monkeypatch):
+        g = random_trig(np.random.default_rng(23), 2, 4)
+        calls = []
+        synthesize = FourierMap.synthesize
+
+        def counted(self, *args):
+            calls.append(1)
+            return synthesize(self, *args)
+
+        monkeypatch.setattr(FourierMap, "synthesize", counted)
+        est = g.strip_norm(0.1)
+        assert calls == []
+        assert est.grid_max == np.max(np.abs(synthesize(g)))
+        assert est.grid_max == est.grid_max
+        assert len(calls) == 1
+
     def test_tail_flag(self):
         smooth = FourierMap(1, (), {(1,): 1.0}, trunc_order=16)
         assert not smooth.strip_norm(0.0).tail_flag

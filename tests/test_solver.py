@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kamtori.solver as solver_module
 from kamtori import (
     FourierMap,
     FrequencyVector,
@@ -14,6 +15,8 @@ from kamtori import (
     nondegeneracy,
     solve_torus,
 )
+from kamtori.hamiltonian import jet_grid
+from kamtori.solver import _frame_tensors
 
 from conftest import GOLDEN
 
@@ -109,6 +112,36 @@ class TestNondegeneracy:
         a = nondegeneracy(h, K).avg_s
         b = nondegeneracy(h, rotated).avg_s
         assert np.max(np.abs(a - b)) < 1e-10
+
+
+def folded_torus(fold):
+    """x1 = theta1 + fold sin(2 pi theta1) / (2 pi) over T^2 at M = 16:
+    d x1 / d theta1 = 1 + fold cos(2 pi theta1), so gram = diag((dx1)^2, 1)."""
+    K = TorusEmbedding.circle([0.0, 0.0], trunc_order=16)
+    bump = np.zeros(4, dtype=complex)
+    bump[0] = -1j * fold / (4 * np.pi)
+    wave = FourierMap(2, (4,), {(1, 0): bump}, 16)
+    return TorusEmbedding(K.winding, K.periodic + wave)
+
+
+class TestFrameConditioning:
+    def test_cond_dk_is_the_two_norm_condition_number(self):
+        K = folded_torus(0.5)
+        nd = nondegeneracy(coupled_rotator(1e-3), K)
+        dk = K.dk().synthesize()
+        gram = np.swapaxes(dk, -1, -2) @ dk
+        assert nd.cond_dk == pytest.approx(np.max(np.linalg.cond(gram)), rel=1e-12)
+        theta = np.arange(33) / 33
+        assert nd.cond_dk == pytest.approx(
+            np.max(1 / (1 + 0.5 * np.cos(2 * np.pi * theta)) ** 2), rel=1e-12
+        )
+
+    def test_nearly_folded_frame_rejected(self):
+        # dx1/dtheta1 = 1e-5 at theta1 = 16/33: cond(DK^T DK) = 1e10
+        fold = (1e-5 - 1) / np.cos(2 * np.pi * 16 / 33)
+        with pytest.raises(ValueError, match=r"DK rank-deficient on grid: "
+                           r"cond\(DK\^T DK\) = 1\.0\d\de\+10"):
+            nondegeneracy(coupled_rotator(1e-3), folded_torus(fold))
 
 
 class TestNewtonStep:
@@ -237,3 +270,95 @@ class TestDiophantineHorizon:
         assert h.calls == 0
         ok = solve_torus(h, K0.resized(32), freq, max_iter=0)
         assert h.calls > 0 and ok.iterations == 0
+
+
+class TestOneEvaluationPerIterate:
+    """solve_torus evaluates H once per iterate and shares frame and defect."""
+
+    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+
+    @pytest.fixture(scope="class")
+    def coupled_freq(self):
+        return FrequencyVector.estimated(self.omega, sigma=1.1, horizon=64)
+
+    def cases(self, golden_freq, coupled_freq):
+        """(model, K0, omega, refinement cap): n = 1 held at M = 64 (its tail
+        would refine it), n = 2 refining 16 -> 32 up to its horizon."""
+        return [
+            (HamiltonianModel.pendulum(1e-3),
+             TorusEmbedding.circle(GOLDEN, trunc_order=64), golden_freq, 64),
+            (coupled_rotator(1e-3),
+             TorusEmbedding.circle(self.omega, trunc_order=16), coupled_freq, 512),
+        ]
+
+    def test_one_jet_per_iterate_plus_one_per_resize(
+        self, monkeypatch, golden_freq, coupled_freq
+    ):
+        calls = []
+
+        def counted(h, z):
+            calls.append(z.shape)
+            return jet_grid(h, z)
+
+        monkeypatch.setattr(solver_module, "jet_grid", counted)
+        resizes = []
+        for h, K0, freq, cap in self.cases(golden_freq, coupled_freq):
+            calls.clear()
+            res = solve_torus(h, K0, freq, tol=1e-12, max_trunc_order=cap)
+            assert res.converged and res.iterations >= 2
+            refinements = int(np.log2(res.torus.trunc_order // K0.trunc_order))
+            resizes.append(refinements)
+            assert len(calls) == res.iterations + 1 + refinements
+        assert resizes == [0, 1]
+
+    def test_shared_step_matches_standalone_step(
+        self, monkeypatch, golden_freq, coupled_freq
+    ):
+        steps = []
+
+        def recorded(h, K, omega, *args, **kwargs):
+            out = newton_step(h, K, omega, *args, **kwargs)
+            steps.append((h, K, omega, out))
+            return out
+
+        monkeypatch.setattr(solver_module, "newton_step", recorded)
+        for h, K0, freq, _ in self.cases(golden_freq, coupled_freq):
+            steps.clear()
+            res = solve_torus(h, K0, freq, tol=1e-12)
+            assert res.converged and res.torus.trunc_order > K0.trunc_order
+            assert len(steps) >= 2
+            for h_i, K, omega, (shared, shared_diag) in steps:
+                alone, diag = newton_step(h_i, K, omega)
+                diff = np.max(np.abs(shared.periodic.coeffs - alone.periodic.coeffs))
+                assert diff <= 1e-13
+                # the defect of this very iterate, also right after a resize
+                assert shared_diag.error_before == diag.error_before
+
+    def test_frame_tensors_match_einsum_reference(self, coupled_freq):
+        h = coupled_rotator(1e-3)
+        K, _ = newton_step(h, TorusEmbedding.circle(self.omega, trunc_order=16),
+                           coupled_freq)
+        _, _, hess = jet_grid(h, K.grid_samples())
+        dk = K.dk().synthesize()
+        j = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0.0]])
+        a = np.einsum("ij,...jk->...ik", j, hess)
+        gram = np.einsum("...ji,...jk->...ik", dk, dk)
+        n_mat = np.linalg.inv(gram)
+        m = np.concatenate(
+            [dk, np.einsum("ij,...jk,...kl->...il", j, dk, n_mat)], axis=-1
+        )
+        comm = a @ j - np.einsum("ij,...jk->...ik", j, a)
+        s = n_mat @ np.einsum("...ji,...jk,...kl->...il", dk, comm, dk) @ n_mat
+        want = (n_mat, m, np.linalg.inv(m), s, gram)
+        got = _frame_tensors(hess, dk)
+        assert np.max(np.abs(dk - dk.mean(axis=(0, 1)))) > 1e-6  # DK varies
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
+
+    def test_frame_from_another_grid_rejected(self, golden_freq):
+        h = HamiltonianModel.pendulum(1e-3)
+        K = TorusEmbedding.circle(GOLDEN, trunc_order=16)
+        nd = nondegeneracy(h, K, grid_size=K.periodic.grid_size + 2)
+        with pytest.raises(ValueError, match="does not match the step's grid"):
+            newton_step(h, K, golden_freq, nd)
