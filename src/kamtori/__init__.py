@@ -55,8 +55,6 @@ from .smoothing import (
     cl_gap,
     cl_norm,
     cutoff_extend,
-    rescale_from_unit,
-    rescale_to_unit,
 )
 from .solver import (
     ErrorField,
@@ -91,8 +89,6 @@ __all__ = [
     "lemma4_check",
     "newton_step",
     "nondegeneracy",
-    "rescale_from_unit",
-    "rescale_to_unit",
     "run_scheme",
     "select_k0",
     "solve_cohomological",

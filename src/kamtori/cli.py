@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -33,13 +32,12 @@ import numpy as np
 from .diophantine import FrequencyVector, check_diophantine, estimate_gamma
 from .driver import (
     DEFAULT_LAMBDA,
-    KamSchedule,
     RunParams,
-    _c3_near,
     _jsonable,
-    check_conditions,
     eval_lambda,
+    kam_schedule,
     run_scheme,
+    smoothing_ladder,
 )
 from .fourier import TorusEmbedding
 from .hamiltonian import (
@@ -49,8 +47,7 @@ from .hamiltonian import (
     RoughTerm,
     SinPowerProfile,
 )
-from .smoothing import build_smoothing_sequence, cutoff_extend
-from .solver import invariance_error, nondegeneracy, solve_torus
+from .solver import invariance_error, solve_torus
 
 
 class ConfigError(Exception):
@@ -89,7 +86,6 @@ class RunConfig:
     condition_mode: str = "measured"
     lambda_spec: str = DEFAULT_LAMBDA
     out: str | None = None
-    seed: int = 0
 
     def to_json(self) -> str:
         doc = {}
@@ -377,17 +373,9 @@ def cmd_verify(args) -> int:
     K = cfg.load_torus()
     freq = cfg.frequency()
     err = invariance_error(H, K, freq, rho=cfg.rho)
-    nd = nondegeneracy(H, K, freq, rho=cfg.rho)
-    mu = _c3_near(H, K, 2 * cfg.r, cfg.norm_points)
-    smooth_cls = getattr(H, "smoothness_class", math.inf)
-    l = cfg.l if cfg.l is not None else (4 if math.isinf(smooth_cls) else int(smooth_cls))
-    schedule = KamSchedule(
-        rho=cfg.rho, r=cfg.r, l=l, sigma=cfg.sigma, gamma=freq.gamma,
-        mu0=mu, d0=nd.norm_dk, v0=nd.norm_n, tau0=nd.norm_s_inv,
-    )
-    c_value = eval_lambda(cfg.lambda_spec, schedule.mu, schedule.d, schedule.v, schedule.tau)
-    conditions = check_conditions(
-        c_value, freq.gamma, cfg.sigma, schedule.delta0, err.norm_rho.value, cfg.r
+    schedule, nd = kam_schedule(H, K, freq, cfg.run_params())
+    c_value, conditions = schedule.strict_conditions(
+        cfg.lambda_spec, err.norm_rho.value
     )
     passed = bool(conditions["condition2_ok"] and conditions["condition3_ok"])
     _write_json(
@@ -403,7 +391,7 @@ def cmd_verify(args) -> int:
                 "cond_dk": nd.cond_dk,
                 "avg_s": nd.avg_s,
             },
-            "mu0": mu,
+            "mu0": schedule.mu0,
             "c_value": c_value,
             "conditions": conditions,
             "omega": list(freq.omega),
@@ -420,20 +408,12 @@ def cmd_smooth(args) -> int:
     H = cfg.load_hamiltonian()
     K0 = cfg.load_torus()
     freq = cfg.frequency()
-    err = invariance_error(H, K0, freq, rho=cfg.rho)
-    smooth_cls = getattr(H, "smoothness_class", math.inf)
-    analytic = math.isinf(smooth_cls)
-    l = cfg.l if cfg.l is not None else (4 if analytic else int(smooth_cls))
-    h_ext = H if analytic else cutoff_extend(H, K0, cfg.r, cfg.rho)
     try:
-        seq = build_smoothing_sequence(
-            h_ext, l, cfg.sigma, cfg.count, err.norm_rho.value,
-            start_degree=cfg.start_degree, max_degree=cfg.max_degree,
-            measure_points=cfg.measure_points,
-        )
+        ladder = smoothing_ladder(H, K0, freq, cfg.run_params())
     except ValueError as exc:
         _write_json(out / "certificate.json", {"passed": False, "error": str(exc)})
         return 1
+    seq = ladder.seq
 
     rows = io.StringIO()
     writer = csv.writer(rows)
@@ -468,14 +448,14 @@ def cmd_smooth(args) -> int:
         out / "certificate.json",
         {
             "passed": True,
-            "analytic_input": analytic,
-            "e0_rho": err.norm_rho.value,
+            "analytic_input": ladder.analytic_input,
+            "e0_rho": ladder.e0.norm_rho.value,
             "anchor_index": seq.anchor_index,
             "degrees": list(seq.degrees),
             "gaps_c3": list(seq.gaps_c3),
             "gaps_c0": list(seq.gaps_c0),
             "a_const": seq.a_const,
-            "l": l,
+            "l": ladder.l,
             "sigma": cfg.sigma,
         },
     )
@@ -501,7 +481,6 @@ def cmd_run(args) -> int:
 
     cert = dict(res.certificate)
     cert["stages"] = summaries
-    cert["seed"] = cfg.seed
     _write_json(out / "certificate.json", cert)
     (out / "torus_final.csv").write_text(res.torus.to_csv())
     (out / "torus_samples.csv").write_text(_samples_csv(res.torus))

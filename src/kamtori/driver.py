@@ -18,6 +18,14 @@ lambda-form left-hand sides under a configurable spec (default
 constant and step amplification of an actual trial Newton step).  The
 default gate decision uses the measured variant; "strict" mode gates on
 the literal one.
+
+Each quantity is measured once.  The ladder's tails to the rough target
+are the composite C^3 gaps its construction already measured; stage 1
+starts from the gate's defect and frame of the selected model at K0;
+stage k >= 2 starts from stage k-1's defect against H, whose jet also
+gives that stage's frame; the final defect is the last stage's.  The
+CLI's smooth and verify commands call smoothing_ladder and kam_schedule,
+the same code that run_scheme uses.
 """
 
 from __future__ import annotations
@@ -30,29 +38,38 @@ import numpy as np
 
 from .diophantine import FrequencyVector
 from .fourier import TorusEmbedding
-from .hamiltonian import Box, HamiltonianModel
+from .hamiltonian import Box, HamiltonianModel, jet_grid
 from .smoothing import (
     BernsteinHamiltonian,
     CutoffHamiltonian,
     SmoothingSequence,
     SumModel,
     build_smoothing_sequence,
-    cl_gap,
     cl_norm,
     cutoff_extend,
 )
-from .solver import invariance_error, newton_step, nondegeneracy, solve_torus
+from .solver import (
+    ErrorField,
+    NondegeneracyData,
+    invariance_error,
+    newton_step,
+    nondegeneracy,
+    solve_torus,
+)
 
 __all__ = [
     "DEFAULT_LAMBDA",
     "KamSchedule",
+    "Ladder",
     "RunParams",
     "RunResult",
     "check_conditions",
     "eval_lambda",
+    "kam_schedule",
     "lemma4_check",
     "run_scheme",
     "select_k0",
+    "smoothing_ladder",
 ]
 
 DEFAULT_LAMBDA = "mu * d**2 * v**2 * tau**2"
@@ -166,6 +183,11 @@ class KamSchedule:
         """A1 right-hand side: r * sum_{i<k} 4^(-(l+sigma) i) <= (4/3) r."""
         q = 4.0 ** (-(self.l + self.sigma))
         return self.r * (1 - q**k) / (1 - q)
+
+    def strict_conditions(self, lambda_spec: str, e_norm: float) -> tuple[float, dict]:
+        """(c, conditions): the literal lambda-form gate at defect norm e_norm."""
+        c = eval_lambda(lambda_spec, self.mu, self.d, self.v, self.tau)
+        return c, check_conditions(c, self.gamma, self.sigma, self.delta0, e_norm, self.r)
 
 
 def check_conditions(
@@ -353,12 +375,79 @@ def _c3_near(model, K: TorusEmbedding, margin: float, points: int) -> float:
     return cl_norm(_model_value(model), box, 3, points)
 
 
-def _frequency(omega, params: RunParams, n: int) -> FrequencyVector:
+def _frequency(omega, params: RunParams) -> FrequencyVector:
     if isinstance(omega, FrequencyVector):
         return omega
     if params.gamma is not None:
         return FrequencyVector(omega, params.gamma, params.sigma, params.horizon)
     return FrequencyVector.estimated(omega, params.sigma, params.horizon)
+
+
+def _smoothness(hamiltonian, l: int | None) -> tuple[int, bool]:
+    """(l, analytic): l defaults to 4 for analytic input, else to H's class."""
+    smooth_cls = getattr(hamiltonian, "smoothness_class", math.inf)
+    analytic = math.isinf(smooth_cls)
+    if l is None:
+        l = 4 if analytic else int(smooth_cls)
+    if not analytic and l > smooth_cls:
+        raise ValueError(f"requested l={l} exceeds the model's C^{smooth_cls}")
+    return l, analytic
+
+
+@dataclass(frozen=True)
+class Ladder:
+    """The smoothing side of a run.
+
+    l is the resolved smoothness class, e0 the defect of H at K0 (its
+    strip norm at rho anchors the sequence), h_ext the cut-off model (H
+    itself for analytic input) and seq its approximant ladder.
+    """
+
+    l: int
+    analytic_input: bool
+    e0: ErrorField
+    h_ext: object
+    seq: SmoothingSequence
+
+
+def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
+                     params: RunParams) -> Ladder:
+    """Resolve l, measure H's defect at K0, cut off and smooth the rough part."""
+    l, analytic = _smoothness(hamiltonian, params.l)
+    e0 = invariance_error(hamiltonian, K0, freq, rho=params.rho)
+    h_ext = hamiltonian
+    if not analytic:
+        h_ext = cutoff_extend(hamiltonian, K0, params.r, params.rho)
+    seq = build_smoothing_sequence(
+        h_ext, l, params.sigma, params.count, e0.norm_rho.value,
+        start_degree=params.start_degree, max_degree=params.max_degree,
+        measure_points=params.measure_points,
+    )
+    return Ladder(l, analytic, e0, h_ext, seq)
+
+
+def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
+                 params: RunParams, ladder: Ladder | None = None
+                 ) -> tuple[KamSchedule, NondegeneracyData]:
+    """Schedule anchored at K, with the frame data its constants come from.
+
+    d0, v0, tau0 are the frame's growth norms at rho and mu0 the C^3 norm
+    within 2r of K.  Without a ladder both are measured on H itself; with
+    one, the frame is that of its first approximant and the norm that of
+    its cut-off model.
+    """
+    if ladder is None:
+        l, _ = _smoothness(hamiltonian, params.l)
+        frame_model = norm_model = hamiltonian
+    else:
+        l, frame_model, norm_model = ladder.l, ladder.seq.approximants[0], ladder.h_ext
+    nd = nondegeneracy(frame_model, K, freq, rho=params.rho)
+    mu0 = _c3_near(norm_model, K, 2 * params.r, params.norm_points)
+    schedule = KamSchedule(
+        rho=params.rho, r=params.r, l=l, sigma=params.sigma, gamma=freq.gamma,
+        mu0=mu0, d0=nd.norm_dk, v0=nd.norm_n, tau0=nd.norm_s_inv,
+    )
+    return schedule, nd
 
 
 def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None = None,
@@ -373,13 +462,9 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         params = RunParams(**overrides)
     elif overrides:
         raise ValueError("pass either params or keyword overrides, not both")
-    n = K0.dim_domain
-    freq = _frequency(omega, params, n)
-    smooth_cls = getattr(hamiltonian, "smoothness_class", math.inf)
-    analytic_input = math.isinf(smooth_cls)
-    l = params.l if params.l is not None else (4 if analytic_input else int(smooth_cls))
-    if not analytic_input and l > smooth_cls:
-        raise ValueError(f"requested l={l} exceeds the model's C^{smooth_cls}")
+    freq = _frequency(omega, params)
+    ladder = smoothing_ladder(hamiltonian, K0, freq, params)
+    l, analytic_input, seq = ladder.l, ladder.analytic_input, ladder.seq
 
     cert: dict = {
         "params": _jsonable(params.__dict__),
@@ -394,7 +479,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
     stages: list[dict] = []
 
     # initial defect of the original model, the anchor scale of the sequence
-    e0_orig = invariance_error(hamiltonian, K0, freq, rho=params.rho)
+    e0_orig = ladder.e0
     cert["e0_original"] = {
         "grid": e0_orig.norm_grid,
         "rho": e0_orig.norm_rho.value,
@@ -402,20 +487,6 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
     }
     e0_norm = e0_orig.norm_rho.value
 
-    if analytic_input:
-        h_ext = hamiltonian
-    else:
-        h_ext = cutoff_extend(hamiltonian, K0, params.r, params.rho)
-    seq = build_smoothing_sequence(
-        h_ext,
-        l,
-        params.sigma,
-        params.count,
-        e0_norm,
-        start_degree=params.start_degree,
-        max_degree=params.max_degree,
-        measure_points=params.measure_points,
-    )
     cert["smoothing"] = {
         "anchor_index": seq.anchor_index,
         "degrees": list(seq.degrees),
@@ -424,39 +495,18 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         "a_const": seq.a_const,
         "ladder_degrees": list(seq.history["ladder_degrees"]),
         "ladder_gaps_c3": list(seq.history["ladder_gaps_c3"]),
-        "bound_checks": _jsonable(seq.bound_checks),
     }
 
+    # each kept approximant's C^3 distance to the rough target, measured
+    # when bernstein_nd built it
     if analytic_input:
         tails = [0.0] * len(seq.approximants)
     else:
-        tails = [
-            cl_gap(b, h_ext.cut_values, h_ext.box, 3, params.measure_points)
-            for b in seq.history["bernstein"]
-        ]
+        tails = [b.report["composite_c3_gap"] for b in seq.history["bernstein"]]
     cert["tails_c3"] = list(tails)
 
-    # base quantities for the selected stage-1 model
-    nd0 = nondegeneracy(
-        seq.approximants[0] if not analytic_input else hamiltonian,
-        K0,
-        freq,
-        rho=params.rho,
-    )
-    mu0 = _c3_near(
-        hamiltonian if analytic_input else h_ext, K0, 2 * params.r, params.norm_points
-    )
-    schedule = KamSchedule(
-        rho=params.rho,
-        r=params.r,
-        l=l,
-        sigma=params.sigma,
-        gamma=freq.gamma,
-        mu0=mu0,
-        d0=nd0.norm_dk,
-        v0=nd0.norm_n,
-        tau0=nd0.norm_s_inv,
-    )
+    # base quantities for the first sequence entry
+    schedule, nd0 = kam_schedule(hamiltonian, K0, freq, params, ladder)
     cert["schedule"] = {
         "delta0": schedule.delta0,
         "beta_statement": schedule.beta_statement,
@@ -486,31 +536,32 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         cert["termination_reason"] = "no_admissible_k0"
         return RunResult(K0, _jsonable(cert), stages, seq)
 
+    # analytic input: every sequence entry is H itself
     h_stage1 = seq.approximants[k0_index]
-    e0_stage = invariance_error(h_stage1, K0, freq, rho=params.rho)
+    if h_stage1 is hamiltonian:
+        e0_stage = e0_orig
+    else:
+        e0_stage = invariance_error(h_stage1, K0, freq, rho=params.rho)
     cert["e0_stage1"] = {
         "grid": e0_stage.norm_grid,
         "rho": e0_stage.norm_rho.value,
         "tail_flag": bool(e0_stage.tail_flag),
     }
+    if h_stage1 is seq.approximants[0]:
+        nd_stage1 = nd0
+    else:
+        nd_stage1 = nondegeneracy(h_stage1, K0, freq, rho=params.rho)
 
     # gate: literal lambda-form conditions plus measured trial-step analogues
-    c_value = eval_lambda(
-        params.lambda_spec, schedule.mu, schedule.d, schedule.v, schedule.tau
+    c_value, strict = schedule.strict_conditions(
+        params.lambda_spec, e0_stage.norm_rho.value
     )
     cert["c_value"] = c_value
-    strict = check_conditions(
-        c_value, freq.gamma, params.sigma, schedule.delta0,
-        e0_stage.norm_rho.value, params.r,
-    )
     cert["conditions_strict"] = strict
 
     e0g = e0_stage.norm_grid
     if e0g > 0:
-        nd_trial = nd0
-        if not analytic_input and k0_index != 0:
-            nd_trial = nondegeneracy(h_stage1, K0, freq, rho=params.rho)
-        k_trial, diag = newton_step(h_stage1, K0, freq, nd=nd_trial, err=e0_stage)
+        k_trial, diag = newton_step(h_stage1, K0, freq, nd=nd_stage1, err=e0_stage)
         e_trial = invariance_error(h_stage1, k_trial, freq, rho=params.rho / 2)
         c_meas = e_trial.norm_grid / e0g**2
         d_meas = diag.correction_sup / e0g
@@ -545,25 +596,28 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         cert["termination_reason"] = "condition3_failed"
         return RunResult(K0, _jsonable(cert), stages, seq)
 
-    # Newton cascade: stage 1 on the smoothed model, then the original H
+    # Newton cascade: stage 1 on the smoothed model, then the original H.
+    # Stage 1 starts from the gate's defect and frame at K0.
     tol = params.tol if params.tol is not None else params.target_error
     tori = [K0]
     k_prev = K0
     termination = "stage_cap"
     failed_stage = None
+    e_k, nd_k = e0_stage.norm_rho.value, nd_stage1
     for k in range(1, params.max_stages + 1):
         h_k = h_stage1 if k == 1 else hamiltonian
         rho_k = schedule.rho_k(k)
-        rho_prev = schedule.rho_k(k - 1) if k > 1 else params.rho
         r_prev = schedule.r_k(k - 1) if k > 1 else params.r
-        e_k = invariance_error(h_k, k_prev, freq, rho=rho_k)
-        nd_k = nondegeneracy(h_k, k_prev, freq, rho=rho_prev)
+        if k > 1:
+            # stage k-1 measured H's defect at k_prev; its jet gives the frame
+            e_k = err_vs_h.e.strip_norm(rho_k).value
+            nd_k = nondegeneracy(h_k, k_prev, freq, rho=schedule.rho_k(k - 1), jet=jet)
         mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r), params.norm_points)
         c_k = eval_lambda(params.lambda_spec, mu_k, nd_k.norm_dk, nd_k.norm_n,
                           nd_k.norm_s_inv)
         delta_k = schedule.delta_k(k)
-        a3_lhs = c_k * freq.gamma ** -4 * delta_k ** (-4 * params.sigma) * e_k.norm_rho.value
-        a4_lhs = c_k * freq.gamma ** -2 * delta_k ** (-2 * params.sigma) * e_k.norm_rho.value
+        a3_lhs = c_k * freq.gamma ** -4 * delta_k ** (-4 * params.sigma) * e_k
+        a4_lhs = c_k * freq.gamma ** -2 * delta_k ** (-2 * params.sigma) * e_k
 
         # refinement may not outgrow the certified Diophantine horizon
         res = solve_torus(
@@ -574,7 +628,8 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         step_norm = k_new.difference(k_prev).strip_norm(rho_k).value
         drift = k_new.difference(K0).strip_norm(schedule.rho_k(k + 1)).value
         drift_rhs = schedule.drift_budget(k)
-        err_vs_h = invariance_error(hamiltonian, k_new, freq, rho=0.0)
+        jet = jet_grid(hamiltonian, k_new.grid_samples())
+        err_vs_h = invariance_error(hamiltonian, k_new, freq, rho=0.0, jet=jet)
         quad = None
         if len(res.trace) >= 2 and res.trace[0]["error"] > 0:
             quad = res.trace[1]["error"] / res.trace[0]["error"] ** 2
@@ -589,7 +644,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
             "iterations": res.iterations,
             "error_stage_model": res.error,
             "error_vs_original_grid": err_vs_h.norm_grid,
-            "e_k_rho": e_k.norm_rho.value,
+            "e_k_rho": e_k,
             "A1_lhs": drift,
             "A1_rhs": drift_rhs,
             "A1_ok": bool(drift <= drift_rhs),
@@ -644,7 +699,10 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
     cert["lemma4"] = _jsonable(lemma4)
 
     k_final = tori[-1]
-    final_err = invariance_error(hamiltonian, k_final, freq, rho=0.0)
+    if stages:
+        final_err = err_vs_h  # the last stage's defect of H at k_final
+    else:
+        final_err = invariance_error(hamiltonian, k_final, freq, rho=0.0)
     final_drift = k_final.difference(K0).strip_norm(params.rho / 2).value
     cert["final"] = {
         "error_vs_original_grid": final_err.norm_grid,

@@ -49,8 +49,6 @@ __all__ = [
     "cl_gap",
     "cl_norm",
     "cutoff_extend",
-    "rescale_from_unit",
-    "rescale_to_unit",
     "unit_box",
 ]
 
@@ -392,30 +390,6 @@ def bernstein_derivative(approx: BernsteinApproximant, q: int) -> BernsteinAppro
     if approx.dim != 1:
         raise ValueError("bernstein_derivative expects a 1-D approximant")
     return approx.derivative((q,))
-
-
-def rescale_to_unit(f, box):
-    """Pull a function on the box back to the unit cube (exact affine map)."""
-    box = _as_box(box, _box_dim(box))
-    lo, w = box.lo, box.widths()
-
-    def fbar(y):
-        y = np.asarray(y, dtype=float)
-        return f(lo + y * w)
-
-    return fbar
-
-
-def rescale_from_unit(fbar, box):
-    """Inverse chart: push a unit-cube function forward onto the box."""
-    box = _as_box(box, _box_dim(box))
-    lo, w = box.lo, box.widths()
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return fbar((x - lo) / w)
-
-    return f
 
 
 def _axis_box(box: Box, axis: int) -> Box:
@@ -887,9 +861,8 @@ class SmoothingSequence:
 
     a_const is the fitted envelope max_k gap_k * 4^(k(l+2 sigma)), so every
     stored gap satisfies gap_k <= a_const * 4^(-k(l+2 sigma)) by
-    construction; bound_checks records each comparison.  The sequence is
-    re-anchored: index 0 is the first ladder entry whose outgoing gap
-    dropped below e0_norm.
+    construction.  The sequence is re-anchored: index 0 is the first
+    ladder entry whose outgoing gap dropped below e0_norm.
     """
 
     approximants: list
@@ -901,7 +874,6 @@ class SmoothingSequence:
     sigma: float
     e0_norm: float
     anchor_index: int
-    bound_checks: list[dict]
     history: dict
 
     def bound(self, k: int) -> float:
@@ -942,11 +914,6 @@ def build_smoothing_sequence(
     if analytic_input:
         model = h_ext.analytic if isinstance(h_ext, CutoffHamiltonian) else h_ext
         zeros = [0.0] * max(count - 1, 0)
-        checks = [
-            {"k": i, "degree": None, "gap_c3": 0.0, "gap_c0": 0.0, "bound": 0.0,
-             "ok": True}
-            for i in range(len(zeros))
-        ]
         return SmoothingSequence(
             approximants=[model] * count,
             degrees=[0] * count,
@@ -957,7 +924,6 @@ def build_smoothing_sequence(
             sigma=sigma,
             e0_norm=e0_norm,
             anchor_index=0,
-            bound_checks=checks,
             history={"ladder_degrees": [], "ladder_gaps_c3": [], "analytic": True},
         )
 
@@ -1012,16 +978,6 @@ def build_smoothing_sequence(
     a_const = max(
         (g * 4.0 ** (k * rate) for k, g in enumerate(kept_g3)), default=0.0
     )
-    checks = []
-    for k, g in enumerate(kept_g3):
-        bound = a_const * 4.0 ** (-k * rate)
-        ok = g <= bound * (1 + 1e-12)
-        checks.append(
-            {"k": k, "degree": kept_deg[k], "gap_c3": g, "gap_c0": kept_g0[k],
-             "bound": bound, "ok": ok}
-        )
-        if not ok:
-            raise AssertionError("fitted envelope violated; fit is inconsistent")
     models = [
         SumModel([h_ext.analytic, BernsteinHamiltonian(b, h_ext.n)])
         if h_ext.analytic is not None
@@ -1038,7 +994,6 @@ def build_smoothing_sequence(
         sigma=sigma,
         e0_norm=e0_norm,
         anchor_index=anchor,
-        bound_checks=checks,
         history={
             "ladder_degrees": degrees,
             "ladder_gaps_c3": raw_gaps_c3,

@@ -201,7 +201,6 @@ class TestDispatch:
         stage_files = sorted(p.name for p in (out / "stages").iterdir())
         assert stage_files == [f"stage_{r['stage']}.jsonl" for r in cert["stages"]]
         assert (out / "torus_final.csv").is_file()
-        assert cert["seed"] == 0
 
     def test_smooth_rough_ladder(self, write_files):
         cfg_path, out = write_files(
@@ -244,6 +243,31 @@ class TestDispatch:
         assert not doc["passed"]
         assert doc["worst_k"] == [2]
         assert doc["margin"] == 0.0
+
+
+class TestSharedDriverPath:
+    """smooth and verify report what run measures on the same config."""
+
+    def test_verify_matches_run_on_analytic_input(self, write_files):
+        cfg_path, out = write_files(PENDULUM, "run", target_error=1e-10)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        # the literal gate fails here; the check is that both paths agree
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out / "v")]) == 1
+        run = json.loads((out / "certificate.json").read_text())
+        ver = json.loads((out / "v" / "certificate.json").read_text())
+        assert ver["conditions"] == run["conditions_strict"]
+        assert ver["c_value"] == run["c_value"]
+        assert ver["mu0"] == run["schedule"]["mu0"]
+
+    def test_smooth_matches_run_on_rough_input(self, write_files):
+        cfg_path, out = write_files(ROUGH, "run", y0=[0.4], rho=0.02, r=0.8,
+                                    target_error=1e-8)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert main(["smooth", "--config", str(cfg_path), "--out", str(out / "s")]) == 0
+        run = json.loads((out / "certificate.json").read_text())["smoothing"]
+        smooth = json.loads((out / "s" / "certificate.json").read_text())
+        for key in ("degrees", "gaps_c3", "a_const", "anchor_index"):
+            assert smooth[key] == run[key], key
 
 
 class TestOverrides:

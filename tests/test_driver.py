@@ -39,7 +39,6 @@ def synthetic_sequence(gaps, a_const, l=4, sigma=1.1):
         sigma=sigma,
         e0_norm=0.0,
         anchor_index=0,
-        bound_checks=[],
         history={},
     )
 
@@ -322,3 +321,83 @@ class TestRunScheme:
     def test_condition_mode_validated(self):
         with pytest.raises(ValueError, match="condition_mode"):
             RunParams(condition_mode="loose")
+
+
+@pytest.fixture(scope="module")
+def rough_run():
+    """run_scheme on a C^4 rotator, recording what the driver measures itself.
+
+    Counts the calls run_scheme makes through its own module names (the
+    solver's calls inside solve_torus and newton_step are not counted)
+    and every cl_gap call made after the ladder is built.
+    """
+    import kamtori.driver as driver
+    import kamtori.smoothing as smoothing
+    from kamtori import BSplineProfile, CompositeHamiltonian, RoughTerm
+
+    calls = {"invariance_error": 0, "nondegeneracy": 0, "jet_grid": 0,
+             "late_cl_gap": 0}
+    ladders = []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    def cl_gap(*args, **kwargs):
+        if ladders:
+            calls["late_cl_gap"] += 1
+        return smoothing_cl_gap(*args, **kwargs)
+
+    def ladder(*args, **kwargs):
+        seq = build(*args, **kwargs)
+        ladders.append(seq)
+        return seq
+
+    smoothing_cl_gap, build = smoothing.cl_gap, driver.build_smoothing_sequence
+    prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], degree=5)
+    h = CompositeHamiltonian(
+        HamiltonianModel.free_rotator(1), [RoughTerm(0, prof, 1e-4)]
+    )
+    K0 = TorusEmbedding.circle(np.array([0.4]), trunc_order=64)
+    params = RunParams(rho=0.02, r=0.8, sigma=1.1, horizon=256, target_error=1e-8)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("invariance_error", "nondegeneracy", "jet_grid"):
+            mp.setattr(driver, name, counted(name, getattr(driver, name)))
+        # the driver itself imports no cl_gap; should it ever, count its calls too
+        mp.setattr(smoothing, "cl_gap", cl_gap)
+        mp.setattr(driver, "cl_gap", cl_gap, raising=False)
+        mp.setattr(driver, "build_smoothing_sequence", ladder)
+        res = run_scheme(h, K0, np.array([GOLDEN]), params)
+    return res, ladders, calls
+
+
+class TestMeasuredOnce:
+    def test_tails_are_the_ladders_composite_gaps(self, rough_run):
+        res, ladders, calls = rough_run
+        assert res.converged
+        (seq,) = ladders
+        gaps = [b.report["composite_c3_gap"] for b in seq.history["bernstein"]]
+        assert res.certificate["tails_c3"] == gaps
+        assert calls["late_cl_gap"] == 0
+
+    def test_driver_measures_each_stage_start_once(self, rough_run):
+        res, _, calls = rough_run
+        stages = len(res.stages)
+        assert stages >= 3
+        cert = res.certificate
+        # e0 of H, e0 of the stage-1 model, the trial step, one defect of H
+        # per stage (the next stage's start and, last, the final defect)
+        assert calls["invariance_error"] == 3 + stages
+        assert calls["jet_grid"] == stages
+        # the schedule's frame, stage 1's frame when k0 != 0, one per later stage
+        k0_frame = int(cert["k0"]["index"] != 0)
+        assert calls["nondegeneracy"] == 1 + k0_frame + stages - 1
+
+    def test_stage_starts_reuse_the_measured_defects(self, rough_run):
+        res, _, _ = rough_run
+        cert = res.certificate
+        assert res.stages[0]["e_k_rho"] == cert["e0_stage1"]["rho"]
+        assert (cert["final"]["error_vs_original_grid"]
+                == res.stages[-1]["error_vs_original_grid"])
