@@ -12,8 +12,7 @@ run          full cascade (cutoff, smoothing, staged Newton, certificate).
 Every invocation that touches disk writes the echoed config next to its
 outputs, JSON is emitted with sorted keys and no timestamps so reruns are
 byte-stable, and exit codes are 0 (pass / convergence), 1 (certified
-failure), 2 (usage error).  KAMTORI_THREADS caps worker threads in the
-frequency scan.
+failure), 2 (usage error).
 """
 
 from __future__ import annotations
@@ -29,10 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .diophantine import FrequencyVector, check_diophantine, estimate_gamma
+from .diophantine import _TINY_GAMMA, FrequencyVector, check_diophantine
 from .driver import (
     DEFAULT_LAMBDA,
     RunParams,
+    _frequency,
     _jsonable,
     eval_lambda,
     kam_schedule,
@@ -107,10 +107,7 @@ class RunConfig:
         return TorusEmbedding.circle(np.asarray(y0, dtype=float), self.trunc)
 
     def frequency(self) -> FrequencyVector:
-        omega = np.asarray(self.omega, dtype=float)
-        if self.gamma is not None:
-            return FrequencyVector(omega, self.gamma, self.sigma, self.horizon)
-        return FrequencyVector.estimated(omega, self.sigma, self.horizon)
+        return _frequency(np.asarray(self.omega, dtype=float), self.run_params())
 
     def run_params(self) -> RunParams:
         return RunParams(
@@ -307,29 +304,22 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 def cmd_diophantine(args) -> int:
     omega = np.array([float(v) for v in args.omega.split(",")])
+    # one scan: the worst margin does not depend on gamma and is the estimate
+    gamma = _TINY_GAMMA if args.gamma is None else args.gamma
+    report = check_diophantine(omega, gamma, args.sigma, args.horizon)
+    doc = {
+        "gamma_est": report.worst_margin,
+        "worst_k": list(report.worst_k),
+        "margin": report.worst_margin,
+        "sigma": args.sigma,
+        "horizon": args.horizon,
+    }
+    code = 0
     if args.gamma is not None:
-        report = check_diophantine(omega, args.gamma, args.sigma, args.horizon)
-        doc = {
-            "passed": report.passed,
-            "gamma": report.gamma,
-            "gamma_est": estimate_gamma(omega, args.sigma, args.horizon),
-            "worst_k": list(report.worst_k),
-            "margin": report.worst_margin,
-            "sigma": args.sigma,
-            "horizon": args.horizon,
-        }
+        doc.update(passed=report.passed, gamma=report.gamma)
         code = 0 if report.passed else 1
-    else:
-        gamma_est = estimate_gamma(omega, args.sigma, args.horizon)
-        report = check_diophantine(omega, gamma_est, args.sigma, args.horizon)
-        doc = {
-            "gamma_est": gamma_est,
-            "worst_k": list(report.worst_k),
-            "margin": report.worst_margin,
-            "sigma": args.sigma,
-            "horizon": args.horizon,
-        }
-        code = 0
+    elif report.resonant:
+        raise ValueError("omega is resonant within the horizon")
     print(json.dumps(_jsonable(doc), sort_keys=True))
     return code
 
@@ -503,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kamtori",
         description="Invariant torus solver and a-posteriori verifier.",
-        epilog="Set KAMTORI_THREADS to cap worker threads in frequency scans.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

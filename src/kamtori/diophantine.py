@@ -13,12 +13,16 @@ the cohomological equation.  The scan is exhaustive and deterministic:
 shells of constant |k|_1 in increasing order, lexicographic within a
 shell, one representative per conjugate pair (first nonzero component
 positive).
+
+For n >= 2 each shell |k|_1 = s is one integer array, built in one numpy
+pass: the first n - 1 components range over every choice within the
+budget s, the last takes the remainder with either sign, the rows are
+sorted lexicographically, and only the canonical rows are kept.  The scan
+holds one shell at a time and keeps the first strict minimum.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,14 +56,6 @@ class DiophantineReport:
         )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("KAMTORI_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _validate(omega: np.ndarray, sigma: float, horizon: int) -> None:
     n = omega.size
     if n < 1:
@@ -79,31 +75,36 @@ def _margins_1d(omega: float, horizon: int, sigma: float) -> np.ndarray:
     return divisor * k**sigma
 
 
-def _shell_vectors(n: int, shell: int):
-    """Canonical wavevectors with |k|_1 == shell, lexicographic order."""
-
-    # canonical means: first nonzero component positive
-    def gen(prefix: tuple[int, ...], budget: int, leading: bool):
-        pos = len(prefix)
-        if pos == n:
-            if budget == 0 and not leading:
-                yield prefix
-            return
-        remaining = n - pos - 1
-        if leading:
-            # still waiting for the first nonzero entry: it must be positive
-            yield from gen(prefix + (0,), budget, True)
-            for v in range(1, budget + 1):
-                yield from gen(prefix + (v,), budget - v, False)
-        else:
-            for v in range(-budget, budget + 1):
-                yield from gen(prefix + (v,), budget - abs(v), False)
-
-    yield from gen((), shell, True)
+def _shell_vectors(n: int, shell: int) -> np.ndarray:
+    """Canonical wavevectors with |k|_1 == shell (n >= 2), one row each."""
+    heads = np.zeros((1, 0), dtype=np.int64)
+    budget = np.array([shell])
+    # heads: the first n - 1 components; each row's next component runs
+    # over -budget..budget, the budget that row has left
+    for _ in range(n - 1):
+        width = 2 * budget + 1
+        rows = np.repeat(np.arange(len(heads)), width)
+        v = np.arange(rows.size) - np.repeat(np.cumsum(width) - width + budget, width)
+        heads = np.column_stack([heads[rows], v])
+        budget = budget[rows] - np.abs(v)
+    # the last component takes the remainder, with either sign when nonzero
+    pos = budget > 0
+    ks = np.vstack([
+        np.column_stack([heads, budget]),
+        np.column_stack([heads[pos], -budget[pos]]),
+    ])
+    ks = ks[np.lexsort(ks.T[::-1])]
+    # the shell is closed under k -> -k and holds no zero row, so the
+    # canonical rows (first nonzero component positive) are the upper half
+    return ks[len(ks) // 2 :]
 
 
 def _scan(omega: np.ndarray, sigma: float, horizon: int):
-    """Exhaustive margin scan; returns (worst_margin, worst_k)."""
+    """Exhaustive margin scan; returns (worst_margin, worst_k).
+
+    Shells are scanned in increasing |k|_1 and the first strict minimum
+    is kept, so ties resolve to the smallest shell, then lexicographically.
+    """
     n = omega.size
     if n == 1:
         margins = _margins_1d(float(omega[0]), horizon, sigma)
@@ -111,28 +112,12 @@ def _scan(omega: np.ndarray, sigma: float, horizon: int):
         return float(margins[idx]), (idx + 1,)
     worst = np.inf
     worst_k: tuple[int, ...] = (0,) * n
-
-    def shell_min(shell: int):
-        ks = np.array(list(_shell_vectors(n, shell)), dtype=float)
-        if ks.size == 0:
-            return None
-        margins = np.abs(ks @ omega) * float(shell) ** sigma
+    for shell in range(1, horizon + 1):
+        ks = _shell_vectors(n, shell)
+        margins = np.abs(ks.astype(float) @ omega) * float(shell) ** sigma
         j = int(np.argmin(margins))
-        return float(margins[j]), tuple(int(v) for v in ks[j])
-
-    threads = _thread_count()
-    shells = range(1, horizon + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(shell_min, shells))
-    else:
-        results = [shell_min(s) for s in shells]
-    for res in results:  # reduced in shell order: deterministic worst_k
-        if res is None:
-            continue
-        margin, k = res
-        if margin < worst:
-            worst, worst_k = margin, k
+        if margins[j] < worst:
+            worst, worst_k = float(margins[j]), tuple(int(v) for v in ks[j])
     return worst, worst_k
 
 

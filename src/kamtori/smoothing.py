@@ -889,7 +889,6 @@ def build_smoothing_sequence(
     start_degree: int = 8,
     max_degree: int = 4096,
     measure_points: int = 33,
-    inner_tolerance=None,
 ) -> SmoothingSequence:
     """Doubling-degree Bernstein ladder for the cut rough part, re-anchored.
 
@@ -938,9 +937,7 @@ def build_smoothing_sequence(
     raw_gaps_c0: list[float] = []
 
     def emit(deg):
-        b = bernstein_nd(
-            target, deg, box, inner_tolerance, None, measure_points
-        )
+        b = bernstein_nd(target, deg, box, measure_points=measure_points)
         approx.append(b)
         degrees.append(deg)
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import kamtori.diophantine as diophantine
 from kamtori.cli import ConfigError, RunConfig, main, parse_config
 
 from conftest import GOLDEN
@@ -243,6 +244,27 @@ class TestDispatch:
         assert not doc["passed"]
         assert doc["worst_k"] == [2]
         assert doc["margin"] == 0.0
+
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--gamma", "0.01"]], ids=["estimate", "gamma"]
+    )
+    def test_diophantine_scans_once(self, monkeypatch, capsys, extra):
+        calls = []
+        scan = diophantine._scan
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(diophantine, "_scan", counted)
+        omega = f"{GOLDEN},{math.sqrt(2.0) - 1.0}"
+        argv = ["diophantine", "--omega", omega, "--sigma", "1.1", "--horizon", "64"]
+        assert main(argv + extra) == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["gamma_est"] == doc["margin"]
+        assert doc["worst_k"] == [2, -3]
 
 
 class TestSharedDriverPath:

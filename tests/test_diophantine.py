@@ -15,19 +15,32 @@ from conftest import GOLDEN
 GOLDEN_GAMMA = 0.3819660112501051
 
 
+def canonical_shell(n, shell):
+    """|k|_1 == shell, first nonzero component positive, lexicographic."""
+    return [
+        k
+        for k in itertools.product(range(-shell, shell + 1), repeat=n)
+        if sum(map(abs, k)) == shell and next(v for v in k if v) > 0
+    ]
+
+
 def scan_min(omega, sigma, horizon):
-    """Brute-force reference: min over 0 < |k|_1 <= horizon."""
-    n = len(omega)
+    """Brute-force reference: min over 0 < |k|_1 <= horizon and the first
+    canonical minimizer in (|k|_1, lexicographic) order."""
     best, best_k = np.inf, None
-    ranges = [range(-horizon, horizon + 1)] * n
-    for k in itertools.product(*ranges):
-        k1 = sum(abs(v) for v in k)
-        if k1 == 0 or k1 > horizon:
-            continue
-        val = abs(float(np.dot(k, omega))) * k1**sigma
-        if val < best:
-            best, best_k = val, k
+    for k1 in range(1, horizon + 1):
+        for k in canonical_shell(len(omega), k1):
+            val = abs(float(np.dot(k, omega))) * k1**sigma
+            if val < best:
+                best, best_k = val, k
     return best, best_k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shell_vectors_match_product(n):
+    for shell in range(1, 9):
+        got = [tuple(map(int, k)) for k in diophantine._shell_vectors(n, shell)]
+        assert got == canonical_shell(n, shell)
 
 
 class TestEstimateGamma:
@@ -35,11 +48,24 @@ class TestEstimateGamma:
         got = estimate_gamma(np.array([GOLDEN]), 1.0, 10_000)
         assert got == GOLDEN_GAMMA
 
-    def test_matches_exhaustive_scan(self):
-        omega = np.array([GOLDEN, np.sqrt(2) - 1])
-        got = estimate_gamma(omega, 1.5, 30)
-        want, _ = scan_min(omega, 1.5, 30)
-        assert got == pytest.approx(want, rel=0, abs=0)
+    @pytest.mark.parametrize(
+        "omega, sigma, horizon",
+        [
+            ((GOLDEN, np.sqrt(2) - 1), 1.5, 30),
+            ((1.0, 2.0), 1.1, 5),
+            ((1.0, np.sqrt(2), np.sqrt(3)), 2.1, 12),
+            ((1.0, 1.0, 2.0), 2.1, 6),
+        ],
+        ids=["n2", "n2-resonant", "n3", "n3-resonant"],
+    )
+    def test_matches_exhaustive_scan(self, omega, sigma, horizon):
+        # resonant cases: many k tie at margin 0 and the first one must win
+        omega = np.array(omega)
+        report = check_diophantine(omega, 1.0, sigma, horizon)
+        want, want_k = scan_min(omega, sigma, horizon)
+        assert report.worst_margin == want
+        assert report.worst_k == want_k
+        assert estimate_gamma(omega, sigma, horizon) == report.worst_margin
 
     def test_resonant_gives_zero(self):
         assert estimate_gamma(np.array([1.0, 2.0]), 1.5, 5) == 0.0
