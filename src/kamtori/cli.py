@@ -313,13 +313,12 @@ def cmd_diophantine(args) -> int:
         "margin": report.worst_margin,
         "sigma": args.sigma,
         "horizon": args.horizon,
+        "resonant": report.resonant,
     }
-    code = 0
+    code = 1 if report.resonant else 0
     if args.gamma is not None:
         doc.update(passed=report.passed, gamma=report.gamma)
         code = 0 if report.passed else 1
-    elif report.resonant:
-        raise ValueError("omega is resonant within the horizon")
     print(json.dumps(_jsonable(doc), sort_keys=True))
     return code
 

@@ -51,6 +51,7 @@ from .smoothing import (
 from .solver import (
     ErrorField,
     NondegeneracyData,
+    check_horizon,
     invariance_error,
     newton_step,
     nondegeneracy,
@@ -463,6 +464,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
     elif overrides:
         raise ValueError("pass either params or keyword overrides, not both")
     freq = _frequency(omega, params)
+    check_horizon(K0, freq)
     ladder = smoothing_ladder(hamiltonian, K0, freq, params)
     l, analytic_input, seq = ladder.l, ladder.analytic_input, ladder.seq
 

@@ -7,9 +7,12 @@ Three layers:
    differences of coefficients) and exact degree elevation.  Evaluation
    goes through the binomial pmf, which stays stable at degrees far past
    the point where explicit binomial coefficients overflow.
-2. Cutoff extension: a C-infinity plateau bump supported near the image
-   of an initial torus, used to localize the rough (finitely
-   differentiable) part of a Hamiltonian to a compact box.
+2. Cutoff extension: a C-infinity plateau bump, a product of per-axis
+   e^{-1/t} smoothsteps in the action variables, equal to 1 on a
+   neighbourhood of the action hull of an initial torus and to 0 outside
+   a larger one, used to localize the rough (finitely differentiable)
+   part of a Hamiltonian to a compact box.  It keeps only the hull
+   bounds and costs O(points) per evaluation.
 3. The smoothing sequence: polynomial models H_0, H_1, ... at doubling
    degrees whose consecutive C^3 gaps are measured and enveloped by
    A * 4^(-k(l+2*sigma)), re-anchored at the first index whose gap drops
@@ -715,21 +718,26 @@ _SMOOTHSTEP_DERIV_SUP = (1.0, 2.0, 9.842, 110.567, 2280.398)
 
 
 class PlateauBump:
-    """C-infinity plateau around a sampled torus image.
+    """C-infinity plateau around the action hull of a sampled torus image.
 
-    phi(z) = s((5r/2 - dist(z)) / (3r/2)) with s the e^{-1/t} smoothstep:
-    identically 1 within max-norm distance r of the sample cloud,
-    identically 0 beyond 5r/2.  Periodic coordinates measure distance on
-    the circle chart.
+    phi(z) = prod_i s((5r/2 - g_i(y_i)) / (3r/2)) with s the e^{-1/t}
+    smoothstep and g_i the distance of the i-th non-periodic coordinate to
+    the interval [min, max] of the samples' i-th coordinate.  Periodic
+    (angle) coordinates get no cutoff.  phi is identically 1 where every
+    g_i <= r and identically 0 where some g_i >= 5r/2: the plateau and the
+    support of the max-norm hull.  Each g_i has its kinks only inside the
+    plateau, so phi is C-infinity.  ``anchors`` holds the (2, m) hull
+    bounds [lo; hi] of the m non-periodic coordinates.
     """
 
-    def __init__(self, anchors: np.ndarray, r: float, periodic: np.ndarray):
-        anchors = np.asarray(anchors, dtype=float).reshape(-1, anchors.shape[-1])
+    def __init__(self, samples: np.ndarray, r: float, periodic: np.ndarray):
         if r <= 0:
             raise ValueError("plateau radius must be positive")
-        self.anchors = anchors
-        self.r = float(r)
         self.periodic = np.asarray(periodic, dtype=bool)
+        samples = np.asarray(samples, dtype=float).reshape(-1, self.periodic.size)
+        actions = samples[:, ~self.periodic]
+        self.anchors = np.stack([actions.min(axis=0), actions.max(axis=0)])
+        self.r = float(r)
 
     @staticmethod
     def smoothstep(t: np.ndarray) -> np.ndarray:
@@ -741,36 +749,40 @@ class PlateauBump:
         return g / (g + gm)
 
     def distance(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        base = z.shape[:-1]
-        flat = z.reshape(-1, z.shape[-1])
-        out = np.empty(flat.shape[0])
-        # chunked: the (points x anchors) table must not outgrow memory
-        chunk = max(1, 4_000_000 // max(len(self.anchors), 1))
-        for s in range(0, flat.shape[0], chunk):
-            diff = flat[s : s + chunk, None, :] - self.anchors
-            wrapped = diff - np.round(diff)
-            diff = np.abs(np.where(self.periodic, wrapped, diff))
-            out[s : s + chunk] = np.min(np.max(diff, axis=-1), axis=-1)
-        return out.reshape(base)
+        """Per-axis gaps g_i of the non-periodic coordinates to the hull."""
+        y = np.asarray(z, dtype=float)[..., ~self.periodic]
+        lo, hi = self.anchors
+        return np.maximum(np.maximum(lo - y, y - hi), 0.0)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        d = self.distance(z)
-        return self.smoothstep((2.5 * self.r - d) / (1.5 * self.r))
+        g = self.distance(z)
+        return np.prod(self.smoothstep((2.5 * self.r - g) / (1.5 * self.r)), axis=-1)
 
     def derivative_bound(self, q: int) -> float:
-        """Sup of |d^q phi| along any ray (profile sup over (1.5 r)^q)."""
+        """Bound on |d^q phi| along any direction v with |v|_inf = 1.
+
+        Leibniz over the action factors: sum over |beta| = q of
+        (q! / beta!) prod_i S_{beta_i} / (1.5 r)^q, S_j the profile sups;
+        with one action axis this is the sup itself.
+        """
         if not 0 <= q <= 4:
             raise ValueError("bounds tabulated for orders 0..4")
-        return _SMOOTHSTEP_DERIV_SUP[q] / (1.5 * self.r) ** q
+        total = 0.0
+        for beta in iter_product(range(q + 1), repeat=self.anchors.shape[1]):
+            if sum(beta) == q:
+                total += math.factorial(q) * math.prod(
+                    _SMOOTHSTEP_DERIV_SUP[b] / math.factorial(b) for b in beta
+                )
+        return total / (1.5 * self.r) ** q
 
 
 class CutoffHamiltonian:
     """Rough summands localized near a torus image; analytic part kept exact.
 
     The value is analytic(z) + phi(z) * sum of rough terms; cut_values
-    exposes the localized summand alone (it vanishes identically beyond
-    5r/2 of the image and equals the rough part exactly within r).  Only
+    exposes the localized summand alone (it vanishes identically where some
+    action lies 5r/2 or more outside the image's action hull and equals the
+    rough part exactly where every action lies within r of it).  Only
     values are offered: the smoothing operators sample, they never
     differentiate this object.
     """
@@ -791,9 +803,6 @@ class CutoffHamiltonian:
 
     def phi(self, z):
         return self.bump(z)
-
-    def distance(self, z):
-        return self.bump.distance(z)
 
     def rough_values(self, z):
         z = np.asarray(z, dtype=float)
@@ -826,17 +835,17 @@ def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float, rho: float = 0.0,
     if r <= 0:
         raise ValueError("r must be positive")
     n = K0.dim_domain
-    samples = K0.grid_samples(grid_size)
-    pts = samples.reshape(-1, 2 * n)
-    pts = np.concatenate([np.mod(pts[:, :n], 1.0), pts[:, n:]], axis=1)
+    periodic = np.concatenate([np.ones(n, bool), np.zeros(n, bool)])
+    bump = PlateauBump(K0.grid_samples(grid_size), r, periodic)
+    lo = np.concatenate([np.zeros(n), bump.anchors[0] - 3 * r])
+    hi = np.concatenate([np.ones(n), bump.anchors[1] + 3 * r])
     dom = getattr(hamiltonian, "box", None)
     if dom is not None:
         for i in range(n, 2 * n):
-            lo, hi = pts[:, i].min() - 3 * r, pts[:, i].max() + 3 * r
-            if lo < dom.lo[i] or hi > dom.hi[i]:
+            if lo[i] < dom.lo[i] or hi[i] > dom.hi[i]:
                 raise ValueError(
                     f"torus too close to domain boundary: axis {i} needs "
-                    f"[{lo:.4f}, {hi:.4f}] inside [{dom.lo[i]:.4f}, {dom.hi[i]:.4f}]"
+                    f"[{lo[i]:.4f}, {hi[i]:.4f}] inside [{dom.lo[i]:.4f}, {dom.hi[i]:.4f}]"
                 )
     if isinstance(hamiltonian, CompositeHamiltonian):
         analytic, rough = hamiltonian.analytic, hamiltonian.rough
@@ -844,11 +853,7 @@ def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float, rho: float = 0.0,
         analytic, rough = hamiltonian, ()
     else:
         raise TypeError("cutoff_extend expects an analytic or composite model")
-    lo = np.concatenate([np.zeros(n), pts[:, n:].min(axis=0) - 3 * r])
-    hi = np.concatenate([np.ones(n), pts[:, n:].max(axis=0) + 3 * r])
-    periodic = np.concatenate([np.ones(n, bool), np.zeros(n, bool)])
     box = Box(lo, hi, periodic)
-    bump = PlateauBump(pts, r, periodic)
     return CutoffHamiltonian(analytic, rough, bump, box, n, rho)
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "NondegeneracyData",
     "SolveResult",
     "StepDiagnostics",
+    "check_horizon",
     "flow",
     "invariance_error",
     "newton_step",
@@ -297,6 +298,17 @@ class SolveResult:
         return self.status == "converged"
 
 
+def check_horizon(K0: TorusEmbedding, omega: FrequencyVector) -> None:
+    """Reject a K0 whose modes reach |k|_1 = n M beyond omega's horizon."""
+    n = K0.dim_domain
+    if n * K0.trunc_order > omega.horizon:
+        raise ValueError(
+            f"K0 truncation order {K0.trunc_order} on T^{n} reaches "
+            f"|k|_1 = {n * K0.trunc_order} beyond the Diophantine horizon "
+            f"{omega.horizon}"
+        )
+
+
 def solve_torus(
     hamiltonian,
     K0: TorusEmbedding,
@@ -322,14 +334,8 @@ def solve_torus(
     rejected before any work, and refinement stops at horizon // n.
     """
     if isinstance(omega, FrequencyVector):
-        n = K0.dim_domain
-        if n * K0.trunc_order > omega.horizon:
-            raise ValueError(
-                f"K0 truncation order {K0.trunc_order} on T^{n} reaches "
-                f"|k|_1 = {n * K0.trunc_order} beyond the Diophantine horizon "
-                f"{omega.horizon}"
-            )
-        max_trunc_order = min(max_trunc_order, omega.horizon // n)
+        check_horizon(K0, omega)
+        max_trunc_order = min(max_trunc_order, omega.horizon // K0.dim_domain)
     K = K0
     trace: list[dict] = []
     best_err = np.inf

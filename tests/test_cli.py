@@ -234,6 +234,7 @@ class TestDispatch:
         assert doc["gamma_est"] == pytest.approx(0.3819660112501051, abs=1e-15)
         assert doc["worst_k"] == [1]
         assert doc["horizon"] == 10000
+        assert doc["resonant"] is False
 
     def test_diophantine_resonant_rejected(self, capsys):
         code = main(
@@ -244,7 +245,16 @@ class TestDispatch:
         assert not doc["passed"]
         assert doc["worst_k"] == [2]
         assert doc["margin"] == 0.0
+        assert doc["resonant"]
 
+    def test_diophantine_resonant_estimate_reports(self, capsys):
+        argv = ["diophantine", "--omega", "1,2", "--sigma", "1.1", "--horizon", "5"]
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["resonant"] is True
+        assert doc["gamma_est"] == doc["margin"] == 0.0
+        assert doc["worst_k"] == [2, -1]
+        assert "passed" not in doc
 
     @pytest.mark.parametrize(
         "extra", [[], ["--gamma", "0.01"]], ids=["estimate", "gamma"]

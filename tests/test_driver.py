@@ -238,6 +238,32 @@ class TestRunScheme:
         assert np.array_equal(res.torus.winding, direct.torus.winding)
         assert res.torus.periodic.allclose(direct.torus.periodic, 1e-11)
 
+    def test_k0_beyond_horizon_rejected_before_any_jet(self, monkeypatch):
+        import kamtori.driver as driver
+        import kamtori.solver as solver
+        from kamtori import BSplineProfile, CompositeHamiltonian, RoughTerm
+
+        calls = []
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return wrapper
+
+        for module in (driver, solver):
+            for name in ("invariance_error", "jet_grid"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], degree=5)
+        h = CompositeHamiltonian(
+            HamiltonianModel.free_rotator(1), [RoughTerm(0, prof, 1e-4)]
+        )
+        K0 = TorusEmbedding.circle(np.array([0.4]), trunc_order=64)
+        params = RunParams(rho=0.02, r=0.8, sigma=1.1, horizon=32, target_error=1e-8)
+        with pytest.raises(ValueError, match="beyond the Diophantine horizon 32"):
+            run_scheme(h, K0, np.array([GOLDEN]), params)
+        assert calls == []
+
     def test_stage_records_follow_schedule(self, bypass_run):
         _, _, res = bypass_run
         p = RunParams(target_error=1e-11)

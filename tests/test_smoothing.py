@@ -9,6 +9,7 @@ import sympy as sp
 from kamtori import (
     BSplineProfile,
     CompositeHamiltonian,
+    FourierMap,
     HamiltonianModel,
     RoughTerm,
     TorusEmbedding,
@@ -266,6 +267,17 @@ class TestClNorms:
         assert 0.8 <= float(np.mean(slopes)) <= 1.2
 
 
+def stencil(f, z, v, q, h):
+    """Central difference of order q of f at z along v with step h."""
+    offs, weights, scale = {
+        1: ([-1, 1], [-0.5, 0.5], h),
+        2: ([-1, 0, 1], [1.0, -2.0, 1.0], h**2),
+        3: ([-2, -1, 1, 2], [-1.0, 2.0, -2.0, 1.0], 2 * h**3),
+        4: ([-2, -1, 0, 1, 2], [1.0, -4.0, 6.0, -4.0, 1.0], h**4),
+    }[q]
+    return sum(w * f(z + o * h * v) for o, w in zip(offs, weights)) / scale
+
+
 class TestPlateauBump:
     def test_smoothstep_shape(self):
         s = PlateauBump.smoothstep
@@ -279,26 +291,8 @@ class TestPlateauBump:
 
     @pytest.mark.parametrize("q,h", [(1, 1e-6), (2, 1e-5), (3, 1e-4), (4, 1e-3)])
     def test_derivative_bounds_match_profile_sups(self, q, h):
-        s = PlateauBump.smoothstep
         t = np.linspace(5 * h, 1 - 5 * h, 4001)
-        offs = np.arange(-q, q + 1, 2)
-        weights = {
-            1: [-0.5, 0.5],
-            2: [1.0, -2.0, 1.0],
-            3: [-1.0, 2.0, -2.0, 1.0],
-            4: [1.0, -4.0, 6.0, -4.0, 1.0],
-        }[q]
-        stencil_offs = {
-            1: [-1, 1],
-            2: [-1, 0, 1],
-            3: [-2, -1, 1, 2],
-            4: [-2, -1, 0, 1, 2],
-        }[q]
-        scale = {1: h, 2: h**2, 3: 2 * h**3, 4: h**4}[q]
-        acc = np.zeros_like(t)
-        for w, o in zip(weights, stencil_offs):
-            acc += w * s(t + o * h)
-        measured = float(np.max(np.abs(acc / scale)))
+        measured = float(np.max(np.abs(stencil(PlateauBump.smoothstep, t, 1.0, q, h))))
         bump = PlateauBump(np.zeros((1, 1)), r=2.0 / 3.0, periodic=np.array([False]))
         # radius 2/3 makes the chart scale 1.5 r = 1, exposing the raw sup
         frozen = bump.derivative_bound(q)
@@ -316,12 +310,6 @@ class TestPlateauBump:
         d = np.linspace(0.2, 0.5, 40)
         vals = bump(np.stack([np.zeros(40), d], axis=-1))
         assert np.all(np.diff(vals) <= 0)
-
-    def test_periodic_distance_wraps(self):
-        bump = PlateauBump(
-            np.array([[0.95, 0.0]]), r=0.1, periodic=np.array([True, False])
-        )
-        assert bump.distance(np.array([0.02, 0.0])) == pytest.approx(0.07)
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError, match="positive"):
@@ -384,6 +372,117 @@ class TestCutoff:
         h, K0 = rough_system
         with pytest.raises(ValueError, match="positive"):
             cutoff_extend(h, K0, r=-1.0)
+
+
+def wavy_torus(amps, trunc_order=16):
+    """Graph torus y_i = y0_i + a_i sin(2 pi (x_1 + ... + x_i)) over T^n."""
+    n = len(amps)
+    y0 = np.array([0.4, -0.3, 0.1][:n])
+    modes = {(0,) * n: np.concatenate([np.zeros(n), y0]).astype(complex)}
+    for i, a in enumerate(amps):
+        k = (1,) * (i + 1) + (0,) * (n - i - 1)
+        modes[k] = np.zeros(2 * n, dtype=complex)
+        modes[k][n + i] = -0.5j * a
+    winding = np.vstack([np.eye(n), np.zeros((n, n))])
+    return TorusEmbedding(winding, FourierMap(n, (2 * n,), modes, trunc_order))
+
+
+def action_gaps(K0, z):
+    """Distance of each action of z to the [min, max] of K0's samples."""
+    n = K0.dim_domain
+    ys = K0.grid_samples().reshape(-1, 2 * n)[:, n:]
+    y = z[..., n:]
+    return np.maximum(np.maximum(ys.min(axis=0) - y, y - ys.max(axis=0)), 0.0)
+
+
+@pytest.fixture(scope="module")
+def rough_2dof():
+    prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], degree=5)
+    return CompositeHamiltonian(
+        HamiltonianModel.free_rotator(2),
+        [RoughTerm(0, prof, 1e-2), RoughTerm(1, prof, 2e-2)],
+    )
+
+
+class TestActionHullCutoff:
+    """The cutoff on tori whose action samples are not constant."""
+
+    @pytest.mark.parametrize("a", [1e-4, 1e-2])
+    def test_second_difference_does_not_grow_on_wavy_torus(self, rough_system, a):
+        # a cutoff built from the distance to the sample cloud is only
+        # Lipschitz here: its second differences grow like 1/h
+        h, _ = rough_system
+        r = 0.1
+        K0 = wavy_torus([a])
+        hx = cutoff_extend(h, K0, r=r)
+        peaks = []
+        for step in (1e-2, 1e-3, 1e-4):
+            x = np.arange(step / 3, 1.0, step / 2)
+            sup = 0.0
+            for d in (1.2 * r, 1.6 * r, 2.1 * r):
+                z = np.stack([x, np.full_like(x, 0.4 + a + d)], axis=-1)
+                for v in ([1.0, 0.0], [1.0, 1.0], [1.0, -1.0]):
+                    d2 = stencil(hx.phi, z, np.array(v), 2, step)
+                    sup = max(sup, float(np.max(np.abs(d2))))
+            peaks.append(sup)
+        assert peaks[-1] <= 1.1 * peaks[0]
+        assert max(peaks) <= hx.bump.derivative_bound(2) * 1.01
+
+    def test_plateau_and_support_are_those_of_the_hull(self, rough_2dof):
+        r = 0.1
+        K0 = wavy_torus([1e-2, 3e-2])
+        hx = cutoff_extend(rough_2dof, K0, r=r)
+        samples = K0.grid_samples().reshape(-1, 4)
+        assert np.all(hx.phi(samples) == 1.0)
+        assert np.all(hx.cut_values(samples) == hx.rough_values(samples))
+        rng = np.random.default_rng(3)
+        z = np.concatenate(
+            [rng.uniform(0, 1, (4000, 2)), rng.uniform(-0.7, 0.8, (4000, 2))], axis=1
+        )
+        g = action_gaps(K0, z)
+        phi, cut = hx.phi(z), hx.cut_values(z)
+        inner = np.all(g <= r, axis=-1)
+        outer = np.any(g >= 2.5 * r, axis=-1)
+        assert inner.sum() > 50 and outer.sum() > 50
+        assert np.all(phi[inner] == 1.0)
+        assert np.all(phi[outer] == 0.0)
+        assert np.all(cut[outer] == 0.0)
+        assert np.all(hx.rough_values(z[outer]) != 0.0)
+        # strictly inside the transition (away from where s rounds to 0 or 1)
+        band = np.all(g <= 2.4 * r, axis=-1) & np.any(g >= 1.1 * r, axis=-1)
+        assert band.sum() > 50
+        assert np.all((phi[band] > 0.0) & (phi[band] < 1.0))
+
+    @pytest.mark.parametrize("q,c", [(1, 1e-6), (2, 1e-5), (3, 1e-4), (4, 1e-3)])
+    def test_directional_derivatives_within_leibniz_bound(self, rough_2dof, q, c):
+        r = 0.1
+        K0 = wavy_torus([1e-2, 3e-2])
+        hx = cutoff_extend(rough_2dof, K0, r=r)
+        lo, hi = hx.bump.anchors
+        rng = np.random.default_rng(q)
+        # both actions in the transition band, where the mixed terms live
+        side = rng.choice([-1.0, 1.0], (3000, 2))
+        depth = rng.uniform(r, 2.5 * r, (3000, 2))
+        y = np.where(side > 0, hi + depth, lo - depth)
+        z = np.concatenate([rng.uniform(0, 1, (3000, 2)), y], axis=1)
+        v = rng.uniform(-1, 1, (3000, 4))
+        v /= np.max(np.abs(v), axis=-1, keepdims=True)
+        measured = float(np.max(np.abs(stencil(hx.phi, z, v, q, c * 1.5 * r))))
+        bound = hx.bump.derivative_bound(q)
+        assert measured <= bound
+        # and it is not vacuous: the sampled sup reaches 35-67 % of it
+        assert measured >= 0.25 * bound
+
+    def test_one_action_axis_reproduces_profile_table(self):
+        one = PlateauBump(np.zeros((1, 2)), r=0.3, periodic=np.array([True, False]))
+        two = PlateauBump(
+            np.zeros((1, 4)), r=0.3, periodic=np.array([True, True, False, False])
+        )
+        sups = (1.0, 2.0, 9.842, 110.567, 2280.398)
+        for q in range(5):
+            assert one.derivative_bound(q) == pytest.approx(sups[q] / 0.45**q)
+        assert two.derivative_bound(1) == pytest.approx(2 * 2.0 / 0.45)
+        assert two.derivative_bound(2) == pytest.approx((2 * 9.842 + 2 * 2.0**2) / 0.45**2)
 
 
 class TestSmoothingSequence:
