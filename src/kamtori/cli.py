@@ -430,7 +430,8 @@ def cmd_smooth(args) -> int:
                     "hi": list(approx.box.hi),
                     "periodic": [bool(p) for p in approx.box.periodic],
                 },
-                "coefficients": approx.coefficients.tolist(),
+                "rank": approx.rank,
+                "factors": [f.tolist() for f in approx.factors],
             },
         )
     _write_json(

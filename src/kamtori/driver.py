@@ -23,9 +23,10 @@ Each quantity is measured once.  The ladder's tails to the rough target
 are the composite C^3 gaps its construction already measured; stage 1
 starts from the gate's defect and frame of the selected model at K0;
 stage k >= 2 starts from stage k-1's defect against H, whose jet also
-gives that stage's frame; the final defect is the last stage's.  The
-CLI's smooth and verify commands call smoothing_ladder and kam_schedule,
-the same code that run_scheme uses.
+gives that stage's frame and the jet of its solve's first iterate; the
+final defect is the last stage's.  The CLI's smooth and verify commands
+call smoothing_ladder and kam_schedule, the same code that run_scheme
+uses.
 """
 
 from __future__ import annotations
@@ -624,7 +625,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         # refinement may not outgrow the certified Diophantine horizon
         res = solve_torus(
             h_k, k_prev, freq, tol=tol, max_iter=params.max_iter,
-            max_trunc_order=freq.horizon, rho=rho_k,
+            max_trunc_order=freq.horizon, rho=rho_k, jet=jet if k > 1 else None,
         )
         k_new = res.torus
         step_norm = k_new.difference(k_prev).strip_norm(rho_k).value
@@ -694,10 +695,17 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         for i in range(1, len(tori) - 1)
     ]
     cert["torus_gaps"] = list(gaps)
+    # stage i + 2 made gap i; a stage that took no Newton step kept its
+    # start torus, so its gap carries no evidence of convergence
+    informative = [g for g, rec in zip(gaps, stages[1:]) if rec["iterations"] > 0]
+    evidence = {
+        "informative_gaps": informative,
+        "vacuous": sum(g > 0 for g in informative) < 3,
+    }
     if len(gaps) >= 3:
-        lemma4 = lemma4_check(gaps, l)
+        lemma4 = {**lemma4_check(gaps, l), **evidence}
     else:
-        lemma4 = {"passed": False, "error": f"only {len(gaps)} gaps measured"}
+        lemma4 = {"passed": False, "error": f"only {len(gaps)} gaps measured", **evidence}
     cert["lemma4"] = _jsonable(lemma4)
 
     k_final = tori[-1]

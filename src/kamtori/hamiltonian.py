@@ -82,10 +82,17 @@ class Box:
     def wrap(self, z: np.ndarray) -> np.ndarray:
         """Map periodic coordinates into the chart; others pass through."""
         z = np.array(z, dtype=float)
-        w = self.widths()
         for i in np.nonzero(self.periodic)[0]:
-            z[..., i] = self.lo[i] + np.mod(z[..., i] - self.lo[i], w[i])
+            z[..., i] = self.wrap_axis(i, z[..., i])
         return z
+
+    def wrap_axis(self, axis: int, u: np.ndarray) -> np.ndarray:
+        """wrap for the values u of one coordinate."""
+        u = np.asarray(u, dtype=float)
+        if not self.periodic[axis]:
+            return u
+        lo = self.lo[axis]
+        return lo + np.mod(u - lo, self.hi[axis] - lo)
 
     def contains(self, z: np.ndarray, slack: float = 1e-9) -> np.ndarray:
         z = self.wrap(z)

@@ -4,15 +4,24 @@ Three layers:
 
 1. Bernstein operators: 1-D and tensor-product polynomial approximants on
    boxes, with exact derivative calculus in the Bernstein basis (forward
-   differences of coefficients) and exact degree elevation.  Evaluation
-   goes through the binomial pmf, which stays stable at degrees far past
-   the point where explicit binomial coefficients overflow.
+   differences of coefficients).  Evaluation goes through the binomial
+   pmf, which stays stable at degrees far past the point where explicit
+   binomial coefficients overflow.  The tensor-product operator maps a
+   product of 1-D functions to the product of their 1-D approximants
+   (Lorentz, Bernstein Polynomials, 1953), so a target given as a short
+   sum of such products (SeparableFunction) gets an approximant of the
+   same rank (SeparableBernstein) built from 1-D samples alone; its
+   values, jets and C^l gaps come from per-axis 1-D tables combined by
+   outer products, and the dense (k+1)^d coefficient lattice is never
+   formed.  bernstein_tensor keeps the dense operator as the oracle.
 2. Cutoff extension: a C-infinity plateau bump, a product of per-axis
    e^{-1/t} smoothsteps in the action variables, equal to 1 on a
    neighbourhood of the action hull of an initial torus and to 0 outside
    a larger one, used to localize the rough (finitely differentiable)
    part of a Hamiltonian to a compact box.  It keeps only the hull
-   bounds and costs O(points) per evaluation.
+   bounds and costs O(points) per evaluation.  Each rough summand is a
+   1-D profile, so the cut rough part is a sum of products of 1-D
+   functions, one product per rough coordinate.
 3. The smoothing sequence: polynomial models H_0, H_1, ... at doubling
    degrees whose consecutive C^3 gaps are measured and enveloped by
    A * 4^(-k(l+2*sigma)), re-anchored at the first index whose gap drops
@@ -29,11 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product as iter_product
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import hypergeom
 
 from .fourier import TorusEmbedding
 from .hamiltonian import Box, CompositeHamiltonian, HamiltonianModel, RoughTerm
@@ -43,6 +52,8 @@ __all__ = [
     "BernsteinHamiltonian",
     "CutoffHamiltonian",
     "PlateauBump",
+    "SeparableBernstein",
+    "SeparableFunction",
     "SmoothingSequence",
     "SumModel",
     "bernstein_1d",
@@ -148,9 +159,10 @@ def _stencil_all(fun, pts: np.ndarray, order: int, h: np.ndarray):
     return out
 
 
-def _measure_grid(
+def _grid_axes(
     box: Box, points_per_axis: int, margin: np.ndarray, stagger: bool = False
-) -> np.ndarray:
+) -> list[np.ndarray]:
+    """The 1-D axes whose outer product is the measurement grid."""
     axes = []
     for i in range(box.dim):
         lo, hi = box.lo[i], box.hi[i]
@@ -159,8 +171,14 @@ def _measure_grid(
             axes.append(lo + (hi - lo) * idx / points_per_axis)
         else:
             axes.append(np.linspace(lo + margin[i], hi - margin[i], points_per_axis))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1)
+    return axes
+
+
+def _measure_grid(
+    box: Box, points_per_axis: int, margin: np.ndarray, stagger: bool = False
+) -> np.ndarray:
+    axes = _grid_axes(box, points_per_axis, margin, stagger)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _stencil_step(box: Box, points_per_axis: int, step) -> np.ndarray:
@@ -203,21 +221,83 @@ def cl_norm(fun, box, order: int = 3, points_per_axis: int = 64, step=None) -> f
 
 
 def cl_gap(f, g, box, order: int = 3, points_per_axis: int = 64, step=None) -> float:
-    """Max over |alpha| <= order of sup |D^alpha (f - g)| on a box grid."""
+    """Max over |alpha| <= order of sup |D^alpha (f - g)| on a box grid.
+
+    Exact derivatives on the plain grid when both sides have them, else
+    5-point stencils on the staggered grid, as in cl_norm.  When both
+    sides are sums of products of 1-D functions (they offer axis_values),
+    the same numbers come from per-axis tables (_factored_gap) without
+    evaluating either side on the grid.
+    """
     box = _as_box(box, getattr(f, "dim", None) or getattr(g, "dim", None) or _box_dim(box))
     both_exact = hasattr(f, "derivative") and hasattr(g, "derivative")
     if both_exact:
-        pts = _measure_grid(box, points_per_axis, np.zeros(box.dim))
-        out = 0.0
+        h = None
+        axes = _grid_axes(box, points_per_axis, np.zeros(box.dim))
+    else:
+        h = _stencil_step(box, points_per_axis, step)
+        axes = _grid_axes(
+            box, points_per_axis, np.where(box.periodic, 0.0, 2 * h), True
+        )
+    if hasattr(f, "axis_values") and hasattr(g, "axis_values"):
+        return _factored_gap(f, g, axes, order, h)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    out = 0.0
+    if both_exact:
         for alpha in _multi_indices(box.dim, order):
             vals = f.derivative(alpha)(pts) - g.derivative(alpha)(pts)
             out = max(out, float(np.max(np.abs(vals))))
         return out
-    h = _stencil_step(box, points_per_axis, step)
-    pts = _measure_grid(box, points_per_axis, np.where(box.periodic, 0.0, 2 * h), True)
     diff = lambda z: np.asarray(f(z), dtype=float) - np.asarray(g(z), dtype=float)
-    out = 0.0
     for vals in _stencil_all(diff, pts, order, h).values():
+        out = max(out, float(np.max(np.abs(vals))))
+    return out
+
+
+def _axis_tables(fun, axis: int, u: np.ndarray, order: int, h) -> np.ndarray:
+    """(order+1, rank, len(u)): D^q of each term's factor along one axis.
+
+    Exact derivatives when h is None, else the 1-D stencils of _STENCILS
+    at step h[axis]; a tensor stencil of a product is the product of these.
+    """
+    if h is None:
+        return np.stack([fun.axis_values(axis, u, q) for q in range(order + 1)])
+    shifted = u[None, :] + (_OFFSETS * h[axis])[:, None]
+    vals = fun.axis_values(axis, shifted.reshape(-1)).reshape(-1, 5, u.size)
+    rows = [vals[:, 2]]
+    for q in range(1, order + 1):
+        rows.append(np.tensordot(vals, _STENCILS[q], axes=([1], [0])) / h[axis] ** q)
+    return np.stack(rows)
+
+
+def _outer_rows(rows: list[np.ndarray], rank: int) -> np.ndarray:
+    """(rank, prod m_i): per term, the outer product of its axis rows."""
+    out = np.ones((rank, 1))
+    for row in rows:
+        out = (out[:, :, None] * row[:, None, :]).reshape(rank, -1)
+    return out
+
+
+def _factored_gap(f, g, axes: list[np.ndarray], order: int, h) -> float:
+    """cl_gap of two sums of products on the outer-product grid of axes.
+
+    f - g = sum_r prod_i t_{r,i}(z_i) with g's terms negated on axis 0, so
+    D^alpha (f - g) on the grid is sum_r of outer products of 1-D tables;
+    the axes are split in two halves and the sum over r is one matrix
+    product per alpha.
+    """
+    tables = [
+        np.concatenate([_axis_tables(f, i, u, order, h), _axis_tables(g, i, u, order, h)],
+                       axis=1)
+        for i, u in enumerate(axes)
+    ]
+    tables[0][:, f.rank:] *= -1.0
+    rank = tables[0].shape[1]
+    split = (len(axes) + 1) // 2
+    out = 0.0
+    for alpha in _multi_indices(len(axes), order):
+        rows = [t[q] for t, q in zip(tables, alpha)]
+        vals = _outer_rows(rows[:split], rank).T @ _outer_rows(rows[split:], rank)
         out = max(out, float(np.max(np.abs(vals))))
     return out
 
@@ -347,24 +427,6 @@ class BernsteinApproximant:
             new_deg.append(k - q)
         return BernsteinApproximant(tuple(new_deg), self.box, coeff)
 
-    def elevate(self, axis: int, new_degree: int) -> "BernsteinApproximant":
-        """Exact degree elevation along one axis (hypergeometric weights)."""
-        k = self.degrees[axis]
-        if new_degree < k:
-            raise ValueError("elevation cannot lower the degree")
-        if new_degree == k:
-            return self
-        j = np.arange(new_degree + 1)
-        w = hypergeom.pmf(np.arange(k + 1)[None, :], new_degree, k, j[:, None])
-        coeff = np.moveaxis(
-            np.tensordot(w, np.moveaxis(self.coefficients, axis, 0), axes=([1], [0])),
-            0,
-            axis,
-        )
-        deg = list(self.degrees)
-        deg[axis] = new_degree
-        return BernsteinApproximant(tuple(deg), self.box, coeff)
-
     def corner_values(self) -> np.ndarray:
         idx = np.ix_(*[np.array([0, k]) for k in self.degrees])
         return self.coefficients[idx]
@@ -395,17 +457,6 @@ def bernstein_derivative(approx: BernsteinApproximant, q: int) -> BernsteinAppro
     return approx.derivative((q,))
 
 
-def _axis_box(box: Box, axis: int) -> Box:
-    return Box(
-        box.lo[axis : axis + 1], box.hi[axis : axis + 1], box.periodic[axis : axis + 1]
-    )
-
-
-def _drop_axis(box: Box, axis: int) -> Box:
-    keep = [i for i in range(box.dim) if i != axis]
-    return Box(box.lo[keep], box.hi[keep], box.periodic[keep])
-
-
 def bernstein_tensor(f, degrees, box=None) -> BernsteinApproximant:
     """Plain tensor-product operator: sample f on the full node lattice."""
     degrees = tuple(int(k) for k in np.atleast_1d(degrees))
@@ -420,226 +471,164 @@ def bernstein_tensor(f, degrees, box=None) -> BernsteinApproximant:
     return BernsteinApproximant(degrees, box, samples, source_values=samples)
 
 
-def _axis_error_scale(f, k: int, box: Box, measure_points: int) -> float:
-    """Worst single-axis error scale of the degree-k operator.
+class SeparableFunction:
+    """f(z) = sum_r prod_i g_{r,i}(z_i): a short sum of products of 1-D functions.
 
-    For each axis, 1-D Bernstein operators are fitted along probe fibers
-    (corners, center, quarter points of the complementary coordinates) and
-    their C^3 gaps measured.  The max over all axes and probes is the
-    natural budget for the inner slices: every axis is approximated to the
-    level the roughest axis forces anyway.
+    terms[r][i] is a callable of one coordinate's values, or None for the
+    constant 1.  Only values are offered; the operators sample them.
     """
-    d = box.dim
-    scale = 0.0
-    for axis in range(d):
-        rest = [i for i in range(d) if i != axis]
-        lo_r, hi_r = box.lo[rest], box.hi[rest]
-        mid = (lo_r + hi_r) / 2.0
-        probes = {tuple(lo_r), tuple(hi_r), tuple(mid)}
-        for frac in (0.25, 0.75):
-            probes.add(tuple(lo_r + frac * (hi_r - lo_r)))
-        for j in range(d - 1):
-            for end in (lo_r[j], hi_r[j]):
-                c = np.array(mid)
-                c[j] = end
-                probes.add(tuple(c))
-        fiber_box = _axis_box(box, axis)
-        for c in sorted(probes):
-            head = np.asarray(c, dtype=float)
 
-            def fiber(t, head=head, axis=axis):
-                t = np.asarray(t, dtype=float).reshape(-1)
-                pts = np.empty((t.size, d))
-                pts[:, rest] = head
-                pts[:, axis] = t
-                return f(pts)
+    def __init__(self, terms):
+        self.terms = tuple(tuple(t) for t in terms)
+        if not self.terms or len({len(t) for t in self.terms}) != 1:
+            raise ValueError("need at least one term, each with one factor per axis")
+        self.dim = len(self.terms[0])
 
-            cand = bernstein_1d(fiber, k, fiber_box)
-            scale = max(scale, cl_gap(cand, fiber, fiber_box, 3, measure_points))
-    return scale
+    @property
+    def rank(self) -> int:
+        return len(self.terms)
+
+    def axis_values(self, axis: int, u: np.ndarray) -> np.ndarray:
+        """(rank, len(u)): every term's factor along axis at the points u."""
+        u = np.asarray(u, dtype=float)
+        return np.stack([
+            np.ones(u.shape) if t[axis] is None else np.asarray(t[axis](u), dtype=float)
+            for t in self.terms
+        ])
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        out = np.zeros(z.shape[:-1])
+        for term in self.terms:
+            prod = np.ones(z.shape[:-1])
+            for i, g in enumerate(term):
+                if g is not None:
+                    prod = prod * g(z[..., i])
+            out = out + prod
+        return out
 
 
-def _slice_cohort(f, nodes, pending, degree, inner_box, measure_points):
-    """Fit and gap-measure all pending 1-D slices of a 2-D function at once.
+@dataclass(frozen=True)
+class SeparableBernstein:
+    """Rank-r tensor-product Bernstein polynomial sum_r prod_i B_{r,i}(z_i).
 
-    The slices share sample nodes, measurement grid and stencil plan, so a
-    single batched evaluation of f serves every slice and one basis product
-    evaluates every candidate.  Gap values match the per-slice cl_gap path.
+    factors[i] has shape (r, k_i + 1): row r holds the Bernstein
+    coefficients of the r-th term's factor along axis i, so the dense
+    coefficient array (dense()) is the sum over r of the outer products
+    of the rows.  Values and derivatives are sums of products of 1-D
+    evaluations; the dense array is never needed.
     """
-    lo, w = inner_box.lo[0], inner_box.widths()[0]
-    t = lo + w * np.arange(degree + 1) / degree
-    cols = np.asarray(nodes, dtype=float)[list(pending)]
-    npend = cols.size
-    pts = np.stack(np.meshgrid(t, cols, indexing="ij"), axis=-1)
-    samples = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
-    samples = samples.reshape(degree + 1, npend)
 
-    h = _stencil_step(inner_box, measure_points, None)
-    grid = _measure_grid(
-        inner_box, measure_points, np.where(inner_box.periodic, 0.0, 2 * h), True
-    )
-    shift, rows = _stencil_plan(1, 3, h)
-    shifted = (grid.reshape(1, -1, 1) + shift[:, None, :]).reshape(-1)
-    eval_pts = np.stack(np.meshgrid(shifted, cols, indexing="ij"), axis=-1)
-    fv = np.asarray(f(eval_pts.reshape(-1, 2)), dtype=float)
-    fv = fv.reshape(shifted.size, npend)
-    bv = _basis(degree, (shifted - lo) / w) @ samples
-    dv = (bv - fv).reshape(shift.shape[0], -1, npend)
-    gaps = np.zeros(npend)
-    for alpha, combos, scale in rows:
-        acc = np.zeros((dv.shape[1], npend))
-        for wgt, idx in combos:
-            acc += wgt * dv[idx]
-        np.maximum(gaps, np.max(np.abs(acc), axis=0) / scale, out=gaps)
-    cands = [
-        BernsteinApproximant(
-            (degree,), inner_box, samples[:, j], source_values=samples[:, j]
+    box: Box
+    factors: tuple
+    report: dict | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        factors = []
+        for f in self.factors:
+            f = np.array(f, dtype=float)
+            f.flags.writeable = False
+            factors.append(f)
+        if len(factors) != self.box.dim:
+            raise ValueError("need one factor table per box axis")
+        if any(f.ndim != 2 or f.shape[0] != factors[0].shape[0] for f in factors):
+            raise ValueError("factor tables must be (rank, degree + 1) with one rank")
+        object.__setattr__(self, "factors", tuple(factors))
+
+    @property
+    def dim(self) -> int:
+        return len(self.factors)
+
+    @property
+    def rank(self) -> int:
+        return self.factors[0].shape[0]
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(f.shape[1] - 1 for f in self.factors)
+
+    def _axis_coefficients(self, axis: int, q: int) -> np.ndarray:
+        """Rows of the q-th derivative along axis (scaled forward differences)."""
+        k = self.degrees[axis]
+        if q < 0:
+            raise ValueError("derivative orders must be >= 0")
+        if q > k:
+            raise ValueError(f"order {q} exceeds degree {k} on axis {axis}")
+        coeff = self.factors[axis]
+        if q:
+            scale = math.prod(range(k - q + 1, k + 1)) / self.box.widths()[axis] ** q
+            coeff = np.diff(coeff, n=q, axis=1) * scale
+        return coeff
+
+    def axis_values(self, axis: int, u: np.ndarray, q: int = 0) -> np.ndarray:
+        """(rank, len(u)): D^q of every term's factor along axis at the points u."""
+        coeff = self._axis_coefficients(axis, q)
+        u = self.box.wrap_axis(axis, u)
+        t = (u - self.box.lo[axis]) / self.box.widths()[axis]
+        k = coeff.shape[1] - 1
+        # chunked so the basis matrices stay modest at high degree
+        chunk = max(1, 4_000_000 // (k + 1))
+        return np.concatenate(
+            [coeff @ _basis(k, t[s : s + chunk]).T for s in range(0, max(t.size, 1), chunk)],
+            axis=1,
         )
-        for j in range(npend)
-    ]
-    return cands, gaps
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        base = z.shape[:-1]
+        pts = z.reshape(-1, self.dim)
+        prod = np.ones((self.rank, pts.shape[0]))
+        for axis in range(self.dim):
+            # grids and stencils repeat few values per axis: evaluate each once
+            u, inv = np.unique(pts[:, axis], return_inverse=True)
+            prod = prod * self.axis_values(axis, u)[:, inv.reshape(-1)]
+        return prod.sum(axis=0).reshape(base)
+
+    def derivative(self, orders) -> "SeparableBernstein":
+        """Exact D^orders, term by term and axis by axis."""
+        orders = tuple(int(q) for q in orders)
+        if len(orders) != self.dim:
+            raise ValueError("orders must give one entry per axis")
+        return SeparableBernstein(
+            self.box, tuple(self._axis_coefficients(i, q) for i, q in enumerate(orders))
+        )
+
+    def dense(self) -> BernsteinApproximant:
+        """The same polynomial with its (k_1+1, ..., k_d+1) coefficient array."""
+        coeff = None
+        for r in range(self.rank):
+            term = self.factors[0][r]
+            for f in self.factors[1:]:
+                term = np.multiply.outer(term, f[r])
+            coeff = term if coeff is None else coeff + term
+        return BernsteinApproximant(self.degrees, self.box, coeff)
+
+    def __repr__(self):
+        return f"SeparableBernstein(degrees={self.degrees}, rank={self.rank})"
 
 
-def bernstein_nd(
-    f,
-    k: int,
-    box=None,
-    inner_tolerance=None,
-    max_inner_degree: int | None = None,
-    measure_points: int = 33,
-) -> BernsteinApproximant:
-    """Inductive multivariate Bernstein approximant of outer degree k.
+def bernstein_nd(f: SeparableFunction, k: int, box=None,
+                 measure_points: int = 33) -> SeparableBernstein:
+    """Degree-k tensor-product Bernstein operator of a sum of products.
 
-    The operator along the last axis is applied to slice functions at the
-    nodes p/k; each slice is replaced by its own analytic approximant at
-    the least degree in a doubling schedule whose measured C^3 error
-    meets the inner tolerance.  Inner approximants are then elevated to a
-    common degree and collapsed, exactly, into a single tensor-product
-    form (degree elevation and the outer sum are both exact), so equal
-    slice degrees reproduce the plain tensor operator.
-
-    inner_tolerance: None uses the measured outer-axis error scale, so
-    every axis gets the same error budget; "paper" uses the conservative
-    analytic schedule eps_k / (8(k+1)k(k-1)(k-2)) with eps_k = (max|f|+1)/k,
-    which is only reachable for slices that are already polynomial of low
-    degree; a float is used verbatim.  Tolerances are never loosened: an
-    unreachable slice raises.
+    The operator maps prod_i g_i(z_i) to prod_i B_k[g_i](z_i), so the
+    approximant of f = sum_r prod_i g_{r,i} is sum_r prod_i B_k[g_{r,i}]:
+    rank r, built from the 1-D samples g_{r,i}(lo_i + w_i p/k) alone.  It
+    is the polynomial bernstein_tensor(f, (k,) * d, box) gives.
+    report["composite_c3_gap"] is its C^3 gap to f on the measure_points
+    grid (cl_gap's stencil path).
     """
     k = int(k)
     if k < 3:
-        raise ValueError("outer degree must be >= 3")
-    dims = getattr(box, "dim", None)
-    if dims is None:
-        box_arr = np.asarray(box, dtype=float) if box is not None else None
-        dims = 1 if box_arr is None else box_arr.shape[0]
-    box = _as_box(box, dims)
-    d = box.dim
-    if d == 1:
-        out = bernstein_1d(f, k, box)
-        object.__setattr__(out, "report", {"mode": "direct", "inner_degrees": []})
-        return out
-
-    axis = d - 1
-    nodes = box.lo[axis] + box.widths()[axis] * np.arange(k + 1) / k
-    inner_box = _drop_axis(box, axis)
-
-    if inner_tolerance == "paper":
-        probe = bernstein_tensor(f, (4,) * d, box).source_values
-        m_hat = float(np.max(np.abs(probe))) + 1.0
-        eps_k = m_hat / k
-        tol = eps_k / (8.0 * (k + 1) * k * (k - 1) * (k - 2))
-        mode = "paper"
-    elif inner_tolerance is None:
-        tol = _axis_error_scale(f, k, box, measure_points)
-        eps_k = tol
-        mode = "budget"
-    else:
-        tol = float(inner_tolerance)
-        eps_k = tol
-        mode = "explicit"
-    scale = 1.0 + abs(tol)
-    max_inner = max_inner_degree if max_inner_degree is not None else 64 * k
-
-    def slice_fun(p):
-        def g(x, node=nodes[p]):
-            x = np.asarray(x, dtype=float)
-            if d - 1 == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-                x = x[..., None]
-            pts = np.concatenate(
-                [x, np.full(x.shape[:-1] + (1,), node)], axis=-1
-            )
-            return f(pts)
-
-        return g
-
-    inner: list[BernsteinApproximant | None] = [None] * (k + 1)
-    achieved = [np.inf] * (k + 1)
-    pending = list(range(k + 1))
-    degree = k
-    # slack covers stencil noise (~1e-10 after 1/h^3 amplification), so two
-    # float paths measuring the same gap cannot flip an acceptance decision
-    while pending and degree <= max_inner:
-        still = []
-        if d - 1 == 1:
-            cands, gaps = _slice_cohort(f, nodes, pending, degree, inner_box,
-                                        measure_points)
-            for p, cand, gap in zip(pending, cands, gaps):
-                achieved[p] = float(gap)
-                if gap <= tol + 1e-9 * scale:
-                    inner[p] = cand
-                else:
-                    still.append(p)
-        else:
-            for p in pending:
-                g = slice_fun(p)
-                cand = bernstein_nd(
-                    g, degree, inner_box, tol, max_inner_degree, measure_points
-                )
-                gap = cl_gap(cand, g, inner_box, 3, measure_points)
-                achieved[p] = gap
-                if gap <= tol + 1e-9 * scale:
-                    inner[p] = cand
-                else:
-                    still.append(p)
-        pending = still
-        degree *= 2
-    if pending:
-        worst = max(pending, key=lambda p: achieved[p])
-        raise ValueError(
-            f"slice tolerance unreachable: slice p={worst} reached C^3 gap "
-            f"{achieved[worst]:.3e} > tol {tol:.3e} at max inner degree {max_inner}"
-        )
-
-    common = [
-        max(ap.degrees[j] for ap in inner) for j in range(d - 1)
-    ]
-    stacked = []
-    for ap in inner:
-        for j, kk in enumerate(common):
-            ap = ap.elevate(j, kk)
-        stacked.append(ap.coefficients)
-    coeff = np.stack(stacked, axis=-1)
-    out = BernsteinApproximant(tuple(common) + (k,), box, coeff)
-
-    comp_gap = cl_gap(out, f, box, 3, measure_points)
-    factor = 2.0 if d <= 2 else float(d)
-    if mode != "explicit" and comp_gap > factor * eps_k + 1e-9 * scale:
-        raise ValueError(
-            f"composite C^3 gap {comp_gap:.3e} exceeds {factor:g}*eps_k = "
-            f"{factor * eps_k:.3e}; inner tolerance scheme failed"
-        )
-    object.__setattr__(
-        out,
-        "report",
-        {
-            "mode": mode,
-            "inner_tolerance": tol,
-            "eps_k": eps_k,
-            "inner_degrees": [ap.degrees for ap in inner],
-            "composite_c3_gap": comp_gap,
-            "slice_gaps": achieved,
-        },
+        raise ValueError("degree must be >= 3")
+    box = _as_box(box, f.dim)
+    factors = tuple(
+        f.axis_values(i, box.lo[i] + box.widths()[i] * np.arange(k + 1) / k)
+        for i in range(box.dim)
     )
+    out = SeparableBernstein(box, factors)
+    gap = cl_gap(out, f, box, 3, measure_points)
+    object.__setattr__(out, "report", {"composite_c3_gap": gap})
     return out
 
 
@@ -647,24 +636,22 @@ def bernstein_nd(
 
 
 class BernsteinHamiltonian:
-    """Polynomial Hamiltonian over a box chart with exact Bernstein jets."""
+    """Polynomial Hamiltonian over a box chart with exact Bernstein jets.
 
-    def __init__(self, approx: BernsteinApproximant, n: int):
+    approx is a SeparableBernstein on the 2n-dimensional box; a jet takes
+    per-axis 1-D tables of orders 0-2 at the points and combines them.
+    """
+
+    def __init__(self, approx: SeparableBernstein, n: int):
         if approx.dim != 2 * n:
             raise ValueError("approximant must live on a 2n-dimensional box")
         self.approx = approx
         self.n = n
         self.box = approx.box
         self.smoothness_class = math.inf
-        self._derivs: dict[tuple[int, ...], BernsteinApproximant] = {}
-
-    def _d(self, alpha: tuple[int, ...]) -> BernsteinApproximant:
-        if alpha not in self._derivs:
-            self._derivs[alpha] = self.approx.derivative(alpha)
-        return self._derivs[alpha]
 
     def derivative(self, alpha):
-        return self._d(tuple(int(q) for q in alpha))
+        return self.approx.derivative(alpha)
 
     def __call__(self, z):
         return self.approx(z)
@@ -672,17 +659,24 @@ class BernsteinHamiltonian:
     def jet_batch(self, z: np.ndarray):
         z = np.asarray(z, dtype=float)
         dim = 2 * self.n
-        val = self.approx(z)
+        pts = z.reshape(-1, dim)
+        # tab[i][q]: (rank, points) q-th derivative of each factor along axis i
+        tab = [[self.approx.axis_values(i, pts[:, i], q) for q in range(3)]
+               for i in range(dim)]
+
+        def term(orders):
+            prod = tab[0][orders[0]]
+            for i in range(1, dim):
+                prod = prod * tab[i][orders[i]]
+            return prod.sum(axis=0).reshape(z.shape[:-1])
+
+        val = term((0,) * dim)
         grad = np.empty(z.shape[:-1] + (dim,))
         hess = np.empty(z.shape[:-1] + (dim, dim))
         for a in range(dim):
-            ea = tuple(1 if i == a else 0 for i in range(dim))
-            grad[..., a] = self._d(ea)(z)
+            grad[..., a] = term(tuple(int(i == a) for i in range(dim)))
             for b in range(a, dim):
-                ab = tuple(
-                    (1 if i == a else 0) + (1 if i == b else 0) for i in range(dim)
-                )
-                hess[..., a, b] = self._d(ab)(z)
+                hess[..., a, b] = term(tuple(int(i == a) + int(i == b) for i in range(dim)))
                 hess[..., b, a] = hess[..., a, b]
         return val, grad, hess
 
@@ -754,9 +748,17 @@ class PlateauBump:
         lo, hi = self.anchors
         return np.maximum(np.maximum(lo - y, y - hi), 0.0)
 
+    def _profile(self, g: np.ndarray) -> np.ndarray:
+        return self.smoothstep((2.5 * self.r - g) / (1.5 * self.r))
+
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        g = self.distance(z)
-        return np.prod(self.smoothstep((2.5 * self.r - g) / (1.5 * self.r)), axis=-1)
+        return np.prod(self._profile(self.distance(z)), axis=-1)
+
+    def axis_factor(self, i: int, y: np.ndarray) -> np.ndarray:
+        """The factor of phi along the i-th non-periodic coordinate, at values y."""
+        lo, hi = self.anchors[:, i]
+        y = np.asarray(y, dtype=float)
+        return self._profile(np.maximum(np.maximum(lo - y, y - hi), 0.0))
 
     def derivative_bound(self, q: int) -> float:
         """Bound on |d^q phi| along any direction v with |v|_inf = 1.
@@ -815,6 +817,25 @@ class CutoffHamiltonian:
         z = self.box.wrap(np.asarray(z, dtype=float))
         return self.rough_values(z) * self.bump(z)
 
+    def separable(self) -> SeparableFunction:
+        """cut_values as a sum of products of 1-D functions of the coordinates.
+
+        One term per rough coordinate c (in order of first appearance):
+        the sum of the profiles on c, times the bump's factor on every
+        action axis (on c itself too when c is an action).  Periodic
+        factors wrap like cut_values does.
+        """
+        action_axes = np.nonzero(~self.box.periodic)[0]
+        terms = []
+        for c in dict.fromkeys(t.coordinate for t in self.rough):
+            funcs = [None] * self.box.dim
+            for i, axis in enumerate(action_axes):
+                funcs[axis] = partial(self.bump.axis_factor, i)
+            on_c = [t for t in self.rough if t.coordinate == c]
+            funcs[c] = partial(_rough_factor, self.box, c, on_c, funcs[c])
+            terms.append(funcs)
+        return SeparableFunction(terms)
+
     def __call__(self, z):
         z = self.box.wrap(np.asarray(z, dtype=float))
         out = self.cut_values(z)
@@ -822,6 +843,15 @@ class CutoffHamiltonian:
             av, _, _ = self.analytic.jet_batch(z)
             out = out + av
         return out
+
+
+def _rough_factor(box: Box, axis: int, terms, bump_factor, u):
+    """Sum of the rough profiles on one axis, times the bump's factor there."""
+    u = box.wrap_axis(axis, u)
+    out = np.zeros(u.shape)
+    for term in terms:
+        out = out + term.amplitude * term.profile.deriv(u, 0)
+    return out if bump_factor is None else out * bump_factor(u)
 
 
 def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float, rho: float = 0.0,
@@ -935,8 +965,8 @@ def build_smoothing_sequence(
         raise TypeError("expected a CutoffHamiltonian or an analytic model")
 
     box = h_ext.box
-    target = h_ext.cut_values
-    approx: list[BernsteinApproximant] = []
+    target = h_ext.separable()
+    approx: list[SeparableBernstein] = []
     degrees: list[int] = []
     raw_gaps_c3: list[float] = []
     raw_gaps_c0: list[float] = []

@@ -318,6 +318,7 @@ def solve_torus(
     grid_size: int | None = None,
     max_trunc_order: int = 512,
     rho: float = 0.0,
+    jet=None,
 ) -> SolveResult:
     """Newton iteration with divergence detection and tail-driven refinement.
 
@@ -332,6 +333,8 @@ def solve_torus(
     With a FrequencyVector, every retained mode must stay inside its
     Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
     rejected before any work, and refinement stops at horizon // n.
+    jet, when given, is the jet of H at K0's samples on the solve's grid
+    and serves the first iterate.
     """
     if isinstance(omega, FrequencyVector):
         check_horizon(K0, omega)
@@ -344,7 +347,8 @@ def solve_torus(
     increases = 0
     prev = np.inf
     for it in range(max_iter + 1):
-        jet = _jet(hamiltonian, K, grid_size)
+        if it or jet is None:
+            jet = _jet(hamiltonian, K, grid_size)
         err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)
         if initial is None:
             initial = err.norm_grid

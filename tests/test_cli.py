@@ -218,7 +218,11 @@ class TestDispatch:
         first = rows[1].split(",")
         assert float(first[3]) == cert["gaps_c3"][0]
         assert float(first[3]) <= float(first[4])
-        assert (out / "approximant_0.json").is_file()
+        # factored payload: per axis one (rank, degree + 1) coefficient table
+        doc = json.loads((out / "approximant_0.json").read_text())
+        assert doc["degrees"] == [cert["degrees"][0]] * 2
+        assert doc["rank"] == 1
+        assert [np.shape(f) for f in doc["factors"]] == [(1, cert["degrees"][0] + 1)] * 2
 
     def test_smooth_analytic_input_short_circuit(self, write_files):
         cfg_path, out = write_files(PENDULUM, "smooth_an", count=3)

@@ -355,14 +355,18 @@ def rough_run():
 
     Counts the calls run_scheme makes through its own module names (the
     solver's calls inside solve_torus and newton_step are not counted)
-    and every cl_gap call made after the ladder is built.
+    and every cl_gap call made after the ladder is built.  Per solve_torus
+    call, it also records the solver's own jet_grid, newton_step and
+    resize calls.
     """
     import kamtori.driver as driver
     import kamtori.smoothing as smoothing
+    import kamtori.solver as solver
     from kamtori import BSplineProfile, CompositeHamiltonian, RoughTerm
 
     calls = {"invariance_error": 0, "nondegeneracy": 0, "jet_grid": 0,
-             "late_cl_gap": 0}
+             "late_cl_gap": 0, "solver.jet_grid": 0, "solver.newton_step": 0,
+             "resized": 0, "solves": []}
     ladders = []
 
     def counted(name, func):
@@ -370,6 +374,14 @@ def rough_run():
             calls[name] += 1
             return func(*args, **kwargs)
         return wrapper
+
+    inner = ("solver.jet_grid", "solver.newton_step", "resized")
+
+    def solve(*args, **kwargs):
+        before = {name: calls[name] for name in inner}
+        res = solve_torus(*args, **kwargs)
+        calls["solves"].append({name: calls[name] - before[name] for name in inner})
+        return res
 
     def cl_gap(*args, **kwargs):
         if ladders:
@@ -382,6 +394,7 @@ def rough_run():
         return seq
 
     smoothing_cl_gap, build = smoothing.cl_gap, driver.build_smoothing_sequence
+    solve_torus = driver.solve_torus
     prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], degree=5)
     h = CompositeHamiltonian(
         HamiltonianModel.free_rotator(1), [RoughTerm(0, prof, 1e-4)]
@@ -395,6 +408,12 @@ def rough_run():
         mp.setattr(smoothing, "cl_gap", cl_gap)
         mp.setattr(driver, "cl_gap", cl_gap, raising=False)
         mp.setattr(driver, "build_smoothing_sequence", ladder)
+        mp.setattr(driver, "solve_torus", solve)
+        mp.setattr(solver, "jet_grid", counted("solver.jet_grid", solver.jet_grid))
+        mp.setattr(solver, "newton_step",
+                   counted("solver.newton_step", solver.newton_step))
+        mp.setattr(TorusEmbedding, "resized",
+                   counted("resized", TorusEmbedding.resized))
         res = run_scheme(h, K0, np.array([GOLDEN]), params)
     return res, ladders, calls
 
@@ -427,3 +446,29 @@ class TestMeasuredOnce:
         assert res.stages[0]["e_k_rho"] == cert["e0_stage1"]["rho"]
         assert (cert["final"]["error_vs_original_grid"]
                 == res.stages[-1]["error_vs_original_grid"])
+
+    def test_stage_solves_start_from_the_previous_stages_jet(self, rough_run):
+        # stage k >= 2 starts from the jet of H that run_scheme took at the
+        # previous stage's torus: one jet per Newton step and per resize
+        res, _, calls = rough_run
+        solves = calls["solves"]
+        assert len(solves) == len(res.stages)
+        for rec, counts in zip(res.stages[1:], solves[1:]):
+            assert counts["solver.newton_step"] == rec["iterations"]
+            assert counts["solver.jet_grid"] == rec["iterations"] + counts["resized"]
+        # stage 1 evaluates its own start jet
+        first = solves[0]
+        assert first["solver.jet_grid"] == res.stages[0]["iterations"] + first["resized"] + 1
+
+    def test_lemma4_reports_how_much_evidence_it_had(self, rough_run):
+        res, _, _ = rough_run
+        cert = res.certificate
+        steps = [rec["iterations"] for rec in res.stages]
+        # the later stages copy their start torus: only stage 2 took steps
+        assert steps[1] > 0 and steps[2:] == [0] * (len(steps) - 2)
+        lemma4 = cert["lemma4"]
+        assert lemma4["informative_gaps"] == cert["torus_gaps"][:1]
+        assert lemma4["informative_gaps"][0] > 0
+        assert lemma4["vacuous"] is True
+        # report only: the pass rule is unchanged
+        assert lemma4["passed"] == lemma4_check(cert["torus_gaps"], cert["l"])["passed"]

@@ -1,6 +1,7 @@
 """Bernstein operators, the plateau cutoff and the geometric approximant ladder."""
 
 import math
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from kamtori import (
     TorusEmbedding,
 )
 from kamtori.smoothing import (
+    BernsteinHamiltonian,
     PlateauBump,
+    SeparableFunction,
     bernstein_1d,
     bernstein_derivative,
     bernstein_nd,
@@ -152,21 +155,37 @@ class TestLemma2Derivative:
             bernstein_derivative(b, 4)
 
 
+def affine_target():
+    """1 + 2 x - y as a sum of three products."""
+    return SeparableFunction([
+        (None, None),
+        (lambda x: 2.0 * x, None),
+        (None, lambda y: -y),
+    ])
+
+
+def x2y_target():
+    """x^2 y as one product."""
+    return SeparableFunction([(lambda x: x**2, lambda y: y)])
+
+
+def unit_grid(points, dim=2):
+    axes = (np.linspace(0, 1, points),) * dim
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
 class TestBernsteinNd:
     @pytest.mark.parametrize("k", [3, 4, 8])
     def test_affine_exact(self, k):
-        f = lambda z: 1.0 + 2.0 * z[..., 0] - z[..., 1]
+        f = affine_target()
         b = bernstein_nd(f, k, unit_box(2))
-        g = np.stack(
-            np.meshgrid(*(np.linspace(0, 1, 17),) * 2, indexing="ij"), axis=-1
-        ).reshape(-1, 2)
-        assert np.max(np.abs(b(g) - f(g))) < 1e-12
+        assert b.rank == 3
+        g = unit_grid(17)
+        assert np.max(np.abs(b(g) - (1.0 + 2.0 * g[:, 0] - g[:, 1]))) < 1e-12
 
     def test_c0_error_halves_with_degree(self):
-        f = lambda z: z[..., 0] ** 2 * z[..., 1]
-        g = np.stack(
-            np.meshgrid(*(np.linspace(0, 1, 41),) * 2, indexing="ij"), axis=-1
-        ).reshape(-1, 2)
+        f = x2y_target()
+        g = unit_grid(41)
         errs = []
         for k in (8, 16, 32, 64):
             b = bernstein_nd(f, k, unit_box(2))
@@ -175,7 +194,7 @@ class TestBernsteinNd:
             assert 2 / 1.5 <= a / b_ <= 2 * 1.5
 
     def test_c3_error_decreases_with_degree(self):
-        f = lambda z: z[..., 0] ** 2 * z[..., 1]
+        f = x2y_target()
         exact = {
             (0, 0): f,
             (1, 0): lambda z: 2 * z[..., 0] * z[..., 1],
@@ -188,9 +207,7 @@ class TestBernsteinNd:
             (1, 2): lambda z: np.zeros(z.shape[:-1]),
             (0, 3): lambda z: np.zeros(z.shape[:-1]),
         }
-        g = np.stack(
-            np.meshgrid(*(np.linspace(0, 1, 21),) * 2, indexing="ij"), axis=-1
-        ).reshape(-1, 2)
+        g = unit_grid(21)
         gaps = []
         for k in (8, 16, 32):
             b = bernstein_nd(f, k, unit_box(2))
@@ -201,40 +218,9 @@ class TestBernsteinNd:
             gaps.append(worst)
         assert gaps[0] > gaps[1] > gaps[2]
 
-    def test_equal_inner_degrees_reproduce_tensor_operator(self):
-        f = lambda z: np.sin(z[..., 0]) * (1 + z[..., 1] ** 2)
-        nd = bernstein_nd(f, 6, unit_box(2), inner_tolerance=1e6)
-        tensor = bernstein_tensor(f, (6, 6), unit_box(2))
-        assert np.array_equal(nd.coefficients, tensor.coefficients)
-
-    def test_slices_escalate_to_meet_tolerance(self):
-        f = lambda z: z[..., 0] ** 4 * (1 + z[..., 1])
-        tol = 8.0
-        b = bernstein_nd(f, 4, unit_box(2), inner_tolerance=tol)
-        inner = [d[0] for d in b.report["inner_degrees"]]
-        assert max(inner) > 4
-        assert all(g <= tol * 1.000001 for g in b.report["slice_gaps"])
-        g = np.stack(
-            np.meshgrid(*(np.linspace(0, 1, 17),) * 2, indexing="ij"), axis=-1
-        ).reshape(-1, 2)
-        assert np.max(np.abs(b(g) - f(g))) < 0.1
-
-    def test_unreachable_tolerance_raises(self):
-        f = lambda z: z[..., 0] ** 4 * (1 + z[..., 1])
-        with pytest.raises(ValueError, match="unreachable"):
-            bernstein_nd(f, 4, unit_box(2), inner_tolerance=1e-12, max_inner_degree=64)
-
-    def test_paper_schedule_only_reaches_polynomial_slices(self):
-        aff = lambda z: 1 + 2 * z[..., 0] - z[..., 1]
-        b = bernstein_nd(aff, 4, unit_box(2), inner_tolerance="paper")
-        assert b.report["mode"] == "paper"
-        f = lambda z: z[..., 0] ** 4 * (1 + z[..., 1])
-        with pytest.raises(ValueError, match="unreachable"):
-            bernstein_nd(f, 4, unit_box(2), inner_tolerance="paper", max_inner_degree=256)
-
     def test_low_degree_rejected(self):
         with pytest.raises(ValueError, match=">= 3"):
-            bernstein_nd(lambda z: z[..., 0], 2, unit_box(2))
+            bernstein_nd(x2y_target(), 2, unit_box(2))
 
     def test_corner_interpolation(self):
         f = lambda z: np.cos(z[..., 0]) + z[..., 1] ** 3
@@ -483,6 +469,87 @@ class TestActionHullCutoff:
             assert one.derivative_bound(q) == pytest.approx(sups[q] / 0.45**q)
         assert two.derivative_bound(1) == pytest.approx(2 * 2.0 / 0.45)
         assert two.derivative_bound(2) == pytest.approx((2 * 9.842 + 2 * 2.0**2) / 0.45**2)
+
+
+def box_points(box, count, seed):
+    """Uniform random points of a box (periodic axes over the whole chart)."""
+    rng = np.random.default_rng(seed)
+    return box.lo + box.widths() * rng.uniform(0, 1, (count, box.dim))
+
+
+class TestSeparableOracles:
+    """The factored ladder against the dense tensor-product operator."""
+
+    @pytest.fixture(scope="class")
+    def cut_2dof(self, rough_2dof):
+        return cutoff_extend(rough_2dof, wavy_torus([1e-2, 3e-2]), r=0.1)
+
+    def test_separable_target_is_the_cut_part(self, rough_system, cut_2dof):
+        h, K0 = rough_system
+        hx = cutoff_extend(h, K0, r=0.8)
+        z = box_points(hx.box, 2000, 1)
+        assert np.array_equal(hx.separable()(z), hx.cut_values(z))
+        z = box_points(cut_2dof.box, 2000, 2)
+        want = cut_2dof.cut_values(z)
+        assert cut_2dof.separable().rank == 2
+        assert np.max(np.abs(cut_2dof.separable()(z) - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [8, 64])
+    def test_n1_rung_is_the_outer_product_of_samples(self, rough_system, k):
+        h, K0 = rough_system
+        hx = cutoff_extend(h, K0, r=0.8)
+        b = bernstein_nd(hx.separable(), k, hx.box)
+        assert b.rank == 1
+        lattice = bernstein_tensor(hx.cut_values, (k, k), hx.box).coefficients
+        assert np.array_equal(np.multiply.outer(b.factors[0][0], b.factors[1][0]), lattice)
+        assert np.array_equal(b.dense().coefficients, lattice)
+        # the rows are the 1-D samples: the rough part on the plateau, phi
+        nodes = [hx.box.lo[i] + hx.box.widths()[i] * np.arange(k + 1) / k for i in (0, 1)]
+        on_plateau = np.stack([nodes[0], np.full(k + 1, 0.4)], axis=-1)
+        assert np.array_equal(b.factors[0][0], hx.cut_values(on_plateau))
+        along_y = np.stack([np.zeros(k + 1), nodes[1]], axis=-1)
+        assert np.array_equal(b.factors[1][0], hx.phi(along_y))
+
+    def test_n2_rung_matches_tensor_operator(self, cut_2dof):
+        hx = cut_2dof
+        b = bernstein_nd(hx.separable(), 4, hx.box, measure_points=9)
+        tensor = bernstein_tensor(hx.cut_values, (4,) * 4, hx.box)
+        assert b.rank == 2
+        z = box_points(hx.box, 300, 3)
+        # angles outside the chart wrap into it
+        z[:100, :2] += [1.0, -2.0]
+        for alpha in iter_product(range(4), repeat=4):
+            if sum(alpha) > 3:
+                continue
+            want = tensor.derivative(alpha)(z)
+            got = b.derivative(alpha)(z)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        val, grad, hess = BernsteinHamiltonian(b, 2).jet_batch(z)
+        eye = np.eye(4, dtype=int)
+        assert np.max(np.abs(val - tensor(z))) <= 1e-14
+        for a in range(4):
+            want = tensor.derivative(eye[a])(z)
+            assert np.max(np.abs(grad[:, a] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            for c in range(4):
+                want = tensor.derivative(eye[a] + eye[c])(z)
+                assert np.max(np.abs(hess[:, a, c] - want)) <= 1e-12 * max(
+                    1.0, np.max(np.abs(want))
+                )
+
+    def test_factored_gaps_equal_dense_cl_gap_at_n2(self, cut_2dof):
+        hx = cut_2dof
+        target = hx.separable()
+        b4 = bernstein_nd(target, 4, hx.box, measure_points=9)
+        b8 = bernstein_nd(target, 8, hx.box, measure_points=9)
+        # stencil path: plain callables take the dense route
+        dense = cl_gap(lambda z: b4(z), hx.cut_values, hx.box, 3, 9)
+        assert b4.report["composite_c3_gap"] == pytest.approx(dense, rel=1e-9)
+        # exact path: the rung gap against the dense coefficient arrays
+        dense = cl_gap(b4.dense(), b8.dense(), hx.box, 3, 9)
+        assert cl_gap(b4, b8, hx.box, 3, 9) == pytest.approx(dense, rel=1e-9)
+        assert cl_gap(b4, b8, hx.box, 0, 9) == pytest.approx(
+            cl_gap(b4.dense(), b8.dense(), hx.box, 0, 9), rel=1e-12
+        )
 
 
 class TestSmoothingSequence:
