@@ -378,6 +378,7 @@ def cmd_verify(args) -> int:
                 "norm_n": nd.norm_n,
                 "norm_s_inv": nd.norm_s_inv,
                 "cond_dk": nd.cond_dk,
+                "lagrangian_defect": nd.lagrangian_defect,
                 "avg_s": nd.avg_s,
             },
             "mu0": schedule.mu0,

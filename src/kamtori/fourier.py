@@ -4,11 +4,12 @@ The central data type is :class:`FourierMap`, a real-valued trigonometric
 polynomial T^n -> R^(range_shape).  It holds one dense complex array
 ``coeffs`` of shape (2M+1,)*n + range_shape: the amplitude of wavevector
 k sits at index k + M, over the full spectrum |k|_inf <= M.  Analysis
-and synthesis are one FFT each on the odd grid of 2M+1 points per axis;
-derivatives, shifts, norms and the cohomological solve are broadcasts
-against the wavevector grid.  Reality is the Hermitian symmetry
-coeffs[-k] = conj(coeffs[k]), which analysis enforces and every operation
-preserves.
+and synthesis are one real FFT each (rfftn / irfftn) on an odd grid of
+N >= 2M+1 points per axis, over the k_n >= 0 half of that array, which
+they place by index; derivatives, shifts, norms and the cohomological
+solve are broadcasts against the wavevector grid.  Reality is the
+Hermitian symmetry coeffs[-k] = conj(coeffs[k]), which analysis builds in
+exactly and every operation preserves.
 
 Files keep the canonical half-spectrum: one wavevector of each conjugate
 pair, the one whose first nonzero component is positive.  ``modes`` is
@@ -27,7 +28,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -54,10 +55,27 @@ def canonical(k) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=64)
 def wavevectors(dim_domain: int, trunc_order: int) -> np.ndarray:
-    """Integer wavevector grid, shape (2M+1,)*n + (n,), k at index k + M."""
+    """Integer wavevector grid, shape (2M+1,)*n + (n,), k at index k + M.
+
+    Cached per (n, M) and returned read-only.
+    """
     ks = np.arange(-trunc_order, trunc_order + 1)
-    return np.stack(np.meshgrid(*[ks] * dim_domain, indexing="ij"), axis=-1)
+    grid = np.stack(np.meshgrid(*[ks] * dim_domain, indexing="ij"), axis=-1)
+    grid.flags.writeable = False
+    return grid
+
+
+def _fft_index(trunc_order: int, size: int, dim_domain: int) -> tuple:
+    """Index of the k_n >= 0 half of a centered spectrum in an rfftn array.
+
+    Wavevector k with |k|_inf <= M sits at k mod N on the first n - 1 axes
+    of a grid of N points and at k_n on the last one; the returned tuple
+    indexes that (2M+1,)*(n-1) + (M+1,) block.
+    """
+    wrap = np.arange(-trunc_order, trunc_order + 1) % size
+    return np.ix_(*[wrap] * (dim_domain - 1), np.arange(trunc_order + 1))
 
 
 @dataclass(frozen=True)
@@ -211,7 +229,9 @@ class FourierMap:
         """Discrete Fourier analysis of samples on the uniform odd grid.
 
         ``samples`` has shape (N, ..., N, *range_shape) with N odd; grid
-        point j corresponds to theta = j / N in [0, 1)^n.
+        point j corresponds to theta = j / N in [0, 1)^n.  One rfftn gives
+        the k_n >= 0 half; the k_n < 0 half is its exact conjugate, and on
+        the k_n = 0 plane k is averaged with the conjugate of -k.
         """
         samples = np.asarray(samples, dtype=float)
         if samples.ndim < dim_domain:
@@ -222,11 +242,17 @@ class FourierMap:
         size = nshape[0]
         if size % 2 == 0:
             raise ValueError("grid size must be odd")
+        m = (size - 1) // 2
         axes = tuple(range(dim_domain))
-        coeff = np.fft.fftn(samples, axes=axes) / size**dim_domain
-        coeff = np.fft.fftshift(coeff, axes=axes)
-        # exact Hermitian symmetry: average k with the conjugate of -k
-        coeff = (coeff + np.conj(np.flip(coeff, axis=axes))) / 2.0
+        half = np.fft.rfftn(samples, axes=axes) / size**dim_domain
+        coeff = np.empty(samples.shape, dtype=complex)
+        last = (slice(None),) * (dim_domain - 1)
+        coeff[last + (slice(m, None),)] = half[_fft_index(m, size, dim_domain)]
+        coeff[last + (slice(None, m),)] = np.conj(
+            np.flip(coeff[last + (slice(m + 1, None),)], axis=axes)
+        )
+        plane = coeff[last + (slice(m, m + 1),)]
+        plane[...] = (plane + np.conj(np.flip(plane, axis=axes[:-1]))) / 2.0
         return cls._wrap(dim_domain, coeff)
 
     # -- evaluation -----------------------------------------------------
@@ -244,17 +270,24 @@ class FourierMap:
         return out.real.reshape(theta.shape[:-1] + self.range_shape)
 
     def synthesize(self, grid_size: int | None = None) -> np.ndarray:
-        """Sample on the uniform grid; inverse of :meth:`from_samples`."""
+        """Sample on the uniform grid; inverse of :meth:`from_samples`.
+
+        One irfftn of the k_n >= 0 half of ``coeffs``, placed by index on
+        a grid of any odd size N >= 2M+1.
+        """
         size = self.grid_size if grid_size is None else int(grid_size)
         if size % 2 == 0:
             raise ValueError("grid size must be odd")
-        m = (size - 1) // 2
-        if m < self.trunc_order:
+        n, m = self.dim_domain, self.trunc_order
+        if size < self.grid_size:
             raise ValueError("grid too small for stored modes")
-        axes = tuple(range(self.dim_domain))
-        full = np.fft.ifftshift(self._at_order(m), axes=axes)
-        vals = np.fft.ifftn(full, axes=axes) * size**self.dim_domain
-        return np.real(vals)
+        axes = tuple(range(n))
+        half = np.zeros(
+            (size,) * (n - 1) + ((size + 1) // 2,) + self.range_shape, dtype=complex
+        )
+        last = (slice(None),) * (n - 1)
+        half[_fft_index(m, size, n)] = self.coeffs[last + (slice(m, None),)]
+        return np.fft.irfftn(half, s=(size,) * n, axes=axes) * size**n
 
     # -- calculus --------------------------------------------------------
 

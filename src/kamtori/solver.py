@@ -19,17 +19,31 @@ which is where invertibility of the averaged torsion (the twist
 condition) enters.  The correction Delta = M xi acts on the periodic part
 of K only; re-analysis on the grid restores exact reality symmetry.
 
+The frame is never formed as a 2n x 2n matrix.  With G = DK^T DK,
+N = G^-1 and the Lagrangian defect L = DK^T J DK, its symplectic form is
+
+    M^T J M = [[L, -I], [I, N L N]],
+
+so M^-1 v is the block solve of M^T J M xi = M^T J v through
+C = I + L N L N, |det M| = sqrt|det C|, M xi = DK xi_T + J DK N xi_N and
+S = N (DK^T D^2H DK - (J DK)^T D^2H (J DK)) N: every pointwise matrix is
+n x n, and the two inverses (G and C) are one vectorized elimination
+across the grid.  On an invariant torus L = 0 (it is Lagrangian), C = I
+and M is symplectic up to the normalisation N.
+
 Each iterate K costs one evaluation of H on the grid: solve_torus takes
 one jet of H at K's grid samples, whose gradient gives the defect
-(invariance_error) and whose Hessian gives the one frame build
-(nondegeneracy, which keeps M, M^-1 and S on the grid); newton_step then
-takes that frame and the defect as they are.  A K refined by resizing is
-a new iterate with its own jet and defect.
+(invariance_error, which keeps its grid samples) and whose Hessian gives
+the one frame build (nondegeneracy, which keeps the frame blocks and S
+on the grid); newton_step then takes that frame and the defect's samples
+as they are.  A K refined by resizing is a new iterate with its own jet
+and defect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,15 +66,21 @@ __all__ = [
 ]
 
 COND_DK_LIMIT = 1e8
+FLOOR_ULPS = 16  # round-off allowance of solve_torus's floor rule, in eps
 
 
 @dataclass(frozen=True)
 class ErrorField:
-    """Invariance defect e = J grad H (K) - d_omega K."""
+    """Invariance defect e = J grad H (K) - d_omega K.
+
+    values holds e on the sampling grid it was evaluated on, shape
+    grid + (2n,), and e is its Fourier analysis.
+    """
 
     e: FourierMap
     norm_rho: StripNormEstimate
     norm_grid: float
+    values: np.ndarray = field(repr=False, compare=False)
 
     @property
     def tail_flag(self) -> bool:
@@ -102,22 +122,115 @@ def invariance_error(
         e=e,
         norm_rho=e.strip_norm(rho),
         norm_grid=float(np.max(np.abs(values))),
+        values=values,
     )
+
+
+def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Pointwise matrix-vector product on the grid."""
+    return np.einsum("...ij,...j->...i", mat, vec)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x with a x = b at every grid point, and |det a| there.
+
+    a has shape grid + (n, n) and b broadcasts to grid + (n, k).  Gaussian
+    elimination with partial pivoting, one Python loop over the n columns
+    and every operation vectorized across the grid points, so it serves
+    any n; |det a| is the product of the pivots' magnitudes.
+    """
+    n, k = a.shape[-1], b.shape[-1]
+    b = np.broadcast_to(b, a.shape[:-1] + (k,))
+    # row r of the augmented system [a | b], one grid array per entry
+    rows = [[a[..., r, c] for c in range(n)] + [b[..., r, c] for c in range(k)]
+            for r in range(n)]
+    abs_det = np.ones(a.shape[:-2])
+    for col in range(n):
+        for r in range(col + 1, n):
+            swap = np.abs(rows[r][col]) > np.abs(rows[col][col])
+            rows[col], rows[r] = (
+                [np.where(swap, y, x) for x, y in zip(rows[col], rows[r])],
+                [np.where(swap, x, y) for x, y in zip(rows[col], rows[r])],
+            )
+        pivot = rows[col][col]
+        abs_det = abs_det * np.abs(pivot)
+        for r in range(col + 1, n):
+            f = rows[r][col] / pivot
+            rows[r] = rows[r][: col + 1] + [
+                y - f * x for x, y in zip(rows[col][col + 1 :], rows[r][col + 1 :])
+            ]
+    x = [None] * n
+    for r in reversed(range(n)):
+        acc = rows[r][n:]
+        for c in range(r + 1, n):
+            acc = [v - rows[r][c] * w for v, w in zip(acc, x[c])]
+        x[r] = [v / rows[r][r] for v in acc]
+    return np.stack([np.stack(row, axis=-1) for row in x], axis=-2), abs_det
+
+
+@dataclass(frozen=True)
+class AdaptedFrame:
+    """The frame M = [DK | J DK N] on the sampling grid, as n x n blocks.
+
+    dk and jdk are DK and J DK, shape grid + (2n, n); n_mat is
+    N = (DK^T DK)^-1, lag the Lagrangian defect L = DK^T J DK, b = N L N
+    and c_inv the inverse of C = I + L B, each grid + (n, n).  abs_det is
+    |det M| = sqrt|det C| per grid point.
+    """
+
+    dk: np.ndarray
+    jdk: np.ndarray
+    n_mat: np.ndarray
+    lag: np.ndarray
+    b: np.ndarray
+    c_inv: np.ndarray
+    abs_det: np.ndarray
+
+    @classmethod
+    def build(cls, dk: np.ndarray) -> tuple["AdaptedFrame", np.ndarray]:
+        """The frame at DK on the grid, and the gram matrix G = DK^T DK."""
+        n = dk.shape[-1]
+        # J = [[0, I], [-I, 0]] swaps the (x, y) row blocks with a sign
+        jdk = np.concatenate([dk[..., n:, :], -dk[..., :n, :]], axis=-2)
+        dkt = np.swapaxes(dk, -1, -2)
+        eye = np.eye(n)
+        gram = dkt @ dk
+        n_mat, _ = _solve(gram, eye)
+        lag = dkt @ jdk
+        b = n_mat @ lag @ n_mat
+        c_inv, det_c = _solve(eye + lag @ b, eye)
+        return cls(dk, jdk, n_mat, lag, b, c_inv, np.sqrt(det_c)), gram
+
+    def apply(self, xi_t: np.ndarray, xi_n: np.ndarray) -> np.ndarray:
+        """M xi = DK xi_T + J DK N xi_N on the grid."""
+        return _apply(self.dk, xi_t) + _apply(self.jdk, _apply(self.n_mat, xi_n))
+
+    def solve(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(xi_T, xi_N) = M^-1 v, by the block solve of M^T J M xi = M^T J v.
+
+        M^T J v = (w_T, w_N) = (DK^T J v, N DK^T v), and the rows
+        L xi_T - xi_N = w_T, xi_T + B xi_N = w_N give
+        xi_N = C^-1 (L w_N - w_T) and xi_T = w_N - B xi_N.
+        """
+        w_t = -_apply(np.swapaxes(self.jdk, -1, -2), v)  # DK^T J = -(J DK)^T
+        w_n = _apply(self.n_mat, _apply(np.swapaxes(self.dk, -1, -2), v))
+        xi_n = _apply(self.c_inv, _apply(self.lag, w_n) - w_t)
+        return w_n - _apply(self.b, xi_n), xi_n
 
 
 @dataclass(frozen=True)
 class NondegeneracyData:
     """Frame and twist data for the adapted-frame reduction.
 
-    n_map is N = (DK^T DK)^-1, s_map the torsion S, both as maps on the
-    torus; avg_s must be invertible for the Newton step to exist.  The
-    norms are coefficient bounds at the rho the data was built with.
-    m, m_inv and s hold the frame M, its inverse and S on the sampling
-    grid, shape grid + (2n, 2n) resp. grid + (n, n), for newton_step.
+    n_map is N = (DK^T DK)^-1, s_map the torsion S (analyzed on first
+    use), both as maps on the torus; avg_s must be invertible for the
+    Newton step to exist.  The norms are coefficient bounds at the rho the
+    data was built with.  lagrangian_defect is the grid max of
+    |DK^T J DK|, zero on a Lagrangian torus.  frame and s hold the frame
+    blocks and S on the sampling grid for newton_step.
     """
 
     n_map: FourierMap
-    s_map: FourierMap
     avg_s: np.ndarray
     avg_s_inv: np.ndarray
     norm_n: float
@@ -125,23 +238,22 @@ class NondegeneracyData:
     norm_s_inv: float
     cond_dk: float
     frame_min_det: float
-    m: np.ndarray
-    m_inv: np.ndarray
+    lagrangian_defect: float
+    frame: AdaptedFrame
     s: np.ndarray
+
+    @cached_property
+    def s_map(self) -> FourierMap:
+        return FourierMap.from_samples(self.s, self.n_map.dim_domain)
 
 
 def _frame_tensors(hess: np.ndarray, dk: np.ndarray):
-    """Pointwise N, M, M^-1, S and gram from D^2H(K) and DK on the grid."""
-    j = symplectic_matrix(dk.shape[-1])
-    dkt = np.swapaxes(dk, -1, -2)
-    a = j @ hess
-    gram = dkt @ dk
-    n_mat = np.linalg.inv(gram)
-    m = np.concatenate([dk, (j @ dk) @ n_mat], axis=-1)
-    m_inv = np.linalg.inv(m)
-    comm = a @ j - j @ a
-    s = n_mat @ (dkt @ comm @ dk) @ n_mat
-    return n_mat, m, m_inv, s, gram
+    """Pointwise frame, S and gram from D^2H(K) and DK on the grid."""
+    frame, gram = AdaptedFrame.build(dk)
+    jdk = frame.jdk
+    twist = (np.swapaxes(dk, -1, -2) @ (hess @ dk)
+             - np.swapaxes(jdk, -1, -2) @ (hess @ jdk))
+    return frame, frame.n_mat @ twist @ frame.n_mat, gram
 
 
 def nondegeneracy(
@@ -157,7 +269,7 @@ def nondegeneracy(
     gs = grid_size or K.periodic.grid_size
     _, _, hess = jet if jet is not None else _jet(hamiltonian, K, gs)
     dk_map = K.dk()
-    n_mat, m, m_inv, s, gram = _frame_tensors(hess, dk_map.synthesize(gs))
+    frame, s, gram = _frame_tensors(hess, dk_map.synthesize(gs))
     # gram is symmetric positive definite: its 2-norm condition number is
     # the ratio of its extreme eigenvalues (infinite once one is <= 0)
     lam = np.linalg.eigvalsh(gram)
@@ -175,19 +287,18 @@ def nondegeneracy(
             f"{svals[-1]:.3e}"
         )
     avg_s_inv = np.linalg.inv(avg_s)
-    n_map = FourierMap.from_samples(n_mat, n)
+    n_map = FourierMap.from_samples(frame.n_mat, n)
     return NondegeneracyData(
         n_map=n_map,
-        s_map=FourierMap.from_samples(s, n),
         avg_s=avg_s,
         avg_s_inv=avg_s_inv,
         norm_n=n_map.strip_norm(rho).value,
         norm_dk=dk_map.strip_norm(rho).value,
         norm_s_inv=float(np.linalg.norm(avg_s_inv, 2)),
         cond_dk=cond,
-        frame_min_det=float(np.min(np.abs(np.linalg.det(m)))),
-        m=m,
-        m_inv=m_inv,
+        frame_min_det=float(np.min(frame.abs_det)),
+        lagrangian_defect=float(np.max(np.abs(frame.lag))),
+        frame=frame,
         s=s,
     )
 
@@ -216,11 +327,6 @@ class StepDiagnostics:
     tail_flag: bool
 
 
-def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Pointwise matrix-vector product on the grid."""
-    return (mat @ vec[..., None])[..., 0]
-
-
 def newton_step(
     hamiltonian,
     K: TorusEmbedding,
@@ -232,8 +338,9 @@ def newton_step(
     """One quadratically convergent correction K -> K + M xi.
 
     nd and err must describe (hamiltonian, K) on the step's grid: the
-    frame data from nondegeneracy and the defect from invariance_error.
-    Whichever is omitted is computed here, from one shared jet.
+    frame data from nondegeneracy and the defect (with its grid samples)
+    from invariance_error.  Whichever is omitted is computed here, from
+    one shared jet.
     """
     n = K.dim_domain
     gs = grid_size or K.periodic.grid_size
@@ -243,14 +350,13 @@ def newton_step(
             nd = nondegeneracy(hamiltonian, K, omega, gs, jet=jet)
         if err is None:
             err = invariance_error(hamiltonian, K, omega, gs, jet=jet)
-    if nd.m.shape[:-2] != (gs,) * n:
-        raise ValueError(
-            f"frame data on grid {nd.m.shape[:-2]} does not match the step's "
-            f"grid {(gs,) * n}"
-        )
-    e_vals = err.e.synthesize(gs)
-    eta = _apply(nd.m_inv, e_vals)
-    eta_t, eta_n = eta[..., :n], eta[..., n:]
+    for what, grid in (("frame data", nd.frame.dk.shape[:-2]),
+                       ("defect samples", err.values.shape[:-1])):
+        if grid != (gs,) * n:
+            raise ValueError(
+                f"{what} on grid {grid} does not match the step's grid {(gs,) * n}"
+            )
+    eta_t, eta_n = nd.frame.solve(err.values)
     grid_axes = tuple(range(eta_n.ndim - 1))
 
     sol_n = solve_cohomological(FourierMap.from_samples(eta_n, n), omega)
@@ -265,8 +371,7 @@ def newton_step(
     sol_t = solve_cohomological(FourierMap.from_samples(rhs_t, n), omega)
     xi_t = sol_t.solution.synthesize(gs)
 
-    xi = np.concatenate([xi_t, xi_n], axis=-1)
-    delta = _apply(nd.m, xi)
+    delta = nd.frame.apply(xi_t, xi_n)
     delta_map = FourierMap.from_samples(delta, n)
     K_next = K.with_periodic(K.periodic + delta_map)
     diag = StepDiagnostics(
@@ -320,15 +425,19 @@ def solve_torus(
     rho: float = 0.0,
     jet=None,
 ) -> SolveResult:
-    """Newton iteration with divergence detection and tail-driven refinement.
+    """Newton iteration with a round-off floor rule and tail-driven refinement.
 
-    Stops when the grid sup of the defect drops below tol.  Two
-    consecutive error increases abort the iteration: if some iterate
-    improved on the initial error, the best one is returned with status
-    "floored" (the iteration hit its numerical floor), otherwise
-    "diverged".  A tripped spectral tail doubles the truncation order, up
-    to max_trunc_order, before the next step.  The trace records the
-    growth quantities (|DK|, |N|, |<S>^-1|) per accepted step.
+    Stops when the grid sup of the defect drops below tol.  An iterate
+    makes progress when its defect is below best - r, where best is the
+    lowest defect so far and r = FLOOR_ULPS * eps * sup |J grad H (K)| on
+    the grid (eps the float64 machine epsilon) estimates the round-off in
+    evaluating that defect.  Two consecutive iterates without progress end
+    the iteration: if some iterate improved on the initial error, the best
+    one is returned with status "floored" (the iteration hit its numerical
+    floor), otherwise "diverged".  A tripped spectral tail doubles the
+    truncation order, up to max_trunc_order, before the next step.  The
+    trace records per accepted step the growth quantities (|DK|, |N|,
+    |<S>^-1|) and the Lagrangian defect max |DK^T J DK|.
 
     With a FrequencyVector, every retained mode must stay inside its
     Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
@@ -344,27 +453,23 @@ def solve_torus(
     best_err = np.inf
     best_K = K0
     initial = None
-    increases = 0
-    prev = np.inf
+    stalls = 0
     for it in range(max_iter + 1):
         if it or jet is None:
             jet = _jet(hamiltonian, K, grid_size)
         err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)
         if initial is None:
             initial = err.norm_grid
+        round_off = FLOOR_ULPS * np.finfo(float).eps * float(np.max(np.abs(jet[1])))
+        stalls = 0 if err.norm_grid < best_err - round_off else stalls + 1
         if err.norm_grid < best_err:
             best_err, best_K = err.norm_grid, K
         if err.norm_grid <= tol:
             trace.append({"iter": it, "error": err.norm_grid})
             return SolveResult("converged", K, err.norm_grid, it, trace)
-        if err.norm_grid > prev:
-            increases += 1
-            if increases >= 2:
-                status = "floored" if best_err < initial else "diverged"
-                return SolveResult(status, best_K, best_err, it, trace)
-        else:
-            increases = 0
-        prev = err.norm_grid
+        if stalls >= 2:
+            status = "floored" if best_err < initial else "diverged"
+            return SolveResult(status, best_K, best_err, it, trace)
         if it == max_iter:
             break
         if err.tail_flag and K.trunc_order * 2 <= max_trunc_order:
@@ -383,6 +488,7 @@ def solve_torus(
                 "norm_s_inv": nd.norm_s_inv,
                 "min_divisor": diag.normal_divisors.min_divisor,
                 "frame_min_det": diag.frame_min_det,
+                "lagrangian_defect": nd.lagrangian_defect,
                 "trunc_order": K.trunc_order,
             }
         )

@@ -153,6 +153,7 @@ class TestDispatch:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["error_grid"] == 0.0
         assert cert["error_rho"] == 0.0
+        assert cert["nondegeneracy"]["lagrangian_defect"] == 0.0
         assert cert["passed"]
         assert cert["conditions"]["condition2_ok"]
         assert (out / "config.json").is_file()

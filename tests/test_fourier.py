@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kamtori import FourierMap, TorusEmbedding, analyze, solve_cohomological
 
+from kamtori.fourier import wavevectors
+
 from conftest import GOLDEN, random_trig
 
 
@@ -79,6 +81,57 @@ class TestAnalyze:
         power = analyze(samples, 2).power()
         mean_sq = float(np.mean(samples**2))
         assert power == pytest.approx(mean_sq, rel=1e-10)
+
+
+def centered_fft(samples, n):
+    """Full complex fftn, centered at k = 0: the reference for from_samples."""
+    axes = tuple(range(n))
+    spec = np.fft.fftshift(np.fft.fftn(samples, axes=axes), axes=axes)
+    return spec / samples.shape[0] ** n
+
+
+def full_ifft(f, size):
+    """Full complex ifftn of the zero-padded spectrum: reference for synthesize."""
+    n, pad = f.dim_domain, (size - f.grid_size) // 2
+    full = np.pad(f.coeffs, [(pad, pad)] * n + [(0, 0)] * len(f.range_shape))
+    axes = tuple(range(n))
+    return np.fft.ifftn(np.fft.ifftshift(full, axes=axes), axes=axes) * size**n
+
+
+class TestHalfSpectrumOracles:
+    """The half-spectrum transforms against full complex FFTs."""
+
+    @pytest.mark.parametrize("n, range_shape, size", [
+        (1, (), 9), (1, (2,), 1), (2, (4,), 7), (2, (), 1), (3, (2, 2), 5),
+        (3, (), 7),
+    ])
+    def test_analysis_matches_full_fft(self, n, range_shape, size):
+        rng = np.random.default_rng(size + n)
+        samples = rng.standard_normal((size,) * n + range_shape)
+        want = centered_fft(samples, n)
+        got = FourierMap.from_samples(samples, n).coeffs
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, range_shape, order, size", [
+        (1, (), 4, 9), (1, (2,), 4, 15), (2, (4,), 3, 7), (2, (), 3, 11),
+        (3, (2, 2), 2, 5), (3, (), 2, 9), (2, (), 0, 5),
+    ])
+    def test_synthesis_matches_full_ifft(self, n, range_shape, order, size):
+        f = random_trig(np.random.default_rng(order + size), n, order, range_shape)
+        want = full_ifft(f, size)
+        got = f.synthesize(size)
+        tol = 1e-13 * np.max(np.abs(want))
+        assert got.shape == (size,) * n + range_shape
+        assert np.max(np.abs(want.imag)) <= tol  # the oracle is real too
+        assert np.max(np.abs(got - want.real)) <= tol
+
+    def test_wavevectors_cached_read_only(self):
+        ks = wavevectors(2, 3)
+        assert ks is wavevectors(2, 3)
+        assert not ks.flags.writeable
+        with pytest.raises(ValueError):
+            ks[0, 0, 0] = 1
 
 
 class TestDirectionalDerivative:

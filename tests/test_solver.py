@@ -1,5 +1,7 @@
 """Invariance defect, adapted-frame data and the quasi-Newton iteration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from kamtori import (
     nondegeneracy,
     solve_torus,
 )
-from kamtori.hamiltonian import jet_grid
-from kamtori.solver import _frame_tensors
+from kamtori.hamiltonian import jet_grid, symplectic_matrix
+from kamtori.solver import AdaptedFrame, _frame_tensors, _solve
 
 from conftest import GOLDEN
 
@@ -112,6 +114,101 @@ class TestNondegeneracy:
         a = nondegeneracy(h, K).avg_s
         b = nondegeneracy(h, rotated).avg_s
         assert np.max(np.abs(a - b)) < 1e-10
+
+
+def sheared_torus(n, shears, trunc_order=8):
+    """Flat torus over T^n plus amp sin(2 pi theta_axis) / (2 pi) added to
+    component row of K, for each (row, axis, amp) in shears."""
+    K = TorusEmbedding.circle(np.full(n, 0.4), trunc_order=trunc_order)
+    modes = {}
+    for row, axis, amp in shears:
+        k = tuple(int(j == axis) for j in range(n))
+        modes.setdefault(k, np.zeros(2 * n, dtype=complex))[row] += (
+            -1j * amp / (4 * np.pi)
+        )
+    return TorusEmbedding(K.winding, K.periodic + FourierMap(n, (2 * n,), modes,
+                                                             trunc_order))
+
+
+def dense_frame(dk):
+    """M = [DK | J DK N] as one 2n x 2n matrix per grid point (reference)."""
+    j = symplectic_matrix(dk.shape[-1])
+    gram = np.einsum("...ji,...jk->...ik", dk, dk)
+    return np.concatenate(
+        [dk, np.einsum("ij,...jk,...kl->...il", j, dk, np.linalg.inv(gram))],
+        axis=-1,
+    )
+
+
+class TestBlockFrame:
+    """The n x n block operators against the dense 2n x 2n frame."""
+
+    # y1 = y0 + a sin(2 pi theta2)/(2 pi) with a fold in x1 (n = 2), and a
+    # rotator over T^3 with shears that make C = I + L N L N non-scalar
+    CASES = {
+        "n2_shear": (2, [(2, 1, 0.7), (0, 0, 0.3)]),
+        "n3_shear": (3, [(3, 1, 0.6), (4, 2, -0.5), (5, 0, 0.4), (0, 0, 0.3),
+                         (1, 2, 0.2)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_operators_match_dense_frame(self, case):
+        n, shears = self.CASES[case]
+        dk = sheared_torus(n, shears).dk().synthesize()
+        frame, _ = AdaptedFrame.build(dk)
+        m = dense_frame(dk)
+        xi = np.random.default_rng(3).standard_normal(dk.shape[:-2] + (2 * n,))
+        assert np.max(np.abs(frame.lag)) > 0.1  # not Lagrangian: L != 0
+        c = np.linalg.inv(frame.c_inv)
+        if n == 3:
+            assert np.max(np.abs(c - c[..., :1, :1] * np.eye(n))) > 1e-2
+        got = (frame.apply(xi[..., :n], xi[..., n:]),
+               np.concatenate(frame.solve(xi), axis=-1), frame.abs_det)
+        want = (np.einsum("...ij,...j->...i", m, xi),
+                np.linalg.solve(m, xi[..., None])[..., 0], np.abs(np.linalg.det(m)))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_elimination_matches_linalg_solve(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((5, 7, n, n))
+        a[:, :3, 0, 0] = 0.0  # a zero leading pivot needs a row swap
+        # a cyclic permutation: every column's pivot sits below the diagonal
+        a[0, 0] = np.roll(np.eye(n), 1, axis=0)
+        b = rng.standard_normal((5, 7, n, 3))
+        x, abs_det = _solve(a, b)
+        want = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(abs_det / np.abs(np.linalg.det(a)) - 1.0)) <= 1e-12
+        inv, _ = _solve(a, np.eye(n))
+        assert np.max(np.abs(inv - np.linalg.inv(a))) <= 1e-12 * np.max(
+            np.abs(np.linalg.inv(a))
+        )
+
+
+class TestLagrangianDefect:
+    def test_flat_circle_is_zero(self):
+        K = TorusEmbedding.circle([0.3, 0.7], trunc_order=8)
+        assert nondegeneracy(coupled_rotator(1e-3), K).lagrangian_defect == 0.0
+
+    @pytest.mark.parametrize("a", [0.25, -0.05])
+    def test_sheared_embedding_closed_form(self, a):
+        # DK = [I; Dy] gives L = Dy - Dy^T, whose one entry a cos(2 pi theta2)
+        # peaks at the grid point theta2 = 0
+        K = sheared_torus(2, [(2, 1, a)])
+        nd = nondegeneracy(coupled_rotator(1e-3), K)
+        assert nd.lagrangian_defect == pytest.approx(abs(a), rel=1e-13)
+
+    def test_solved_torus_is_lagrangian(self):
+        omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+        freq = FrequencyVector.estimated(omega, sigma=1.1, horizon=64)
+        h = coupled_rotator(1e-3)
+        res = solve_torus(h, TorusEmbedding.circle(omega, trunc_order=16), freq)
+        assert res.converged
+        steps = [row for row in res.trace if "lagrangian_defect" in row]
+        assert len(steps) == res.iterations
+        assert nondegeneracy(h, res.torus).lagrangian_defect <= 1e-9
 
 
 def folded_torus(fold):
@@ -215,6 +312,37 @@ class TestSolveTorus:
         assert res2.converged
         assert res2.iterations <= 4
 
+    def test_plateau_stops_after_two_steps_without_progress(self, golden_freq):
+        # a constant force c in -dH/dx is no Hamiltonian field: the defect's
+        # normal average cannot be corrected, so it plateaus near c and then
+        # moves only in its last bits, with no two consecutive increases
+        res = solve_torus(ConstantForce(HamiltonianModel.pendulum(1e-3), 3e-7),
+                          TorusEmbedding.circle(GOLDEN, trunc_order=32),
+                          golden_freq, tol=1e-14, max_iter=12, max_trunc_order=32)
+        errors = [row["error"] for row in res.trace]
+        assert res.status == "floored"
+        assert res.iterations <= 6
+        assert errors[-1] == pytest.approx(3e-7, rel=0.01)
+        assert res.error == min(errors)
+
+    def test_creep_below_round_off_is_no_progress(self, monkeypatch, golden_freq):
+        # from the third iterate on the defect falls by 1e-20 per step, far
+        # below the round-off estimate 16 eps sup|J grad H| of about 2e-15
+        creep = iter([1e-3, 1e-6] + [2e-10 - i * 1e-20 for i in range(20)])
+        measured = solver_module.invariance_error
+
+        def scripted(*args, **kwargs):
+            err = measured(*args, **kwargs)
+            return dataclasses.replace(err, norm_grid=next(creep))
+
+        monkeypatch.setattr(solver_module, "invariance_error", scripted)
+        res = solve_torus(HamiltonianModel.pendulum(1e-3),
+                          TorusEmbedding.circle(GOLDEN, trunc_order=64),
+                          golden_freq, tol=1e-14, max_iter=12, max_trunc_order=64)
+        assert res.status == "floored"
+        assert res.iterations == 4
+        assert res.error == 2e-10 - 2e-20
+
     def test_unreachable_tolerance_returns_best(self, golden_freq):
         h = HamiltonianModel.pendulum(1e-3)
         K = TorusEmbedding.circle(GOLDEN, trunc_order=64)
@@ -236,6 +364,19 @@ def coupled_rotator(eps):
         ((1, -1), (0, 0), c),
     ]
     return HamiltonianModel(2, terms)
+
+
+class ConstantForce:
+    """A model whose field gains the constant force -c in the first action."""
+
+    def __init__(self, model, c):
+        self.model, self.n, self.c = model, model.n, c
+
+    def jet_batch(self, z):
+        value, grad, hess = self.model.jet_batch(z)
+        grad = grad.copy()
+        grad[..., 0] += self.c
+        return value, grad, hess
 
 
 class JetCounter:
@@ -349,8 +490,14 @@ class TestOneEvaluationPerIterate:
         )
         comm = a @ j - np.einsum("ij,...jk->...ik", j, a)
         s = n_mat @ np.einsum("...ji,...jk,...kl->...il", dk, comm, dk) @ n_mat
-        want = (n_mat, m, np.linalg.inv(m), s, gram)
-        got = _frame_tensors(hess, dk)
+        frame, got_s, got_gram = _frame_tensors(hess, dk)
+        xi = np.random.default_rng(5).standard_normal(dk.shape[:-2] + (4,))
+        mat_vec = lambda mat, v: np.einsum("...ij,...j->...i", mat, v)  # noqa: E731
+        got = (frame.n_mat, frame.apply(xi[..., :2], xi[..., 2:]),
+               np.concatenate(frame.solve(xi), axis=-1), frame.abs_det,
+               got_s, got_gram)
+        want = (n_mat, mat_vec(m, xi), mat_vec(np.linalg.inv(m), xi),
+                np.abs(np.linalg.det(m)), s, gram)
         assert np.max(np.abs(dk - dk.mean(axis=(0, 1)))) > 1e-6  # DK varies
         for g, w in zip(got, want):
             assert g.shape == w.shape
