@@ -67,6 +67,25 @@ def wavevectors(dim_domain: int, trunc_order: int) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=64)
+def _strip_weights(dim_domain: int, trunc_order: int, rho: float):
+    """Per-mode weights and tail mask of strip_norm on the k_n >= 0 half.
+
+    The weight is exp(2 pi |k|_1 rho), doubled where k_n > 0 to count the
+    conjugate mode -k; the tail is the last dyadic block |k|_inf > M/2.
+    Both have shape (2M+1,)*(n-1) + (M+1,), cached per (n, M, rho) and
+    read-only.  The weight overflows to inf for large |k|_1 rho.
+    """
+    ks = np.abs(wavevectors(dim_domain, trunc_order)[..., trunc_order:, :])
+    with np.errstate(over="ignore"):
+        weight = np.exp(2 * np.pi * ks.sum(axis=-1) * rho)
+    weight[..., 1:] *= 2.0
+    tail = ks.max(axis=-1) > trunc_order / 2.0
+    weight.flags.writeable = False
+    tail.flags.writeable = False
+    return weight, tail
+
+
 def _fft_index(trunc_order: int, size: int, dim_domain: int) -> tuple:
     """Index of the k_n >= 0 half of a centered spectrum in an rfftn array.
 
@@ -311,17 +330,22 @@ class FourierMap:
     # -- norms -----------------------------------------------------------
 
     def strip_norm(self, rho: float) -> StripNormEstimate:
-        """Coefficient bound for the sup over the complex strip of width rho."""
+        """Coefficient bound for the sup over the complex strip of width rho.
+
+        Sums over the k_n >= 0 half of ``coeffs``: |amp(-k)| = |amp(k)|,
+        so each mode with k_n > 0 stands for its conjugate pair.
+        """
         if rho < 0:
             raise ValueError("rho must be >= 0")
-        ks = np.abs(wavevectors(self.dim_domain, self.trunc_order))
-        axes = tuple(range(self.dim_domain, self.coeffs.ndim))
-        amax = np.max(np.abs(self.coeffs), axis=axes, initial=0.0)
+        n, m = self.dim_domain, self.trunc_order
+        weight, tail = _strip_weights(n, m, float(rho))
+        half = self.coeffs[(slice(None),) * (n - 1) + (slice(m, None),)]
+        axes = tuple(range(n, self.coeffs.ndim))
+        amax = np.max(np.abs(half), axis=axes, initial=0.0)
         nz = amax > 0  # zero modes add nothing, even where the weight overflows
-        terms = amax[nz] * np.exp(2 * np.pi * ks.sum(axis=-1)[nz] * rho)
+        terms = amax[nz] * weight[nz]
         total = float(np.sum(terms))
-        tail = float(np.sum(terms[ks.max(axis=-1)[nz] > self.trunc_order / 2.0]))
-        flag = total > 0 and tail > 1e-10 * total
+        flag = total > 0 and float(np.sum(terms[tail[nz]])) > 1e-10 * total
         return StripNormEstimate(value=total, rho=rho, tail_flag=flag, source=self)
 
     def grid_sup(self) -> float:

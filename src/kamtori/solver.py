@@ -31,6 +31,15 @@ n x n, and the two inverses (G and C) are one vectorized elimination
 across the grid.  On an invariant torus L = 0 (it is Lagrangian), C = I
 and M is symplectic up to the normalisation N.
 
+Every per-grid-point tensor of the frame is component-major: a contiguous
+(rows, cols, *grid) array, or (rows, *grid) for a vector field, so a
+pointwise product is one einsum over the leading axes and an inverse is
+an elimination on whole-grid arrays, one per matrix entry.  The jet's
+Hessian and DK's samples are converted once where they enter the frame
+(nondegeneracy), and the defect's samples where they enter the step
+(newton_step).  FourierMap and the jet keep their grid-major
+(*grid, *comp) layout; what the step analyzes goes back to it as a view.
+
 Each iterate K costs one evaluation of H on the grid: solve_torus takes
 one jet of H at K's grid samples, whose gradient gives the defect
 (invariance_error, which keeps its grid samples) and whose Hessian gives
@@ -126,25 +135,50 @@ def invariance_error(
     )
 
 
+def _components(x: np.ndarray, rank: int) -> np.ndarray:
+    """Grid-major (*grid, *comp) samples as a contiguous (*comp, *grid) array.
+
+    rank is the number of component axes: 1 for a vector, 2 for a matrix.
+    """
+    g = x.ndim - rank
+    return np.ascontiguousarray(x.transpose(tuple(range(g, x.ndim)) + tuple(range(g))))
+
+
+def _grid_major(x: np.ndarray, rank: int) -> np.ndarray:
+    """Component-major (*comp, *grid) as a grid-major (*grid, *comp) view."""
+    return x.transpose(tuple(range(rank, x.ndim)) + tuple(range(rank)))
+
+
+def _t(mat: np.ndarray) -> np.ndarray:
+    """Pointwise transpose of a component-major matrix field."""
+    return np.swapaxes(mat, 0, 1)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise matrix product of (r, k, *grid) and (k, c, *grid) fields."""
+    return np.einsum("ij...,jk...->ik...", a, b)
+
+
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Pointwise matrix-vector product on the grid."""
-    return np.einsum("...ij,...j->...i", mat, vec)
+    """Pointwise matrix-vector product of (r, c, *grid) and (c, *grid) fields."""
+    return np.einsum("ij...,j...->i...", mat, vec)
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x with a x = b at every grid point, and |det a| there.
 
-    a has shape grid + (n, n) and b broadcasts to grid + (n, k).  Gaussian
-    elimination with partial pivoting, one Python loop over the n columns
-    and every operation vectorized across the grid points, so it serves
-    any n; |det a| is the product of the pivots' magnitudes.
+    a has shape (n, n, *grid) and b is (n, k, *grid) or a constant (n, k).
+    Gaussian elimination with partial pivoting, one Python loop over the n
+    columns and every operation a whole-grid array operation on one matrix
+    entry, so it serves any n; |det a| is the product of the pivots'
+    magnitudes.  x has shape (n, k, *grid).
     """
-    n, k = a.shape[-1], b.shape[-1]
-    b = np.broadcast_to(b, a.shape[:-1] + (k,))
+    n, k, grid = a.shape[0], b.shape[1], a.shape[2:]
+    b = np.broadcast_to(np.reshape(b, b.shape + (1,) * (a.ndim - b.ndim)),
+                        (n, k) + grid)
     # row r of the augmented system [a | b], one grid array per entry
-    rows = [[a[..., r, c] for c in range(n)] + [b[..., r, c] for c in range(k)]
-            for r in range(n)]
-    abs_det = np.ones(a.shape[:-2])
+    rows = [list(a[r]) + list(b[r]) for r in range(n)]
+    abs_det = np.ones(grid)
     for col in range(n):
         for r in range(col + 1, n):
             swap = np.abs(rows[r][col]) > np.abs(rows[col][col])
@@ -165,17 +199,44 @@ def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for c in range(r + 1, n):
             acc = [v - rows[r][c] * w for v, w in zip(acc, x[c])]
         x[r] = [v / rows[r][r] for v in acc]
-    return np.stack([np.stack(row, axis=-1) for row in x], axis=-2), abs_det
+    return np.array(x), abs_det
+
+
+def _gram_cond(gram: np.ndarray) -> float:
+    """Grid max of the 2-norm condition number of a gram field (n, n, *grid).
+
+    The gram is symmetric positive semi-definite, so its condition number
+    is the ratio of its extreme eigenvalues, infinite once the smallest is
+    <= 0.  They have closed forms for n <= 2: the entry itself at n = 1,
+    and at n = 2 lambda+ = tr/2 + hypot((a - d)/2, b) and
+    lambda- = det/lambda+, which avoids the cancellation of tr/2 - hypot.
+    """
+    n = gram.shape[0]
+    if n == 1:
+        lo = hi = gram[0, 0]
+    elif n == 2:
+        a, b, d = gram[0, 0], gram[0, 1], gram[1, 1]
+        hi = (a + d) / 2 + np.hypot((a - d) / 2, b)
+        with np.errstate(invalid="ignore"):  # 0/0 where DK = 0
+            lo = (a * d - b * b) / hi
+    else:
+        lam = np.linalg.eigvalsh(_grid_major(gram, 2))
+        lo, hi = lam[..., 0], lam[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(lo > 0, hi / lo, np.inf)
+    return float(np.max(ratio))
 
 
 @dataclass(frozen=True)
 class AdaptedFrame:
     """The frame M = [DK | J DK N] on the sampling grid, as n x n blocks.
 
-    dk and jdk are DK and J DK, shape grid + (2n, n); n_mat is
-    N = (DK^T DK)^-1, lag the Lagrangian defect L = DK^T J DK, b = N L N
-    and c_inv the inverse of C = I + L B, each grid + (n, n).  abs_det is
-    |det M| = sqrt|det C| per grid point.
+    Every field is component-major, a contiguous (rows, cols, *grid) array.
+    dk and jdk are DK and J DK, (2n, n, *grid); n_mat is N = (DK^T DK)^-1,
+    lag the Lagrangian defect L = DK^T J DK, b = N L N and c_inv the
+    inverse of C = I + L B, each (n, n, *grid).  abs_det is
+    |det M| = sqrt|det C| per grid point, and cond the grid max of the
+    2-norm condition number of DK^T DK.
     """
 
     dk: np.ndarray
@@ -185,24 +246,34 @@ class AdaptedFrame:
     b: np.ndarray
     c_inv: np.ndarray
     abs_det: np.ndarray
+    cond: float
 
     @classmethod
     def build(cls, dk: np.ndarray) -> tuple["AdaptedFrame", np.ndarray]:
-        """The frame at DK on the grid, and the gram matrix G = DK^T DK."""
-        n = dk.shape[-1]
+        """The frame at DK on the grid, and the gram matrix G = DK^T DK.
+
+        Raises ValueError when cond(G) exceeds COND_DK_LIMIT somewhere on
+        the grid, before G or C is inverted.
+        """
+        n = dk.shape[1]
         # J = [[0, I], [-I, 0]] swaps the (x, y) row blocks with a sign
-        jdk = np.concatenate([dk[..., n:, :], -dk[..., :n, :]], axis=-2)
-        dkt = np.swapaxes(dk, -1, -2)
-        eye = np.eye(n)
-        gram = dkt @ dk
-        n_mat, _ = _solve(gram, eye)
-        lag = dkt @ jdk
-        b = n_mat @ lag @ n_mat
-        c_inv, det_c = _solve(eye + lag @ b, eye)
-        return cls(dk, jdk, n_mat, lag, b, c_inv, np.sqrt(det_c)), gram
+        jdk = np.concatenate([dk[n:], -dk[:n]])
+        gram = _matmul(_t(dk), dk)
+        cond = _gram_cond(gram)
+        if cond > COND_DK_LIMIT:
+            raise ValueError(
+                f"DK rank-deficient on grid: cond(DK^T DK) = {cond:.3e}"
+            )
+        n_mat, _ = _solve(gram, np.eye(n))
+        lag = _matmul(_t(dk), jdk)
+        b = _matmul(_matmul(n_mat, lag), n_mat)
+        c = _matmul(lag, b)
+        c[range(n), range(n)] += 1.0
+        c_inv, det_c = _solve(c, np.eye(n))
+        return cls(dk, jdk, n_mat, lag, b, c_inv, np.sqrt(det_c), cond), gram
 
     def apply(self, xi_t: np.ndarray, xi_n: np.ndarray) -> np.ndarray:
-        """M xi = DK xi_T + J DK N xi_N on the grid."""
+        """M xi = DK xi_T + J DK N xi_N on the grid: (n, *grid) in, (2n, *grid) out."""
         return _apply(self.dk, xi_t) + _apply(self.jdk, _apply(self.n_mat, xi_n))
 
     def solve(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,10 +281,11 @@ class AdaptedFrame:
 
         M^T J v = (w_T, w_N) = (DK^T J v, N DK^T v), and the rows
         L xi_T - xi_N = w_T, xi_T + B xi_N = w_N give
-        xi_N = C^-1 (L w_N - w_T) and xi_T = w_N - B xi_N.
+        xi_N = C^-1 (L w_N - w_T) and xi_T = w_N - B xi_N.  v is
+        (2n, *grid), xi_T and xi_N are (n, *grid).
         """
-        w_t = -_apply(np.swapaxes(self.jdk, -1, -2), v)  # DK^T J = -(J DK)^T
-        w_n = _apply(self.n_mat, _apply(np.swapaxes(self.dk, -1, -2), v))
+        w_t = -_apply(_t(self.jdk), v)  # DK^T J = -(J DK)^T
+        w_n = _apply(self.n_mat, _apply(_t(self.dk), v))
         xi_n = _apply(self.c_inv, _apply(self.lag, w_n) - w_t)
         return w_n - _apply(self.b, xi_n), xi_n
 
@@ -227,7 +299,8 @@ class NondegeneracyData:
     Newton step to exist.  The norms are coefficient bounds at the rho the
     data was built with.  lagrangian_defect is the grid max of
     |DK^T J DK|, zero on a Lagrangian torus.  frame and s hold the frame
-    blocks and S on the sampling grid for newton_step.
+    blocks and S on the sampling grid for newton_step, component-major
+    like every AdaptedFrame field: s is (n, n, *grid).
     """
 
     n_map: FourierMap
@@ -244,16 +317,17 @@ class NondegeneracyData:
 
     @cached_property
     def s_map(self) -> FourierMap:
-        return FourierMap.from_samples(self.s, self.n_map.dim_domain)
+        return FourierMap.from_samples(_grid_major(self.s, 2), self.n_map.dim_domain)
 
 
 def _frame_tensors(hess: np.ndarray, dk: np.ndarray):
-    """Pointwise frame, S and gram from D^2H(K) and DK on the grid."""
+    """Pointwise frame, S and gram from D^2H(K) (2n, 2n, *grid) and DK
+    (2n, n, *grid) on the grid; S and the gram are (n, n, *grid)."""
     frame, gram = AdaptedFrame.build(dk)
     jdk = frame.jdk
-    twist = (np.swapaxes(dk, -1, -2) @ (hess @ dk)
-             - np.swapaxes(jdk, -1, -2) @ (hess @ jdk))
-    return frame, frame.n_mat @ twist @ frame.n_mat, gram
+    twist = (_matmul(_t(dk), _matmul(hess, dk))
+             - _matmul(_t(jdk), _matmul(hess, jdk)))
+    return frame, _matmul(_matmul(frame.n_mat, twist), frame.n_mat), gram
 
 
 def nondegeneracy(
@@ -263,23 +337,18 @@ def nondegeneracy(
     """Definition-level non-degeneracy check: frame rank and averaged twist.
 
     jet, when given, is the jet of H at K's samples on the same grid; it
-    is evaluated when omitted.
+    is evaluated when omitted.  A frame with cond(DK^T DK) above
+    COND_DK_LIMIT is rejected before anything is inverted.
     """
     del omega  # the data depends on (H, K) only
     gs = grid_size or K.periodic.grid_size
     _, _, hess = jet if jet is not None else _jet(hamiltonian, K, gs)
     dk_map = K.dk()
-    frame, s, gram = _frame_tensors(hess, dk_map.synthesize(gs))
-    # gram is symmetric positive definite: its 2-norm condition number is
-    # the ratio of its extreme eigenvalues (infinite once one is <= 0)
-    lam = np.linalg.eigvalsh(gram)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(lam[..., 0] > 0, lam[..., -1] / lam[..., 0], np.inf)
-    cond = float(np.max(ratio))
-    if cond > COND_DK_LIMIT:
-        raise ValueError(f"DK rank-deficient on grid: cond(DK^T DK) = {cond:.3e}")
+    # the Hessian and DK samples enter the frame component-major
+    frame, s, _ = _frame_tensors(_components(hess, 2),
+                                 _components(dk_map.synthesize(gs), 2))
     n = K.dim_domain
-    avg_s = s.mean(axis=tuple(range(s.ndim - 2)))
+    avg_s = s.mean(axis=tuple(range(2, s.ndim)))
     svals = np.linalg.svd(avg_s, compute_uv=False)
     if svals[-1] < 1e-12 * max(1.0, svals[0]):
         raise ValueError(
@@ -287,7 +356,7 @@ def nondegeneracy(
             f"{svals[-1]:.3e}"
         )
     avg_s_inv = np.linalg.inv(avg_s)
-    n_map = FourierMap.from_samples(frame.n_mat, n)
+    n_map = FourierMap.from_samples(_grid_major(frame.n_mat, 2), n)
     return NondegeneracyData(
         n_map=n_map,
         avg_s=avg_s,
@@ -295,7 +364,7 @@ def nondegeneracy(
         norm_n=n_map.strip_norm(rho).value,
         norm_dk=dk_map.strip_norm(rho).value,
         norm_s_inv=float(np.linalg.norm(avg_s_inv, 2)),
-        cond_dk=cond,
+        cond_dk=frame.cond,
         frame_min_det=float(np.min(frame.abs_det)),
         lagrangian_defect=float(np.max(np.abs(frame.lag))),
         frame=frame,
@@ -350,29 +419,32 @@ def newton_step(
             nd = nondegeneracy(hamiltonian, K, omega, gs, jet=jet)
         if err is None:
             err = invariance_error(hamiltonian, K, omega, gs, jet=jet)
-    for what, grid in (("frame data", nd.frame.dk.shape[:-2]),
+    for what, grid in (("frame data", nd.frame.dk.shape[2:]),
                        ("defect samples", err.values.shape[:-1])):
         if grid != (gs,) * n:
             raise ValueError(
                 f"{what} on grid {grid} does not match the step's grid {(gs,) * n}"
             )
-    eta_t, eta_n = nd.frame.solve(err.values)
-    grid_axes = tuple(range(eta_n.ndim - 1))
+    # component-major from here on: each field is (components, *grid)
+    eta_t, eta_n = nd.frame.solve(_components(err.values, 1))
+    grid_axes = tuple(range(1, n + 1))
 
-    sol_n = solve_cohomological(FourierMap.from_samples(eta_n, n), omega)
-    xi_n0 = sol_n.solution.synthesize(gs)
+    sol_n = solve_cohomological(FourierMap.from_samples(_grid_major(eta_n, 1), n),
+                                omega)
+    xi_n0 = _components(sol_n.solution.synthesize(gs), 1)
     s_xi_n0 = _apply(nd.s, xi_n0)
     c_n = nd.avg_s_inv @ (
         -eta_t.mean(axis=grid_axes) - s_xi_n0.mean(axis=grid_axes)
     )
-    xi_n = xi_n0 + c_n
+    xi_n = xi_n0 + c_n.reshape((n,) + (1,) * n)
 
     rhs_t = eta_t + _apply(nd.s, xi_n)
-    sol_t = solve_cohomological(FourierMap.from_samples(rhs_t, n), omega)
-    xi_t = sol_t.solution.synthesize(gs)
+    sol_t = solve_cohomological(FourierMap.from_samples(_grid_major(rhs_t, 1), n),
+                                omega)
+    xi_t = _components(sol_t.solution.synthesize(gs), 1)
 
     delta = nd.frame.apply(xi_t, xi_n)
-    delta_map = FourierMap.from_samples(delta, n)
+    delta_map = FourierMap.from_samples(_grid_major(delta, 1), n)
     K_next = K.with_periodic(K.periodic + delta_map)
     diag = StepDiagnostics(
         error_before=err.norm_grid,

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kamtori import FourierMap, TorusEmbedding, analyze, solve_cohomological
 
-from kamtori.fourier import wavevectors
+from kamtori.fourier import _strip_weights, wavevectors
 
 from conftest import GOLDEN, random_trig
 
@@ -235,6 +235,52 @@ class TestStripNorm:
         f = FourierMap.constant(np.array(1.0), 1)
         with pytest.raises(ValueError):
             f.strip_norm(-0.1)
+
+
+def full_spectrum_strip_norm(f, rho):
+    """(value, tail_flag) summed over every mode of the full spectrum: the
+    reference for strip_norm's half-spectrum sum."""
+    ks = np.abs(wavevectors(f.dim_domain, f.trunc_order))
+    axes = tuple(range(f.dim_domain, f.coeffs.ndim))
+    amax = np.max(np.abs(f.coeffs), axis=axes, initial=0.0)
+    nz = amax > 0
+    with np.errstate(over="ignore"):
+        terms = amax[nz] * np.exp(2 * np.pi * ks.sum(axis=-1)[nz] * rho)
+    total = float(np.sum(terms))
+    tail = float(np.sum(terms[ks.max(axis=-1)[nz] > f.trunc_order / 2.0]))
+    return total, bool(total > 0 and tail > 1e-10 * total)
+
+
+class TestHalfSpectrumStripNorm:
+    """strip_norm's cached half-spectrum weights against the full sum."""
+
+    # filled order 1 keeps every mode out of the tail |k|_inf > 3/2 at M = 3;
+    # at rho = 50 the weight of |k|_1 >= 3 overflows, and the zero modes
+    # there must still add 0
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("range_shape", [(), (4,), (4, 2)])
+    @pytest.mark.parametrize("rho", [0.0, 0.02, 50.0])
+    @pytest.mark.parametrize("filled", [1, 2])
+    def test_matches_full_spectrum_sum(self, n, range_shape, rho, filled):
+        rng = np.random.default_rng(100 * n + 10 * len(range_shape) + filled)
+        f = random_trig(rng, n, filled, range_shape).resized(3)
+        value, flag = full_spectrum_strip_norm(f, rho)
+        est = f.strip_norm(rho)
+        assert est.value == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert est.tail_flag == flag
+        if rho == 0.0:
+            assert flag == (filled == 2)
+        if n == 1:
+            assert np.isfinite(est.value)  # the overflowing weights hit zeros
+
+    def test_weight_tables_cached_read_only(self):
+        weight, tail = _strip_weights(2, 3, 0.02)
+        assert weight.shape == tail.shape == (7, 4)
+        assert _strip_weights(2, 3, 0.02)[0] is weight
+        for table in (weight, tail):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
 
 class TestStorageConvention:

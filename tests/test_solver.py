@@ -1,6 +1,7 @@
 """Invariance defect, adapted-frame data and the quasi-Newton iteration."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +19,21 @@ from kamtori import (
     solve_torus,
 )
 from kamtori.hamiltonian import jet_grid, symplectic_matrix
-from kamtori.solver import AdaptedFrame, _frame_tensors, _solve
+from kamtori.solver import (
+    COND_DK_LIMIT, AdaptedFrame, _frame_tensors, _gram_cond, _solve,
+)
 
 from conftest import GOLDEN
+
+
+# the frame kernels are component-major: (rows, cols, *grid) and
+# (rows, *grid); these move the component axes to and from the back
+def comp(x, rank=2):
+    return np.moveaxis(x, tuple(range(-rank, 0)), tuple(range(rank)))
+
+
+def grid(x, rank=2):
+    return np.moveaxis(x, tuple(range(rank)), tuple(range(-rank, 0)))
 
 
 @pytest.fixture(scope="module")
@@ -155,15 +168,16 @@ class TestBlockFrame:
     def test_operators_match_dense_frame(self, case):
         n, shears = self.CASES[case]
         dk = sheared_torus(n, shears).dk().synthesize()
-        frame, _ = AdaptedFrame.build(dk)
+        frame, _ = AdaptedFrame.build(comp(dk))
         m = dense_frame(dk)
         xi = np.random.default_rng(3).standard_normal(dk.shape[:-2] + (2 * n,))
         assert np.max(np.abs(frame.lag)) > 0.1  # not Lagrangian: L != 0
-        c = np.linalg.inv(frame.c_inv)
+        c = np.linalg.inv(grid(frame.c_inv))
         if n == 3:
             assert np.max(np.abs(c - c[..., :1, :1] * np.eye(n))) > 1e-2
-        got = (frame.apply(xi[..., :n], xi[..., n:]),
-               np.concatenate(frame.solve(xi), axis=-1), frame.abs_det)
+        got = (grid(frame.apply(comp(xi[..., :n], 1), comp(xi[..., n:], 1)), 1),
+               grid(np.concatenate(frame.solve(comp(xi, 1))), 1),
+               frame.abs_det)
         want = (np.einsum("...ij,...j->...i", m, xi),
                 np.linalg.solve(m, xi[..., None])[..., 0], np.abs(np.linalg.det(m)))
         for g, w in zip(got, want):
@@ -177,11 +191,13 @@ class TestBlockFrame:
         # a cyclic permutation: every column's pivot sits below the diagonal
         a[0, 0] = np.roll(np.eye(n), 1, axis=0)
         b = rng.standard_normal((5, 7, n, 3))
-        x, abs_det = _solve(a, b)
+        x, abs_det = _solve(comp(a), comp(b))
+        x = grid(x)
         want = np.linalg.solve(a, b)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(abs_det / np.abs(np.linalg.det(a)) - 1.0)) <= 1e-12
-        inv, _ = _solve(a, np.eye(n))
+        inv, _ = _solve(comp(a), np.eye(n))
+        inv = grid(inv)
         assert np.max(np.abs(inv - np.linalg.inv(a))) <= 1e-12 * np.max(
             np.abs(np.linalg.inv(a))
         )
@@ -239,6 +255,48 @@ class TestFrameConditioning:
         with pytest.raises(ValueError, match=r"DK rank-deficient on grid: "
                            r"cond\(DK\^T DK\) = 1\.0\d\de\+10"):
             nondegeneracy(coupled_rotator(1e-3), folded_torus(fold))
+
+    def test_fold_rejected_before_any_division(self):
+        # x1 = theta1 - sin(2 pi theta1)/(2 pi): dx1/dtheta1 = 0 at theta1 = 0,
+        # so G is singular there and inverting it would divide by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"DK rank-deficient on grid: "
+                               r"cond\(DK\^T DK\) = inf"):
+                nondegeneracy(coupled_rotator(1e-3), folded_torus(-1.0))
+
+
+def random_grams(rng, n, count, smallest):
+    """Gram matrices a^T a of count random (2n, n) matrices a, the first
+    column scaled by 10**u with u uniform in [smallest, 0]: (count, n, n)."""
+    a = rng.standard_normal((count, 2 * n, n))
+    a[:, :, 0] *= 10.0 ** rng.uniform(smallest, 0.0, (count, 1))
+    return np.einsum("pji,pjk->pik", a, a)
+
+
+class TestGramSpectrum:
+    """Closed-form cond(G) for n <= 2 (eigvalsh for n >= 3) against
+    np.linalg.cond, one matrix at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_linalg_cond(self, n):
+        grams = random_grams(np.random.default_rng(n), n, 300, -2.0)
+        want = np.linalg.cond(grams)
+        keep = want <= 1e4
+        assert keep.sum() > 250 and (n == 1 or want[keep].max() > 1e3)
+        got = np.array([_gram_cond(comp(g[None, None])) for g in grams[keep]])
+        assert np.max(np.abs(got / want[keep] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gate_decision_near_singular(self, n):
+        # cond(G) from O(1) to about 1e12, straddling the gate at 1e8
+        grams = random_grams(np.random.default_rng(10 + n), n, 200, -6.0)
+        want = np.linalg.cond(grams)
+        got = np.array([_gram_cond(comp(g[None, None])) for g in grams])
+        rejected = want > COND_DK_LIMIT
+        assert 20 < rejected.sum() < 180 and np.any(want > 1e10)
+        assert np.array_equal(got > COND_DK_LIMIT, rejected)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-4
 
 
 class TestNewtonStep:
@@ -490,12 +548,13 @@ class TestOneEvaluationPerIterate:
         )
         comm = a @ j - np.einsum("ij,...jk->...ik", j, a)
         s = n_mat @ np.einsum("...ji,...jk,...kl->...il", dk, comm, dk) @ n_mat
-        frame, got_s, got_gram = _frame_tensors(hess, dk)
+        frame, got_s, got_gram = _frame_tensors(comp(hess), comp(dk))
         xi = np.random.default_rng(5).standard_normal(dk.shape[:-2] + (4,))
         mat_vec = lambda mat, v: np.einsum("...ij,...j->...i", mat, v)  # noqa: E731
-        got = (frame.n_mat, frame.apply(xi[..., :2], xi[..., 2:]),
-               np.concatenate(frame.solve(xi), axis=-1), frame.abs_det,
-               got_s, got_gram)
+        got = (grid(frame.n_mat),
+               grid(frame.apply(comp(xi[..., :2], 1), comp(xi[..., 2:], 1)), 1),
+               grid(np.concatenate(frame.solve(comp(xi, 1))), 1),
+               frame.abs_det, grid(got_s), grid(got_gram))
         want = (n_mat, mat_vec(m, xi), mat_vec(np.linalg.inv(m), xi),
                 np.abs(np.linalg.det(m)), s, gram)
         assert np.max(np.abs(dk - dk.mean(axis=(0, 1)))) > 1e-6  # DK varies
