@@ -107,12 +107,14 @@ class StripNormEstimate:
     true sup), synthesized from ``source`` on first use.  ``tail_flag``
     trips when the last dyadic block of modes (|k|_inf > M/2) contributes
     more than 1e-10 of the total, signalling that the truncation order is
-    suspect.
+    suspect.  ``tail_max`` is the largest unweighted amplitude max|amp(k)|
+    in that block, the scale to hold against round-off.
     """
 
     value: float
     rho: float
     tail_flag: bool
+    tail_max: float
     source: FourierMap = field(repr=False, compare=False)
 
     @cached_property
@@ -233,9 +235,14 @@ class FourierMap:
         return self.coeffs[idx].copy()
 
     def _at_order(self, trunc_order: int) -> np.ndarray:
-        """Coefficients zero-padded or cut to another truncation order."""
+        """Coefficients zero-padded or cut to another truncation order.
+
+        At the same order this is ``coeffs`` itself, read-only.
+        """
         n, m = self.dim_domain, self.trunc_order
-        if trunc_order >= m:
+        if trunc_order == m:
+            return self.coeffs
+        if trunc_order > m:
             pad = [(trunc_order - m,) * 2] * n + [(0, 0)] * len(self.range_shape)
             return np.pad(self.coeffs, pad)
         cut = slice(m - trunc_order, m + trunc_order + 1)
@@ -346,7 +353,10 @@ class FourierMap:
         terms = amax[nz] * weight[nz]
         total = float(np.sum(terms))
         flag = total > 0 and float(np.sum(terms[tail[nz]])) > 1e-10 * total
-        return StripNormEstimate(value=total, rho=rho, tail_flag=flag, source=self)
+        return StripNormEstimate(
+            value=total, rho=rho, tail_flag=flag,
+            tail_max=float(np.max(amax[tail], initial=0.0)), source=self,
+        )
 
     def grid_sup(self) -> float:
         """Max-norm maximum over the native sampling grid."""
@@ -538,8 +548,10 @@ class TorusEmbedding:
     def directional(self, omega) -> FourierMap:
         """d/dt K(theta + t omega): periodic (the winding shift is constant)."""
         om = np.asarray(getattr(omega, "omega", omega), dtype=float)
-        const = FourierMap.constant(self.winding @ om, self.dim_domain)
-        return self.periodic.directional(om) + const
+        deriv = self.periodic.directional(om)
+        coeffs = deriv.coeffs.copy()
+        coeffs[(deriv.trunc_order,) * deriv.dim_domain] += self.winding @ om
+        return FourierMap._wrap(deriv.dim_domain, coeffs)
 
     def difference(self, other: "TorusEmbedding") -> FourierMap:
         if not np.array_equal(self.winding, other.winding):

@@ -506,10 +506,19 @@ def solve_torus(
     evaluating that defect.  Two consecutive iterates without progress end
     the iteration: if some iterate improved on the initial error, the best
     one is returned with status "floored" (the iteration hit its numerical
-    floor), otherwise "diverged".  A tripped spectral tail doubles the
-    truncation order, up to max_trunc_order, before the next step.  The
-    trace records per accepted step the growth quantities (|DK|, |N|,
-    |<S>^-1|) and the Lagrangian defect max |DK^T J DK|.
+    floor), otherwise "diverged".  The truncation order doubles, up to
+    max_trunc_order, before the next step when the defect's spectral tail
+    is real: its tail_flag trips and its largest tail amplitude tail_max
+    exceeds the same r, so a tail made of round-off never refines.
+
+    The trace has a row per Newton step and, on convergence, one for the
+    final iterate.  Every row records the iterate's defect ("error") and
+    the tail state that decided its refinement: tail_flag, tail_max and
+    round_off (r) at the order the iterate was first evaluated at.  A step
+    row also records the growth quantities (|DK|, |N|, |<S>^-1|), the
+    Lagrangian defect max |DK^T J DK| and the corrected iterate's
+    truncation order; its "error" is that of the iterate the step
+    corrected, after any refinement.
 
     With a FrequencyVector, every retained mode must stay inside its
     Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
@@ -532,19 +541,22 @@ def solve_torus(
         err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)
         if initial is None:
             initial = err.norm_grid
-        round_off = FLOOR_ULPS * np.finfo(float).eps * float(np.max(np.abs(jet[1])))
+        round_off = float(FLOOR_ULPS * np.finfo(float).eps * np.max(np.abs(jet[1])))
+        row = {"iter": it, "error": err.norm_grid, "tail_flag": err.tail_flag,
+               "tail_max": err.norm_rho.tail_max, "round_off": round_off}
         stalls = 0 if err.norm_grid < best_err - round_off else stalls + 1
         if err.norm_grid < best_err:
             best_err, best_K = err.norm_grid, K
         if err.norm_grid <= tol:
-            trace.append({"iter": it, "error": err.norm_grid})
+            trace.append(row)
             return SolveResult("converged", K, err.norm_grid, it, trace)
         if stalls >= 2:
             status = "floored" if best_err < initial else "diverged"
             return SolveResult(status, best_K, best_err, it, trace)
         if it == max_iter:
             break
-        if err.tail_flag and K.trunc_order * 2 <= max_trunc_order:
+        if (err.tail_flag and err.norm_rho.tail_max > round_off
+                and K.trunc_order * 2 <= max_trunc_order):
             K = K.resized(K.trunc_order * 2)
             jet = _jet(hamiltonian, K, grid_size)
             err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)
@@ -552,7 +564,7 @@ def solve_torus(
         K, diag = newton_step(hamiltonian, K, omega, nd, grid_size, err=err)
         trace.append(
             {
-                "iter": it,
+                **row,
                 "error": diag.error_before,
                 "correction": diag.correction_sup,
                 "norm_dk": nd.norm_dk,

@@ -204,6 +204,18 @@ class TestDispatch:
         assert stage_files == [f"stage_{r['stage']}.jsonl" for r in cert["stages"]]
         assert (out / "torus_final.csv").is_file()
 
+    def test_run_stage_traces_record_tail_state(self, write_files):
+        cfg_path, out = write_files(PENDULUM, "run", target_error=1e-10)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        keys = {"tail_flag", "tail_max", "round_off"}
+        rows = [json.loads(line)
+                for path in sorted((out / "stages").iterdir())
+                for line in path.read_text().splitlines()]
+        assert rows and all(keys <= row.keys() for row in rows)
+        # per-iterate diagnostics stay out of the certificate
+        text = (out / "certificate.json").read_text()
+        assert not any(key in text for key in ("tail_max", "round_off"))
+
     def test_smooth_rough_ladder(self, write_files):
         cfg_path, out = write_files(
             ROUGH, "smooth", y0=[0.4], rho=0.02, r=0.8, count=2

@@ -273,6 +273,25 @@ class TestHalfSpectrumStripNorm:
         if n == 1:
             assert np.isfinite(est.value)  # the overflowing weights hit zeros
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("range_shape", [(), (4,), (4, 2)])
+    @pytest.mark.parametrize("filled", [1, 2, 3])
+    def test_tail_max_matches_full_spectrum(self, n, range_shape, filled):
+        rng = np.random.default_rng(200 * n + 10 * len(range_shape) + filled)
+        f = random_trig(rng, n, filled, range_shape).resized(3)
+        ks = np.abs(wavevectors(n, 3))
+        axes = tuple(range(n, f.coeffs.ndim))
+        amp = np.max(np.abs(f.coeffs), axis=axes)[ks.max(axis=-1) > 1.5]
+        want = float(np.max(amp))
+        assert f.strip_norm(0.02).tail_max == want
+        assert (want > 0) == (filled > 1)  # filled order 1 leaves the tail empty
+
+    def test_tail_max_is_unweighted(self):
+        f = FourierMap(1, (2,), {(1,): [1.0, 0.0], (3,): [0.0, -2e-5j]},
+                       trunc_order=4)
+        assert [f.strip_norm(rho).tail_max for rho in (0.0, 1.0)] == [2e-5, 2e-5]
+        assert FourierMap.constant(np.array(1.0), 1).strip_norm(0.0).tail_max == 0.0
+
     def test_weight_tables_cached_read_only(self):
         weight, tail = _strip_weights(2, 3, 0.02)
         assert weight.shape == tail.shape == (7, 4)

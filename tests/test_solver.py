@@ -481,11 +481,12 @@ class TestOneEvaluationPerIterate:
         return FrequencyVector.estimated(self.omega, sigma=1.1, horizon=64)
 
     def cases(self, golden_freq, coupled_freq):
-        """(model, K0, omega, refinement cap): n = 1 held at M = 64 (its tail
-        would refine it), n = 2 refining 16 -> 32 up to its horizon."""
+        """(model, K0, omega, refinement cap): n = 1 held at M = 8 (its first
+        defect has a tail above round-off, which would refine it), n = 2
+        refining 16 -> 32 up to its horizon."""
         return [
             (HamiltonianModel.pendulum(1e-3),
-             TorusEmbedding.circle(GOLDEN, trunc_order=64), golden_freq, 64),
+             TorusEmbedding.circle(GOLDEN, trunc_order=8), golden_freq, 8),
             (coupled_rotator(1e-3),
              TorusEmbedding.circle(self.omega, trunc_order=16), coupled_freq, 512),
         ]
@@ -568,3 +569,100 @@ class TestOneEvaluationPerIterate:
         nd = nondegeneracy(h, K, grid_size=K.periodic.grid_size + 2)
         with pytest.raises(ValueError, match="does not match the step's grid"):
             newton_step(h, K, golden_freq, nd)
+
+
+class TestRefinementAboveRoundOff:
+    """solve_torus doubles M only on a tail above the iterate's round-off r."""
+
+    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+    tol = 1e-12
+
+    @pytest.fixture(scope="class")
+    def coupled_solve(self):
+        freq = FrequencyVector.estimated(self.omega, sigma=1.1, horizon=256)
+        h = coupled_rotator(5.6e-4)
+        K0 = TorusEmbedding.circle(self.omega, trunc_order=16)
+        res = solve_torus(h, K0, freq, tol=self.tol, max_trunc_order=freq.horizon)
+        return h, freq, res
+
+    def test_coupled_rotator_converges_at_32(self, coupled_solve):
+        # from iterate 3 on the tail trips at M = 32, but only with round-off
+        h, freq, res = coupled_solve
+        assert res.converged and res.torus.trunc_order == 32
+        fine = 2 * ((3 * 32) // 2) + 1
+        err = invariance_error(h, res.torus, freq, grid_size=fine).norm_grid
+        assert err <= 10 * self.tol
+
+    def test_pendulum_stays_at_64(self, golden_freq):
+        res = solve_torus(HamiltonianModel.pendulum(1e-3),
+                          TorusEmbedding.circle(GOLDEN, trunc_order=64),
+                          golden_freq, tol=self.tol)
+        assert res.converged and res.torus.trunc_order == 64
+        assert any(row["tail_flag"] for row in res.trace)  # round-off tripped it
+
+    def test_genuine_tail_still_resizes(self, coupled_solve):
+        _, _, res = coupled_solve
+        row = res.trace[2]
+        assert row["tail_flag"] and row["tail_max"] > 100 * row["round_off"]
+        assert [r.get("trunc_order") for r in res.trace[:3]] == [16, 16, 32]
+
+    def test_trace_rows_record_the_refinement_decision(self, coupled_solve):
+        _, _, res = coupled_solve
+        assert len(res.trace) == res.iterations + 1
+        order = 16
+        for row in res.trace:
+            assert row["round_off"] > 0 and row["tail_max"] >= 0
+            if "trunc_order" in row:
+                real_tail = row["tail_flag"] and row["tail_max"] > row["round_off"]
+                assert row["trunc_order"] == (2 * order if real_tail else order)
+                order = row["trunc_order"]
+
+
+def padded_at_order(self, trunc_order):
+    """_at_order copying through np.pad at every order, the same one too."""
+    n, m = self.dim_domain, self.trunc_order
+    if trunc_order >= m:
+        pad = [(trunc_order - m,) * 2] * n + [(0, 0)] * len(self.range_shape)
+        return np.pad(self.coeffs, pad)
+    cut = slice(m - trunc_order, m + trunc_order + 1)
+    return self.coeffs[(cut,) * n]
+
+
+def padded_directional(self, omega):
+    """TorusEmbedding.directional adding the winding term as an M = 0 map."""
+    om = np.asarray(getattr(omega, "omega", omega), dtype=float)
+    const = FourierMap.constant(self.winding @ om, self.dim_domain)
+    return self.periodic.directional(om) + const
+
+
+class TestEqualOrderAlgebra:
+    """Maps of equal truncation order add without an np.pad copy."""
+
+    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+
+    def test_newton_step_pads_nothing_and_keeps_k(self, monkeypatch):
+        freq = FrequencyVector.estimated(self.omega, sigma=1.1, horizon=64)
+        h = coupled_rotator(1e-3)
+        K, _ = newton_step(h, TorusEmbedding.circle(self.omega, trunc_order=16),
+                           freq)
+        pads = []
+        pad = np.pad
+
+        def counted(*args, **kwargs):
+            pads.append(1)
+            return pad(*args, **kwargs)
+
+        monkeypatch.setattr(np, "pad", counted)
+        got, _ = newton_step(h, K, freq)
+        assert pads == []
+        monkeypatch.setattr(FourierMap, "_at_order", padded_at_order)
+        monkeypatch.setattr(TorusEmbedding, "directional", padded_directional)
+        want, _ = newton_step(h, K, freq)
+        assert pads  # the padding reference did pad
+        assert got.trunc_order == K.trunc_order
+        assert np.array_equal(got.periodic.coeffs, want.periodic.coeffs)
+
+    def test_same_order_resize_shares_coefficients(self):
+        f = FourierMap(2, (2,), {(1, -1): [1.0, 2j]}, trunc_order=3)
+        assert f.resized(3).coeffs is f.coeffs
+        assert not f.resized(3).coeffs.flags.writeable
