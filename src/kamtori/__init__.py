@@ -38,6 +38,7 @@ from .hamiltonian import (
     HamiltonianModel,
     RoughTerm,
     SinPowerProfile,
+    SumModel,
     symplectic_matrix,
 )
 from .smoothing import (
@@ -46,7 +47,6 @@ from .smoothing import (
     CutoffHamiltonian,
     PlateauBump,
     SmoothingSequence,
-    SumModel,
     bernstein_1d,
     bernstein_derivative,
     bernstein_nd,

@@ -372,7 +372,9 @@ def cmd_verify(args) -> int:
         {
             "error_grid": err.norm_grid,
             "error_rho": err.norm_rho.value,
-            "tail_flag": bool(err.tail_flag),
+            "tail_flag": err.genuine_tail,
+            "tail_max": err.norm_rho.tail_max,
+            "round_off": err.round_off,
             "nondegeneracy": {
                 "norm_dk": nd.norm_dk,
                 "norm_n": nd.norm_n,

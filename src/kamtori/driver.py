@@ -21,7 +21,8 @@ the literal one.
 
 Each quantity is measured once.  The ladder's tails to the rough target
 are the composite C^3 gaps its construction already measured; stage 1
-starts from the gate's defect and frame of the selected model at K0;
+starts from the gate's defect and frame of the selected model at K0,
+which come from one jet that also serves its solve's first iterate;
 stage k >= 2 starts from stage k-1's defect against H, whose jet also
 gives that stage's frame and the jet of its solve's first iterate; the
 final defect is the last stage's.  The CLI's smooth and verify commands
@@ -39,12 +40,9 @@ import numpy as np
 
 from .diophantine import FrequencyVector
 from .fourier import TorusEmbedding
-from .hamiltonian import Box, HamiltonianModel, jet_grid
+from .hamiltonian import Box, jet_grid
 from .smoothing import (
-    BernsteinHamiltonian,
-    CutoffHamiltonian,
     SmoothingSequence,
-    SumModel,
     build_smoothing_sequence,
     cl_norm,
     cutoff_extend,
@@ -351,18 +349,6 @@ def _jsonable(obj):
     return obj
 
 
-def _model_value(model):
-    """Value-only callable for C^3 norm estimation (cheapest available path)."""
-    if isinstance(model, BernsteinHamiltonian):
-        return model.approx
-    if isinstance(model, SumModel):
-        parts = [_model_value(p) for p in model.parts]
-        return lambda z: sum(np.asarray(p(z)) for p in parts)
-    if isinstance(model, CutoffHamiltonian):
-        return model
-    return lambda z: model.jet_batch(z)[0]
-
-
 def _hull_box(K: TorusEmbedding, margin: float) -> Box:
     """Box hull of the margin-neighborhood of the torus image (angles periodic)."""
     n = K.dim_domain
@@ -373,8 +359,25 @@ def _hull_box(K: TorusEmbedding, margin: float) -> Box:
 
 
 def _c3_near(model, K: TorusEmbedding, margin: float, points: int) -> float:
-    box = _hull_box(K, margin)
-    return cl_norm(_model_value(model), box, 3, points)
+    """C^3 norm of model on the box hull of K's margin-neighbourhood.
+
+    Every model is a sum of products of 1-D functions, so cl_norm reads it
+    from per-axis tables: five-point stencils of its values along each
+    axis, multiplied out on the outer-product grid, with no 2n-dimensional
+    stencil grid.  The numbers are those of the value-stencil path.
+    """
+    return cl_norm(model, _hull_box(K, margin), 3, points)
+
+
+def _defect_record(err: ErrorField) -> dict:
+    """A defect's norms and its tail state under the refinement rule."""
+    return {
+        "grid": err.norm_grid,
+        "rho": err.norm_rho.value,
+        "tail_flag": err.genuine_tail,
+        "tail_max": err.norm_rho.tail_max,
+        "round_off": err.round_off,
+    }
 
 
 def _frequency(omega, params: RunParams) -> FrequencyVector:
@@ -483,11 +486,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
 
     # initial defect of the original model, the anchor scale of the sequence
     e0_orig = ladder.e0
-    cert["e0_original"] = {
-        "grid": e0_orig.norm_grid,
-        "rho": e0_orig.norm_rho.value,
-        "tail_flag": bool(e0_orig.tail_flag),
-    }
+    cert["e0_original"] = _defect_record(e0_orig)
     e0_norm = e0_orig.norm_rho.value
 
     cert["smoothing"] = {
@@ -539,21 +538,20 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         cert["termination_reason"] = "no_admissible_k0"
         return RunResult(K0, _jsonable(cert), stages, seq)
 
-    # analytic input: every sequence entry is H itself
+    # one jet of the stage-1 model at K0 gives its defect, its frame and
+    # the first iterate of its solve; analytic input: every sequence entry
+    # is H itself
     h_stage1 = seq.approximants[k0_index]
+    jet = jet_grid(h_stage1, K0.grid_samples())
     if h_stage1 is hamiltonian:
         e0_stage = e0_orig
     else:
-        e0_stage = invariance_error(h_stage1, K0, freq, rho=params.rho)
-    cert["e0_stage1"] = {
-        "grid": e0_stage.norm_grid,
-        "rho": e0_stage.norm_rho.value,
-        "tail_flag": bool(e0_stage.tail_flag),
-    }
+        e0_stage = invariance_error(h_stage1, K0, freq, rho=params.rho, jet=jet)
+    cert["e0_stage1"] = _defect_record(e0_stage)
     if h_stage1 is seq.approximants[0]:
         nd_stage1 = nd0
     else:
-        nd_stage1 = nondegeneracy(h_stage1, K0, freq, rho=params.rho)
+        nd_stage1 = nondegeneracy(h_stage1, K0, freq, rho=params.rho, jet=jet)
 
     # gate: literal lambda-form conditions plus measured trial-step analogues
     c_value, strict = schedule.strict_conditions(
@@ -625,7 +623,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         # refinement may not outgrow the certified Diophantine horizon
         res = solve_torus(
             h_k, k_prev, freq, tol=tol, max_iter=params.max_iter,
-            max_trunc_order=freq.horizon, rho=rho_k, jet=jet if k > 1 else None,
+            max_trunc_order=freq.horizon, rho=rho_k, jet=jet,
         )
         k_new = res.torus
         step_norm = k_new.difference(k_prev).strip_norm(rho_k).value
@@ -717,7 +715,9 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
     cert["final"] = {
         "error_vs_original_grid": final_err.norm_grid,
         "error_vs_original_coeff": final_err.norm_rho.value,
-        "tail_flag": bool(final_err.tail_flag),
+        "tail_flag": final_err.genuine_tail,
+        "tail_max": final_err.norm_rho.tail_max,
+        "round_off": final_err.round_off,
         "drift": final_drift,
         "drift_within_r": bool(final_drift <= params.r),
         "drift_within_budget": bool(final_drift <= 4.0 * params.r / 3.0),

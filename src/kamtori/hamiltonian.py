@@ -1,41 +1,45 @@
-"""Hamiltonian models and their exact jets.
+"""Hamiltonian models as sums of products of 1-D functions, and their jets.
 
-The file format and the core in-memory model is a Fourier-Taylor term
-table: H(x, y) = sum over terms of c * exp(2 pi i k . x) * y^m with
-x in T^n, y in R^n.  Such models are entire, so their jets (value,
-gradient, Hessian) come from term-wise differentiation with no numerical
-error beyond rounding.
-
-Finitely differentiable Hamiltonians are represented by attaching rough
-summands (1-D C^l profiles in a single coordinate) to an analytic base
-model; every model answers the same jet interface, which is all the
-torus solver consumes.
+A model is a short sum over terms r of prod_i t_{r,i}(z_i), one factor
+per coordinate of z = (x, y) in T^n x R^n.  It offers rank, box (or
+None), support(axis) (the terms whose factor along axis is not 1) and,
+where that is not empty, axis_values(axis, u, q): the (q + 1,
+len(support(axis)), len(u)) table of those factors' derivatives of orders
+0..q at u, complex if need be as long as the sum is real.  product_jet
+builds every model's jet from its tables, and smoothing's C^l norms read
+the same tables.  The analytic model is a Fourier-Taylor term table
+sum c e^{2 pi i k.x} y^m (the file format); rough summands are 1-D C^l
+profiles of one coordinate; SumModel is the one sum of models.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .fourier import FourierMap, TorusEmbedding, canonical
+from .fourier import canonical
 
 __all__ = [
     "Box",
     "BSplineProfile",
     "CompositeHamiltonian",
     "HamiltonianModel",
-    "LinearizedField",
     "RoughTerm",
     "SinPowerProfile",
+    "SumModel",
     "evaluate_jet",
-    "linearization",
+    "product_jet",
     "symplectic_matrix",
-    "vector_field",
 ]
+
+_NO_TERMS = np.zeros(0, dtype=int)
+_ONE_TERM = np.zeros(1, dtype=int)
 
 
 def symplectic_matrix(n: int) -> np.ndarray:
@@ -103,19 +107,131 @@ class Box:
             ok &= (z[..., i] >= self.lo[i] - slack) & (z[..., i] <= self.hi[i] + slack)
         return ok
 
-    def grid(self, points_per_axis: int) -> np.ndarray:
-        axes = [
-            np.linspace(self.lo[i], self.hi[i], points_per_axis)
-            for i in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+
+# -- the one jet routine -------------------------------------------------------
 
 
-class HamiltonianModel:
-    """Fourier-Taylor Hamiltonian: entire, with exact term-wise jets."""
+def _product(tables, orders):
+    """Real part of the product over a term's axes of D^orders of its factors."""
+    out = tables[0][orders[0]]
+    for table, q in zip(tables[1:], orders[1:]):
+        out = out * table[q]
+    return out.real
 
-    __slots__ = ("n", "terms", "smoothness_class", "box")
+
+def product_jet(model, z: np.ndarray):
+    """Value, gradient and Hessian of a sum of products at points z (..., dim).
+
+    Each axis's table of orders 0-2 is evaluated once, for the terms in its
+    support.  A term's products run over its own support axes only, so it
+    adds to the gradient and Hessian entries of those axes alone.  The
+    gradient and Hessian are views of component-major (dim, *base) and
+    (dim, dim, *base) arrays.
+    """
+    z = np.asarray(z, dtype=float)
+    base, dim = z.shape[:-1], z.shape[-1]
+    pts = z.reshape(-1, dim)
+    # axes[r] and tables[r]: term r's support axes, ascending, and their tables
+    axes = [[] for _ in range(model.rank)]
+    tables = [[] for _ in range(model.rank)]
+    for axis in range(dim):
+        terms = model.support(axis)
+        if len(terms):
+            table = model.axis_values(axis, pts[:, axis], 2)
+            for row, r in enumerate(terms.tolist()):
+                axes[r].append(axis)
+                tables[r].append(table[:, row])
+    val = np.zeros(pts.shape[0])
+    grad = np.zeros((dim,) + val.shape)
+    hess = np.zeros((dim, dim) + val.shape)
+    for term_axes, term_tables in zip(axes, tables):
+        s = range(len(term_axes))
+        val += _product(term_tables, [0 for _ in s])
+        for j in s:
+            grad[term_axes[j]] += _product(term_tables, [int(i == j) for i in s])
+        for j, l in combinations_with_replacement(s, 2):
+            orders = [(i == j) + (i == l) for i in s]
+            hess[term_axes[j], term_axes[l]] += _product(term_tables, orders)
+    for a, b in combinations(range(dim), 2):
+        hess[b, a] = hess[a, b]
+    grid = tuple(range(1, len(base) + 1))
+    return (
+        val.reshape(base),
+        grad.reshape((dim,) + base).transpose(grid + (0,)),
+        hess.reshape((dim, dim) + base).transpose(tuple(g + 1 for g in grid) + (0, 1)),
+    )
+
+
+def product_values(model, z: np.ndarray) -> np.ndarray:
+    """Values of a sum of products at points z (..., dim)."""
+    z = np.asarray(z, dtype=float)
+    pts = z.reshape(-1, z.shape[-1])
+    prod = np.ones((model.rank, pts.shape[0]))
+    for axis in range(pts.shape[1]):
+        rows = model.support(axis)
+        if len(rows):
+            # grids and stencils repeat few values per axis: evaluate each once
+            u, inv = np.unique(pts[:, axis], return_inverse=True)
+            table = model.axis_values(axis, u, 0)[0][:, inv.reshape(-1)]
+            prod = prod.astype(np.result_type(prod, table), copy=False)
+            prod[rows] *= table
+    return prod.sum(axis=0).real.reshape(z.shape[:-1])
+
+
+class SumOfProducts:
+    """Base of every model: its values and jet come from its axis tables."""
+
+    __slots__ = ()
+
+    jet_batch = product_jet
+    __call__ = product_values
+
+
+# -- the analytic model ----------------------------------------------------------
+
+
+def _angle_table(u: np.ndarray, ks: np.ndarray, coef: np.ndarray, q: int) -> np.ndarray:
+    """Orders 0..q of coef e^{2 pi i k u}, one row per (k, coef).
+
+    e^{2 pi i u} is computed once; integer powers and conjugates of it
+    give every row, and D multiplies a row by 2 pi i k.
+    """
+    e = np.exp(2j * np.pi * u)
+    powers = [np.ones_like(e), e]
+    for _ in range(2, int(np.abs(ks).max(initial=0)) + 1):
+        powers.append(powers[-1] * e)
+    out = np.empty((q + 1, ks.size, u.size), dtype=complex)
+    for row, (k, c) in enumerate(zip(ks.tolist(), coef.tolist())):
+        np.multiply(powers[k] if k >= 0 else powers[-k].conj(), c, out=out[0, row])
+    for j in range(1, q + 1):
+        np.multiply(out[j - 1], (2j * np.pi * ks)[:, None], out=out[j])
+    return out
+
+
+def _action_table(u: np.ndarray, ms: np.ndarray, coef: np.ndarray, q: int) -> np.ndarray:
+    """Orders 0..q of coef y^m at y = u, one row per (m, coef)."""
+    powers = [np.ones_like(u), u]
+    for _ in range(2, int(ms.max(initial=0)) + 1):
+        powers.append(powers[-1] * u)
+    out = np.zeros((q + 1, ms.size, u.size))
+    for row, (m, c) in enumerate(zip(ms.tolist(), coef.tolist())):
+        for j in range(min(q, m) + 1):
+            np.multiply(powers[m - j], c, out=out[j, row])
+            c *= m - j
+    return out
+
+
+class HamiltonianModel(SumOfProducts):
+    """Fourier-Taylor Hamiltonian: entire, with exact per-axis tables.
+
+    A term c e^{2 pi i k.x} y^m with k != 0 stands for itself plus its
+    conjugate: it enters the sum with weight 2 and its real part counts.
+    Its factors are e^{2 pi i k_j x_j} on each angle with k_j != 0 and
+    y_j^{m_j} on each action with m_j > 0; the weighted coefficient rides
+    on the first of them (on x_0 for a constant term).
+    """
+
+    __slots__ = ("n", "terms", "smoothness_class", "box", "_axes")
 
     def __init__(self, n: int, terms, smoothness_class: float = math.inf, box=None):
         folded: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
@@ -144,77 +260,39 @@ class HamiltonianModel:
         object.__setattr__(self, "terms", tuple(sorted(folded.items())))
         object.__setattr__(self, "smoothness_class", float(smoothness_class))
         object.__setattr__(self, "box", box)
+        object.__setattr__(self, "_axes", self._axis_rows())
 
     def __setattr__(self, *a):
         raise AttributeError("HamiltonianModel is immutable")
 
-    # -- jets ------------------------------------------------------------
+    def _axis_rows(self):
+        """Per axis: the supported terms, their exponents there, and each
+        row's coefficient (the weighted c on a term's first axis, else 1;
+        real on actions, which lead only terms with k = 0)."""
+        expo = np.array([k + m for (k, m), _ in self.terms], dtype=int)
+        expo = expo.reshape(len(self.terms), 2 * self.n)
+        coef = np.array([c * (2.0 if any(k) else 1.0) for (k, _), c in self.terms])
+        on = expo != 0
+        lead = on.argmax(axis=1)
+        on[np.arange(len(lead)), lead] = True
+        terms = [np.flatnonzero(on[:, axis]) for axis in range(2 * self.n)]
+        return tuple(
+            (t, expo[t, axis], np.where(lead[t] == axis, coef[t], 1.0)
+             if axis < self.n else np.where(lead[t] == axis, coef[t].real, 1.0))
+            for axis, t in enumerate(terms)
+        )
 
-    @staticmethod
-    def _monomial(y: np.ndarray, expo: np.ndarray) -> np.ndarray:
-        out = np.ones(y.shape[:-1])
-        for j, e in enumerate(expo):
-            if e > 0:
-                out = out * y[..., j] ** e
-        return out
+    @property
+    def rank(self) -> int:
+        return len(self.terms)
 
-    def jet_batch(self, z: np.ndarray):
-        """Value, gradient and Hessian at a batch of points (..., 2n)."""
-        z = np.asarray(z, dtype=float)
-        n = self.n
-        if z.shape[-1] != 2 * n:
-            raise ValueError(f"points must have {2 * n} coordinates")
-        x, y = z[..., :n], z[..., n:]
-        base = z.shape[:-1]
-        val = np.zeros(base)
-        grad = np.zeros(base + (2 * n,))
-        hess = np.zeros(base + (2 * n, 2 * n))
-        for (k, m), c in self.terms:
-            kv = np.asarray(k, dtype=float)
-            mv = np.asarray(m, dtype=int)
-            weight = 1.0 if not any(k) else 2.0
-            phase = c * np.exp(2j * np.pi * (x @ kv))
-            mono = self._monomial(y, mv)
-            re, im = phase.real, phase.imag
-            val += weight * re * mono
-            # d/dx_a: factor 2 pi i k_a
-            for a in range(n):
-                if k[a] != 0:
-                    grad[..., a] += weight * (-2 * np.pi * k[a]) * im * mono
-            # d/dy_a: lower the monomial
-            dmono = [None] * n
-            for a in range(n):
-                if m[a] > 0:
-                    dmono[a] = self._monomial(y, mv - np.eye(n, dtype=int)[a])
-                    grad[..., n + a] += weight * re * m[a] * dmono[a]
-            for a in range(n):
-                for b in range(a, n):
-                    if k[a] != 0 and k[b] != 0:
-                        h = weight * (-4 * np.pi**2 * k[a] * k[b]) * re * mono
-                        hess[..., a, b] += h
-                        if a != b:
-                            hess[..., b, a] += h
-                for b in range(n):
-                    if k[a] != 0 and m[b] > 0:
-                        h = weight * (-2 * np.pi * k[a]) * im * m[b] * dmono[b]
-                        hess[..., a, n + b] += h
-                        hess[..., n + b, a] += h
-            for a in range(n):
-                for b in range(a, n):
-                    ea = np.eye(n, dtype=int)[a]
-                    eb = np.eye(n, dtype=int)[b]
-                    if a == b:
-                        if m[a] >= 2:
-                            dd = self._monomial(y, mv - 2 * ea)
-                            hess[..., n + a, n + a] += (
-                                weight * re * m[a] * (m[a] - 1) * dd
-                            )
-                    elif m[a] > 0 and m[b] > 0:
-                        dd = self._monomial(y, mv - ea - eb)
-                        h = weight * re * m[a] * m[b] * dd
-                        hess[..., n + a, n + b] += h
-                        hess[..., n + b, n + a] += h
-        return val, grad, hess
+    def support(self, axis: int) -> np.ndarray:
+        return self._axes[axis][0]
+
+    def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
+        _, powers, coef = self._axes[axis]
+        table = _angle_table if axis < self.n else _action_table
+        return table(np.asarray(u, dtype=float), powers, coef, q)
 
     # -- serialization ----------------------------------------------------
 
@@ -327,85 +405,104 @@ class SinPowerProfile:
 class BSplineProfile:
     """Periodic uniform B-spline profile of odd degree (degree 5 -> C^4).
 
-    Coefficients live on a uniform knot grid over one period; evaluation
-    and derivatives delegate to scipy's piecewise polynomial machinery,
-    so jets are exact where they exist.
+    The N coefficients sit on a uniform knot grid over one period.  On the
+    piece [p/N, (p+1)/N) the spline is the polynomial
+    sum_l c[(p + l) mod N] B(t + d - l) of t = N u - p, with B the cardinal
+    B-spline of degree d, B(s + t) = sum_{i <= s} (-1)^i C(d+1, i)
+    (s - i + t)^d / d! on [s, s + 1).  A (pieces, degree + 1) table of
+    coefficients in powers of t gives exact values and derivatives.
     """
 
     def __init__(self, coefficients: Sequence[float], degree: int = 5):
-        from scipy.interpolate import BSpline
-
         c = np.asarray(coefficients, dtype=float)
         if c.size < degree + 1:
             raise ValueError("need at least degree + 1 coefficients")
         self.degree = int(degree)
         self.coefficients = c
         self.smoothness_class = self.degree - 1
-        npts = c.size
-        # periodic extension: wrap degree extra coefficients on each side
-        cext = np.concatenate([c, c[: self.degree]])
-        knots = np.arange(-self.degree, cext.size + 1) / npts
-        self._splines = [BSpline(knots, cext, self.degree)]
-        for _ in range(4):
-            self._splines.append(self._splines[-1].derivative())
+        d = self.degree
+        segments = np.array([  # integer-valued, so exact up to the 1/d!
+            sum((-1) ** i * math.comb(d + 1, i) * P.polypow([s - i, 1.0], d)
+                for i in range(s + 1)) / math.factorial(d)
+            for s in range(d, -1, -1)
+        ])
+        window = np.arange(c.size)[:, None] + np.arange(d + 1)
+        self._table = c[window % c.size] @ segments
 
     def deriv(self, u: np.ndarray, q: int = 0) -> np.ndarray:
         if q > 4:
             raise ValueError("derivatives available up to order 4")
-        u = np.mod(np.asarray(u, dtype=float), 1.0)
-        return self._splines[q](u)
+        pieces = self._table.shape[0]
+        x = np.mod(np.asarray(u, dtype=float), 1.0) * pieces
+        piece = np.minimum(x.astype(int), pieces - 1)
+        # d/du = N d/dt on every piece
+        coef = P.polyder(self._table, q, scl=pieces, axis=1)[piece]
+        return P.polyval(x - piece, np.moveaxis(coef, -1, 0), tensor=False)
 
     def __call__(self, u):
         return self.deriv(u, 0)
 
 
+# -- sums of models -------------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class RoughTerm:
-    """amplitude * profile(z[coordinate]): a 1-D C^l summand."""
+class RoughTerm(SumOfProducts):
+    """amplitude * profile(z[coordinate]): a 1-D C^l summand of rank 1."""
 
     coordinate: int
     profile: object
     amplitude: float = 1.0
 
-    def jet_batch(self, z: np.ndarray):
-        z = np.asarray(z, dtype=float)
-        dim = z.shape[-1]
-        u = z[..., self.coordinate]
-        val = self.amplitude * self.profile.deriv(u, 0)
-        grad = np.zeros(z.shape)
-        grad[..., self.coordinate] = self.amplitude * self.profile.deriv(u, 1)
-        hess = np.zeros(z.shape[:-1] + (dim, dim))
-        hess[..., self.coordinate, self.coordinate] = (
-            self.amplitude * self.profile.deriv(u, 2)
-        )
-        return val, grad, hess
+    rank = 1
+    box = None
+
+    @property
+    def smoothness_class(self):
+        return self.profile.smoothness_class
+
+    def support(self, axis: int) -> np.ndarray:
+        return _ONE_TERM if axis == self.coordinate else _NO_TERMS
+
+    def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
+        return np.stack([self.amplitude * self.profile.deriv(u, j)
+                         for j in range(q + 1)])[:, None, :]
 
 
-class CompositeHamiltonian:
+class SumModel(SumOfProducts):
+    """Pointwise sum of models: the terms of every part, part after part."""
+
+    def __init__(self, parts):
+        parts = [p for p in parts if p is not None]
+        if not parts:
+            raise ValueError("need at least one part")
+        self.parts = tuple(parts)
+        self.n = getattr(parts[0], "n", None)
+        self.box = next((p.box for p in reversed(parts)
+                         if getattr(p, "box", None) is not None), None)
+        self.smoothness_class = min(getattr(p, "smoothness_class", math.inf)
+                                    for p in parts)
+        self._offsets = np.cumsum([0] + [p.rank for p in parts])[:-1]
+        self.rank = sum(p.rank for p in parts)
+
+    def support(self, axis: int) -> np.ndarray:
+        return np.concatenate([p.support(axis) + offset
+                               for p, offset in zip(self.parts, self._offsets)])
+
+    def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
+        tables = [p.axis_values(axis, u, q) for p in self.parts if len(p.support(axis))]
+        return tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+
+
+class CompositeHamiltonian(SumModel):
     """Analytic base model plus finitely differentiable rough summands."""
 
     def __init__(self, analytic: HamiltonianModel, rough: Sequence[RoughTerm]):
+        super().__init__([analytic, *rough])
         self.analytic = analytic
         self.rough = tuple(rough)
-        self.n = analytic.n
-        self.box = analytic.box
         classes = [t.profile.smoothness_class for t in self.rough]
         self.smoothness_class = min(classes) if classes else math.inf
-
-    def jet_batch(self, z: np.ndarray):
-        val, grad, hess = self.analytic.jet_batch(z)
-        for term in self.rough:
-            v, g, h = term.jet_batch(z)
-            val = val + v
-            grad = grad + g
-            hess = hess + h
-        return val, grad, hess
-
-    def __repr__(self):
-        return (
-            f"CompositeHamiltonian(n={self.n}, C^{self.smoothness_class}, "
-            f"{len(self.rough)} rough terms)"
-        )
 
 
 # -- operations --------------------------------------------------------------
@@ -436,35 +533,3 @@ def jet_grid(hamiltonian, z: np.ndarray):
     """Batched jets with box checking; z has shape (..., 2n)."""
     z = _check_box(hamiltonian, z)
     return hamiltonian.jet_batch(z)
-
-
-def vector_field(hamiltonian, K: TorusEmbedding, grid_size: int | None = None):
-    """The composed Hamiltonian field J grad H (K(theta)) as a FourierMap."""
-    samples = K.grid_samples(grid_size)
-    _, grad, _ = jet_grid(hamiltonian, samples)
-    j = symplectic_matrix(hamiltonian.n)
-    field_vals = grad @ j.T
-    return FourierMap.from_samples(field_vals, K.dim_domain)
-
-
-@dataclass(frozen=True)
-class LinearizedField:
-    """A(theta) = D(J grad H)(K(theta)), infinitesimally symplectic."""
-
-    a_map: FourierMap
-    trace_max: float
-
-    def grid(self) -> np.ndarray:
-        return self.a_map.synthesize()
-
-
-def linearization(
-    hamiltonian, K: TorusEmbedding, grid_size: int | None = None
-) -> LinearizedField:
-    samples = K.grid_samples(grid_size)
-    _, _, hess = jet_grid(hamiltonian, samples)
-    j = symplectic_matrix(hamiltonian.n)
-    a_vals = np.einsum("ij,...jk->...ik", j, hess)
-    trace_max = float(np.max(np.abs(np.trace(a_vals, axis1=-2, axis2=-1))))
-    a_map = FourierMap.from_samples(a_vals, K.dim_domain)
-    return LinearizedField(a_map=a_map, trace_max=trace_max)

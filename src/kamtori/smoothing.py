@@ -45,7 +45,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fourier import TorusEmbedding
-from .hamiltonian import Box, CompositeHamiltonian, HamiltonianModel, RoughTerm
+from .hamiltonian import (Box, CompositeHamiltonian, HamiltonianModel, SumModel,
+                          SumOfProducts)
 
 __all__ = [
     "BernsteinApproximant",
@@ -55,7 +56,6 @@ __all__ = [
     "SeparableBernstein",
     "SeparableFunction",
     "SmoothingSequence",
-    "SumModel",
     "bernstein_1d",
     "bernstein_derivative",
     "bernstein_nd",
@@ -71,23 +71,18 @@ def unit_box(dim: int) -> Box:
     return Box(np.zeros(dim), np.ones(dim), np.zeros(dim, dtype=bool))
 
 
-def _as_box(box, dim: int) -> Box:
+def _as_box(box, dim: int | None) -> Box:
+    """box as a Box; None is the unit box, and dim, when given, is checked."""
     if box is None:
         return unit_box(dim)
-    if isinstance(box, Box):
-        if box.dim != dim:
-            raise ValueError(f"box has {box.dim} axes, expected {dim}")
-        return box
-    arr = np.atleast_2d(np.asarray(box, dtype=float))
-    if arr.shape != (dim, 2):
-        raise ValueError("box must be a Box or an array of (lo, hi) pairs")
-    return Box(arr[:, 0], arr[:, 1], np.zeros(dim, dtype=bool))
-
-
-def _box_dim(box) -> int:
-    if isinstance(box, Box):
-        return box.dim
-    return np.atleast_2d(np.asarray(box, dtype=float)).shape[0]
+    if not isinstance(box, Box):
+        arr = np.atleast_2d(np.asarray(box, dtype=float))
+        if arr.shape[1:] != (2,):
+            raise ValueError("box must be a Box or an array of (lo, hi) pairs")
+        box = Box(arr[:, 0], arr[:, 1], np.zeros(arr.shape[0], dtype=bool))
+    if dim is not None and box.dim != dim:
+        raise ValueError(f"box has {box.dim} axes, expected {dim}")
+    return box
 
 
 # -- C^l norms on boxes ------------------------------------------------------
@@ -174,13 +169,6 @@ def _grid_axes(
     return axes
 
 
-def _measure_grid(
-    box: Box, points_per_axis: int, margin: np.ndarray, stagger: bool = False
-) -> np.ndarray:
-    axes = _grid_axes(box, points_per_axis, margin, stagger)
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 def _stencil_step(box: Box, points_per_axis: int, step) -> np.ndarray:
     """Step sizes whose 2h stencil reach stays off seams and boundaries.
 
@@ -200,24 +188,12 @@ def cl_norm(fun, box, order: int = 3, points_per_axis: int = 64, step=None) -> f
 
     Derivatives are exact (Bernstein coefficient calculus) when fun
     supports .derivative(alpha); otherwise 5-point central stencils with
-    per-axis step h (default width/100).  The grid density is a declared
-    approximation of the sup.
+    per-axis step h (default width/100).  A sum of products (any model:
+    it offers axis_values) is measured from its per-axis tables
+    (_factored_sup), never evaluated on the grid.  The grid density is a
+    declared approximation of the sup.
     """
-    box = _as_box(box, getattr(fun, "dim", None) or _box_dim(box))
-    exact = hasattr(fun, "derivative")
-    if exact:
-        pts = _measure_grid(box, points_per_axis, np.zeros(box.dim))
-        out = 0.0
-        for alpha in _multi_indices(box.dim, order):
-            vals = fun.derivative(alpha)(pts)
-            out = max(out, float(np.max(np.abs(vals))))
-        return out
-    h = _stencil_step(box, points_per_axis, step)
-    pts = _measure_grid(box, points_per_axis, np.where(box.periodic, 0.0, 2 * h), True)
-    out = 0.0
-    for vals in _stencil_all(fun, pts, order, h).values():
-        out = max(out, float(np.max(np.abs(vals))))
-    return out
+    return _cl_sup([fun], box, order, points_per_axis, step)
 
 
 def cl_gap(f, g, box, order: int = 3, points_per_axis: int = 64, step=None) -> float:
@@ -225,13 +201,17 @@ def cl_gap(f, g, box, order: int = 3, points_per_axis: int = 64, step=None) -> f
 
     Exact derivatives on the plain grid when both sides have them, else
     5-point stencils on the staggered grid, as in cl_norm.  When both
-    sides are sums of products of 1-D functions (they offer axis_values),
-    the same numbers come from per-axis tables (_factored_gap) without
-    evaluating either side on the grid.
+    sides are sums of products the same numbers come from per-axis tables
+    (_factored_sup) without evaluating either side on the grid.
     """
-    box = _as_box(box, getattr(f, "dim", None) or getattr(g, "dim", None) or _box_dim(box))
-    both_exact = hasattr(f, "derivative") and hasattr(g, "derivative")
-    if both_exact:
+    return _cl_sup([f, g], box, order, points_per_axis, step)
+
+
+def _cl_sup(funs, box, order: int, points_per_axis: int, step) -> float:
+    """cl_norm of funs[0], or with a second entry cl_gap of funs[0] - funs[1]."""
+    box = _as_box(box, next((f.dim for f in funs if getattr(f, "dim", None)), None))
+    exact = all(hasattr(f, "derivative") for f in funs)
+    if exact:
         h = None
         axes = _grid_axes(box, points_per_axis, np.zeros(box.dim))
     else:
@@ -239,35 +219,47 @@ def cl_gap(f, g, box, order: int = 3, points_per_axis: int = 64, step=None) -> f
         axes = _grid_axes(
             box, points_per_axis, np.where(box.periodic, 0.0, 2 * h), True
         )
-    if hasattr(f, "axis_values") and hasattr(g, "axis_values"):
-        return _factored_gap(f, g, axes, order, h)
+    if all(hasattr(f, "axis_values") for f in funs):
+        return _factored_sup(funs, axes, order, h)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    signs = (1.0, -1.0)[: len(funs)]
     out = 0.0
-    if both_exact:
+    if exact:
         for alpha in _multi_indices(box.dim, order):
-            vals = f.derivative(alpha)(pts) - g.derivative(alpha)(pts)
+            vals = sum(s * f.derivative(alpha)(pts) for s, f in zip(signs, funs))
             out = max(out, float(np.max(np.abs(vals))))
         return out
-    diff = lambda z: np.asarray(f(z), dtype=float) - np.asarray(g(z), dtype=float)
+    diff = lambda z: sum(s * np.asarray(f(z), dtype=float) for s, f in zip(signs, funs))
     for vals in _stencil_all(diff, pts, order, h).values():
         out = max(out, float(np.max(np.abs(vals))))
     return out
 
 
 def _axis_tables(fun, axis: int, u: np.ndarray, order: int, h) -> np.ndarray:
-    """(order+1, rank, len(u)): D^q of each term's factor along one axis.
+    """(order+1, rank, len(u)): D^q of every term's factor along one axis.
 
     Exact derivatives when h is None, else the 1-D stencils of _STENCILS
     at step h[axis]; a tensor stencil of a product is the product of these.
+    A term whose factor along the axis is 1 gets the rows 1, 0, 0, ...
     """
-    if h is None:
-        return np.stack([fun.axis_values(axis, u, q) for q in range(order + 1)])
-    shifted = u[None, :] + (_OFFSETS * h[axis])[:, None]
-    vals = fun.axis_values(axis, shifted.reshape(-1)).reshape(-1, 5, u.size)
-    rows = [vals[:, 2]]
-    for q in range(1, order + 1):
-        rows.append(np.tensordot(vals, _STENCILS[q], axes=([1], [0])) / h[axis] ** q)
-    return np.stack(rows)
+    rows = fun.support(axis)
+    if not len(rows):
+        part = np.zeros((order + 1, 0, u.size))
+    elif h is None:
+        part = fun.axis_values(axis, u, order)
+    else:
+        shifted = u[None, :] + (_OFFSETS * h[axis])[:, None]
+        vals = fun.axis_values(axis, shifted.reshape(-1), 0)[0].reshape(-1, 5, u.size)
+        part = np.stack([vals[:, 2]] + [
+            np.tensordot(vals, _STENCILS[q], axes=([1], [0])) / h[axis] ** q
+            for q in range(1, order + 1)
+        ])
+    if len(rows) == fun.rank:
+        return part
+    out = np.zeros((order + 1, fun.rank, u.size), dtype=part.dtype)
+    out[0] = 1.0
+    out[:, rows] = part
+    return out
 
 
 def _outer_rows(rows: list[np.ndarray], rank: int) -> np.ndarray:
@@ -278,27 +270,28 @@ def _outer_rows(rows: list[np.ndarray], rank: int) -> np.ndarray:
     return out
 
 
-def _factored_gap(f, g, axes: list[np.ndarray], order: int, h) -> float:
-    """cl_gap of two sums of products on the outer-product grid of axes.
+def _factored_sup(funs, axes: list[np.ndarray], order: int, h) -> float:
+    """_cl_sup of sums of products on the outer-product grid of axes.
 
     f - g = sum_r prod_i t_{r,i}(z_i) with g's terms negated on axis 0, so
     D^alpha (f - g) on the grid is sum_r of outer products of 1-D tables;
     the axes are split in two halves and the sum over r is one matrix
-    product per alpha.
+    product per alpha.  Complex tables sum to a real function: the real
+    part is measured.
     """
     tables = [
-        np.concatenate([_axis_tables(f, i, u, order, h), _axis_tables(g, i, u, order, h)],
-                       axis=1)
+        np.concatenate([_axis_tables(f, i, u, order, h) for f in funs], axis=1)
         for i, u in enumerate(axes)
     ]
-    tables[0][:, f.rank:] *= -1.0
+    if len(funs) == 2:
+        tables[0][:, funs[0].rank:] *= -1.0
     rank = tables[0].shape[1]
     split = (len(axes) + 1) // 2
     out = 0.0
     for alpha in _multi_indices(len(axes), order):
         rows = [t[q] for t, q in zip(tables, alpha)]
         vals = _outer_rows(rows[:split], rank).T @ _outer_rows(rows[split:], rank)
-        out = max(out, float(np.max(np.abs(vals))))
+        out = max(out, float(np.max(np.abs(vals.real))))
     return out
 
 
@@ -471,7 +464,7 @@ def bernstein_tensor(f, degrees, box=None) -> BernsteinApproximant:
     return BernsteinApproximant(degrees, box, samples, source_values=samples)
 
 
-class SeparableFunction:
+class SeparableFunction(SumOfProducts):
     """f(z) = sum_r prod_i g_{r,i}(z_i): a short sum of products of 1-D functions.
 
     terms[r][i] is a callable of one coordinate's values, or None for the
@@ -488,28 +481,21 @@ class SeparableFunction:
     def rank(self) -> int:
         return len(self.terms)
 
-    def axis_values(self, axis: int, u: np.ndarray) -> np.ndarray:
-        """(rank, len(u)): every term's factor along axis at the points u."""
-        u = np.asarray(u, dtype=float)
-        return np.stack([
-            np.ones(u.shape) if t[axis] is None else np.asarray(t[axis](u), dtype=float)
-            for t in self.terms
-        ])
+    def support(self, axis: int) -> np.ndarray:
+        return np.array([r for r, t in enumerate(self.terms) if t[axis] is not None],
+                        dtype=int)
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape[:-1])
-        for term in self.terms:
-            prod = np.ones(z.shape[:-1])
-            for i, g in enumerate(term):
-                if g is not None:
-                    prod = prod * g(z[..., i])
-            out = out + prod
-        return out
+    def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
+        """(1, len(support(axis)), len(u)): the factors along axis at the points u."""
+        if q:
+            raise ValueError("a SeparableFunction offers values only")
+        u = np.asarray(u, dtype=float)
+        return np.stack([np.asarray(t[axis](u), dtype=float) for t in self.terms
+                         if t[axis] is not None])[None]
 
 
 @dataclass(frozen=True)
-class SeparableBernstein:
+class SeparableBernstein(SumOfProducts):
     """Rank-r tensor-product Bernstein polynomial sum_r prod_i B_{r,i}(z_i).
 
     factors[i] has shape (r, k_i + 1): row r holds the Bernstein
@@ -560,29 +546,25 @@ class SeparableBernstein:
             coeff = np.diff(coeff, n=q, axis=1) * scale
         return coeff
 
-    def axis_values(self, axis: int, u: np.ndarray, q: int = 0) -> np.ndarray:
-        """(rank, len(u)): D^q of every term's factor along axis at the points u."""
-        coeff = self._axis_coefficients(axis, q)
+    def support(self, axis: int) -> np.ndarray:
+        return np.arange(self.rank)
+
+    def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
+        """(q+1, rank, len(u)): D^0..D^q of every term's factor along axis at u."""
         u = self.box.wrap_axis(axis, u)
         t = (u - self.box.lo[axis]) / self.box.widths()[axis]
-        k = coeff.shape[1] - 1
-        # chunked so the basis matrices stay modest at high degree
-        chunk = max(1, 4_000_000 // (k + 1))
-        return np.concatenate(
-            [coeff @ _basis(k, t[s : s + chunk]).T for s in range(0, max(t.size, 1), chunk)],
-            axis=1,
-        )
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        base = z.shape[:-1]
-        pts = z.reshape(-1, self.dim)
-        prod = np.ones((self.rank, pts.shape[0]))
-        for axis in range(self.dim):
-            # grids and stencils repeat few values per axis: evaluate each once
-            u, inv = np.unique(pts[:, axis], return_inverse=True)
-            prod = prod * self.axis_values(axis, u)[:, inv.reshape(-1)]
-        return prod.sum(axis=0).reshape(base)
+        out = []
+        for j in range(q + 1):
+            coeff = self._axis_coefficients(axis, j)
+            k = coeff.shape[1] - 1
+            # chunked so the basis matrices stay modest at high degree
+            chunk = max(1, 4_000_000 // (k + 1))
+            out.append(np.concatenate(
+                [coeff @ _basis(k, t[s : s + chunk]).T
+                 for s in range(0, max(t.size, 1), chunk)],
+                axis=1,
+            ))
+        return np.stack(out)
 
     def derivative(self, orders) -> "SeparableBernstein":
         """Exact D^orders, term by term and axis by axis."""
@@ -623,7 +605,7 @@ def bernstein_nd(f: SeparableFunction, k: int, box=None,
         raise ValueError("degree must be >= 3")
     box = _as_box(box, f.dim)
     factors = tuple(
-        f.axis_values(i, box.lo[i] + box.widths()[i] * np.arange(k + 1) / k)
+        _axis_tables(f, i, box.lo[i] + box.widths()[i] * np.arange(k + 1) / k, 0, None)[0]
         for i in range(box.dim)
     )
     out = SeparableBernstein(box, factors)
@@ -635,74 +617,16 @@ def bernstein_nd(f: SeparableFunction, k: int, box=None,
 # -- models over boxes --------------------------------------------------------
 
 
-class BernsteinHamiltonian:
-    """Polynomial Hamiltonian over a box chart with exact Bernstein jets.
-
-    approx is a SeparableBernstein on the 2n-dimensional box; a jet takes
-    per-axis 1-D tables of orders 0-2 at the points and combines them.
-    """
+class BernsteinHamiltonian(SeparableBernstein):
+    """A SeparableBernstein on a 2n-dimensional box chart as a Hamiltonian:
+    polynomial, with exact jets from its per-axis tables."""
 
     def __init__(self, approx: SeparableBernstein, n: int):
         if approx.dim != 2 * n:
             raise ValueError("approximant must live on a 2n-dimensional box")
-        self.approx = approx
-        self.n = n
-        self.box = approx.box
-        self.smoothness_class = math.inf
-
-    def derivative(self, alpha):
-        return self.approx.derivative(alpha)
-
-    def __call__(self, z):
-        return self.approx(z)
-
-    def jet_batch(self, z: np.ndarray):
-        z = np.asarray(z, dtype=float)
-        dim = 2 * self.n
-        pts = z.reshape(-1, dim)
-        # tab[i][q]: (rank, points) q-th derivative of each factor along axis i
-        tab = [[self.approx.axis_values(i, pts[:, i], q) for q in range(3)]
-               for i in range(dim)]
-
-        def term(orders):
-            prod = tab[0][orders[0]]
-            for i in range(1, dim):
-                prod = prod * tab[i][orders[i]]
-            return prod.sum(axis=0).reshape(z.shape[:-1])
-
-        val = term((0,) * dim)
-        grad = np.empty(z.shape[:-1] + (dim,))
-        hess = np.empty(z.shape[:-1] + (dim, dim))
-        for a in range(dim):
-            grad[..., a] = term(tuple(int(i == a) for i in range(dim)))
-            for b in range(a, dim):
-                hess[..., a, b] = term(tuple(int(i == a) + int(i == b) for i in range(dim)))
-                hess[..., b, a] = hess[..., a, b]
-        return val, grad, hess
-
-
-class SumModel:
-    """Pointwise sum of jet-bearing Hamiltonian models."""
-
-    def __init__(self, parts):
-        parts = [p for p in parts if p is not None]
-        if not parts:
-            raise ValueError("need at least one part")
-        self.parts = tuple(parts)
-        self.n = parts[0].n
-        box = None
-        for p in parts:
-            if getattr(p, "box", None) is not None:
-                box = p.box
-        self.box = box
-        self.smoothness_class = min(p.smoothness_class for p in parts)
-
-    def jet_batch(self, z):
-        val, grad, hess = self.parts[0].jet_batch(z)
-        for p in self.parts[1:]:
-            v, g, h = p.jet_batch(z)
-            val, grad, hess = val + v, grad + g, hess + h
-        return val, grad, hess
+        super().__init__(approx.box, approx.factors)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "smoothness_class", math.inf)
 
 
 # -- cutoff extension ---------------------------------------------------------
@@ -778,21 +702,23 @@ class PlateauBump:
         return total / (1.5 * self.r) ** q
 
 
-class CutoffHamiltonian:
+class CutoffHamiltonian(SumModel):
     """Rough summands localized near a torus image; analytic part kept exact.
 
     The value is analytic(z) + phi(z) * sum of rough terms; cut_values
     exposes the localized summand alone (it vanishes identically where some
     action lies 5r/2 or more outside the image's action hull and equals the
-    rough part exactly where every action lies within r of it).  Only
-    values are offered: the smoothing operators sample, they never
-    differentiate this object.
+    rough part exactly where every action lies within r of it).  As a sum
+    it is the analytic model plus separable(); only values are offered:
+    the smoothing operators sample, they never differentiate this object.
     """
 
     def __init__(self, analytic, rough, bump: PlateauBump, box: Box, n: int, rho: float):
-        self.analytic = analytic
         self.rough = tuple(rough)
         self.bump = bump
+        self.box = box
+        super().__init__([analytic, self.separable()] if self.rough else [analytic])
+        self.analytic = analytic
         self.box = box
         self.n = n
         self.rho = float(rho)
@@ -835,14 +761,6 @@ class CutoffHamiltonian:
             funcs[c] = partial(_rough_factor, self.box, c, on_c, funcs[c])
             terms.append(funcs)
         return SeparableFunction(terms)
-
-    def __call__(self, z):
-        z = self.box.wrap(np.asarray(z, dtype=float))
-        out = self.cut_values(z)
-        if self.analytic is not None:
-            av, _, _ = self.analytic.jet_batch(z)
-            out = out + av
-        return out
 
 
 def _rough_factor(box: Box, axis: int, terms, bump_factor, u):
@@ -940,9 +858,9 @@ def build_smoothing_sequence(
         raise ValueError("count must be >= 1")
     if e0_norm < 0:
         raise ValueError("e0_norm must be >= 0")
+    # a cut-off model without rough terms is of class C^inf
     analytic_input = (
         isinstance(h_ext, HamiltonianModel)
-        or (isinstance(h_ext, CutoffHamiltonian) and not h_ext.rough)
         or math.isinf(getattr(h_ext, "smoothness_class", math.inf))
     )
     if analytic_input:
@@ -1010,12 +928,7 @@ def build_smoothing_sequence(
     a_const = max(
         (g * 4.0 ** (k * rate) for k, g in enumerate(kept_g3)), default=0.0
     )
-    models = [
-        SumModel([h_ext.analytic, BernsteinHamiltonian(b, h_ext.n)])
-        if h_ext.analytic is not None
-        else BernsteinHamiltonian(b, h_ext.n)
-        for b in kept
-    ]
+    models = [SumModel([h_ext.analytic, BernsteinHamiltonian(b, h_ext.n)]) for b in kept]
     return SmoothingSequence(
         approximants=models,
         degrees=kept_deg,

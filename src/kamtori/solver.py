@@ -83,17 +83,27 @@ class ErrorField:
     """Invariance defect e = J grad H (K) - d_omega K.
 
     values holds e on the sampling grid it was evaluated on, shape
-    grid + (2n,), and e is its Fourier analysis.
+    grid + (2n,), and e is its Fourier analysis.  round_off is
+    r = FLOOR_ULPS * eps * sup |J grad H (K)| on that grid (eps the float64
+    machine epsilon), the round-off in evaluating the defect.
     """
 
     e: FourierMap
     norm_rho: StripNormEstimate
     norm_grid: float
+    round_off: float
     values: np.ndarray = field(repr=False, compare=False)
 
     @property
     def tail_flag(self) -> bool:
         return self.norm_rho.tail_flag
+
+    @property
+    def genuine_tail(self) -> bool:
+        """The refinement rule: tail_flag trips and the tail's largest
+        amplitude tail_max exceeds round_off, so a tail of round-off is not
+        genuine."""
+        return bool(self.tail_flag and self.norm_rho.tail_max > self.round_off)
 
 
 def _omega_array(omega) -> np.ndarray:
@@ -131,6 +141,7 @@ def invariance_error(
         e=e,
         norm_rho=e.strip_norm(rho),
         norm_grid=float(np.max(np.abs(values))),
+        round_off=float(FLOOR_ULPS * np.finfo(float).eps * np.max(np.abs(grad))),
         values=values,
     )
 
@@ -501,15 +512,14 @@ def solve_torus(
 
     Stops when the grid sup of the defect drops below tol.  An iterate
     makes progress when its defect is below best - r, where best is the
-    lowest defect so far and r = FLOOR_ULPS * eps * sup |J grad H (K)| on
-    the grid (eps the float64 machine epsilon) estimates the round-off in
-    evaluating that defect.  Two consecutive iterates without progress end
-    the iteration: if some iterate improved on the initial error, the best
-    one is returned with status "floored" (the iteration hit its numerical
-    floor), otherwise "diverged".  The truncation order doubles, up to
-    max_trunc_order, before the next step when the defect's spectral tail
-    is real: its tail_flag trips and its largest tail amplitude tail_max
-    exceeds the same r, so a tail made of round-off never refines.
+    lowest defect so far and r is the defect's round_off.  Two consecutive
+    iterates without progress end the iteration: if some iterate improved
+    on the initial error, the best one is returned with status "floored"
+    (the iteration hit its numerical floor), otherwise "diverged".  The
+    truncation order doubles, up to max_trunc_order, before the next step
+    when the defect's spectral tail is genuine (ErrorField.genuine_tail:
+    its tail_flag trips and its largest tail amplitude tail_max exceeds
+    the same r), so a tail made of round-off never refines.
 
     The trace has a row per Newton step and, on convergence, one for the
     final iterate.  Every row records the iterate's defect ("error") and
@@ -541,10 +551,9 @@ def solve_torus(
         err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)
         if initial is None:
             initial = err.norm_grid
-        round_off = float(FLOOR_ULPS * np.finfo(float).eps * np.max(np.abs(jet[1])))
         row = {"iter": it, "error": err.norm_grid, "tail_flag": err.tail_flag,
-               "tail_max": err.norm_rho.tail_max, "round_off": round_off}
-        stalls = 0 if err.norm_grid < best_err - round_off else stalls + 1
+               "tail_max": err.norm_rho.tail_max, "round_off": err.round_off}
+        stalls = 0 if err.norm_grid < best_err - err.round_off else stalls + 1
         if err.norm_grid < best_err:
             best_err, best_K = err.norm_grid, K
         if err.norm_grid <= tol:
@@ -555,8 +564,7 @@ def solve_torus(
             return SolveResult(status, best_K, best_err, it, trace)
         if it == max_iter:
             break
-        if (err.tail_flag and err.norm_rho.tail_max > round_off
-                and K.trunc_order * 2 <= max_trunc_order):
+        if err.genuine_tail and K.trunc_order * 2 <= max_trunc_order:
             K = K.resized(K.trunc_order * 2)
             jet = _jet(hamiltonian, K, grid_size)
             err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import kamtori.diophantine as diophantine
+from kamtori import FrequencyVector, HamiltonianModel, TorusEmbedding
 from kamtori.cli import ConfigError, RunConfig, main, parse_config
+from kamtori.solver import invariance_error, newton_step
 
 from conftest import GOLDEN
 
@@ -41,6 +43,18 @@ ROUGH = {
         }
     ],
 }
+
+
+def tail_state_holders(doc, path=""):
+    """Paths of the objects in doc that record tail_max or round_off."""
+    if isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from tail_state_holders(item, f"{path}[{i}]")
+    elif isinstance(doc, dict):
+        if {"tail_max", "round_off"} & doc.keys():
+            yield path
+        for key, value in doc.items():
+            yield from tail_state_holders(value, f"{path}.{key}" if path else key)
 
 
 @pytest.fixture
@@ -212,9 +226,34 @@ class TestDispatch:
                 for path in sorted((out / "stages").iterdir())
                 for line in path.read_text().splitlines()]
         assert rows and all(keys <= row.keys() for row in rows)
-        # per-iterate diagnostics stay out of the certificate
-        text = (out / "certificate.json").read_text()
-        assert not any(key in text for key in ("tail_max", "round_off"))
+        # per-iterate rows stay out of the certificate: the tail state it
+        # records is that of the three defects it summarizes
+        cert = json.loads((out / "certificate.json").read_text())
+        assert set(tail_state_holders(cert)) == {"e0_original", "e0_stage1", "final"}
+
+    def test_run_tail_flag_ignores_a_round_off_tail(self, write_files):
+        cfg_path, out = write_files(PENDULUM, "run", target_error=1e-10)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        final = json.loads((out / "certificate.json").read_text())["final"]
+        assert final["tail_flag"] is False
+        assert 0 < final["tail_max"] < final["round_off"]
+        # the spectral tail of the final defect trips on round-off alone
+        K = TorusEmbedding.from_csv((out / "torus_final.csv").read_text())
+        err = invariance_error(HamiltonianModel.pendulum(1e-3), K, np.array([GOLDEN]))
+        assert err.tail_flag and not err.genuine_tail
+
+    def test_verify_tail_flag_reports_a_genuine_tail(self, write_files, tmp_path):
+        # one Newton step from the circle at M = 8 leaves a tail of real modes
+        freq = FrequencyVector.estimated(np.array([GOLDEN]), 1.1, 256)
+        K, _ = newton_step(HamiltonianModel.pendulum(1e-3),
+                           TorusEmbedding.circle(np.array([GOLDEN]), 8), freq)
+        torus = tmp_path / "torus.csv"
+        torus.write_text(K.to_csv())
+        cfg_path, out = write_files(PENDULUM, "verify", torus_file=str(torus))
+        main(["verify", "--config", str(cfg_path)])
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["tail_flag"] is True
+        assert cert["tail_max"] > 10 * cert["round_off"]
 
     def test_smooth_rough_ladder(self, write_files):
         cfg_path, out = write_files(

@@ -22,7 +22,14 @@ from kamtori.driver import (
     run_scheme,
     select_k0,
 )
-from kamtori.smoothing import SmoothingSequence, build_smoothing_sequence
+from kamtori.smoothing import (
+    BernsteinHamiltonian,
+    SmoothingSequence,
+    bernstein_nd,
+    build_smoothing_sequence,
+    cl_norm,
+    cutoff_extend,
+)
 
 from conftest import GOLDEN
 
@@ -435,7 +442,12 @@ class TestMeasuredOnce:
         # e0 of H, e0 of the stage-1 model, the trial step, one defect of H
         # per stage (the next stage's start and, last, the final defect)
         assert calls["invariance_error"] == 3 + stages
-        assert calls["jet_grid"] == stages
+        # the stage-1 model's jet at K0, then one jet of H per stage
+        assert calls["jet_grid"] == 1 + stages
+        # outside its solves the solver takes three: H's e0, the schedule
+        # frame's model at K0 and the trial step's defect
+        in_solves = sum(counts["solver.jet_grid"] for counts in calls["solves"])
+        assert calls["solver.jet_grid"] - in_solves == 3
         # the schedule's frame, stage 1's frame when k0 != 0, one per later stage
         k0_frame = int(cert["k0"]["index"] != 0)
         assert calls["nondegeneracy"] == 1 + k0_frame + stages - 1
@@ -448,17 +460,15 @@ class TestMeasuredOnce:
                 == res.stages[-1]["error_vs_original_grid"])
 
     def test_stage_solves_start_from_the_previous_stages_jet(self, rough_run):
-        # stage k >= 2 starts from the jet of H that run_scheme took at the
-        # previous stage's torus: one jet per Newton step and per resize
+        # stage 1 starts from the stage-1 model's jet at K0 and stage k >= 2
+        # from the jet of H that run_scheme took at the previous stage's
+        # torus: each solve takes one jet per Newton step and per resize
         res, _, calls = rough_run
         solves = calls["solves"]
         assert len(solves) == len(res.stages)
-        for rec, counts in zip(res.stages[1:], solves[1:]):
+        for rec, counts in zip(res.stages, solves):
             assert counts["solver.newton_step"] == rec["iterations"]
             assert counts["solver.jet_grid"] == rec["iterations"] + counts["resized"]
-        # stage 1 evaluates its own start jet
-        first = solves[0]
-        assert first["solver.jet_grid"] == res.stages[0]["iterations"] + first["resized"] + 1
 
     def test_lemma4_reports_how_much_evidence_it_had(self, rough_run):
         res, _, _ = rough_run
@@ -472,3 +482,49 @@ class TestMeasuredOnce:
         assert lemma4["vacuous"] is True
         # report only: the pass rule is unchanged
         assert lemma4["passed"] == lemma4_check(cert["torus_gaps"], cert["l"])["passed"]
+
+
+class TestFactoredC3Norm:
+    """_c3_near reads every model from per-axis tables; the value-stencil
+    path on a 2n-dimensional grid, which plain callables still take, is the
+    oracle."""
+
+    @staticmethod
+    def models(n):
+        from kamtori import (BSplineProfile, CompositeHamiltonian, RoughTerm,
+                             SinPowerProfile, SumModel)
+
+        if n == 1:
+            analytic = HamiltonianModel(1, [((0,), (2,), 0.5), ((1,), (1,), 3e-3 - 1e-3j)])
+            prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], degree=5)
+            rough = [RoughTerm(0, prof, 1e-2)]
+            K = TorusEmbedding.circle(np.array([0.4]), trunc_order=16)
+        else:
+            c = 2e-3
+            analytic = HamiltonianModel(2, [
+                ((0, 0), (2, 0), 0.5), ((0, 0), (0, 2), 0.5), ((1, 0), (0, 0), c),
+                ((1, -1), (0, 0), c), ((0, 1), (1, 0), 1j * c),
+            ])
+            rough = [RoughTerm(0, SinPowerProfile(4.5, 0.3), 1e-2),
+                     RoughTerm(3, SinPowerProfile(4.5, 0.5, 0.2), 2e-2)]
+            K = TorusEmbedding.circle(np.array([0.4, 0.3]), trunc_order=8)
+        h = CompositeHamiltonian(analytic, rough)
+        hx = cutoff_extend(h, K, r=0.2)
+        b = bernstein_nd(hx.separable(), 8, hx.box, measure_points=5)
+        stage = SumModel([analytic, BernsteinHamiltonian(b, n)])
+        # the parent's value callables: jet values, the approximant, the cut model
+        return K, [
+            (h, lambda z: h.jet_batch(z)[0]),
+            (stage, lambda z: analytic.jet_batch(z)[0] + b(z)),
+            (hx, lambda z: hx(z)),
+        ]
+
+    @pytest.mark.parametrize("n, points", [(1, 9), (2, 5)])
+    def test_matches_the_value_stencil_path(self, n, points):
+        from kamtori.driver import _c3_near, _hull_box
+
+        K, cases = self.models(n)
+        for model, values in cases:
+            want = cl_norm(values, _hull_box(K, 0.4), 3, points)
+            got = _c3_near(model, K, 0.4, points)
+            assert got == pytest.approx(want, rel=1e-9), type(model).__name__

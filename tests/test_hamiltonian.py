@@ -1,9 +1,17 @@
-"""Exact jets, the symplectic structure and the linearized field."""
+"""Exact jets from per-axis tables, profiles and the symplectic structure."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
+
+import kamtori
 
 from kamtori import (
     Box,
@@ -12,12 +20,9 @@ from kamtori import (
     HamiltonianModel,
     RoughTerm,
     SinPowerProfile,
-    TorusEmbedding,
     symplectic_matrix,
 )
-from kamtori.hamiltonian import evaluate_jet, jet_grid, linearization, vector_field
-
-from conftest import GOLDEN
+from kamtori.hamiltonian import evaluate_jet
 
 
 def random_model(rng, n=1, terms=5, order=2, degree=2):
@@ -90,74 +95,6 @@ class TestJets:
         h = random_model(rng, n=1)
         vals = h.jet_batch(rng.random((50, 2)))[0]
         assert np.all(np.isreal(vals))
-
-
-class TestVectorField:
-    def test_linear_hamiltonian(self):
-        # H = omega0 * y: field is the constant rotation (omega0, 0)
-        h = HamiltonianModel(1, [((0,), (1,), 0.7)])
-        K = TorusEmbedding.circle(0.2, trunc_order=8)
-        f = vector_field(h, K)
-        assert np.allclose(f.average(), [0.7, 0.0])
-        assert f.strip_norm(0.0).value == pytest.approx(0.7)
-
-    def test_rotator_field(self):
-        h = HamiltonianModel.free_rotator(1)
-        K = TorusEmbedding.circle(0.45, trunc_order=8)
-        f = vector_field(h, K)
-        assert np.allclose(f.average(), [0.45, 0.0])
-
-    def test_pendulum_pointwise(self):
-        h = HamiltonianModel.pendulum(0.01)
-        K = TorusEmbedding.circle(GOLDEN, trunc_order=16)
-        f = vector_field(h, K)
-        j = symplectic_matrix(1)
-        theta = (np.arange(1000) / 1000)[:, None]
-        pts = K(theta)
-        _, grad, _ = jet_grid(h, pts)
-        want = grad @ j.T
-        assert np.max(np.abs(f(theta) - want)) < 1e-12
-
-
-class TestLinearization:
-    def test_rotator_constant_block(self):
-        h = HamiltonianModel.free_rotator(1)
-        K = TorusEmbedding.circle(0.3, trunc_order=8)
-        lin = linearization(h, K)
-        grid = lin.grid()
-        assert np.max(np.abs(grid - np.array([[0.0, 1.0], [0.0, 0.0]]))) < 1e-13
-
-    def test_zero_hamiltonian(self):
-        h = HamiltonianModel(1, [])
-        K = TorusEmbedding.circle(0.3, trunc_order=4)
-        lin = linearization(h, K)
-        assert np.max(np.abs(lin.grid())) == 0.0
-
-    def test_trace_free(self):
-        rng = np.random.default_rng(53)
-        h = random_model(rng, n=2, terms=8)
-        K = TorusEmbedding.circle(np.array([0.3, 0.4]), trunc_order=6)
-        lin = linearization(h, K)
-        assert lin.trace_max < 1e-10
-
-    def test_matches_field_differences(self):
-        rng = np.random.default_rng(59)
-        h = random_model(rng, n=1, terms=4)
-        K = TorusEmbedding.circle(0.37, trunc_order=16)
-        lin = linearization(h, K)
-        j = symplectic_matrix(1)
-        step = 1e-6
-        theta = np.array([[0.15], [0.6], [0.95]])
-        for t in theta:
-            z = K(t)
-            a = lin.a_map(t)
-            for i in range(2):
-                e = np.zeros(2)
-                e[i] = step
-                col = (
-                    (jet_grid(h, z + e)[1] - jet_grid(h, z - e)[1]) @ j.T
-                ) / (2 * step)
-                assert np.max(np.abs(a[:, i] - col)) < 1e-6
 
 
 class TestBox:
@@ -243,3 +180,177 @@ class TestSerialization:
     def test_missing_keys_named(self):
         with pytest.raises(ValueError, match="terms"):
             HamiltonianModel.from_json('{"n": 1}')
+
+
+# -- oracles for the one jet routine --------------------------------------------
+
+
+def parent_jet(model, z):
+    """HamiltonianModel's term-by-term jet formula from before its factors
+    were tabulated per axis, kept as the reference for product_jet."""
+
+    def monomial(y, expo):
+        out = np.ones(y.shape[:-1])
+        for j, e in enumerate(expo):
+            if e > 0:
+                out = out * y[..., j] ** e
+        return out
+
+    n = model.n
+    x, y = z[..., :n], z[..., n:]
+    base = z.shape[:-1]
+    val = np.zeros(base)
+    grad = np.zeros(base + (2 * n,))
+    hess = np.zeros(base + (2 * n, 2 * n))
+    eye = np.eye(n, dtype=int)
+    for (k, m), c in model.terms:
+        kv, mv = np.asarray(k, dtype=float), np.asarray(m, dtype=int)
+        weight = 1.0 if not any(k) else 2.0
+        phase = c * np.exp(2j * np.pi * (x @ kv))
+        mono = monomial(y, mv)
+        re, im = phase.real, phase.imag
+        val += weight * re * mono
+        dmono = [None] * n
+        for a in range(n):
+            if k[a] != 0:
+                grad[..., a] += weight * (-2 * np.pi * k[a]) * im * mono
+            if m[a] > 0:
+                dmono[a] = monomial(y, mv - eye[a])
+                grad[..., n + a] += weight * re * m[a] * dmono[a]
+        for a in range(n):
+            for b in range(a, n):
+                if k[a] != 0 and k[b] != 0:
+                    h = weight * (-4 * np.pi**2 * k[a] * k[b]) * re * mono
+                    hess[..., a, b] += h
+                    if a != b:
+                        hess[..., b, a] += h
+            for b in range(n):
+                if k[a] != 0 and m[b] > 0:
+                    h = weight * (-2 * np.pi * k[a]) * im * m[b] * dmono[b]
+                    hess[..., a, n + b] += h
+                    hess[..., n + b, a] += h
+        for a in range(n):
+            for b in range(a, n):
+                if a == b and m[a] >= 2:
+                    dd = monomial(y, mv - 2 * eye[a])
+                    hess[..., n + a, n + a] += weight * re * m[a] * (m[a] - 1) * dd
+                elif a != b and m[a] > 0 and m[b] > 0:
+                    h = weight * re * m[a] * m[b] * monomial(y, mv - eye[a] - eye[b])
+                    hess[..., n + a, n + b] += h
+                    hess[..., n + b, n + a] += h
+    return val, grad, hess
+
+
+def assert_jets_close(got, want, rel):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= rel * max(1.0, np.max(np.abs(w)))
+
+
+class TestProductJet:
+    def test_sympy_jets_of_a_two_dof_sum(self):
+        # a k = (1, -1) term, an m = (1, 1) term, a mixed k.m term, and
+        # sin-power ridges on the angle x1 and the action y2
+        terms = [
+            ((0, 0), (2, 0), 0.5),
+            ((0, 0), (0, 2), 0.7),
+            ((1, -1), (0, 0), 0.3 - 0.2j),
+            ((0, 0), (1, 1), -0.4),
+            ((2, 1), (1, 0), 0.25 + 0.15j),
+        ]
+        rough = [RoughTerm(0, SinPowerProfile(4.5, 0.3), 0.8),
+                 RoughTerm(3, SinPowerProfile(5.5, 0.6, 0.1), -0.5)]
+        h = CompositeHamiltonian(HamiltonianModel(2, terms), rough)
+        x1, x2, y1, y2 = syms = sp.symbols("x1 x2 y1 y2", real=True)
+        expr = 0
+        for k, m, c in terms:
+            phase = 2 * sp.pi * (k[0] * x1 + k[1] * x2)
+            wc = complex(c) * (2 if any(k) else 1)
+            mono = y1 ** m[0] * y2 ** m[1]
+            expr += (wc.real * sp.cos(phase) - wc.imag * sp.sin(phase)) * mono
+        # the test points keep both sines positive, where |sin|^p = sin^p
+        expr += 0.8 * 0.3 * sp.sin(sp.pi * x1) ** sp.Rational(9, 2)
+        expr += -0.5 * 0.6 * sp.sin(sp.pi * (y2 - 0.1)) ** sp.Rational(11, 2)
+        grad = [sp.diff(expr, v) for v in syms]
+        hess = [[sp.diff(g, v) for v in syms] for g in grad]
+        rng = np.random.default_rng(71)
+        z = rng.uniform([0.1, -1.0, -1.0, 0.2], [0.9, 2.0, 1.0, 0.9], (40, 4))
+        jets = [sp.lambdify(syms, e, "numpy") for e in (expr, grad, hess)]
+        want = [np.array([np.asarray(f(*p), dtype=float) for p in z]) for f in jets]
+        assert_jets_close(h.jet_batch(z), want, 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_parent_term_formula(self, n):
+        rng = np.random.default_rng(73 + n)
+        h = random_model(rng, n=n, terms=8, order=3, degree=3)
+        z = rng.uniform(-1.0, 1.0, (7, 5, 2 * n))
+        assert_jets_close(h.jet_batch(z), parent_jet(h, z), 1e-13)
+
+    def test_constant_and_conjugate_terms(self):
+        h = HamiltonianModel(2, [((0, 0), (0, 0), 1.5), ((-2, 1), (0, 3), 0.4 + 0.1j),
+                                 ((0, -1), (1, 0), 0.2j)])
+        z = np.random.default_rng(79).uniform(-1.0, 1.0, (30, 4))
+        assert_jets_close(h.jet_batch(z), parent_jet(h, z), 1e-13)
+
+    def test_axes_whose_factors_are_one_are_skipped(self, monkeypatch):
+        seen = []
+        values = HamiltonianModel.axis_values
+
+        def recorded(self, axis, u, q):
+            seen.append(axis)
+            return values(self, axis, u, q)
+
+        monkeypatch.setattr(HamiltonianModel, "axis_values", recorded)
+        HamiltonianModel.free_rotator(2).jet_batch(np.ones((3, 4)))
+        assert seen == [2, 3]
+
+    def test_each_angle_axis_takes_one_exponential(self, monkeypatch):
+        h = HamiltonianModel(2, [((0, 0), (2, 0), 0.5), ((3, -2), (0, 1), 0.2j),
+                                 ((1, 0), (0, 0), 0.1), ((1, 2), (1, 0), 0.3)])
+        calls = []
+        exp = np.exp
+
+        def counted(x, *args, **kwargs):
+            calls.append(np.iscomplexobj(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        h.jet_batch(np.random.default_rng(83).random((9, 4)))
+        assert calls == [True, True]
+
+
+class TestBSplineTable:
+    @pytest.mark.parametrize("degree, q", [(5, q) for q in range(5)] + [(3, 1), (3, 3)])
+    def test_matches_scipy_bspline(self, degree, q):
+        from scipy.interpolate import BSpline
+
+        c = np.array([0.3, 1.0, -0.4, -1.0, 0.5, 0.2, 0.7])
+        knots = np.arange(-degree, c.size + degree + 1) / c.size
+        spline = BSpline(knots, np.concatenate([c, c[:degree]]), degree)
+        u = np.random.default_rng(89 + q).uniform(-2.0, 3.0, 500)
+        want = (spline.derivative(q) if q else spline)(np.mod(u, 1.0))
+        got = BSplineProfile(c, degree=degree).deriv(u, q)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_bspline_model_leaves_scipy_interpolate_unloaded(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "n": 1,
+            "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0}],
+            "rough": [{"coordinate": 0, "amplitude": 1e-4,
+                       "profile": {"type": "bspline", "degree": 5,
+                                   "coefficients": [0.0, 0.52, 0.55, 0.05, -0.48, -0.55]}}],
+        }))
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from kamtori.cli import load_hamiltonian\n"
+            f"h = load_hamiltonian({str(model)!r})\n"
+            "h.jet_batch(np.array([[0.3, 0.4]]))\n"
+            "assert 'scipy.interpolate' not in sys.modules\n"
+        )
+        src = str(Path(kamtori.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
