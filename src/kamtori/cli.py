@@ -361,8 +361,8 @@ def cmd_verify(args) -> int:
     H = cfg.load_hamiltonian()
     K = cfg.load_torus()
     freq = cfg.frequency()
-    err = invariance_error(H, K, freq, rho=cfg.rho)
-    schedule, nd = kam_schedule(H, K, freq, cfg.run_params())
+    schedule, nd, jet = kam_schedule(H, K, freq, cfg.run_params())
+    err = invariance_error(H, K, freq, rho=cfg.rho, jet=jet)
     c_value, conditions = schedule.strict_conditions(
         cfg.lambda_spec, err.norm_rho.value
     )

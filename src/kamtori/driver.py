@@ -362,9 +362,10 @@ def _c3_near(model, K: TorusEmbedding, margin: float, points: int) -> float:
     """C^3 norm of model on the box hull of K's margin-neighbourhood.
 
     Every model is a sum of products of 1-D functions, so cl_norm reads it
-    from per-axis tables: five-point stencils of its values along each
-    axis, multiplied out on the outer-product grid, with no 2n-dimensional
-    stencil grid.  The numbers are those of the value-stencil path.
+    from per-axis tables multiplied out on the outer-product grid.  The
+    tables give exact derivatives; only the cut-off model, whose rough
+    part offers values only, takes five-point stencils, whose step follows
+    the box width, so a small margin divides its round-off by h^3.
     """
     return cl_norm(model, _hull_box(K, margin), 3, points)
 
@@ -433,26 +434,28 @@ def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
 
 def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
                  params: RunParams, ladder: Ladder | None = None
-                 ) -> tuple[KamSchedule, NondegeneracyData]:
+                 ) -> tuple[KamSchedule, NondegeneracyData, tuple]:
     """Schedule anchored at K, with the frame data its constants come from.
 
     d0, v0, tau0 are the frame's growth norms at rho and mu0 the C^3 norm
     within 2r of K.  Without a ladder both are measured on H itself; with
     one, the frame is that of its first approximant and the norm that of
-    its cut-off model.
+    its cut-off model.  The frame model's jet at K's samples is returned
+    with the frame, for a solve that starts there.
     """
     if ladder is None:
         l, _ = _smoothness(hamiltonian, params.l)
         frame_model = norm_model = hamiltonian
     else:
         l, frame_model, norm_model = ladder.l, ladder.seq.approximants[0], ladder.h_ext
-    nd = nondegeneracy(frame_model, K, freq, rho=params.rho)
+    jet = jet_grid(frame_model, K.grid_samples())
+    nd = nondegeneracy(frame_model, K, freq, rho=params.rho, jet=jet)
     mu0 = _c3_near(norm_model, K, 2 * params.r, params.norm_points)
     schedule = KamSchedule(
         rho=params.rho, r=params.r, l=l, sigma=params.sigma, gamma=freq.gamma,
         mu0=mu0, d0=nd.norm_dk, v0=nd.norm_n, tau0=nd.norm_s_inv,
     )
-    return schedule, nd
+    return schedule, nd, jet
 
 
 def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None = None,
@@ -508,7 +511,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
     cert["tails_c3"] = list(tails)
 
     # base quantities for the first sequence entry
-    schedule, nd0 = kam_schedule(hamiltonian, K0, freq, params, ladder)
+    schedule, nd0, jet0 = kam_schedule(hamiltonian, K0, freq, params, ladder)
     cert["schedule"] = {
         "delta0": schedule.delta0,
         "beta_statement": schedule.beta_statement,
@@ -539,19 +542,19 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         return RunResult(K0, _jsonable(cert), stages, seq)
 
     # one jet of the stage-1 model at K0 gives its defect, its frame and
-    # the first iterate of its solve; analytic input: every sequence entry
-    # is H itself
+    # the first iterate of its solve; at k0 = 0 it is the schedule's.
+    # Analytic input: every sequence entry is H itself
     h_stage1 = seq.approximants[k0_index]
-    jet = jet_grid(h_stage1, K0.grid_samples())
+    if h_stage1 is seq.approximants[0]:
+        jet, nd_stage1 = jet0, nd0
+    else:
+        jet = jet_grid(h_stage1, K0.grid_samples())
+        nd_stage1 = nondegeneracy(h_stage1, K0, freq, rho=params.rho, jet=jet)
     if h_stage1 is hamiltonian:
         e0_stage = e0_orig
     else:
         e0_stage = invariance_error(h_stage1, K0, freq, rho=params.rho, jet=jet)
     cert["e0_stage1"] = _defect_record(e0_stage)
-    if h_stage1 is seq.approximants[0]:
-        nd_stage1 = nd0
-    else:
-        nd_stage1 = nondegeneracy(h_stage1, K0, freq, rho=params.rho, jet=jet)
 
     # gate: literal lambda-form conditions plus measured trial-step analogues
     c_value, strict = schedule.strict_conditions(

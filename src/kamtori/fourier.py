@@ -86,15 +86,20 @@ def _strip_weights(dim_domain: int, trunc_order: int, rho: float):
     return weight, tail
 
 
+@lru_cache(maxsize=64)
 def _fft_index(trunc_order: int, size: int, dim_domain: int) -> tuple:
     """Index of the k_n >= 0 half of a centered spectrum in an rfftn array.
 
     Wavevector k with |k|_inf <= M sits at k mod N on the first n - 1 axes
     of a grid of N points and at k_n on the last one; the returned tuple
-    indexes that (2M+1,)*(n-1) + (M+1,) block.
+    indexes that (2M+1,)*(n-1) + (M+1,) block.  Cached per (M, N, n), its
+    arrays read-only.
     """
     wrap = np.arange(-trunc_order, trunc_order + 1) % size
-    return np.ix_(*[wrap] * (dim_domain - 1), np.arange(trunc_order + 1))
+    index = np.ix_(*[wrap] * (dim_domain - 1), np.arange(trunc_order + 1))
+    for axis in index:
+        axis.flags.writeable = False
+    return index
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ per coordinate of z = (x, y) in T^n x R^n.  It offers rank, box (or
 None), support(axis) (the terms whose factor along axis is not 1) and,
 where that is not empty, axis_values(axis, u, q): the (q + 1,
 len(support(axis)), len(u)) table of those factors' derivatives of orders
-0..q at u, complex if need be as long as the sum is real.  product_jet
-builds every model's jet from its tables, and smoothing's C^l norms read
-the same tables.  The analytic model is a Fourier-Taylor term table
+0..q at u, complex if need be as long as the sum is real; a model whose
+derivative_tables is false offers order 0 only.  product_jet builds every
+model's jet from its tables, and smoothing's C^l norms read the same
+tables.  The analytic model is a Fourier-Taylor term table
 sum c e^{2 pi i k.x} y^m (the file format); rough summands are 1-D C^l
 profiles of one coordinate; SumModel is the one sum of models.
 """
@@ -183,6 +184,7 @@ class SumOfProducts:
 
     __slots__ = ()
 
+    derivative_tables = True
     jet_batch = product_jet
     __call__ = product_values
 
@@ -484,6 +486,7 @@ class SumModel(SumOfProducts):
                                     for p in parts)
         self._offsets = np.cumsum([0] + [p.rank for p in parts])[:-1]
         self.rank = sum(p.rank for p in parts)
+        self.derivative_tables = all(p.derivative_tables for p in parts)
 
     def support(self, axis: int) -> np.ndarray:
         return np.concatenate([p.support(axis) + offset

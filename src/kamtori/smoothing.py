@@ -42,7 +42,6 @@ from functools import partial
 from itertools import product as iter_product
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fourier import TorusEmbedding
 from .hamiltonian import (Box, CompositeHamiltonian, HamiltonianModel, SumModel,
@@ -186,12 +185,14 @@ def _stencil_step(box: Box, points_per_axis: int, step) -> np.ndarray:
 def cl_norm(fun, box, order: int = 3, points_per_axis: int = 64, step=None) -> float:
     """Max over |alpha| <= order of sup |D^alpha fun| on a dense box grid.
 
-    Derivatives are exact (Bernstein coefficient calculus) when fun
-    supports .derivative(alpha); otherwise 5-point central stencils with
-    per-axis step h (default width/100).  A sum of products (any model:
-    it offers axis_values) is measured from its per-axis tables
-    (_factored_sup), never evaluated on the grid.  The grid density is a
-    declared approximation of the sup.
+    A sum of products (any model: it offers axis_values) is measured from
+    its per-axis tables (_factored_sup), never evaluated on the grid, with
+    exact derivatives unless its tables offer values only
+    (derivative_tables false: a SeparableFunction part).  Another fun has
+    exact derivatives when it supports .derivative(alpha) (Bernstein
+    coefficient calculus).  Otherwise 5-point central stencils with
+    per-axis step h (default width/100) are taken on a grid staggered off
+    the seams.  The grid density is a declared approximation of the sup.
     """
     return _cl_sup([fun], box, order, points_per_axis, step)
 
@@ -210,7 +211,9 @@ def cl_gap(f, g, box, order: int = 3, points_per_axis: int = 64, step=None) -> f
 def _cl_sup(funs, box, order: int, points_per_axis: int, step) -> float:
     """cl_norm of funs[0], or with a second entry cl_gap of funs[0] - funs[1]."""
     box = _as_box(box, next((f.dim for f in funs if getattr(f, "dim", None)), None))
-    exact = all(hasattr(f, "derivative") for f in funs)
+    factored = all(hasattr(f, "axis_values") for f in funs)
+    exact = all(f.derivative_tables if factored else hasattr(f, "derivative")
+                for f in funs)
     if exact:
         h = None
         axes = _grid_axes(box, points_per_axis, np.zeros(box.dim))
@@ -219,7 +222,7 @@ def _cl_sup(funs, box, order: int, points_per_axis: int, step) -> float:
         axes = _grid_axes(
             box, points_per_axis, np.where(box.periodic, 0.0, 2 * h), True
         )
-    if all(hasattr(f, "axis_values") for f in funs):
+    if factored:
         return _factored_sup(funs, axes, order, h)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     signs = (1.0, -1.0)[: len(funs)]
@@ -302,10 +305,11 @@ _LOG_BINOM: dict[int, np.ndarray] = {}
 
 
 def _log_binom(degree: int) -> np.ndarray:
+    """log C(degree, i) for i = 0..degree, from a log-factorial table."""
     tab = _LOG_BINOM.get(degree)
     if tab is None:
-        i = np.arange(degree + 1)
-        tab = gammaln(degree + 1) - gammaln(i + 1) - gammaln(degree - i + 1)
+        lf = np.array([math.lgamma(j + 1) for j in range(degree + 1)])
+        tab = lf[degree] - lf - lf[::-1]
         _LOG_BINOM[degree] = tab
     return tab
 
@@ -470,6 +474,8 @@ class SeparableFunction(SumOfProducts):
     terms[r][i] is a callable of one coordinate's values, or None for the
     constant 1.  Only values are offered; the operators sample them.
     """
+
+    derivative_tables = False
 
     def __init__(self, terms):
         self.terms = tuple(tuple(t) for t in terms)

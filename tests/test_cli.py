@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kamtori
 import kamtori.diophantine as diophantine
 from kamtori import FrequencyVector, HamiltonianModel, TorusEmbedding
 from kamtori.cli import ConfigError, RunConfig, main, parse_config
@@ -283,6 +288,30 @@ class TestDispatch:
         assert cert["analytic_input"]
         assert cert["gaps_c3"] == [0.0, 0.0]
         assert cert["a_const"] == 0.0
+
+    @pytest.mark.parametrize("command, model, extra", [
+        ("run", ROUGH, {"y0": [0.4], "rho": 0.02, "r": 0.8, "target_error": 1e-8}),
+        ("solve", PENDULUM, {}),
+    ], ids=["run-rough", "solve-pendulum"])
+    def test_commands_leave_scipy_unloaded(self, write_files, command, model, extra):
+        cfg_path, out = write_files(model, command, **extra)
+        code = (
+            "import sys\n"
+            "from kamtori.cli import main\n"
+            f"status = main([{command!r}, '--config', {str(cfg_path)!r}])\n"
+            "assert 'scipy' not in sys.modules, sorted(sys.modules)\n"
+            "sys.exit(status)\n"
+        )
+        src = str(Path(kamtori.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        cert = json.loads((out / "certificate.json").read_text())
+        if command == "run":
+            # the rough model took the Bernstein ladder
+            assert not cert["analytic_input"] and cert["smoothing"]["degrees"][0] == 8
+            assert cert["converged"]
 
     def test_diophantine_json_report(self, capsys):
         assert main(["diophantine", "--omega", str(GOLDEN), "--sigma", "1.0"]) == 0

@@ -1,5 +1,6 @@
 """Cascade schedule arithmetic, gates, stage bookkeeping and certificates."""
 
+import itertools
 import json
 import math
 
@@ -442,14 +443,15 @@ class TestMeasuredOnce:
         # e0 of H, e0 of the stage-1 model, the trial step, one defect of H
         # per stage (the next stage's start and, last, the final defect)
         assert calls["invariance_error"] == 3 + stages
-        # the stage-1 model's jet at K0, then one jet of H per stage
-        assert calls["jet_grid"] == 1 + stages
-        # outside its solves the solver takes three: H's e0, the schedule
-        # frame's model at K0 and the trial step's defect
-        in_solves = sum(counts["solver.jet_grid"] for counts in calls["solves"])
-        assert calls["solver.jet_grid"] - in_solves == 3
-        # the schedule's frame, stage 1's frame when k0 != 0, one per later stage
+        # the schedule frame's jet at K0, which stage 1 shares at k0 = 0,
+        # the stage-1 model's when k0 != 0, then one jet of H per stage
         k0_frame = int(cert["k0"]["index"] != 0)
+        assert calls["jet_grid"] == 1 + k0_frame + stages
+        # outside its solves the solver takes two: H's e0 and the trial
+        # step's defect
+        in_solves = sum(counts["solver.jet_grid"] for counts in calls["solves"])
+        assert calls["solver.jet_grid"] - in_solves == 2
+        # the schedule's frame, stage 1's frame when k0 != 0, one per later stage
         assert calls["nondegeneracy"] == 1 + k0_frame + stages - 1
 
     def test_stage_starts_reuse_the_measured_defects(self, rough_run):
@@ -484,10 +486,61 @@ class TestMeasuredOnce:
         assert lemma4["passed"] == lemma4_check(cert["torus_gaps"], cert["l"])["passed"]
 
 
+def fourier_taylor_derivative(model):
+    """D^alpha of a Fourier-Taylor model at points z, term by term in closed
+    form: (2 pi i k)^a m!/(m-b)! c e^{2 pi i k.x} y^(m-b) for alpha = (a, b)."""
+    n = model.n
+
+    def derivative(alpha, z):
+        a, b = np.array(alpha[:n]), np.array(alpha[n:])
+        out = np.zeros(z.shape[:-1])
+        for (k, m), c in model.terms:
+            k, m = np.array(k), np.array(m)
+            if np.any(b > m):
+                continue
+            coef = c * np.prod((2j * np.pi * k) ** a) * math.prod(map(math.perm, m, b))
+            term = coef * np.exp(2j * np.pi * (z[..., :n] @ k)) * np.prod(
+                z[..., n:] ** (m - b), axis=-1)
+            out += (2.0 if k.any() else 1.0) * term.real
+        return out
+
+    return derivative
+
+
+def rough_derivative(term):
+    """D^alpha of amplitude * profile(z[coordinate]) from the profile's own
+    closed-form derivatives."""
+    def derivative(alpha, z):
+        if any(q for i, q in enumerate(alpha) if i != term.coordinate):
+            return np.zeros(z.shape[:-1])
+        q = alpha[term.coordinate]
+        return term.amplitude * term.profile.deriv(z[..., term.coordinate], q)
+
+    return derivative
+
+
+def exact_c3(derivatives, box, points):
+    """max over |alpha| <= 3 of sup |D^alpha (sum of parts)| on cl_norm's
+    plain grid: points per axis, endpoints included on actions, the
+    periodic chart's left end on angles."""
+    axes = [box.lo[i] + box.widths()[i] * np.arange(points) / points if box.periodic[i]
+            else np.linspace(box.lo[i], box.hi[i], points) for i in range(box.dim)]
+    z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    out = 0.0
+    for alpha in itertools.product(range(4), repeat=box.dim):
+        if sum(alpha) <= 3:
+            vals = sum(d(alpha, z) for d in derivatives)
+            out = max(out, float(np.max(np.abs(vals))))
+    return out
+
+
 class TestFactoredC3Norm:
-    """_c3_near reads every model from per-axis tables; the value-stencil
-    path on a 2n-dimensional grid, which plain callables still take, is the
-    oracle."""
+    """_c3_near reads every model from per-axis tables.  A model whose
+    tables offer derivatives is measured exactly: closed-form derivatives
+    and the Bernstein part's dense coefficient calculus on the same grid
+    are the oracle.  The cut-off model's rough part offers values only; the
+    value-stencil path on a 2n-dimensional grid, which plain callables
+    still take, is its oracle."""
 
     @staticmethod
     def models(n):
@@ -512,19 +565,40 @@ class TestFactoredC3Norm:
         hx = cutoff_extend(h, K, r=0.2)
         b = bernstein_nd(hx.separable(), 8, hx.box, measure_points=5)
         stage = SumModel([analytic, BernsteinHamiltonian(b, n)])
-        # the parent's value callables: jet values, the approximant, the cut model
-        return K, [
-            (h, lambda z: h.jet_batch(z)[0]),
-            (stage, lambda z: analytic.jet_batch(z)[0] + b(z)),
-            (hx, lambda z: hx(z)),
+        dense = b.dense()
+        exact = [
+            (h, [fourier_taylor_derivative(analytic), *map(rough_derivative, rough)]),
+            (stage, [fourier_taylor_derivative(analytic),
+                     lambda alpha, z: dense.derivative(alpha)(z)]),
         ]
+        return K, exact, hx
+
+    @pytest.mark.parametrize("n, points", [(1, 9), (2, 5)])
+    def test_matches_exact_derivatives(self, n, points):
+        from kamtori.driver import _c3_near, _hull_box
+
+        K, cases, _ = self.models(n)
+        for model, derivatives in cases:
+            want = exact_c3(derivatives, _hull_box(K, 0.4), points)
+            got = _c3_near(model, K, 0.4, points)
+            assert got == pytest.approx(want, rel=1e-9), type(model).__name__
 
     @pytest.mark.parametrize("n, points", [(1, 9), (2, 5)])
     def test_matches_the_value_stencil_path(self, n, points):
         from kamtori.driver import _c3_near, _hull_box
 
-        K, cases = self.models(n)
-        for model, values in cases:
-            want = cl_norm(values, _hull_box(K, 0.4), 3, points)
-            got = _c3_near(model, K, 0.4, points)
-            assert got == pytest.approx(want, rel=1e-9), type(model).__name__
+        K, _, hx = self.models(n)
+        want = cl_norm(lambda z: hx(z), _hull_box(K, 0.4), 3, points)
+        assert _c3_near(hx, K, 0.4, points) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("margin", [5.8e-7, 1e-3, 0.3])
+    def test_free_rotator_norm_is_one_on_any_hull(self, n, margin):
+        # |y|^2/2 has D^2 = I and D^3 = 0; with |y_j| <= 1 on the hull no
+        # lower order exceeds 1, whatever the margin (stencils at a step
+        # that follows a 5.8e-7 margin read round-off over h^3)
+        from kamtori.driver import _c3_near
+
+        y0 = np.array([0.4, -0.3])[:n]
+        K = TorusEmbedding.circle(y0, trunc_order=8)
+        assert _c3_near(HamiltonianModel.free_rotator(n), K, margin, 9) == 1.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kamtori import FourierMap, TorusEmbedding, analyze, solve_cohomological
 
-from kamtori.fourier import _strip_weights, wavevectors
+from kamtori.fourier import _fft_index, _strip_weights, wavevectors
 
 from conftest import GOLDEN, random_trig
 
@@ -132,6 +132,16 @@ class TestHalfSpectrumOracles:
         assert not ks.flags.writeable
         with pytest.raises(ValueError):
             ks[0, 0, 0] = 1
+
+    def test_fft_index_cached_read_only(self):
+        index = _fft_index(3, 9, 2)
+        assert index is _fft_index(3, 9, 2)
+        assert [axis.ravel().tolist() for axis in index] == [
+            [6, 7, 8, 0, 1, 2, 3], [0, 1, 2, 3]]
+        for axis in index:
+            assert not axis.flags.writeable
+            with pytest.raises(ValueError):
+                axis.flat[0] = 1
 
 
 class TestDirectionalDerivative:

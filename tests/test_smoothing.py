@@ -97,6 +97,34 @@ class TestBernstein1d:
             bernstein_1d(np.zeros(4), 8)
 
 
+class TestBinomialWeights:
+    def test_log_binom_matches_gammaln(self, monkeypatch):
+        from scipy.special import gammaln
+
+        import kamtori.smoothing as smoothing
+
+        # a private cache, emptied per degree: the check keeps no tables
+        monkeypatch.setattr(smoothing, "_LOG_BINOM", {})
+        lf = gammaln(np.arange(4097) + 1.0)
+        eps = np.finfo(float).eps
+        for d in range(1, 4097):
+            want = lf[d] - lf[: d + 1] - lf[d::-1]
+            got = smoothing._log_binom(d)
+            # both cancel log d! against log i! + log (d-i)!: a few ulp of log d!
+            assert np.max(np.abs(got - want)) <= 8 * eps * max(1.0, lf[d]), d
+            smoothing._LOG_BINOM.clear()
+
+    @pytest.mark.parametrize("degree", [1024, 2048, 4096])
+    def test_basis_rows_sum_to_one(self, degree):
+        from kamtori.smoothing import _basis
+
+        t = np.concatenate([[0.0, 1.0, 1e-9, 1.0 - 1e-9],
+                            np.random.default_rng(degree).random(500)])
+        rows = _basis(degree, t)
+        assert np.all(rows >= 0.0)
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-11
+
+
 class TestLemma2Derivative:
     def test_affine_derivative_is_constant(self):
         b = bernstein_1d(lambda x: 2.0 * x[..., 0] - 0.3, 7)
