@@ -8,16 +8,24 @@ through the counterterm in the tangent direction).
 Every retained mode must sit inside the horizon of a verified Diophantine
 certificate for the small-divisor bound to mean anything; this module
 enforces that and reports the divisors actually encountered.
+
+The solve works on the stored k_n >= 0 half of the map.  Everything that
+depends only on (n, M, omega, gamma, sigma) is one read-only table, cached
+per those five: the half's wavevectors, |k|_1, k . omega, which half modes
+name a conjugate pair and by which canonical k, the certified floor
+gamma |k|_1^-sigma and the divisors 2 pi i k . omega.  Each call takes the
+live modes from the map's support and runs its checks over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .diophantine import FrequencyVector
-from .fourier import FourierMap, canonical, wavevectors
+from .fourier import FourierMap, canonical, half_wavevectors
 
 __all__ = ["CohomologySolution", "DivisorReport", "solve_cohomological"]
 
@@ -49,6 +57,59 @@ class CohomologySolution:
     report: DivisorReport
 
 
+@dataclass(frozen=True)
+class _DivisorTable:
+    """Per-mode data of the solve over the stored half, every array read-only.
+
+    order is |k|_1 and adiv |k . omega|.  named marks the half modes that
+    stand for one conjugate pair each (k_n > 0, and the canonical member of
+    each pair on the k_n = 0 plane); canonical_k is the canonical member of
+    each mode's pair, the k that messages and reports name, and rank its
+    position in the full centered grid, so the first offending pair in k
+    order is the one with the least rank.  floor is gamma |k|_1^-sigma
+    (None without a certificate), resonant and low the modes that fail the
+    resonance guard and that floor, and divisor is 2 pi i k . omega, 1
+    where k . omega = 0.
+    """
+
+    order: np.ndarray
+    adiv: np.ndarray
+    named: np.ndarray
+    canonical_k: np.ndarray
+    rank: np.ndarray
+    floor: np.ndarray | None
+    resonant: np.ndarray
+    low: np.ndarray | None
+    divisor: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _divisor_table(dim_domain: int, trunc_order: int, omega: tuple,
+                   gamma: float | None, sigma: float | None) -> _DivisorTable:
+    """The solve's table, cached per (n, M, omega, gamma, sigma)."""
+    m = trunc_order
+    ks = half_wavevectors(dim_domain, m)
+    order = np.abs(ks).sum(axis=-1)
+    div = ks @ np.array(omega, dtype=float)
+    adiv = np.abs(div)
+    is_canonical = canonical(ks)
+    named = is_canonical | (ks[..., -1] > 0)
+    canonical_k = np.where(is_canonical[..., None], ks, -ks)
+    rank = np.ravel_multi_index(tuple(np.moveaxis(canonical_k + m, -1, 0)),
+                                (2 * m + 1,) * dim_domain)
+    floor = low = None
+    if gamma is not None:
+        floor = gamma * np.where(order > 0, order, 1.0) ** (-sigma)
+        low = adiv < floor * (1 - 1e-12)
+    divisor = np.where(div != 0, 2j * np.pi * div, 1.0)
+    table = _DivisorTable(order, adiv, named, canonical_k, rank, floor,
+                          adiv < RESONANCE_TOL, low, divisor)
+    for value in table.__dict__.values():
+        if value is not None:
+            value.flags.writeable = False
+    return table
+
+
 def solve_cohomological(
     g: FourierMap, omega: FrequencyVector | np.ndarray
 ) -> CohomologySolution:
@@ -65,25 +126,28 @@ def solve_cohomological(
         raise ValueError(
             f"frequency has {om.size} components, map domain is T^{g.dim_domain}"
         )
-    ks = wavevectors(g.dim_domain, g.trunc_order)
-    order = np.abs(ks).sum(axis=-1)
-    live = g.support() & (order > 0)
-    max_order = int(order[live].max(initial=0))
+    table = _divisor_table(
+        g.dim_domain, g.trunc_order, tuple(om.tolist()),
+        omega.gamma if cert else None, omega.sigma if cert else None,
+    )
+    live = g.support() & (table.order > 0)
+    max_order = int(table.order[live].max(initial=0))
     if cert and max_order > omega.horizon:
         raise ValueError(
             f"retained modes reach |k|_1 = {max_order} but the Diophantine "
             f"certificate only covers |k|_1 <= {omega.horizon}"
         )
-    div = ks @ om
-    adiv = np.abs(div)
-    # |div| is even in k, so the canonical half names every offending mode
-    named = live & canonical(ks)
+    # |div| is even in k, so one member of each live pair names it
+    named = live & table.named
+    adiv = table.adiv
 
     def first(bad):
-        i = np.unravel_index(np.argmax(bad), bad.shape)  # first in k order
-        return tuple(ks[i].tolist()), i
+        """The canonical k of the first offending pair in k order."""
+        rank = np.where(bad, table.rank, np.iinfo(table.rank.dtype).max)
+        i = np.unravel_index(np.argmin(rank), bad.shape)
+        return tuple(table.canonical_k[i].tolist()), i
 
-    resonant = named & (adiv < RESONANCE_TOL)
+    resonant = named & table.resonant
     if resonant.any():
         k, i = first(resonant)
         raise ValueError(
@@ -91,18 +155,17 @@ def solve_cohomological(
             f"{RESONANCE_TOL:.0e}, equation is not solvable"
         )
     if cert:
-        floor = omega.gamma * np.where(live, order, 1.0) ** (-omega.sigma)
-        low = named & (adiv < floor * (1 - 1e-12))
+        low = named & table.low
         if low.any():
             k, i = first(low)
             raise ValueError(
                 f"divisor |k.omega| = {adiv[i]:.3e} at k = {k} violates the "
-                f"certified bound gamma |k|^-sigma = {floor[i]:.3e}"
+                f"certified bound gamma |k|^-sigma = {table.floor[i]:.3e}"
             )
     if named.any():
-        worst = np.argmin(np.where(named, adiv, np.inf))
-        min_div = float(adiv.flat[worst])
-        worst_k = tuple(ks.reshape(-1, g.dim_domain)[worst].tolist())
+        live_div = np.where(named, adiv, np.inf)
+        min_div = float(live_div.min())
+        worst_k, _ = first(live_div == min_div)
         max_amp = 1.0 / (2 * np.pi * min_div)
     else:
         min_div, worst_k, max_amp = np.inf, (), 0.0
@@ -114,8 +177,7 @@ def solve_cohomological(
         certified=cert,
     )
     per_mode = (...,) + (None,) * len(g.range_shape)
-    divisor = np.where(live, 2j * np.pi * div, 1.0)[per_mode]
-    phi = np.where(live[per_mode], g.coeffs / divisor, 0.0)
+    phi = np.where(live[per_mode], g.half / table.divisor[per_mode], 0.0)
     return CohomologySolution(
         solution=FourierMap._wrap(g.dim_domain, phi),
         average=g.average(),

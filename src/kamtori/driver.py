@@ -19,15 +19,16 @@ constant and step amplification of an actual trial Newton step).  The
 default gate decision uses the measured variant; "strict" mode gates on
 the literal one.
 
-Each quantity is measured once.  The ladder's tails to the rough target
-are the composite C^3 gaps its construction already measured; stage 1
-starts from the gate's defect and frame of the selected model at K0,
-which come from one jet that also serves its solve's first iterate;
-stage k >= 2 starts from stage k-1's defect against H, whose jet also
-gives that stage's frame and the jet of its solve's first iterate; the
-final defect is the last stage's.  The CLI's smooth and verify commands
-call smoothing_ladder and kam_schedule, the same code that run_scheme
-uses.
+Each quantity is measured once.  On analytic input one jet of H at K0
+gives both H's defect there and the schedule's frame.  The ladder's tails
+to the rough target are the composite C^3 gaps its construction already
+measured; stage 1 starts from the gate's defect and frame of the selected
+model at K0, which come from one jet that also serves its solve's first
+iterate; stage k >= 2 starts from stage k-1's defect against H, whose
+jet also gives that stage's frame and the jet of its solve's first
+iterate; the final defect is the last stage's.  The CLI's smooth and
+verify commands call smoothing_ladder and kam_schedule, the same code
+that run_scheme uses.
 """
 
 from __future__ import annotations
@@ -406,7 +407,10 @@ class Ladder:
 
     l is the resolved smoothness class, e0 the defect of H at K0 (its
     strip norm at rho anchors the sequence), h_ext the cut-off model (H
-    itself for analytic input) and seq its approximant ladder.
+    itself for analytic input) and seq its approximant ladder.  On
+    analytic input, jet is the jet of H at K0's samples that e0 came from,
+    kept for the schedule's frame, since H is then also the first
+    approximant; it is None otherwise.
     """
 
     l: int
@@ -414,13 +418,15 @@ class Ladder:
     e0: ErrorField
     h_ext: object
     seq: SmoothingSequence
+    jet: tuple | None
 
 
 def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
                      params: RunParams) -> Ladder:
     """Resolve l, measure H's defect at K0, cut off and smooth the rough part."""
     l, analytic = _smoothness(hamiltonian, params.l)
-    e0 = invariance_error(hamiltonian, K0, freq, rho=params.rho)
+    jet = jet_grid(hamiltonian, K0.grid_samples()) if analytic else None
+    e0 = invariance_error(hamiltonian, K0, freq, rho=params.rho, jet=jet)
     h_ext = hamiltonian
     if not analytic:
         h_ext = cutoff_extend(hamiltonian, K0, params.r, params.rho)
@@ -429,7 +435,7 @@ def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
         start_degree=params.start_degree, max_degree=params.max_degree,
         measure_points=params.measure_points,
     )
-    return Ladder(l, analytic, e0, h_ext, seq)
+    return Ladder(l, analytic, e0, h_ext, seq, jet)
 
 
 def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
@@ -439,16 +445,21 @@ def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
 
     d0, v0, tau0 are the frame's growth norms at rho and mu0 the C^3 norm
     within 2r of K.  Without a ladder both are measured on H itself; with
-    one, the frame is that of its first approximant and the norm that of
-    its cut-off model.  The frame model's jet at K's samples is returned
-    with the frame, for a solve that starts there.
+    one, built at K, the frame is that of its first approximant and the
+    norm that of its cut-off model.  The frame model's jet at K's samples
+    is returned with the frame, for a solve that starts there; when that
+    model is the ladder's analytic H, it is the ladder's jet.
     """
+    jet = None
     if ladder is None:
         l, _ = _smoothness(hamiltonian, params.l)
         frame_model = norm_model = hamiltonian
     else:
         l, frame_model, norm_model = ladder.l, ladder.seq.approximants[0], ladder.h_ext
-    jet = jet_grid(frame_model, K.grid_samples())
+        if frame_model is ladder.h_ext:
+            jet = ladder.jet
+    if jet is None:
+        jet = jet_grid(frame_model, K.grid_samples())
     nd = nondegeneracy(frame_model, K, freq, rho=params.rho, jet=jet)
     mu0 = _c3_near(norm_model, K, 2 * params.r, params.norm_points)
     schedule = KamSchedule(

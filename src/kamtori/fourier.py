@@ -1,20 +1,28 @@
 """Truncated real Fourier series on the n-torus.
 
 The central data type is :class:`FourierMap`, a real-valued trigonometric
-polynomial T^n -> R^(range_shape).  It holds one dense complex array
-``coeffs`` of shape (2M+1,)*n + range_shape: the amplitude of wavevector
-k sits at index k + M, over the full spectrum |k|_inf <= M.  Analysis
-and synthesis are one real FFT each (rfftn / irfftn) on an odd grid of
-N >= 2M+1 points per axis, over the k_n >= 0 half of that array, which
-they place by index; derivatives, shifts, norms and the cohomological
-solve are broadcasts against the wavevector grid.  Reality is the
-Hermitian symmetry coeffs[-k] = conj(coeffs[k]), which analysis builds in
-exactly and every operation preserves.
+polynomial T^n -> R^(range_shape).  It stores only the k_n >= 0 half of
+its spectrum, the half that rfftn and irfftn use: one complex array
+``half`` of shape (2M+1,)*(n-1) + (M+1,) + range_shape, with the amplitude
+of wavevector k at index (k_1 + M, ..., k_{n-1} + M, k_n).  The k_n < 0
+half is implied by reality, amp(-k) = conj(amp(k)); on the k_n = 0 plane,
+which holds both k and -k, analysis builds that symmetry in exactly and
+every operation preserves it.  Analysis is one rfftn over the grid axes, a
+gather of the |k|_inf <= M block and the average of the k_n = 0 plane with
+its conjugate.  Synthesis is one scatter and one irfftn on an odd grid of
+N >= 2M+1 points per axis, into a component-major (*range_shape, *grid)
+buffer that it returns as a grid-major view, so a caller that wants the
+components first gets them without a copy.  Both keep ``half``
+component-major in memory.  Derivatives, shifts, sums, resizing and strip
+norms act on the half against cached wavevector tables.
 
-Files keep the canonical half-spectrum: one wavevector of each conjugate
-pair, the one whose first nonzero component is positive.  ``modes`` is
-the read-only mapping of the nonzero canonical modes that serialization
-writes.
+The cold paths derive what they need from the half: ``coeffs`` (the full
+centered spectrum, amplitude of k at index k + M), ``modes``,
+``amplitude``, evaluation at points, ``power``, ``allclose`` and
+serialization.  Files keep the canonical half-spectrum: one wavevector of
+each conjugate pair, the one whose first nonzero component is positive.
+``modes`` is the read-only mapping of the nonzero canonical modes that
+serialization writes.
 
 Torus embeddings K(theta) = W theta + P(theta), which wind around the
 angle coordinates and therefore are not themselves periodic, are handled
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -67,6 +76,14 @@ def wavevectors(dim_domain: int, trunc_order: int) -> np.ndarray:
     return grid
 
 
+def half_wavevectors(dim_domain: int, trunc_order: int) -> np.ndarray:
+    """The k_n >= 0 half of :func:`wavevectors`, indexed like ``half``.
+
+    Shape (2M+1,)*(n-1) + (M+1,) + (n,), a read-only view of the cached grid.
+    """
+    return wavevectors(dim_domain, trunc_order)[..., trunc_order:, :]
+
+
 @lru_cache(maxsize=64)
 def _strip_weights(dim_domain: int, trunc_order: int, rho: float):
     """Per-mode weights and tail mask of strip_norm on the k_n >= 0 half.
@@ -76,7 +93,7 @@ def _strip_weights(dim_domain: int, trunc_order: int, rho: float):
     Both have shape (2M+1,)*(n-1) + (M+1,), cached per (n, M, rho) and
     read-only.  The weight overflows to inf for large |k|_1 rho.
     """
-    ks = np.abs(wavevectors(dim_domain, trunc_order)[..., trunc_order:, :])
+    ks = np.abs(half_wavevectors(dim_domain, trunc_order))
     with np.errstate(over="ignore"):
         weight = np.exp(2 * np.pi * ks.sum(axis=-1) * rho)
     weight[..., 1:] *= 2.0
@@ -87,19 +104,35 @@ def _strip_weights(dim_domain: int, trunc_order: int, rho: float):
 
 
 @lru_cache(maxsize=64)
-def _fft_index(trunc_order: int, size: int, dim_domain: int) -> tuple:
-    """Index of the k_n >= 0 half of a centered spectrum in an rfftn array.
+def _fft_blocks(trunc_order: int, size: int, dim_domain: int) -> tuple:
+    """Where the stored half sits in the rfftn array of a grid of N points.
 
-    Wavevector k with |k|_inf <= M sits at k mod N on the first n - 1 axes
-    of a grid of N points and at k_n on the last one; the returned tuple
-    indexes that (2M+1,)*(n-1) + (M+1,) block.  Cached per (M, N, n), its
-    arrays read-only.
+    Along each of the first n - 1 axes, k in [0, M] sits at index k and
+    k in [-M, -1] at N + k; along the last, k_n sits at k_n.  Returns the
+    pairs (index into ``half``, index into the rfftn array) of the
+    2^(n-1) blocks that this splits the half into, as tuples of slices;
+    cached per (M, N, n).
     """
-    wrap = np.arange(-trunc_order, trunc_order + 1) % size
-    index = np.ix_(*[wrap] * (dim_domain - 1), np.arange(trunc_order + 1))
-    for axis in index:
-        axis.flags.writeable = False
-    return index
+    m = trunc_order
+    axis = [(slice(m, 2 * m + 1), slice(0, m + 1))]
+    if m:
+        axis.append((slice(0, m), slice(size - m, size)))
+    last = slice(0, m + 1)
+    return tuple(
+        (tuple(h for h, _ in lead) + (last,), tuple(f for _, f in lead) + (last,))
+        for lead in itertools.product(axis, repeat=dim_domain - 1)
+    )
+
+
+def _range_first(x: np.ndarray, rank: int) -> np.ndarray:
+    """(*modes, *comp) as a (*comp, *modes) view; rank counts the comp axes."""
+    g = x.ndim - rank
+    return x.transpose(tuple(range(g, x.ndim)) + tuple(range(g)))
+
+
+def _grid_major(x: np.ndarray, rank: int) -> np.ndarray:
+    """Component-major (*comp, *grid) as a grid-major (*grid, *comp) view."""
+    return x.transpose(tuple(range(rank, x.ndim)) + tuple(range(rank)))
 
 
 @dataclass(frozen=True)
@@ -130,7 +163,7 @@ class StripNormEstimate:
 class FourierMap:
     """Real trigonometric polynomial on T^n with values in R^(range_shape)."""
 
-    __slots__ = ("dim_domain", "coeffs")
+    __slots__ = ("dim_domain", "half")
 
     def __init__(
         self,
@@ -164,28 +197,34 @@ class FourierMap:
         if trunc_order < max_order:
             raise ValueError("trunc_order smaller than largest stored mode")
         m = int(trunc_order)
-        grid = (2 * m + 1,) * dim_domain
+        grid = (2 * m + 1,) * (dim_domain - 1) + (m + 1,)
         total = np.zeros(grid + range_shape, dtype=complex)
         count = np.zeros(grid + (1,) * len(range_shape))
         for k, amp in items:
-            for idx, a in (
-                (tuple(m + ki for ki in k), amp),
-                (tuple(m - ki for ki in k), np.conj(amp)),
-            ):
-                total[idx] += a
-                count[idx] += 1
+            for kk, a in ((k, amp), (tuple(-ki for ki in k), np.conj(amp))):
+                if kk[-1] >= 0:  # the k_n < 0 member of a pair is not stored
+                    idx = tuple(m + ki for ki in kk[:-1]) + (kk[-1],)
+                    total[idx] += a
+                    count[idx] += 1
         self._adopt(dim_domain, total / np.maximum(count, 1))
 
-    def _adopt(self, dim_domain: int, coeffs: np.ndarray) -> None:
-        """Take a Hermitian coefficient array that no one else writes to."""
-        coeffs.flags.writeable = False
+    def _adopt(self, dim_domain: int, half: np.ndarray) -> None:
+        """Take a Hermitian half-spectrum array that no one else writes to.
+
+        It is stored component-major, as a view of a contiguous
+        (*range_shape, *modes) array, copied into one if it is not.
+        """
+        rank = half.ndim - dim_domain
+        if not _range_first(half, rank).flags.c_contiguous:
+            half = _grid_major(np.ascontiguousarray(_range_first(half, rank)), rank)
+        half.flags.writeable = False
         object.__setattr__(self, "dim_domain", dim_domain)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "half", half)
 
     @classmethod
-    def _wrap(cls, dim_domain: int, coeffs: np.ndarray) -> "FourierMap":
+    def _wrap(cls, dim_domain: int, half: np.ndarray) -> "FourierMap":
         self = object.__new__(cls)
-        self._adopt(dim_domain, coeffs)
+        self._adopt(dim_domain, half)
         return self
 
     def __setattr__(self, *a):  # immutable value type
@@ -195,11 +234,11 @@ class FourierMap:
 
     @property
     def trunc_order(self) -> int:
-        return (self.coeffs.shape[0] - 1) // 2
+        return self.half.shape[self.dim_domain - 1] - 1
 
     @property
     def range_shape(self) -> tuple[int, ...]:
-        return self.coeffs.shape[self.dim_domain :]
+        return self.half.shape[self.dim_domain :]
 
     @property
     def dim_range(self) -> int:
@@ -209,49 +248,77 @@ class FourierMap:
     def grid_size(self) -> int:
         return 2 * self.trunc_order + 1
 
+    def _zero_mode(self) -> tuple:
+        """Index of k = 0 in ``half``."""
+        return (self.trunc_order,) * (self.dim_domain - 1) + (0,)
+
     def support(self) -> np.ndarray:
-        """Per-mode mask of nonzero amplitudes, shape (2M+1,)*n."""
-        axes = tuple(range(self.dim_domain, self.coeffs.ndim))
-        return np.any(self.coeffs != 0, axis=axes)
+        """Mask of nonzero amplitudes over the stored half, shaped like it."""
+        axes = tuple(range(self.dim_domain, self.half.ndim))
+        return np.any(self.half != 0, axis=axes)
 
     def _kdot(self, v: np.ndarray) -> np.ndarray:
-        """k . v over the wavevector grid, shape (2M+1,)*n."""
-        return wavevectors(self.dim_domain, self.trunc_order) @ np.asarray(
+        """k . v over the stored half, shape (2M+1,)*(n-1) + (M+1,)."""
+        return half_wavevectors(self.dim_domain, self.trunc_order) @ np.asarray(
             v, dtype=float
         )
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The full centered spectrum, shape (2M+1,)*n + range_shape, read-only.
+
+        Amplitude of k at index k + M.  Derived from ``half`` on each access:
+        the k_n < 0 half is the conjugate of the stored one.
+        """
+        n, m = self.dim_domain, self.trunc_order
+        full = np.empty((2 * m + 1,) * n + self.range_shape, dtype=complex)
+        lead = (slice(None),) * (n - 1)
+        full[lead + (slice(m, None),)] = self.half
+        full[lead + (slice(None, m),)] = np.conj(
+            np.flip(self.half[lead + (slice(1, None),)], axis=tuple(range(n)))
+        )
+        full.flags.writeable = False
+        return full
 
     @property
     def modes(self) -> Mapping[tuple[int, ...], np.ndarray]:
         """Read-only {k: amplitude} of the nonzero canonical modes, k sorted.
 
-        Derived from ``coeffs`` on each access; compute paths use the array.
+        Derived from the half on each access; compute paths use the array.
         """
-        m = self.trunc_order
-        ks = wavevectors(self.dim_domain, m)
-        keep = canonical(ks) & self.support()
+        full = self.coeffs
+        ks = wavevectors(self.dim_domain, self.trunc_order)
+        axes = tuple(range(self.dim_domain, full.ndim))
+        keep = canonical(ks) & np.any(full != 0, axis=axes)
         keys = map(tuple, ks[keep].tolist())
-        return MappingProxyType(dict(zip(keys, self.coeffs[keep])))
+        return MappingProxyType(dict(zip(keys, full[keep])))
 
     def amplitude(self, k: Iterable[int]) -> np.ndarray:
         """Complex amplitude of wavevector k (zero beyond the truncation)."""
-        idx = tuple(int(ki) + self.trunc_order for ki in k)
-        if min(idx) < 0 or max(idx) >= self.grid_size:
+        k = tuple(int(ki) for ki in k)
+        m = self.trunc_order
+        if max(map(abs, k)) > m:
             return np.zeros(self.range_shape, complex)
-        return self.coeffs[idx].copy()
+        conj = k[-1] < 0  # stored as the conjugate of -k
+        if conj:
+            k = tuple(-ki for ki in k)
+        amp = self.half[tuple(m + ki for ki in k[:-1]) + (k[-1],)]
+        return np.conj(amp) if conj else amp.copy()
 
     def _at_order(self, trunc_order: int) -> np.ndarray:
-        """Coefficients zero-padded or cut to another truncation order.
+        """The half zero-padded or cut to another truncation order.
 
-        At the same order this is ``coeffs`` itself, read-only.
+        At the same order this is ``half`` itself, read-only.
         """
         n, m = self.dim_domain, self.trunc_order
         if trunc_order == m:
-            return self.coeffs
+            return self.half
         if trunc_order > m:
-            pad = [(trunc_order - m,) * 2] * n + [(0, 0)] * len(self.range_shape)
-            return np.pad(self.coeffs, pad)
+            d = trunc_order - m
+            pad = [(d, d)] * (n - 1) + [(0, d)] + [(0, 0)] * len(self.range_shape)
+            return np.pad(self.half, pad)
         cut = slice(m - trunc_order, m + trunc_order + 1)
-        return self.coeffs[(cut,) * n]
+        return self.half[(cut,) * (n - 1) + (slice(trunc_order + 1),)]
 
     # -- construction from grids ---------------------------------------
 
@@ -260,9 +327,9 @@ class FourierMap:
         """Discrete Fourier analysis of samples on the uniform odd grid.
 
         ``samples`` has shape (N, ..., N, *range_shape) with N odd; grid
-        point j corresponds to theta = j / N in [0, 1)^n.  One rfftn gives
-        the k_n >= 0 half; the k_n < 0 half is its exact conjugate, and on
-        the k_n = 0 plane k is averaged with the conjugate of -k.
+        point j corresponds to theta = j / N in [0, 1)^n.  One rfftn over
+        the grid axes of the component-major view gives the k_n >= 0 half;
+        on its k_n = 0 plane, k is averaged with the conjugate of -k.
         """
         samples = np.asarray(samples, dtype=float)
         if samples.ndim < dim_domain:
@@ -274,17 +341,15 @@ class FourierMap:
         if size % 2 == 0:
             raise ValueError("grid size must be odd")
         m = (size - 1) // 2
-        axes = tuple(range(dim_domain))
-        half = np.fft.rfftn(samples, axes=axes) / size**dim_domain
-        coeff = np.empty(samples.shape, dtype=complex)
-        last = (slice(None),) * (dim_domain - 1)
-        coeff[last + (slice(m, None),)] = half[_fft_index(m, size, dim_domain)]
-        coeff[last + (slice(None, m),)] = np.conj(
-            np.flip(coeff[last + (slice(m + 1, None),)], axis=axes)
-        )
-        plane = coeff[last + (slice(m, m + 1),)]
+        rank = samples.ndim - dim_domain
+        axes = tuple(range(rank, samples.ndim))
+        spec = np.fft.rfftn(_range_first(samples, rank), axes=axes)
+        half = np.empty(spec.shape, dtype=complex)
+        for h, f in _fft_blocks(m, size, dim_domain):
+            np.divide(spec[(...,) + f], size**dim_domain, out=half[(...,) + h])
+        plane = half[..., 0]
         plane[...] = (plane + np.conj(np.flip(plane, axis=axes[:-1]))) / 2.0
-        return cls._wrap(dim_domain, coeff)
+        return cls._wrap(dim_domain, _grid_major(half, rank))
 
     # -- evaluation -----------------------------------------------------
 
@@ -303,33 +368,38 @@ class FourierMap:
     def synthesize(self, grid_size: int | None = None) -> np.ndarray:
         """Sample on the uniform grid; inverse of :meth:`from_samples`.
 
-        One irfftn of the k_n >= 0 half of ``coeffs``, placed by index on
-        a grid of any odd size N >= 2M+1.
+        One irfftn of the half, scattered by index into a component-major
+        (*range_shape, *grid) buffer on a grid of any odd size N >= 2M+1.
+        The result has shape (*grid, *range_shape): a grid-major view of
+        that contiguous buffer.
         """
         size = self.grid_size if grid_size is None else int(grid_size)
         if size % 2 == 0:
             raise ValueError("grid size must be odd")
-        n, m = self.dim_domain, self.trunc_order
+        n, m, shape = self.dim_domain, self.trunc_order, self.range_shape
         if size < self.grid_size:
             raise ValueError("grid too small for stored modes")
-        axes = tuple(range(n))
-        half = np.zeros(
-            (size,) * (n - 1) + ((size + 1) // 2,) + self.range_shape, dtype=complex
-        )
-        last = (slice(None),) * (n - 1)
-        half[_fft_index(m, size, n)] = self.coeffs[last + (slice(m, None),)]
-        return np.fft.irfftn(half, s=(size,) * n, axes=axes) * size**n
+        rank = len(shape)
+        spec = np.zeros(shape + (size,) * (n - 1) + ((size + 1) // 2,), dtype=complex)
+        half = _range_first(self.half, rank)
+        for h, f in _fft_blocks(m, size, n):
+            spec[(...,) + f] = half[(...,) + h]
+        out = np.fft.irfftn(spec, s=(size,) * n, axes=tuple(range(rank, rank + n)))
+        out *= size**n
+        return _grid_major(out, rank)
 
     # -- calculus --------------------------------------------------------
 
+    def _scaled_modes(self, factor: np.ndarray) -> np.ndarray:
+        """The half times a per-mode factor of shape (2M+1,)*(n-1) + (M+1,)."""
+        return self.half * factor[(...,) + (None,) * len(self.range_shape)]
+
     def _times(self, factor: np.ndarray) -> "FourierMap":
-        """Multiply each mode by a per-mode factor of shape (2M+1,)*n."""
-        per_mode = (...,) + (None,) * len(self.range_shape)
-        return FourierMap._wrap(self.dim_domain, self.coeffs * factor[per_mode])
+        return FourierMap._wrap(self.dim_domain, self._scaled_modes(factor))
 
     def partial(self, axis: int) -> "FourierMap":
         """Exact partial derivative with respect to theta_axis."""
-        ks = wavevectors(self.dim_domain, self.trunc_order)[..., axis]
+        ks = half_wavevectors(self.dim_domain, self.trunc_order)[..., axis]
         return self._times(2j * np.pi * ks)
 
     def directional(self, omega: np.ndarray) -> "FourierMap":
@@ -337,23 +407,22 @@ class FourierMap:
 
     def average(self) -> np.ndarray:
         """Zero mode; reality makes the imaginary part vanish exactly."""
-        return self.coeffs[(self.trunc_order,) * self.dim_domain].real.copy()
+        return self.half[self._zero_mode()].real.copy()
 
     # -- norms -----------------------------------------------------------
 
     def strip_norm(self, rho: float) -> StripNormEstimate:
         """Coefficient bound for the sup over the complex strip of width rho.
 
-        Sums over the k_n >= 0 half of ``coeffs``: |amp(-k)| = |amp(k)|,
-        so each mode with k_n > 0 stands for its conjugate pair.
+        Sums over the stored half: |amp(-k)| = |amp(k)|, so each mode with
+        k_n > 0 stands for its conjugate pair.
         """
         if rho < 0:
             raise ValueError("rho must be >= 0")
         n, m = self.dim_domain, self.trunc_order
         weight, tail = _strip_weights(n, m, float(rho))
-        half = self.coeffs[(slice(None),) * (n - 1) + (slice(m, None),)]
-        axes = tuple(range(n, self.coeffs.ndim))
-        amax = np.max(np.abs(half), axis=axes, initial=0.0)
+        axes = tuple(range(n, self.half.ndim))
+        amax = np.max(np.abs(self.half), axis=axes, initial=0.0)
         nz = amax > 0  # zero modes add nothing, even where the weight overflows
         terms = amax[nz] * weight[nz]
         total = float(np.sum(terms))
@@ -391,7 +460,7 @@ class FourierMap:
         return self._binary(other, -1.0)
 
     def scaled(self, c: float) -> "FourierMap":
-        return FourierMap._wrap(self.dim_domain, c * self.coeffs)
+        return FourierMap._wrap(self.dim_domain, c * self.half)
 
     def resized(self, trunc_order: int) -> "FourierMap":
         """Embed into (or truncate to) a different truncation order."""
@@ -408,6 +477,8 @@ class FourierMap:
         return cls(dim_domain, value.shape, {zero: value.astype(complex)}, trunc_order)
 
     def allclose(self, other: "FourierMap", tol: float = 1e-12) -> bool:
+        """Every amplitude within tol; |amp(-k)| differences equal |amp(k)|'s,
+        so comparing the stored halves compares the full spectra."""
         m = max(self.trunc_order, other.trunc_order)
         return np.allclose(self._at_order(m), other._at_order(m), rtol=0, atol=tol)
 
@@ -545,18 +616,21 @@ class TorusEmbedding:
     def dk(self) -> FourierMap:
         """Jacobian DK as an (m, n) matrix-valued FourierMap (exact)."""
         per = self.periodic
-        ks = wavevectors(per.dim_domain, per.trunc_order)
-        coeffs = per.coeffs[..., None] * (2j * np.pi * ks)[..., None, :]
-        coeffs[(per.trunc_order,) * per.dim_domain] += self.winding
-        return FourierMap._wrap(per.dim_domain, coeffs)
+        ks = half_wavevectors(per.dim_domain, per.trunc_order)
+        factor = np.moveaxis(2j * np.pi * ks, -1, 0)
+        # component-major (2n, n, *modes): row i, column j is 2 pi i k_j amp_i
+        half = np.empty(per.range_shape + factor.shape, dtype=complex)
+        np.multiply(_range_first(per.half, 1)[:, None], factor[None], out=half)
+        half[(...,) + per._zero_mode()] += self.winding
+        return FourierMap._wrap(per.dim_domain, _grid_major(half, 2))
 
     def directional(self, omega) -> FourierMap:
         """d/dt K(theta + t omega): periodic (the winding shift is constant)."""
         om = np.asarray(getattr(omega, "omega", omega), dtype=float)
-        deriv = self.periodic.directional(om)
-        coeffs = deriv.coeffs.copy()
-        coeffs[(deriv.trunc_order,) * deriv.dim_domain] += self.winding @ om
-        return FourierMap._wrap(deriv.dim_domain, coeffs)
+        per = self.periodic
+        half = per._scaled_modes(2j * np.pi * per._kdot(om))
+        half[per._zero_mode()] += self.winding @ om
+        return FourierMap._wrap(per.dim_domain, half)
 
     def difference(self, other: "TorusEmbedding") -> FourierMap:
         if not np.array_equal(self.winding, other.winding):

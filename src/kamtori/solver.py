@@ -34,11 +34,15 @@ and M is symplectic up to the normalisation N.
 Every per-grid-point tensor of the frame is component-major: a contiguous
 (rows, cols, *grid) array, or (rows, *grid) for a vector field, so a
 pointwise product is one einsum over the leading axes and an inverse is
-an elimination on whole-grid arrays, one per matrix entry.  The jet's
-Hessian and DK's samples are converted once where they enter the frame
-(nondegeneracy), and the defect's samples where they enter the step
-(newton_step).  FourierMap and the jet keep their grid-major
-(*grid, *comp) layout; what the step analyzes goes back to it as a view.
+an elimination on whole-grid arrays, one per matrix entry.
+FourierMap.synthesize returns a grid-major view of a component-major
+buffer, so DK's samples and the cohomological solutions enter the frame
+and the step without a copy, and from_samples analyzes grid-major views
+of component-major arrays as they are.  The defect is built
+component-major: J grad H is a row-block swap of the jet's gradient.
+The jet keeps its grid-major (*grid, *comp) layout, so its Hessian and
+gradient are converted once, where they enter the frame (nondegeneracy)
+and the defect (invariance_error).
 
 Each iterate K costs one evaluation of H on the grid: solve_torus takes
 one jet of H at K's grid samples, whose gradient gives the defect
@@ -58,7 +62,7 @@ import numpy as np
 
 from .cohomology import DivisorReport, solve_cohomological
 from .diophantine import FrequencyVector
-from .fourier import FourierMap, StripNormEstimate, TorusEmbedding
+from .fourier import FourierMap, StripNormEstimate, TorusEmbedding, _grid_major
 from .hamiltonian import jet_grid, symplectic_matrix
 
 __all__ = [
@@ -83,7 +87,8 @@ class ErrorField:
     """Invariance defect e = J grad H (K) - d_omega K.
 
     values holds e on the sampling grid it was evaluated on, shape
-    grid + (2n,), and e is its Fourier analysis.  round_off is
+    grid + (2n,), a grid-major view of a contiguous (2n, *grid) array, and
+    e is its Fourier analysis.  round_off is
     r = FLOOR_ULPS * eps * sup |J grad H (K)| on that grid (eps the float64
     machine epsilon), the round-off in evaluating the defect.
     """
@@ -130,13 +135,17 @@ def invariance_error(
     is evaluated when omitted.
     """
     om = _omega_array(omega)
+    n = K.dim_domain
     gs = grid_size or K.periodic.grid_size
     _, grad, _ = jet if jet is not None else _jet(hamiltonian, K, gs)
-    j = symplectic_matrix(K.dim_domain)
-    x_h = grad @ j.T
-    d_om = K.directional(om).synthesize(gs)
-    values = x_h - d_om
-    e = FourierMap.from_samples(values, K.dim_domain)
+    # J = [[0, I], [-I, 0]] swaps the row blocks of grad H with a sign
+    grad_c = np.moveaxis(grad, -1, 0)
+    values = np.empty(grad_c.shape)
+    values[:n] = grad_c[n:]
+    np.negative(grad_c[:n], out=values[n:])
+    values -= _components(K.directional(om).synthesize(gs), 1)
+    values = _grid_major(values, 1)
+    e = FourierMap.from_samples(values, n)
     return ErrorField(
         e=e,
         norm_rho=e.strip_norm(rho),
@@ -150,14 +159,11 @@ def _components(x: np.ndarray, rank: int) -> np.ndarray:
     """Grid-major (*grid, *comp) samples as a contiguous (*comp, *grid) array.
 
     rank is the number of component axes: 1 for a vector, 2 for a matrix.
+    A grid-major view of a contiguous component-major array, such as
+    FourierMap.synthesize returns, comes back without a copy.
     """
     g = x.ndim - rank
     return np.ascontiguousarray(x.transpose(tuple(range(g, x.ndim)) + tuple(range(g))))
-
-
-def _grid_major(x: np.ndarray, rank: int) -> np.ndarray:
-    """Component-major (*comp, *grid) as a grid-major (*grid, *comp) view."""
-    return x.transpose(tuple(range(rank, x.ndim)) + tuple(range(rank)))
 
 
 def _t(mat: np.ndarray) -> np.ndarray:
@@ -524,7 +530,10 @@ def solve_torus(
     The trace has a row per Newton step and, on convergence, one for the
     final iterate.  Every row records the iterate's defect ("error") and
     the tail state that decided its refinement: tail_flag, tail_max and
-    round_off (r) at the order the iterate was first evaluated at.  A step
+    round_off (r) at the order the iterate was first evaluated at, the odd
+    grid size N its defect was evaluated on ("grid") and the jets of H it
+    used ("jets": 1, or 2 when it was resized, the jet at its old order and
+    the one at the new, whose grid the row then records).  A step
     row also records the growth quantities (|DK|, |N|, |<S>^-1|), the
     Lagrangian defect max |DK^T J DK| and the corrected iterate's
     truncation order; its "error" is that of the iterate the step
@@ -552,7 +561,8 @@ def solve_torus(
         if initial is None:
             initial = err.norm_grid
         row = {"iter": it, "error": err.norm_grid, "tail_flag": err.tail_flag,
-               "tail_max": err.norm_rho.tail_max, "round_off": err.round_off}
+               "tail_max": err.norm_rho.tail_max, "round_off": err.round_off,
+               "grid": err.values.shape[0], "jets": 1}
         stalls = 0 if err.norm_grid < best_err - err.round_off else stalls + 1
         if err.norm_grid < best_err:
             best_err, best_K = err.norm_grid, K
@@ -568,6 +578,8 @@ def solve_torus(
             K = K.resized(K.trunc_order * 2)
             jet = _jet(hamiltonian, K, grid_size)
             err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)
+            row["grid"] = err.values.shape[0]
+            row["jets"] += 1
         nd = nondegeneracy(hamiltonian, K, omega, grid_size, rho, jet=jet)
         K, diag = newton_step(hamiltonian, K, omega, nd, grid_size, err=err)
         trace.append(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kamtori import FourierMap, FrequencyVector, solve_cohomological
+from kamtori.cohomology import _divisor_table
 
 from conftest import GOLDEN, random_trig
 
@@ -102,6 +103,43 @@ class TestResonance:
         g = FourierMap(2, (), {(2, -1): 0.5, (1, 0): 0.25})
         with pytest.raises(ValueError, match=r"\(2, -1\)"):
             solve_cohomological(g, np.array([1.0, 2.0]))
+
+    def test_half_stored_mode_named_canonically(self):
+        # the stored half keeps (-1, 1), the conjugate of the canonical (1, -1)
+        g = FourierMap(2, (), {(1, -1): 0.5})
+        assert g.half[0, 1] == 0.5 and g.half[2, 0] == 0
+        omega = FrequencyVector.estimated(np.array([1.0, GOLDEN]), sigma=1.1,
+                                          horizon=8)
+        for om in (omega, omega.omega):
+            assert solve_cohomological(g, om).report.worst_k == (1, -1)
+        with pytest.raises(ValueError, match=r"\(1, -1\)"):
+            solve_cohomological(g, np.array([1.0, 1.0]))
+        # |k.omega| ties go to the first pair in k order, (0, 1), although
+        # the half stores (2, -1) as (-2, 1) ahead of it
+        tie = FourierMap(2, (), {(2, -1): 0.5, (0, 1): 0.5})
+        assert solve_cohomological(tie, np.array([1.0, 1.0])).report.worst_k == (0, 1)
+
+    def test_divisor_table_cached_read_only(self):
+        omega = FrequencyVector.estimated(np.array([1.0, GOLDEN]), sigma=1.1,
+                                          horizon=16)
+        key = (2, 3, tuple(omega.omega.tolist()), omega.gamma, omega.sigma)
+        table = _divisor_table(*key)
+        assert _divisor_table(*key) is table
+        others = [(2, 4) + key[2:], (2, 3, (1.0, 0.5)) + key[3:],
+                  key[:3] + (omega.gamma / 2, omega.sigma),
+                  key[:4] + (2.0,), key[:3] + (None, None)]
+        for other in others:
+            assert _divisor_table(*other) is not table
+        arrays = [v for v in vars(table).values() if v is not None]
+        assert len(arrays) == 9
+        for value in arrays:
+            assert value.shape[:2] == (7, 4)
+            assert not value.flags.writeable
+            with pytest.raises(ValueError):
+                value.flat[0] = value.flat[1]
+        hits = _divisor_table.cache_info().hits
+        solve_cohomological(random_trig(np.random.default_rng(3), 2, 3), omega)
+        assert _divisor_table.cache_info().hits == hits + 1
 
     def test_dimension_mismatch(self):
         g = FourierMap(2, (), {(1, 0): 0.5})

@@ -312,6 +312,26 @@ class TestRunScheme:
             again.certificate, sort_keys=True
         )
 
+    def test_analytic_input_takes_one_jet_at_k0(self, bypass_run, monkeypatch):
+        import kamtori.driver as driver
+        import kamtori.solver as solver
+
+        samples = []
+        for module in (driver, solver):
+            def counted(h, z, jet=module.jet_grid):
+                samples.append(np.array(z))
+                return jet(h, z)
+            monkeypatch.setattr(module, "jet_grid", counted)
+        h, K0, _ = bypass_run
+        res = run_scheme(h, K0, np.array([GOLDEN]), RunParams(target_error=1e-10))
+        assert res.converged
+        # one jet of H at K0 gives both H's defect there and the schedule's
+        # frame: no later jet is taken at K0's samples
+        k0 = K0.grid_samples()
+        assert np.array_equal(samples[0], k0)
+        assert not any(np.array_equal(z, k0) for z in samples[1:])
+        assert len(samples) == 9
+
     def test_measured_gate_rejects_strong_coupling(self):
         h = HamiltonianModel.pendulum(0.2)
         K0 = TorusEmbedding.circle(GOLDEN, trunc_order=64)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kamtori import FourierMap, TorusEmbedding, analyze, solve_cohomological
 
-from kamtori.fourier import _fft_index, _strip_weights, wavevectors
+import kamtori.solver as solver
+from kamtori.fourier import _fft_blocks, _strip_weights, canonical, wavevectors
 
 from conftest import GOLDEN, random_trig
 
@@ -133,15 +134,15 @@ class TestHalfSpectrumOracles:
         with pytest.raises(ValueError):
             ks[0, 0, 0] = 1
 
-    def test_fft_index_cached_read_only(self):
-        index = _fft_index(3, 9, 2)
-        assert index is _fft_index(3, 9, 2)
-        assert [axis.ravel().tolist() for axis in index] == [
-            [6, 7, 8, 0, 1, 2, 3], [0, 1, 2, 3]]
-        for axis in index:
-            assert not axis.flags.writeable
-            with pytest.raises(ValueError):
-                axis.flat[0] = 1
+    def test_fft_blocks_cached(self):
+        blocks = _fft_blocks(3, 9, 2)
+        assert blocks is _fft_blocks(3, 9, 2)
+        # k_1 in [0, 3] at rfftn rows 0..3, k_1 in [-3, -1] at rows 6..8
+        assert blocks == (
+            ((slice(3, 7), slice(0, 4)), (slice(0, 4), slice(0, 4))),
+            ((slice(0, 3), slice(0, 4)), (slice(6, 9), slice(0, 4))),
+        )
+        assert _fft_blocks(0, 5, 3) == (((slice(0, 1),) * 3,) * 2,)
 
 
 class TestDirectionalDerivative:
@@ -310,6 +311,167 @@ class TestHalfSpectrumStripNorm:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0
+
+
+def dense_spectrum(samples, n):
+    """The full centered spectrum of samples, amplitude of k at index k + M,
+    from the direct DFT sum: the reference every operation is held to."""
+    size = samples.shape[0]
+    m, shape = (size - 1) // 2, samples.shape[n:]
+    dense = np.zeros((size,) * n + shape, dtype=complex)
+    for k, amp in brute_dft(samples, n).items():
+        dense[tuple(v + m for v in k)] = amp.reshape(shape)
+    return dense
+
+
+def dense_eval(dense, theta):
+    """sum_k dense[k] exp(2 pi i k . theta) at points theta of shape (..., n)."""
+    n = theta.shape[-1]
+    m = (dense.shape[0] - 1) // 2
+    ks = wavevectors(n, m).reshape(-1, n)
+    phase = np.exp(2j * np.pi * (theta.reshape(-1, n) @ ks.T))
+    out = phase @ dense.reshape(ks.shape[0], -1)
+    return out.real.reshape(theta.shape[:-1] + dense.shape[n:])
+
+
+def dense_at(dense, n, order):
+    """A dense spectrum zero-padded or cut to another truncation order."""
+    m = (dense.shape[0] - 1) // 2
+    d = order - m
+    if d >= 0:
+        return np.pad(dense, [(d, d)] * n + [(0, 0)] * (dense.ndim - n))
+    return dense[(slice(-d, d),) * n]
+
+
+class TestHalfSpectrumMap:
+    """Every FourierMap operation on the stored k_n >= 0 half against the
+    dense full spectrum of a direct DFT."""
+
+    @staticmethod
+    def make(n, range_shape):
+        """(map, dense reference, generator) from random samples at M = 5 - n."""
+        m = 5 - n
+        rng = np.random.default_rng(10 * n + len(range_shape))
+        samples = rng.standard_normal((2 * m + 1,) * n + range_shape)
+        return FourierMap.from_samples(samples, n), dense_spectrum(samples, n), rng
+
+    @pytest.fixture(params=[1, 2, 3])
+    def case(self, request, range_shape):
+        return self.make(request.param, range_shape)
+
+    @pytest.fixture(params=[(), (2,), (2, 2)], ids=["scalar", "vector", "matrix"])
+    def range_shape(self, request):
+        return request.param
+
+    @staticmethod
+    def close(got, want, tol=1e-12):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= tol * max(
+            1.0, np.max(np.abs(want), initial=0.0))
+
+    def test_analysis_stores_the_half(self, case):
+        f, dense, _ = case
+        n, m = f.dim_domain, f.trunc_order
+        self.close(f.half, dense[(slice(None),) * (n - 1) + (slice(m, None),)])
+        self.close(f.coeffs, dense)
+        assert not f.half.flags.writeable and not f.coeffs.flags.writeable
+        # the k_n = 0 plane is exactly Hermitian, also on a grid where the
+        # rfftn's own plane misses that by round-off
+        size = 33 if n < 3 else 9
+        big = np.random.default_rng(n).standard_normal((size,) * n + f.range_shape)
+        for g in (f, FourierMap.from_samples(big, n)):
+            plane = g.half[(slice(None),) * (n - 1) + (0,)]
+            flipped = np.flip(plane, axis=tuple(range(n - 1)))
+            assert np.array_equal(plane, np.conj(flipped))
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_synthesis_on_native_and_larger_grids(self, case, extra):
+        f, dense, _ = case
+        size = f.grid_size + 2 * extra
+        theta = TorusEmbedding.circle(np.zeros(f.dim_domain),
+                                      trunc_order=(size - 1) // 2).grid()
+        vals = f.synthesize(size)
+        self.close(vals, dense_eval(dense, theta))
+        rank = len(f.range_shape)
+        if rank:
+            assert np.shares_memory(vals, solver._components(vals, rank))
+
+    def test_calculus(self, case):
+        f, dense, rng = case
+        n, m = f.dim_domain, f.trunc_order
+        ks = wavevectors(n, m)
+        per_mode = (...,) + (None,) * len(f.range_shape)
+        def times(factor):
+            return dense * factor[per_mode]
+
+        for axis in range(n):
+            self.close(f.partial(axis).coeffs, times(2j * np.pi * ks[..., axis]))
+        omega = rng.standard_normal(n)
+        self.close(f.directional(omega).coeffs, times(2j * np.pi * ks @ omega))
+        theta0 = rng.random(n)
+        self.close(f.shifted(theta0).coeffs, times(np.exp(2j * np.pi * ks @ theta0)))
+        self.close(np.asarray(f.average()), dense[(m,) * n].real)
+
+    def test_sums_and_resizing(self, case):
+        f, dense, rng = case
+        n, m = f.dim_domain, f.trunc_order
+        low = rng.standard_normal((2 * m - 1,) * n + f.range_shape)
+        g, g_dense = FourierMap.from_samples(low, n), dense_spectrum(low, n)
+        self.close((f + g).coeffs, dense + dense_at(g_dense, n, m))
+        self.close((g - f).coeffs, dense_at(g_dense, n, m) - dense)
+        self.close(f.scaled(-2.5).coeffs, -2.5 * dense)
+        for order in (m + 2, m - 1, 0):
+            self.close(f.resized(order).coeffs, dense_at(dense, n, order))
+        assert f.resized(m + 2).resized(m).allclose(f, tol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_torus_jacobian(self, n):
+        f, dense, _ = self.make(n, (2,))
+        m = f.trunc_order
+        winding = np.arange(2 * n).reshape(2, n) % 3
+        K = TorusEmbedding(winding, f)
+        ks = wavevectors(n, m)
+        want = dense[..., :, None] * (2j * np.pi * ks)[..., None, :]
+        want[(m,) * n] += winding
+        self.close(K.dk().coeffs, want)
+        omega = np.linspace(0.3, 0.9, n)
+        want = dense * (2j * np.pi * ks @ omega)[..., None]
+        want[(m,) * n] += winding @ omega
+        self.close(K.directional(omega).coeffs, want)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.03])
+    def test_strip_norm(self, case, rho):
+        f, dense, _ = case
+        n = f.dim_domain
+        ks = np.abs(wavevectors(n, f.trunc_order))
+        amax = np.max(np.abs(dense), axis=tuple(range(n, dense.ndim)), initial=0.0)
+        want = np.sum(amax * np.exp(2 * np.pi * ks.sum(axis=-1) * rho))
+        tail = ks.max(axis=-1) > f.trunc_order / 2.0
+        est = f.strip_norm(rho)
+        assert est.value == pytest.approx(want, rel=1e-12)
+        assert est.tail_max == pytest.approx(np.max(amax[tail]), rel=1e-12)
+
+    def test_cold_paths(self, case):
+        f, dense, rng = case
+        n, m = f.dim_domain, f.trunc_order
+        ks = wavevectors(n, m)
+        keep = canonical(ks)
+        assert list(f.modes) == [tuple(k) for k in ks[keep].tolist()]
+        self.close(np.array(list(f.modes.values())), dense[keep])
+        for k in [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,),
+                  (-m,) * n, (m + 1,) + (0,) * (n - 1)]:
+            inside = max(map(abs, k)) <= m
+            want = dense[tuple(v + m for v in k)] if inside else np.zeros(f.range_shape)
+            self.close(np.asarray(f.amplitude(k)), np.asarray(want))
+        theta = rng.random((6, n))
+        self.close(f(theta), dense_eval(dense, theta))
+        assert f.power() == pytest.approx(np.sum(np.abs(dense) ** 2), rel=1e-12)
+        nudged = FourierMap._wrap(n, f.half + 1e-9)
+        assert f.allclose(nudged, tol=2e-9) and not f.allclose(nudged, tol=5e-10)
+        for back in (FourierMap.from_json(f.to_json()),
+                     FourierMap.from_csv(f.to_csv(), f.range_shape)):
+            assert back.trunc_order == m
+            self.close(back.coeffs, dense)
 
 
 class TestStorageConvention:

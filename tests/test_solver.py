@@ -618,14 +618,29 @@ class TestRefinementAboveRoundOff:
                 order = row["trunc_order"]
 
 
+    def test_trace_rows_record_grid_and_jets(self, coupled_solve):
+        _, _, res = coupled_solve
+        order = 16
+        for row in res.trace:
+            new = row.get("trunc_order", order)  # the final row keeps the order
+            assert row["jets"] == (2 if new > order else 1)
+            assert row["grid"] == 2 * new + 1
+            order = new
+        assert [row["jets"] for row in res.trace].count(2) == 1
+        # one jet per iterate plus one per resize, as solve_torus takes them
+        assert sum(row["jets"] for row in res.trace) == res.iterations + 2
+
+
 def padded_at_order(self, trunc_order):
-    """_at_order copying through np.pad at every order, the same one too."""
+    """_at_order copying the stored half through np.pad at every order, the
+    same one too: k_1..k_{n-1} pad on both sides, k_n >= 0 on one."""
     n, m = self.dim_domain, self.trunc_order
     if trunc_order >= m:
-        pad = [(trunc_order - m,) * 2] * n + [(0, 0)] * len(self.range_shape)
-        return np.pad(self.coeffs, pad)
+        d = trunc_order - m
+        pad = [(d, d)] * (n - 1) + [(0, d)] + [(0, 0)] * len(self.range_shape)
+        return np.pad(self.half, pad)
     cut = slice(m - trunc_order, m + trunc_order + 1)
-    return self.coeffs[(cut,) * n]
+    return self.half[(cut,) * (n - 1) + (slice(trunc_order + 1),)]
 
 
 def padded_directional(self, omega):
@@ -660,9 +675,9 @@ class TestEqualOrderAlgebra:
         want, _ = newton_step(h, K, freq)
         assert pads  # the padding reference did pad
         assert got.trunc_order == K.trunc_order
-        assert np.array_equal(got.periodic.coeffs, want.periodic.coeffs)
+        assert np.array_equal(got.periodic.half, want.periodic.half)
 
     def test_same_order_resize_shares_coefficients(self):
         f = FourierMap(2, (2,), {(1, -1): [1.0, 2j]}, trunc_order=3)
-        assert f.resized(3).coeffs is f.coeffs
-        assert not f.resized(3).coeffs.flags.writeable
+        assert f.resized(3).half is f.half
+        assert not f.resized(3).half.flags.writeable
