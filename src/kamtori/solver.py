@@ -44,6 +44,15 @@ The jet keeps its grid-major (*grid, *comp) layout, so its Hessian and
 gradient are converted once, where they enter the frame (nondegeneracy)
 and the defect (invariance_error).
 
+An iterate K of truncation order M is sampled on sampling_size(M) points
+per axis, the smallest odd N >= 2M+1 with no prime factor above 13, and
+every analysis of its grid samples (the defect e, N, S, eta_N, the
+tangent right-hand side and Delta) keeps the modes |k|_inf <= M, so the
+order of an iterate never follows its grid.  invariance_error and
+nondegeneracy also take another odd grid_size >= 2M+1, for checks on a
+finer grid; newton_step and solve_torus take no grid size and always use
+the sampling grid.
+
 Each iterate K costs one evaluation of H on the grid: solve_torus takes
 one jet of H at K's grid samples, whose gradient gives the defect
 (invariance_error, which keeps its grid samples) and whose Hessian gives
@@ -62,7 +71,13 @@ import numpy as np
 
 from .cohomology import DivisorReport, solve_cohomological
 from .diophantine import FrequencyVector
-from .fourier import FourierMap, StripNormEstimate, TorusEmbedding, _grid_major
+from .fourier import (
+    FourierMap,
+    StripNormEstimate,
+    TorusEmbedding,
+    _grid_major,
+    sampling_size,
+)
 from .hamiltonian import jet_grid, symplectic_matrix
 
 __all__ = [
@@ -88,7 +103,7 @@ class ErrorField:
 
     values holds e on the sampling grid it was evaluated on, shape
     grid + (2n,), a grid-major view of a contiguous (2n, *grid) array, and
-    e is its Fourier analysis.  round_off is
+    e is its Fourier analysis at K's truncation order.  round_off is
     r = FLOOR_ULPS * eps * sup |J grad H (K)| on that grid (eps the float64
     machine epsilon), the round-off in evaluating the defect.
     """
@@ -126,17 +141,19 @@ def invariance_error(
 ) -> ErrorField:
     """Evaluate the defect on the sampling grid and return it as a map.
 
-    norm_grid is the max absolute component over the grid, the quantity
-    the Newton iteration drives down.  norm_rho is the coefficient bound
-    over the strip of half-width rho (rho = 0 gives the plain coefficient
-    sum); its tail_flag trips when the defect's spectrum has not decayed
-    by the truncation order, meaning the grid is too coarse to trust.
+    The grid is sampling_size(M) points per axis unless grid_size gives
+    another odd size >= 2M+1; e keeps K's order M either way.  norm_grid
+    is the max absolute component over the grid, the quantity the Newton
+    iteration drives down.  norm_rho is the coefficient bound over the
+    strip of half-width rho (rho = 0 gives the plain coefficient sum); its
+    tail_flag trips when the defect's spectrum has not decayed by the
+    truncation order, meaning the grid is too coarse to trust.
     jet, when given, is the jet of H at K's samples on the same grid; it
     is evaluated when omitted.
     """
     om = _omega_array(omega)
     n = K.dim_domain
-    gs = grid_size or K.periodic.grid_size
+    gs = grid_size or sampling_size(K.trunc_order)
     _, grad, _ = jet if jet is not None else _jet(hamiltonian, K, gs)
     # J = [[0, I], [-I, 0]] swaps the row blocks of grad H with a sign
     grad_c = np.moveaxis(grad, -1, 0)
@@ -145,7 +162,7 @@ def invariance_error(
     np.negative(grad_c[:n], out=values[n:])
     values -= _components(K.directional(om).synthesize(gs), 1)
     values = _grid_major(values, 1)
-    e = FourierMap.from_samples(values, n)
+    e = FourierMap.from_samples(values, n, K.trunc_order)
     return ErrorField(
         e=e,
         norm_rho=e.strip_norm(rho),
@@ -334,7 +351,9 @@ class NondegeneracyData:
 
     @cached_property
     def s_map(self) -> FourierMap:
-        return FourierMap.from_samples(_grid_major(self.s, 2), self.n_map.dim_domain)
+        n_map = self.n_map
+        return FourierMap.from_samples(_grid_major(self.s, 2), n_map.dim_domain,
+                                       n_map.trunc_order)
 
 
 def _frame_tensors(hess: np.ndarray, dk: np.ndarray):
@@ -353,18 +372,20 @@ def nondegeneracy(
 ) -> NondegeneracyData:
     """Definition-level non-degeneracy check: frame rank and averaged twist.
 
+    The frame is built on sampling_size(M) points per axis unless
+    grid_size gives another odd size >= 2M+1; N and S keep K's order M.
     jet, when given, is the jet of H at K's samples on the same grid; it
     is evaluated when omitted.  A frame with cond(DK^T DK) above
     COND_DK_LIMIT is rejected before anything is inverted.
     """
     del omega  # the data depends on (H, K) only
-    gs = grid_size or K.periodic.grid_size
+    gs = grid_size or sampling_size(K.trunc_order)
     _, _, hess = jet if jet is not None else _jet(hamiltonian, K, gs)
     dk_map = K.dk()
     # the Hessian and DK samples enter the frame component-major
     frame, s, _ = _frame_tensors(_components(hess, 2),
                                  _components(dk_map.synthesize(gs), 2))
-    n = K.dim_domain
+    n, m = K.dim_domain, K.trunc_order
     avg_s = s.mean(axis=tuple(range(2, s.ndim)))
     svals = np.linalg.svd(avg_s, compute_uv=False)
     if svals[-1] < 1e-12 * max(1.0, svals[0]):
@@ -373,7 +394,7 @@ def nondegeneracy(
             f"{svals[-1]:.3e}"
         )
     avg_s_inv = np.linalg.inv(avg_s)
-    n_map = FourierMap.from_samples(_grid_major(frame.n_mat, 2), n)
+    n_map = FourierMap.from_samples(_grid_major(frame.n_mat, 2), n, m)
     return NondegeneracyData(
         n_map=n_map,
         avg_s=avg_s,
@@ -418,24 +439,24 @@ def newton_step(
     K: TorusEmbedding,
     omega: FrequencyVector,
     nd: NondegeneracyData | None = None,
-    grid_size=None,
     err: ErrorField | None = None,
 ):
     """One quadratically convergent correction K -> K + M xi.
 
-    nd and err must describe (hamiltonian, K) on the step's grid: the
-    frame data from nondegeneracy and the defect (with its grid samples)
-    from invariance_error.  Whichever is omitted is computed here, from
-    one shared jet.
+    The step works on K's sampling grid, sampling_size(M) points per axis,
+    and every map it analyzes keeps K's order M.  nd and err must describe
+    (hamiltonian, K) on that grid: the frame data from nondegeneracy and
+    the defect (with its grid samples) from invariance_error.  Whichever
+    is omitted is computed here, from one shared jet.
     """
-    n = K.dim_domain
-    gs = grid_size or K.periodic.grid_size
+    n, m = K.dim_domain, K.trunc_order
+    gs = sampling_size(m)
     if nd is None or err is None:
-        jet = _jet(hamiltonian, K, gs)
+        jet = _jet(hamiltonian, K)
         if nd is None:
-            nd = nondegeneracy(hamiltonian, K, omega, gs, jet=jet)
+            nd = nondegeneracy(hamiltonian, K, omega, jet=jet)
         if err is None:
-            err = invariance_error(hamiltonian, K, omega, gs, jet=jet)
+            err = invariance_error(hamiltonian, K, omega, jet=jet)
     for what, grid in (("frame data", nd.frame.dk.shape[2:]),
                        ("defect samples", err.values.shape[:-1])):
         if grid != (gs,) * n:
@@ -446,8 +467,9 @@ def newton_step(
     eta_t, eta_n = nd.frame.solve(_components(err.values, 1))
     grid_axes = tuple(range(1, n + 1))
 
-    sol_n = solve_cohomological(FourierMap.from_samples(_grid_major(eta_n, 1), n),
-                                omega)
+    sol_n = solve_cohomological(
+        FourierMap.from_samples(_grid_major(eta_n, 1), n, m), omega
+    )
     xi_n0 = _components(sol_n.solution.synthesize(gs), 1)
     s_xi_n0 = _apply(nd.s, xi_n0)
     c_n = nd.avg_s_inv @ (
@@ -456,12 +478,13 @@ def newton_step(
     xi_n = xi_n0 + c_n.reshape((n,) + (1,) * n)
 
     rhs_t = eta_t + _apply(nd.s, xi_n)
-    sol_t = solve_cohomological(FourierMap.from_samples(_grid_major(rhs_t, 1), n),
-                                omega)
+    sol_t = solve_cohomological(
+        FourierMap.from_samples(_grid_major(rhs_t, 1), n, m), omega
+    )
     xi_t = _components(sol_t.solution.synthesize(gs), 1)
 
     delta = nd.frame.apply(xi_t, xi_n)
-    delta_map = FourierMap.from_samples(_grid_major(delta, 1), n)
+    delta_map = FourierMap.from_samples(_grid_major(delta, 1), n, m)
     K_next = K.with_periodic(K.periodic + delta_map)
     diag = StepDiagnostics(
         error_before=err.norm_grid,
@@ -509,7 +532,6 @@ def solve_torus(
     omega: FrequencyVector,
     tol: float = 1e-12,
     max_iter: int = 12,
-    grid_size: int | None = None,
     max_trunc_order: int = 512,
     rho: float = 0.0,
     jet=None,
@@ -531,7 +553,8 @@ def solve_torus(
     final iterate.  Every row records the iterate's defect ("error") and
     the tail state that decided its refinement: tail_flag, tail_max and
     round_off (r) at the order the iterate was first evaluated at, the odd
-    grid size N its defect was evaluated on ("grid") and the jets of H it
+    grid size N = sampling_size(M) its defect was evaluated on ("grid") and
+    the jets of H it
     used ("jets": 1, or 2 when it was resized, the jet at its old order and
     the one at the new, whose grid the row then records).  A step
     row also records the growth quantities (|DK|, |N|, |<S>^-1|), the
@@ -542,8 +565,8 @@ def solve_torus(
     With a FrequencyVector, every retained mode must stay inside its
     Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
     rejected before any work, and refinement stops at horizon // n.
-    jet, when given, is the jet of H at K0's samples on the solve's grid
-    and serves the first iterate.
+    jet, when given, is the jet of H at K0.grid_samples(), K0's sampling
+    grid, and serves the first iterate.
     """
     if isinstance(omega, FrequencyVector):
         check_horizon(K0, omega)
@@ -556,8 +579,8 @@ def solve_torus(
     stalls = 0
     for it in range(max_iter + 1):
         if it or jet is None:
-            jet = _jet(hamiltonian, K, grid_size)
-        err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)
+            jet = _jet(hamiltonian, K)
+        err = invariance_error(hamiltonian, K, omega, rho=rho, jet=jet)
         if initial is None:
             initial = err.norm_grid
         row = {"iter": it, "error": err.norm_grid, "tail_flag": err.tail_flag,
@@ -576,12 +599,12 @@ def solve_torus(
             break
         if err.genuine_tail and K.trunc_order * 2 <= max_trunc_order:
             K = K.resized(K.trunc_order * 2)
-            jet = _jet(hamiltonian, K, grid_size)
-            err = invariance_error(hamiltonian, K, omega, grid_size, rho, jet=jet)
+            jet = _jet(hamiltonian, K)
+            err = invariance_error(hamiltonian, K, omega, rho=rho, jet=jet)
             row["grid"] = err.values.shape[0]
             row["jets"] += 1
-        nd = nondegeneracy(hamiltonian, K, omega, grid_size, rho, jet=jet)
-        K, diag = newton_step(hamiltonian, K, omega, nd, grid_size, err=err)
+        nd = nondegeneracy(hamiltonian, K, omega, rho=rho, jet=jet)
+        K, diag = newton_step(hamiltonian, K, omega, nd, err=err)
         trace.append(
             {
                 **row,

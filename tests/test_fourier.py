@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from kamtori import FourierMap, TorusEmbedding, analyze, solve_cohomological
 
 import kamtori.solver as solver
-from kamtori.fourier import _fft_blocks, _strip_weights, canonical, wavevectors
+from kamtori.fourier import (
+    _fft_blocks, _strip_weights, canonical, sampling_size, wavevectors,
+)
 
 from conftest import GOLDEN, random_trig
 
@@ -388,8 +390,7 @@ class TestHalfSpectrumMap:
     def test_synthesis_on_native_and_larger_grids(self, case, extra):
         f, dense, _ = case
         size = f.grid_size + 2 * extra
-        theta = TorusEmbedding.circle(np.zeros(f.dim_domain),
-                                      trunc_order=(size - 1) // 2).grid()
+        theta = TorusEmbedding.circle(np.zeros(f.dim_domain)).grid(size)
         vals = f.synthesize(size)
         self.close(vals, dense_eval(dense, theta))
         rank = len(f.range_shape)
@@ -543,6 +544,80 @@ class TestTorusEmbedding:
             K1.difference(K2)
 
 
+def largest_prime_factor(x: int) -> int:
+    """Trial division; 1 for x = 1."""
+    big, p = 1, 2
+    while p * p <= x:
+        while x % p == 0:
+            x, big = x // p, p
+        p += 1
+    return max(big, x) if x > 1 else big
+
+
+class TestSamplingGrid:
+    """An order-M map is sampled on sampling_size(M) points and analyzed
+    back at order M."""
+
+    def test_rule(self):
+        for m in range(1025):
+            size = sampling_size(m)
+            assert size % 2 == 1 and size >= 2 * m + 1
+            assert largest_prime_factor(size) <= 13
+            # minimal: every smaller odd candidate has a prime factor > 13
+            assert all(largest_prime_factor(c) > 13
+                       for c in range(2 * m + 1, size, 2))
+        spots = [sampling_size(m) for m in (8, 16, 32, 64, 128, 256)]
+        assert spots == [21, 33, 65, 135, 273, 525]
+
+    @pytest.mark.parametrize("n, m, extra", [(1, 6, 5), (2, 4, 3), (3, 2, 1)])
+    @pytest.mark.parametrize("range_shape", [(), (2,), (2, 2)],
+                             ids=["scalar", "vector", "matrix"])
+    def test_analysis_keeps_the_given_order(self, n, m, extra, range_shape):
+        f = random_trig(np.random.default_rng(10 * n + m), n, m, range_shape)
+        size = f.grid_size + 2 * extra
+        got = FourierMap.from_samples(f.synthesize(size), n, trunc_order=m)
+        want = FourierMap.from_samples(f.synthesize(), n)
+        assert got.trunc_order == want.trunc_order == m
+        assert got.half.shape == want.half.shape
+        assert got.allclose(want, tol=1e-13)
+        assert got.allclose(f, tol=1e-13)
+        plane = got.half[(slice(None),) * (n - 1) + (0,)]
+        assert np.array_equal(plane, np.conj(np.flip(plane, axis=tuple(range(n - 1)))))
+
+    def test_order_beyond_the_grid_rejected(self):
+        with pytest.raises(ValueError, match="trunc_order 5 needs a grid of 11"):
+            FourierMap.from_samples(np.zeros((9, 9, 2)), 2, trunc_order=5)
+        with pytest.raises(ValueError, match="trunc_order"):
+            FourierMap.from_samples(np.zeros(9), 1, trunc_order=-1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_aliasing_oracle(self, n):
+        # modes up to |k|_inf = 70 analyzed at M = 64: on 135 points mode k
+        # folds onto k -+ 135, outside |k| <= 64, so the kept block is exact;
+        # on 129 points k = 70 folds onto -59, inside it
+        f = random_trig(np.random.default_rng(70 + n), n, 70)
+        want = f.resized(64)
+        for size, exact in ((135, True), (129, False)):
+            theta = TorusEmbedding.circle(np.zeros(n)).grid(size)
+            got = FourierMap.from_samples(f(theta), n, trunc_order=64)
+            miss = np.max(np.abs(got.half - want.half))
+            assert (miss < 1e-12) if exact else (miss > 1e-3)
+
+    def test_angle_grid_cached_read_only(self):
+        K = TorusEmbedding.circle(np.full(2, 0.4), trunc_order=64)
+        theta = K.grid()
+        axes = [np.arange(135) / 135] * 2
+        want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        assert theta.shape == want.shape and theta.tobytes() == want.tobytes()
+        assert not theta.flags.writeable
+        assert K.resized(64).grid(135) is theta
+        with pytest.raises(ValueError):
+            theta[0, 0, 0] = 1.0
+        samples = K.grid_samples()
+        assert samples.shape == (135, 135, 4)
+        assert np.max(np.abs(samples - K(theta))) < 1e-14
+
+
 # -- properties ---------------------------------------------------------------
 #
 # Each case is a random real trigonometric polynomial: hypothesis picks the
@@ -625,9 +700,7 @@ class TestProperties:
         vals = f.synthesize(size)
         assert vals.dtype == np.float64
         assert vals.shape == (size,) * f.dim_domain + f.range_shape
-        theta = TorusEmbedding.circle(
-            np.zeros(f.dim_domain), trunc_order=(size - 1) // 2
-        ).grid()
+        theta = TorusEmbedding.circle(np.zeros(f.dim_domain)).grid(size)
         want = eval_modes(f, theta)
         assert np.max(np.abs(vals - want), initial=0.0) < 1e-11 * scale(f)
         assert np.max(np.abs(f(theta) - want), initial=0.0) < 1e-11 * scale(f)

@@ -18,6 +18,7 @@ from kamtori import (
     nondegeneracy,
     solve_torus,
 )
+from kamtori.fourier import sampling_size
 from kamtori.hamiltonian import jet_grid, symplectic_matrix
 from kamtori.solver import (
     COND_DK_LIMIT, AdaptedFrame, _frame_tensors, _gram_cond, _solve,
@@ -68,7 +69,8 @@ class TestInvarianceError:
         want_y = 2 * np.pi * eps * np.sin(2 * np.pi * theta[:, 0])
         assert np.max(np.abs(vals[:, 0])) < 1e-12
         assert np.max(np.abs(vals[:, 1] - want_y)) < 1e-12
-        grid = np.arange(129) / 129
+        # M = 64 is sampled on sampling_size(64) = 135 = 3^3 5 points
+        grid = np.arange(135) / 135
         oracle = 2 * np.pi * eps * np.max(np.abs(np.sin(2 * np.pi * grid)))
         assert err.norm_grid == pytest.approx(oracle, abs=1e-12)
         assert err.norm_grid == pytest.approx(2 * np.pi * eps, rel=1e-4)
@@ -571,6 +573,48 @@ class TestOneEvaluationPerIterate:
             newton_step(h, K, golden_freq, nd)
 
 
+class TestSamplingGrid:
+    """Every iterate is sampled on sampling_size(M) points and analyzed at M."""
+
+    def test_analyses_keep_the_iterate_order(self, golden_freq):
+        h = HamiltonianModel.pendulum(1e-3)
+        K = TorusEmbedding.circle(GOLDEN, trunc_order=16)
+        err = invariance_error(h, K, golden_freq, grid_size=45)
+        nd = nondegeneracy(h, K, grid_size=45)
+        assert err.values.shape[0] == nd.frame.dk.shape[-1] == 45
+        assert err.e.trunc_order == nd.n_map.trunc_order == 16
+        assert nd.s_map.trunc_order == 16
+        default = invariance_error(h, K, golden_freq)
+        assert default.values.shape[0] == 33 and default.e.trunc_order == 16
+        K1, _ = newton_step(h, K, golden_freq)
+        assert K1.trunc_order == 16
+
+    def test_solve_has_no_grid_knob(self, golden_freq):
+        h = HamiltonianModel.pendulum(1e-3)
+        K = TorusEmbedding.circle(GOLDEN, trunc_order=16)
+        with pytest.raises(TypeError, match="grid_size"):
+            solve_torus(h, K, golden_freq, grid_size=45)
+        with pytest.raises(TypeError, match="grid_size"):
+            newton_step(h, K, golden_freq, grid_size=45)
+
+    def test_coupled_solve_to_64_on_fast_grids(self):
+        tol = 1e-12
+        omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+        freq = FrequencyVector.estimated(omega, sigma=1.1, horizon=256)
+        h = coupled_rotator(1.2e-3)
+        K0 = TorusEmbedding.circle(omega, trunc_order=16)
+        res = solve_torus(h, K0, freq, tol=tol, max_trunc_order=freq.horizon)
+        m = res.torus.trunc_order
+        assert res.converged and m == 64
+        grids = [row["grid"] for row in res.trace]
+        orders = [row.get("trunc_order", m) for row in res.trace]
+        assert grids == [sampling_size(order) for order in orders]
+        assert grids[-1] == 135
+        for size in (2 * m + 1, 2 * ((3 * m) // 2) + 1):
+            err = invariance_error(h, res.torus, freq, grid_size=size)
+            assert err.norm_grid <= 10 * tol
+
+
 class TestRefinementAboveRoundOff:
     """solve_torus doubles M only on a tail above the iterate's round-off r."""
 
@@ -624,8 +668,9 @@ class TestRefinementAboveRoundOff:
         for row in res.trace:
             new = row.get("trunc_order", order)  # the final row keeps the order
             assert row["jets"] == (2 if new > order else 1)
-            assert row["grid"] == 2 * new + 1
+            assert row["grid"] == sampling_size(new)
             order = new
+        assert {row["grid"] for row in res.trace} == {33, 65}
         assert [row["jets"] for row in res.trace].count(2) == 1
         # one jet per iterate plus one per resize, as solve_torus takes them
         assert sum(row["jets"] for row in res.trace) == res.iterations + 2
