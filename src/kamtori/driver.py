@@ -372,7 +372,8 @@ def _c3_near(model, K: TorusEmbedding, margin: float, points: int) -> float:
 
 
 def _defect_record(err: ErrorField) -> dict:
-    """A defect's norms and its tail state under the refinement rule."""
+    """A defect's norms and its tail state: tail_flag is the round-off half
+    of solve_torus's refinement rule (ErrorField.genuine_tail)."""
     return {
         "grid": err.norm_grid,
         "rho": err.norm_rho.value,

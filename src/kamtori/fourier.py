@@ -178,13 +178,17 @@ class StripNormEstimate:
     trips when the last dyadic block of modes (|k|_inf > M/2) contributes
     more than 1e-10 of the total, signalling that the truncation order is
     suspect.  ``tail_max`` is the largest unweighted amplitude max|amp(k)|
-    in that block, the scale to hold against round-off.
+    in that block, the scale to hold against round-off.  ``tail_sum`` is
+    that block's share of ``value``, sum over |k|_inf > M/2 of
+    |amp(k)| exp(2 pi |k|_1 rho), which bounds the sup of the tail block
+    alone over the strip.
     """
 
     value: float
     rho: float
     tail_flag: bool
     tail_max: float
+    tail_sum: float
     source: FourierMap = field(repr=False, compare=False)
 
     @cached_property
@@ -467,10 +471,11 @@ class FourierMap:
         nz = amax > 0  # zero modes add nothing, even where the weight overflows
         terms = amax[nz] * weight[nz]
         total = float(np.sum(terms))
-        flag = total > 0 and float(np.sum(terms[tail[nz]])) > 1e-10 * total
+        tail_sum = float(np.sum(terms[tail[nz]]))
         return StripNormEstimate(
-            value=total, rho=rho, tail_flag=flag,
-            tail_max=float(np.max(amax[tail], initial=0.0)), source=self,
+            value=total, rho=rho, tail_flag=total > 0 and tail_sum > 1e-10 * total,
+            tail_max=float(np.max(amax[tail], initial=0.0)), tail_sum=tail_sum,
+            source=self,
         )
 
     def grid_sup(self) -> float:

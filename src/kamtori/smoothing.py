@@ -778,19 +778,20 @@ def _rough_factor(box: Box, axis: int, terms, bump_factor, u):
     return out if bump_factor is None else out * bump_factor(u)
 
 
-def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float, rho: float = 0.0,
-                  grid_size: int | None = None) -> CutoffHamiltonian:
+def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
+                  rho: float = 0.0) -> CutoffHamiltonian:
     """Localize the rough part of a Hamiltonian to a box around K0's image.
 
-    The box spans the full angle chart [0, 1]^n (periodic) and the sampled
-    action range inflated by 3r; the 3r-neighborhood of the image must sit
-    inside the Hamiltonian's own domain.
+    The box spans the full angle chart [0, 1]^n (periodic) and the action
+    range of K0's samples on its sampling grid, inflated by 3r; the
+    3r-neighborhood of the image must sit inside the Hamiltonian's own
+    domain.
     """
     if r <= 0:
         raise ValueError("r must be positive")
     n = K0.dim_domain
     periodic = np.concatenate([np.ones(n, bool), np.zeros(n, bool)])
-    bump = PlateauBump(K0.grid_samples(grid_size), r, periodic)
+    bump = PlateauBump(K0.grid_samples(), r, periodic)
     lo = np.concatenate([np.zeros(n), bump.anchors[0] - 3 * r])
     hi = np.concatenate([np.ones(n), bump.anchors[1] + 3 * r])
     dom = getattr(hamiltonian, "box", None)

@@ -120,9 +120,10 @@ class ErrorField:
 
     @property
     def genuine_tail(self) -> bool:
-        """The refinement rule: tail_flag trips and the tail's largest
-        amplitude tail_max exceeds round_off, so a tail of round-off is not
-        genuine."""
+        """The round-off half of solve_torus's refinement rule: tail_flag
+        trips and the tail's largest amplitude tail_max exceeds round_off,
+        so a tail of round-off is not genuine.  solve_torus refines only a
+        genuine tail whose tail_sum also exceeds its tol."""
         return bool(self.tail_flag and self.norm_rho.tail_max > self.round_off)
 
 
@@ -545,22 +546,25 @@ def solve_torus(
     on the initial error, the best one is returned with status "floored"
     (the iteration hit its numerical floor), otherwise "diverged".  The
     truncation order doubles, up to max_trunc_order, before the next step
-    when the defect's spectral tail is genuine (ErrorField.genuine_tail:
-    its tail_flag trips and its largest tail amplitude tail_max exceeds
-    the same r), so a tail made of round-off never refines.
+    when two things hold: the defect's spectral tail is genuine
+    (ErrorField.genuine_tail: its tail_flag trips and its largest tail
+    amplitude tail_max exceeds the same r), and the tail block's share of
+    the strip norm at rho, tail_sum, exceeds tol.  A tail made of
+    round-off never refines, and neither does one whose sup bound tail_sum
+    is below tol, since it cannot hold the defect above tol.
 
     The trace has a row per Newton step and, on convergence, one for the
     final iterate.  Every row records the iterate's defect ("error") and
-    the tail state that decided its refinement: tail_flag, tail_max and
-    round_off (r) at the order the iterate was first evaluated at, the odd
-    grid size N = sampling_size(M) its defect was evaluated on ("grid") and
-    the jets of H it
-    used ("jets": 1, or 2 when it was resized, the jet at its old order and
-    the one at the new, whose grid the row then records).  A step
-    row also records the growth quantities (|DK|, |N|, |<S>^-1|), the
-    Lagrangian defect max |DK^T J DK| and the corrected iterate's
-    truncation order; its "error" is that of the iterate the step
-    corrected, after any refinement.
+    the tail state that decided its refinement: tail_flag, tail_max,
+    tail_sum and round_off (r) at the order the iterate was first
+    evaluated at, the odd grid size N = sampling_size(M) its defect was
+    evaluated on ("grid") and the jets of H it used ("jets": 1, or 2 when
+    it was resized, the jet at its old order and the one at the new, whose
+    grid the row then records).  A step row also records the growth
+    quantities (|DK|, |N|, |<S>^-1|), the Lagrangian defect
+    max |DK^T J DK| and the corrected iterate's truncation order; its
+    "error" is that of the iterate the step corrected, after any
+    refinement.
 
     With a FrequencyVector, every retained mode must stay inside its
     Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
@@ -584,7 +588,8 @@ def solve_torus(
         if initial is None:
             initial = err.norm_grid
         row = {"iter": it, "error": err.norm_grid, "tail_flag": err.tail_flag,
-               "tail_max": err.norm_rho.tail_max, "round_off": err.round_off,
+               "tail_max": err.norm_rho.tail_max,
+               "tail_sum": err.norm_rho.tail_sum, "round_off": err.round_off,
                "grid": err.values.shape[0], "jets": 1}
         stalls = 0 if err.norm_grid < best_err - err.round_off else stalls + 1
         if err.norm_grid < best_err:
@@ -597,7 +602,8 @@ def solve_torus(
             return SolveResult(status, best_K, best_err, it, trace)
         if it == max_iter:
             break
-        if err.genuine_tail and K.trunc_order * 2 <= max_trunc_order:
+        if (err.genuine_tail and err.norm_rho.tail_sum > tol
+                and K.trunc_order * 2 <= max_trunc_order):
             K = K.resized(K.trunc_order * 2)
             jet = _jet(hamiltonian, K)
             err = invariance_error(hamiltonian, K, omega, rho=rho, jet=jet)

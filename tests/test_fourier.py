@@ -440,17 +440,18 @@ class TestHalfSpectrumMap:
         want[(m,) * n] += winding @ omega
         self.close(K.directional(omega).coeffs, want)
 
-    @pytest.mark.parametrize("rho", [0.0, 0.03])
+    @pytest.mark.parametrize("rho", [0.0, 0.02, 0.03])
     def test_strip_norm(self, case, rho):
         f, dense, _ = case
         n = f.dim_domain
         ks = np.abs(wavevectors(n, f.trunc_order))
         amax = np.max(np.abs(dense), axis=tuple(range(n, dense.ndim)), initial=0.0)
-        want = np.sum(amax * np.exp(2 * np.pi * ks.sum(axis=-1) * rho))
+        terms = amax * np.exp(2 * np.pi * ks.sum(axis=-1) * rho)
         tail = ks.max(axis=-1) > f.trunc_order / 2.0
         est = f.strip_norm(rho)
-        assert est.value == pytest.approx(want, rel=1e-12)
+        assert est.value == pytest.approx(np.sum(terms), rel=1e-12)
         assert est.tail_max == pytest.approx(np.max(amax[tail]), rel=1e-12)
+        assert est.tail_sum == pytest.approx(np.sum(terms[tail]), rel=1e-12)
 
     def test_cold_paths(self, case):
         f, dense, rng = case

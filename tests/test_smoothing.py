@@ -387,6 +387,11 @@ class TestCutoff:
         with pytest.raises(ValueError, match="positive"):
             cutoff_extend(h, K0, r=-1.0)
 
+    def test_hull_from_the_sampling_grid_only(self, rough_system):
+        h, K0 = rough_system
+        with pytest.raises(TypeError, match="grid_size"):
+            cutoff_extend(h, K0, r=0.8, grid_size=45)
+
 
 def wavy_torus(amps, trunc_order=16):
     """Graph torus y_i = y0_i + a_i sin(2 pi (x_1 + ... + x_i)) over T^n."""

@@ -426,6 +426,18 @@ def coupled_rotator(eps):
     return HamiltonianModel(2, terms)
 
 
+COUPLED_OMEGA = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+
+
+def solve_coupled(eps, tol):
+    """(H, frequency, result) of the coupled rotator solved from the flat
+    M = 16 circle, refining up to the horizon's order."""
+    freq = FrequencyVector.estimated(COUPLED_OMEGA, sigma=1.1, horizon=256)
+    h = coupled_rotator(eps)
+    K0 = TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=16)
+    return h, freq, solve_torus(h, K0, freq, tol=tol, max_trunc_order=freq.horizon)
+
+
 class ConstantForce:
     """A model whose field gains the constant force -c in the first action."""
 
@@ -599,11 +611,7 @@ class TestSamplingGrid:
 
     def test_coupled_solve_to_64_on_fast_grids(self):
         tol = 1e-12
-        omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
-        freq = FrequencyVector.estimated(omega, sigma=1.1, horizon=256)
-        h = coupled_rotator(1.2e-3)
-        K0 = TorusEmbedding.circle(omega, trunc_order=16)
-        res = solve_torus(h, K0, freq, tol=tol, max_trunc_order=freq.horizon)
+        h, freq, res = solve_coupled(1.2e-3, tol)
         m = res.torus.trunc_order
         assert res.converged and m == 64
         grids = [row["grid"] for row in res.trace]
@@ -618,16 +626,11 @@ class TestSamplingGrid:
 class TestRefinementAboveRoundOff:
     """solve_torus doubles M only on a tail above the iterate's round-off r."""
 
-    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
     tol = 1e-12
 
     @pytest.fixture(scope="class")
     def coupled_solve(self):
-        freq = FrequencyVector.estimated(self.omega, sigma=1.1, horizon=256)
-        h = coupled_rotator(5.6e-4)
-        K0 = TorusEmbedding.circle(self.omega, trunc_order=16)
-        res = solve_torus(h, K0, freq, tol=self.tol, max_trunc_order=freq.horizon)
-        return h, freq, res
+        return solve_coupled(5.6e-4, self.tol)
 
     def test_coupled_rotator_converges_at_32(self, coupled_solve):
         # from iterate 3 on the tail trips at M = 32, but only with round-off
@@ -651,15 +654,25 @@ class TestRefinementAboveRoundOff:
         assert [r.get("trunc_order") for r in res.trace[:3]] == [16, 16, 32]
 
     def test_trace_rows_record_the_refinement_decision(self, coupled_solve):
-        _, _, res = coupled_solve
-        assert len(res.trace) == res.iterations + 1
-        order = 16
-        for row in res.trace:
-            assert row["round_off"] > 0 and row["tail_max"] >= 0
-            if "trunc_order" in row:
-                real_tail = row["tail_flag"] and row["tail_max"] > row["round_off"]
-                assert row["trunc_order"] == (2 * order if real_tail else order)
-                order = row["trunc_order"]
+        # each row holds what decided its refinement: a genuine tail
+        # (tail_flag, tail_max > round_off) whose tail_sum exceeds tol
+        _, freq, res = coupled_solve
+        _, _, below_tol = solve_coupled(1e-3, self.tol)
+        held = 0
+        for solved in (res, below_tol):
+            assert len(solved.trace) == solved.iterations + 1
+            order = 16
+            for row in solved.trace:
+                assert row["round_off"] > 0 and row["tail_max"] >= 0
+                assert row["tail_sum"] >= row["tail_max"]
+                if "trunc_order" in row:
+                    genuine = row["tail_flag"] and row["tail_max"] > row["round_off"]
+                    refine = (genuine and row["tail_sum"] > self.tol
+                              and 2 * order <= freq.horizon // 2)
+                    assert row["trunc_order"] == (2 * order if refine else order)
+                    held += genuine and not refine
+                    order = row["trunc_order"]
+        assert held  # a genuine tail below tol kept its order
 
 
     def test_trace_rows_record_grid_and_jets(self, coupled_solve):
@@ -674,6 +687,37 @@ class TestRefinementAboveRoundOff:
         assert [row["jets"] for row in res.trace].count(2) == 1
         # one jet per iterate plus one per resize, as solve_torus takes them
         assert sum(row["jets"] for row in res.trace) == res.iterations + 2
+
+
+class TestRefinementAboveTol:
+    """solve_torus doubles M only on a genuine tail whose tail_sum, the
+    tail block's share of the strip norm, exceeds tol."""
+
+    @staticmethod
+    def fine_errors(h, freq, res):
+        """The defect on the 2M+1 grid and on the 1.5x grid."""
+        m = res.torus.trunc_order
+        return [invariance_error(h, res.torus, freq, grid_size=size).norm_grid
+                for size in (2 * m + 1, 2 * ((3 * m) // 2) + 1)]
+
+    def test_tail_below_tol_stays_at_32(self):
+        # iterate 3 has a genuine tail (tail_max 5e-14 > r) of tail_sum 2e-13
+        tol = 1e-12
+        h, freq, res = solve_coupled(1e-3, tol)
+        assert res.converged and res.iterations == 4
+        assert res.torus.trunc_order == 32
+        assert max(self.fine_errors(h, freq, res)) <= 10 * tol
+
+    def test_tail_above_tol_refines(self):
+        _, _, res = solve_coupled(1e-3, 1e-13)
+        assert res.converged and res.torus.trunc_order == 64
+
+    @pytest.mark.parametrize("eps", [3e-4, 6e-4, 1e-3, 1.5e-3, 2e-3])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_every_solve_meets_tol_on_fine_grids(self, eps, tol):
+        h, freq, res = solve_coupled(eps, tol)
+        assert res.converged
+        assert max(self.fine_errors(h, freq, res)) <= 10 * tol
 
 
 def padded_at_order(self, trunc_order):
