@@ -9,10 +9,14 @@ smooth       cutoff extension plus approximant ladder; gap table as CSV.
 diophantine  finite-horizon frequency scan; result as JSON.
 run          full cascade (cutoff, smoothing, staged Newton, certificate).
 
-Every invocation that touches disk writes the echoed config next to its
+A config file is one flat JSON object: the run knobs, whose defaults and
+bounds live in driver.RunParams, beside the fields RunConfig adds (model
+file, frequency, initial torus, truncation order, output directory).
+The override flags replace the file's keys before validation.  Every
+invocation that touches disk writes the echoed config next to its
 outputs, JSON is emitted with sorted keys and no timestamps so reruns are
 byte-stable, and exit codes are 0 (pass / convergence), 1 (certified
-failure), 2 (usage error).
+failure or rejected config), 2 (usage error).
 """
 
 from __future__ import annotations
@@ -30,11 +34,10 @@ import numpy as np
 
 from .diophantine import _TINY_GAMMA, FrequencyVector, check_diophantine
 from .driver import (
-    DEFAULT_LAMBDA,
+    ConfigError,
     RunParams,
     _frequency,
     _jsonable,
-    eval_lambda,
     kam_schedule,
     run_scheme,
     smoothing_ladder,
@@ -50,48 +53,28 @@ from .hamiltonian import (
 from .solver import invariance_error, solve_torus
 
 
-class ConfigError(Exception):
-    """Config rejected; .violations lists every problem found."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; all fields echo into config.json."""
+    """A validated config file: the run knobs plus what the CLI adds.
+
+    params holds the run knobs with their defaults and bounds
+    (driver.RunParams).  The other fields name the model file, the
+    frequency, the initial torus (a coefficient file, or the circle over
+    y0, omega when None, at truncation order trunc) and the output
+    directory.  to_json echoes all of them as one flat document.
+    """
 
     hamiltonian: str
     omega: tuple
+    params: RunParams
     torus_file: str | None = None
     y0: tuple | None = None
-    gamma: float | None = None
-    sigma: float = 1.1
-    horizon: int = 256
-    rho: float = 0.05
-    r: float = 0.35
-    l: int | None = None
     trunc: int = 64
-    tol: float | None = None
-    target_error: float = 1e-9
-    max_iter: int = 12
-    max_stages: int = 6
-    min_tori: int = 4
-    count: int = 2
-    start_degree: int = 8
-    max_degree: int = 4096
-    measure_points: int = 33
-    norm_points: int = 9
-    condition_mode: str = "measured"
-    lambda_spec: str = DEFAULT_LAMBDA
     out: str | None = None
 
     def to_json(self) -> str:
-        doc = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            doc[f.name] = list(v) if isinstance(v, tuple) else v
+        doc = asdict(self)
+        doc.update(doc.pop("params"))
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def load_hamiltonian(self):
@@ -107,29 +90,7 @@ class RunConfig:
         return TorusEmbedding.circle(np.asarray(y0, dtype=float), self.trunc)
 
     def frequency(self) -> FrequencyVector:
-        return _frequency(np.asarray(self.omega, dtype=float), self.run_params())
-
-    def run_params(self) -> RunParams:
-        return RunParams(
-            rho=self.rho,
-            r=self.r,
-            sigma=self.sigma,
-            gamma=self.gamma,
-            horizon=self.horizon,
-            l=self.l,
-            target_error=self.target_error,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            max_stages=self.max_stages,
-            min_tori=self.min_tori,
-            count=self.count,
-            start_degree=self.start_degree,
-            max_degree=self.max_degree,
-            measure_points=self.measure_points,
-            norm_points=self.norm_points,
-            condition_mode=self.condition_mode,
-            lambda_spec=self.lambda_spec,
-        )
+        return _frequency(np.asarray(self.omega, dtype=float), self.params)
 
 
 def load_hamiltonian(path: str):
@@ -162,18 +123,26 @@ def load_hamiltonian(path: str):
     return CompositeHamiltonian(analytic=base, rough=terms)
 
 
-def parse_config(path) -> RunConfig:
-    """Read and validate a config file, reporting every violation at once."""
+_CLI_KEYS = frozenset(f.name for f in fields(RunConfig)) - {"params"}
+_PARAM_KEYS = frozenset(f.name for f in fields(RunParams))
+
+
+def parse_config(path, **overrides) -> RunConfig:
+    """Read and validate a config file, reporting every violation at once.
+
+    overrides (the command-line flags) replace the file's keys before
+    anything is checked, so they meet the same bounds.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"])
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"])
+    raw.update(overrides)
 
-    known = {f.name for f in fields(RunConfig)}
     bad = []
-    for key in sorted(set(raw) - known - {"torus"}):
+    for key in sorted(set(raw) - _CLI_KEYS - _PARAM_KEYS - {"torus"}):
         bad.append(f"unknown key: {key}")
 
     torus_file, y0 = raw.get("torus_file"), raw.get("y0")
@@ -206,52 +175,34 @@ def parse_config(path) -> RunConfig:
         if not Path(torus_file).is_file():
             bad.append(f"torus file not found: {torus_file}")
 
-    vals = {k: raw[k] for k in known & set(raw)}
+    vals = {k: raw[k] for k in _CLI_KEYS & set(raw)}
     vals["hamiltonian"] = ham
     vals["torus_file"] = torus_file
     if y0 is not None:
         vals["y0"] = tuple(float(v) for v in np.atleast_1d(y0))
     if "omega" in raw:
         vals["omega"] = tuple(float(v) for v in np.atleast_1d(raw["omega"]))
+    trunc = vals.get("trunc")
+    if trunc is not None and not trunc >= 1:
+        bad.append(f"truncation order M must be >= 1, got {trunc}")
 
-    def check(name, default, ok, message):
-        v = vals.get(name, default)
-        if v is not None and not ok(v):
-            bad.append(message.format(v))
-
-    check("gamma", None, lambda v: v > 0, "gamma must be positive, got {}")
-    check("rho", 0.05, lambda v: v > 0, "rho must be positive, got {}")
-    check("r", 0.35, lambda v: v > 0, "r must be positive, got {}")
-    check("l", None, lambda v: v >= 4, "l must be at least 4, got {}")
-    check("trunc", 64, lambda v: v >= 1, "truncation order M must be >= 1, got {}")
-    check("horizon", 256, lambda v: v >= 1, "horizon must be >= 1, got {}")
-    check("max_iter", 12, lambda v: v >= 1, "max_iter must be >= 1, got {}")
-    check("target_error", 1e-9, lambda v: v > 0, "target_error must be positive, got {}")
-    check("tol", None, lambda v: v > 0, "tol must be positive, got {}")
-    check(
-        "condition_mode",
-        "measured",
-        lambda v: v in ("measured", "strict"),
-        "condition_mode must be 'measured' or 'strict', got {}",
-    )
-    if n is not None:
-        sigma = vals.get("sigma", 1.1)
-        # sigma = n - 1 sits on the boundary where Diophantine vectors
-        # cease to have full measure; the strict inequality is required
-        if not sigma > n - 1:
-            bad.append(
-                f"sigma must be strictly greater than n - 1 = {n - 1} "
-                f"(Diophantine exponent bound), got {sigma}"
-            )
-    if "lambda_spec" in vals:
-        try:
-            eval_lambda(vals["lambda_spec"], 1.0, 1.0, 1.0, 1.0)
-        except ValueError as exc:
-            bad.append(f"lambda_spec does not evaluate: {exc}")
+    knobs = {k: raw[k] for k in _PARAM_KEYS & set(raw)}
+    try:
+        params = RunParams(**knobs)
+    except ConfigError as exc:
+        bad.extend(exc.violations)
+    sigma = knobs.get("sigma", RunParams.sigma)
+    # sigma = n - 1 sits on the boundary where Diophantine vectors cease
+    # to have full measure; the strict inequality is required
+    if n is not None and isinstance(sigma, (int, float)) and not sigma > n - 1:
+        bad.append(
+            f"sigma must be strictly greater than n - 1 = {n - 1} "
+            f"(Diophantine exponent bound), got {sigma}"
+        )
 
     if bad:
         raise ConfigError(bad)
-    return RunConfig(**vals)
+    return RunConfig(params=params, **vals)
 
 
 # -- artifact helpers ---------------------------------------------------------
@@ -282,21 +233,12 @@ def _prepare_out(cfg: RunConfig, override) -> Path:
     return out
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    if getattr(args, "hamiltonian", None):
-        updates["hamiltonian"] = str(Path(args.hamiltonian).absolute())
-    if getattr(args, "max_iter", None) is not None:
-        updates["max_iter"] = args.max_iter
-    if getattr(args, "tol", None) is not None:
-        updates["tol"] = args.tol
-    if getattr(args, "trunc", None) is not None:
-        updates["trunc"] = args.trunc
-    if not updates:
-        return cfg
-    doc = asdict(cfg)
-    doc.update(updates)
-    return RunConfig(**doc)
+def _load_config(args) -> RunConfig:
+    """The config file named by --config, with the override flags applied."""
+    flags = ("hamiltonian", "max_iter", "tol", "trunc")
+    return parse_config(
+        args.config, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    )
 
 
 # -- subcommands --------------------------------------------------------------
@@ -324,17 +266,17 @@ def cmd_diophantine(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+    cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
     H = cfg.load_hamiltonian()
     K0 = cfg.load_torus()
     freq = cfg.frequency()
-    tol = cfg.tol if cfg.tol is not None else 1e-12
+    tol = cfg.params.tol if cfg.params.tol is not None else 1e-12
     # rho = 0 here: at the doubled truncation orders the strip weighting
     # amplifies FFT floor noise, and bare solves gate on the grid error
     res = solve_torus(
-        H, K0, freq, tol=tol, max_iter=cfg.max_iter,
-        max_trunc_order=cfg.horizon, rho=0.0,
+        H, K0, freq, tol=tol, max_iter=cfg.params.max_iter,
+        max_trunc_order=cfg.params.horizon, rho=0.0,
     )
     with (out / "trace.jsonl").open("w") as fh:
         for rec in res.trace:
@@ -356,15 +298,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+    cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
     H = cfg.load_hamiltonian()
     K = cfg.load_torus()
     freq = cfg.frequency()
-    schedule, nd, jet = kam_schedule(H, K, freq, cfg.run_params())
-    err = invariance_error(H, K, freq, rho=cfg.rho, jet=jet)
+    schedule, nd, jet = kam_schedule(H, K, freq, cfg.params)
+    err = invariance_error(H, K, freq, rho=cfg.params.rho, jet=jet)
     c_value, conditions = schedule.strict_conditions(
-        cfg.lambda_spec, err.norm_rho.value
+        cfg.params.lambda_spec, err.norm_rho.value
     )
     passed = bool(conditions["condition2_ok"] and conditions["condition3_ok"])
     _write_json(
@@ -395,13 +337,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+    cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
     H = cfg.load_hamiltonian()
     K0 = cfg.load_torus()
     freq = cfg.frequency()
     try:
-        ladder = smoothing_ladder(H, K0, freq, cfg.run_params())
+        ladder = smoothing_ladder(H, K0, freq, cfg.params)
     except ValueError as exc:
         _write_json(out / "certificate.json", {"passed": False, "error": str(exc)})
         return 1
@@ -449,18 +391,18 @@ def cmd_smooth(args) -> int:
             "gaps_c0": list(seq.gaps_c0),
             "a_const": seq.a_const,
             "l": ladder.l,
-            "sigma": cfg.sigma,
+            "sigma": cfg.params.sigma,
         },
     )
     return 0
 
 
 def cmd_run(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+    cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
     H = cfg.load_hamiltonian()
     K0 = cfg.load_torus()
-    res = run_scheme(H, K0, np.asarray(cfg.omega, dtype=float), cfg.run_params())
+    res = run_scheme(H, K0, np.asarray(cfg.omega, dtype=float), cfg.params)
 
     stages_dir = out / "stages"
     stages_dir.mkdir(exist_ok=True)

@@ -59,6 +59,7 @@ from .solver import (
 )
 
 __all__ = [
+    "ConfigError",
     "DEFAULT_LAMBDA",
     "KamSchedule",
     "Ladder",
@@ -296,9 +297,54 @@ def lemma4_check(gaps, l: int, slack: float = 1.5) -> dict:
     }
 
 
-@dataclass
+class ConfigError(ValueError):
+    """Run description rejected; .violations lists every problem found."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(self.violations))
+
+
+# (message, test) per bound of a RunParams knob; a value the test cannot
+# compare (a string for a number, None where a value is required) fails it
+_BOUNDS = (
+    ("rho must be positive, got {p.rho}", lambda p: p.rho > 0),
+    ("r must be positive, got {p.r}", lambda p: p.r > 0),
+    ("sigma must be positive, got {p.sigma}", lambda p: p.sigma > 0),
+    ("gamma must be positive, got {p.gamma}", lambda p: p.gamma is None or p.gamma > 0),
+    ("horizon must be >= 1, got {p.horizon}", lambda p: p.horizon >= 1),
+    ("l must be at least 4, got {p.l}", lambda p: p.l is None or p.l >= 4),
+    ("target_error must be positive, got {p.target_error}", lambda p: p.target_error > 0),
+    ("tol must be positive, got {p.tol}", lambda p: p.tol is None or p.tol > 0),
+    ("max_iter must be >= 1, got {p.max_iter}", lambda p: p.max_iter >= 1),
+    ("max_stages must be >= 1, got {p.max_stages}", lambda p: p.max_stages >= 1),
+    ("min_tori must be >= 0, got {p.min_tori}", lambda p: p.min_tori >= 0),
+    ("count must be >= 1, got {p.count}", lambda p: p.count >= 1),
+    # bernstein_nd needs degree 3 for the C^3 gaps it measures
+    ("start_degree must be >= 3, got {p.start_degree}", lambda p: p.start_degree >= 3),
+    ("max_degree must be >= start_degree = {p.start_degree}, got {p.max_degree}",
+     lambda p: p.max_degree >= p.start_degree),
+    # the C^3 grids span a box around the torus; 1 or 2 points per axis
+    # sample only its edges, where the cut-off rough part vanishes
+    ("measure_points must be >= 3, got {p.measure_points}", lambda p: p.measure_points >= 3),
+    ("norm_points must be >= 3, got {p.norm_points}", lambda p: p.norm_points >= 3),
+    ("condition_mode must be 'measured' or 'strict', got {p.condition_mode}",
+     lambda p: p.condition_mode in ("measured", "strict")),
+)
+
+
+@dataclass(frozen=True)
 class RunParams:
-    """Knobs of run_scheme; everything is echoed into the certificate."""
+    """Knobs of run_scheme: the one place that holds their defaults and bounds.
+
+    rho, r, sigma, gamma and l are the scheme's hypotheses: strip width,
+    radius, Diophantine exponent and constant (estimated over horizon
+    when None) and smoothness class (the model's when None).  target_error
+    ends the cascade, tol (target_error when None) each stage's solve.
+    The rest size the cascade, the smoothing ladder and the C^3 grids.
+    Construction checks every knob and raises one ConfigError listing
+    each violation.  Everything is echoed into the certificate.
+    """
 
     rho: float = 0.05
     r: float = 0.35
@@ -320,8 +366,20 @@ class RunParams:
     lambda_spec: str = DEFAULT_LAMBDA
 
     def __post_init__(self):
-        if self.condition_mode not in ("measured", "strict"):
-            raise ValueError("condition_mode must be 'measured' or 'strict'")
+        bad = []
+        for message, test in _BOUNDS:
+            try:
+                held = test(self)
+            except TypeError:
+                held = False
+            if not held:
+                bad.append(message.format(p=self))
+        try:
+            eval_lambda(self.lambda_spec, 1.0, 1.0, 1.0, 1.0)
+        except (SyntaxError, TypeError, ValueError) as exc:
+            bad.append(f"lambda_spec does not evaluate: {exc}")
+        if bad:
+            raise ConfigError(bad)
 
 
 @dataclass
@@ -461,7 +519,7 @@ def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
             jet = ladder.jet
     if jet is None:
         jet = jet_grid(frame_model, K.grid_samples())
-    nd = nondegeneracy(frame_model, K, freq, rho=params.rho, jet=jet)
+    nd = nondegeneracy(frame_model, K, rho=params.rho, jet=jet)
     mu0 = _c3_near(norm_model, K, 2 * params.r, params.norm_points)
     schedule = KamSchedule(
         rho=params.rho, r=params.r, l=l, sigma=params.sigma, gamma=freq.gamma,
@@ -470,18 +528,13 @@ def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
     return schedule, nd, jet
 
 
-def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None = None,
-               **overrides) -> RunResult:
+def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> RunResult:
     """Full cascade for a C^l (or analytic) Hamiltonian; see module docstring.
 
     Analytic input bypasses cutoff and smoothing entirely (constant
     sequence), and the cascade degenerates to direct Newton solves whose
     first stage reproduces solve_torus on H itself.
     """
-    if params is None:
-        params = RunParams(**overrides)
-    elif overrides:
-        raise ValueError("pass either params or keyword overrides, not both")
     freq = _frequency(omega, params)
     check_horizon(K0, freq)
     ladder = smoothing_ladder(hamiltonian, K0, freq, params)
@@ -561,7 +614,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         jet, nd_stage1 = jet0, nd0
     else:
         jet = jet_grid(h_stage1, K0.grid_samples())
-        nd_stage1 = nondegeneracy(h_stage1, K0, freq, rho=params.rho, jet=jet)
+        nd_stage1 = nondegeneracy(h_stage1, K0, rho=params.rho, jet=jet)
     if h_stage1 is hamiltonian:
         e0_stage = e0_orig
     else:
@@ -627,7 +680,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams | None 
         if k > 1:
             # stage k-1 measured H's defect at k_prev; its jet gives the frame
             e_k = err_vs_h.e.strip_norm(rho_k).value
-            nd_k = nondegeneracy(h_k, k_prev, freq, rho=schedule.rho_k(k - 1), jet=jet)
+            nd_k = nondegeneracy(h_k, k_prev, rho=schedule.rho_k(k - 1), jet=jet)
         mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r), params.norm_points)
         c_k = eval_lambda(params.lambda_spec, mu_k, nd_k.norm_dk, nd_k.norm_n,
                           nd_k.norm_s_inv)

@@ -341,15 +341,14 @@ class BernsteinApproximant:
     """Tensor-product polynomial in Bernstein form over a box.
 
     coefficients has shape (k_1+1, ..., k_d+1).  For operators built
-    directly from samples, source_values retains the f(p/k) lattice and
-    the convex-combination property pins the range to [min, max] of the
-    samples; derived objects (derivatives) carry source_values = None.
+    directly from samples they are the f(p/k) lattice, and the
+    convex-combination property pins the range to [min, max] of the
+    samples.
     """
 
     degrees: tuple[int, ...]
     box: Box
     coefficients: np.ndarray
-    source_values: np.ndarray | None = None
     report: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -364,10 +363,6 @@ class BernsteinApproximant:
         coeff.flags.writeable = False
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "coefficients", coeff)
-        if self.source_values is not None:
-            sv = np.array(self.source_values, dtype=float)
-            sv.flags.writeable = False
-            object.__setattr__(self, "source_values", sv)
 
     @property
     def dim(self) -> int:
@@ -444,7 +439,7 @@ def bernstein_1d(f, k: int, box=None) -> BernsteinApproximant:
         samples = np.asarray(f, dtype=float).reshape(-1)
     if samples.size != k + 1:
         raise ValueError(f"need {k + 1} samples at the nodes, got {samples.size}")
-    return BernsteinApproximant((k,), box, samples, source_values=samples)
+    return BernsteinApproximant((k,), box, samples)
 
 
 def bernstein_derivative(approx: BernsteinApproximant, q: int) -> BernsteinApproximant:
@@ -465,7 +460,7 @@ def bernstein_tensor(f, degrees, box=None) -> BernsteinApproximant:
     mesh = np.meshgrid(*axes, indexing="ij")
     lattice = np.stack(mesh, axis=-1)
     samples = np.asarray(f(lattice), dtype=float)
-    return BernsteinApproximant(degrees, box, samples, source_values=samples)
+    return BernsteinApproximant(degrees, box, samples)
 
 
 class SeparableFunction(SumOfProducts):

@@ -368,8 +368,7 @@ def _frame_tensors(hess: np.ndarray, dk: np.ndarray):
 
 
 def nondegeneracy(
-    hamiltonian, K: TorusEmbedding, omega=None, grid_size=None, rho: float = 0.0,
-    jet=None,
+    hamiltonian, K: TorusEmbedding, grid_size=None, rho: float = 0.0, jet=None,
 ) -> NondegeneracyData:
     """Definition-level non-degeneracy check: frame rank and averaged twist.
 
@@ -379,7 +378,6 @@ def nondegeneracy(
     is evaluated when omitted.  A frame with cond(DK^T DK) above
     COND_DK_LIMIT is rejected before anything is inverted.
     """
-    del omega  # the data depends on (H, K) only
     gs = grid_size or sampling_size(K.trunc_order)
     _, _, hess = jet if jet is not None else _jet(hamiltonian, K, gs)
     dk_map = K.dk()
@@ -417,22 +415,14 @@ class StepDiagnostics:
 
     The step uses one frame build (the NondegeneracyData it is given) and
     one defect (the ErrorField it is given), both of the iterate K it
-    corrects.  error_before is that defect's grid sup, and tail_flag its
-    spectral tail flag at the rho it was evaluated with: in solve_torus
-    the solve's rho, rho = 0 when newton_step evaluates the defect itself.
+    corrects.  error_before is that defect's grid sup.
     """
 
     error_before: float
     correction_sup: float
-    counterterm: np.ndarray
     torsion_average: np.ndarray
     frame_min_det: float
-    eta_tangent_sup: float
-    eta_normal_sup: float
     normal_divisors: DivisorReport
-    tangent_divisors: DivisorReport
-    tangent_residual_mean: float
-    tail_flag: bool
 
 
 def newton_step(
@@ -455,7 +445,7 @@ def newton_step(
     if nd is None or err is None:
         jet = _jet(hamiltonian, K)
         if nd is None:
-            nd = nondegeneracy(hamiltonian, K, omega, jet=jet)
+            nd = nondegeneracy(hamiltonian, K, jet=jet)
         if err is None:
             err = invariance_error(hamiltonian, K, omega, jet=jet)
     for what, grid in (("frame data", nd.frame.dk.shape[2:]),
@@ -490,15 +480,9 @@ def newton_step(
     diag = StepDiagnostics(
         error_before=err.norm_grid,
         correction_sup=float(np.max(np.abs(delta))),
-        counterterm=c_n,
         torsion_average=nd.avg_s,
         frame_min_det=nd.frame_min_det,
-        eta_tangent_sup=float(np.max(np.abs(eta_t))),
-        eta_normal_sup=float(np.max(np.abs(eta_n))),
         normal_divisors=sol_n.report,
-        tangent_divisors=sol_t.report,
-        tangent_residual_mean=float(np.max(np.abs(sol_t.average))),
-        tail_flag=err.tail_flag,
     )
     return K_next, diag
 
@@ -609,7 +593,7 @@ def solve_torus(
             err = invariance_error(hamiltonian, K, omega, rho=rho, jet=jet)
             row["grid"] = err.values.shape[0]
             row["jets"] += 1
-        nd = nondegeneracy(hamiltonian, K, omega, rho=rho, jet=jet)
+        nd = nondegeneracy(hamiltonian, K, rho=rho, jet=jet)
         K, diag = newton_step(hamiltonian, K, omega, nd, err=err)
         trace.append(
             {

@@ -7,6 +7,26 @@ from kamtori import FourierMap, HamiltonianModel, TorusEmbedding
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+# run knobs that crash or measure nothing, and the start of the one
+# violation each is rejected with, alike by RunParams and by a config file
+REJECTED_KNOBS = [
+    ({"norm_points": 0}, "norm_points must be >= 3, got 0"),
+    ({"measure_points": 1}, "measure_points must be >= 3, got 1"),
+    ({"start_degree": 2}, "start_degree must be >= 3, got 2"),
+    ({"start_degree": 16, "max_degree": 8}, "max_degree must be >= start_degree = 16, got 8"),
+    ({"count": 0}, "count must be >= 1, got 0"),
+    ({"max_stages": 0}, "max_stages must be >= 1, got 0"),
+    ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+    ({"min_tori": -1}, "min_tori must be >= 0, got -1"),
+    ({"tol": -1}, "tol must be positive, got -1"),
+    ({"target_error": 0}, "target_error must be positive, got 0"),
+    ({"r": 0}, "r must be positive, got 0"),
+    ({"rho": "wide"}, "rho must be positive, got wide"),
+    ({"sigma": None}, "sigma must be positive, got None"),
+    ({"lambda_spec": "mu *"}, "lambda_spec does not evaluate: "),
+]
+REJECTED_IDS = [",".join(f"{k}={v}" for k, v in knobs.items()) for knobs, _ in REJECTED_KNOBS]
+
 
 @pytest.fixture
 def golden_omega():

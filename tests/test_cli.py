@@ -16,7 +16,7 @@ from kamtori import FrequencyVector, HamiltonianModel, TorusEmbedding
 from kamtori.cli import ConfigError, RunConfig, main, parse_config
 from kamtori.solver import invariance_error, newton_step
 
-from conftest import GOLDEN
+from conftest import GOLDEN, REJECTED_IDS, REJECTED_KNOBS
 
 ROTATOR = {"n": 1, "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0}]}
 PENDULUM = {
@@ -86,14 +86,14 @@ class TestParseConfig:
         cfg_path, _ = write_files(PENDULUM, "out")
         cfg = parse_config(cfg_path)
         assert cfg.omega == (GOLDEN,)
-        assert cfg.sigma == 1.1
-        assert cfg.horizon == 256
-        assert cfg.rho == 0.05
-        assert cfg.r == 0.35
+        assert cfg.params.sigma == 1.1
+        assert cfg.params.horizon == 256
+        assert cfg.params.rho == 0.05
+        assert cfg.params.r == 0.35
         assert cfg.trunc == 64
-        assert cfg.max_iter == 12
-        assert cfg.condition_mode == "measured"
-        assert cfg.l is None and cfg.tol is None
+        assert cfg.params.max_iter == 12
+        assert cfg.params.condition_mode == "measured"
+        assert cfg.params.l is None and cfg.params.tol is None
 
     def test_sigma_boundary_named(self, write_files):
         # n = 1 so sigma = 0 sits exactly on the excluded boundary
@@ -111,6 +111,14 @@ class TestParseConfig:
         assert len(exc.value.violations) >= 5
         for frag in ("gamma", "rho", "l must be", "max_iter", "unknown key: bogus"):
             assert frag in text
+
+    @pytest.mark.parametrize("knobs, violation", REJECTED_KNOBS, ids=REJECTED_IDS)
+    def test_knob_rejection_named(self, write_files, knobs, violation):
+        cfg_path, _ = write_files(PENDULUM, "out", **knobs)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg_path)
+        [named] = exc.value.violations
+        assert named.startswith(violation)
 
     def test_missing_keys_named(self, tmp_path):
         p = tmp_path / "c.json"
@@ -417,6 +425,21 @@ class TestOverrides:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["error"] == 0.0
         assert cert["iterations"] == 0
+
+    @pytest.mark.parametrize(
+        "flag, value, violation",
+        [
+            ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+            ("--tol", "-1", "tol must be positive, got -1.0"),
+            ("--trunc", "0", "truncation order M must be >= 1, got 0"),
+        ],
+        ids=["max_iter", "tol", "trunc"],
+    )
+    def test_flag_overrides_validated(self, write_files, capsys, flag, value, violation):
+        cfg_path, out = write_files(PENDULUM, "ovr")
+        assert main(["solve", "--config", str(cfg_path), flag, value]) == 1
+        assert capsys.readouterr().err == f"config error: {violation}\n"
+        assert not out.exists()
 
     def test_out_flag_overrides_config(self, write_files, tmp_path):
         cfg_path, _ = write_files(ROTATOR, "ignored", trunc=16)

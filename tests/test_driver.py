@@ -15,6 +15,7 @@ from kamtori import (
 )
 from kamtori.driver import (
     DEFAULT_LAMBDA,
+    ConfigError,
     KamSchedule,
     RunParams,
     check_conditions,
@@ -32,7 +33,7 @@ from kamtori.smoothing import (
     cutoff_extend,
 )
 
-from conftest import GOLDEN
+from conftest import GOLDEN, REJECTED_IDS, REJECTED_KNOBS
 
 
 def synthetic_sequence(gaps, a_const, l=4, sigma=1.1):
@@ -355,12 +356,6 @@ class TestRunScheme:
         assert cert["conditions_strict"]["condition2_lhs"] > 1.0
         assert res.stages == []
 
-    def test_params_and_overrides_exclusive(self):
-        h = HamiltonianModel.pendulum(1e-3)
-        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=16)
-        with pytest.raises(ValueError, match="not both"):
-            run_scheme(h, K0, np.array([GOLDEN]), RunParams(), rho=0.1)
-
     def test_requested_l_capped_by_smoothness(self):
         from kamtori import BSplineProfile, CompositeHamiltonian, RoughTerm
 
@@ -375,6 +370,33 @@ class TestRunScheme:
     def test_condition_mode_validated(self):
         with pytest.raises(ValueError, match="condition_mode"):
             RunParams(condition_mode="loose")
+
+
+class TestRunParams:
+    @pytest.mark.parametrize("knobs, violation", REJECTED_KNOBS, ids=REJECTED_IDS)
+    def test_rejection_named(self, knobs, violation):
+        with pytest.raises(ConfigError) as exc:
+            RunParams(**knobs)
+        [named] = exc.value.violations
+        assert named.startswith(violation)
+
+    def test_every_violation_in_one_value_error(self):
+        with pytest.raises(ValueError) as exc:
+            RunParams(rho=0.0, r=-1.0, gamma=0.0, l=3, horizon=0)
+        assert str(exc.value) == "; ".join([
+            "rho must be positive, got 0.0",
+            "r must be positive, got -1.0",
+            "gamma must be positive, got 0.0",
+            "horizon must be >= 1, got 0",
+            "l must be at least 4, got 3",
+        ])
+
+    def test_zero_radius_named_before_the_run(self):
+        # an analytic run at r = 0 used to reach the C^3 norm on an empty box
+        h = HamiltonianModel.pendulum(1e-3)
+        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=16)
+        with pytest.raises(ValueError, match="^r must be positive, got 0$"):
+            run_scheme(h, K0, np.array([GOLDEN]), RunParams(r=0))
 
 
 @pytest.fixture(scope="module")
