@@ -58,6 +58,7 @@ from .smoothing import (
 )
 from .solver import (
     ErrorField,
+    Iterate,
     NondegeneracyData,
     SolveResult,
     StepDiagnostics,
@@ -108,6 +109,7 @@ __all__ = [
     "FourierMap",
     "FrequencyVector",
     "HamiltonianModel",
+    "Iterate",
     "KamSchedule",
     "NondegeneracyData",
     "PlateauBump",

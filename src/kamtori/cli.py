@@ -50,7 +50,7 @@ from .hamiltonian import (
     RoughTerm,
     SinPowerProfile,
 )
-from .solver import invariance_error, solve_torus
+from .solver import solve_torus
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,9 @@ def parse_config(path, **overrides) -> RunConfig:
     """Read and validate a config file, reporting every violation at once.
 
     overrides (the command-line flags) replace the file's keys before
-    anything is checked, so they meet the same bounds.
+    anything is checked, so they meet the same bounds.  omega and y0 must
+    be numbers, one per degree of freedom of the model, and trunc an
+    integer >= 1.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -178,12 +180,21 @@ def parse_config(path, **overrides) -> RunConfig:
     vals = {k: raw[k] for k in _CLI_KEYS & set(raw)}
     vals["hamiltonian"] = ham
     vals["torus_file"] = torus_file
+    listed = {"omega": raw["omega"]} if "omega" in raw else {}
     if y0 is not None:
-        vals["y0"] = tuple(float(v) for v in np.atleast_1d(y0))
-    if "omega" in raw:
-        vals["omega"] = tuple(float(v) for v in np.atleast_1d(raw["omega"]))
+        listed["y0"] = y0
+    for key, value in listed.items():
+        try:
+            vals[key] = tuple(float(v) for v in np.atleast_1d(value))
+        except (TypeError, ValueError):
+            bad.append(f"{key} must be a list of numbers, got {value}")
+            continue
+        if n is not None and len(vals[key]) != n:
+            bad.append(f"{key} must have n = {n} components, got {len(vals[key])}")
     trunc = vals.get("trunc")
-    if trunc is not None and not trunc >= 1:
+    if trunc is not None and (isinstance(trunc, bool) or not isinstance(trunc, int)):
+        bad.append(f"trunc must be an integer, got {trunc}")
+    elif trunc is not None and not trunc >= 1:
         bad.append(f"truncation order M must be >= 1, got {trunc}")
 
     knobs = {k: raw[k] for k in _PARAM_KEYS & set(raw)}
@@ -303,8 +314,8 @@ def cmd_verify(args) -> int:
     H = cfg.load_hamiltonian()
     K = cfg.load_torus()
     freq = cfg.frequency()
-    schedule, nd, jet = kam_schedule(H, K, freq, cfg.params)
-    err = invariance_error(H, K, freq, rho=cfg.params.rho, jet=jet)
+    schedule, value = kam_schedule(H, K, freq, cfg.params)
+    err, nd = value.error, value.frame
     c_value, conditions = schedule.strict_conditions(
         cfg.params.lambda_spec, err.norm_rho.value
     )
@@ -384,7 +395,7 @@ def cmd_smooth(args) -> int:
         {
             "passed": True,
             "analytic_input": ladder.analytic_input,
-            "e0_rho": ladder.e0.norm_rho.value,
+            "e0_rho": ladder.h0.error.norm_rho.value,
             "anchor_index": seq.anchor_index,
             "degrees": list(seq.degrees),
             "gaps_c3": list(seq.gaps_c3),

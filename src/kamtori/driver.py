@@ -19,29 +19,30 @@ constant and step amplification of an actual trial Newton step).  The
 default gate decision uses the measured variant; "strict" mode gates on
 the literal one.
 
-Each quantity is measured once.  On analytic input one jet of H at K0
-gives both H's defect there and the schedule's frame.  The ladder's tails
-to the rough target are the composite C^3 gaps its construction already
-measured; stage 1 starts from the gate's defect and frame of the selected
-model at K0, which come from one jet that also serves its solve's first
-iterate; stage k >= 2 starts from stage k-1's defect against H, whose
-jet also gives that stage's frame and the jet of its solve's first
-iterate; the final defect is the last stage's.  The CLI's smooth and
-verify commands call smoothing_ladder and kam_schedule, the same code
-that run_scheme uses.
+Each (model, torus) pair is evaluated once, into a solver.Iterate that
+the stages pass on.  The ladder holds H's value at K0 and the schedule's
+frame is the first approximant's value there (the ladder's on analytic
+input); its tails are the C^3 gaps its construction measured.  Stage 1
+starts from the gate's value, the selected model at K0, and stage k >= 2
+from H's value at stage k-1's torus: the one stage k-1's solve returned,
+or after a smoothed stage 1 a new one.  A stage's d_k, v_k, tau_k and e_k
+are norms of its start value; the final defect is the last stage's.  The
+CLI's smooth and verify commands call smoothing_ladder and kam_schedule,
+the same code that run_scheme uses.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diophantine import FrequencyVector
 from .fourier import TorusEmbedding
-from .hamiltonian import Box, jet_grid
+from .hamiltonian import Box
 from .smoothing import (
     SmoothingSequence,
     build_smoothing_sequence,
@@ -50,11 +51,10 @@ from .smoothing import (
 )
 from .solver import (
     ErrorField,
-    NondegeneracyData,
+    Iterate,
     check_horizon,
     invariance_error,
     newton_step,
-    nondegeneracy,
     solve_torus,
 )
 
@@ -305,6 +305,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+# RunParams knobs that count something; l may also be None
+_INTEGER_KNOBS = ("horizon", "l", "max_iter", "max_stages", "min_tori", "count",
+                  "start_degree", "max_degree", "measure_points", "norm_points")
+
 # (message, test) per bound of a RunParams knob; a value the test cannot
 # compare (a string for a number, None where a value is required) fails it
 _BOUNDS = (
@@ -343,7 +347,8 @@ class RunParams:
     ends the cascade, tol (target_error when None) each stage's solve.
     The rest size the cascade, the smoothing ladder and the C^3 grids.
     Construction checks every knob and raises one ConfigError listing
-    each violation.  Everything is echoed into the certificate.
+    each violation; an integer knob must be an integer (not a bool) and is
+    stored as an int.  Everything is echoed into the certificate.
     """
 
     rho: float = 0.05
@@ -366,8 +371,17 @@ class RunParams:
     lambda_spec: str = DEFAULT_LAMBDA
 
     def __post_init__(self):
-        bad = []
+        not_int = []
+        for name in _INTEGER_KNOBS:
+            value = getattr(self, name)
+            if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+                object.__setattr__(self, name, int(value))
+            elif not (name == "l" and value is None):
+                not_int.append(name)
+        bad = [f"{name} must be an integer, got {getattr(self, name)}" for name in not_int]
         for message, test in _BOUNDS:
+            if any(f"{{p.{name}}}" in message for name in not_int):
+                continue  # its non-integer knob is named above
             try:
                 held = test(self)
             except TypeError:
@@ -460,72 +474,72 @@ def _smoothness(hamiltonian, l: int | None) -> tuple[int, bool]:
     return l, analytic
 
 
+def _value(model, K: TorusEmbedding, freq: FrequencyVector, rho: float,
+           *known: Iterate) -> Iterate:
+    """The value of model at K: a known one of that pair, else a new one."""
+    found = [v for v in known if v.model is model and v.K is K]
+    return found[0] if found else Iterate.evaluate(model, K, freq, rho)
+
+
 @dataclass(frozen=True)
 class Ladder:
     """The smoothing side of a run.
 
-    l is the resolved smoothness class, e0 the defect of H at K0 (its
-    strip norm at rho anchors the sequence), h_ext the cut-off model (H
-    itself for analytic input) and seq its approximant ladder.  On
-    analytic input, jet is the jet of H at K0's samples that e0 came from,
-    kept for the schedule's frame, since H is then also the first
-    approximant; it is None otherwise.
+    l is the resolved smoothness class, h0 the value of H at K0 (its
+    defect's strip norm at rho anchors the sequence), h_ext the cut-off
+    model (H itself for analytic input) and seq its approximant ladder.
     """
 
     l: int
     analytic_input: bool
-    e0: ErrorField
+    h0: Iterate
     h_ext: object
     seq: SmoothingSequence
-    jet: tuple | None
 
 
 def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
                      params: RunParams) -> Ladder:
-    """Resolve l, measure H's defect at K0, cut off and smooth the rough part."""
+    """Resolve l, evaluate H at K0, cut off and smooth the rough part."""
     l, analytic = _smoothness(hamiltonian, params.l)
-    jet = jet_grid(hamiltonian, K0.grid_samples()) if analytic else None
-    e0 = invariance_error(hamiltonian, K0, freq, rho=params.rho, jet=jet)
+    h0 = Iterate.evaluate(hamiltonian, K0, freq, params.rho)
     h_ext = hamiltonian
     if not analytic:
         h_ext = cutoff_extend(hamiltonian, K0, params.r, params.rho)
     seq = build_smoothing_sequence(
-        h_ext, l, params.sigma, params.count, e0.norm_rho.value,
+        h_ext, l, params.sigma, params.count, h0.error.norm_rho.value,
         start_degree=params.start_degree, max_degree=params.max_degree,
         measure_points=params.measure_points,
     )
-    return Ladder(l, analytic, e0, h_ext, seq, jet)
+    return Ladder(l, analytic, h0, h_ext, seq)
 
 
 def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
                  params: RunParams, ladder: Ladder | None = None
-                 ) -> tuple[KamSchedule, NondegeneracyData, tuple]:
-    """Schedule anchored at K, with the frame data its constants come from.
+                 ) -> tuple[KamSchedule, Iterate]:
+    """Schedule anchored at K, with the value its frame constants come from.
 
     d0, v0, tau0 are the frame's growth norms at rho and mu0 the C^3 norm
     within 2r of K.  Without a ladder both are measured on H itself; with
-    one, built at K, the frame is that of its first approximant and the
-    norm that of its cut-off model.  The frame model's jet at K's samples
-    is returned with the frame, for a solve that starts there; when that
-    model is the ladder's analytic H, it is the ladder's jet.
+    one, built at K, the frame is that of its first approximant (the
+    ladder's value of H on analytic input) and the norm that of its
+    cut-off model.  The frame model's value at K is returned, for a gate
+    or a solve that starts there.
     """
-    jet = None
+    known = ()
     if ladder is None:
         l, _ = _smoothness(hamiltonian, params.l)
         frame_model = norm_model = hamiltonian
     else:
         l, frame_model, norm_model = ladder.l, ladder.seq.approximants[0], ladder.h_ext
-        if frame_model is ladder.h_ext:
-            jet = ladder.jet
-    if jet is None:
-        jet = jet_grid(frame_model, K.grid_samples())
-    nd = nondegeneracy(frame_model, K, rho=params.rho, jet=jet)
+        known = (ladder.h0,)
+    value = _value(frame_model, K, freq, params.rho, *known)
+    nd = value.frame
     mu0 = _c3_near(norm_model, K, 2 * params.r, params.norm_points)
     schedule = KamSchedule(
         rho=params.rho, r=params.r, l=l, sigma=params.sigma, gamma=freq.gamma,
         mu0=mu0, d0=nd.norm_dk, v0=nd.norm_n, tau0=nd.norm_s_inv,
     )
-    return schedule, nd, jet
+    return schedule, value
 
 
 def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> RunResult:
@@ -553,7 +567,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     stages: list[dict] = []
 
     # initial defect of the original model, the anchor scale of the sequence
-    e0_orig = ladder.e0
+    e0_orig = ladder.h0.error
     cert["e0_original"] = _defect_record(e0_orig)
     e0_norm = e0_orig.norm_rho.value
 
@@ -576,7 +590,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     cert["tails_c3"] = list(tails)
 
     # base quantities for the first sequence entry
-    schedule, nd0, jet0 = kam_schedule(hamiltonian, K0, freq, params, ladder)
+    schedule, value0 = kam_schedule(hamiltonian, K0, freq, params, ladder)
     cert["schedule"] = {
         "delta0": schedule.delta0,
         "beta_statement": schedule.beta_statement,
@@ -606,19 +620,12 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         cert["termination_reason"] = "no_admissible_k0"
         return RunResult(K0, _jsonable(cert), stages, seq)
 
-    # one jet of the stage-1 model at K0 gives its defect, its frame and
-    # the first iterate of its solve; at k0 = 0 it is the schedule's.
-    # Analytic input: every sequence entry is H itself
+    # the stage-1 model's value at K0 starts the gate and stage 1: the
+    # schedule's at k0 = 0 and on analytic input, where every sequence
+    # entry is H itself
     h_stage1 = seq.approximants[k0_index]
-    if h_stage1 is seq.approximants[0]:
-        jet, nd_stage1 = jet0, nd0
-    else:
-        jet = jet_grid(h_stage1, K0.grid_samples())
-        nd_stage1 = nondegeneracy(h_stage1, K0, rho=params.rho, jet=jet)
-    if h_stage1 is hamiltonian:
-        e0_stage = e0_orig
-    else:
-        e0_stage = invariance_error(h_stage1, K0, freq, rho=params.rho, jet=jet)
+    start = _value(h_stage1, K0, freq, params.rho, value0)
+    e0_stage = start.error
     cert["e0_stage1"] = _defect_record(e0_stage)
 
     # gate: literal lambda-form conditions plus measured trial-step analogues
@@ -630,7 +637,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
 
     e0g = e0_stage.norm_grid
     if e0g > 0:
-        k_trial, diag = newton_step(h_stage1, K0, freq, nd=nd_stage1, err=e0_stage)
+        k_trial, diag = newton_step(h_stage1, K0, freq, nd=start.frame, err=e0_stage)
         e_trial = invariance_error(h_stage1, k_trial, freq, rho=params.rho / 2)
         c_meas = e_trial.norm_grid / e0g**2
         d_meas = diag.correction_sup / e0g
@@ -665,22 +672,19 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         cert["termination_reason"] = "condition3_failed"
         return RunResult(K0, _jsonable(cert), stages, seq)
 
-    # Newton cascade: stage 1 on the smoothed model, then the original H.
-    # Stage 1 starts from the gate's defect and frame at K0.
+    # Newton cascade: stage 1 on the smoothed model, then the original H,
+    # each stage from the start value its predecessor left
     tol = params.tol if params.tol is not None else params.target_error
     tori = [K0]
-    k_prev = K0
     termination = "stage_cap"
     failed_stage = None
-    e_k, nd_k = e0_stage.norm_rho.value, nd_stage1
     for k in range(1, params.max_stages + 1):
-        h_k = h_stage1 if k == 1 else hamiltonian
+        h_k, k_prev = start.model, start.K
         rho_k = schedule.rho_k(k)
         r_prev = schedule.r_k(k - 1) if k > 1 else params.r
-        if k > 1:
-            # stage k-1 measured H's defect at k_prev; its jet gives the frame
-            e_k = err_vs_h.e.strip_norm(rho_k).value
-            nd_k = nondegeneracy(h_k, k_prev, rho=schedule.rho_k(k - 1), jet=jet)
+        e_k = start.error.at(rho_k).norm_rho.value
+        # the frame's growth norms at the previous stage's width (rho at stage 1)
+        nd_k = start.frame_at(schedule.rho_k(max(k - 1, 1)))
         mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r), params.norm_points)
         c_k = eval_lambda(params.lambda_spec, mu_k, nd_k.norm_dk, nd_k.norm_n,
                           nd_k.norm_s_inv)
@@ -691,14 +695,15 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         # refinement may not outgrow the certified Diophantine horizon
         res = solve_torus(
             h_k, k_prev, freq, tol=tol, max_iter=params.max_iter,
-            max_trunc_order=freq.horizon, rho=rho_k, jet=jet,
+            max_trunc_order=freq.horizon, rho=rho_k, start=start,
         )
         k_new = res.torus
         step_norm = k_new.difference(k_prev).strip_norm(rho_k).value
         drift = k_new.difference(K0).strip_norm(schedule.rho_k(k + 1)).value
         drift_rhs = schedule.drift_budget(k)
-        jet = jet_grid(hamiltonian, k_new.grid_samples())
-        err_vs_h = invariance_error(hamiltonian, k_new, freq, rho=0.0, jet=jet)
+        # H's value at k_new starts the next stage: the solve's own value,
+        # except after a smoothed stage 1
+        start = _value(hamiltonian, k_new, freq, rho_k, res.value)
         quad = None
         if len(res.trace) >= 2 and res.trace[0]["error"] > 0:
             quad = res.trace[1]["error"] / res.trace[0]["error"] ** 2
@@ -712,7 +717,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
             "status": res.status,
             "iterations": res.iterations,
             "error_stage_model": res.error,
-            "error_vs_original_grid": err_vs_h.norm_grid,
+            "error_vs_original_grid": start.error.norm_grid,
             "e_k_rho": e_k,
             "A1_lhs": drift,
             "A1_rhs": drift_rhs,
@@ -736,7 +741,6 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         }
         stages.append(record)
         tori.append(k_new)
-        k_prev = k_new
 
         if res.status == "diverged":
             termination = f"diverged_at_stage_{k}"
@@ -749,7 +753,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
             failed_stage = k
             break
         enough = len(tori) - 1 >= params.min_tori
-        if err_vs_h.norm_grid <= params.target_error and enough:
+        if start.error.norm_grid <= params.target_error and enough:
             termination = "target_reached"
             break
         if k > 1 and res.status == "floored" and enough:
@@ -775,10 +779,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     cert["lemma4"] = _jsonable(lemma4)
 
     k_final = tori[-1]
-    if stages:
-        final_err = err_vs_h  # the last stage's defect of H at k_final
-    else:
-        final_err = invariance_error(hamiltonian, k_final, freq, rho=0.0)
+    final_err = start.error.at(0.0)  # the last stage's value of H at k_final
     final_drift = k_final.difference(K0).strip_norm(params.rho / 2).value
     cert["final"] = {
         "error_vs_original_grid": final_err.norm_grid,

@@ -168,21 +168,19 @@ def _grid_axes(
     return axes
 
 
-def _stencil_step(box: Box, points_per_axis: int, step) -> np.ndarray:
-    """Step sizes whose 2h stencil reach stays off seams and boundaries.
+def _stencil_step(box: Box, points_per_axis: int) -> np.ndarray:
+    """Step sizes width/100 whose 2h stencil reach stays off seams and boundaries.
 
     On periodic axes the measurement grid is staggered off the chart seam,
     where a wrapped polynomial has derivative kinks; h is capped so no
     shifted point crosses it.
     """
-    h = np.asarray(step if step is not None else box.widths() / 100.0, dtype=float)
-    if h.ndim == 0:
-        h = np.full(box.dim, float(h))
+    h = box.widths() / 100.0
     cap = box.widths() * 0.25 / points_per_axis
     return np.where(box.periodic, np.minimum(h, cap), h)
 
 
-def cl_norm(fun, box, order: int = 3, points_per_axis: int = 64, step=None) -> float:
+def cl_norm(fun, box, order: int = 3, points_per_axis: int = 64) -> float:
     """Max over |alpha| <= order of sup |D^alpha fun| on a dense box grid.
 
     A sum of products (any model: it offers axis_values) is measured from
@@ -191,13 +189,13 @@ def cl_norm(fun, box, order: int = 3, points_per_axis: int = 64, step=None) -> f
     (derivative_tables false: a SeparableFunction part).  Another fun has
     exact derivatives when it supports .derivative(alpha) (Bernstein
     coefficient calculus).  Otherwise 5-point central stencils with
-    per-axis step h (default width/100) are taken on a grid staggered off
-    the seams.  The grid density is a declared approximation of the sup.
+    per-axis step h = width/100 are taken on a grid staggered off the
+    seams.  The grid density is a declared approximation of the sup.
     """
-    return _cl_sup([fun], box, order, points_per_axis, step)
+    return max(_cl_sup([fun], box, order, points_per_axis))
 
 
-def cl_gap(f, g, box, order: int = 3, points_per_axis: int = 64, step=None) -> float:
+def cl_gap(f, g, box, order: int = 3, points_per_axis: int = 64) -> float:
     """Max over |alpha| <= order of sup |D^alpha (f - g)| on a box grid.
 
     Exact derivatives on the plain grid when both sides have them, else
@@ -205,11 +203,13 @@ def cl_gap(f, g, box, order: int = 3, points_per_axis: int = 64, step=None) -> f
     sides are sums of products the same numbers come from per-axis tables
     (_factored_sup) without evaluating either side on the grid.
     """
-    return _cl_sup([f, g], box, order, points_per_axis, step)
+    return max(_cl_sup([f, g], box, order, points_per_axis))
 
 
-def _cl_sup(funs, box, order: int, points_per_axis: int, step) -> float:
-    """cl_norm of funs[0], or with a second entry cl_gap of funs[0] - funs[1]."""
+def _cl_sup(funs, box, order: int, points_per_axis: int) -> list[float]:
+    """Per q <= order, the max over |alpha| = q of the sup |D^alpha| of
+    funs[0], or with a second entry of funs[0] - funs[1]: cl_norm and
+    cl_gap are the max of this list, and its entry 0 is the C^0 sup."""
     box = _as_box(box, next((f.dim for f in funs if getattr(f, "dim", None)), None))
     factored = all(hasattr(f, "axis_values") for f in funs)
     exact = all(f.derivative_tables if factored else hasattr(f, "derivative")
@@ -218,7 +218,7 @@ def _cl_sup(funs, box, order: int, points_per_axis: int, step) -> float:
         h = None
         axes = _grid_axes(box, points_per_axis, np.zeros(box.dim))
     else:
-        h = _stencil_step(box, points_per_axis, step)
+        h = _stencil_step(box, points_per_axis)
         axes = _grid_axes(
             box, points_per_axis, np.where(box.periodic, 0.0, 2 * h), True
         )
@@ -226,15 +226,15 @@ def _cl_sup(funs, box, order: int, points_per_axis: int, step) -> float:
         return _factored_sup(funs, axes, order, h)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     signs = (1.0, -1.0)[: len(funs)]
-    out = 0.0
+    out = [0.0] * (order + 1)
     if exact:
         for alpha in _multi_indices(box.dim, order):
             vals = sum(s * f.derivative(alpha)(pts) for s, f in zip(signs, funs))
-            out = max(out, float(np.max(np.abs(vals))))
+            out[sum(alpha)] = max(out[sum(alpha)], float(np.max(np.abs(vals))))
         return out
     diff = lambda z: sum(s * np.asarray(f(z), dtype=float) for s, f in zip(signs, funs))
-    for vals in _stencil_all(diff, pts, order, h).values():
-        out = max(out, float(np.max(np.abs(vals))))
+    for alpha, vals in _stencil_all(diff, pts, order, h).items():
+        out[sum(alpha)] = max(out[sum(alpha)], float(np.max(np.abs(vals))))
     return out
 
 
@@ -273,7 +273,7 @@ def _outer_rows(rows: list[np.ndarray], rank: int) -> np.ndarray:
     return out
 
 
-def _factored_sup(funs, axes: list[np.ndarray], order: int, h) -> float:
+def _factored_sup(funs, axes: list[np.ndarray], order: int, h) -> list[float]:
     """_cl_sup of sums of products on the outer-product grid of axes.
 
     f - g = sum_r prod_i t_{r,i}(z_i) with g's terms negated on axis 0, so
@@ -290,11 +290,11 @@ def _factored_sup(funs, axes: list[np.ndarray], order: int, h) -> float:
         tables[0][:, funs[0].rank:] *= -1.0
     rank = tables[0].shape[1]
     split = (len(axes) + 1) // 2
-    out = 0.0
+    out = [0.0] * (order + 1)
     for alpha in _multi_indices(len(axes), order):
         rows = [t[q] for t, q in zip(tables, alpha)]
         vals = _outer_rows(rows[:split], rank).T @ _outer_rows(rows[split:], rank)
-        out = max(out, float(np.max(np.abs(vals.real))))
+        out[sum(alpha)] = max(out[sum(alpha)], float(np.max(np.abs(vals.real))))
     return out
 
 
@@ -720,7 +720,7 @@ class CutoffHamiltonian(SumModel):
         self.box = box
         super().__init__([analytic, self.separable()] if self.rough else [analytic])
         self.analytic = analytic
-        self.box = box
+        self.box = box  # SumModel.__init__ took box from the parts, which have none
         self.n = n
         self.rho = float(rho)
         classes = [t.profile.smoothness_class for t in self.rough]
@@ -895,6 +895,11 @@ def build_smoothing_sequence(
         b = bernstein_nd(target, deg, box, measure_points=measure_points)
         approx.append(b)
         degrees.append(deg)
+        if len(approx) > 1:
+            # one C^3 pass gives both gaps: the C^0 gap is its |alpha| = 0 term
+            sups = _cl_sup(approx[-2:], box, 3, measure_points)
+            raw_gaps_c3.append(max(sups))
+            raw_gaps_c0.append(sups[0])
 
     deg = start_degree
     emit(deg)
@@ -904,11 +909,7 @@ def build_smoothing_sequence(
         if deg > max_degree:
             break
         emit(deg)
-        g3 = cl_gap(approx[-2], approx[-1], box, 3, measure_points)
-        g0 = cl_gap(approx[-2], approx[-1], box, 0, measure_points)
-        raw_gaps_c3.append(g3)
-        raw_gaps_c0.append(g0)
-        if anchor is None and g3 <= e0_norm:
+        if anchor is None and raw_gaps_c3[-1] <= e0_norm:
             anchor = len(approx) - 2
         if anchor is not None and len(approx) - anchor >= count:
             break
@@ -919,8 +920,6 @@ def build_smoothing_sequence(
         )
     while len(approx) - anchor < count and degrees[-1] * 2 <= max_degree:
         emit(degrees[-1] * 2)
-        raw_gaps_c3.append(cl_gap(approx[-2], approx[-1], box, 3, measure_points))
-        raw_gaps_c0.append(cl_gap(approx[-2], approx[-1], box, 0, measure_points))
 
     kept = approx[anchor : anchor + count]
     kept_deg = degrees[anchor : anchor + count]

@@ -53,18 +53,18 @@ nondegeneracy also take another odd grid_size >= 2M+1, for checks on a
 finer grid; newton_step and solve_torus take no grid size and always use
 the sampling grid.
 
-Each iterate K costs one evaluation of H on the grid: solve_torus takes
-one jet of H at K's grid samples, whose gradient gives the defect
-(invariance_error, which keeps its grid samples) and whose Hessian gives
-the one frame build (nondegeneracy, which keeps the frame blocks and S
-on the grid); newton_step then takes that frame and the defect's samples
-as they are.  A K refined by resizing is a new iterate with its own jet
-and defect.
+Each (model, torus) pair is evaluated once, into an Iterate: one jet of
+H at K's grid samples, whose gradient gives the defect (invariance_error)
+and whose Hessian gives the frame, built on first use (nondegeneracy);
+newton_step takes both as they are.  Norms at another strip width come
+from the stored maps (ErrorField.at, Iterate.frame_at).  solve_torus
+starts from a given Iterate and returns the Iterate of its torus, so a
+cascade hands evaluated iterates on.  A resized K is a new iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -82,6 +82,7 @@ from .hamiltonian import jet_grid, symplectic_matrix
 
 __all__ = [
     "ErrorField",
+    "Iterate",
     "NondegeneracyData",
     "SolveResult",
     "StepDiagnostics",
@@ -126,14 +127,14 @@ class ErrorField:
         genuine tail whose tail_sum also exceeds its tol."""
         return bool(self.tail_flag and self.norm_rho.tail_max > self.round_off)
 
+    def at(self, rho: float) -> "ErrorField":
+        """This defect with its strip norm taken at rho from e."""
+        return self if rho == self.norm_rho.rho else replace(
+            self, norm_rho=self.e.strip_norm(rho))
+
 
 def _omega_array(omega) -> np.ndarray:
     return np.asarray(getattr(omega, "omega", omega), dtype=float)
-
-
-def _jet(hamiltonian, K: TorusEmbedding, grid_size=None):
-    """(value, grad, hess) of H at the samples of K on its grid."""
-    return jet_grid(hamiltonian, K.grid_samples(grid_size))
 
 
 def invariance_error(
@@ -155,7 +156,7 @@ def invariance_error(
     om = _omega_array(omega)
     n = K.dim_domain
     gs = grid_size or sampling_size(K.trunc_order)
-    _, grad, _ = jet if jet is not None else _jet(hamiltonian, K, gs)
+    _, grad, _ = jet if jet is not None else jet_grid(hamiltonian, K.grid_samples(gs))
     # J = [[0, I], [-I, 0]] swaps the row blocks of grad H with a sign
     grad_c = np.moveaxis(grad, -1, 0)
     values = np.empty(grad_c.shape)
@@ -331,16 +332,18 @@ class NondegeneracyData:
 
     n_map is N = (DK^T DK)^-1, s_map the torsion S (analyzed on first
     use), both as maps on the torus; avg_s must be invertible for the
-    Newton step to exist.  The norms are coefficient bounds at the rho the
-    data was built with.  lagrangian_defect is the grid max of
-    |DK^T J DK|, zero on a Lagrangian torus.  frame and s hold the frame
-    blocks and S on the sampling grid for newton_step, component-major
-    like every AdaptedFrame field: s is (n, n, *grid).
+    Newton step to exist.  norm_n and norm_dk are coefficient bounds at the
+    strip width rho (Iterate.frame_at takes them at another).
+    lagrangian_defect is the grid max of |DK^T J DK|, zero on a Lagrangian
+    torus.  frame and s hold the frame blocks and S on the sampling grid
+    for newton_step, component-major like every AdaptedFrame field: s is
+    (n, n, *grid).
     """
 
     n_map: FourierMap
     avg_s: np.ndarray
     avg_s_inv: np.ndarray
+    rho: float
     norm_n: float
     norm_dk: float
     norm_s_inv: float
@@ -379,7 +382,7 @@ def nondegeneracy(
     COND_DK_LIMIT is rejected before anything is inverted.
     """
     gs = grid_size or sampling_size(K.trunc_order)
-    _, _, hess = jet if jet is not None else _jet(hamiltonian, K, gs)
+    _, _, hess = jet if jet is not None else jet_grid(hamiltonian, K.grid_samples(gs))
     dk_map = K.dk()
     # the Hessian and DK samples enter the frame component-major
     frame, s, _ = _frame_tensors(_components(hess, 2),
@@ -398,6 +401,7 @@ def nondegeneracy(
         n_map=n_map,
         avg_s=avg_s,
         avg_s_inv=avg_s_inv,
+        rho=rho,
         norm_n=n_map.strip_norm(rho).value,
         norm_dk=dk_map.strip_norm(rho).value,
         norm_s_inv=float(np.linalg.norm(avg_s_inv, 2)),
@@ -438,16 +442,14 @@ def newton_step(
     and every map it analyzes keeps K's order M.  nd and err must describe
     (hamiltonian, K) on that grid: the frame data from nondegeneracy and
     the defect (with its grid samples) from invariance_error.  Whichever
-    is omitted is computed here, from one shared jet.
+    is omitted comes from one evaluation of (hamiltonian, K), an Iterate.
     """
     n, m = K.dim_domain, K.trunc_order
     gs = sampling_size(m)
     if nd is None or err is None:
-        jet = _jet(hamiltonian, K)
-        if nd is None:
-            nd = nondegeneracy(hamiltonian, K, jet=jet)
-        if err is None:
-            err = invariance_error(hamiltonian, K, omega, jet=jet)
+        value = Iterate.evaluate(hamiltonian, K, omega)
+        nd = value.frame if nd is None else nd
+        err = value.error if err is None else err
     for what, grid in (("frame data", nd.frame.dk.shape[2:]),
                        ("defect samples", err.values.shape[:-1])):
         if grid != (gs,) * n:
@@ -487,13 +489,52 @@ def newton_step(
     return K_next, diag
 
 
+@dataclass(frozen=True, eq=False)
+class Iterate:
+    """One evaluation of a model on a torus K: its jet at K's samples on
+    the sampling grid gives the defect and the frame, built on first use at
+    the defect's rho, so hess is all of the jet that is kept.  Norms at
+    another rho come from error.at and frame_at, never from H."""
+
+    model: object
+    K: TorusEmbedding
+    hess: np.ndarray = field(repr=False)
+    error: ErrorField
+
+    @classmethod
+    def evaluate(cls, model, K: TorusEmbedding, omega, rho: float = 0.0) -> "Iterate":
+        """One jet of model at K's samples and the defect it gives, at rho."""
+        jet = jet_grid(model, K.grid_samples())
+        return cls(model, K, jet[2], invariance_error(model, K, omega, rho=rho, jet=jet))
+
+    @cached_property
+    def frame(self) -> NondegeneracyData:
+        return nondegeneracy(self.model, self.K, rho=self.error.norm_rho.rho,
+                             jet=(None, None, self.hess))
+
+    def frame_at(self, rho: float) -> NondegeneracyData:
+        """The frame with norm_n and norm_dk taken at rho from N and DK."""
+        nd = self.frame
+        return nd if rho == nd.rho else replace(
+            nd, rho=rho, norm_n=nd.n_map.strip_norm(rho).value,
+            norm_dk=self.K.dk().strip_norm(rho).value)
+
+
 @dataclass
 class SolveResult:
+    """A solve's outcome: value is the Iterate of the torus it returns (the
+    last iterate when converged, else the best one) and error its defect's
+    grid sup."""
+
     status: str
-    torus: TorusEmbedding
+    value: Iterate
     error: float
     iterations: int
     trace: list = field(default_factory=list)
+
+    @property
+    def torus(self) -> TorusEmbedding:
+        return self.value.K
 
     @property
     def converged(self) -> bool:
@@ -519,7 +560,7 @@ def solve_torus(
     max_iter: int = 12,
     max_trunc_order: int = 512,
     rho: float = 0.0,
-    jet=None,
+    start: Iterate | None = None,
 ) -> SolveResult:
     """Newton iteration with a round-off floor rule and tail-driven refinement.
 
@@ -553,47 +594,52 @@ def solve_torus(
     With a FrequencyVector, every retained mode must stay inside its
     Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
     rejected before any work, and refinement stops at horizon // n.
-    jet, when given, is the jet of H at K0.grid_samples(), K0's sampling
-    grid, and serves the first iterate.
+    start, when given, is the Iterate of (hamiltonian, K0) on K0's
+    sampling grid and serves as the first iterate; its norms are taken
+    again at rho.  A start value of another model, torus or grid raises
+    ValueError.
     """
     if isinstance(omega, FrequencyVector):
         check_horizon(K0, omega)
         max_trunc_order = min(max_trunc_order, omega.horizon // K0.dim_domain)
+    if start is not None and (start.model is not hamiltonian or start.K is not K0):
+        raise ValueError("start value is of another model or torus than the solve's")
+    if start is not None and start.error.values.shape[0] != sampling_size(K0.trunc_order):
+        raise ValueError("start value's grid does not match K0's sampling grid")
     K = K0
     trace: list[dict] = []
     best_err = np.inf
-    best_K = K0
-    initial = None
+    value = best = (start if start is not None
+                    else Iterate.evaluate(hamiltonian, K0, omega, rho))
+    initial = value.error.norm_grid
     stalls = 0
     for it in range(max_iter + 1):
-        if it or jet is None:
-            jet = _jet(hamiltonian, K)
-        err = invariance_error(hamiltonian, K, omega, rho=rho, jet=jet)
-        if initial is None:
-            initial = err.norm_grid
+        if it:
+            value = Iterate.evaluate(hamiltonian, K, omega, rho)
+        err = value.error.at(rho)
         row = {"iter": it, "error": err.norm_grid, "tail_flag": err.tail_flag,
                "tail_max": err.norm_rho.tail_max,
                "tail_sum": err.norm_rho.tail_sum, "round_off": err.round_off,
                "grid": err.values.shape[0], "jets": 1}
         stalls = 0 if err.norm_grid < best_err - err.round_off else stalls + 1
         if err.norm_grid < best_err:
-            best_err, best_K = err.norm_grid, K
+            best_err, best = err.norm_grid, value
         if err.norm_grid <= tol:
             trace.append(row)
-            return SolveResult("converged", K, err.norm_grid, it, trace)
+            return SolveResult("converged", value, err.norm_grid, it, trace)
         if stalls >= 2:
             status = "floored" if best_err < initial else "diverged"
-            return SolveResult(status, best_K, best_err, it, trace)
+            return SolveResult(status, best, best_err, it, trace)
         if it == max_iter:
             break
         if (err.genuine_tail and err.norm_rho.tail_sum > tol
                 and K.trunc_order * 2 <= max_trunc_order):
             K = K.resized(K.trunc_order * 2)
-            jet = _jet(hamiltonian, K)
-            err = invariance_error(hamiltonian, K, omega, rho=rho, jet=jet)
+            value = Iterate.evaluate(hamiltonian, K, omega, rho)
+            err = value.error
             row["grid"] = err.values.shape[0]
             row["jets"] += 1
-        nd = nondegeneracy(hamiltonian, K, rho=rho, jet=jet)
+        nd = value.frame_at(rho)
         K, diag = newton_step(hamiltonian, K, omega, nd, err=err)
         trace.append(
             {
@@ -610,7 +656,7 @@ def solve_torus(
             }
         )
     status = "floored" if best_err < initial else "max_iter"
-    return SolveResult(status, best_K, best_err, max_iter, trace)
+    return SolveResult(status, best, best_err, max_iter, trace)
 
 
 def flow(hamiltonian, z0: np.ndarray, time: float, step: float = 1e-4) -> np.ndarray:

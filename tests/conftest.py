@@ -24,6 +24,9 @@ REJECTED_KNOBS = [
     ({"rho": "wide"}, "rho must be positive, got wide"),
     ({"sigma": None}, "sigma must be positive, got None"),
     ({"lambda_spec": "mu *"}, "lambda_spec does not evaluate: "),
+    ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ({"horizon": 100.5}, "horizon must be an integer, got 100.5"),
+    ({"max_iter": True}, "max_iter must be an integer, got True"),
 ]
 REJECTED_IDS = [",".join(f"{k}={v}" for k, v in knobs.items()) for knobs, _ in REJECTED_KNOBS]
 

@@ -148,6 +148,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="torus must be"):
             parse_config(cfg_path2)
 
+    CLI_FIELDS = [
+        ({"trunc": "x"}, "trunc must be an integer, got x"),
+        ({"trunc": 2.5}, "trunc must be an integer, got 2.5"),
+        ({"omega": ["a"]}, "omega must be a list of numbers, got ['a']"),
+        ({"y0": [0.1, 0.2]}, "y0 must have n = 1 components, got 2"),
+        ({"omega": [GOLDEN, 0.3]}, "omega must have n = 1 components, got 2"),
+        ({"torus": {"circle": {"y0": [None]}}}, "y0 must be a list of numbers, got [None]"),
+    ]
+    CLI_IDS = ["trunc=x", "trunc=2.5", "omega=a", "y0-2dof", "omega-2dof", "circle-y0"]
+
+    @pytest.mark.parametrize("fields, violation", CLI_FIELDS, ids=CLI_IDS)
+    def test_cli_field_rejection_named(self, write_files, fields, violation):
+        cfg_path, _ = write_files(PENDULUM, "out", **fields)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg_path)
+        assert exc.value.violations == [violation]
+
+    @pytest.mark.parametrize("fields, violation", CLI_FIELDS, ids=CLI_IDS)
+    def test_cli_field_rejected_before_any_output(self, write_files, capsys,
+                                                  fields, violation):
+        cfg_path, out = write_files(PENDULUM, "out", **fields)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {violation}\n"
+        assert not out.exists()
+
     def test_echo_round_trips(self, write_files):
         cfg_path, out = write_files(ROTATOR, "echo", trunc=16)
         cfg = parse_config(cfg_path)

@@ -1,5 +1,6 @@
 """Cascade schedule arithmetic, gates, stage bookkeeping and certificates."""
 
+import collections
 import itertools
 import json
 import math
@@ -262,7 +263,8 @@ class TestRunScheme:
 
         for module in (driver, solver):
             for name in ("invariance_error", "jet_grid"):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], degree=5)
         h = CompositeHamiltonian(
             HamiltonianModel.free_rotator(1), [RoughTerm(0, prof, 1e-4)]
@@ -314,24 +316,25 @@ class TestRunScheme:
         )
 
     def test_analytic_input_takes_one_jet_at_k0(self, bypass_run, monkeypatch):
-        import kamtori.driver as driver
         import kamtori.solver as solver
 
         samples = []
-        for module in (driver, solver):
-            def counted(h, z, jet=module.jet_grid):
-                samples.append(np.array(z))
-                return jet(h, z)
-            monkeypatch.setattr(module, "jet_grid", counted)
+
+        def counted(h, z, jet=solver.jet_grid):
+            samples.append(np.array(z))
+            return jet(h, z)
+        monkeypatch.setattr(solver, "jet_grid", counted)
         h, K0, _ = bypass_run
         res = run_scheme(h, K0, np.array([GOLDEN]), RunParams(target_error=1e-10))
         assert res.converged
-        # one jet of H at K0 gives both H's defect there and the schedule's
-        # frame: no later jet is taken at K0's samples
+        # one jet of H at K0 gives H's defect there, the schedule's frame
+        # and stage 1's start: no later jet is taken at K0's samples
         k0 = K0.grid_samples()
         assert np.array_equal(samples[0], k0)
         assert not any(np.array_equal(z, k0) for z in samples[1:])
-        assert len(samples) == 9
+        # K0, the trial iterate, and the stage-1 solve's three iterates
+        # (the first of them the trial iterate again)
+        assert len(samples) == 5
 
     def test_measured_gate_rejects_strong_coupling(self):
         h = HamiltonianModel.pendulum(0.2)
@@ -380,6 +383,20 @@ class TestRunParams:
         [named] = exc.value.violations
         assert named.startswith(violation)
 
+    @pytest.mark.parametrize("name", ["horizon", "l", "max_iter", "max_stages",
+                                      "min_tori", "count", "start_degree",
+                                      "max_degree", "measure_points", "norm_points"])
+    def test_integer_knobs_take_integers_only(self, name):
+        for value in (8.0, "8", None, False):
+            if name == "l" and value is None:
+                continue  # l = None means the model's class
+            with pytest.raises(ConfigError) as exc:
+                RunParams(**{name: value})
+            assert exc.value.violations == [f"{name} must be an integer, got {value}"]
+        # an integer of another type is stored as an int
+        stored = getattr(RunParams(**{"max_degree": 4096, name: np.int64(8)}), name)
+        assert stored == 8 and type(stored) is int
+
     def test_every_violation_in_one_value_error(self):
         with pytest.raises(ValueError) as exc:
             RunParams(rho=0.0, r=-1.0, gamma=0.0, l=3, horizon=0)
@@ -399,23 +416,75 @@ class TestRunParams:
             run_scheme(h, K0, np.array([GOLDEN]), RunParams(r=0))
 
 
+class EvaluationCounter:
+    """Counts jets, defects and frames per (model, torus) pair.
+
+    Wraps jet_grid, invariance_error and nondegeneracy wherever
+    kamtori.solver and kamtori.driver look them up; a torus is keyed by its
+    samples on its sampling grid.  trial is the pair of the gate's trial
+    step, the first newton_step the driver takes itself.
+    """
+
+    KINDS = {"jet_grid": "jets", "invariance_error": "defects",
+             "nondegeneracy": "frames"}
+
+    def __init__(self, mp):
+        import kamtori.driver as driver
+        import kamtori.solver as solver
+
+        self.pairs = {kind: collections.Counter() for kind in self.KINDS.values()}
+        self.trial = None
+        for module in (solver, driver):
+            for name, kind in self.KINDS.items():
+                if hasattr(module, name):
+                    mp.setattr(module, name, self._counted(kind, getattr(module, name)))
+        step = driver.newton_step
+
+        def trial_step(h, K, *args, **kwargs):
+            K_next, diag = step(h, K, *args, **kwargs)
+            if self.trial is None:
+                self.trial = self.key(h, K_next.grid_samples())
+            return K_next, diag
+        mp.setattr(driver, "newton_step", trial_step)
+
+    @staticmethod
+    def key(model, samples):
+        return id(model), np.asarray(samples).tobytes()
+
+    def _counted(self, kind, func):
+        def counted(model, z, *args, **kwargs):
+            samples = z if kind == "jets" else z.grid_samples()
+            self.pairs[kind][self.key(model, samples)] += 1
+            return func(model, z, *args, **kwargs)
+        return counted
+
+    def totals(self) -> dict:
+        return {kind: sum(pairs.values()) for kind, pairs in self.pairs.items()}
+
+    def repeats(self) -> dict:
+        """Per kind, the pairs evaluated more than once, the trial iterate's
+        second evaluation excepted."""
+        return {
+            kind: {key: c for key, c in pairs.items()
+                   if c > 1 and not (key == self.trial and c == 2)}
+            for kind, pairs in self.pairs.items()
+        }
+
+
 @pytest.fixture(scope="module")
 def rough_run():
-    """run_scheme on a C^4 rotator, recording what the driver measures itself.
+    """run_scheme on a C^4 rotator, counting its evaluations.
 
-    Counts the calls run_scheme makes through its own module names (the
-    solver's calls inside solve_torus and newton_step are not counted)
-    and every cl_gap call made after the ladder is built.  Per solve_torus
-    call, it also records the solver's own jet_grid, newton_step and
-    resize calls.
+    Counts jets, defects and frames per (model, torus) pair, and every
+    cl_gap call made after the ladder is built.  Per solve_torus call, it
+    also records the solver's own jet_grid, newton_step and resize calls.
     """
     import kamtori.driver as driver
     import kamtori.smoothing as smoothing
     import kamtori.solver as solver
     from kamtori import BSplineProfile, CompositeHamiltonian, RoughTerm
 
-    calls = {"invariance_error": 0, "nondegeneracy": 0, "jet_grid": 0,
-             "late_cl_gap": 0, "solver.jet_grid": 0, "solver.newton_step": 0,
+    calls = {"late_cl_gap": 0, "solver.jet_grid": 0, "solver.newton_step": 0,
              "resized": 0, "solves": []}
     ladders = []
 
@@ -452,8 +521,7 @@ def rough_run():
     K0 = TorusEmbedding.circle(np.array([0.4]), trunc_order=64)
     params = RunParams(rho=0.02, r=0.8, sigma=1.1, horizon=256, target_error=1e-8)
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("invariance_error", "nondegeneracy", "jet_grid"):
-            mp.setattr(driver, name, counted(name, getattr(driver, name)))
+        evaluations = EvaluationCounter(mp)
         # the driver itself imports no cl_gap; should it ever, count its calls too
         mp.setattr(smoothing, "cl_gap", cl_gap)
         mp.setattr(driver, "cl_gap", cl_gap, raising=False)
@@ -465,12 +533,12 @@ def rough_run():
         mp.setattr(TorusEmbedding, "resized",
                    counted("resized", TorusEmbedding.resized))
         res = run_scheme(h, K0, np.array([GOLDEN]), params)
-    return res, ladders, calls
+    return res, ladders, calls, evaluations
 
 
 class TestMeasuredOnce:
     def test_tails_are_the_ladders_composite_gaps(self, rough_run):
-        res, ladders, calls = rough_run
+        res, ladders, calls, _ = rough_run
         assert res.converged
         (seq,) = ladders
         gaps = [b.report["composite_c3_gap"] for b in seq.history["bernstein"]]
@@ -478,36 +546,30 @@ class TestMeasuredOnce:
         assert calls["late_cl_gap"] == 0
 
     def test_driver_measures_each_stage_start_once(self, rough_run):
-        res, _, calls = rough_run
-        stages = len(res.stages)
-        assert stages >= 3
-        cert = res.certificate
-        # e0 of H, e0 of the stage-1 model, the trial step, one defect of H
-        # per stage (the next stage's start and, last, the final defect)
-        assert calls["invariance_error"] == 3 + stages
-        # the schedule frame's jet at K0, which stage 1 shares at k0 = 0,
-        # the stage-1 model's when k0 != 0, then one jet of H per stage
-        k0_frame = int(cert["k0"]["index"] != 0)
-        assert calls["jet_grid"] == 1 + k0_frame + stages
-        # outside its solves the solver takes two: H's e0 and the trial
-        # step's defect
-        in_solves = sum(counts["solver.jet_grid"] for counts in calls["solves"])
-        assert calls["solver.jet_grid"] - in_solves == 2
-        # the schedule's frame, stage 1's frame when k0 != 0, one per later stage
-        assert calls["nondegeneracy"] == 1 + k0_frame + stages - 1
+        res, _, _, evaluations = rough_run
+        assert [rec["iterations"] for rec in res.stages] == [7, 2, 0, 0]
+        assert res.certificate["k0"]["index"] == 0
+        # no (model, torus) pair is evaluated twice; stage 1 refines before
+        # its first step, so not even the trial iterate comes back
+        assert evaluations.repeats() == {"jets": {}, "defects": {}, "frames": {}}
+        # H and the first approximant at K0, the trial iterate, stage 1's
+        # refined start and its 7 iterates, H at stage 1's torus and
+        # stage 2's 2 iterates; frames for the 9 steps, the schedule and
+        # stage 3's start
+        assert evaluations.totals() == {"jets": 15, "defects": 15, "frames": 11}
 
     def test_stage_starts_reuse_the_measured_defects(self, rough_run):
-        res, _, _ = rough_run
+        res, _, _, _ = rough_run
         cert = res.certificate
         assert res.stages[0]["e_k_rho"] == cert["e0_stage1"]["rho"]
         assert (cert["final"]["error_vs_original_grid"]
                 == res.stages[-1]["error_vs_original_grid"])
 
     def test_stage_solves_start_from_the_previous_stages_jet(self, rough_run):
-        # stage 1 starts from the stage-1 model's jet at K0 and stage k >= 2
-        # from the jet of H that run_scheme took at the previous stage's
-        # torus: each solve takes one jet per Newton step and per resize
-        res, _, calls = rough_run
+        # stage 1 starts from the stage-1 model's value at K0 and stage
+        # k >= 2 from H's value at the previous stage's torus: each solve
+        # takes one jet per Newton step and per resize
+        res, _, calls, _ = rough_run
         solves = calls["solves"]
         assert len(solves) == len(res.stages)
         for rec, counts in zip(res.stages, solves):
@@ -515,7 +577,7 @@ class TestMeasuredOnce:
             assert counts["solver.jet_grid"] == rec["iterations"] + counts["resized"]
 
     def test_lemma4_reports_how_much_evidence_it_had(self, rough_run):
-        res, _, _ = rough_run
+        res, _, _, _ = rough_run
         cert = res.certificate
         steps = [rec["iterations"] for rec in res.stages]
         # the later stages copy their start torus: only stage 2 took steps
@@ -526,6 +588,18 @@ class TestMeasuredOnce:
         assert lemma4["vacuous"] is True
         # report only: the pass rule is unchanged
         assert lemma4["passed"] == lemma4_check(cert["torus_gaps"], cert["l"])["passed"]
+
+    def test_analytic_run_evaluates_each_pair_once(self, bypass_run):
+        h, K0, _ = bypass_run
+        with pytest.MonkeyPatch.context() as mp:
+            evaluations = EvaluationCounter(mp)
+            res = run_scheme(h, K0, np.array([GOLDEN]), RunParams(target_error=1e-11))
+        assert res.converged
+        # stage 1's first step repeats the trial step from K0, so its
+        # iterate's jet and defect come twice; nothing else does
+        assert evaluations.pairs["jets"][evaluations.trial] == 2
+        assert evaluations.repeats() == {"jets": {}, "defects": {}, "frames": {}}
+        assert evaluations.totals() == {"jets": 5, "defects": 5, "frames": 4}
 
 
 def fourier_taylor_derivative(model):

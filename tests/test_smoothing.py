@@ -615,6 +615,11 @@ class TestSmoothingSequence:
         assert seq.a_const == seq.gaps_c3[0]
         for k, g in enumerate(seq.gaps_c3):
             assert g <= seq.bound(k) * (1 + 1e-12)
+        # one pass measures both gaps of a rung pair: each is the cl_gap of
+        # its own order, bit for bit
+        b = seq.history["bernstein"]
+        assert seq.gaps_c3 == [cl_gap(b[0], b[1], hx.box, 3, 33)]
+        assert seq.gaps_c0 == [cl_gap(b[0], b[1], hx.box, 0, 33)]
 
     def test_prefix_stability_when_count_grows(self, rough_system):
         h, K0 = rough_system

@@ -11,6 +11,7 @@ from kamtori import (
     FourierMap,
     FrequencyVector,
     HamiltonianModel,
+    Iterate,
     TorusEmbedding,
     flow,
     invariance_error,
@@ -583,6 +584,73 @@ class TestOneEvaluationPerIterate:
         nd = nondegeneracy(h, K, grid_size=K.periodic.grid_size + 2)
         with pytest.raises(ValueError, match="does not match the step's grid"):
             newton_step(h, K, golden_freq, nd)
+
+
+class TestStartValue:
+    """solve_torus starts from a given Iterate and returns one."""
+
+    def test_start_value_serves_the_first_iterate(self, monkeypatch, golden_freq):
+        h = HamiltonianModel.pendulum(1e-3)
+        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=64)
+        own = solve_torus(h, K0, golden_freq, tol=1e-12, rho=0.05)
+        start = Iterate.evaluate(h, K0, golden_freq, rho=0.1)
+        calls = []
+
+        def counted(h, z):
+            calls.append(z.shape)
+            return jet_grid(h, z)
+
+        monkeypatch.setattr(solver_module, "jet_grid", counted)
+        res = solve_torus(h, K0, golden_freq, tol=1e-12, rho=0.05, start=start)
+        # the start's norms are taken again at the solve's rho
+        assert res.trace == own.trace
+        assert len(calls) == res.iterations
+        assert res.value.K is res.torus
+        assert res.value.model is h
+        assert res.value.error.norm_grid == res.error
+
+    def test_returned_value_is_the_best_iterate(self, golden_freq):
+        h = HamiltonianModel.pendulum(1e-3)
+        K = TorusEmbedding.circle(GOLDEN, trunc_order=64)
+        res = solve_torus(h, K, golden_freq, tol=1e-30, max_iter=6)
+        assert res.status == "floored"
+        assert res.value.error.norm_grid == res.error
+        assert res.value.error.norm_grid == min(row["error"] for row in res.trace)
+
+    @pytest.mark.parametrize("what", ["model", "torus", "grid"])
+    def test_start_value_of_another_pair_rejected(self, golden_freq, what):
+        h = HamiltonianModel.pendulum(1e-3)
+        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=16)
+        start = Iterate.evaluate(h, K0, golden_freq)
+        if what == "model":
+            start = Iterate.evaluate(HamiltonianModel.pendulum(2e-3), K0, golden_freq)
+            match = "start value is of another model or torus"
+        elif what == "torus":
+            start = Iterate.evaluate(
+                h, TorusEmbedding.circle(GOLDEN + 0.01, trunc_order=16), golden_freq)
+            match = "start value is of another model or torus"
+        else:
+            size = sampling_size(16) + 2
+            jet = jet_grid(h, K0.grid_samples(size))
+            start = Iterate(h, K0, jet,
+                            invariance_error(h, K0, golden_freq, grid_size=size, jet=jet))
+            match = "grid does not match K0's sampling grid"
+        with pytest.raises(ValueError, match=match):
+            solve_torus(h, K0, golden_freq, start=start)
+
+    def test_norms_at_another_rho_match_a_fresh_evaluation(self, solved_pendulum,
+                                                           golden_freq):
+        h, res = solved_pendulum
+        K = res.torus
+        value = Iterate.evaluate(h, K, golden_freq, rho=0.05)
+        err = invariance_error(h, K, golden_freq, rho=0.02)
+        nd = nondegeneracy(h, K, rho=0.02)
+        assert value.error.at(0.02).norm_rho == err.norm_rho
+        assert value.error.at(0.05) is value.error
+        again = value.frame_at(0.02)
+        assert (again.norm_n, again.norm_dk, again.norm_s_inv) == (
+            nd.norm_n, nd.norm_dk, nd.norm_s_inv)
+        assert value.frame is value.frame  # built once
 
 
 class TestSamplingGrid:
