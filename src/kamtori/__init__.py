@@ -3,8 +3,9 @@
 The package computes invariant tori of Hamiltonian flows by a Newton
 iteration on the embedding's Fourier coefficients, certifies frequency
 vectors by finite-horizon Diophantine scans, and extends the solver to
-finitely differentiable Hamiltonians through Bernstein smoothing with a
-quantified approximation ladder.
+finitely differentiable Hamiltonians through analytic smoothing (de la
+Vallee-Poussin means on the angles, Bernstein polynomials on the actions)
+with a quantified approximation ladder.
 """
 
 from .cohomology import CohomologySolution, DivisorReport, solve_cohomological

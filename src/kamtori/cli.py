@@ -376,18 +376,22 @@ def cmd_smooth(args) -> int:
         )
     (out / "gaps.csv").write_text(rows.getvalue())
 
-    for i, approx in enumerate(seq.history.get("bernstein", [])):
+    for i, approx in enumerate(seq.history.get("rungs", [])):
         _write_json(
             out / f"approximant_{i}.json",
             {
                 "degrees": list(approx.degrees),
+                "basis": [approx.basis(a) for a in range(approx.dim)],
                 "box": {
                     "lo": list(approx.box.lo),
                     "hi": list(approx.box.hi),
                     "periodic": [bool(p) for p in approx.box.periodic],
                 },
                 "rank": approx.rank,
-                "factors": [f.tolist() for f in approx.factors],
+                # a half spectrum's modes as (re, im) pairs
+                "factors": [np.stack([f.real, f.imag], axis=-1).tolist()
+                            if np.iscomplexobj(f) else f.tolist()
+                            for f in approx.factors],
             },
         )
     _write_json(

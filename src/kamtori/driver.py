@@ -26,9 +26,10 @@ input); its tails are the C^3 gaps its construction measured.  Stage 1
 starts from the gate's value, the selected model at K0, and stage k >= 2
 from H's value at stage k-1's torus: the one stage k-1's solve returned,
 or after a smoothed stage 1 a new one.  A stage's d_k, v_k, tau_k and e_k
-are norms of its start value; the final defect is the last stage's.  The
-CLI's smooth and verify commands call smoothing_ladder and kam_schedule,
-the same code that run_scheme uses.
+are norms of its start value at rho_k, the width its solve runs at; the
+final defect is the last stage's.  The CLI's smooth and verify commands
+call smoothing_ladder and kam_schedule, the same code that run_scheme
+uses.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ _BOUNDS = (
     ("max_stages must be >= 1, got {p.max_stages}", lambda p: p.max_stages >= 1),
     ("min_tori must be >= 0, got {p.min_tori}", lambda p: p.min_tori >= 0),
     ("count must be >= 1, got {p.count}", lambda p: p.count >= 1),
-    # bernstein_nd needs degree 3 for the C^3 gaps it measures
+    # rung_nd needs degree 3 for the C^3 gaps it measures
     ("start_degree must be >= 3, got {p.start_degree}", lambda p: p.start_degree >= 3),
     ("max_degree must be >= start_degree = {p.start_degree}, got {p.max_degree}",
      lambda p: p.max_degree >= p.start_degree),
@@ -582,11 +583,11 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     }
 
     # each kept approximant's C^3 distance to the rough target, measured
-    # when bernstein_nd built it
+    # when rung_nd built it
     if analytic_input:
         tails = [0.0] * len(seq.approximants)
     else:
-        tails = [b.report["composite_c3_gap"] for b in seq.history["bernstein"]]
+        tails = [b.report["composite_c3_gap"] for b in seq.history["rungs"]]
     cert["tails_c3"] = list(tails)
 
     # base quantities for the first sequence entry
@@ -682,9 +683,9 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         h_k, k_prev = start.model, start.K
         rho_k = schedule.rho_k(k)
         r_prev = schedule.r_k(k - 1) if k > 1 else params.r
+        # the defect and the frame's growth norms at the width the stage solves at
         e_k = start.error.at(rho_k).norm_rho.value
-        # the frame's growth norms at the previous stage's width (rho at stage 1)
-        nd_k = start.frame_at(schedule.rho_k(max(k - 1, 1)))
+        nd_k = start.frame_at(rho_k)
         mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r), params.norm_points)
         c_k = eval_lambda(params.lambda_spec, mu_k, nd_k.norm_dk, nd_k.norm_n,
                           nd_k.norm_s_inv)

@@ -472,7 +472,11 @@ class RoughTerm(SumOfProducts):
 
 
 class SumModel(SumOfProducts):
-    """Pointwise sum of models: the terms of every part, part after part."""
+    """Pointwise sum of models: the terms of every part, part after part.
+
+    Its box is the last part's that has one, unless a subclass set its own
+    before calling __init__.
+    """
 
     def __init__(self, parts):
         parts = [p for p in parts if p is not None]
@@ -480,8 +484,9 @@ class SumModel(SumOfProducts):
             raise ValueError("need at least one part")
         self.parts = tuple(parts)
         self.n = getattr(parts[0], "n", None)
-        self.box = next((p.box for p in reversed(parts)
-                         if getattr(p, "box", None) is not None), None)
+        if getattr(self, "box", None) is None:
+            self.box = next((p.box for p in reversed(parts)
+                             if getattr(p, "box", None) is not None), None)
         self.smoothness_class = min(getattr(p, "smoothness_class", math.inf)
                                     for p in parts)
         self._offsets = np.cumsum([0] + [p.rank for p in parts])[:-1]

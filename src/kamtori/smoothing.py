@@ -2,18 +2,27 @@
 
 Three layers:
 
-1. Bernstein operators: 1-D and tensor-product polynomial approximants on
-   boxes, with exact derivative calculus in the Bernstein basis (forward
-   differences of coefficients).  Evaluation goes through the binomial
-   pmf, which stays stable at degrees far past the point where explicit
-   binomial coefficients overflow.  The tensor-product operator maps a
-   product of 1-D functions to the product of their 1-D approximants
-   (Lorentz, Bernstein Polynomials, 1953), so a target given as a short
-   sum of such products (SeparableFunction) gets an approximant of the
-   same rank (SeparableBernstein) built from 1-D samples alone; its
+1. Approximation operators on boxes.  Bernstein operators: 1-D and
+   tensor-product polynomial approximants, with exact derivative calculus
+   in the Bernstein basis (forward differences of coefficients).
+   Evaluation goes through the binomial pmf, which stays stable at
+   degrees far past the point where explicit binomial coefficients
+   overflow.  The tensor-product operator maps a product of 1-D functions
+   to the product of their 1-D approximants (Lorentz, Bernstein
+   Polynomials, 1953), so a target given as a short sum of such products
+   (SeparableFunction) gets an approximant of the same rank
+   (SeparableBernstein, bernstein_nd) built from 1-D samples alone; its
    values, jets and C^l gaps come from per-axis 1-D tables combined by
    outer products, and the dense (k+1)^d coefficient lattice is never
    formed.  bernstein_tensor keeps the dense operator as the oracle.
+   The ladder's rungs (SeparableRung, rung_nd) keep that factored form
+   but take the de la Vallee-Poussin mean V_N on the periodic axes: one
+   rfft of 8N samples per axis, mode k weighted by 1 up to N and by
+   2 - k/N up to 2N (Zygmund, Trigonometric Series, ch. III).  V_N is a
+   trigonometric polynomial, so a rung matches with every derivative
+   across the angle chart's seam x = 0 == 1, where a Bernstein polynomial
+   on [0, 1] matches values only; the action axes keep the degree-N
+   Bernstein factor.
 2. Cutoff extension: a C-infinity plateau bump, a product of per-axis
    e^{-1/t} smoothsteps in the action variables, equal to 1 on a
    neighbourhood of the action hull of an initial torus and to 0 outside
@@ -22,7 +31,7 @@ Three layers:
    bounds and costs O(points) per evaluation.  Each rough summand is a
    1-D profile, so the cut rough part is a sum of products of 1-D
    functions, one product per rough coordinate.
-3. The smoothing sequence: polynomial models H_0, H_1, ... at doubling
+3. The smoothing sequence: entire models H_0, H_1, ... at doubling
    degrees whose consecutive C^3 gaps are measured and enveloped by
    A * 4^(-k(l+2*sigma)), re-anchored at the first index whose gap drops
    below the initial invariance error.
@@ -54,6 +63,7 @@ __all__ = [
     "PlateauBump",
     "SeparableBernstein",
     "SeparableFunction",
+    "SeparableRung",
     "SmoothingSequence",
     "bernstein_1d",
     "bernstein_derivative",
@@ -62,6 +72,7 @@ __all__ = [
     "cl_gap",
     "cl_norm",
     "cutoff_extend",
+    "rung_nd",
     "unit_box",
 ]
 
@@ -495,6 +506,39 @@ class SeparableFunction(SumOfProducts):
                          if t[axis] is not None])[None]
 
 
+def _bernstein_rows(coeff: np.ndarray, box: Box, axis: int, q: int) -> np.ndarray:
+    """Rows of the q-th derivative of Bernstein rows coeff along a box axis:
+    scaled forward differences."""
+    k = coeff.shape[1] - 1
+    if q < 0:
+        raise ValueError("derivative orders must be >= 0")
+    if q > k:
+        raise ValueError(f"order {q} exceeds degree {k} on axis {axis}")
+    if q:
+        scale = math.prod(range(k - q + 1, k + 1)) / box.widths()[axis] ** q
+        coeff = np.diff(coeff, n=q, axis=1) * scale
+    return coeff
+
+
+def _bernstein_values(coeff: np.ndarray, box: Box, axis: int, u: np.ndarray,
+                      q: int) -> np.ndarray:
+    """(q+1, rows, len(u)): D^0..D^q of Bernstein rows coeff along a box axis."""
+    u = box.wrap_axis(axis, u)
+    t = (u - box.lo[axis]) / box.widths()[axis]
+    out = []
+    for j in range(q + 1):
+        rows = _bernstein_rows(coeff, box, axis, j)
+        k = rows.shape[1] - 1
+        # chunked so the basis matrices stay modest at high degree
+        chunk = max(1, 4_000_000 // (k + 1))
+        out.append(np.concatenate(
+            [rows @ _basis(k, t[s : s + chunk]).T
+             for s in range(0, max(t.size, 1), chunk)],
+            axis=1,
+        ))
+    return np.stack(out)
+
+
 @dataclass(frozen=True)
 class SeparableBernstein(SumOfProducts):
     """Rank-r tensor-product Bernstein polynomial sum_r prod_i B_{r,i}(z_i).
@@ -534,38 +578,12 @@ class SeparableBernstein(SumOfProducts):
     def degrees(self) -> tuple[int, ...]:
         return tuple(f.shape[1] - 1 for f in self.factors)
 
-    def _axis_coefficients(self, axis: int, q: int) -> np.ndarray:
-        """Rows of the q-th derivative along axis (scaled forward differences)."""
-        k = self.degrees[axis]
-        if q < 0:
-            raise ValueError("derivative orders must be >= 0")
-        if q > k:
-            raise ValueError(f"order {q} exceeds degree {k} on axis {axis}")
-        coeff = self.factors[axis]
-        if q:
-            scale = math.prod(range(k - q + 1, k + 1)) / self.box.widths()[axis] ** q
-            coeff = np.diff(coeff, n=q, axis=1) * scale
-        return coeff
-
     def support(self, axis: int) -> np.ndarray:
         return np.arange(self.rank)
 
     def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
         """(q+1, rank, len(u)): D^0..D^q of every term's factor along axis at u."""
-        u = self.box.wrap_axis(axis, u)
-        t = (u - self.box.lo[axis]) / self.box.widths()[axis]
-        out = []
-        for j in range(q + 1):
-            coeff = self._axis_coefficients(axis, j)
-            k = coeff.shape[1] - 1
-            # chunked so the basis matrices stay modest at high degree
-            chunk = max(1, 4_000_000 // (k + 1))
-            out.append(np.concatenate(
-                [coeff @ _basis(k, t[s : s + chunk]).T
-                 for s in range(0, max(t.size, 1), chunk)],
-                axis=1,
-            ))
-        return np.stack(out)
+        return _bernstein_values(self.factors[axis], self.box, axis, u, q)
 
     def derivative(self, orders) -> "SeparableBernstein":
         """Exact D^orders, term by term and axis by axis."""
@@ -573,7 +591,9 @@ class SeparableBernstein(SumOfProducts):
         if len(orders) != self.dim:
             raise ValueError("orders must give one entry per axis")
         return SeparableBernstein(
-            self.box, tuple(self._axis_coefficients(i, q) for i, q in enumerate(orders))
+            self.box,
+            tuple(_bernstein_rows(f, self.box, i, q)
+                  for i, (f, q) in enumerate(zip(self.factors, orders))),
         )
 
     def dense(self) -> BernsteinApproximant:
@@ -628,6 +648,130 @@ class BernsteinHamiltonian(SeparableBernstein):
         super().__init__(approx.box, approx.factors)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "smoothness_class", math.inf)
+
+
+# -- ladder rungs ----------------------------------------------------------------
+
+
+def _vallee_poussin_half(samples: np.ndarray, N: int) -> np.ndarray:
+    """(rows, 2N) half spectrum c_k, k = 0..2N-1, of V_N of periodic samples.
+
+    samples holds one row per term on P >= 4N uniform points of the
+    period; one rfft takes every row.  Mode k is weighted by 1 for
+    k <= N, by 2 - k/N for N < k <= 2N and by 0 beyond; a mode k > 0
+    stands for itself and its conjugate, so it is doubled and
+    Re sum_k c_k e^{2 pi i k t} is the mean.
+    """
+    k = np.arange(2 * N)
+    weight = np.minimum(1.0, 2.0 - k / N) * np.where(k > 0, 2.0, 1.0)
+    return np.fft.rfft(samples, axis=1)[:, : 2 * N] * (weight / samples.shape[1])
+
+
+@dataclass(frozen=True)
+class SeparableRung(SumOfProducts):
+    """A ladder rung sum_r prod_i R_{r,i}(z_i): V_N on angles, Bernstein on actions.
+
+    On a periodic axis R is the de la Vallee-Poussin mean V_N of the
+    term's factor, a trigonometric polynomial, so the rung has no seam
+    at the chart's ends: factors[i] is its (rank, 2N) complex half
+    spectrum, R(z) = Re sum_k c_k e^{2 pi i k t} with t = (z - lo)/w, and
+    D multiplies mode k by 2 pi i k / w.  On an action axis R is the
+    degree-N Bernstein polynomial and factors[i] its (rank, N + 1)
+    coefficients, as in SeparableBernstein.  basis(axis) names the kind;
+    every axis table is real.  The rung is entire, a Hamiltonian part of
+    class C^inf.
+    """
+
+    box: Box
+    factors: tuple
+    report: dict | None = field(default=None, compare=False, repr=False)
+
+    smoothness_class = math.inf
+
+    def __post_init__(self):
+        factors = []
+        for f, periodic in zip(self.factors, self.box.periodic):
+            f = np.array(f, dtype=complex if periodic else float)
+            f.flags.writeable = False
+            factors.append(f)
+        if len(factors) != self.box.dim:
+            raise ValueError("need one factor table per box axis")
+        if any(f.ndim != 2 or f.shape[0] != factors[0].shape[0] for f in factors):
+            raise ValueError("factor tables must be (rank, columns) with one rank")
+        object.__setattr__(self, "factors", tuple(factors))
+
+    @property
+    def dim(self) -> int:
+        return len(self.factors)
+
+    @property
+    def rank(self) -> int:
+        return self.factors[0].shape[0]
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """N per axis: the mean's index on angles, the degree on actions."""
+        return tuple(f.shape[1] // 2 if p else f.shape[1] - 1
+                     for f, p in zip(self.factors, self.box.periodic))
+
+    def basis(self, axis: int) -> str:
+        return "vallee_poussin" if self.box.periodic[axis] else "bernstein"
+
+    def support(self, axis: int) -> np.ndarray:
+        return np.arange(self.rank)
+
+    def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
+        """(q+1, rank, len(u)): D^0..D^q of every term's factor along axis at u."""
+        if not self.box.periodic[axis]:
+            return _bernstein_values(self.factors[axis], self.box, axis, u, q)
+        coeff = self.factors[axis]
+        width = self.box.widths()[axis]
+        k = np.arange(coeff.shape[1])
+        t = (np.asarray(u, dtype=float).reshape(-1) - self.box.lo[axis]) / width
+        out = np.empty((q + 1, self.rank, t.size))
+        # chunked so the exponential tables stay modest at high N; one
+        # product per order, so a table does not depend on q
+        chunk = max(1, 4_000_000 // k.size)
+        for s in range(0, t.size, chunk):
+            waves = np.exp(2j * np.pi * np.outer(k, t[s : s + chunk]))
+            for j in range(q + 1):
+                out[j, :, s : s + chunk] = (
+                    (coeff * (2j * np.pi * k / width) ** j) @ waves).real
+        return out
+
+    def __repr__(self):
+        return f"SeparableRung(degrees={self.degrees}, rank={self.rank})"
+
+
+def rung_nd(f: SeparableFunction, N: int, box=None,
+            measure_points: int = 33) -> SeparableRung:
+    """The ladder's rung of index N for a sum of products.
+
+    Each term's factor along a periodic axis is sampled on 8N uniform
+    points and replaced by its de la Vallee-Poussin mean V_N, along an
+    action axis by its degree-N Bernstein polynomial (samples at the N + 1
+    nodes).  V_N reproduces trigonometric polynomials of degree <= N and
+    its error is at most 4 E_N, so the angle factors converge at Jackson's
+    rate and match with every derivative across the seam.
+    report["composite_c3_gap"] is the rung's C^3 gap to f on the
+    measure_points grid (cl_gap's stencil path).
+    """
+    N = int(N)
+    if N < 3:
+        raise ValueError("degree must be >= 3")
+    box = _as_box(box, f.dim)
+    factors = []
+    for i in range(box.dim):
+        if box.periodic[i]:
+            u = box.lo[i] + box.widths()[i] * np.arange(8 * N) / (8 * N)
+            factors.append(_vallee_poussin_half(_axis_tables(f, i, u, 0, None)[0], N))
+        else:
+            u = box.lo[i] + box.widths()[i] * np.arange(N + 1) / N
+            factors.append(_axis_tables(f, i, u, 0, None)[0])
+    out = SeparableRung(box, tuple(factors))
+    gap = cl_gap(out, f, box, 3, measure_points)
+    object.__setattr__(out, "report", {"composite_c3_gap": gap})
+    return out
 
 
 # -- cutoff extension ---------------------------------------------------------
@@ -717,10 +861,9 @@ class CutoffHamiltonian(SumModel):
     def __init__(self, analytic, rough, bump: PlateauBump, box: Box, n: int, rho: float):
         self.rough = tuple(rough)
         self.bump = bump
-        self.box = box
+        self.box = box  # separable() reads it, and SumModel.__init__ keeps it
         super().__init__([analytic, self.separable()] if self.rough else [analytic])
         self.analytic = analytic
-        self.box = box  # SumModel.__init__ took box from the parts, which have none
         self.n = n
         self.rho = float(rho)
         classes = [t.profile.smoothness_class for t in self.rough]
@@ -845,9 +988,9 @@ def build_smoothing_sequence(
     max_degree: int = 4096,
     measure_points: int = 33,
 ) -> SmoothingSequence:
-    """Doubling-degree Bernstein ladder for the cut rough part, re-anchored.
+    """Doubling-degree ladder of rungs (rung_nd) for the cut rough part, re-anchored.
 
-    Builds approximants at degrees start_degree * 2^j, measures consecutive
+    Builds rungs at degrees start_degree * 2^j, measures consecutive
     C^3 gaps, and re-anchors the sequence at the first entry whose outgoing
     gap is <= e0_norm; count entries are kept from there.  The envelope
     constant is fitted to the kept gaps.  Purely analytic input yields the
@@ -886,13 +1029,13 @@ def build_smoothing_sequence(
 
     box = h_ext.box
     target = h_ext.separable()
-    approx: list[SeparableBernstein] = []
+    approx: list[SeparableRung] = []
     degrees: list[int] = []
     raw_gaps_c3: list[float] = []
     raw_gaps_c0: list[float] = []
 
     def emit(deg):
-        b = bernstein_nd(target, deg, box, measure_points=measure_points)
+        b = rung_nd(target, deg, box, measure_points=measure_points)
         approx.append(b)
         degrees.append(deg)
         if len(approx) > 1:
@@ -929,7 +1072,7 @@ def build_smoothing_sequence(
     a_const = max(
         (g * 4.0 ** (k * rate) for k, g in enumerate(kept_g3)), default=0.0
     )
-    models = [SumModel([h_ext.analytic, BernsteinHamiltonian(b, h_ext.n)]) for b in kept]
+    models = [SumModel([h_ext.analytic, b]) for b in kept]
     return SmoothingSequence(
         approximants=models,
         degrees=kept_deg,
@@ -945,6 +1088,6 @@ def build_smoothing_sequence(
             "ladder_gaps_c3": raw_gaps_c3,
             "ladder_gaps_c0": raw_gaps_c0,
             "analytic": False,
-            "bernstein": kept,
+            "rungs": kept,
         },
     )

@@ -308,11 +308,30 @@ class TestDispatch:
         first = rows[1].split(",")
         assert float(first[3]) == cert["gaps_c3"][0]
         assert float(first[3]) <= float(first[4])
-        # factored payload: per axis one (rank, degree + 1) coefficient table
+        # factored payload: per axis its basis and one real table, the angle's
+        # (rank, 2N) half spectrum as (re, im) pairs, the action's (rank, N + 1)
+        # Bernstein coefficients
         doc = json.loads((out / "approximant_0.json").read_text())
-        assert doc["degrees"] == [cert["degrees"][0]] * 2
+        N = cert["degrees"][0]
+        assert doc["degrees"] == [N] * 2
+        assert doc["basis"] == ["vallee_poussin", "bernstein"]
         assert doc["rank"] == 1
-        assert [np.shape(f) for f in doc["factors"]] == [(1, cert["degrees"][0] + 1)] * 2
+        assert [np.shape(f) for f in doc["factors"]] == [(1, 2 * N, 2), (1, N + 1)]
+        # README's formula on the payload is the ladder's first rung
+        from kamtori.driver import smoothing_ladder
+
+        cfg = parse_config(cfg_path)
+        rung = smoothing_ladder(cfg.load_hamiltonian(), cfg.load_torus(),
+                                cfg.frequency(), cfg.params).seq.history["rungs"][0]
+        lo, hi = np.array(doc["box"]["lo"]), np.array(doc["box"]["hi"])
+        z = lo + (hi - lo) * np.random.default_rng(0).uniform(0, 1, (50, 2))
+        t = (z - lo) / (hi - lo)
+        pairs = np.array(doc["factors"][0][0])
+        angle = (np.exp(2j * np.pi * np.outer(t[:, 0], np.arange(2 * N)))
+                 @ (pairs[:, 0] + 1j * pairs[:, 1])).real
+        action = sum(c * math.comb(N, p) * t[:, 1] ** p * (1 - t[:, 1]) ** (N - p)
+                     for p, c in enumerate(doc["factors"][1][0]))
+        assert np.max(np.abs(angle * action - rung(z))) <= 1e-12 * np.max(np.abs(rung(z)))
 
     def test_smooth_analytic_input_short_circuit(self, write_files):
         cfg_path, out = write_files(PENDULUM, "smooth_an", count=3)

@@ -541,22 +541,22 @@ class TestMeasuredOnce:
         res, ladders, calls, _ = rough_run
         assert res.converged
         (seq,) = ladders
-        gaps = [b.report["composite_c3_gap"] for b in seq.history["bernstein"]]
+        gaps = [b.report["composite_c3_gap"] for b in seq.history["rungs"]]
         assert res.certificate["tails_c3"] == gaps
         assert calls["late_cl_gap"] == 0
 
     def test_driver_measures_each_stage_start_once(self, rough_run):
         res, _, _, evaluations = rough_run
-        assert [rec["iterations"] for rec in res.stages] == [7, 2, 0, 0]
+        assert [rec["iterations"] for rec in res.stages] == [3, 1, 0, 0]
         assert res.certificate["k0"]["index"] == 0
-        # no (model, torus) pair is evaluated twice; stage 1 refines before
-        # its first step, so not even the trial iterate comes back
+        # stage 1's first step repeats the gate's trial step from K0, so its
+        # iterate's jet and defect come twice; nothing else does
+        assert evaluations.pairs["jets"][evaluations.trial] == 2
         assert evaluations.repeats() == {"jets": {}, "defects": {}, "frames": {}}
         # H and the first approximant at K0, the trial iterate, stage 1's
-        # refined start and its 7 iterates, H at stage 1's torus and
-        # stage 2's 2 iterates; frames for the 9 steps, the schedule and
-        # stage 3's start
-        assert evaluations.totals() == {"jets": 15, "defects": 15, "frames": 11}
+        # 3 iterates, H at stage 1's torus and stage 2's iterate; frames for
+        # the 4 steps (the schedule's is stage 1's first) and stage 3's start
+        assert evaluations.totals() == {"jets": 8, "defects": 8, "frames": 5}
 
     def test_stage_starts_reuse_the_measured_defects(self, rough_run):
         res, _, _, _ = rough_run
@@ -588,6 +588,32 @@ class TestMeasuredOnce:
         assert lemma4["vacuous"] is True
         # report only: the pass rule is unchanged
         assert lemma4["passed"] == lemma4_check(cert["torus_gaps"], cert["l"])["passed"]
+
+    def test_stage_norms_are_taken_at_the_stage_width(self, rough_run):
+        # d_k, v_k and tau_k are the frame norms at rho_k, where the stage's
+        # e_k and its solve's first trace row are taken
+        res, _, _, _ = rough_run
+        stage2 = res.stages[1]
+        first = stage2["trace"][0]
+        assert stage2["rho_k"] == res.certificate["schedule"]["rho_k"][1]
+        assert stage2["d_k"] == first["norm_dk"]
+        assert stage2["v_k"] == first["norm_n"]
+        assert stage2["tau_k"] == first["norm_s_inv"]
+
+    def test_smoothed_stage_converges_below_the_horizon_cap(self, rough_run):
+        # the rung is a trigonometric polynomial in the angle, so stage 1's
+        # torus has an analytic spectrum: no genuine tail at K0, no
+        # refinement to the horizon's cap, growth norms near 1
+        res, _, _, _ = rough_run
+        cert = res.certificate
+        stage1 = res.stages[0]
+        assert cert["e0_stage1"]["tail_flag"] is False
+        assert stage1["status"] == "converged"
+        orders = [row["trunc_order"] for row in stage1["trace"] if "trunc_order" in row]
+        assert orders and max(orders) <= 64 < cert["horizon"]
+        assert stage1["rho_k"] == 0.02
+        norms = [row["norm_dk"] for row in stage1["trace"] if "norm_dk" in row]
+        assert norms and max(norms) < 10
 
     def test_analytic_run_evaluates_each_pair_once(self, bypass_run):
         h, K0, _ = bypass_run

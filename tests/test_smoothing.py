@@ -1,4 +1,4 @@
-"""Bernstein operators, the plateau cutoff and the geometric approximant ladder."""
+"""Bernstein operators, ladder rungs, the plateau cutoff and the approximant ladder."""
 
 import math
 from itertools import product as iter_product
@@ -15,6 +15,7 @@ from kamtori import (
     RoughTerm,
     TorusEmbedding,
 )
+from kamtori.hamiltonian import Box
 from kamtori.smoothing import (
     BernsteinHamiltonian,
     PlateauBump,
@@ -27,6 +28,7 @@ from kamtori.smoothing import (
     cl_gap,
     cl_norm,
     cutoff_extend,
+    rung_nd,
     unit_box,
 )
 
@@ -382,6 +384,15 @@ class TestCutoff:
         with pytest.raises(ValueError, match="too close"):
             cutoff_extend(box_h, K0, r=0.2)
 
+    def test_box_is_the_cutoff_box(self, rough_system):
+        # the box set before SumModel.__init__ survives it
+        h, K0 = rough_system
+        hx = cutoff_extend(h, K0, r=0.8)
+        lo, hi = hx.bump.anchors
+        assert np.array_equal(hx.box.lo, [0.0, lo[0] - 3 * 0.8])
+        assert np.array_equal(hx.box.hi, [1.0, hi[0] + 3 * 0.8])
+        assert hx.box.periodic.tolist() == [True, False]
+
     def test_invalid_radius(self, rough_system):
         h, K0 = rough_system
         with pytest.raises(ValueError, match="positive"):
@@ -585,6 +596,87 @@ class TestSeparableOracles:
         )
 
 
+def trig_polynomial(N, lo, width, seed):
+    """A random real trigonometric polynomial of degree N on the period
+    [lo, lo + width] and its closed-form derivative of order q."""
+    a, b = np.random.default_rng(seed).normal(size=(2, N + 1))
+    k = np.arange(N + 1)
+
+    def derivative(u, q=0):
+        w = 2 * np.pi * k / width
+        phase = np.outer(np.asarray(u, dtype=float) - lo, w) + q * np.pi / 2
+        return (np.cos(phase) * a + np.sin(phase) * b) @ w**q
+
+    return derivative
+
+
+class TestValleePoussinRung:
+    """Ladder rungs: V_N of each factor on the angle axes, Bernstein on the
+    action axes."""
+
+    @pytest.fixture(scope="class")
+    def rungs(self, rough_system):
+        h, K0 = rough_system
+        hx = cutoff_extend(h, K0, r=0.8)
+        seq = build_smoothing_sequence(
+            hx, l=4, sigma=1.1, count=3, e0_norm=0.2, start_degree=8, max_degree=128
+        )
+        return seq.history["rungs"]
+
+    def test_each_axis_takes_the_basis_of_its_kind(self, rungs):
+        for rung in rungs:
+            N = rung.degrees[0]
+            assert rung.degrees == (N, N)
+            assert [rung.basis(i) for i in range(2)] == ["vallee_poussin", "bernstein"]
+            assert [f.shape for f in rung.factors] == [(1, 2 * N), (1, N + 1)]
+            u = np.linspace(-0.5, 1.5, 7)
+            for axis in range(2):
+                assert rung.axis_values(axis, u, 3).dtype == np.float64
+
+    def test_every_derivative_is_continuous_across_the_seam(self, rungs):
+        # D^q at either side of x = 0 == 1 differs by at most the distance,
+        # 2 delta, times sup |D^(q+1)| (a Bernstein rung's D^1 jumps there)
+        delta = 1e-7
+        for rung in rungs:
+            sides = rung.axis_values(0, np.array([delta, 1.0 - delta]), 3)
+            sups = np.max(np.abs(rung.axis_values(0, np.linspace(0, 1, 4001), 4)), axis=2)
+            for q in range(4):
+                jump = np.abs(sides[q, :, 0] - sides[q, :, 1])
+                assert np.all(jump <= 2 * delta * sups[q + 1] * 1.5 + 1e-12 * sups[q]), q
+
+    def test_angle_amplitudes_vanish_beyond_2N(self, rungs):
+        for rung in rungs:
+            N = rung.degrees[0]
+            P = 16 * N
+            values = rung.axis_values(0, np.arange(P) / P, 0)[0]
+            amps = np.abs(np.fft.rfft(values, axis=1)) / P
+            assert np.max(amps[:, 2 * N:]) <= 1e-14 * np.max(amps)
+
+    @pytest.mark.parametrize("N", [4, 16])
+    def test_reproduces_a_trigonometric_polynomial_of_degree_N(self, N):
+        # on a periodic axis of width 1.5 beside an action axis, where the
+        # Bernstein factor reproduces the affine 1 + 2y
+        p = trig_polynomial(N, 0.25, 1.5, seed=N)
+        box = Box(np.array([0.25, -1.0]), np.array([1.75, 1.0]), np.array([True, False]))
+        f = SeparableFunction([(p, lambda y: 1.0 + 2.0 * y)])
+        rung = rung_nd(f, N, box, measure_points=9)
+        u = np.random.default_rng(N).uniform(-2.0, 4.0, 300)
+        table = rung.axis_values(0, u, 3)[:, 0]
+        for q in range(4):
+            want = p(u, q)
+            assert np.max(np.abs(table[q] - want)) <= 1e-12 * np.max(np.abs(want)), q
+        z = np.stack([u, np.linspace(-1.0, 1.0, u.size)], axis=-1)
+        val, grad, hess = rung.jet_batch(z)
+        y = z[:, 1]
+        scale = np.max(np.abs(p(u, 2))) * 3
+        assert np.max(np.abs(val - p(u) * (1 + 2 * y))) <= 1e-12 * scale
+        assert np.max(np.abs(grad[:, 0] - p(u, 1) * (1 + 2 * y))) <= 1e-12 * scale
+        assert np.max(np.abs(grad[:, 1] - 2 * p(u))) <= 1e-12 * scale
+        assert np.max(np.abs(hess[:, 0, 0] - p(u, 2) * (1 + 2 * y))) <= 1e-12 * scale
+        assert np.max(np.abs(hess[:, 0, 1] - 2 * p(u, 1))) <= 1e-12 * scale
+        assert np.max(np.abs(hess[:, 1, 1])) <= 1e-12 * scale
+
+
 class TestSmoothingSequence:
     def test_analytic_input_gives_constant_sequence(self):
         h = HamiltonianModel.pendulum(1e-3)
@@ -608,8 +700,8 @@ class TestSmoothingSequence:
         seq = build_smoothing_sequence(
             hx, l=4, sigma=1.1, count=2, e0_norm=0.2, start_degree=8, max_degree=128
         )
-        assert seq.degrees == [32, 64]
-        assert seq.anchor_index == 2
+        assert seq.degrees == [8, 16]
+        assert seq.anchor_index == 0
         assert len(seq.gaps_c3) == 1
         assert seq.gaps_c3[0] <= 0.2
         assert seq.a_const == seq.gaps_c3[0]
@@ -617,9 +709,22 @@ class TestSmoothingSequence:
             assert g <= seq.bound(k) * (1 + 1e-12)
         # one pass measures both gaps of a rung pair: each is the cl_gap of
         # its own order, bit for bit
-        b = seq.history["bernstein"]
+        b = seq.history["rungs"]
         assert seq.gaps_c3 == [cl_gap(b[0], b[1], hx.box, 3, 33)]
         assert seq.gaps_c0 == [cl_gap(b[0], b[1], hx.box, 0, 33)]
+
+    def test_ladder_reanchors_past_gaps_above_e0(self, rough_system):
+        h, K0 = rough_system
+        hx = cutoff_extend(h, K0, r=0.8)
+        seq = build_smoothing_sequence(
+            hx, l=4, sigma=1.1, count=2, e0_norm=0.1, start_degree=8, max_degree=128
+        )
+        ladder_gaps = seq.history["ladder_gaps_c3"]
+        assert seq.history["ladder_degrees"][:3] == [8, 16, 32]
+        assert ladder_gaps[0] > 0.1 >= ladder_gaps[1]
+        assert seq.anchor_index == 1
+        assert seq.degrees == [16, 32]
+        assert seq.gaps_c3 == [ladder_gaps[1]]
 
     def test_prefix_stability_when_count_grows(self, rough_system):
         h, K0 = rough_system
