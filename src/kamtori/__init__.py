@@ -44,7 +44,6 @@ from .hamiltonian import (
 )
 from .smoothing import (
     BernsteinApproximant,
-    BernsteinHamiltonian,
     CutoffHamiltonian,
     PlateauBump,
     SmoothingSequence,
@@ -97,7 +96,6 @@ __all__ = [
     "solve_torus",
     "symplectic_matrix",
     "BernsteinApproximant",
-    "BernsteinHamiltonian",
     "Box",
     "BSplineProfile",
     "CohomologySolution",

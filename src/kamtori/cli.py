@@ -131,8 +131,9 @@ def parse_config(path, **overrides) -> RunConfig:
     """Read and validate a config file, reporting every violation at once.
 
     overrides (the command-line flags) replace the file's keys before
-    anything is checked, so they meet the same bounds.  omega and y0 must
-    be numbers, one per degree of freedom of the model, and trunc an
+    anything is checked, so they meet the same bounds.  The model file is
+    loaded, so a model it cannot build is one violation.  omega and y0
+    must be numbers, one per degree of freedom of the model, and trunc an
     integer >= 1.
     """
     try:
@@ -169,7 +170,7 @@ def parse_config(path, **overrides) -> RunConfig:
             bad.append(f"hamiltonian file not found: {ham}")
         else:
             try:
-                n = int(json.loads(Path(ham).read_text())["n"])
+                n = load_hamiltonian(ham).n
             except Exception as exc:
                 bad.append(f"hamiltonian file does not parse: {exc}")
     if torus_file is not None:

@@ -506,6 +506,10 @@ class CompositeHamiltonian(SumModel):
     """Analytic base model plus finitely differentiable rough summands."""
 
     def __init__(self, analytic: HamiltonianModel, rough: Sequence[RoughTerm]):
+        for t in rough:
+            if not 0 <= t.coordinate < 2 * analytic.n:
+                raise ValueError(f"rough term coordinate {t.coordinate} outside "
+                                 f"[0, {2 * analytic.n}) for n={analytic.n}")
         super().__init__([analytic, *rough])
         self.analytic = analytic
         self.rough = tuple(rough)

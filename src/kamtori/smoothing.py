@@ -10,19 +10,20 @@ Three layers:
    overflow.  The tensor-product operator maps a product of 1-D functions
    to the product of their 1-D approximants (Lorentz, Bernstein
    Polynomials, 1953), so a target given as a short sum of such products
-   (SeparableFunction) gets an approximant of the same rank
-   (SeparableBernstein, bernstein_nd) built from 1-D samples alone; its
-   values, jets and C^l gaps come from per-axis 1-D tables combined by
-   outer products, and the dense (k+1)^d coefficient lattice is never
-   formed.  bernstein_tensor keeps the dense operator as the oracle.
-   The ladder's rungs (SeparableRung, rung_nd) keep that factored form
-   but take the de la Vallee-Poussin mean V_N on the periodic axes: one
-   rfft of 8N samples per axis, mode k weighted by 1 up to N and by
-   2 - k/N up to 2N (Zygmund, Trigonometric Series, ch. III).  V_N is a
-   trigonometric polynomial, so a rung matches with every derivative
-   across the angle chart's seam x = 0 == 1, where a Bernstein polynomial
-   on [0, 1] matches values only; the action axes keep the degree-N
-   Bernstein factor.
+   (SeparableFunction) gets an approximant of the same rank built from
+   1-D samples alone: a SeparableRung, whose values, jets and C^l gaps
+   come from one (rank, .) table per axis combined by outer products; the
+   dense (k+1)^d coefficient lattice is never formed, and
+   bernstein_tensor keeps the dense operator as the oracle.  A real table
+   holds Bernstein coefficients (bernstein_nd builds one on every axis).
+   The ladder's rungs (rung_nd) take the de la Vallee-Poussin mean V_N on
+   the periodic axes instead, a complex half spectrum: one rfft of 8N
+   samples per axis, mode k weighted by 1 up to N and by 2 - k/N up to 2N
+   (Zygmund, Trigonometric Series, ch. III).  V_N is a trigonometric
+   polynomial, so a rung matches with every derivative across the angle
+   chart's seam x = 0 == 1, where a Bernstein polynomial on [0, 1]
+   matches values only; the action axes keep the degree-N Bernstein
+   factor.
 2. Cutoff extension: a C-infinity plateau bump, a product of per-axis
    e^{-1/t} smoothsteps in the action variables, equal to 1 on a
    neighbourhood of the action hull of an initial torus and to 0 outside
@@ -58,10 +59,8 @@ from .hamiltonian import (Box, CompositeHamiltonian, HamiltonianModel, SumModel,
 
 __all__ = [
     "BernsteinApproximant",
-    "BernsteinHamiltonian",
     "CutoffHamiltonian",
     "PlateauBump",
-    "SeparableBernstein",
     "SeparableFunction",
     "SeparableRung",
     "SmoothingSequence",
@@ -347,6 +346,24 @@ def _basis(degree: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bernstein_rows(coeff: np.ndarray, box: Box, axis: int, q: int) -> np.ndarray:
+    """The q-th derivative along a box axis of Bernstein coefficients coeff,
+    indexed by their last dimension: scaled forward differences.
+
+    Degree k becomes k - q, with coefficients k(k-1)...(k-q+1) * Delta^q c
+    divided by the box width^q (chain rule of the affine chart).
+    """
+    k = coeff.shape[-1] - 1
+    if q < 0:
+        raise ValueError("derivative orders must be >= 0")
+    if q > k:
+        raise ValueError(f"order {q} exceeds degree {k} on axis {axis}")
+    if q:
+        scale = math.prod(range(k - q + 1, k + 1)) / box.widths()[axis] ** q
+        coeff = np.diff(coeff, n=q, axis=-1) * scale
+    return coeff
+
+
 @dataclass(frozen=True)
 class BernsteinApproximant:
     """Tensor-product polynomial in Bernstein form over a box.
@@ -407,32 +424,16 @@ class BernsteinApproximant:
         return out.reshape(base)
 
     def derivative(self, orders) -> "BernsteinApproximant":
-        """Exact D^orders in Bernstein form: scaled forward differences.
-
-        The q-th derivative along an axis of degree k has coefficients
-        k(k-1)...(k-q+1) * Delta^q c at degree k-q, divided by the box
-        width^q (chain rule of the affine chart).
-        """
+        """Exact D^orders in Bernstein form, axis by axis (_bernstein_rows)."""
         orders = tuple(int(q) for q in orders)
         if len(orders) != self.dim:
             raise ValueError("orders must give one entry per axis")
         coeff = self.coefficients
-        new_deg = []
-        for axis, (k, q) in enumerate(zip(self.degrees, orders)):
-            if q < 0:
-                raise ValueError("derivative orders must be >= 0")
-            if q > k:
-                raise ValueError(f"order {q} exceeds degree {k} on axis {axis}")
-            if q:
-                coeff = np.diff(coeff, n=q, axis=axis)
-                scale = math.prod(range(k - q + 1, k + 1)) / self.box.widths()[axis] ** q
-                coeff = coeff * scale
-            new_deg.append(k - q)
-        return BernsteinApproximant(tuple(new_deg), self.box, coeff)
-
-    def corner_values(self) -> np.ndarray:
-        idx = np.ix_(*[np.array([0, k]) for k in self.degrees])
-        return self.coefficients[idx]
+        for axis, q in enumerate(orders):
+            rows = _bernstein_rows(np.moveaxis(coeff, axis, -1), self.box, axis, q)
+            coeff = np.moveaxis(rows, -1, axis)
+        degrees = tuple(k - q for k, q in zip(self.degrees, orders))
+        return BernsteinApproximant(degrees, self.box, coeff)
 
     def __repr__(self):
         return f"BernsteinApproximant(degrees={self.degrees})"
@@ -506,18 +507,7 @@ class SeparableFunction(SumOfProducts):
                          if t[axis] is not None])[None]
 
 
-def _bernstein_rows(coeff: np.ndarray, box: Box, axis: int, q: int) -> np.ndarray:
-    """Rows of the q-th derivative of Bernstein rows coeff along a box axis:
-    scaled forward differences."""
-    k = coeff.shape[1] - 1
-    if q < 0:
-        raise ValueError("derivative orders must be >= 0")
-    if q > k:
-        raise ValueError(f"order {q} exceeds degree {k} on axis {axis}")
-    if q:
-        scale = math.prod(range(k - q + 1, k + 1)) / box.widths()[axis] ** q
-        coeff = np.diff(coeff, n=q, axis=1) * scale
-    return coeff
+# -- factored approximants ---------------------------------------------------
 
 
 def _bernstein_values(coeff: np.ndarray, box: Box, axis: int, u: np.ndarray,
@@ -539,120 +529,6 @@ def _bernstein_values(coeff: np.ndarray, box: Box, axis: int, u: np.ndarray,
     return np.stack(out)
 
 
-@dataclass(frozen=True)
-class SeparableBernstein(SumOfProducts):
-    """Rank-r tensor-product Bernstein polynomial sum_r prod_i B_{r,i}(z_i).
-
-    factors[i] has shape (r, k_i + 1): row r holds the Bernstein
-    coefficients of the r-th term's factor along axis i, so the dense
-    coefficient array (dense()) is the sum over r of the outer products
-    of the rows.  Values and derivatives are sums of products of 1-D
-    evaluations; the dense array is never needed.
-    """
-
-    box: Box
-    factors: tuple
-    report: dict | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        factors = []
-        for f in self.factors:
-            f = np.array(f, dtype=float)
-            f.flags.writeable = False
-            factors.append(f)
-        if len(factors) != self.box.dim:
-            raise ValueError("need one factor table per box axis")
-        if any(f.ndim != 2 or f.shape[0] != factors[0].shape[0] for f in factors):
-            raise ValueError("factor tables must be (rank, degree + 1) with one rank")
-        object.__setattr__(self, "factors", tuple(factors))
-
-    @property
-    def dim(self) -> int:
-        return len(self.factors)
-
-    @property
-    def rank(self) -> int:
-        return self.factors[0].shape[0]
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(f.shape[1] - 1 for f in self.factors)
-
-    def support(self, axis: int) -> np.ndarray:
-        return np.arange(self.rank)
-
-    def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
-        """(q+1, rank, len(u)): D^0..D^q of every term's factor along axis at u."""
-        return _bernstein_values(self.factors[axis], self.box, axis, u, q)
-
-    def derivative(self, orders) -> "SeparableBernstein":
-        """Exact D^orders, term by term and axis by axis."""
-        orders = tuple(int(q) for q in orders)
-        if len(orders) != self.dim:
-            raise ValueError("orders must give one entry per axis")
-        return SeparableBernstein(
-            self.box,
-            tuple(_bernstein_rows(f, self.box, i, q)
-                  for i, (f, q) in enumerate(zip(self.factors, orders))),
-        )
-
-    def dense(self) -> BernsteinApproximant:
-        """The same polynomial with its (k_1+1, ..., k_d+1) coefficient array."""
-        coeff = None
-        for r in range(self.rank):
-            term = self.factors[0][r]
-            for f in self.factors[1:]:
-                term = np.multiply.outer(term, f[r])
-            coeff = term if coeff is None else coeff + term
-        return BernsteinApproximant(self.degrees, self.box, coeff)
-
-    def __repr__(self):
-        return f"SeparableBernstein(degrees={self.degrees}, rank={self.rank})"
-
-
-def bernstein_nd(f: SeparableFunction, k: int, box=None,
-                 measure_points: int = 33) -> SeparableBernstein:
-    """Degree-k tensor-product Bernstein operator of a sum of products.
-
-    The operator maps prod_i g_i(z_i) to prod_i B_k[g_i](z_i), so the
-    approximant of f = sum_r prod_i g_{r,i} is sum_r prod_i B_k[g_{r,i}]:
-    rank r, built from the 1-D samples g_{r,i}(lo_i + w_i p/k) alone.  It
-    is the polynomial bernstein_tensor(f, (k,) * d, box) gives.
-    report["composite_c3_gap"] is its C^3 gap to f on the measure_points
-    grid (cl_gap's stencil path).
-    """
-    k = int(k)
-    if k < 3:
-        raise ValueError("degree must be >= 3")
-    box = _as_box(box, f.dim)
-    factors = tuple(
-        _axis_tables(f, i, box.lo[i] + box.widths()[i] * np.arange(k + 1) / k, 0, None)[0]
-        for i in range(box.dim)
-    )
-    out = SeparableBernstein(box, factors)
-    gap = cl_gap(out, f, box, 3, measure_points)
-    object.__setattr__(out, "report", {"composite_c3_gap": gap})
-    return out
-
-
-# -- models over boxes --------------------------------------------------------
-
-
-class BernsteinHamiltonian(SeparableBernstein):
-    """A SeparableBernstein on a 2n-dimensional box chart as a Hamiltonian:
-    polynomial, with exact jets from its per-axis tables."""
-
-    def __init__(self, approx: SeparableBernstein, n: int):
-        if approx.dim != 2 * n:
-            raise ValueError("approximant must live on a 2n-dimensional box")
-        super().__init__(approx.box, approx.factors)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "smoothness_class", math.inf)
-
-
-# -- ladder rungs ----------------------------------------------------------------
-
-
 def _vallee_poussin_half(samples: np.ndarray, N: int) -> np.ndarray:
     """(rows, 2N) half spectrum c_k, k = 0..2N-1, of V_N of periodic samples.
 
@@ -667,19 +543,38 @@ def _vallee_poussin_half(samples: np.ndarray, N: int) -> np.ndarray:
     return np.fft.rfft(samples, axis=1)[:, : 2 * N] * (weight / samples.shape[1])
 
 
+def _vallee_poussin_values(coeff: np.ndarray, box: Box, axis: int, u: np.ndarray,
+                           q: int) -> np.ndarray:
+    """(q+1, rows, len(u)): D^0..D^q of half spectra coeff along a box axis."""
+    width = box.widths()[axis]
+    k = np.arange(coeff.shape[1])
+    t = (np.asarray(u, dtype=float).reshape(-1) - box.lo[axis]) / width
+    out = np.empty((q + 1, coeff.shape[0], t.size))
+    # chunked so the exponential tables stay modest at high N; one
+    # product per order, so a table does not depend on q
+    chunk = max(1, 4_000_000 // k.size)
+    for s in range(0, t.size, chunk):
+        waves = np.exp(2j * np.pi * np.outer(k, t[s : s + chunk]))
+        for j in range(q + 1):
+            out[j, :, s : s + chunk] = (
+                (coeff * (2j * np.pi * k / width) ** j) @ waves).real
+    return out
+
+
 @dataclass(frozen=True)
 class SeparableRung(SumOfProducts):
-    """A ladder rung sum_r prod_i R_{r,i}(z_i): V_N on angles, Bernstein on actions.
+    """A factored approximant sum_r prod_i R_{r,i}(z_i) over a box.
 
-    On a periodic axis R is the de la Vallee-Poussin mean V_N of the
-    term's factor, a trigonometric polynomial, so the rung has no seam
-    at the chart's ends: factors[i] is its (rank, 2N) complex half
-    spectrum, R(z) = Re sum_k c_k e^{2 pi i k t} with t = (z - lo)/w, and
-    D multiplies mode k by 2 pi i k / w.  On an action axis R is the
-    degree-N Bernstein polynomial and factors[i] its (rank, N + 1)
-    coefficients, as in SeparableBernstein.  basis(axis) names the kind;
-    every axis table is real.  The rung is entire, a Hamiltonian part of
-    class C^inf.
+    factors[i] holds one row per term, and its dtype names R's basis along
+    axis i (basis(i)).  A complex (rank, 2N) table is the half spectrum of
+    the de la Vallee-Poussin mean V_N of the term's factor, R(z) =
+    Re sum_k c_k e^{2 pi i k t} with t = (z - lo)/w, and D multiplies mode
+    k by 2 pi i k / w: a trigonometric polynomial, allowed on periodic axes
+    only, that matches with every derivative across the chart's seam.  A
+    real (rank, N + 1) table holds degree-N Bernstein coefficients; on a
+    periodic axis it wraps, and matches values only across the seam.  The
+    dense coefficient lattice is never formed.  The approximant is entire,
+    a Hamiltonian part of class C^inf.
     """
 
     box: Box
@@ -689,13 +584,18 @@ class SeparableRung(SumOfProducts):
     smoothness_class = math.inf
 
     def __post_init__(self):
+        if len(self.factors) != self.box.dim:
+            raise ValueError("need one factor table per box axis")
         factors = []
-        for f, periodic in zip(self.factors, self.box.periodic):
-            f = np.array(f, dtype=complex if periodic else float)
+        for axis, f in enumerate(self.factors):
+            f = np.array(f)
+            if not np.iscomplexobj(f):
+                f = f.astype(float)
+            elif not self.box.periodic[axis]:
+                raise ValueError(f"axis {axis} is not periodic: a complex table "
+                                 "(a half spectrum) needs a periodic axis")
             f.flags.writeable = False
             factors.append(f)
-        if len(factors) != self.box.dim:
-            raise ValueError("need one factor table per box axis")
         if any(f.ndim != 2 or f.shape[0] != factors[0].shape[0] for f in factors):
             raise ValueError("factor tables must be (rank, columns) with one rank")
         object.__setattr__(self, "factors", tuple(factors))
@@ -710,37 +610,61 @@ class SeparableRung(SumOfProducts):
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        """N per axis: the mean's index on angles, the degree on actions."""
-        return tuple(f.shape[1] // 2 if p else f.shape[1] - 1
-                     for f, p in zip(self.factors, self.box.periodic))
+        """N per axis: the mean's index on a half spectrum, else the degree."""
+        return tuple(f.shape[1] // 2 if np.iscomplexobj(f) else f.shape[1] - 1
+                     for f in self.factors)
 
     def basis(self, axis: int) -> str:
-        return "vallee_poussin" if self.box.periodic[axis] else "bernstein"
+        return "vallee_poussin" if np.iscomplexobj(self.factors[axis]) else "bernstein"
 
     def support(self, axis: int) -> np.ndarray:
         return np.arange(self.rank)
 
     def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
         """(q+1, rank, len(u)): D^0..D^q of every term's factor along axis at u."""
-        if not self.box.periodic[axis]:
-            return _bernstein_values(self.factors[axis], self.box, axis, u, q)
         coeff = self.factors[axis]
-        width = self.box.widths()[axis]
-        k = np.arange(coeff.shape[1])
-        t = (np.asarray(u, dtype=float).reshape(-1) - self.box.lo[axis]) / width
-        out = np.empty((q + 1, self.rank, t.size))
-        # chunked so the exponential tables stay modest at high N; one
-        # product per order, so a table does not depend on q
-        chunk = max(1, 4_000_000 // k.size)
-        for s in range(0, t.size, chunk):
-            waves = np.exp(2j * np.pi * np.outer(k, t[s : s + chunk]))
-            for j in range(q + 1):
-                out[j, :, s : s + chunk] = (
-                    (coeff * (2j * np.pi * k / width) ** j) @ waves).real
-        return out
+        values = _vallee_poussin_values if np.iscomplexobj(coeff) else _bernstein_values
+        return values(coeff, self.box, axis, u, q)
 
     def __repr__(self):
         return f"SeparableRung(degrees={self.degrees}, rank={self.rank})"
+
+
+# the benchmark tracer (perfbench/tracing.py) wraps jet_batch under this name
+BernsteinHamiltonian = SeparableRung
+
+
+def _axis_samples(f, box: Box, axis: int, count: int, step: int) -> np.ndarray:
+    """(rank, count): every term's factor along axis at lo + w p / step, p < count."""
+    u = box.lo[axis] + box.widths()[axis] * np.arange(count) / step
+    return _axis_tables(f, axis, u, 0, None)[0]
+
+
+def _measured(f, box: Box, factors: list, measure_points: int) -> SeparableRung:
+    """The SeparableRung of factors; report["composite_c3_gap"] is its C^3
+    gap to f on the measure_points grid (cl_gap's stencil path)."""
+    out = SeparableRung(box, tuple(factors))
+    gap = cl_gap(out, f, box, 3, measure_points)
+    object.__setattr__(out, "report", {"composite_c3_gap": gap})
+    return out
+
+
+def bernstein_nd(f: SeparableFunction, k: int, box=None,
+                 measure_points: int = 33) -> SeparableRung:
+    """Degree-k tensor-product Bernstein operator of a sum of products.
+
+    The operator maps prod_i g_i(z_i) to prod_i B_k[g_i](z_i), so the
+    approximant of f = sum_r prod_i g_{r,i} is sum_r prod_i B_k[g_{r,i}]:
+    rank r, built from the 1-D samples g_{r,i}(lo_i + w_i p/k) alone, with
+    a real table on every axis.  It is the polynomial
+    bernstein_tensor(f, (k,) * d, box) gives.
+    """
+    k = int(k)
+    if k < 3:
+        raise ValueError("degree must be >= 3")
+    box = _as_box(box, f.dim)
+    factors = [_axis_samples(f, box, i, k + 1, k) for i in range(box.dim)]
+    return _measured(f, box, factors, measure_points)
 
 
 def rung_nd(f: SeparableFunction, N: int, box=None,
@@ -753,25 +677,15 @@ def rung_nd(f: SeparableFunction, N: int, box=None,
     nodes).  V_N reproduces trigonometric polynomials of degree <= N and
     its error is at most 4 E_N, so the angle factors converge at Jackson's
     rate and match with every derivative across the seam.
-    report["composite_c3_gap"] is the rung's C^3 gap to f on the
-    measure_points grid (cl_gap's stencil path).
     """
     N = int(N)
     if N < 3:
         raise ValueError("degree must be >= 3")
     box = _as_box(box, f.dim)
-    factors = []
-    for i in range(box.dim):
-        if box.periodic[i]:
-            u = box.lo[i] + box.widths()[i] * np.arange(8 * N) / (8 * N)
-            factors.append(_vallee_poussin_half(_axis_tables(f, i, u, 0, None)[0], N))
-        else:
-            u = box.lo[i] + box.widths()[i] * np.arange(N + 1) / N
-            factors.append(_axis_tables(f, i, u, 0, None)[0])
-    out = SeparableRung(box, tuple(factors))
-    gap = cl_gap(out, f, box, 3, measure_points)
-    object.__setattr__(out, "report", {"composite_c3_gap": gap})
-    return out
+    factors = [_vallee_poussin_half(_axis_samples(f, box, i, 8 * N, 8 * N), N)
+               if box.periodic[i] else _axis_samples(f, box, i, N + 1, N)
+               for i in range(box.dim)]
+    return _measured(f, box, factors, measure_points)
 
 
 # -- cutoff extension ---------------------------------------------------------

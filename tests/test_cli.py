@@ -62,6 +62,13 @@ def tail_state_holders(doc, path=""):
             yield from tail_state_holders(value, f"{path}.{key}" if path else key)
 
 
+def rough_model(coordinate=0, profile=None):
+    """ROUGH with its rough term moved to coordinate or given another profile."""
+    term = ROUGH["rough"][0]
+    return dict(ROUGH, rough=[dict(term, coordinate=coordinate,
+                                   profile=profile or term["profile"])])
+
+
 @pytest.fixture
 def write_files(tmp_path):
     def write(model, out_name, **extra):
@@ -171,6 +178,23 @@ class TestParseConfig:
         cfg_path, out = write_files(PENDULUM, "out", **fields)
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"config error: {violation}\n"
+        assert not out.exists()
+
+    BAD_MODELS = [
+        (rough_model(2), "rough term coordinate 2 outside [0, 2) for n=1"),
+        (rough_model(-1), "rough term coordinate -1 outside [0, 2) for n=1"),
+        (rough_model(profile={"type": "sinpower", "power": 4.0}),
+         "power must exceed 4 for C^4 regularity"),
+    ]
+
+    @pytest.mark.parametrize("model, reason", BAD_MODELS,
+                             ids=["coordinate=2", "coordinate=-1", "sinpower-power=4"])
+    def test_bad_model_rejected_before_any_output(self, write_files, capsys,
+                                                  model, reason):
+        cfg_path, out = write_files(model, "out", y0=[0.4], rho=0.02, r=0.8)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: hamiltonian file does not parse: {reason}\n"
         assert not out.exists()
 
     def test_echo_round_trips(self, write_files):

@@ -26,9 +26,9 @@ from kamtori.driver import (
     select_k0,
 )
 from kamtori.smoothing import (
-    BernsteinHamiltonian,
     SmoothingSequence,
     bernstein_nd,
+    bernstein_tensor,
     build_smoothing_sequence,
     cl_norm,
     cutoff_extend,
@@ -706,8 +706,8 @@ class TestFactoredC3Norm:
         h = CompositeHamiltonian(analytic, rough)
         hx = cutoff_extend(h, K, r=0.2)
         b = bernstein_nd(hx.separable(), 8, hx.box, measure_points=5)
-        stage = SumModel([analytic, BernsteinHamiltonian(b, n)])
-        dense = b.dense()
+        stage = SumModel([analytic, b])
+        dense = bernstein_tensor(hx.cut_values, (8,) * 2 * n, hx.box)
         exact = [
             (h, [fourier_taylor_derivative(analytic), *map(rough_derivative, rough)]),
             (stage, [fourier_taylor_derivative(analytic),

@@ -17,9 +17,9 @@ from kamtori import (
 )
 from kamtori.hamiltonian import Box
 from kamtori.smoothing import (
-    BernsteinHamiltonian,
     PlateauBump,
     SeparableFunction,
+    SeparableRung,
     bernstein_1d,
     bernstein_derivative,
     bernstein_nd,
@@ -90,7 +90,6 @@ class TestBernstein1d:
         b = bernstein_1d(samples, 8)
         assert b(np.array([[0.0]]))[0] == samples[0]
         assert b(np.array([[1.0]]))[0] == samples[-1]
-        assert np.array_equal(b.corner_values(), samples[[0, -1]])
 
     def test_degree_and_sample_count_errors(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -199,6 +198,15 @@ def x2y_target():
     return SeparableFunction([(lambda x: x**2, lambda y: y)])
 
 
+def factored_derivative(b, alpha, z):
+    """D^alpha of a factored approximant at points z, from its axis_values tables."""
+    pts = z.reshape(-1, z.shape[-1])
+    out = np.ones((b.rank, pts.shape[0]))
+    for axis, q in enumerate(alpha):
+        out = out * b.axis_values(axis, pts[:, axis], q)[q]
+    return out.sum(axis=0).reshape(z.shape[:-1])
+
+
 def unit_grid(points, dim=2):
     axes = (np.linspace(0, 1, points),) * dim
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
@@ -243,7 +251,7 @@ class TestBernsteinNd:
             b = bernstein_nd(f, k, unit_box(2))
             worst = 0.0
             for alpha, df in exact.items():
-                vals = b.derivative(alpha)(g) - df(g)
+                vals = factored_derivative(b, alpha, g) - df(g)
                 worst = max(worst, float(np.max(np.abs(vals))))
             gaps.append(worst)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -256,10 +264,7 @@ class TestBernsteinNd:
         f = lambda z: np.cos(z[..., 0]) + z[..., 1] ** 3
         b = bernstein_tensor(f, (5, 7), unit_box(2))
         corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        assert np.array_equal(
-            b.corner_values().reshape(-1), f(corners.reshape(2, 2, 2))
-            .reshape(-1)
-        )
+        assert np.array_equal(b(corners), f(corners))
 
 
 class TestClNorms:
@@ -546,7 +551,6 @@ class TestSeparableOracles:
         assert b.rank == 1
         lattice = bernstein_tensor(hx.cut_values, (k, k), hx.box).coefficients
         assert np.array_equal(np.multiply.outer(b.factors[0][0], b.factors[1][0]), lattice)
-        assert np.array_equal(b.dense().coefficients, lattice)
         # the rows are the 1-D samples: the rough part on the plateau, phi
         nodes = [hx.box.lo[i] + hx.box.widths()[i] * np.arange(k + 1) / k for i in (0, 1)]
         on_plateau = np.stack([nodes[0], np.full(k + 1, 0.4)], axis=-1)
@@ -566,9 +570,9 @@ class TestSeparableOracles:
             if sum(alpha) > 3:
                 continue
             want = tensor.derivative(alpha)(z)
-            got = b.derivative(alpha)(z)
+            got = factored_derivative(b, alpha, z)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-        val, grad, hess = BernsteinHamiltonian(b, 2).jet_batch(z)
+        val, grad, hess = b.jet_batch(z)
         eye = np.eye(4, dtype=int)
         assert np.max(np.abs(val - tensor(z))) <= 1e-14
         for a in range(4):
@@ -589,11 +593,53 @@ class TestSeparableOracles:
         dense = cl_gap(lambda z: b4(z), hx.cut_values, hx.box, 3, 9)
         assert b4.report["composite_c3_gap"] == pytest.approx(dense, rel=1e-9)
         # exact path: the rung gap against the dense coefficient arrays
-        dense = cl_gap(b4.dense(), b8.dense(), hx.box, 3, 9)
+        d4, d8 = (bernstein_tensor(hx.cut_values, (k,) * 4, hx.box) for k in (4, 8))
+        dense = cl_gap(d4, d8, hx.box, 3, 9)
         assert cl_gap(b4, b8, hx.box, 3, 9) == pytest.approx(dense, rel=1e-9)
         assert cl_gap(b4, b8, hx.box, 0, 9) == pytest.approx(
-            cl_gap(b4.dense(), b8.dense(), hx.box, 0, 9), rel=1e-12
+            cl_gap(d4, d8, hx.box, 0, 9), rel=1e-12
         )
+
+
+class TestBasisFromTable:
+    """A SeparableRung's axis table names its basis: a complex half
+    spectrum is V_N, a real table holds Bernstein coefficients."""
+
+    def test_complex_table_on_an_action_axis_rejected(self):
+        box = Box(np.zeros(2), np.ones(2), np.array([True, False]))
+        with pytest.raises(ValueError, match="axis 1 is not periodic"):
+            SeparableRung(box, (np.ones((1, 8), complex), np.ones((1, 5), complex)))
+
+    def test_real_table_on_a_periodic_axis_is_a_wrapped_bernstein_factor(self):
+        g = (lambda x: np.cos(3.0 * x), lambda y: 1.0 + y**2)
+        box = Box(np.array([0.25, -1.0]), np.array([1.75, 1.0]), np.array([True, False]))
+        degrees = (7, 5)
+        factors = [g[i](box.lo[i] + box.widths()[i] * np.arange(k + 1) / k)[None]
+                   for i, k in enumerate(degrees)]
+        rung = SeparableRung(box, factors)
+        assert [rung.basis(i) for i in range(2)] == ["bernstein", "bernstein"]
+        assert rung.degrees == degrees
+        tensor = bernstein_tensor(lambda z: g[0](z[..., 0]) * g[1](z[..., 1]), degrees, box)
+        z = box_points(box, 200, 4)
+        # angles outside the chart wrap into it
+        z[:100, 0] += np.repeat([-2.0 * 1.5, 3.0 * 1.5], 50)
+        val, grad, hess = rung.jet_batch(z)
+        assert np.max(np.abs(val - tensor(z))) <= 1e-13
+        for a in range(2):
+            want = tensor.derivative(np.eye(2, dtype=int)[a])(z)
+            assert np.max(np.abs(grad[:, a] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_each_builder_names_its_axes_bases(self, rough_system):
+        h, K0 = rough_system
+        hx = cutoff_extend(h, K0, r=0.8)
+        b = bernstein_nd(hx.separable(), 8, hx.box, measure_points=9)
+        rung = rung_nd(hx.separable(), 8, hx.box, measure_points=9)
+        assert type(b) is type(rung) is SeparableRung
+        assert [b.basis(i) for i in range(2)] == ["bernstein", "bernstein"]
+        assert [rung.basis(i) for i in range(2)] == ["vallee_poussin", "bernstein"]
+        for approx in (b, rung):
+            assert approx.report["composite_c3_gap"] == cl_gap(approx, hx.separable(),
+                                                               hx.box, 3, 9)
 
 
 def trig_polynomial(N, lo, width, seed):
