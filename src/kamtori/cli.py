@@ -25,9 +25,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +60,9 @@ class RunConfig:
     (driver.RunParams).  The other fields name the model file, the
     frequency, the initial torus (a coefficient file, or the circle over
     y0, omega when None, at truncation order trunc) and the output
-    directory.  to_json echoes all of them as one flat document.
+    directory.  to_json echoes all of them as one flat document.  model
+    is the Hamiltonian parse_config built from the model file to validate
+    it, the one every subcommand solves on; it is not echoed.
     """
 
     hamiltonian: str
@@ -71,14 +72,13 @@ class RunConfig:
     y0: tuple | None = None
     trunc: int = 64
     out: str | None = None
+    model: object = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        doc.update(doc.pop("params"))
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    def load_hamiltonian(self):
-        return load_hamiltonian(self.hamiltonian)
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in _UNECHOED}
+        doc.update(asdict(self.params))
+        return _json_text(doc)
 
     def load_torus(self) -> TorusEmbedding:
         if self.torus_file is not None:
@@ -123,7 +123,8 @@ def load_hamiltonian(path: str):
     return CompositeHamiltonian(analytic=base, rough=terms)
 
 
-_CLI_KEYS = frozenset(f.name for f in fields(RunConfig)) - {"params"}
+_UNECHOED = frozenset({"params", "model"})
+_CLI_KEYS = frozenset(f.name for f in fields(RunConfig)) - _UNECHOED
 _PARAM_KEYS = frozenset(f.name for f in fields(RunParams))
 
 
@@ -162,7 +163,7 @@ def parse_config(path, **overrides) -> RunConfig:
         if key not in raw:
             bad.append(f"missing key: {key}")
 
-    n = None
+    model = n = None
     ham = raw.get("hamiltonian")
     if ham is not None:
         ham = str(Path(ham).absolute())
@@ -170,9 +171,11 @@ def parse_config(path, **overrides) -> RunConfig:
             bad.append(f"hamiltonian file not found: {ham}")
         else:
             try:
-                n = load_hamiltonian(ham).n
+                model = load_hamiltonian(ham)
             except Exception as exc:
                 bad.append(f"hamiltonian file does not parse: {exc}")
+            else:
+                n = model.n
     if torus_file is not None:
         torus_file = str(Path(torus_file).absolute())
         if not Path(torus_file).is_file():
@@ -214,28 +217,31 @@ def parse_config(path, **overrides) -> RunConfig:
 
     if bad:
         raise ConfigError(bad)
-    return RunConfig(params=params, **vals)
+    return RunConfig(params=params, model=model, **vals)
 
 
 # -- artifact helpers ---------------------------------------------------------
 
 
+def _json_text(doc) -> str:
+    """A JSON-ready document as the artifact text: sorted keys, no timestamps."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
+    path.write_text(_json_text(_jsonable(doc)))
 
 
 def _samples_csv(K: TorusEmbedding) -> str:
-    theta = K.grid(None)
-    z = K.grid_samples()
+    """The torus on its sampling grid, one row per point: the angles, then
+    the image, each as repr of a float.  No field needs quoting, so a row
+    is its fields joined by commas, ended by csv's \\r\\n."""
     n, m = K.dim_domain, K.dim_range
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow([f"theta{j}" for j in range(n)] + [f"z{j}" for j in range(m)])
-    flat_t = theta.reshape(-1, n)
-    flat_z = z.reshape(-1, m)
-    for t, v in zip(flat_t, flat_z):
-        writer.writerow([repr(float(x)) for x in t] + [repr(float(x)) for x in v])
-    return out.getvalue()
+    rows = np.concatenate([K.grid(None).reshape(-1, n),
+                           K.grid_samples().reshape(-1, m)], axis=1)
+    header = [f"theta{j}" for j in range(n)] + [f"z{j}" for j in range(m)]
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows.tolist()]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _prepare_out(cfg: RunConfig, override) -> Path:
@@ -257,10 +263,16 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_diophantine(args) -> int:
-    omega = np.array([float(v) for v in args.omega.split(",")])
+    try:
+        omega = np.array([float(v) for v in args.omega.split(",")])
+    except ValueError:
+        raise ConfigError([f"omega must be comma-separated numbers, got {args.omega!r}"])
     # one scan: the worst margin does not depend on gamma and is the estimate
     gamma = _TINY_GAMMA if args.gamma is None else args.gamma
-    report = check_diophantine(omega, gamma, args.sigma, args.horizon)
+    try:
+        report = check_diophantine(omega, gamma, args.sigma, args.horizon)
+    except ValueError as exc:  # a flag out of bounds, checked before the scan
+        raise ConfigError([str(exc)])
     doc = {
         "gamma_est": report.worst_margin,
         "worst_k": list(report.worst_k),
@@ -280,7 +292,7 @@ def cmd_diophantine(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
-    H = cfg.load_hamiltonian()
+    H = cfg.model
     K0 = cfg.load_torus()
     freq = cfg.frequency()
     tol = cfg.params.tol if cfg.params.tol is not None else 1e-12
@@ -312,7 +324,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
-    H = cfg.load_hamiltonian()
+    H = cfg.model
     K = cfg.load_torus()
     freq = cfg.frequency()
     schedule, value = kam_schedule(H, K, freq, cfg.params)
@@ -351,7 +363,7 @@ def cmd_verify(args) -> int:
 def cmd_smooth(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
-    H = cfg.load_hamiltonian()
+    H = cfg.model
     K0 = cfg.load_torus()
     freq = cfg.frequency()
     try:
@@ -416,23 +428,21 @@ def cmd_smooth(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
-    H = cfg.load_hamiltonian()
+    H = cfg.model
     K0 = cfg.load_torus()
     res = run_scheme(H, K0, np.asarray(cfg.omega, dtype=float), cfg.params)
 
+    # run_scheme hands over its stage records and certificate in JSON form
     stages_dir = out / "stages"
     stages_dir.mkdir(exist_ok=True)
     summaries = []
     for rec in res.stages:
-        trace = rec.get("trace", [])
         with (stages_dir / f"stage_{rec['stage']}.jsonl").open("w") as fh:
-            for step in trace:
-                fh.write(json.dumps(_jsonable(step), sort_keys=True) + "\n")
+            for step in rec["trace"]:
+                fh.write(json.dumps(step, sort_keys=True) + "\n")
         summaries.append({k: v for k, v in rec.items() if k != "trace"})
-
-    cert = dict(res.certificate)
-    cert["stages"] = summaries
-    _write_json(out / "certificate.json", cert)
+    cert = dict(res.certificate, stages=summaries)
+    (out / "certificate.json").write_text(_json_text(cert))
     (out / "torus_final.csv").write_text(res.torus.to_csv())
     (out / "torus_samples.csv").write_text(_samples_csv(res.torus))
     return 0 if res.converged else 1

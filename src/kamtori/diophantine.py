@@ -14,18 +14,27 @@ shells of constant |k|_1 in increasing order, lexicographic within a
 shell, one representative per conjugate pair (first nonzero component
 positive).
 
-For n >= 2 each shell |k|_1 = s is one integer array, built in one numpy
-pass: the first n - 1 components range over every choice within the
-budget s, the last takes the remainder with either sign, the rows are
-sorted lexicographically, and only the canonical rows are kept.  The scan
-holds one shell at a time and keeps the first strict minimum.
+For n >= 2 the scan runs over blocks of consecutive wavevectors in that
+order, at most _BLOCK of them each, one margin pass per block.  A block
+is a run of heads (shell s, first component k_0 >= 0), so a large shell
+is cut between first components; each head expands in one numpy pass to
+every k with that shell and first component, and a row that is not
+canonical (possible only at k_0 = 0) gets an infinite margin.  The
+winner is the smallest margin, ties going to the smallest shell and then
+to the lexicographically first k; only the tied rows are sorted.
+k . omega is the matrix product ks @ omega that the cohomology's divisor
+table takes too, so a certified margin and a divisor are the same
+floating-point number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .fourier import canonical
 
 __all__ = [
     "DiophantineReport",
@@ -75,35 +84,94 @@ def _margins_1d(omega: float, horizon: int, sigma: float) -> np.ndarray:
     return divisor * k**sigma
 
 
-def _shell_vectors(n: int, shell: int) -> np.ndarray:
-    """Canonical wavevectors with |k|_1 == shell (n >= 2), one row each."""
-    heads = np.zeros((1, 0), dtype=np.int64)
-    budget = np.array([shell])
-    # heads: the first n - 1 components; each row's next component runs
-    # over -budget..budget, the budget that row has left
-    for _ in range(n - 1):
+# wavevectors per scan block (one head may hold more)
+_BLOCK = 1 << 16
+
+
+def _completions(m: int, t: int) -> int:
+    """Integer vectors of m components with |v|_1 == t."""
+    if t == 0:
+        return 1
+    return sum(2**j * math.comb(m, j) * math.comb(t - 1, j - 1)
+               for j in range(1, min(m, t) + 1))
+
+
+def _head_blocks(n: int, horizon: int):
+    """The scan's blocks as (shell, first) head arrays, in scan order.
+
+    A head (s, k_0) stands for every k with |k|_1 = s and first component
+    k_0 >= 0; a block takes consecutive heads while they stand for at most
+    _BLOCK vectors, and a head that alone stands for more is a block.  A
+    block of one vector is the head (s, s), k = (s, 0, ..., 0), whose dot
+    with omega rounds the same on every path.
+    """
+    per_first = np.array([_completions(n - 1, t) for t in range(horizon + 1)])
+    ranges, size = [], 0
+    for s in range(1, horizon + 1):
+        # cum[v]: the vectors of heads k_0 = 0..v-1 of shell s
+        cum = np.concatenate([[0], np.cumsum(per_first[s::-1])])
+        start = 0
+        while start <= s:
+            # heads start..stop-1 fill what the block has left; a block that
+            # fills before the shell ends is complete
+            stop = int(np.searchsorted(cum, cum[start] + _BLOCK - size, side="right")) - 1
+            if stop == start and not size:
+                stop += 1
+            if stop > start:
+                ranges.append((s, start, stop))
+                size += cum[stop] - cum[start]
+                start = stop
+            if start <= s:
+                yield _heads(ranges)
+                ranges, size = [], 0
+    if ranges:
+        yield _heads(ranges)
+
+
+def _heads(ranges):
+    """(shell, first) arrays of (s, lo, hi) ranges, first running over lo..hi-1."""
+    s, lo, hi = np.array(ranges).T
+    count = hi - lo
+    starts = np.cumsum(count) - count
+    return np.repeat(s, count), np.arange(count.sum()) - np.repeat(starts - lo, count)
+
+
+def _expand(n: int, shells: np.ndarray, firsts: np.ndarray):
+    """(ks, shell per row): every k of each head, canonical or not."""
+    heads = firsts[:, None]
+    budget = shells - firsts
+    # each row's next component runs over -budget..budget, the budget that
+    # row has left; the last component takes the remainder with either sign
+    for _ in range(n - 2):
         width = 2 * budget + 1
         rows = np.repeat(np.arange(len(heads)), width)
         v = np.arange(rows.size) - np.repeat(np.cumsum(width) - width + budget, width)
         heads = np.column_stack([heads[rows], v])
         budget = budget[rows] - np.abs(v)
-    # the last component takes the remainder, with either sign when nonzero
+        shells = shells[rows]
     pos = budget > 0
-    ks = np.vstack([
-        np.column_stack([heads, budget]),
-        np.column_stack([heads[pos], -budget[pos]]),
-    ])
-    ks = ks[np.lexsort(ks.T[::-1])]
-    # the shell is closed under k -> -k and holds no zero row, so the
-    # canonical rows (first nonzero component positive) are the upper half
-    return ks[len(ks) // 2 :]
+    m = len(heads)
+    ks = np.empty((m + np.count_nonzero(pos), n), dtype=np.int64)
+    ks[:m, :-1] = heads
+    ks[:m, -1] = budget
+    ks[m:, :-1] = heads[pos]
+    ks[m:, -1] = -budget[pos]
+    return ks, np.concatenate([shells, shells[pos]])
+
+
+def _shell_vectors(n: int, shell: int) -> np.ndarray:
+    """Canonical wavevectors with |k|_1 == shell (n >= 2), in scan order."""
+    ks, _ = _expand(n, np.full(shell + 1, shell), np.arange(shell + 1))
+    ks = ks[canonical(ks)]
+    return ks[np.lexsort(ks.T[::-1])]
 
 
 def _scan(omega: np.ndarray, sigma: float, horizon: int):
     """Exhaustive margin scan; returns (worst_margin, worst_k).
 
-    Shells are scanned in increasing |k|_1 and the first strict minimum
-    is kept, so ties resolve to the smallest shell, then lexicographically.
+    Within a block the tied rows are sorted by shell, then
+    lexicographically; blocks come in scan order, and a later block
+    replaces the winner only with a strictly smaller margin.
     """
     n = omega.size
     if n == 1:
@@ -112,12 +180,18 @@ def _scan(omega: np.ndarray, sigma: float, horizon: int):
         return float(margins[idx]), (idx + 1,)
     worst = np.inf
     worst_k: tuple[int, ...] = (0,) * n
-    for shell in range(1, horizon + 1):
-        ks = _shell_vectors(n, shell)
-        margins = np.abs(ks.astype(float) @ omega) * float(shell) ** sigma
-        j = int(np.argmin(margins))
-        if margins[j] < worst:
-            worst, worst_k = float(margins[j]), tuple(int(v) for v in ks[j])
+    for shells, firsts in _head_blocks(n, horizon):
+        ks, shell = _expand(n, shells, firsts)
+        lo = int(shells[0])
+        weight = np.array([float(s) ** sigma for s in range(lo, int(shells[-1]) + 1)])
+        margins = np.abs(ks.astype(float) @ omega) * weight[shell - lo]
+        zero = np.flatnonzero(ks[:, 0] == 0)  # the only rows that can be non-canonical
+        margins[zero[~canonical(ks[zero])]] = np.inf
+        best = margins.min()
+        if best < worst:
+            tied = np.flatnonzero(margins == best)
+            j = tied[np.lexsort((*ks[tied].T[::-1], shell[tied]))[0]]
+            worst, worst_k = float(best), tuple(int(v) for v in ks[j])
     return worst, worst_k
 
 

@@ -38,6 +38,7 @@ import ast
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,12 +95,10 @@ _LAMBDA_NODES = (
 )
 
 
-def eval_lambda(spec: str, mu: float, d: float, v: float, tau: float) -> float:
-    """Evaluate a user-supplied polynomial spec in mu, d, v, tau.
-
-    Only arithmetic expressions over those four names and numeric
-    constants are admitted; anything else raises.
-    """
+@lru_cache(maxsize=16)
+def _compiled_lambda(spec: str):
+    """The code of a spec, parsed and checked once per distinct string; a
+    rejected spec raises on every call (lru_cache keeps no exception)."""
     tree = ast.parse(spec, mode="eval")
     for node in ast.walk(tree):
         if not isinstance(node, _LAMBDA_NODES):
@@ -108,8 +107,17 @@ def eval_lambda(spec: str, mu: float, d: float, v: float, tau: float) -> float:
             raise ValueError(f"lambda spec: unknown name {node.id!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ValueError("lambda spec: only numeric constants allowed")
-    code = compile(tree, "<lambda-spec>", "eval")
-    return float(eval(code, {"__builtins__": {}}, {"mu": mu, "d": d, "v": v, "tau": tau}))
+    return compile(tree, "<lambda-spec>", "eval")
+
+
+def eval_lambda(spec: str, mu: float, d: float, v: float, tau: float) -> float:
+    """Evaluate a user-supplied polynomial spec in mu, d, v, tau.
+
+    Only arithmetic expressions over those four names and numeric
+    constants are admitted; anything else raises.
+    """
+    return float(eval(_compiled_lambda(spec), {"__builtins__": {}},
+                      {"mu": mu, "d": d, "v": v, "tau": tau}))
 
 
 @dataclass(frozen=True)
@@ -389,16 +397,22 @@ class RunParams:
                 held = False
             if not held:
                 bad.append(message.format(p=self))
-        try:
-            eval_lambda(self.lambda_spec, 1.0, 1.0, 1.0, 1.0)
-        except (SyntaxError, TypeError, ValueError) as exc:
-            bad.append(f"lambda_spec does not evaluate: {exc}")
+        if not isinstance(self.lambda_spec, str):
+            bad.append(f"lambda_spec must be a string, got {self.lambda_spec}")
+        else:
+            try:
+                eval_lambda(self.lambda_spec, 1.0, 1.0, 1.0, 1.0)
+            except (SyntaxError, TypeError, ValueError) as exc:
+                bad.append(f"lambda_spec does not evaluate: {exc}")
         if bad:
             raise ConfigError(bad)
 
 
 @dataclass
 class RunResult:
+    """run_scheme's final torus, and its certificate and stage records in
+    JSON form (_jsonable), ready to write."""
+
     torus: TorusEmbedding
     certificate: dict
     stages: list
@@ -555,9 +569,10 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     ladder = smoothing_ladder(hamiltonian, K0, freq, params)
     l, analytic_input, seq = ladder.l, ladder.analytic_input, ladder.seq
 
+    # the certificate and every stage record go out in JSON form
     cert: dict = {
-        "params": _jsonable(params.__dict__),
-        "omega": _jsonable(freq.omega),
+        "params": params.__dict__,
+        "omega": freq.omega,
         "gamma": freq.gamma,
         "sigma": freq.sigma,
         "horizon": freq.horizon,
@@ -614,7 +629,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         k0_index, k0_rows = select_k0(
             seq, schedule.d, schedule.v, schedule.tau, e0_norm, tails
         )
-        cert["k0"] = {"index": k0_index, "witnesses": _jsonable(k0_rows)}
+        cert["k0"] = {"index": k0_index, "witnesses": k0_rows}
     except ValueError as exc:
         cert["k0"] = {"error": str(exc)}
         cert["converged"] = False
@@ -738,9 +753,9 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
             "step_norm": step_norm,
             "step_within_r_k": bool(step_norm <= schedule.r_k(k)),
             "measured_quadratic": quad,
-            "trace": _jsonable(res.trace),
+            "trace": res.trace,
         }
-        stages.append(record)
+        stages.append(_jsonable(record))
         tori.append(k_new)
 
         if res.status == "diverged":
@@ -777,7 +792,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         lemma4 = {**lemma4_check(gaps, l), **evidence}
     else:
         lemma4 = {"passed": False, "error": f"only {len(gaps)} gaps measured", **evidence}
-    cert["lemma4"] = _jsonable(lemma4)
+    cert["lemma4"] = lemma4
 
     k_final = tori[-1]
     final_err = start.error.at(0.0)  # the last stage's value of H at k_final

@@ -412,7 +412,8 @@ class BSplineProfile:
     sum_l c[(p + l) mod N] B(t + d - l) of t = N u - p, with B the cardinal
     B-spline of degree d, B(s + t) = sum_{i <= s} (-1)^i C(d+1, i)
     (s - i + t)^d / d! on [s, s + 1).  A (pieces, degree + 1) table of
-    coefficients in powers of t gives exact values and derivatives.
+    coefficients in powers of t gives exact values, and its derivative
+    tables, built once, exact derivatives up to order 4.
     """
 
     def __init__(self, coefficients: Sequence[float], degree: int = 5):
@@ -429,16 +430,17 @@ class BSplineProfile:
             for s in range(d, -1, -1)
         ])
         window = np.arange(c.size)[:, None] + np.arange(d + 1)
-        self._table = c[window % c.size] @ segments
+        table = c[window % c.size] @ segments
+        # d/du = N d/dt on every piece
+        self._tables = tuple(P.polyder(table, q, scl=c.size, axis=1) for q in range(5))
 
     def deriv(self, u: np.ndarray, q: int = 0) -> np.ndarray:
-        if q > 4:
+        if not 0 <= q <= 4:
             raise ValueError("derivatives available up to order 4")
-        pieces = self._table.shape[0]
+        pieces = self.coefficients.size
         x = np.mod(np.asarray(u, dtype=float), 1.0) * pieces
         piece = np.minimum(x.astype(int), pieces - 1)
-        # d/du = N d/dt on every piece
-        coef = P.polyder(self._table, q, scl=pieces, axis=1)[piece]
+        coef = self._tables[q][piece]
         return P.polyval(x - piece, np.moveaxis(coef, -1, 0), tensor=False)
 
     def __call__(self, u):

@@ -510,23 +510,42 @@ class SeparableFunction(SumOfProducts):
 # -- factored approximants ---------------------------------------------------
 
 
+def _elevate(rows: np.ndarray, degree: int) -> np.ndarray:
+    """Bernstein coefficients of the same polynomials at a higher degree.
+
+    One step from degree m takes c'_i = (i c_{i-1} + (m + 1 - i) c_i) / (m + 1),
+    a convex combination, so it is stable at any degree.
+    """
+    while rows.shape[-1] <= degree:
+        m = rows.shape[-1] - 1
+        w = np.arange(1, m + 1) / (m + 1)
+        out = np.empty(rows.shape[:-1] + (m + 2,))
+        out[..., 0], out[..., -1] = rows[..., 0], rows[..., -1]
+        out[..., 1:-1] = w * rows[..., :-1] + (1.0 - w) * rows[..., 1:]
+        rows = out
+    return rows
+
+
 def _bernstein_values(coeff: np.ndarray, box: Box, axis: int, u: np.ndarray,
                       q: int) -> np.ndarray:
-    """(q+1, rows, len(u)): D^0..D^q of Bernstein rows coeff along a box axis."""
+    """(q+1, rows, len(u)): D^0..D^q of Bernstein rows coeff along a box axis.
+
+    The degree-N basis is evaluated once: order j's differenced rows, of
+    degree N - j, are raised back to degree N, and each order is one
+    product with that basis, so an order's table does not depend on q.
+    """
     u = box.wrap_axis(axis, u)
     t = (u - box.lo[axis]) / box.widths()[axis]
-    out = []
-    for j in range(q + 1):
-        rows = _bernstein_rows(coeff, box, axis, j)
-        k = rows.shape[1] - 1
-        # chunked so the basis matrices stay modest at high degree
-        chunk = max(1, 4_000_000 // (k + 1))
-        out.append(np.concatenate(
-            [rows @ _basis(k, t[s : s + chunk]).T
-             for s in range(0, max(t.size, 1), chunk)],
-            axis=1,
-        ))
-    return np.stack(out)
+    k = coeff.shape[1] - 1
+    rows = [_elevate(_bernstein_rows(coeff, box, axis, j), k) for j in range(q + 1)]
+    out = np.empty((q + 1, coeff.shape[0], t.size))
+    # chunked so the basis matrix stays modest at high degree
+    chunk = max(1, 4_000_000 // (k + 1))
+    for s in range(0, t.size, chunk):
+        basis = _basis(k, t[s : s + chunk]).T
+        for j, r in enumerate(rows):
+            out[j, :, s : s + chunk] = r @ basis
+    return out
 
 
 def _vallee_poussin_half(samples: np.ndarray, N: int) -> np.ndarray:
@@ -545,19 +564,30 @@ def _vallee_poussin_half(samples: np.ndarray, N: int) -> np.ndarray:
 
 def _vallee_poussin_values(coeff: np.ndarray, box: Box, axis: int, u: np.ndarray,
                            q: int) -> np.ndarray:
-    """(q+1, rows, len(u)): D^0..D^q of half spectra coeff along a box axis."""
+    """(q+1, rows, len(u)): D^0..D^q of half spectra coeff along a box axis.
+
+    The waves e^{2 pi i k t}, k < K, come from B = ceil(sqrt(K)) baby steps
+    e^{2 pi i l t} and ceil(K / B) giant steps e^{2 pi i B h t}, one
+    product each, so a point costs about 2 sqrt(K) exponentials, not K.
+    """
     width = box.widths()[axis]
-    k = np.arange(coeff.shape[1])
+    modes = coeff.shape[1]
+    k = np.arange(modes)
+    step = math.isqrt(modes - 1) + 1
+    baby, giant = np.arange(step), step * np.arange(-(-modes // step))
     t = (np.asarray(u, dtype=float).reshape(-1) - box.lo[axis]) / width
+    # one product per order, so a table does not depend on q
+    scaled = [coeff * (2j * np.pi * k / width) ** j for j in range(q + 1)]
     out = np.empty((q + 1, coeff.shape[0], t.size))
-    # chunked so the exponential tables stay modest at high N; one
-    # product per order, so a table does not depend on q
-    chunk = max(1, 4_000_000 // k.size)
+    # chunked so the exponential tables stay modest at high N
+    chunk = max(1, 4_000_000 // modes)
     for s in range(0, t.size, chunk):
-        waves = np.exp(2j * np.pi * np.outer(k, t[s : s + chunk]))
-        for j in range(q + 1):
-            out[j, :, s : s + chunk] = (
-                (coeff * (2j * np.pi * k / width) ** j) @ waves).real
+        ts = t[s : s + chunk]
+        waves = (np.exp(2j * np.pi * np.outer(giant, ts))[:, None, :]
+                 * np.exp(2j * np.pi * np.outer(baby, ts))[None, :, :])
+        waves = waves.reshape(-1, ts.size)[:modes]
+        for j, c in enumerate(scaled):
+            out[j, :, s : s + chunk] = (c @ waves).real
     return out
 
 

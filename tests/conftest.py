@@ -24,6 +24,7 @@ REJECTED_KNOBS = [
     ({"rho": "wide"}, "rho must be positive, got wide"),
     ({"sigma": None}, "sigma must be positive, got None"),
     ({"lambda_spec": "mu *"}, "lambda_spec does not evaluate: "),
+    ({"lambda_spec": ["mu"]}, "lambda_spec must be a string, got ['mu']"),
     ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
     ({"horizon": 100.5}, "horizon must be an integer, got 100.5"),
     ({"max_iter": True}, "max_iter must be an integer, got True"),

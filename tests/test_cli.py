@@ -1,5 +1,8 @@
 """Config validation, subcommand dispatch, artifacts and exit codes."""
 
+import ast
+import csv
+import io
 import json
 import math
 import os
@@ -11,12 +14,14 @@ import numpy as np
 import pytest
 
 import kamtori
+import kamtori.cli as cli
 import kamtori.diophantine as diophantine
+import kamtori.driver as driver
 from kamtori import FrequencyVector, HamiltonianModel, TorusEmbedding
 from kamtori.cli import ConfigError, RunConfig, main, parse_config
 from kamtori.solver import invariance_error, newton_step
 
-from conftest import GOLDEN, REJECTED_IDS, REJECTED_KNOBS
+from conftest import GOLDEN, REJECTED_IDS, REJECTED_KNOBS, random_trig
 
 ROTATOR = {"n": 1, "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0}]}
 PENDULUM = {
@@ -345,7 +350,7 @@ class TestDispatch:
         from kamtori.driver import smoothing_ladder
 
         cfg = parse_config(cfg_path)
-        rung = smoothing_ladder(cfg.load_hamiltonian(), cfg.load_torus(),
+        rung = smoothing_ladder(cfg.model, cfg.load_torus(),
                                 cfg.frequency(), cfg.params).seq.history["rungs"][0]
         lo, hi = np.array(doc["box"]["lo"]), np.array(doc["box"]["hi"])
         z = lo + (hi - lo) * np.random.default_rng(0).uniform(0, 1, (50, 2))
@@ -436,6 +441,79 @@ class TestDispatch:
         doc = json.loads(capsys.readouterr().out)
         assert doc["gamma_est"] == doc["margin"]
         assert doc["worst_k"] == [2, -3]
+
+    @pytest.mark.parametrize("flags, violation", [
+        (["--omega", "0.6,0.4", "--horizon", "0"], "horizon must be >= 1"),
+        (["--omega", "0.6,0.4", "--sigma", "-1"], "sigma must exceed n - 1 = 1, got -1.0"),
+        (["--omega", "0.6,0.4", "--gamma", "-1"], "gamma must be positive"),
+        (["--omega", "0,0"], "omega must be a finite nonzero vector"),
+        (["--omega", "0.618,abc"],
+         "omega must be comma-separated numbers, got '0.618,abc'"),
+    ], ids=["horizon=0", "sigma=-1", "gamma=-1", "omega=0,0", "omega=abc"])
+    def test_diophantine_bad_flag_named(self, capsys, flags, violation):
+        assert main(["diophantine", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {violation}\n"
+
+
+ROUGH_KNOBS = {"y0": [0.4], "rho": 0.02, "r": 0.8, "target_error": 1e-8}
+
+
+class TestComputedOnce:
+    """Each quantity of a command is computed once per invocation."""
+
+    @pytest.mark.parametrize("command, model, extra", [
+        ("run", ROUGH, ROUGH_KNOBS),
+        ("solve", PENDULUM, {}),
+        ("verify", ROTATOR, {"trunc": 16}),
+        ("smooth", ROUGH, ROUGH_KNOBS),
+    ], ids=["run", "solve", "verify", "smooth"])
+    def test_one_model_build_per_command(self, write_files, monkeypatch, command,
+                                         model, extra):
+        builds = []
+        load = cli.load_hamiltonian
+
+        def counted(path):
+            builds.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_hamiltonian", counted)
+        cfg_path, out = write_files(model, command, **extra)
+        assert main([command, "--config", str(cfg_path)]) == 0
+        assert len(builds) == 1
+        assert "model" not in json.loads((out / "config.json").read_text())
+
+    def test_one_lambda_parse_per_run(self, write_files, monkeypatch):
+        spec = "1.0 * mu * d**2 * v**2 * tau**2"
+        parses = []
+        parse = ast.parse
+
+        def counted(source, *args, **kwargs):
+            if source == spec:
+                parses.append(source)
+            return parse(source, *args, **kwargs)
+
+        driver._compiled_lambda.cache_clear()
+        monkeypatch.setattr(ast, "parse", counted)
+        cfg_path, out = write_files(ROUGH, "run", lambda_spec=spec, **ROUGH_KNOBS)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        # the gate's c and every stage's c_k evaluated the spec
+        assert cert["lambda_spec"] == spec and len(cert["stages"]) >= 2
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("n, trunc", [(1, 5), (2, 3)])
+    def test_samples_csv_matches_csv_writer(self, n, trunc):
+        rng = np.random.default_rng(n)
+        K = TorusEmbedding.circle(rng.random(n), trunc)
+        K = K.with_periodic(K.periodic + random_trig(rng, n, trunc, (2 * n,)).scaled(1e-3))
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow([f"theta{j}" for j in range(n)] + [f"z{j}" for j in range(2 * n)])
+        for t, v in zip(K.grid(None).reshape(-1, n), K.grid_samples().reshape(-1, 2 * n)):
+            writer.writerow([repr(float(x)) for x in t] + [repr(float(x)) for x in v])
+        assert cli._samples_csv(K) == out.getvalue()
 
 
 class TestSharedDriverPath:

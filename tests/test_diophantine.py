@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import kamtori.diophantine as diophantine
-from kamtori import FrequencyVector, check_diophantine, estimate_gamma
+from kamtori import (FourierMap, FrequencyVector, check_diophantine, estimate_gamma,
+                     solve_cohomological)
+from kamtori.fourier import canonical
 
 from conftest import GOLDEN
 
@@ -34,6 +36,84 @@ def scan_min(omega, sigma, horizon):
             if val < best:
                 best, best_k = val, k
     return best, best_k
+
+
+def brute_force_scan(omega, sigma, horizon):
+    """Every canonical k with 0 < |k|_1 <= horizon in one array: the least
+    margin, ties to the smallest shell, then the lexicographically first k.
+    k . omega is the matrix product the cohomology's divisor table takes."""
+    n = len(omega)
+    box = range(-horizon, horizon + 1)
+    ks = np.array(list(itertools.product(box, repeat=n)))
+    shell = np.abs(ks).sum(axis=1)
+    keep = (shell > 0) & (shell <= horizon) & canonical(ks)
+    ks, shell = ks[keep], shell[keep]
+    weight = {s: float(s) ** sigma for s in range(1, horizon + 1)}
+    margins = np.abs(ks.astype(float) @ omega) * np.array([weight[s] for s in shell])
+    best = np.lexsort((*ks.T[::-1], shell, margins))[0]
+    return float(margins[best]), tuple(int(v) for v in ks[best])
+
+
+GOLDEN_SILVER = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+
+
+class TestBlockedScan:
+    """The scan in blocks of shells against one pass over every wavevector."""
+
+    # 37 cuts shells into pieces between first components and puts a tie
+    # in separate blocks; the default packs many shells into one block
+    @pytest.fixture(params=[None, 37], ids=["default-blocks", "small-blocks"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(diophantine, "_BLOCK", request.param)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_n2_bit_identical(self, block, seed):
+        omega = np.random.default_rng(seed).random(2)
+        report = check_diophantine(omega, 1e-9, 1.1, 150)
+        assert (report.worst_margin, report.worst_k) == brute_force_scan(omega, 1.1, 150)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_random_n3_bit_identical(self, block, seed):
+        omega = np.random.default_rng(seed).random(3)
+        report = check_diophantine(omega, 1e-9, 2.1, 16)
+        assert (report.worst_margin, report.worst_k) == brute_force_scan(omega, 2.1, 16)
+
+    @pytest.mark.parametrize("omega, sigma, want", [
+        # k . omega = 0 on (2, -1), (4, -2), ...: shell 3 wins over shell 6
+        ((1.0, 2.0), 1.1, (2, -1)),
+        # (1, -1, 0) on shell 2 wins over the lexicographically earlier
+        # (0, 2, -1) on shell 3
+        ((1.0, 1.0, 2.0), 2.1, (1, -1, 0)),
+    ], ids=["n2", "n3"])
+    def test_resonant_tie_goes_to_the_smallest_shell(self, block, omega, sigma, want):
+        omega = np.array(omega)
+        report = check_diophantine(omega, 0.1, sigma, 12)
+        assert report.resonant
+        assert report.worst_k == want
+        assert (report.worst_margin, report.worst_k) == brute_force_scan(omega, sigma, 12)
+
+    def test_resonant_tie_within_a_shell_goes_lexicographically(self, block):
+        # (0, 1, -1), (1, -1, 0) and (1, 0, -1) all sit on shell 2 at margin 0
+        omega = np.array([1.0, 1.0, 1.0])
+        report = check_diophantine(omega, 0.1, 2.1, 6)
+        assert report.worst_k == (0, 1, -1)
+        assert (report.worst_margin, report.worst_k) == brute_force_scan(omega, 2.1, 6)
+
+    def test_golden_silver_worst_mode(self):
+        report = check_diophantine(GOLDEN_SILVER, 1e-9, 1.1, 256)
+        assert report.worst_k == (63, -94)
+        assert (report.worst_margin, report.worst_k) == brute_force_scan(
+            GOLDEN_SILVER, 1.1, 256)
+
+    def test_solve_holding_the_worst_mode_meets_the_certified_bound(self):
+        # gamma is the margin of (63, -94); the divisor table takes the same
+        # k . omega, so the mode's divisor meets gamma |k|^-sigma at M = 128
+        freq = FrequencyVector.estimated(GOLDEN_SILVER, 1.1, 256)
+        g = FourierMap(2, (), {(63, -94): 1.0}, trunc_order=128)
+        report = solve_cohomological(g, freq).report
+        assert report.certified
+        assert report.worst_k == (63, -94)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

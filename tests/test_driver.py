@@ -69,6 +69,15 @@ class TestEvalLambda:
         with pytest.raises((ValueError, SyntaxError)):
             eval_lambda(spec, 1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("spec", ["mu + foo", "mu *", "mu * 'a'", "mu(1)"])
+    def test_bad_spec_raises_the_same_message_every_call(self, spec):
+        raised = []
+        for _ in range(3):
+            with pytest.raises((ValueError, SyntaxError)) as exc:
+                eval_lambda(spec, 1.0, 1.0, 1.0, 1.0)
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised[1:] == raised[:1] * 2
+
 
 class TestCheckConditions:
     def test_zero_error_passes_with_full_margin(self):

@@ -332,6 +332,24 @@ class TestBSplineTable:
         got = BSplineProfile(c, degree=degree).deriv(u, q)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_derivative_tables_equal_per_call_polyder(self, degree):
+        # the tables built at construction are those polyder gave per call
+        from numpy.polynomial import polynomial as P
+
+        c = np.array([0.3, 1.0, -0.4, -1.0, 0.5, 0.2, 0.7])
+        prof = BSplineProfile(c, degree=degree)
+        u = np.random.default_rng(97).uniform(-2.0, 3.0, 500)
+        x = np.mod(u, 1.0) * c.size
+        piece = np.minimum(x.astype(int), c.size - 1)
+        for q in range(5):
+            coef = P.polyder(prof._tables[0], q, scl=c.size, axis=1)[piece]
+            want = P.polyval(x - piece, np.moveaxis(coef, -1, 0), tensor=False)
+            assert np.array_equal(prof.deriv(u, q), want), q
+        for q in (-1, 5):
+            with pytest.raises(ValueError, match="up to order 4"):
+                prof.deriv(u, q)
+
     def test_bspline_model_leaves_scipy_interpolate_unloaded(self, tmp_path):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({

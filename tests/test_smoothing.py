@@ -31,6 +31,7 @@ from kamtori.smoothing import (
     rung_nd,
     unit_box,
 )
+from kamtori.smoothing import _vallee_poussin_half
 
 
 def brute_bernstein(samples, x):
@@ -721,6 +722,45 @@ class TestValleePoussinRung:
         assert np.max(np.abs(hess[:, 0, 0] - p(u, 2) * (1 + 2 * y))) <= 1e-12 * scale
         assert np.max(np.abs(hess[:, 0, 1] - 2 * p(u, 1))) <= 1e-12 * scale
         assert np.max(np.abs(hess[:, 1, 1])) <= 1e-12 * scale
+
+
+class TestRungTableOracles:
+    """Each order's axis table against a direct evaluation: V_N mode by
+    mode, and the Bernstein factor by its own derivative in Bernstein form
+    (degree N - q)."""
+
+    @pytest.fixture(scope="class", params=[4, 256, 2048])
+    def rung(self, request):
+        N = request.param
+        prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], 5)
+        box = Box(np.array([0.25, -0.7]), np.array([1.75, 1.9]), np.array([True, False]))
+        t = np.arange(8 * N) / (8 * N)
+        half = _vallee_poussin_half(np.stack([prof(t), np.cos(2 * np.pi * t) ** 3]), N)
+        y = box.lo[1] + box.widths()[1] * np.arange(N + 1) / N
+        bern = np.stack([np.exp(-y**2), np.sin(3.0 * y)])
+        return SeparableRung(box, (half, bern))
+
+    def test_vallee_poussin_tables_match_a_sum_over_modes(self, rung):
+        lo, width = rung.box.lo[0], rung.box.widths()[0]
+        u = np.random.default_rng(5).uniform(-1.0, 3.0, 200)
+        tables = rung.axis_values(0, u, 3)
+        half = rung.factors[0]
+        for q in range(4):
+            want = np.zeros_like(tables[q])
+            for k in range(half.shape[1]):
+                wave = np.exp(2j * np.pi * k * (u - lo) / width)
+                want += (half[:, k : k + 1] * (2j * np.pi * k / width) ** q * wave).real
+            assert np.max(np.abs(tables[q] - want)) <= 1e-11 * np.max(np.abs(want)), q
+
+    def test_bernstein_tables_match_the_derivative_in_bernstein_form(self, rung):
+        N = rung.degrees[1]
+        lo, hi = rung.box.lo[1], rung.box.hi[1]
+        u = np.random.default_rng(6).uniform(lo, hi, 200)
+        tables = rung.axis_values(1, u, 3)
+        for q in range(4):
+            want = np.stack([bernstein_1d(c, N, [(lo, hi)]).derivative((q,))(u)
+                             for c in rung.factors[1]])
+            assert np.max(np.abs(tables[q] - want)) <= 1e-11 * np.max(np.abs(want)), q
 
 
 class TestSmoothingSequence:
