@@ -49,6 +49,7 @@ from .hamiltonian import (
     RoughTerm,
     SinPowerProfile,
 )
+from .smoothing import SAMPLE_RULE
 from .solver import solve_torus
 
 
@@ -340,6 +341,7 @@ def cmd_verify(args) -> int:
             "error_rho": err.norm_rho.value,
             "tail_flag": err.genuine_tail,
             "tail_max": err.norm_rho.tail_max,
+            "tail_sum": err.norm_rho.tail_sum,
             "round_off": err.round_off,
             "nondegeneracy": {
                 "norm_dk": nd.norm_dk,
@@ -350,6 +352,8 @@ def cmd_verify(args) -> int:
                 "avg_s": nd.avg_s,
             },
             "mu0": schedule.mu0,
+            # how mu0 was taken, as in the run certificate's c3_methods
+            "c3_methods": {"rule": SAMPLE_RULE, "mu0": H.sup_method},
             "c_value": c_value,
             "conditions": conditions,
             "omega": list(freq.omega),

@@ -22,14 +22,16 @@ the literal one.
 Each (model, torus) pair is evaluated once, into a solver.Iterate that
 the stages pass on.  The ladder holds H's value at K0 and the schedule's
 frame is the first approximant's value there (the ladder's on analytic
-input); its tails are the C^3 gaps its construction measured.  Stage 1
-starts from the gate's value, the selected model at K0, and stage k >= 2
-from H's value at stage k-1's torus: the one stage k-1's solve returned,
-or after a smoothed stage 1 a new one.  A stage's d_k, v_k, tau_k and e_k
-are norms of its start value at rho_k, the width its solve runs at; the
-final defect is the last stage's.  The CLI's smooth and verify commands
-call smoothing_ladder and kam_schedule, the same code that run_scheme
-uses.
+input); its tails are the C^3 distances to the cut target that its
+construction bounded.  Stage 1 starts from the gate's value, the
+selected model at K0, and stage k >= 2 from H's value at stage k-1's
+torus: the one stage k-1's solve returned, or after a smoothed stage 1 a
+new one.  A stage's d_k, v_k, tau_k and e_k are norms of its start value
+at rho_k, the width its solve runs at; the final defect is the last
+stage's.  Every C^3 number (gaps, tails, mu0, mu_k) is a cl_bound from
+per-axis factor sups, and the certificate's c3_methods names how each
+was taken.  The CLI's smooth and verify commands call smoothing_ladder
+and kam_schedule, the same code that run_scheme uses.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ from .diophantine import FrequencyVector
 from .fourier import TorusEmbedding
 from .hamiltonian import Box
 from .smoothing import (
+    SAMPLE_RULE,
     SmoothingSequence,
     build_smoothing_sequence,
-    cl_norm,
+    cl_bound,
     cutoff_extend,
 )
 from .solver import (
@@ -316,7 +319,7 @@ class ConfigError(ValueError):
 
 # RunParams knobs that count something; l may also be None
 _INTEGER_KNOBS = ("horizon", "l", "max_iter", "max_stages", "min_tori", "count",
-                  "start_degree", "max_degree", "measure_points", "norm_points")
+                  "start_degree", "max_degree")
 
 # (message, test) per bound of a RunParams knob; a value the test cannot
 # compare (a string for a number, None where a value is required) fails it
@@ -337,10 +340,6 @@ _BOUNDS = (
     ("start_degree must be >= 3, got {p.start_degree}", lambda p: p.start_degree >= 3),
     ("max_degree must be >= start_degree = {p.start_degree}, got {p.max_degree}",
      lambda p: p.max_degree >= p.start_degree),
-    # the C^3 grids span a box around the torus; 1 or 2 points per axis
-    # sample only its edges, where the cut-off rough part vanishes
-    ("measure_points must be >= 3, got {p.measure_points}", lambda p: p.measure_points >= 3),
-    ("norm_points must be >= 3, got {p.norm_points}", lambda p: p.norm_points >= 3),
     ("condition_mode must be 'measured' or 'strict', got {p.condition_mode}",
      lambda p: p.condition_mode in ("measured", "strict")),
 )
@@ -354,7 +353,7 @@ class RunParams:
     radius, Diophantine exponent and constant (estimated over horizon
     when None) and smoothness class (the model's when None).  target_error
     ends the cascade, tol (target_error when None) each stage's solve.
-    The rest size the cascade, the smoothing ladder and the C^3 grids.
+    The rest size the cascade and the smoothing ladder.
     Construction checks every knob and raises one ConfigError listing
     each violation; an integer knob must be an integer (not a bool) and is
     stored as an int.  Everything is echoed into the certificate.
@@ -374,8 +373,6 @@ class RunParams:
     count: int = 2
     start_degree: int = 8
     max_degree: int = 4096
-    measure_points: int = 33
-    norm_points: int = 9
     condition_mode: str = "measured"
     lambda_spec: str = DEFAULT_LAMBDA
 
@@ -402,7 +399,7 @@ class RunParams:
         else:
             try:
                 eval_lambda(self.lambda_spec, 1.0, 1.0, 1.0, 1.0)
-            except (SyntaxError, TypeError, ValueError) as exc:
+            except (ArithmeticError, SyntaxError, TypeError, ValueError) as exc:
                 bad.append(f"lambda_spec does not evaluate: {exc}")
         if bad:
             raise ConfigError(bad)
@@ -446,26 +443,27 @@ def _hull_box(K: TorusEmbedding, margin: float) -> Box:
     return Box(lo, hi, np.concatenate([np.ones(n, bool), np.zeros(n, bool)]))
 
 
-def _c3_near(model, K: TorusEmbedding, margin: float, points: int) -> float:
-    """C^3 norm of model on the box hull of K's margin-neighbourhood.
+def _c3_near(model, K: TorusEmbedding, margin: float) -> float:
+    """C^3 bound of model on the box hull of K's margin-neighbourhood.
 
-    Every model is a sum of products of 1-D functions, so cl_norm reads it
-    from per-axis tables multiplied out on the outer-product grid.  The
-    tables give exact derivatives; only the cut-off model, whose rough
-    part offers values only, takes five-point stencils, whose step follows
-    the box width, so a small margin divides its round-off by h^3.
+    Every model is a sum of products of 1-D functions, so cl_bound takes
+    it from per-axis factor sups on the hull's intervals, with no grid
+    over the box; model.sup_method names whether those are closed forms
+    and coefficient bounds or sampled (SAMPLE_RULE).
     """
-    return cl_norm(model, _hull_box(K, margin), 3, points)
+    return max(cl_bound([model], _hull_box(K, margin))[0])
 
 
 def _defect_record(err: ErrorField) -> dict:
-    """A defect's norms and its tail state: tail_flag is the round-off half
-    of solve_torus's refinement rule (ErrorField.genuine_tail)."""
+    """A defect's norms and its tail state.  solve_torus refines on two
+    halves: tail_flag (ErrorField.genuine_tail) is the round-off half, and
+    tail_sum, the tail's share of the strip norm, is held against tol."""
     return {
         "grid": err.norm_grid,
         "rho": err.norm_rho.value,
         "tail_flag": err.genuine_tail,
         "tail_max": err.norm_rho.tail_max,
+        "tail_sum": err.norm_rho.tail_sum,
         "round_off": err.round_off,
     }
 
@@ -523,7 +521,6 @@ def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
     seq = build_smoothing_sequence(
         h_ext, l, params.sigma, params.count, h0.error.norm_rho.value,
         start_degree=params.start_degree, max_degree=params.max_degree,
-        measure_points=params.measure_points,
     )
     return Ladder(l, analytic, h0, h_ext, seq)
 
@@ -549,7 +546,7 @@ def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
         known = (ladder.h0,)
     value = _value(frame_model, K, freq, params.rho, *known)
     nd = value.frame
-    mu0 = _c3_near(norm_model, K, 2 * params.r, params.norm_points)
+    mu0 = _c3_near(norm_model, K, 2 * params.r)
     schedule = KamSchedule(
         rho=params.rho, r=params.r, l=l, sigma=params.sigma, gamma=freq.gamma,
         mu0=mu0, d0=nd.norm_dk, v0=nd.norm_n, tau0=nd.norm_s_inv,
@@ -597,13 +594,21 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         "ladder_gaps_c3": list(seq.history["ladder_gaps_c3"]),
     }
 
-    # each kept approximant's C^3 distance to the rough target, measured
-    # when rung_nd built it
-    if analytic_input:
-        tails = [0.0] * len(seq.approximants)
-    else:
-        tails = [b.report["composite_c3_gap"] for b in seq.history["rungs"]]
+    # each kept approximant's C^3 distance to the rough target, bounded
+    # when the ladder was built
+    tails = seq.tails_c3
     cert["tails_c3"] = list(tails)
+    # how each C^3 number was taken; mu_k gets one entry per stage below
+    methods = {
+        "rule": SAMPLE_RULE,
+        "gaps_c3": seq.methods["gaps"],
+        "gaps_c0": seq.methods["gaps"],
+        "ladder_gaps_c3": seq.methods["gaps"],
+        "tails_c3": seq.methods["tails"],
+        "mu0": ladder.h_ext.sup_method,
+        "mu_k": [],
+    }
+    cert["c3_methods"] = methods
 
     # base quantities for the first sequence entry
     schedule, value0 = kam_schedule(hamiltonian, K0, freq, params, ladder)
@@ -701,7 +706,8 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         # the defect and the frame's growth norms at the width the stage solves at
         e_k = start.error.at(rho_k).norm_rho.value
         nd_k = start.frame_at(rho_k)
-        mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r), params.norm_points)
+        mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r))
+        methods["mu_k"].append(h_k.sup_method)
         c_k = eval_lambda(params.lambda_spec, mu_k, nd_k.norm_dk, nd_k.norm_n,
                           nd_k.norm_s_inv)
         delta_k = schedule.delta_k(k)
@@ -802,6 +808,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         "error_vs_original_coeff": final_err.norm_rho.value,
         "tail_flag": final_err.genuine_tail,
         "tail_max": final_err.norm_rho.tail_max,
+        "tail_sum": final_err.norm_rho.tail_sum,
         "round_off": final_err.round_off,
         "drift": final_drift,
         "drift_within_r": bool(final_drift <= params.r),

@@ -665,7 +665,20 @@ class TorusEmbedding:
         return _angle_grid(self.dim_domain, int(size))
 
     def grid_samples(self, grid_size: int | None = None) -> np.ndarray:
-        """K on :meth:`grid`, shape (N,)*n + (m,)."""
+        """K on :meth:`grid`, shape (N,)*n + (m,).
+
+        The default grid's samples are synthesized once per embedding and
+        shared read-only; an explicit grid_size is synthesized on each call.
+        """
+        return self._default_samples if grid_size is None else self._synthesized(grid_size)
+
+    @cached_property
+    def _default_samples(self) -> np.ndarray:
+        out = self._synthesized(None)
+        out.flags.writeable = False
+        return out
+
+    def _synthesized(self, grid_size: int | None) -> np.ndarray:
         theta = self.grid(grid_size)
         return theta @ self.winding.T + self.periodic.synthesize(theta.shape[0])
 

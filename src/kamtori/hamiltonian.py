@@ -7,8 +7,12 @@ where that is not empty, axis_values(axis, u, q): the (q + 1,
 len(support(axis)), len(u)) table of those factors' derivatives of orders
 0..q at u, complex if need be as long as the sum is real; a model whose
 derivative_tables is false offers order 0 only.  product_jet builds every
-model's jet from its tables, and smoothing's C^l norms read the same
-tables.  The analytic model is a Fourier-Taylor term table
+model's jet from its tables.  axis_sups(axis, lo, hi, q) gives, per
+supported term, sup |D^j factor| on [lo, hi] for j <= q, the per-axis
+sups that smoothing's C^l bounds multiply out: closed forms or
+coefficient bounds where sup_method is "coefficient_bound", else sampled
+from axis_values (sampled_sups), whose grid tables a model keeps
+(grid_table).  The analytic model is a Fourier-Taylor term table
 sum c e^{2 pi i k.x} y^m (the file format); rough summands are 1-D C^l
 profiles of one coordinate; SumModel is the one sum of models.
 """
@@ -38,6 +42,9 @@ __all__ = [
     "product_jet",
     "symplectic_matrix",
 ]
+
+# uniform points of a sampled factor sup on an interval, endpoints included
+SAMPLE_POINTS = 129
 
 _NO_TERMS = np.zeros(0, dtype=int)
 _ONE_TERM = np.zeros(1, dtype=int)
@@ -179,14 +186,60 @@ def product_values(model, z: np.ndarray) -> np.ndarray:
     return prod.sum(axis=0).real.reshape(z.shape[:-1])
 
 
+def sampled_max(table: np.ndarray, step: float) -> np.ndarray:
+    """Sups of orders 0..q from a (q + 2, ..., points) table on a uniform
+    grid of spacing step: each order's max |.| plus step/2 times the next
+    order's, which bounds the sup when the next order's max is its sup."""
+    peak = np.max(np.abs(table), axis=-1)
+    return peak[:-1] + 0.5 * step * peak[1:]
+
+
+def grid_table(model, axis: int, span, points: int, q: int):
+    """(u, axis_values(axis, u, q)) on points uniform points u of the
+    interval span, endpoints included.  Kept read-only per model, axis,
+    span, points and q: every bound of a run that reads the same axis
+    interval of a model shares one evaluation."""
+    # a model with __slots__ (HamiltonianModel) keeps none
+    memo = vars(model).setdefault("_grid_tables", {}) if hasattr(model, "__dict__") else {}
+    key = (axis, float(span[0]), float(span[1]), points, q)
+    if key not in memo:
+        u = np.linspace(span[0], span[1], points)
+        table = model.axis_values(axis, u, q)
+        table.flags.writeable = False
+        memo[key] = u, table
+    return memo[key]
+
+
+def bracket(u: np.ndarray, lo: float, hi: float) -> slice:
+    """The points of the increasing grid u from the last at or below lo to
+    the first at or above hi, as far as the grid reaches."""
+    return slice(max(int(np.searchsorted(u, lo, "right")) - 1, 0),
+                 int(np.searchsorted(u, hi, "left")) + 1)
+
+
+def sampled_sups(model, axis: int, lo: float, hi: float, q: int) -> np.ndarray:
+    """(q + 1, len(support(axis))): sampled_max of axis_values over the
+    points that bracket [lo, hi] of a grid_table of SAMPLE_POINTS points:
+    on the model's box axis when [lo, hi] lies in it, else on [lo, hi]."""
+    box = getattr(model, "box", None)
+    span = (lo, hi)
+    if box is not None and box.lo[axis] <= lo and hi <= box.hi[axis]:
+        span = (box.lo[axis], box.hi[axis])
+    u, table = grid_table(model, axis, span, SAMPLE_POINTS, q + 1)
+    return sampled_max(table[..., bracket(u, lo, hi)], u[1] - u[0])
+
+
 class SumOfProducts:
-    """Base of every model: its values and jet come from its axis tables."""
+    """Base of every model: its values and jet come from its axis tables,
+    and its factor sups, unless it has closed forms, from sampled ones."""
 
     __slots__ = ()
 
     derivative_tables = True
+    sup_method = "sampled"
     jet_batch = product_jet
     __call__ = product_values
+    axis_sups = sampled_sups
 
 
 # -- the analytic model ----------------------------------------------------------
@@ -296,6 +349,24 @@ class HamiltonianModel(SumOfProducts):
         table = _angle_table if axis < self.n else _action_table
         return table(np.asarray(u, dtype=float), powers, coef, q)
 
+    sup_method = "coefficient_bound"
+
+    def axis_sups(self, axis: int, lo: float, hi: float, q: int) -> np.ndarray:
+        """Closed forms: |c| (2 pi |k|)^j for c e^{2 pi i k x}, and
+        |c| m!/(m-j)! max(|lo|, |hi|)^(m-j) for c y^m on [lo, hi]."""
+        _, powers, coef = self._axes[axis]
+        out = np.zeros((q + 1, powers.size))
+        if axis < self.n:
+            for j in range(q + 1):
+                out[j] = np.abs(coef) * (2 * np.pi * np.abs(powers)) ** j
+            return out
+        y = max(abs(lo), abs(hi))
+        for row, (m, c) in enumerate(zip(powers.tolist(), np.abs(coef).tolist())):
+            for j in range(min(q, m) + 1):
+                out[j, row] = c * y ** (m - j)
+                c *= m - j
+        return out
+
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
@@ -400,6 +471,10 @@ class SinPowerProfile:
             out += term
         return self.scale * out
 
+    def jet(self, u: np.ndarray, q: int) -> np.ndarray:
+        """(q + 1, len(u)): deriv(u, j) for j = 0..q."""
+        return np.stack([self.deriv(u, j) for j in range(q + 1)])
+
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.deriv(u, 0)
 
@@ -435,13 +510,21 @@ class BSplineProfile:
         self._tables = tuple(P.polyder(table, q, scl=c.size, axis=1) for q in range(5))
 
     def deriv(self, u: np.ndarray, q: int = 0) -> np.ndarray:
-        if not 0 <= q <= 4:
+        return self._orders(u, (q,))[0]
+
+    def jet(self, u: np.ndarray, q: int) -> np.ndarray:
+        """(q + 1, *u.shape): deriv(u, j) for j = 0..q, the pieces looked up once."""
+        return self._orders(u, range(q + 1))
+
+    def _orders(self, u: np.ndarray, orders) -> np.ndarray:
+        if not all(0 <= q <= 4 for q in orders):
             raise ValueError("derivatives available up to order 4")
         pieces = self.coefficients.size
         x = np.mod(np.asarray(u, dtype=float), 1.0) * pieces
         piece = np.minimum(x.astype(int), pieces - 1)
-        coef = self._tables[q][piece]
-        return P.polyval(x - piece, np.moveaxis(coef, -1, 0), tensor=False)
+        t = x - piece
+        return np.stack([P.polyval(t, np.moveaxis(self._tables[q][piece], -1, 0), tensor=False)
+                         for q in orders])
 
     def __call__(self, u):
         return self.deriv(u, 0)
@@ -469,8 +552,7 @@ class RoughTerm(SumOfProducts):
         return _ONE_TERM if axis == self.coordinate else _NO_TERMS
 
     def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
-        return np.stack([self.amplitude * self.profile.deriv(u, j)
-                         for j in range(q + 1)])[:, None, :]
+        return (self.amplitude * self.profile.jet(u, q))[:, None, :]
 
 
 class SumModel(SumOfProducts):
@@ -494,6 +576,8 @@ class SumModel(SumOfProducts):
         self._offsets = np.cumsum([0] + [p.rank for p in parts])[:-1]
         self.rank = sum(p.rank for p in parts)
         self.derivative_tables = all(p.derivative_tables for p in parts)
+        self.sup_method = ("coefficient_bound" if all(
+            p.sup_method == "coefficient_bound" for p in parts) else "sampled")
 
     def support(self, axis: int) -> np.ndarray:
         return np.concatenate([p.support(axis) + offset
@@ -502,6 +586,10 @@ class SumModel(SumOfProducts):
     def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
         tables = [p.axis_values(axis, u, q) for p in self.parts if len(p.support(axis))]
         return tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+
+    def axis_sups(self, axis: int, lo: float, hi: float, q: int) -> np.ndarray:
+        return np.concatenate([p.axis_sups(axis, lo, hi, q) for p in self.parts
+                               if len(p.support(axis))], axis=1)
 
 
 class CompositeHamiltonian(SumModel):

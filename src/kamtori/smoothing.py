@@ -1,6 +1,6 @@
 """Analytic smoothing of finitely differentiable Hamiltonians.
 
-Three layers:
+Four layers:
 
 1. Approximation operators on boxes.  Bernstein operators: 1-D and
    tensor-product polynomial approximants, with exact derivative calculus
@@ -11,8 +11,8 @@ Three layers:
    to the product of their 1-D approximants (Lorentz, Bernstein
    Polynomials, 1953), so a target given as a short sum of such products
    (SeparableFunction) gets an approximant of the same rank built from
-   1-D samples alone: a SeparableRung, whose values, jets and C^l gaps
-   come from one (rank, .) table per axis combined by outer products; the
+   1-D samples alone: a SeparableRung, whose values and jets come from
+   one (rank, .) table per axis combined by outer products; the
    dense (k+1)^d coefficient lattice is never formed, and
    bernstein_tensor keeps the dense operator as the oracle.  A real table
    holds Bernstein coefficients (bernstein_nd builds one on every axis).
@@ -24,38 +24,55 @@ Three layers:
    chart's seam x = 0 == 1, where a Bernstein polynomial on [0, 1]
    matches values only; the action axes keep the degree-N Bernstein
    factor.
-2. Cutoff extension: a C-infinity plateau bump, a product of per-axis
+2. C^l norms and gaps.  cl_bound bounds sup |D^alpha| of a model, or of
+   a difference of two, by sums over terms of products of per-axis
+   factor sups (each model's axis_sups), differences telescoped term by
+   term, so no 2n-dimensional grid is formed and nothing is
+   differentiated by stencils.  A rung's sups are coefficient bounds
+   (l^1 of a half spectrum, the convex hull of Bernstein coefficients
+   refined on a grid with a rigorous remainder); a rough profile's and
+   the cut target's are sampled from exact 1-D tables (SAMPLE_RULE).
+   Each bound names its method, and the 1-D tables it reads are
+   evaluated once per model and axis interval (hamiltonian.grid_table).  cl_norm and cl_gap keep the dense grid
+   (exact tables, else five-point stencils) as the reference for plain
+   callables and for checking the bounds.
+3. Cutoff extension: a C-infinity plateau bump, a product of per-axis
    e^{-1/t} smoothsteps in the action variables, equal to 1 on a
    neighbourhood of the action hull of an initial torus and to 0 outside
    a larger one, used to localize the rough (finitely differentiable)
    part of a Hamiltonian to a compact box.  It keeps only the hull
    bounds and costs O(points) per evaluation.  Each rough summand is a
    1-D profile, so the cut rough part is a sum of products of 1-D
-   functions, one product per rough coordinate.
-3. The smoothing sequence: entire models H_0, H_1, ... at doubling
-   degrees whose consecutive C^3 gaps are measured and enveloped by
-   A * 4^(-k(l+2*sigma)), re-anchored at the first index whose gap drops
-   below the initial invariance error.
+   functions, one product per rough coordinate, each factor with exact
+   derivative tables (the smoothstep's from the e^{-1/t} recursion).
+4. The smoothing sequence: entire models H_0, H_1, ... at doubling
+   degrees whose consecutive C^3 gaps are bounded (cl_bound) and
+   enveloped by A * 4^(-k(l+2*sigma)), re-anchored at the first index
+   whose gap drops below the initial invariance error; the last kept
+   entry's C^3 tail to the cut target is bounded too, and each earlier
+   tail by its gap plus the next tail.
 
 Only the rough summands of a Hamiltonian are cut off and smoothed; an
 analytic summand is entire, needs no extension, and multiplying it by the
 bump would manufacture exactly the large C^3 oscillations the smoothing
-is meant to remove.  Gap measurements are unaffected (exact summands
-cancel in differences).
+is meant to remove.  Gap bounds are unaffected (exact summands cancel in
+differences).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
 
+from numpy.polynomial import polynomial as P
+
 from .fourier import TorusEmbedding
-from .hamiltonian import (Box, CompositeHamiltonian, HamiltonianModel, SumModel,
-                          SumOfProducts)
+from .hamiltonian import (SAMPLE_POINTS, Box, CompositeHamiltonian, HamiltonianModel,
+                          SumModel, SumOfProducts, bracket, grid_table, sampled_max)
 
 __all__ = [
     "BernsteinApproximant",
@@ -68,6 +85,7 @@ __all__ = [
     "bernstein_derivative",
     "bernstein_nd",
     "build_smoothing_sequence",
+    "cl_bound",
     "cl_gap",
     "cl_norm",
     "cutoff_extend",
@@ -104,13 +122,20 @@ _STENCILS = {
     3: np.array([-1.0, 2.0, 0.0, -2.0, 1.0]) / 2.0,
     4: np.array([1.0, -4.0, 6.0, -4.0, 1.0]),
 }
-_OFFSETS = np.arange(-2.0, 3.0)
 
 
 def _multi_indices(dim: int, order: int):
     for alpha in iter_product(range(order + 1), repeat=dim):
         if 0 < sum(alpha) <= order or sum(alpha) == 0:
             yield alpha
+
+
+@lru_cache(maxsize=None)
+def _alpha_table(dim: int, order: int) -> np.ndarray:
+    """(count, dim): every multi-index alpha with |alpha| <= order, read-only."""
+    out = np.array(list(_multi_indices(dim, order)))
+    out.flags.writeable = False
+    return out
 
 
 def _stencil_plan(dim: int, order: int, h: np.ndarray):
@@ -193,14 +218,14 @@ def _stencil_step(box: Box, points_per_axis: int) -> np.ndarray:
 def cl_norm(fun, box, order: int = 3, points_per_axis: int = 64) -> float:
     """Max over |alpha| <= order of sup |D^alpha fun| on a dense box grid.
 
-    A sum of products (any model: it offers axis_values) is measured from
-    its per-axis tables (_factored_sup), never evaluated on the grid, with
-    exact derivatives unless its tables offer values only
-    (derivative_tables false: a SeparableFunction part).  Another fun has
-    exact derivatives when it supports .derivative(alpha) (Bernstein
-    coefficient calculus).  Otherwise 5-point central stencils with
-    per-axis step h = width/100 are taken on a grid staggered off the
-    seams.  The grid density is a declared approximation of the sup.
+    The dense reference for plain callables and for checking cl_bound: a
+    grid max, so it reads at most the sup.  A model with exact derivative
+    tables is measured from its per-axis tables (_factored_sup), never
+    evaluated on the grid.  Another fun has exact derivatives when it
+    supports .derivative(alpha) (Bernstein coefficient calculus).
+    Otherwise (a plain callable, or a SeparableFunction of plain
+    callables) 5-point central stencils with per-axis step h = width/100
+    are taken on a grid staggered off the seams.
     """
     return max(_cl_sup([fun], box, order, points_per_axis))
 
@@ -208,10 +233,11 @@ def cl_norm(fun, box, order: int = 3, points_per_axis: int = 64) -> float:
 def cl_gap(f, g, box, order: int = 3, points_per_axis: int = 64) -> float:
     """Max over |alpha| <= order of sup |D^alpha (f - g)| on a box grid.
 
-    Exact derivatives on the plain grid when both sides have them, else
-    5-point stencils on the staggered grid, as in cl_norm.  When both
-    sides are sums of products the same numbers come from per-axis tables
-    (_factored_sup) without evaluating either side on the grid.
+    The dense reference of a gap, as cl_norm is of a norm: exact
+    derivatives on the plain grid when both sides have them, else 5-point
+    stencils on the staggered grid.  When both sides are models with exact
+    tables the same numbers come from per-axis tables (_factored_sup)
+    without evaluating either side on the grid.
     """
     return max(_cl_sup([f, g], box, order, points_per_axis))
 
@@ -221,11 +247,11 @@ def _cl_sup(funs, box, order: int, points_per_axis: int) -> list[float]:
     funs[0], or with a second entry of funs[0] - funs[1]: cl_norm and
     cl_gap are the max of this list, and its entry 0 is the C^0 sup."""
     box = _as_box(box, next((f.dim for f in funs if getattr(f, "dim", None)), None))
-    factored = all(hasattr(f, "axis_values") for f in funs)
-    exact = all(f.derivative_tables if factored else hasattr(f, "derivative")
-                for f in funs)
+    # models whose tables have exact derivatives; values-only ones and
+    # plain callables are evaluated as functions
+    factored = all(getattr(f, "derivative_tables", False) for f in funs)
+    exact = factored or all(hasattr(f, "derivative") for f in funs)
     if exact:
-        h = None
         axes = _grid_axes(box, points_per_axis, np.zeros(box.dim))
     else:
         h = _stencil_step(box, points_per_axis)
@@ -233,7 +259,7 @@ def _cl_sup(funs, box, order: int, points_per_axis: int) -> list[float]:
             box, points_per_axis, np.where(box.periodic, 0.0, 2 * h), True
         )
     if factored:
-        return _factored_sup(funs, axes, order, h)
+        return _factored_sup(funs, axes, order)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     signs = (1.0, -1.0)[: len(funs)]
     out = [0.0] * (order + 1)
@@ -248,25 +274,17 @@ def _cl_sup(funs, box, order: int, points_per_axis: int) -> list[float]:
     return out
 
 
-def _axis_tables(fun, axis: int, u: np.ndarray, order: int, h) -> np.ndarray:
+def _axis_tables(fun, axis: int, u: np.ndarray, order: int, part=None) -> np.ndarray:
     """(order+1, rank, len(u)): D^q of every term's factor along one axis.
 
-    Exact derivatives when h is None, else the 1-D stencils of _STENCILS
-    at step h[axis]; a tensor stencil of a product is the product of these.
-    A term whose factor along the axis is 1 gets the rows 1, 0, 0, ...
+    part, when given, is fun.axis_values(axis, u, order) already taken.  A
+    term whose factor along the axis is 1 gets the rows 1, 0, 0, ...
     """
     rows = fun.support(axis)
     if not len(rows):
         part = np.zeros((order + 1, 0, u.size))
-    elif h is None:
+    elif part is None:
         part = fun.axis_values(axis, u, order)
-    else:
-        shifted = u[None, :] + (_OFFSETS * h[axis])[:, None]
-        vals = fun.axis_values(axis, shifted.reshape(-1), 0)[0].reshape(-1, 5, u.size)
-        part = np.stack([vals[:, 2]] + [
-            np.tensordot(vals, _STENCILS[q], axes=([1], [0])) / h[axis] ** q
-            for q in range(1, order + 1)
-        ])
     if len(rows) == fun.rank:
         return part
     out = np.zeros((order + 1, fun.rank, u.size), dtype=part.dtype)
@@ -283,7 +301,7 @@ def _outer_rows(rows: list[np.ndarray], rank: int) -> np.ndarray:
     return out
 
 
-def _factored_sup(funs, axes: list[np.ndarray], order: int, h) -> list[float]:
+def _factored_sup(funs, axes: list[np.ndarray], order: int) -> list[float]:
     """_cl_sup of sums of products on the outer-product grid of axes.
 
     f - g = sum_r prod_i t_{r,i}(z_i) with g's terms negated on axis 0, so
@@ -293,7 +311,7 @@ def _factored_sup(funs, axes: list[np.ndarray], order: int, h) -> list[float]:
     part is measured.
     """
     tables = [
-        np.concatenate([_axis_tables(f, i, u, order, h) for f in funs], axis=1)
+        np.concatenate([_axis_tables(f, i, u, order) for f in funs], axis=1)
         for i, u in enumerate(axes)
     ]
     if len(funs) == 2:
@@ -306,6 +324,173 @@ def _factored_sup(funs, axes: list[np.ndarray], order: int, h) -> list[float]:
         vals = _outer_rows(rows[:split], rank).T @ _outer_rows(rows[split:], rank)
         out[sum(alpha)] = max(out[sum(alpha)], float(np.max(np.abs(vals.real))))
     return out
+
+
+# -- C^l bounds from per-axis factor sups ---------------------------------------
+
+SAMPLE_RULE = (f"max of a factor's exact table over the points that bracket the axis "
+               f"interval on a uniform grid of its box axis (or of the interval), "
+               f"endpoints included: {SAMPLE_POINTS} points, or against a rung of index N "
+               f"when more 8 N + 1 on its V_N (angle) axes and 4 N + 1 on its Bernstein "
+               f"(action) axes; plus half a spacing times the next order's max")
+
+
+def _spectrum_sups(coeff: np.ndarray, width: float, order: int) -> np.ndarray:
+    """(order+1, rows): sum_k |c_k| (2 pi k / w)^q, which bounds sup |D^q| of
+    Re sum_k c_k e^{2 pi i k (z - lo) / w}."""
+    k = np.arange(coeff.shape[1])
+    amp = np.abs(coeff)
+    return np.stack([amp @ (2 * np.pi * k / width) ** q for q in range(order + 1)])
+
+
+def _refined(coeff: np.ndarray, box: Box, axis: int, table, step: float,
+             order: int) -> np.ndarray:
+    """(order+1, rows): bounds on sup |D^q| of Bernstein rows coeff along a
+    box axis, over the span of a uniform grid of spacing step on which
+    table holds their orders 0..order (None: the whole axis, hull only).
+
+    Each order's max |scaled differenced coefficient| bounds it on the
+    whole axis (convex hull property).  On the span, |D^q| peaks at a grid
+    end or where D^(q+1) = 0, within step/2 of a grid point, so the max of
+    the table plus step^2/8 times the hull bound of order q + 2 bounds it
+    too; the smaller of the two is kept.
+    """
+    k = coeff.shape[1] - 1
+    hull = np.zeros((order + 3, coeff.shape[0]))
+    for q in range(min(order + 2, k) + 1):
+        hull[q] = np.max(np.abs(_bernstein_rows(coeff, box, axis, q)), axis=1)
+    if table is None:
+        return hull[: order + 1]
+    grid = np.max(np.abs(table[: order + 1]), axis=-1)
+    return np.minimum(hull[: order + 1], grid + step**2 / 8 * hull[2:])
+
+
+def _factor_sups(f, box: Box, axis: int, order: int) -> np.ndarray:
+    """(order+1, rank): f.axis_sups on the box axis, 1, 0, 0, ... off support."""
+    out = np.zeros((order + 1, f.rank))
+    out[0] = 1.0
+    rows = f.support(axis)
+    if len(rows):
+        out[:, rows] = f.axis_sups(axis, box.lo[axis], box.hi[axis], order)
+    return out
+
+
+def _coefficient_pair(f, g, axis: int) -> bool:
+    """Whether f - g along axis is bounded from coefficient differences."""
+    return (isinstance(f, SeparableRung) and isinstance(g, SeparableRung)
+            and f.basis(axis) == g.basis(axis))
+
+
+def _grid_points(f, axis: int) -> int:
+    """The points of f's grid along axis: SAMPLE_POINTS, or on a rung of
+    index N when more, 8 N + 1 on a V_N axis (8 points per wave of its 2N
+    modes) and 4 N + 1 on a Bernstein axis."""
+    if not isinstance(f, SeparableRung):
+        return SAMPLE_POINTS
+    per = 8 if f.basis(axis) == "vallee_poussin" else 4
+    return max(SAMPLE_POINTS, per * f.degrees[axis] + 1)
+
+
+def _tables(f, box: Box, axis: int, points: int, q: int):
+    """(u, table): _axis_tables of orders 0..q on points uniform points u of
+    the box axis, through f's grid_table of that interval."""
+    if not len(f.support(axis)):
+        u = np.linspace(box.lo[axis], box.hi[axis], points)
+        return u, _axis_tables(f, axis, u, q)
+    u, part = grid_table(f, axis, (box.lo[axis], box.hi[axis]), points, q)
+    return u, _axis_tables(f, axis, u, q, part)
+
+
+def _pair_sups(f, g, box: Box, axis: int, order: int, points: int):
+    """(order+1, rank) sups along axis of f's factors, g's factors and
+    their differences, term r paired with term r.
+
+    Two rungs of one basis are bounded from coefficients: half spectra
+    padded to one length (l^1), Bernstein rows raised to one degree and
+    refined on the rungs' shared box grid (_refined).  Otherwise both
+    sides' exact tables are sampled on one grid (SAMPLE_RULE), and each
+    side's sups and their difference's come from those tables.
+    """
+    if not _coefficient_pair(f, g, axis):
+        u, ta = _tables(f, box, axis, points, order + 1)
+        tb = _tables(g, box, axis, points, order + 1)[1]
+        sups = sampled_max(np.stack([ta, tb, ta - tb], axis=1), u[1] - u[0])
+        return tuple(np.moveaxis(sups, 1, 0))
+    a, b = f.factors[axis], g.factors[axis]
+    size = max(a.shape[1], b.shape[1])
+    if f.basis(axis) == "vallee_poussin":
+        diff = np.zeros((f.rank, size), dtype=complex)
+        diff[:, : a.shape[1]] += a
+        diff[:, : b.shape[1]] -= b
+        diff = _spectrum_sups(diff, box.widths()[axis], order)
+        return _factor_sups(f, box, axis, order), _factor_sups(g, box, axis, order), diff
+    # both sides and their difference at one degree, bounded in one pass
+    rows = np.concatenate([_elevate(a, size - 1), _elevate(b, size - 1)])
+    rows = np.concatenate([rows, rows[: f.rank] - rows[f.rank :]])
+    if box.periodic[axis]:
+        # a wrapped Bernstein factor jumps at the seam: hull bounds only
+        return np.split(_refined(rows, box, axis, None, 0.0, order), 3, axis=1)
+    u, ta = _tables(f, box, axis, points, order + 1)
+    tb = _tables(g, box, axis, points, order + 1)[1]
+    table = np.concatenate([ta, tb, ta - tb], axis=1)
+    return np.split(_refined(rows, box, axis, table, u[1] - u[0], order), 3, axis=1)
+
+
+def _telescoped(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum_j (prod_{i<j} a_i) d_j (prod_{i>j} b_i) over the axis dimension 1."""
+    ones = np.ones_like(a[:, :1])
+    before = np.cumprod(np.concatenate([ones, a[:, :-1]], axis=1), axis=1)
+    after = np.cumprod(np.concatenate([ones, b[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+    return np.sum(before * d * after, axis=1)
+
+
+def _per_order(tables, order: int, pair: bool) -> list[float]:
+    """Per q <= order, the max over |alpha| = q of the sum over terms of
+    the product (pair false) or the telescoped difference (pair true) of
+    per-axis sups; tables holds one (order+1, rank) table per axis, or a
+    triple of them (f, g, f - g) per axis for a pair."""
+    alphas = _alpha_table(len(tables), order)
+    axes = np.arange(len(tables))
+    if pair:
+        a, b, d = (np.stack(t)[axes, alphas] for t in zip(*tables))
+        terms = np.minimum(_telescoped(a, b, d), _telescoped(b, a, d))
+    else:
+        terms = np.prod(np.stack(tables)[axes, alphas], axis=1)
+    out = [0.0] * (order + 1)
+    for q, bound in zip(alphas.sum(axis=1).tolist(), np.sum(terms, axis=1).tolist()):
+        out[q] = max(out[q], bound)
+    return out
+
+
+def cl_bound(funs, box, order: int = 3) -> tuple[list[float], str]:
+    """Per q <= order, a bound on the max over |alpha| = q of sup |D^alpha|
+    of funs[0], or with a second entry of funs[0] - funs[1], on the box;
+    and how it was taken.
+
+    Every model is a sum over terms r of prod_i f_{r,i}(z_i), so
+    |D^alpha f| <= sum_r prod_i sup |D^(alpha_i) f_{r,i}|, from per-axis
+    factor sups (axis_sups).  A difference pairs term r of each side and
+    telescopes, prod a_i - prod b_i = sum_j (prod_{i<j} a_i)(a_j - b_j)
+    (prod_{i>j} b_i); the sum with a and b swapped in the products is a
+    bound too, and the smaller is kept (per axis: _pair_sups).  No
+    2n-dimensional grid is formed: the cost is a sum, not a product,
+    of per-axis sizes.  The method is "coefficient_bound" when every sup
+    comes from closed forms or coefficients, else "sampled": the bound
+    then holds as far as those 1-D samples find each factor's sup.
+    """
+    f = funs[0]
+    box = _as_box(box, getattr(f, "dim", None))
+    if len(funs) == 1:
+        tables = [_factor_sups(f, box, i, order) for i in range(box.dim)]
+        return _per_order(tables, order, False), f.sup_method
+    g = funs[1]
+    if g.rank != f.rank:
+        raise ValueError(f"a gap pairs the terms of both sides: ranks {f.rank} "
+                         f"and {g.rank} differ")
+    tables = [_pair_sups(f, g, box, i, order, max(_grid_points(f, i), _grid_points(g, i)))
+              for i in range(box.dim)]
+    exact = all(_coefficient_pair(f, g, i) for i in range(box.dim))
+    return _per_order(tables, order, True), "coefficient_bound" if exact else "sampled"
 
 
 # -- Bernstein approximants --------------------------------------------------
@@ -377,7 +562,6 @@ class BernsteinApproximant:
     degrees: tuple[int, ...]
     box: Box
     coefficients: np.ndarray
-    report: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         degrees = tuple(int(k) for k in self.degrees)
@@ -479,16 +663,21 @@ class SeparableFunction(SumOfProducts):
     """f(z) = sum_r prod_i g_{r,i}(z_i): a short sum of products of 1-D functions.
 
     terms[r][i] is a callable of one coordinate's values, or None for the
-    constant 1.  Only values are offered; the operators sample them.
+    constant 1.  The operators sample values.  A factor that also offers
+    jet(u, q), the (q + 1, len(u)) table of its derivatives of orders
+    0..q, is exact; when every factor is, so are the derivative tables.
+    box, when given, is where the factor sups read one grid per axis
+    (hamiltonian.sampled_sups).
     """
 
-    derivative_tables = False
-
-    def __init__(self, terms):
+    def __init__(self, terms, box: Box | None = None):
         self.terms = tuple(tuple(t) for t in terms)
+        self.box = box
         if not self.terms or len({len(t) for t in self.terms}) != 1:
             raise ValueError("need at least one term, each with one factor per axis")
         self.dim = len(self.terms[0])
+        self.derivative_tables = all(hasattr(g, "jet") for t in self.terms for g in t
+                                     if g is not None)
 
     @property
     def rank(self) -> int:
@@ -499,12 +688,14 @@ class SeparableFunction(SumOfProducts):
                         dtype=int)
 
     def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
-        """(1, len(support(axis)), len(u)): the factors along axis at the points u."""
-        if q:
-            raise ValueError("a SeparableFunction offers values only")
+        """(q + 1, len(support(axis)), len(u)): the factors along axis at u."""
         u = np.asarray(u, dtype=float)
-        return np.stack([np.asarray(t[axis](u), dtype=float) for t in self.terms
-                         if t[axis] is not None])[None]
+        factors = [t[axis] for t in self.terms if t[axis] is not None]
+        if not q:
+            return np.stack([np.asarray(g(u), dtype=float) for g in factors])[None]
+        if not self.derivative_tables:
+            raise ValueError("a SeparableFunction of plain callables offers values only")
+        return np.stack([g.jet(u, q) for g in factors], axis=1)
 
 
 # -- factored approximants ---------------------------------------------------
@@ -531,19 +722,24 @@ def _bernstein_values(coeff: np.ndarray, box: Box, axis: int, u: np.ndarray,
     """(q+1, rows, len(u)): D^0..D^q of Bernstein rows coeff along a box axis.
 
     The degree-N basis is evaluated once: order j's differenced rows, of
-    degree N - j, are raised back to degree N, and each order is one
-    product with that basis, so an order's table does not depend on q.
+    degree N - j, are raised back to degree N, the highest order first and
+    each lower one joining as the degrees meet (q elevation steps in all),
+    and each order is one product with that basis, so an order's table
+    does not depend on q.  Orders above N are 0.
     """
     u = box.wrap_axis(axis, u)
     t = (u - box.lo[axis]) / box.widths()[axis]
     k = coeff.shape[1] - 1
-    rows = [_elevate(_bernstein_rows(coeff, box, axis, j), k) for j in range(q + 1)]
-    out = np.empty((q + 1, coeff.shape[0], t.size))
+    rows = [_bernstein_rows(coeff, box, axis, j) for j in range(min(q, k) + 1)]
+    stack = rows[-1]
+    for j in range(len(rows) - 2, -1, -1):
+        stack = np.concatenate([rows[j], _elevate(stack, k - j)])
+    out = np.zeros((q + 1, coeff.shape[0], t.size))
     # chunked so the basis matrix stays modest at high degree
     chunk = max(1, 4_000_000 // (k + 1))
     for s in range(0, t.size, chunk):
         basis = _basis(k, t[s : s + chunk]).T
-        for j, r in enumerate(rows):
+        for j, r in enumerate(np.split(stack, len(rows))):
             out[j, :, s : s + chunk] = r @ basis
     return out
 
@@ -604,14 +800,15 @@ class SeparableRung(SumOfProducts):
     real (rank, N + 1) table holds degree-N Bernstein coefficients; on a
     periodic axis it wraps, and matches values only across the seam.  The
     dense coefficient lattice is never formed.  The approximant is entire,
-    a Hamiltonian part of class C^inf.
+    a Hamiltonian part of class C^inf.  Its factor sups are coefficient
+    bounds (_spectrum_sups, _refined).
     """
 
     box: Box
     factors: tuple
-    report: dict | None = field(default=None, compare=False, repr=False)
 
     smoothness_class = math.inf
+    sup_method = "coefficient_bound"
 
     def __post_init__(self):
         if len(self.factors) != self.box.dim:
@@ -656,6 +853,19 @@ class SeparableRung(SumOfProducts):
         values = _vallee_poussin_values if np.iscomplexobj(coeff) else _bernstein_values
         return values(coeff, self.box, axis, u, q)
 
+    def axis_sups(self, axis: int, lo: float, hi: float, q: int) -> np.ndarray:
+        """l^1 of a half spectrum over the period; a Bernstein factor refined
+        over the box grid's points that bracket [lo, hi] (_refined)."""
+        coeff = self.factors[axis]
+        if np.iscomplexobj(coeff):
+            return _spectrum_sups(coeff, self.box.widths()[axis], q)
+        if self.box.periodic[axis]:
+            return _refined(coeff, self.box, axis, None, 0.0, q)
+        span = (self.box.lo[axis], self.box.hi[axis])
+        u, table = grid_table(self, axis, span, _grid_points(self, axis), q + 1)
+        return _refined(coeff, self.box, axis, table[..., bracket(u, lo, hi)],
+                        u[1] - u[0], q)
+
     def __repr__(self):
         return f"SeparableRung(degrees={self.degrees}, rank={self.rank})"
 
@@ -667,20 +877,10 @@ BernsteinHamiltonian = SeparableRung
 def _axis_samples(f, box: Box, axis: int, count: int, step: int) -> np.ndarray:
     """(rank, count): every term's factor along axis at lo + w p / step, p < count."""
     u = box.lo[axis] + box.widths()[axis] * np.arange(count) / step
-    return _axis_tables(f, axis, u, 0, None)[0]
+    return _axis_tables(f, axis, u, 0)[0]
 
 
-def _measured(f, box: Box, factors: list, measure_points: int) -> SeparableRung:
-    """The SeparableRung of factors; report["composite_c3_gap"] is its C^3
-    gap to f on the measure_points grid (cl_gap's stencil path)."""
-    out = SeparableRung(box, tuple(factors))
-    gap = cl_gap(out, f, box, 3, measure_points)
-    object.__setattr__(out, "report", {"composite_c3_gap": gap})
-    return out
-
-
-def bernstein_nd(f: SeparableFunction, k: int, box=None,
-                 measure_points: int = 33) -> SeparableRung:
+def bernstein_nd(f: SeparableFunction, k: int, box=None) -> SeparableRung:
     """Degree-k tensor-product Bernstein operator of a sum of products.
 
     The operator maps prod_i g_i(z_i) to prod_i B_k[g_i](z_i), so the
@@ -694,11 +894,10 @@ def bernstein_nd(f: SeparableFunction, k: int, box=None,
         raise ValueError("degree must be >= 3")
     box = _as_box(box, f.dim)
     factors = [_axis_samples(f, box, i, k + 1, k) for i in range(box.dim)]
-    return _measured(f, box, factors, measure_points)
+    return SeparableRung(box, tuple(factors))
 
 
-def rung_nd(f: SeparableFunction, N: int, box=None,
-            measure_points: int = 33) -> SeparableRung:
+def rung_nd(f: SeparableFunction, N: int, box=None) -> SeparableRung:
     """The ladder's rung of index N for a sum of products.
 
     Each term's factor along a periodic axis is sampled on 8N uniform
@@ -715,13 +914,40 @@ def rung_nd(f: SeparableFunction, N: int, box=None,
     factors = [_vallee_poussin_half(_axis_samples(f, box, i, 8 * N, 8 * N), N)
                if box.periodic[i] else _axis_samples(f, box, i, N + 1, N)
                for i in range(box.dim)]
-    return _measured(f, box, factors, measure_points)
+    return SeparableRung(box, tuple(factors))
 
 
 # -- cutoff extension ---------------------------------------------------------
 
 # measured sups of d^q/dt^q of the e^{-1/t} smoothstep on (0, 1)
 _SMOOTHSTEP_DERIV_SUP = (1.0, 2.0, 9.842, 110.567, 2280.398)
+
+
+def _exp_inverse_polys(count: int) -> np.ndarray:
+    """(count, 2 count - 1): coefficients of P_0..P_{count-1} in powers of
+    u, where P_0 = 1 and P_{j+1} = u^2 (P_j - P_j')."""
+    out = np.zeros((count, 2 * count - 1))
+    p = np.ones(1)
+    for j in range(count):
+        out[j, : p.size] = p
+        p = P.polymulx(P.polymulx(P.polysub(p, P.polyder(p))))
+    return out
+
+
+_EXP_INVERSE_POLYS = _exp_inverse_polys(6)
+
+
+def _exp_inverse_jet(t: np.ndarray, q: int) -> np.ndarray:
+    """(q + 1, len(t)): D^0..D^q of g(t) = e^{-1/t} at t in (0, 1].
+
+    With u = 1/t, D^j g = P_j(u) e^{-u} (_exp_inverse_polys).  Below
+    t = 1/745, where e^{-u} underflows, t is raised to 1/745 so that no
+    power of u overflows; every order there is below 1e-300.
+    """
+    u = 1.0 / np.maximum(t, 1.0 / 745.0)
+    polys = (_EXP_INVERSE_POLYS if q < len(_EXP_INVERSE_POLYS)
+             else _exp_inverse_polys(q + 1))[: q + 1, : 2 * q + 1]
+    return (polys @ np.vander(u, 2 * q + 1, increasing=True).T) * np.exp(-u)
 
 
 class PlateauBump:
@@ -755,6 +981,31 @@ class PlateauBump:
             gm = np.where(tc < 1, np.exp(-1.0 / np.where(tc < 1, 1.0 - tc, 1.0)), 0.0)
         return g / (g + gm)
 
+    @staticmethod
+    def smoothstep_jet(t: np.ndarray, q: int) -> np.ndarray:
+        """(q + 1, *t.shape): D^0..D^q of smoothstep at t, exact.
+
+        s = g / (g + h) with g(t) = e^{-1/t} and h(t) = g(1 - t), whose
+        derivatives are (-1)^j (D^j g)(1 - t); differentiating
+        s (g + h) = g by Leibniz gives D^j s from the lower orders.  Order 0
+        is smoothstep itself; outside (0, 1) every higher order is 0.
+        """
+        t = np.asarray(t, dtype=float)
+        out = np.zeros((q + 1,) + t.shape)
+        out[0] = PlateauBump.smoothstep(t)
+        if not q:
+            return out
+        inside = (t > 0) & (t < 1)
+        g = _exp_inverse_jet(t[inside], q)
+        gh = g + _exp_inverse_jet(1.0 - t[inside], q) * (-1.0) ** np.arange(q + 1)[:, None]
+        s = [out[0][inside]]
+        for j in range(1, q + 1):
+            lower = sum(math.comb(j, i) * s[i] * gh[j - i] for i in range(j))
+            s.append((g[j] - lower) / gh[0])
+        for j in range(1, q + 1):
+            out[j][inside] = s[j]
+        return out
+
     def distance(self, z: np.ndarray) -> np.ndarray:
         """Per-axis gaps g_i of the non-periodic coordinates to the hull."""
         y = np.asarray(z, dtype=float)[..., ~self.periodic]
@@ -772,6 +1023,22 @@ class PlateauBump:
         lo, hi = self.anchors[:, i]
         y = np.asarray(y, dtype=float)
         return self._profile(np.maximum(np.maximum(lo - y, y - hi), 0.0))
+
+    def axis_jet(self, i: int, y: np.ndarray, q: int) -> np.ndarray:
+        """(q + 1, len(y)): D^0..D^q of axis_factor(i, .) at y, exact.
+
+        The profile's argument t = (5r/2 - g_i(y)) / (3r/2) is affine off
+        the hull, with dt/dy = -1/(3r/2) above it and +1/(3r/2) below it;
+        on the hull t > 1, where the smoothstep is flat.
+        """
+        lo, hi = self.anchors[:, i]
+        y = np.asarray(y, dtype=float)
+        t = (2.5 * self.r - np.maximum(np.maximum(lo - y, y - hi), 0.0)) / (1.5 * self.r)
+        slope = np.where(y > hi, -1.0, np.where(y < lo, 1.0, 0.0)) / (1.5 * self.r)
+        out = self.smoothstep_jet(t, q)
+        for j in range(1, q + 1):
+            out[j] *= slope**j
+        return out
 
     def derivative_bound(self, q: int) -> float:
         """Bound on |d^q phi| along any direction v with |v|_inf = 1.
@@ -805,8 +1072,8 @@ class CutoffHamiltonian(SumModel):
     def __init__(self, analytic, rough, bump: PlateauBump, box: Box, n: int, rho: float):
         self.rough = tuple(rough)
         self.bump = bump
-        self.box = box  # separable() reads it, and SumModel.__init__ keeps it
-        super().__init__([analytic, self.separable()] if self.rough else [analytic])
+        self.box = box  # _cut_part() reads it, and SumModel.__init__ keeps it
+        super().__init__([analytic, self._cut_part()] if self.rough else [analytic])
         self.analytic = analytic
         self.n = n
         self.rho = float(rho)
@@ -832,32 +1099,70 @@ class CutoffHamiltonian(SumModel):
         return self.rough_values(z) * self.bump(z)
 
     def separable(self) -> SeparableFunction:
-        """cut_values as a sum of products of 1-D functions of the coordinates.
+        """cut_values as a sum of products of 1-D functions of the coordinates:
+        the model's own rough part, so that every bound of a run reads one
+        set of its grid tables."""
+        return self.parts[1] if self.rough else self._cut_part()
+
+    def _cut_part(self) -> SeparableFunction:
+        """The rough part as a SeparableFunction on the model's box.
 
         One term per rough coordinate c (in order of first appearance):
         the sum of the profiles on c, times the bump's factor on every
         action axis (on c itself too when c is an action).  Periodic
-        factors wrap like cut_values does.
+        factors wrap like cut_values does.  Every factor has exact
+        derivative tables (jet).
         """
         action_axes = np.nonzero(~self.box.periodic)[0]
         terms = []
         for c in dict.fromkeys(t.coordinate for t in self.rough):
             funcs = [None] * self.box.dim
             for i, axis in enumerate(action_axes):
-                funcs[axis] = partial(self.bump.axis_factor, i)
-            on_c = [t for t in self.rough if t.coordinate == c]
-            funcs[c] = partial(_rough_factor, self.box, c, on_c, funcs[c])
+                funcs[axis] = _BumpFactor(self.bump, i)
+            on_c = tuple(t for t in self.rough if t.coordinate == c)
+            funcs[c] = _RoughFactor(self.box, c, on_c, funcs[c])
             terms.append(funcs)
-        return SeparableFunction(terms)
+        return SeparableFunction(terms, self.box)
 
 
-def _rough_factor(box: Box, axis: int, terms, bump_factor, u):
-    """Sum of the rough profiles on one axis, times the bump's factor there."""
-    u = box.wrap_axis(axis, u)
-    out = np.zeros(u.shape)
-    for term in terms:
-        out = out + term.amplitude * term.profile.deriv(u, 0)
-    return out if bump_factor is None else out * bump_factor(u)
+@dataclass(frozen=True)
+class _BumpFactor:
+    """The bump's factor along its i-th action coordinate."""
+
+    bump: PlateauBump
+    i: int
+
+    def __call__(self, u):
+        return self.bump.axis_factor(self.i, u)
+
+    def jet(self, u, q: int) -> np.ndarray:
+        return self.bump.axis_jet(self.i, u, q)
+
+
+@dataclass(frozen=True)
+class _RoughFactor:
+    """Sum of the rough profiles on one axis, times the bump's factor there
+    (bump None on an angle axis)."""
+
+    box: Box
+    axis: int
+    terms: tuple
+    bump: _BumpFactor | None
+
+    def __call__(self, u):
+        return self.jet(u, 0)[0]
+
+    def jet(self, u, q: int) -> np.ndarray:
+        """Exact orders 0..q: the profiles' own, and Leibniz with the bump's."""
+        u = self.box.wrap_axis(self.axis, u)
+        rough = sum(t.amplitude * t.profile.jet(u, q) for t in self.terms)
+        if self.bump is None:
+            return rough
+        bump = self.bump.jet(u, q)
+        out = rough * bump[0]
+        for j in range(1, q + 1):
+            out[j] += sum(math.comb(j, i) * rough[i] * bump[j - i] for i in range(j))
+        return out
 
 
 def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
@@ -899,12 +1204,15 @@ def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
 
 @dataclass
 class SmoothingSequence:
-    """Approximants H_0..H_K with measured consecutive C^3 gaps.
+    """Approximants H_0..H_K with bounded consecutive C^3 gaps.
 
     a_const is the fitted envelope max_k gap_k * 4^(k(l+2 sigma)), so every
     stored gap satisfies gap_k <= a_const * 4^(-k(l+2 sigma)) by
     construction.  The sequence is re-anchored: index 0 is the first
-    ladder entry whose outgoing gap dropped below e0_norm.
+    ladder entry whose outgoing gap dropped below e0_norm.  tails_c3[k]
+    bounds entry k's C^3 distance to the cut rough target (0 on analytic
+    input); methods names how the gaps and the tails were taken
+    (cl_bound).
     """
 
     approximants: list
@@ -917,6 +1225,8 @@ class SmoothingSequence:
     e0_norm: float
     anchor_index: int
     history: dict
+    tails_c3: list[float] = field(default_factory=list)
+    methods: dict = field(default_factory=dict)
 
     def bound(self, k: int) -> float:
         return self.a_const * 4.0 ** (-k * (self.l + 2 * self.sigma))
@@ -930,16 +1240,17 @@ def build_smoothing_sequence(
     e0_norm: float,
     start_degree: int = 8,
     max_degree: int = 4096,
-    measure_points: int = 33,
 ) -> SmoothingSequence:
     """Doubling-degree ladder of rungs (rung_nd) for the cut rough part, re-anchored.
 
-    Builds rungs at degrees start_degree * 2^j, measures consecutive
-    C^3 gaps, and re-anchors the sequence at the first entry whose outgoing
-    gap is <= e0_norm; count entries are kept from there.  The envelope
-    constant is fitted to the kept gaps.  Purely analytic input yields the
-    constant sequence with zero gaps.  Raises when no gap reaches e0_norm
-    by max_degree.
+    Builds rungs at degrees start_degree * 2^j, bounds consecutive C^3
+    gaps (cl_bound, from coefficients), and re-anchors the sequence at the
+    first entry whose outgoing gap is <= e0_norm; count entries are kept
+    from there; the last kept one's tail to the cut target is bounded,
+    and each earlier tail by its gap plus the next tail.
+    The envelope constant is fitted to the kept gaps.  Purely analytic
+    input yields the constant sequence with zero gaps and tails.  Raises
+    when no gap reaches e0_norm by max_degree.
     """
     if l < 4:
         raise ValueError("smoothness class l must be >= 4")
@@ -966,6 +1277,8 @@ def build_smoothing_sequence(
             e0_norm=e0_norm,
             anchor_index=0,
             history={"ladder_degrees": [], "ladder_gaps_c3": [], "analytic": True},
+            tails_c3=[0.0] * count,
+            methods={"gaps": "coefficient_bound", "tails": "coefficient_bound"},
         )
 
     if not isinstance(h_ext, CutoffHamiltonian):
@@ -977,14 +1290,14 @@ def build_smoothing_sequence(
     degrees: list[int] = []
     raw_gaps_c3: list[float] = []
     raw_gaps_c0: list[float] = []
+    methods = {}
 
     def emit(deg):
-        b = rung_nd(target, deg, box, measure_points=measure_points)
-        approx.append(b)
+        approx.append(rung_nd(target, deg, box))
         degrees.append(deg)
         if len(approx) > 1:
-            # one C^3 pass gives both gaps: the C^0 gap is its |alpha| = 0 term
-            sups = _cl_sup(approx[-2:], box, 3, measure_points)
+            # one C^3 bound gives both gaps: the C^0 gap is its |alpha| = 0 term
+            sups, methods["gaps"] = cl_bound(approx[-2:], box)
             raw_gaps_c3.append(max(sups))
             raw_gaps_c0.append(sups[0])
 
@@ -1012,6 +1325,12 @@ def build_smoothing_sequence(
     kept_deg = degrees[anchor : anchor + count]
     kept_g3 = raw_gaps_c3[anchor : anchor + len(kept) - 1]
     kept_g0 = raw_gaps_c0[anchor : anchor + len(kept) - 1]
+    # the last kept rung's tail is bounded directly, each earlier one by
+    # its gap to the next plus that one's tail (the triangle inequality)
+    sups, methods["tails"] = cl_bound([kept[-1], target], box)
+    tails = [max(sups)]
+    for gap in reversed(kept_g3):
+        tails.insert(0, gap + tails[0])
     rate = l + 2.0 * sigma
     a_const = max(
         (g * 4.0 ** (k * rate) for k, g in enumerate(kept_g3)), default=0.0
@@ -1034,4 +1353,6 @@ def build_smoothing_sequence(
             "analytic": False,
             "rungs": kept,
         },
+        tails_c3=tails,
+        methods=methods,
     )

@@ -156,7 +156,7 @@ def invariance_error(
     om = _omega_array(omega)
     n = K.dim_domain
     gs = grid_size or sampling_size(K.trunc_order)
-    _, grad, _ = jet if jet is not None else jet_grid(hamiltonian, K.grid_samples(gs))
+    _, grad, _ = jet if jet is not None else jet_grid(hamiltonian, K.grid_samples(grid_size))
     # J = [[0, I], [-I, 0]] swaps the row blocks of grad H with a sign
     grad_c = np.moveaxis(grad, -1, 0)
     values = np.empty(grad_c.shape)
@@ -382,7 +382,7 @@ def nondegeneracy(
     COND_DK_LIMIT is rejected before anything is inverted.
     """
     gs = grid_size or sampling_size(K.trunc_order)
-    _, _, hess = jet if jet is not None else jet_grid(hamiltonian, K.grid_samples(gs))
+    _, _, hess = jet if jet is not None else jet_grid(hamiltonian, K.grid_samples(grid_size))
     dk_map = K.dk()
     # the Hessian and DK samples enter the frame component-major
     frame, s, _ = _frame_tensors(_components(hess, 2),

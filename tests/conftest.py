@@ -10,8 +10,6 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # run knobs that crash or measure nothing, and the start of the one
 # violation each is rejected with, alike by RunParams and by a config file
 REJECTED_KNOBS = [
-    ({"norm_points": 0}, "norm_points must be >= 3, got 0"),
-    ({"measure_points": 1}, "measure_points must be >= 3, got 1"),
     ({"start_degree": 2}, "start_degree must be >= 3, got 2"),
     ({"start_degree": 16, "max_degree": 8}, "max_degree must be >= start_degree = 16, got 8"),
     ({"count": 0}, "count must be >= 1, got 0"),
@@ -30,6 +28,11 @@ REJECTED_KNOBS = [
     ({"max_iter": True}, "max_iter must be an integer, got True"),
 ]
 REJECTED_IDS = [",".join(f"{k}={v}" for k, v in knobs.items()) for knobs, _ in REJECTED_KNOBS]
+
+# lambda specs that parse but raise ArithmeticError at the probe point
+# mu = d = v = tau = 1, and a fragment of the error each names
+ARITHMETIC_LAMBDAS = [("mu / (d - 1)", "division by zero"),
+                      ("mu * 10.0**400", "out of range")]
 
 
 @pytest.fixture

@@ -21,7 +21,8 @@ from kamtori import FrequencyVector, HamiltonianModel, TorusEmbedding
 from kamtori.cli import ConfigError, RunConfig, main, parse_config
 from kamtori.solver import invariance_error, newton_step
 
-from conftest import GOLDEN, REJECTED_IDS, REJECTED_KNOBS, random_trig
+from conftest import (ARITHMETIC_LAMBDAS, GOLDEN, REJECTED_IDS, REJECTED_KNOBS,
+                      random_trig)
 
 ROTATOR = {"n": 1, "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0}]}
 PENDULUM = {
@@ -132,6 +133,16 @@ class TestParseConfig:
         [named] = exc.value.violations
         assert named.startswith(violation)
 
+    @pytest.mark.parametrize("spec, fragment", ARITHMETIC_LAMBDAS,
+                             ids=[s for s, _ in ARITHMETIC_LAMBDAS])
+    def test_lambda_arithmetic_error_exits_1(self, write_files, capsys, spec, fragment):
+        cfg_path, out = write_files(PENDULUM, "out", lambda_spec=spec)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lambda_spec does not evaluate: ")
+        assert fragment in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_keys_named(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{}")
@@ -237,6 +248,8 @@ class TestDispatch:
         assert cert["nondegeneracy"]["lagrangian_defect"] == 0.0
         assert cert["passed"]
         assert cert["conditions"]["condition2_ok"]
+        # |y|^2/2 has closed-form factor sups: mu0 is a bound outright
+        assert cert["c3_methods"]["mu0"] == "coefficient_bound"
         assert (out / "config.json").is_file()
 
     def test_solve_pendulum_artifacts(self, write_files):

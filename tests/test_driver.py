@@ -34,7 +34,7 @@ from kamtori.smoothing import (
     cutoff_extend,
 )
 
-from conftest import GOLDEN, REJECTED_IDS, REJECTED_KNOBS
+from conftest import ARITHMETIC_LAMBDAS, GOLDEN, REJECTED_IDS, REJECTED_KNOBS
 
 
 def synthetic_sequence(gaps, a_const, l=4, sigma=1.1):
@@ -394,7 +394,7 @@ class TestRunParams:
 
     @pytest.mark.parametrize("name", ["horizon", "l", "max_iter", "max_stages",
                                       "min_tori", "count", "start_degree",
-                                      "max_degree", "measure_points", "norm_points"])
+                                      "max_degree"])
     def test_integer_knobs_take_integers_only(self, name):
         for value in (8.0, "8", None, False):
             if name == "l" and value is None:
@@ -405,6 +405,15 @@ class TestRunParams:
         # an integer of another type is stored as an int
         stored = getattr(RunParams(**{"max_degree": 4096, name: np.int64(8)}), name)
         assert stored == 8 and type(stored) is int
+
+    @pytest.mark.parametrize("spec, fragment", ARITHMETIC_LAMBDAS,
+                             ids=[s for s, _ in ARITHMETIC_LAMBDAS])
+    def test_lambda_arithmetic_error_named(self, spec, fragment):
+        with pytest.raises(ConfigError) as exc:
+            RunParams(lambda_spec=spec)
+        [named] = exc.value.violations
+        assert named.startswith("lambda_spec does not evaluate: ")
+        assert fragment in named
 
     def test_every_violation_in_one_value_error(self):
         with pytest.raises(ValueError) as exc:
@@ -480,21 +489,36 @@ class EvaluationCounter:
         }
 
 
+def rough_rotator():
+    """The C^4 rotator of rough_run: H, K0 and the run's knobs."""
+    from kamtori import BSplineProfile, CompositeHamiltonian, RoughTerm
+
+    prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], degree=5)
+    h = CompositeHamiltonian(
+        HamiltonianModel.free_rotator(1), [RoughTerm(0, prof, 1e-4)]
+    )
+    K0 = TorusEmbedding.circle(np.array([0.4]), trunc_order=64)
+    params = RunParams(rho=0.02, r=0.8, sigma=1.1, horizon=256, target_error=1e-8)
+    return h, K0, params
+
+
 @pytest.fixture(scope="module")
 def rough_run():
     """run_scheme on a C^4 rotator, counting its evaluations.
 
-    Counts jets, defects and frames per (model, torus) pair, and every
-    cl_gap call made after the ladder is built.  Per solve_torus call, it
-    also records the solver's own jet_grid, newton_step and resize calls.
+    Counts jets, defects and frames per (model, torus) pair, every
+    cl_gap call made after the ladder is built, every dense C^l grid
+    (_cl_sup, _factored_sup) and stencil pass, and every synthesis of a
+    torus's grid samples.  Per solve_torus call, it also records the
+    solver's own jet_grid, newton_step and resize calls.
     """
     import kamtori.driver as driver
     import kamtori.smoothing as smoothing
     import kamtori.solver as solver
-    from kamtori import BSplineProfile, CompositeHamiltonian, RoughTerm
 
     calls = {"late_cl_gap": 0, "solver.jet_grid": 0, "solver.newton_step": 0,
-             "resized": 0, "solves": []}
+             "resized": 0, "dense_grid": 0, "stencil": 0, "samples": [],
+             "solves": []}
     ladders = []
 
     def counted(name, func):
@@ -516,19 +540,19 @@ def rough_run():
             calls["late_cl_gap"] += 1
         return smoothing_cl_gap(*args, **kwargs)
 
+    def synthesized(K, grid_size):
+        calls["samples"].append((K, grid_size))
+        return synthesize(K, grid_size)
+
     def ladder(*args, **kwargs):
         seq = build(*args, **kwargs)
         ladders.append(seq)
         return seq
 
     smoothing_cl_gap, build = smoothing.cl_gap, driver.build_smoothing_sequence
+    synthesize = TorusEmbedding._synthesized
     solve_torus = driver.solve_torus
-    prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], degree=5)
-    h = CompositeHamiltonian(
-        HamiltonianModel.free_rotator(1), [RoughTerm(0, prof, 1e-4)]
-    )
-    K0 = TorusEmbedding.circle(np.array([0.4]), trunc_order=64)
-    params = RunParams(rho=0.02, r=0.8, sigma=1.1, horizon=256, target_error=1e-8)
+    h, K0, params = rough_rotator()
     with pytest.MonkeyPatch.context() as mp:
         evaluations = EvaluationCounter(mp)
         # the driver itself imports no cl_gap; should it ever, count its calls too
@@ -541,18 +565,72 @@ def rough_run():
                    counted("solver.newton_step", solver.newton_step))
         mp.setattr(TorusEmbedding, "resized",
                    counted("resized", TorusEmbedding.resized))
+        mp.setattr(TorusEmbedding, "_synthesized", synthesized)
+        for name in ("_cl_sup", "_factored_sup"):
+            mp.setattr(smoothing, name, counted("dense_grid", getattr(smoothing, name)))
+        mp.setattr(smoothing, "_stencil_all", counted("stencil", smoothing._stencil_all))
         res = run_scheme(h, K0, np.array([GOLDEN]), params)
     return res, ladders, calls, evaluations
 
 
 class TestMeasuredOnce:
     def test_tails_are_the_ladders_composite_gaps(self, rough_run):
+        # the tails are the C^3 distances of the kept rungs to the cut
+        # target that the ladder bounded, taken once
         res, ladders, calls, _ = rough_run
         assert res.converged
         (seq,) = ladders
-        gaps = [b.report["composite_c3_gap"] for b in seq.history["rungs"]]
-        assert res.certificate["tails_c3"] == gaps
+        assert len(seq.tails_c3) == len(seq.history["rungs"])
+        assert res.certificate["tails_c3"] == seq.tails_c3
         assert calls["late_cl_gap"] == 0
+
+    def test_no_stencil_and_no_grid_over_the_box(self, rough_run):
+        # every C^3 number comes from per-axis factor sups: no 2n-D grid
+        _, _, calls, _ = rough_run
+        assert calls["dense_grid"] == 0
+        assert calls["stencil"] == 0
+
+    def test_each_torus_sampled_once_per_grid(self, rough_run):
+        # K0, the gate's trial torus and the four stage tori are each
+        # synthesized once: the bump's hull, every mu hull and every value
+        # of a model at a torus share its default-grid samples
+        from kamtori.fourier import sampling_size
+
+        _, _, calls, _ = rough_run
+        pairs = [(id(K), size or sampling_size(K.trunc_order))
+                 for K, size in calls["samples"]]
+        assert len(pairs) == len(set(pairs)) == 6
+
+    def test_certificate_names_each_c3_method(self, rough_run):
+        res, _, _, _ = rough_run
+        methods = res.certificate["c3_methods"]
+        assert set(methods) == {"rule", "gaps_c3", "gaps_c0", "ladder_gaps_c3",
+                                "tails_c3", "mu0", "mu_k"}
+        for key in ("gaps_c3", "gaps_c0", "ladder_gaps_c3"):
+            assert methods[key] == "coefficient_bound"
+        # the cut target and H's rough profile are sampled on the 1-D rule
+        assert methods["tails_c3"] == methods["mu0"] == "sampled"
+        assert methods["mu_k"] == ["coefficient_bound"] + ["sampled"] * 3
+        assert len(methods["mu_k"]) == len(res.stages)
+
+    def test_defect_records_carry_tail_sum(self, rough_run):
+        # tail_sum, the tol half of the refinement rule, is the defect's
+        # own: H at K0 and at the final torus, the stage-1 model at K0
+        from kamtori.solver import invariance_error
+
+        res, (seq,), _, _ = rough_run
+        cert = res.certificate
+        h, K0, params = rough_rotator()
+        freq = FrequencyVector.estimated(np.array([GOLDEN]), params.sigma, params.horizon)
+        records = {
+            "e0_original": invariance_error(h, K0, freq, rho=params.rho),
+            "e0_stage1": invariance_error(seq.approximants[cert["k0"]["index"]], K0,
+                                          freq, rho=params.rho),
+            "final": invariance_error(h, res.torus, freq, rho=0.0),
+        }
+        for key, err in records.items():
+            assert cert[key]["tail_sum"] == err.norm_rho.tail_sum, key
+            assert cert[key]["tail_max"] == err.norm_rho.tail_max, key
 
     def test_driver_measures_each_stage_start_once(self, rough_run):
         res, _, _, evaluations = rough_run
@@ -686,12 +764,11 @@ def exact_c3(derivatives, box, points):
 
 
 class TestFactoredC3Norm:
-    """_c3_near reads every model from per-axis tables.  A model whose
-    tables offer derivatives is measured exactly: closed-form derivatives
-    and the Bernstein part's dense coefficient calculus on the same grid
-    are the oracle.  The cut-off model's rough part offers values only; the
-    value-stencil path on a 2n-dimensional grid, which plain callables
-    still take, is its oracle."""
+    """_c3_near bounds every model from per-axis factor sups, with no grid
+    over the box.  Closed-form derivatives and the Bernstein part's dense
+    coefficient calculus on a grid, and for the cut-off model the
+    value-stencil path that plain callables take, are references: the
+    bound reaches each and is at most 10 times it."""
 
     @staticmethod
     def models(n):
@@ -714,7 +791,7 @@ class TestFactoredC3Norm:
             K = TorusEmbedding.circle(np.array([0.4, 0.3]), trunc_order=8)
         h = CompositeHamiltonian(analytic, rough)
         hx = cutoff_extend(h, K, r=0.2)
-        b = bernstein_nd(hx.separable(), 8, hx.box, measure_points=5)
+        b = bernstein_nd(hx.separable(), 8, hx.box)
         stage = SumModel([analytic, b])
         dense = bernstein_tensor(hx.cut_values, (8,) * 2 * n, hx.box)
         exact = [
@@ -731,8 +808,8 @@ class TestFactoredC3Norm:
         K, cases, _ = self.models(n)
         for model, derivatives in cases:
             want = exact_c3(derivatives, _hull_box(K, 0.4), points)
-            got = _c3_near(model, K, 0.4, points)
-            assert got == pytest.approx(want, rel=1e-9), type(model).__name__
+            got = _c3_near(model, K, 0.4)
+            assert want * (1 - 1e-12) <= got <= 10 * want, type(model).__name__
 
     @pytest.mark.parametrize("n, points", [(1, 9), (2, 5)])
     def test_matches_the_value_stencil_path(self, n, points):
@@ -740,16 +817,28 @@ class TestFactoredC3Norm:
 
         K, _, hx = self.models(n)
         want = cl_norm(lambda z: hx(z), _hull_box(K, 0.4), 3, points)
-        assert _c3_near(hx, K, 0.4, points) == pytest.approx(want, rel=1e-9)
+        assert want <= _c3_near(hx, K, 0.4) <= 10 * want
+
+    @pytest.mark.parametrize("n, points", [(1, 129), (2, 33)])
+    def test_bounds_the_dense_reference(self, n, points):
+        # every model of a run, the cut-off one with its exact tables,
+        # against cl_norm's dense grid
+        from kamtori.driver import _c3_near, _hull_box
+
+        K, cases, hx = self.models(n)
+        for model in [hx] + [m for m, _ in cases]:
+            want = cl_norm(model, _hull_box(K, 0.4), 3, points)
+            got = _c3_near(model, K, 0.4)
+            assert want * (1 - 1e-12) <= got <= 10 * want, type(model).__name__
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("margin", [5.8e-7, 1e-3, 0.3])
     def test_free_rotator_norm_is_one_on_any_hull(self, n, margin):
         # |y|^2/2 has D^2 = I and D^3 = 0; with |y_j| <= 1 on the hull no
-        # lower order exceeds 1, whatever the margin (stencils at a step
-        # that follows a 5.8e-7 margin read round-off over h^3)
+        # lower order exceeds 1, whatever the margin: its closed-form
+        # factor sups take no step that a small margin could shrink
         from kamtori.driver import _c3_near
 
         y0 = np.array([0.4, -0.3])[:n]
         K = TorusEmbedding.circle(y0, trunc_order=8)
-        assert _c3_near(HamiltonianModel.free_rotator(n), K, margin, 9) == 1.0
+        assert _c3_near(HamiltonianModel.free_rotator(n), K, margin) == 1.0
