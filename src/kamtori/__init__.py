@@ -4,8 +4,8 @@ The package computes invariant tori of Hamiltonian flows by a Newton
 iteration on the embedding's Fourier coefficients, certifies frequency
 vectors by finite-horizon Diophantine scans, and extends the solver to
 finitely differentiable Hamiltonians through analytic smoothing (de la
-Vallee-Poussin means on the angles, Bernstein polynomials on the actions)
-with a quantified approximation ladder.
+Vallee-Poussin means V_N on every axis of the cut-off rough part) with a
+quantified approximation ladder.
 """
 
 from .cohomology import CohomologySolution, DivisorReport, solve_cohomological

@@ -398,16 +398,15 @@ def cmd_smooth(args) -> int:
             out / f"approximant_{i}.json",
             {
                 "degrees": list(approx.degrees),
-                "basis": [approx.basis(a) for a in range(approx.dim)],
+                "basis": ["vallee_poussin"] * approx.dim,
                 "box": {
                     "lo": list(approx.box.lo),
                     "hi": list(approx.box.hi),
                     "periodic": [bool(p) for p in approx.box.periodic],
                 },
                 "rank": approx.rank,
-                # a half spectrum's modes as (re, im) pairs
+                # each half spectrum's modes as (re, im) pairs
                 "factors": [np.stack([f.real, f.imag], axis=-1).tolist()
-                            if np.iscomplexobj(f) else f.tolist()
                             for f in approx.factors],
             },
         )

@@ -50,6 +50,7 @@ from .hamiltonian import Box
 from .smoothing import (
     SAMPLE_RULE,
     SmoothingSequence,
+    SmoothingUnachievable,
     build_smoothing_sequence,
     cl_bound,
     cutoff_extend,
@@ -563,8 +564,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     """
     freq = _frequency(omega, params)
     check_horizon(K0, freq)
-    ladder = smoothing_ladder(hamiltonian, K0, freq, params)
-    l, analytic_input, seq = ladder.l, ladder.analytic_input, ladder.seq
+    l, analytic_input = _smoothness(hamiltonian, params.l)
 
     # the certificate and every stage record go out in JSON form
     cert: dict = {
@@ -578,6 +578,18 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         "analytic_input": analytic_input,
     }
     stages: list[dict] = []
+
+    try:
+        ladder = smoothing_ladder(hamiltonian, K0, freq, params)
+    except SmoothingUnachievable as exc:
+        # the run ends here, as it does when no k0 is admissible
+        cert["e0_original"] = _defect_record(
+            Iterate.evaluate(hamiltonian, K0, freq, params.rho).error)
+        cert["smoothing"] = {"error": str(exc)}
+        cert["converged"] = False
+        cert["termination_reason"] = "smoothing_unachievable"
+        return RunResult(K0, _jsonable(cert), stages)
+    seq = ladder.seq
 
     # initial defect of the original model, the anchor scale of the sequence
     e0_orig = ladder.h0.error

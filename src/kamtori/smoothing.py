@@ -2,40 +2,35 @@
 
 Four layers:
 
-1. Approximation operators on boxes.  Bernstein operators: 1-D and
-   tensor-product polynomial approximants, with exact derivative calculus
-   in the Bernstein basis (forward differences of coefficients).
-   Evaluation goes through the binomial pmf, which stays stable at
-   degrees far past the point where explicit binomial coefficients
-   overflow.  The tensor-product operator maps a product of 1-D functions
-   to the product of their 1-D approximants (Lorentz, Bernstein
-   Polynomials, 1953), so a target given as a short sum of such products
-   (SeparableFunction) gets an approximant of the same rank built from
-   1-D samples alone: a SeparableRung, whose values and jets come from
-   one (rank, .) table per axis combined by outer products; the
-   dense (k+1)^d coefficient lattice is never formed, and
-   bernstein_tensor keeps the dense operator as the oracle.  A real table
-   holds Bernstein coefficients (bernstein_nd builds one on every axis).
-   The ladder's rungs (rung_nd) take the de la Vallee-Poussin mean V_N on
-   the periodic axes instead, a complex half spectrum: one rfft of 8N
-   samples per axis, mode k weighted by 1 up to N and by 2 - k/N up to 2N
-   (Zygmund, Trigonometric Series, ch. III).  V_N is a trigonometric
-   polynomial, so a rung matches with every derivative across the angle
-   chart's seam x = 0 == 1, where a Bernstein polynomial on [0, 1]
-   matches values only; the action axes keep the degree-N Bernstein
-   factor.
+1. Approximation operators on boxes.  The ladder's rungs (rung_nd)
+   take the de la Vallee-Poussin mean V_N on every axis: the cut-off
+   target is a short sum of products of 1-D functions (SeparableFunction),
+   and each factor becomes a complex half spectrum from one rfft of 8N
+   samples, mode k weighted by 1 up to N and by 2 - k/N up to 2N
+   (Zygmund, Trigonometric Series, ch. III).  On the angles the factor is
+   periodic; on the actions the cut-off makes it vanish on the outer r/2
+   band at both box ends, so it extends periodically with every
+   derivative, the discrete form of smoothing a compactly supported
+   function by a kernel of compactly supported spectrum (Zehnder, CPAM
+   28, 1975).  A rung (SeparableRung) is a trigonometric polynomial in
+   all 2n variables, hence entire; its values and jets come from one
+   (rank, .) table per axis combined by outer products, and the dense
+   lattice of modes is never formed.  Bernstein operators (1-D and
+   tensor-product polynomials with exact derivative calculus by forward
+   differences of coefficients, evaluated through the binomial pmf) stay
+   as the dense oracle: bernstein_tensor, and bernstein_nd of a sum of
+   products.
 2. C^l norms and gaps.  cl_bound bounds sup |D^alpha| of a model, or of
    a difference of two, by sums over terms of products of per-axis
    factor sups (each model's axis_sups), differences telescoped term by
    term, so no 2n-dimensional grid is formed and nothing is
    differentiated by stencils.  A rung's sups are coefficient bounds
-   (l^1 of a half spectrum, the convex hull of Bernstein coefficients
-   refined on a grid with a rigorous remainder); a rough profile's and
-   the cut target's are sampled from exact 1-D tables (SAMPLE_RULE).
-   Each bound names its method, and the 1-D tables it reads are
-   evaluated once per model and axis interval (hamiltonian.grid_table).  cl_norm and cl_gap keep the dense grid
-   (exact tables, else five-point stencils) as the reference for plain
-   callables and for checking the bounds.
+   (l^1 of a half spectrum); a rough profile's and the cut target's are
+   sampled from exact 1-D tables (SAMPLE_RULE).  Each bound names its
+   method, and the 1-D tables it reads are evaluated once per model and
+   axis interval (hamiltonian.grid_table).  cl_norm and cl_gap keep the
+   dense grid (exact tables, else five-point stencils) as the reference
+   for plain callables and for checking the bounds.
 3. Cutoff extension: a C-infinity plateau bump, a product of per-axis
    e^{-1/t} smoothsteps in the action variables, equal to 1 on a
    neighbourhood of the action hull of an initial torus and to 0 outside
@@ -72,7 +67,7 @@ from numpy.polynomial import polynomial as P
 
 from .fourier import TorusEmbedding
 from .hamiltonian import (SAMPLE_POINTS, Box, CompositeHamiltonian, HamiltonianModel,
-                          SumModel, SumOfProducts, bracket, grid_table, sampled_max)
+                          SumModel, SumOfProducts, grid_table, sampled_max)
 
 __all__ = [
     "BernsteinApproximant",
@@ -81,6 +76,7 @@ __all__ = [
     "SeparableFunction",
     "SeparableRung",
     "SmoothingSequence",
+    "SmoothingUnachievable",
     "bernstein_1d",
     "bernstein_derivative",
     "bernstein_nd",
@@ -331,8 +327,7 @@ def _factored_sup(funs, axes: list[np.ndarray], order: int) -> list[float]:
 SAMPLE_RULE = (f"max of a factor's exact table over the points that bracket the axis "
                f"interval on a uniform grid of its box axis (or of the interval), "
                f"endpoints included: {SAMPLE_POINTS} points, or against a rung of index N "
-               f"when more 8 N + 1 on its V_N (angle) axes and 4 N + 1 on its Bernstein "
-               f"(action) axes; plus half a spacing times the next order's max")
+               f"8 N + 1 when more; plus half a spacing times the next order's max")
 
 
 def _spectrum_sups(coeff: np.ndarray, width: float, order: int) -> np.ndarray:
@@ -341,28 +336,6 @@ def _spectrum_sups(coeff: np.ndarray, width: float, order: int) -> np.ndarray:
     k = np.arange(coeff.shape[1])
     amp = np.abs(coeff)
     return np.stack([amp @ (2 * np.pi * k / width) ** q for q in range(order + 1)])
-
-
-def _refined(coeff: np.ndarray, box: Box, axis: int, table, step: float,
-             order: int) -> np.ndarray:
-    """(order+1, rows): bounds on sup |D^q| of Bernstein rows coeff along a
-    box axis, over the span of a uniform grid of spacing step on which
-    table holds their orders 0..order (None: the whole axis, hull only).
-
-    Each order's max |scaled differenced coefficient| bounds it on the
-    whole axis (convex hull property).  On the span, |D^q| peaks at a grid
-    end or where D^(q+1) = 0, within step/2 of a grid point, so the max of
-    the table plus step^2/8 times the hull bound of order q + 2 bounds it
-    too; the smaller of the two is kept.
-    """
-    k = coeff.shape[1] - 1
-    hull = np.zeros((order + 3, coeff.shape[0]))
-    for q in range(min(order + 2, k) + 1):
-        hull[q] = np.max(np.abs(_bernstein_rows(coeff, box, axis, q)), axis=1)
-    if table is None:
-        return hull[: order + 1]
-    grid = np.max(np.abs(table[: order + 1]), axis=-1)
-    return np.minimum(hull[: order + 1], grid + step**2 / 8 * hull[2:])
 
 
 def _factor_sups(f, box: Box, axis: int, order: int) -> np.ndarray:
@@ -375,20 +348,17 @@ def _factor_sups(f, box: Box, axis: int, order: int) -> np.ndarray:
     return out
 
 
-def _coefficient_pair(f, g, axis: int) -> bool:
-    """Whether f - g along axis is bounded from coefficient differences."""
-    return (isinstance(f, SeparableRung) and isinstance(g, SeparableRung)
-            and f.basis(axis) == g.basis(axis))
+def _coefficient_pair(f, g) -> bool:
+    """Whether f - g is bounded from coefficient differences."""
+    return isinstance(f, SeparableRung) and isinstance(g, SeparableRung)
 
 
 def _grid_points(f, axis: int) -> int:
     """The points of f's grid along axis: SAMPLE_POINTS, or on a rung of
-    index N when more, 8 N + 1 on a V_N axis (8 points per wave of its 2N
-    modes) and 4 N + 1 on a Bernstein axis."""
+    index N 8 N + 1 when more (8 points per wave of its 2N modes)."""
     if not isinstance(f, SeparableRung):
         return SAMPLE_POINTS
-    per = 8 if f.basis(axis) == "vallee_poussin" else 4
-    return max(SAMPLE_POINTS, per * f.degrees[axis] + 1)
+    return max(SAMPLE_POINTS, 8 * f.degrees[axis] + 1)
 
 
 def _tables(f, box: Box, axis: int, points: int, q: int):
@@ -405,35 +375,22 @@ def _pair_sups(f, g, box: Box, axis: int, order: int, points: int):
     """(order+1, rank) sups along axis of f's factors, g's factors and
     their differences, term r paired with term r.
 
-    Two rungs of one basis are bounded from coefficients: half spectra
-    padded to one length (l^1), Bernstein rows raised to one degree and
-    refined on the rungs' shared box grid (_refined).  Otherwise both
-    sides' exact tables are sampled on one grid (SAMPLE_RULE), and each
-    side's sups and their difference's come from those tables.
+    Two rungs are bounded from coefficients: their half spectra padded to
+    one length (l^1).  Otherwise both sides' exact tables are sampled on
+    one grid (SAMPLE_RULE), and each side's sups and their difference's
+    come from those tables.
     """
-    if not _coefficient_pair(f, g, axis):
+    if not _coefficient_pair(f, g):
         u, ta = _tables(f, box, axis, points, order + 1)
         tb = _tables(g, box, axis, points, order + 1)[1]
         sups = sampled_max(np.stack([ta, tb, ta - tb], axis=1), u[1] - u[0])
         return tuple(np.moveaxis(sups, 1, 0))
     a, b = f.factors[axis], g.factors[axis]
-    size = max(a.shape[1], b.shape[1])
-    if f.basis(axis) == "vallee_poussin":
-        diff = np.zeros((f.rank, size), dtype=complex)
-        diff[:, : a.shape[1]] += a
-        diff[:, : b.shape[1]] -= b
-        diff = _spectrum_sups(diff, box.widths()[axis], order)
-        return _factor_sups(f, box, axis, order), _factor_sups(g, box, axis, order), diff
-    # both sides and their difference at one degree, bounded in one pass
-    rows = np.concatenate([_elevate(a, size - 1), _elevate(b, size - 1)])
-    rows = np.concatenate([rows, rows[: f.rank] - rows[f.rank :]])
-    if box.periodic[axis]:
-        # a wrapped Bernstein factor jumps at the seam: hull bounds only
-        return np.split(_refined(rows, box, axis, None, 0.0, order), 3, axis=1)
-    u, ta = _tables(f, box, axis, points, order + 1)
-    tb = _tables(g, box, axis, points, order + 1)[1]
-    table = np.concatenate([ta, tb, ta - tb], axis=1)
-    return np.split(_refined(rows, box, axis, table, u[1] - u[0], order), 3, axis=1)
+    diff = np.zeros((f.rank, max(a.shape[1], b.shape[1])), dtype=complex)
+    diff[:, : a.shape[1]] += a
+    diff[:, : b.shape[1]] -= b
+    diff = _spectrum_sups(diff, box.widths()[axis], order)
+    return _factor_sups(f, box, axis, order), _factor_sups(g, box, axis, order), diff
 
 
 def _telescoped(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -489,7 +446,7 @@ def cl_bound(funs, box, order: int = 3) -> tuple[list[float], str]:
                          f"and {g.rank} differ")
     tables = [_pair_sups(f, g, box, i, order, max(_grid_points(f, i), _grid_points(g, i)))
               for i in range(box.dim)]
-    exact = all(_coefficient_pair(f, g, i) for i in range(box.dim))
+    exact = _coefficient_pair(f, g)
     return _per_order(tables, order, True), "coefficient_bound" if exact else "sampled"
 
 
@@ -701,49 +658,6 @@ class SeparableFunction(SumOfProducts):
 # -- factored approximants ---------------------------------------------------
 
 
-def _elevate(rows: np.ndarray, degree: int) -> np.ndarray:
-    """Bernstein coefficients of the same polynomials at a higher degree.
-
-    One step from degree m takes c'_i = (i c_{i-1} + (m + 1 - i) c_i) / (m + 1),
-    a convex combination, so it is stable at any degree.
-    """
-    while rows.shape[-1] <= degree:
-        m = rows.shape[-1] - 1
-        w = np.arange(1, m + 1) / (m + 1)
-        out = np.empty(rows.shape[:-1] + (m + 2,))
-        out[..., 0], out[..., -1] = rows[..., 0], rows[..., -1]
-        out[..., 1:-1] = w * rows[..., :-1] + (1.0 - w) * rows[..., 1:]
-        rows = out
-    return rows
-
-
-def _bernstein_values(coeff: np.ndarray, box: Box, axis: int, u: np.ndarray,
-                      q: int) -> np.ndarray:
-    """(q+1, rows, len(u)): D^0..D^q of Bernstein rows coeff along a box axis.
-
-    The degree-N basis is evaluated once: order j's differenced rows, of
-    degree N - j, are raised back to degree N, the highest order first and
-    each lower one joining as the degrees meet (q elevation steps in all),
-    and each order is one product with that basis, so an order's table
-    does not depend on q.  Orders above N are 0.
-    """
-    u = box.wrap_axis(axis, u)
-    t = (u - box.lo[axis]) / box.widths()[axis]
-    k = coeff.shape[1] - 1
-    rows = [_bernstein_rows(coeff, box, axis, j) for j in range(min(q, k) + 1)]
-    stack = rows[-1]
-    for j in range(len(rows) - 2, -1, -1):
-        stack = np.concatenate([rows[j], _elevate(stack, k - j)])
-    out = np.zeros((q + 1, coeff.shape[0], t.size))
-    # chunked so the basis matrix stays modest at high degree
-    chunk = max(1, 4_000_000 // (k + 1))
-    for s in range(0, t.size, chunk):
-        basis = _basis(k, t[s : s + chunk]).T
-        for j, r in enumerate(np.split(stack, len(rows))):
-            out[j, :, s : s + chunk] = r @ basis
-    return out
-
-
 def _vallee_poussin_half(samples: np.ndarray, N: int) -> np.ndarray:
     """(rows, 2N) half spectrum c_k, k = 0..2N-1, of V_N of periodic samples.
 
@@ -791,17 +705,14 @@ def _vallee_poussin_values(coeff: np.ndarray, box: Box, axis: int, u: np.ndarray
 class SeparableRung(SumOfProducts):
     """A factored approximant sum_r prod_i R_{r,i}(z_i) over a box.
 
-    factors[i] holds one row per term, and its dtype names R's basis along
-    axis i (basis(i)).  A complex (rank, 2N) table is the half spectrum of
-    the de la Vallee-Poussin mean V_N of the term's factor, R(z) =
-    Re sum_k c_k e^{2 pi i k t} with t = (z - lo)/w, and D multiplies mode
-    k by 2 pi i k / w: a trigonometric polynomial, allowed on periodic axes
-    only, that matches with every derivative across the chart's seam.  A
-    real (rank, N + 1) table holds degree-N Bernstein coefficients; on a
-    periodic axis it wraps, and matches values only across the seam.  The
-    dense coefficient lattice is never formed.  The approximant is entire,
-    a Hamiltonian part of class C^inf.  Its factor sups are coefficient
-    bounds (_spectrum_sups, _refined).
+    factors[i] holds one row per term: the (rank, 2N) half spectrum of the
+    de la Vallee-Poussin mean V_N of the term's factor along axis i, so
+    R(z) = Re sum_k c_k e^{2 pi i k t} with t = (z - lo)/w, and D
+    multiplies mode k by 2 pi i k / w.  Every factor is a trigonometric
+    polynomial of the box width's period: the approximant is entire, a
+    Hamiltonian part of class C^inf, and repeats outside the box.  The
+    dense coefficient lattice is never formed.  Its factor sups are
+    coefficient bounds (_spectrum_sups).
     """
 
     box: Box
@@ -817,10 +728,8 @@ class SeparableRung(SumOfProducts):
         for axis, f in enumerate(self.factors):
             f = np.array(f)
             if not np.iscomplexobj(f):
-                f = f.astype(float)
-            elif not self.box.periodic[axis]:
-                raise ValueError(f"axis {axis} is not periodic: a complex table "
-                                 "(a half spectrum) needs a periodic axis")
+                raise ValueError(f"axis {axis} has a real table: a rung factor is a "
+                                 "complex half spectrum")
             f.flags.writeable = False
             factors.append(f)
         if any(f.ndim != 2 or f.shape[0] != factors[0].shape[0] for f in factors):
@@ -837,34 +746,19 @@ class SeparableRung(SumOfProducts):
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        """N per axis: the mean's index on a half spectrum, else the degree."""
-        return tuple(f.shape[1] // 2 if np.iscomplexobj(f) else f.shape[1] - 1
-                     for f in self.factors)
-
-    def basis(self, axis: int) -> str:
-        return "vallee_poussin" if np.iscomplexobj(self.factors[axis]) else "bernstein"
+        """The mean's index N per axis."""
+        return tuple(f.shape[1] // 2 for f in self.factors)
 
     def support(self, axis: int) -> np.ndarray:
         return np.arange(self.rank)
 
     def axis_values(self, axis: int, u: np.ndarray, q: int) -> np.ndarray:
         """(q+1, rank, len(u)): D^0..D^q of every term's factor along axis at u."""
-        coeff = self.factors[axis]
-        values = _vallee_poussin_values if np.iscomplexobj(coeff) else _bernstein_values
-        return values(coeff, self.box, axis, u, q)
+        return _vallee_poussin_values(self.factors[axis], self.box, axis, u, q)
 
     def axis_sups(self, axis: int, lo: float, hi: float, q: int) -> np.ndarray:
-        """l^1 of a half spectrum over the period; a Bernstein factor refined
-        over the box grid's points that bracket [lo, hi] (_refined)."""
-        coeff = self.factors[axis]
-        if np.iscomplexobj(coeff):
-            return _spectrum_sups(coeff, self.box.widths()[axis], q)
-        if self.box.periodic[axis]:
-            return _refined(coeff, self.box, axis, None, 0.0, q)
-        span = (self.box.lo[axis], self.box.hi[axis])
-        u, table = grid_table(self, axis, span, _grid_points(self, axis), q + 1)
-        return _refined(coeff, self.box, axis, table[..., bracket(u, lo, hi)],
-                        u[1] - u[0], q)
+        """l^1 of each half spectrum: a bound over the whole period."""
+        return _spectrum_sups(self.factors[axis], self.box.widths()[axis], q)
 
     def __repr__(self):
         return f"SeparableRung(degrees={self.degrees}, rank={self.rank})"
@@ -874,46 +768,39 @@ class SeparableRung(SumOfProducts):
 BernsteinHamiltonian = SeparableRung
 
 
-def _axis_samples(f, box: Box, axis: int, count: int, step: int) -> np.ndarray:
-    """(rank, count): every term's factor along axis at lo + w p / step, p < count."""
-    u = box.lo[axis] + box.widths()[axis] * np.arange(count) / step
-    return _axis_tables(f, axis, u, 0)[0]
-
-
-def bernstein_nd(f: SeparableFunction, k: int, box=None) -> SeparableRung:
-    """Degree-k tensor-product Bernstein operator of a sum of products.
-
-    The operator maps prod_i g_i(z_i) to prod_i B_k[g_i](z_i), so the
-    approximant of f = sum_r prod_i g_{r,i} is sum_r prod_i B_k[g_{r,i}]:
-    rank r, built from the 1-D samples g_{r,i}(lo_i + w_i p/k) alone, with
-    a real table on every axis.  It is the polynomial
-    bernstein_tensor(f, (k,) * d, box) gives.
-    """
-    k = int(k)
+def bernstein_nd(f: SeparableFunction, k: int, box=None) -> BernsteinApproximant:
+    """Degree-k tensor-product Bernstein operator of a sum of products:
+    bernstein_tensor(f, (k,) * d, box), the dense oracle."""
     if k < 3:
         raise ValueError("degree must be >= 3")
-    box = _as_box(box, f.dim)
-    factors = [_axis_samples(f, box, i, k + 1, k) for i in range(box.dim)]
-    return SeparableRung(box, tuple(factors))
+    return bernstein_tensor(f, (k,) * f.dim, box)
 
 
 def rung_nd(f: SeparableFunction, N: int, box=None) -> SeparableRung:
     """The ladder's rung of index N for a sum of products.
 
-    Each term's factor along a periodic axis is sampled on 8N uniform
-    points and replaced by its de la Vallee-Poussin mean V_N, along an
-    action axis by its degree-N Bernstein polynomial (samples at the N + 1
-    nodes).  V_N reproduces trigonometric polynomials of degree <= N and
-    its error is at most 4 E_N, so the angle factors converge at Jackson's
-    rate and match with every derivative across the seam.
+    Each term's factor along each axis is sampled on 8N uniform points of
+    the box axis and replaced by its de la Vallee-Poussin mean V_N.  On an
+    action axis the factor must vanish to round-off at both box ends (the
+    cut-off target does: its support stops r/2 inside them), so that it
+    extends periodically with every derivative.  V_N reproduces
+    trigonometric polynomials of degree <= N and its error is at most
+    4 E_N, so each factor converges at Jackson's rate and matches with
+    every derivative across the period's seam.
     """
     N = int(N)
     if N < 3:
         raise ValueError("degree must be >= 3")
     box = _as_box(box, f.dim)
-    factors = [_vallee_poussin_half(_axis_samples(f, box, i, 8 * N, 8 * N), N)
-               if box.periodic[i] else _axis_samples(f, box, i, N + 1, N)
-               for i in range(box.dim)]
+    factors = []
+    for i in range(box.dim):
+        u = box.lo[i] + box.widths()[i] * np.arange(8 * N + 1) / (8 * N)
+        samples = _axis_tables(f, i, u, 0)[0]
+        ends = np.max(np.abs(samples[:, [0, -1]]), axis=1)
+        if not box.periodic[i] and np.any(ends > 1e-14 * np.max(np.abs(samples), axis=1)):
+            raise ValueError(f"action axis {i}: a factor does not vanish at both box "
+                             "ends, so it has no periodic extension for V_N")
+        factors.append(_vallee_poussin_half(samples[:, :-1], N))
     return SeparableRung(box, tuple(factors))
 
 
@@ -1202,6 +1089,10 @@ def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
 # -- the smoothing sequence ----------------------------------------------------
 
 
+class SmoothingUnachievable(ValueError):
+    """No ladder gap reached e0_norm by max_degree."""
+
+
 @dataclass
 class SmoothingSequence:
     """Approximants H_0..H_K with bounded consecutive C^3 gaps.
@@ -1314,7 +1205,7 @@ def build_smoothing_sequence(
         if anchor is not None and len(approx) - anchor >= count:
             break
     if anchor is None:
-        raise ValueError(
+        raise SmoothingUnachievable(
             f"smoothing bound unachievable at max degree {max_degree}: smallest "
             f"C^3 gap {min(raw_gaps_c3, default=np.inf):.3e} > e0_norm {e0_norm:.3e}"
         )

@@ -70,3 +70,20 @@ def random_trig(rng, n, order, range_shape=()):
             range_shape
         )
     return FourierMap(n, range_shape, modes, trunc_order=order)
+
+
+def rung_derivative(rung, alpha, z):
+    """D^alpha of a SeparableRung at points z (..., dim), each factor's half
+    spectrum summed mode by mode: Re sum_k c_k (2 pi i k / w)^q
+    e^{2 pi i k (u - lo) / w} along each axis, multiplied over the axes
+    and summed over the terms."""
+    pts = np.asarray(z, dtype=float).reshape(-1, rung.dim)
+    out = np.ones((rung.rank, len(pts)))
+    for axis, q in enumerate(alpha):
+        half, lo, width = rung.factors[axis], rung.box.lo[axis], rung.box.widths()[axis]
+        factor = np.zeros_like(out)
+        for k in range(half.shape[1]):
+            wave = np.exp(2j * np.pi * k * (pts[:, axis] - lo) / width)
+            factor += (half[:, k : k + 1] * (2j * np.pi * k / width) ** q * wave).real
+        out *= factor
+    return out.sum(axis=0).reshape(np.shape(z)[:-1])

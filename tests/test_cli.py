@@ -288,6 +288,19 @@ class TestDispatch:
         assert cert["stages"] == []
         assert cert["conditions_measured"]["condition2_lhs"] > 1.0
 
+    def test_run_unachievable_ladder_writes_its_certificate(self, write_files):
+        # at y0 = golden no ladder gap up to degree 16 reaches the defect
+        cfg_path, out = write_files(ROUGH, "ladder", rho=0.02, r=0.8, target_error=1e-8,
+                                    max_degree=16)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["converged"] is False
+        assert cert["termination_reason"] == "smoothing_unachievable"
+        assert "unachievable at max degree 16" in cert["smoothing"]["error"]
+        assert cert["e0_original"]["rho"] > 0
+        assert cert["stages"] == []
+        assert (out / "torus_final.csv").is_file()
+
     def test_run_pendulum_full_artifacts(self, write_files):
         cfg_path, out = write_files(PENDULUM, "run", target_error=1e-10)
         assert main(["run", "--config", str(cfg_path)]) == 0
@@ -350,15 +363,14 @@ class TestDispatch:
         first = rows[1].split(",")
         assert float(first[3]) == cert["gaps_c3"][0]
         assert float(first[3]) <= float(first[4])
-        # factored payload: per axis its basis and one real table, the angle's
-        # (rank, 2N) half spectrum as (re, im) pairs, the action's (rank, N + 1)
-        # Bernstein coefficients
+        # factored payload: per axis V_N's (rank, 2N) half spectrum as
+        # (re, im) pairs
         doc = json.loads((out / "approximant_0.json").read_text())
         N = cert["degrees"][0]
         assert doc["degrees"] == [N] * 2
-        assert doc["basis"] == ["vallee_poussin", "bernstein"]
+        assert doc["basis"] == ["vallee_poussin"] * 2
         assert doc["rank"] == 1
-        assert [np.shape(f) for f in doc["factors"]] == [(1, 2 * N, 2), (1, N + 1)]
+        assert [np.shape(f) for f in doc["factors"]] == [(1, 2 * N, 2)] * 2
         # README's formula on the payload is the ladder's first rung
         from kamtori.driver import smoothing_ladder
 
@@ -368,11 +380,9 @@ class TestDispatch:
         lo, hi = np.array(doc["box"]["lo"]), np.array(doc["box"]["hi"])
         z = lo + (hi - lo) * np.random.default_rng(0).uniform(0, 1, (50, 2))
         t = (z - lo) / (hi - lo)
-        pairs = np.array(doc["factors"][0][0])
-        angle = (np.exp(2j * np.pi * np.outer(t[:, 0], np.arange(2 * N)))
-                 @ (pairs[:, 0] + 1j * pairs[:, 1])).real
-        action = sum(c * math.comb(N, p) * t[:, 1] ** p * (1 - t[:, 1]) ** (N - p)
-                     for p, c in enumerate(doc["factors"][1][0]))
+        angle, action = ((np.exp(2j * np.pi * np.outer(t[:, i], np.arange(2 * N)))
+                          @ (pairs[:, 0] + 1j * pairs[:, 1])).real
+                         for i, pairs in enumerate(np.array(f[0]) for f in doc["factors"]))
         assert np.max(np.abs(angle * action - rung(z))) <= 1e-12 * np.max(np.abs(rung(z)))
 
     def test_smooth_analytic_input_short_circuit(self, write_files):

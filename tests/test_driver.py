@@ -27,14 +27,14 @@ from kamtori.driver import (
 )
 from kamtori.smoothing import (
     SmoothingSequence,
-    bernstein_nd,
-    bernstein_tensor,
     build_smoothing_sequence,
     cl_norm,
     cutoff_extend,
+    rung_nd,
 )
 
-from conftest import ARITHMETIC_LAMBDAS, GOLDEN, REJECTED_IDS, REJECTED_KNOBS
+from conftest import (ARITHMETIC_LAMBDAS, GOLDEN, REJECTED_IDS, REJECTED_KNOBS,
+                      rung_derivative)
 
 
 def synthetic_sequence(gaps, a_const, l=4, sigma=1.1):
@@ -382,6 +382,53 @@ class TestRunScheme:
     def test_condition_mode_validated(self):
         with pytest.raises(ValueError, match="condition_mode"):
             RunParams(condition_mode="loose")
+
+
+def bspline_run(coordinates, amplitude, y0, **knobs):
+    """run_scheme on |y|^2/2 plus amplitude * B on each of coordinates, B
+    rough_cascade_cli's degree-5 B-spline, at omega = (golden, sqrt 2 - 1)[:n]
+    from the flat torus at y0 (M = 64)."""
+    from kamtori import BSplineProfile, CompositeHamiltonian, RoughTerm
+
+    prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], degree=5)
+    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])[: len(y0)]
+    h = CompositeHamiltonian(HamiltonianModel.free_rotator(len(y0)),
+                             [RoughTerm(c, prof, amplitude) for c in coordinates])
+    K0 = TorusEmbedding.circle(np.asarray(y0, dtype=float), trunc_order=64)
+    params = RunParams(rho=0.02, r=0.8, sigma=1.1, horizon=256, target_error=1e-8, **knobs)
+    return K0, run_scheme(h, K0, omega, params)
+
+
+class TestRoughRuns:
+    """Rough cascades whose ladders take V_N on every axis."""
+
+    def test_unachievable_ladder_ends_with_a_certificate(self):
+        # at y0 = golden the defect is small: no gap up to degree 16 reaches it
+        K0, res = bspline_run([0], 1e-4, [GOLDEN], max_degree=16)
+        cert = res.certificate
+        assert not res.converged and cert["converged"] is False
+        assert cert["termination_reason"] == "smoothing_unachievable"
+        assert cert["smoothing"]["error"].startswith(
+            "smoothing bound unachievable at max degree 16")
+        e0 = cert["e0_original"]["rho"]
+        assert f"e0_norm {e0:.3e}" in cert["smoothing"]["error"]
+        assert res.stages == [] and res.torus is K0
+        json.dumps(cert)
+
+    def test_rough_term_on_the_action_coordinate_converges(self):
+        _, res = bspline_run([1], 1e-3, [0.4])
+        cert = res.certificate
+        assert res.converged, cert["termination_reason"]
+        assert cert["k0"]["index"] >= 0
+        assert cert["final"]["error_vs_original_grid"] <= 1e-8
+
+    def test_two_dof_ladder_stops_by_degree_128(self):
+        # the 2-DOF rough cascade |y|^2/2 + 1e-4 (B(x_1) + B(x_2)) at y0 = omega
+        _, res = bspline_run([0, 1], 1e-4, [GOLDEN, np.sqrt(2.0) - 1.0])
+        cert = res.certificate
+        assert res.converged, cert["termination_reason"]
+        assert cert["k0"]["index"] >= 0
+        assert max(cert["smoothing"]["ladder_degrees"]) <= 128
 
 
 class TestRunParams:
@@ -765,8 +812,8 @@ def exact_c3(derivatives, box, points):
 
 class TestFactoredC3Norm:
     """_c3_near bounds every model from per-axis factor sups, with no grid
-    over the box.  Closed-form derivatives and the Bernstein part's dense
-    coefficient calculus on a grid, and for the cut-off model the
+    over the box.  Closed-form derivatives and the rung's V_N summed mode
+    by mode on a grid, and for the cut-off model the
     value-stencil path that plain callables take, are references: the
     bound reaches each and is at most 10 times it."""
 
@@ -791,13 +838,12 @@ class TestFactoredC3Norm:
             K = TorusEmbedding.circle(np.array([0.4, 0.3]), trunc_order=8)
         h = CompositeHamiltonian(analytic, rough)
         hx = cutoff_extend(h, K, r=0.2)
-        b = bernstein_nd(hx.separable(), 8, hx.box)
-        stage = SumModel([analytic, b])
-        dense = bernstein_tensor(hx.cut_values, (8,) * 2 * n, hx.box)
+        rung = rung_nd(hx.separable(), 8, hx.box)
+        stage = SumModel([analytic, rung])
         exact = [
             (h, [fourier_taylor_derivative(analytic), *map(rough_derivative, rough)]),
             (stage, [fourier_taylor_derivative(analytic),
-                     lambda alpha, z: dense.derivative(alpha)(z)]),
+                     lambda alpha, z: rung_derivative(rung, alpha, z)]),
         ]
         return K, exact, hx
 

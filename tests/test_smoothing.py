@@ -17,6 +17,7 @@ from kamtori import (
 )
 from kamtori.hamiltonian import Box
 from kamtori.smoothing import (
+    BernsteinApproximant,
     PlateauBump,
     SeparableFunction,
     SeparableRung,
@@ -33,6 +34,8 @@ from kamtori.smoothing import (
     unit_box,
 )
 from kamtori.smoothing import _vallee_poussin_half
+
+from conftest import rung_derivative
 
 
 def brute_bernstein(samples, x):
@@ -201,7 +204,7 @@ def x2y_target():
 
 
 def factored_derivative(b, alpha, z):
-    """D^alpha of a factored approximant at points z, from its axis_values tables."""
+    """D^alpha of a rung at points z, from its axis_values tables."""
     pts = z.reshape(-1, z.shape[-1])
     out = np.ones((b.rank, pts.shape[0]))
     for axis, q in enumerate(alpha):
@@ -219,7 +222,7 @@ class TestBernsteinNd:
     def test_affine_exact(self, k):
         f = affine_target()
         b = bernstein_nd(f, k, unit_box(2))
-        assert b.rank == 3
+        assert b.degrees == (k, k)
         g = unit_grid(17)
         assert np.max(np.abs(b(g) - (1.0 + 2.0 * g[:, 0] - g[:, 1]))) < 1e-12
 
@@ -253,7 +256,7 @@ class TestBernsteinNd:
             b = bernstein_nd(f, k, unit_box(2))
             worst = 0.0
             for alpha, df in exact.items():
-                vals = factored_derivative(b, alpha, g) - df(g)
+                vals = b.derivative(alpha)(g) - df(g)
                 worst = max(worst, float(np.max(np.abs(vals))))
             gaps.append(worst)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -528,12 +531,55 @@ def box_points(box, count, seed):
     return box.lo + box.widths() * rng.uniform(0, 1, (count, box.dim))
 
 
+class DenseValleePoussin:
+    """The tensor-product V_N of a function on a box, from one fftn of its
+    samples on the full lattice of 8N points per axis: the dense oracle of
+    rung_nd, which never forms this lattice."""
+
+    def __init__(self, f, N, box):
+        P = 8 * N
+        axes = [box.lo[i] + box.widths()[i] * np.arange(P) / P for i in range(box.dim)]
+        spec = np.fft.fftn(f(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)))
+        k = np.fft.fftfreq(P, 1.0 / P)
+        keep = np.abs(k) < 2 * N
+        self.k, self.box = k[keep], box
+        self.spec = spec[np.ix_(*[keep] * box.dim)] / P**box.dim
+        weight = np.minimum(1.0, 2.0 - np.abs(self.k) / N)
+        for i in range(box.dim):
+            self.spec = self.spec * weight.reshape([-1 if j == i else 1 for j in range(box.dim)])
+
+    def _waves(self, alpha, u, i):
+        w = self.box.widths()[i]
+        t = (np.asarray(u, dtype=float) - self.box.lo[i]) / w
+        return np.exp(2j * np.pi * np.outer(t, self.k)) * (2j * np.pi * self.k / w) ** alpha[i]
+
+    def at(self, alpha, z):
+        """D^alpha at points z (..., dim), contracted from the last axis."""
+        pts = z.reshape(-1, self.box.dim)
+        waves = [self._waves(alpha, pts[:, i], i) for i in range(self.box.dim)]
+        out = self.spec @ waves[-1].T
+        for w in waves[-2::-1]:
+            out = np.einsum("...kp,pk->...p", out, w)
+        return out.real.reshape(z.shape[:-1])
+
+    def on_grid(self, alpha, axes):
+        """D^alpha on the outer-product grid of axes."""
+        out = self.spec
+        for i, u in enumerate(axes):
+            out = np.tensordot(out, self._waves(alpha, u, i), axes=([0], [1]))
+        return out.real
+
+
 class TestSeparableOracles:
-    """The factored ladder against the dense tensor-product operator."""
+    """The factored ladder against the dense tensor-product operators."""
 
     @pytest.fixture(scope="class")
     def cut_2dof(self, rough_2dof):
         return cutoff_extend(rough_2dof, wavy_torus([1e-2, 3e-2]), r=0.1)
+
+    @pytest.fixture(scope="class")
+    def dense(self, cut_2dof):
+        return {N: DenseValleePoussin(cut_2dof.cut_values, N, cut_2dof.box) for N in (3, 4)}
 
     def test_separable_target_is_the_cut_part(self, rough_system, cut_2dof):
         h, K0 = rough_system
@@ -547,105 +593,87 @@ class TestSeparableOracles:
 
     @pytest.mark.parametrize("k", [8, 64])
     def test_n1_rung_is_the_outer_product_of_samples(self, rough_system, k):
+        # the dense Bernstein operator of a rank-1 product samples it on
+        # the lattice: the outer product of its 1-D samples
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
         b = bernstein_nd(hx.separable(), k, hx.box)
-        assert b.rank == 1
         lattice = bernstein_tensor(hx.cut_values, (k, k), hx.box).coefficients
-        assert np.array_equal(np.multiply.outer(b.factors[0][0], b.factors[1][0]), lattice)
+        assert np.array_equal(b.coefficients, lattice)
         # the rows are the 1-D samples: the rough part on the plateau, phi
         nodes = [hx.box.lo[i] + hx.box.widths()[i] * np.arange(k + 1) / k for i in (0, 1)]
         on_plateau = np.stack([nodes[0], np.full(k + 1, 0.4)], axis=-1)
-        assert np.array_equal(b.factors[0][0], hx.cut_values(on_plateau))
         along_y = np.stack([np.zeros(k + 1), nodes[1]], axis=-1)
-        assert np.array_equal(b.factors[1][0], hx.phi(along_y))
+        assert np.array_equal(np.multiply.outer(hx.cut_values(on_plateau), hx.phi(along_y)),
+                              lattice)
 
-    def test_n2_rung_matches_tensor_operator(self, cut_2dof):
+    def test_n2_rung_matches_tensor_operator(self, cut_2dof, dense):
         hx = cut_2dof
-        b = bernstein_nd(hx.separable(), 4, hx.box)
-        tensor = bernstein_tensor(hx.cut_values, (4,) * 4, hx.box)
-        assert b.rank == 2
+        rung = rung_nd(hx.separable(), 4, hx.box)
+        assert rung.rank == 2
         z = box_points(hx.box, 300, 3)
-        # angles outside the chart wrap into it
+        # angles outside the chart, and actions outside the box, repeat
         z[:100, :2] += [1.0, -2.0]
-        for alpha in iter_product(range(4), repeat=4):
-            if sum(alpha) > 3:
-                continue
-            want = tensor.derivative(alpha)(z)
-            got = factored_derivative(b, alpha, z)
+        z[100:150, 2:] += hx.box.widths()[2:]
+        tensor = {alpha: dense[4].at(alpha, z)
+                  for alpha in iter_product(range(4), repeat=4) if sum(alpha) <= 3}
+        for alpha, want in tensor.items():
+            got = factored_derivative(rung, alpha, z)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-        val, grad, hess = b.jet_batch(z)
+        val, grad, hess = rung.jet_batch(z)
         eye = np.eye(4, dtype=int)
-        assert np.max(np.abs(val - tensor(z))) <= 1e-14
+        assert np.max(np.abs(val - tensor[(0,) * 4])) <= 1e-15
         for a in range(4):
-            want = tensor.derivative(eye[a])(z)
+            want = tensor[tuple(eye[a])]
             assert np.max(np.abs(grad[:, a] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
             for c in range(4):
-                want = tensor.derivative(eye[a] + eye[c])(z)
+                want = tensor[tuple(eye[a] + eye[c])]
                 assert np.max(np.abs(hess[:, a, c] - want)) <= 1e-12 * max(
                     1.0, np.max(np.abs(want))
                 )
 
-    def test_factored_gaps_equal_dense_cl_gap_at_n2(self, cut_2dof):
+    def test_factored_gaps_equal_dense_cl_gap_at_n2(self, cut_2dof, dense):
         hx = cut_2dof
         target = hx.separable()
-        b4 = bernstein_nd(target, 4, hx.box)
-        b8 = bernstein_nd(target, 8, hx.box)
+        r3, r4 = (rung_nd(target, N, hx.box) for N in (3, 4))
         # cl_bound bounds the tail from above; the dense reference reads it
         # on the grid
-        dense = cl_gap(b4, target, hx.box, 3, 9)
-        assert dense <= max(cl_bound([b4, target], hx.box)[0]) <= 10 * dense
-        # exact path: the rung gap against the dense coefficient arrays
-        d4, d8 = (bernstein_tensor(hx.cut_values, (k,) * 4, hx.box) for k in (4, 8))
-        dense = cl_gap(d4, d8, hx.box, 3, 9)
-        assert cl_gap(b4, b8, hx.box, 3, 9) == pytest.approx(dense, rel=1e-9)
-        assert cl_gap(b4, b8, hx.box, 0, 9) == pytest.approx(
-            cl_gap(d4, d8, hx.box, 0, 9), rel=1e-12
-        )
+        ref = cl_gap(r3, target, hx.box, 3, 9)
+        assert ref <= max(cl_bound([r3, target], hx.box)[0]) <= 10 * ref
+        # exact path: the rung gap against the dense spectra, on cl_gap's grid
+        d3, d4 = dense[3], dense[4]
+        box = hx.box
+        axes = [box.lo[i] + box.widths()[i] * np.arange(9) / 9 if box.periodic[i]
+                else np.linspace(box.lo[i], box.hi[i], 9) for i in range(4)]
+        for order in (3, 0):
+            want = max(float(np.max(np.abs(d3.on_grid(alpha, axes) - d4.on_grid(alpha, axes))))
+                       for alpha in iter_product(range(order + 1), repeat=4)
+                       if sum(alpha) <= order)
+            assert cl_gap(r3, r4, hx.box, order, 9) == pytest.approx(want, rel=1e-9)
 
 
 class TestBasisFromTable:
-    """A SeparableRung's axis table names its basis: a complex half
-    spectrum is V_N, a real table holds Bernstein coefficients."""
+    """A SeparableRung holds a complex half spectrum on every axis."""
 
-    def test_complex_table_on_an_action_axis_rejected(self):
+    def test_real_table_rejected(self):
         box = Box(np.zeros(2), np.ones(2), np.array([True, False]))
-        with pytest.raises(ValueError, match="axis 1 is not periodic"):
-            SeparableRung(box, (np.ones((1, 8), complex), np.ones((1, 5), complex)))
-
-    def test_real_table_on_a_periodic_axis_is_a_wrapped_bernstein_factor(self):
-        g = (lambda x: np.cos(3.0 * x), lambda y: 1.0 + y**2)
-        box = Box(np.array([0.25, -1.0]), np.array([1.75, 1.0]), np.array([True, False]))
-        degrees = (7, 5)
-        factors = [g[i](box.lo[i] + box.widths()[i] * np.arange(k + 1) / k)[None]
-                   for i, k in enumerate(degrees)]
-        rung = SeparableRung(box, factors)
-        assert [rung.basis(i) for i in range(2)] == ["bernstein", "bernstein"]
-        assert rung.degrees == degrees
-        tensor = bernstein_tensor(lambda z: g[0](z[..., 0]) * g[1](z[..., 1]), degrees, box)
-        z = box_points(box, 200, 4)
-        # angles outside the chart wrap into it
-        z[:100, 0] += np.repeat([-2.0 * 1.5, 3.0 * 1.5], 50)
-        val, grad, hess = rung.jet_batch(z)
-        assert np.max(np.abs(val - tensor(z))) <= 1e-13
-        for a in range(2):
-            want = tensor.derivative(np.eye(2, dtype=int)[a])(z)
-            assert np.max(np.abs(grad[:, a] - want)) <= 1e-12 * np.max(np.abs(want))
+        with pytest.raises(ValueError, match="axis 1 has a real table"):
+            SeparableRung(box, (np.ones((1, 8), complex), np.ones((1, 5))))
 
     def test_each_builder_names_its_axes_bases(self, rough_system):
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
         b = bernstein_nd(hx.separable(), 8, hx.box)
         rung = rung_nd(hx.separable(), 8, hx.box)
-        assert type(b) is type(rung) is SeparableRung
-        assert [b.basis(i) for i in range(2)] == ["bernstein", "bernstein"]
-        assert [rung.basis(i) for i in range(2)] == ["vallee_poussin", "bernstein"]
-        # a tail pairs each rung with its target, whatever the bases
-        for approx in (b, rung):
-            sups, method = cl_bound([approx, hx.separable()], hx.box)
-            assert method == "sampled"
-            ref = cl_gap(approx, hx.separable(), hx.box, 3, 129)
-            assert ref <= max(sups) <= 10 * ref
+        # bernstein_nd is the dense operator, rung_nd the factored V_N
+        assert type(b) is BernsteinApproximant and b.degrees == (8, 8)
+        assert type(rung) is SeparableRung
+        assert [(f.dtype, f.shape) for f in rung.factors] == [(np.complex128, (1, 16))] * 2
+        # a tail pairs a rung with its target
+        sups, method = cl_bound([rung, hx.separable()], hx.box)
+        assert method == "sampled"
+        ref = cl_gap(rung, hx.separable(), hx.box, 3, 129)
+        assert ref <= max(sups) <= 10 * ref
 
 
 def trig_polynomial(N, lo, width, seed):
@@ -662,9 +690,24 @@ def trig_polynomial(N, lo, width, seed):
     return derivative
 
 
+def vanishing_trig_polynomial(N, lo, width, seed):
+    """(1 - cos 2 pi t) p(t), t = (u - lo) / width, with p a random real
+    trigonometric polynomial of degree N - 1 (trig_polynomial): degree N,
+    and 0 at both ends of [lo, lo + width]; with its derivative of order q."""
+    p = trig_polynomial(N - 1, lo, width, seed)
+    w = 2 * np.pi / width
+
+    def one_minus_cos(u, j):
+        return float(j == 0) - w**j * np.cos(w * (np.asarray(u, dtype=float) - lo) + j * np.pi / 2)
+
+    def derivative(u, q=0):
+        return sum(math.comb(q, j) * one_minus_cos(u, j) * p(u, q - j) for j in range(q + 1))
+
+    return derivative
+
+
 class TestValleePoussinRung:
-    """Ladder rungs: V_N of each factor on the angle axes, Bernstein on the
-    action axes."""
+    """Ladder rungs: V_N of each factor on every axis."""
 
     @pytest.fixture(scope="class")
     def rungs(self, rough_system):
@@ -679,22 +722,26 @@ class TestValleePoussinRung:
         for rung in rungs:
             N = rung.degrees[0]
             assert rung.degrees == (N, N)
-            assert [rung.basis(i) for i in range(2)] == ["vallee_poussin", "bernstein"]
-            assert [f.shape for f in rung.factors] == [(1, 2 * N), (1, N + 1)]
+            assert [f.shape for f in rung.factors] == [(1, 2 * N)] * 2
+            assert all(np.iscomplexobj(f) for f in rung.factors)
             u = np.linspace(-0.5, 1.5, 7)
             for axis in range(2):
                 assert rung.axis_values(axis, u, 3).dtype == np.float64
 
     def test_every_derivative_is_continuous_across_the_seam(self, rungs):
-        # D^q at either side of x = 0 == 1 differs by at most the distance,
-        # 2 delta, times sup |D^(q+1)| (a Bernstein rung's D^1 jumps there)
-        delta = 1e-7
+        # D^q at either side of an axis's seam (x = 0 == 1 on the angle, the
+        # box ends on the action) differs by at most the distance, 2 delta,
+        # times sup |D^(q+1)| (a factor that is not periodic jumps there)
         for rung in rungs:
-            sides = rung.axis_values(0, np.array([delta, 1.0 - delta]), 3)
-            sups = np.max(np.abs(rung.axis_values(0, np.linspace(0, 1, 4001), 4)), axis=2)
-            for q in range(4):
-                jump = np.abs(sides[q, :, 0] - sides[q, :, 1])
-                assert np.all(jump <= 2 * delta * sups[q + 1] * 1.5 + 1e-12 * sups[q]), q
+            for axis in range(2):
+                lo, hi = rung.box.lo[axis], rung.box.hi[axis]
+                delta = 1e-7 * (hi - lo)
+                sides = rung.axis_values(axis, np.array([lo + delta, hi - delta]), 3)
+                grid = np.linspace(lo, hi, 4001)
+                sups = np.max(np.abs(rung.axis_values(axis, grid, 4)), axis=2)
+                for q in range(4):
+                    jump = np.abs(sides[q, :, 0] - sides[q, :, 1])
+                    assert np.all(jump <= 2 * delta * sups[q + 1] * 1.5 + 1e-12 * sups[q]), q
 
     def test_angle_amplitudes_vanish_beyond_2N(self, rungs):
         for rung in rungs:
@@ -706,33 +753,40 @@ class TestValleePoussinRung:
 
     @pytest.mark.parametrize("N", [4, 16])
     def test_reproduces_a_trigonometric_polynomial_of_degree_N(self, N):
-        # on a periodic axis of width 1.5 beside an action axis, where the
-        # Bernstein factor reproduces the affine 1 + 2y
+        # on a periodic axis of width 1.5 and on an action axis of width 2,
+        # where the factor is a trigonometric polynomial of the box width's
+        # period that vanishes at both ends
         p = trig_polynomial(N, 0.25, 1.5, seed=N)
+        a = vanishing_trig_polynomial(N, -1.0, 2.0, seed=N + 1)
         box = Box(np.array([0.25, -1.0]), np.array([1.75, 1.0]), np.array([True, False]))
-        f = SeparableFunction([(p, lambda y: 1.0 + 2.0 * y)])
-        rung = rung_nd(f, N, box)
-        u = np.random.default_rng(N).uniform(-2.0, 4.0, 300)
-        table = rung.axis_values(0, u, 3)[:, 0]
-        for q in range(4):
-            want = p(u, q)
-            assert np.max(np.abs(table[q] - want)) <= 1e-12 * np.max(np.abs(want)), q
-        z = np.stack([u, np.linspace(-1.0, 1.0, u.size)], axis=-1)
-        val, grad, hess = rung.jet_batch(z)
-        y = z[:, 1]
-        scale = np.max(np.abs(p(u, 2))) * 3
-        assert np.max(np.abs(val - p(u) * (1 + 2 * y))) <= 1e-12 * scale
-        assert np.max(np.abs(grad[:, 0] - p(u, 1) * (1 + 2 * y))) <= 1e-12 * scale
-        assert np.max(np.abs(grad[:, 1] - 2 * p(u))) <= 1e-12 * scale
-        assert np.max(np.abs(hess[:, 0, 0] - p(u, 2) * (1 + 2 * y))) <= 1e-12 * scale
-        assert np.max(np.abs(hess[:, 0, 1] - 2 * p(u, 1))) <= 1e-12 * scale
-        assert np.max(np.abs(hess[:, 1, 1])) <= 1e-12 * scale
+        rung = rung_nd(SeparableFunction([(p, a)]), N, box)
+        rng = np.random.default_rng(N)
+        u = rng.uniform(-2.0, 4.0, 300)
+        y = rng.uniform(-1.0, 1.0, 300)
+        for axis, g, v in ((0, p, u), (1, a, y)):
+            table = rung.axis_values(axis, v, 3)[:, 0]
+            for q in range(4):
+                want = g(v, q)
+                assert np.max(np.abs(table[q] - want)) <= 1e-12 * np.max(np.abs(want)), (axis, q)
+        val, grad, hess = rung.jet_batch(np.stack([u, y], axis=-1))
+        scale = np.max(np.abs(p(u, 2))) * np.max(np.abs(a(y, 2)))
+        assert np.max(np.abs(val - p(u) * a(y))) <= 1e-12 * scale
+        assert np.max(np.abs(grad[:, 0] - p(u, 1) * a(y))) <= 1e-12 * scale
+        assert np.max(np.abs(grad[:, 1] - p(u) * a(y, 1))) <= 1e-12 * scale
+        assert np.max(np.abs(hess[:, 0, 0] - p(u, 2) * a(y))) <= 1e-12 * scale
+        assert np.max(np.abs(hess[:, 0, 1] - p(u, 1) * a(y, 1))) <= 1e-12 * scale
+        assert np.max(np.abs(hess[:, 1, 1] - p(u) * a(y, 2))) <= 1e-12 * scale
+
+    def test_action_factor_that_does_not_vanish_at_the_box_ends_rejected(self):
+        p = trig_polynomial(4, 0.25, 1.5, seed=4)
+        box = Box(np.array([0.25, -1.0]), np.array([1.75, 1.0]), np.array([True, False]))
+        with pytest.raises(ValueError, match="action axis 1: a factor does not vanish"):
+            rung_nd(SeparableFunction([(p, lambda y: 1.0 + 2.0 * y)]), 4, box)
 
 
 class TestRungTableOracles:
-    """Each order's axis table against a direct evaluation: V_N mode by
-    mode, and the Bernstein factor by its own derivative in Bernstein form
-    (degree N - q)."""
+    """Each order's axis table against V_N evaluated mode by mode, on an
+    angle and an action axis."""
 
     @pytest.fixture(scope="class", params=[4, 256, 2048])
     def rung(self, request):
@@ -741,31 +795,22 @@ class TestRungTableOracles:
         box = Box(np.array([0.25, -0.7]), np.array([1.75, 1.9]), np.array([True, False]))
         t = np.arange(8 * N) / (8 * N)
         half = _vallee_poussin_half(np.stack([prof(t), np.cos(2 * np.pi * t) ** 3]), N)
-        y = box.lo[1] + box.widths()[1] * np.arange(N + 1) / N
-        bern = np.stack([np.exp(-y**2), np.sin(3.0 * y)])
-        return SeparableRung(box, (half, bern))
+        bump = PlateauBump.smoothstep(np.sin(np.pi * t) ** 2 * 4.0)
+        action = _vallee_poussin_half(np.stack([bump, np.sin(2 * np.pi * t) * bump]), N)
+        return SeparableRung(box, (half, action))
 
     def test_vallee_poussin_tables_match_a_sum_over_modes(self, rung):
-        lo, width = rung.box.lo[0], rung.box.widths()[0]
-        u = np.random.default_rng(5).uniform(-1.0, 3.0, 200)
-        tables = rung.axis_values(0, u, 3)
-        half = rung.factors[0]
-        for q in range(4):
-            want = np.zeros_like(tables[q])
-            for k in range(half.shape[1]):
-                wave = np.exp(2j * np.pi * k * (u - lo) / width)
-                want += (half[:, k : k + 1] * (2j * np.pi * k / width) ** q * wave).real
-            assert np.max(np.abs(tables[q] - want)) <= 1e-11 * np.max(np.abs(want)), q
-
-    def test_bernstein_tables_match_the_derivative_in_bernstein_form(self, rung):
-        N = rung.degrees[1]
-        lo, hi = rung.box.lo[1], rung.box.hi[1]
-        u = np.random.default_rng(6).uniform(lo, hi, 200)
-        tables = rung.axis_values(1, u, 3)
-        for q in range(4):
-            want = np.stack([bernstein_1d(c, N, [(lo, hi)]).derivative((q,))(u)
-                             for c in rung.factors[1]])
-            assert np.max(np.abs(tables[q] - want)) <= 1e-11 * np.max(np.abs(want)), q
+        for axis in range(2):
+            lo, width = rung.box.lo[axis], rung.box.widths()[axis]
+            u = np.random.default_rng(5 + axis).uniform(lo - width, lo + 2 * width, 200)
+            tables = rung.axis_values(axis, u, 3)
+            half = rung.factors[axis]
+            for q in range(4):
+                want = np.zeros_like(tables[q])
+                for k in range(half.shape[1]):
+                    wave = np.exp(2j * np.pi * k * (u - lo) / width)
+                    want += (half[:, k : k + 1] * (2j * np.pi * k / width) ** q * wave).real
+                assert np.max(np.abs(tables[q] - want)) <= 1e-11 * np.max(np.abs(want)), (axis, q)
 
 
 class TestSmoothingSequence:
@@ -828,6 +873,17 @@ class TestSmoothingSequence:
         assert seq3.degrees[:2] == seq2.degrees
         assert seq3.gaps_c3[0] == seq2.gaps_c3[0]
         assert len(seq3.degrees) == 3
+
+    def test_action_coordinate_gaps_fall_at_every_doubling(self):
+        # H = y^2/2 + 1e-3 B(y): the rough term on the action coordinate,
+        # where the cut-off factor vanishes near both box ends
+        prof = BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55], degree=5)
+        h = CompositeHamiltonian(HamiltonianModel.free_rotator(1), [RoughTerm(1, prof, 1e-3)])
+        hx = cutoff_extend(h, TorusEmbedding.circle(0.4, trunc_order=64), r=0.8)
+        rungs = [rung_nd(hx.separable(), N, hx.box) for N in (8, 16, 32, 64, 128, 256)]
+        gaps = [max(cl_bound([a, b], hx.box)[0]) for a, b in zip(rungs, rungs[1:])]
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < 1e-4
 
     def test_unachievable_bound_raises(self, rough_system):
         h, K0 = rough_system
