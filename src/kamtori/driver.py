@@ -15,20 +15,21 @@ explicit polynomial is available.  Certificates therefore always carry
 the raw measured quantities plus both condition variants: the literal
 lambda-form left-hand sides under a configurable spec (default
 "mu * d**2 * v**2 * tau**2"), and measured analogues (observed quadratic
-constant and step amplification of an actual trial Newton step).  The
-default gate decision uses the measured variant; "strict" mode gates on
-the literal one.
+constant and step amplification of stage 1's first Newton step, read off
+its solve's trace, so stage 1 runs before the gate; a stage 1 that takes
+no step leaves them vacuous, and says so).  The default gate decision
+uses the measured variant; "strict" mode gates on the literal one.  A
+failed gate returns K0 with no stage records.
 
 Each (model, torus) pair is evaluated once, into a solver.Iterate that
 the stages pass on.  The ladder holds H's value at K0 and the schedule's
 frame is the first approximant's value there (the ladder's on analytic
 input); its tails are the C^3 distances to the cut target that its
-construction bounded.  Stage 1 starts from the gate's value, the
-selected model at K0, and stage k >= 2 from H's value at stage k-1's
-torus: the one stage k-1's solve returned, or after a smoothed stage 1 a
-new one.  A stage's d_k, v_k, tau_k and e_k are norms of its start value
-at rho_k, the width its solve runs at; the final defect is the last
-stage's.  Every C^3 number (gaps, tails, mu0, mu_k) is a cl_bound from
+construction bounded.  Stage 1 starts from the selected model's value
+at K0, and stage k >= 2 from H's value at stage k-1's torus: the one
+stage k-1's solve returned, or after a smoothed stage 1 a new one.  A
+stage's d_k, v_k, tau_k and e_k are norms of its start value at rho_k,
+the width its solve runs at; the final defect is the last stage's.  Every C^3 number (gaps, tails, mu0, mu_k) is a cl_bound from
 per-axis factor sups, and the certificate's c3_methods names how each
 was taken.  The CLI's smooth and verify commands call smoothing_ladder
 and kam_schedule, the same code that run_scheme uses.
@@ -55,14 +56,7 @@ from .smoothing import (
     cl_bound,
     cutoff_extend,
 )
-from .solver import (
-    ErrorField,
-    Iterate,
-    check_horizon,
-    invariance_error,
-    newton_step,
-    solve_torus,
-)
+from .solver import ErrorField, Iterate, SolveResult, check_horizon, solve_torus
 
 __all__ = [
     "ConfigError",
@@ -99,6 +93,25 @@ _LAMBDA_NODES = (
 )
 
 
+def _power(base, exp) -> float:
+    """base ** exp in floats, or an infinity where it overflows, as * gives."""
+    base, exp = float(base), float(exp)
+    try:
+        return base ** exp
+    except OverflowError:  # exp % 2 == 1 only for an odd integer exp
+        return -math.inf if base < 0 and exp % 2 == 1 else math.inf
+
+
+class _PowerCalls(ast.NodeTransformer):
+    """Rewrites a ** b as _power(a, b)."""
+
+    def visit_BinOp(self, node):
+        node = self.generic_visit(node)
+        if isinstance(node.op, ast.Pow):
+            node = ast.Call(ast.Name("_power", ast.Load()), [node.left, node.right], [])
+        return node
+
+
 @lru_cache(maxsize=16)
 def _compiled_lambda(spec: str):
     """The code of a spec, parsed and checked once per distinct string; a
@@ -111,6 +124,7 @@ def _compiled_lambda(spec: str):
             raise ValueError(f"lambda spec: unknown name {node.id!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ValueError("lambda spec: only numeric constants allowed")
+    tree = ast.fix_missing_locations(_PowerCalls().visit(tree))
     return compile(tree, "<lambda-spec>", "eval")
 
 
@@ -118,9 +132,11 @@ def eval_lambda(spec: str, mu: float, d: float, v: float, tau: float) -> float:
     """Evaluate a user-supplied polynomial spec in mu, d, v, tau.
 
     Only arithmetic expressions over those four names and numeric
-    constants are admitted; anything else raises.
+    constants are admitted; anything else raises.  Arithmetic is in
+    floats, and a power that overflows gives an infinity, as a product
+    does.
     """
-    return float(eval(_compiled_lambda(spec), {"__builtins__": {}},
+    return float(eval(_compiled_lambda(spec), {"__builtins__": {}, "_power": _power},
                       {"mu": mu, "d": d, "v": v, "tau": tau}))
 
 
@@ -399,7 +415,8 @@ class RunParams:
             bad.append(f"lambda_spec must be a string, got {self.lambda_spec}")
         else:
             try:
-                eval_lambda(self.lambda_spec, 1.0, 1.0, 1.0, 1.0)
+                if not math.isfinite(eval_lambda(self.lambda_spec, 1.0, 1.0, 1.0, 1.0)):
+                    raise OverflowError("numerical result out of range at μ = d = v = τ = 1")
             except (ArithmeticError, SyntaxError, TypeError, ValueError) as exc:
                 bad.append(f"lambda_spec does not evaluate: {exc}")
         if bad:
@@ -466,6 +483,35 @@ def _defect_record(err: ErrorField) -> dict:
         "tail_max": err.norm_rho.tail_max,
         "tail_sum": err.norm_rho.tail_sum,
         "round_off": err.round_off,
+    }
+
+
+def _measured_conditions(stage1: SolveResult, r: float) -> dict:
+    """The smallness conditions measured on stage 1's first Newton step.
+
+    With e0 and e1 the defects of its first two trace rows, the step from
+    K0 and the iterate it gave, c = e1 / e0^2 is the observed quadratic
+    constant and d = |Delta| / e0 the step amplification; condition 2 is
+    c e0 < 1 and condition 3 bounds the drift of the whole iteration,
+    d e0 / (1 - min(c e0, 1/2)), by r.  A stage 1 that took no step (its
+    start met tol) measured nothing: every number is 0, and vacuous says so.
+    """
+    vacuous = stage1.iterations == 0
+    e0 = c_meas = d_meas = 0.0
+    if not vacuous:
+        row0, row1 = stage1.trace[:2]
+        e0 = row0["error"]
+        c_meas, d_meas = row1["error"] / e0**2, row0["correction"] / e0
+    q = c_meas * e0
+    drift_bound = d_meas * e0 / max(1.0 - min(q, 0.5), 0.5)
+    return {
+        "quadratic_constant": c_meas,
+        "step_amplification": d_meas,
+        "condition2_lhs": q,
+        "condition2_ok": bool(q < 1.0),
+        "condition3_lhs": drift_bound,
+        "condition3_ok": bool(drift_bound < r),
+        "vacuous": vacuous,
     }
 
 
@@ -653,57 +699,18 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         cert["termination_reason"] = "no_admissible_k0"
         return RunResult(K0, _jsonable(cert), stages, seq)
 
-    # the stage-1 model's value at K0 starts the gate and stage 1: the
-    # schedule's at k0 = 0 and on analytic input, where every sequence
-    # entry is H itself
-    h_stage1 = seq.approximants[k0_index]
-    start = _value(h_stage1, K0, freq, params.rho, value0)
-    e0_stage = start.error
-    cert["e0_stage1"] = _defect_record(e0_stage)
+    # the stage-1 model's value at K0 starts stage 1: the schedule's at
+    # k0 = 0 and on analytic input, where every sequence entry is H itself
+    start = _value(seq.approximants[k0_index], K0, freq, params.rho, value0)
+    cert["e0_stage1"] = _defect_record(start.error)
 
-    # gate: literal lambda-form conditions plus measured trial-step analogues
+    # gate: literal lambda-form conditions, and measured analogues read off
+    # stage 1's solve, which runs before the gate applies
     c_value, strict = schedule.strict_conditions(
-        params.lambda_spec, e0_stage.norm_rho.value
+        params.lambda_spec, start.error.norm_rho.value
     )
     cert["c_value"] = c_value
     cert["conditions_strict"] = strict
-
-    e0g = e0_stage.norm_grid
-    if e0g > 0:
-        k_trial, diag = newton_step(h_stage1, K0, freq, nd=start.frame, err=e0_stage)
-        e_trial = invariance_error(h_stage1, k_trial, freq, rho=params.rho / 2)
-        c_meas = e_trial.norm_grid / e0g**2
-        d_meas = diag.correction_sup / e0g
-        q = c_meas * e0g
-        drift_bound = d_meas * e0g / max(1.0 - min(q, 0.5), 0.5)
-        measured = {
-            "quadratic_constant": c_meas,
-            "step_amplification": d_meas,
-            "condition2_lhs": q,
-            "condition2_ok": bool(q < 1.0),
-            "condition3_lhs": drift_bound,
-            "condition3_ok": bool(drift_bound < params.r),
-        }
-    else:
-        measured = {
-            "quadratic_constant": 0.0,
-            "step_amplification": 0.0,
-            "condition2_lhs": 0.0,
-            "condition2_ok": True,
-            "condition3_lhs": 0.0,
-            "condition3_ok": True,
-        }
-    cert["conditions_measured"] = measured
-
-    gate = strict if params.condition_mode == "strict" else measured
-    if not gate["condition2_ok"]:
-        cert["converged"] = False
-        cert["termination_reason"] = "condition2_failed"
-        return RunResult(K0, _jsonable(cert), stages, seq)
-    if not gate["condition3_ok"]:
-        cert["converged"] = False
-        cert["termination_reason"] = "condition3_failed"
-        return RunResult(K0, _jsonable(cert), stages, seq)
 
     # Newton cascade: stage 1 on the smoothed model, then the original H,
     # each stage from the start value its predecessor left
@@ -714,8 +721,22 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     for k in range(1, params.max_stages + 1):
         h_k, k_prev = start.model, start.K
         rho_k = schedule.rho_k(k)
+        # refinement may not outgrow the certified Diophantine horizon
+        res = solve_torus(
+            h_k, k_prev, freq, tol=tol, max_iter=params.max_iter,
+            max_trunc_order=freq.horizon, rho=rho_k, start=start,
+        )
+        if k == 1:
+            measured = cert["conditions_measured"] = _measured_conditions(res, params.r)
+            gate = strict if params.condition_mode == "strict" else measured
+            for condition in ("condition2", "condition3"):
+                if not gate[condition + "_ok"]:
+                    cert["converged"] = False
+                    cert["termination_reason"] = condition + "_failed"
+                    return RunResult(K0, _jsonable(cert), stages, seq)
+
         r_prev = schedule.r_k(k - 1) if k > 1 else params.r
-        # the defect and the frame's growth norms at the width the stage solves at
+        # the defect and the frame's growth norms at the width the stage solved at
         e_k = start.error.at(rho_k).norm_rho.value
         nd_k = start.frame_at(rho_k)
         mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r))
@@ -726,11 +747,6 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         a3_lhs = c_k * freq.gamma ** -4 * delta_k ** (-4 * params.sigma) * e_k
         a4_lhs = c_k * freq.gamma ** -2 * delta_k ** (-2 * params.sigma) * e_k
 
-        # refinement may not outgrow the certified Diophantine horizon
-        res = solve_torus(
-            h_k, k_prev, freq, tol=tol, max_iter=params.max_iter,
-            max_trunc_order=freq.horizon, rho=rho_k, start=start,
-        )
         k_new = res.torus
         step_norm = k_new.difference(k_prev).strip_norm(rho_k).value
         drift = k_new.difference(K0).strip_norm(schedule.rho_k(k + 1)).value

@@ -56,10 +56,11 @@ the sampling grid.
 Each (model, torus) pair is evaluated once, into an Iterate: one jet of
 H at K's grid samples, whose gradient gives the defect (invariance_error)
 and whose Hessian gives the frame, built on first use (nondegeneracy);
-newton_step takes both as they are.  Norms at another strip width come
-from the stored maps (ErrorField.at, Iterate.frame_at).  solve_torus
-starts from a given Iterate and returns the Iterate of its torus, so a
-cascade hands evaluated iterates on.  A resized K is a new iterate.
+newton_step takes the Iterate it steps from.  Norms at another strip
+width come from the stored maps (ErrorField.at, Iterate.frame_at).
+solve_torus starts from a given Iterate and returns the Iterate of its
+torus, so a cascade hands evaluated iterates on.  A resized K is a new
+iterate.
 """
 
 from __future__ import annotations
@@ -415,49 +416,42 @@ def nondegeneracy(
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """What one Newton step saw and did.
+    """What one Newton step computed: the grid sup of its correction M xi
+    and the divisor report of its normal cohomological equation.  The
+    defect and frame it stepped with are its Iterate's."""
 
-    The step uses one frame build (the NondegeneracyData it is given) and
-    one defect (the ErrorField it is given), both of the iterate K it
-    corrects.  error_before is that defect's grid sup.
-    """
-
-    error_before: float
     correction_sup: float
-    torsion_average: np.ndarray
-    frame_min_det: float
     normal_divisors: DivisorReport
 
 
-def newton_step(
-    hamiltonian,
-    K: TorusEmbedding,
-    omega: FrequencyVector,
-    nd: NondegeneracyData | None = None,
-    err: ErrorField | None = None,
-):
+def _check_value(value: "Iterate", model, K: TorusEmbedding, name: str,
+                 user: str, torus: str) -> None:
+    """Reject a value of another model or torus than (model, K), or one
+    evaluated off K's sampling grid; name, user and torus word the error."""
+    if value.model is not model or value.K is not K:
+        raise ValueError(f"{name} is of another model or torus than the {user}'s")
+    if value.error.values.shape[:-1] != (sampling_size(K.trunc_order),) * K.dim_domain:
+        raise ValueError(f"{name}'s grid does not match {torus}'s sampling grid")
+
+
+def newton_step(hamiltonian, K: TorusEmbedding, omega: FrequencyVector,
+                value: "Iterate | None" = None):
     """One quadratically convergent correction K -> K + M xi.
 
     The step works on K's sampling grid, sampling_size(M) points per axis,
-    and every map it analyzes keeps K's order M.  nd and err must describe
-    (hamiltonian, K) on that grid: the frame data from nondegeneracy and
-    the defect (with its grid samples) from invariance_error.  Whichever
-    is omitted comes from one evaluation of (hamiltonian, K), an Iterate.
+    and every map it analyzes keeps K's order M.  value is the Iterate of
+    (hamiltonian, K) it steps from: its defect, with the grid samples, and
+    its frame (built on first use).  It is evaluated when omitted; a value
+    of another model, torus or grid raises ValueError.
     """
     n, m = K.dim_domain, K.trunc_order
     gs = sampling_size(m)
-    if nd is None or err is None:
+    if value is None:
         value = Iterate.evaluate(hamiltonian, K, omega)
-        nd = value.frame if nd is None else nd
-        err = value.error if err is None else err
-    for what, grid in (("frame data", nd.frame.dk.shape[2:]),
-                       ("defect samples", err.values.shape[:-1])):
-        if grid != (gs,) * n:
-            raise ValueError(
-                f"{what} on grid {grid} does not match the step's grid {(gs,) * n}"
-            )
+    _check_value(value, hamiltonian, K, "step value", "step", "K")
+    nd = value.frame
     # component-major from here on: each field is (components, *grid)
-    eta_t, eta_n = nd.frame.solve(_components(err.values, 1))
+    eta_t, eta_n = nd.frame.solve(_components(value.error.values, 1))
     grid_axes = tuple(range(1, n + 1))
 
     sol_n = solve_cohomological(
@@ -479,14 +473,7 @@ def newton_step(
     delta = nd.frame.apply(xi_t, xi_n)
     delta_map = FourierMap.from_samples(_grid_major(delta, 1), n, m)
     K_next = K.with_periodic(K.periodic + delta_map)
-    diag = StepDiagnostics(
-        error_before=err.norm_grid,
-        correction_sup=float(np.max(np.abs(delta))),
-        torsion_average=nd.avg_s,
-        frame_min_det=nd.frame_min_det,
-        normal_divisors=sol_n.report,
-    )
-    return K_next, diag
+    return K_next, StepDiagnostics(float(np.max(np.abs(delta))), sol_n.report)
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,18 +565,19 @@ def solve_torus(
     round-off never refines, and neither does one whose sup bound tail_sum
     is below tol, since it cannot hold the defect above tol.
 
-    The trace has a row per Newton step and, on convergence, one for the
-    final iterate.  Every row records the iterate's defect ("error") and
+    The trace has a row per Newton step and one for the last iterate it
+    evaluated, whichever rule ended the solve, so each status can be read
+    off the rows.  Every row records the iterate's defect ("error") and
     the tail state that decided its refinement: tail_flag, tail_max,
     tail_sum and round_off (r) at the order the iterate was first
     evaluated at, the odd grid size N = sampling_size(M) its defect was
     evaluated on ("grid") and the jets of H it used ("jets": 1, or 2 when
     it was resized, the jet at its old order and the one at the new, whose
     grid the row then records).  A step row also records the growth
-    quantities (|DK|, |N|, |<S>^-1|), the Lagrangian defect
-    max |DK^T J DK| and the corrected iterate's truncation order; its
-    "error" is that of the iterate the step corrected, after any
-    refinement.
+    quantities (|DK|, |N|, |<S>^-1|), the frame's min |det M|, the
+    Lagrangian defect max |DK^T J DK|, all from the Iterate the step took,
+    and the corrected iterate's truncation order; its "error" is that of
+    the iterate the step corrected, after any refinement.
 
     With a FrequencyVector, every retained mode must stay inside its
     Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
@@ -602,10 +590,8 @@ def solve_torus(
     if isinstance(omega, FrequencyVector):
         check_horizon(K0, omega)
         max_trunc_order = min(max_trunc_order, omega.horizon // K0.dim_domain)
-    if start is not None and (start.model is not hamiltonian or start.K is not K0):
-        raise ValueError("start value is of another model or torus than the solve's")
-    if start is not None and start.error.values.shape[0] != sampling_size(K0.trunc_order):
-        raise ValueError("start value's grid does not match K0's sampling grid")
+    if start is not None:
+        _check_value(start, hamiltonian, K0, "start value", "solve", "K0")
     K = K0
     trace: list[dict] = []
     best_err = np.inf
@@ -624,13 +610,8 @@ def solve_torus(
         stalls = 0 if err.norm_grid < best_err - err.round_off else stalls + 1
         if err.norm_grid < best_err:
             best_err, best = err.norm_grid, value
-        if err.norm_grid <= tol:
+        if err.norm_grid <= tol or stalls >= 2 or it == max_iter:
             trace.append(row)
-            return SolveResult("converged", value, err.norm_grid, it, trace)
-        if stalls >= 2:
-            status = "floored" if best_err < initial else "diverged"
-            return SolveResult(status, best, best_err, it, trace)
-        if it == max_iter:
             break
         if (err.genuine_tail and err.norm_rho.tail_sum > tol
                 and K.trunc_order * 2 <= max_trunc_order):
@@ -640,23 +621,25 @@ def solve_torus(
             row["grid"] = err.values.shape[0]
             row["jets"] += 1
         nd = value.frame_at(rho)
-        K, diag = newton_step(hamiltonian, K, omega, nd, err=err)
+        K, diag = newton_step(hamiltonian, K, omega, value)
         trace.append(
             {
                 **row,
-                "error": diag.error_before,
+                "error": err.norm_grid,
                 "correction": diag.correction_sup,
                 "norm_dk": nd.norm_dk,
                 "norm_n": nd.norm_n,
                 "norm_s_inv": nd.norm_s_inv,
                 "min_divisor": diag.normal_divisors.min_divisor,
-                "frame_min_det": diag.frame_min_det,
+                "frame_min_det": nd.frame_min_det,
                 "lagrangian_defect": nd.lagrangian_defect,
                 "trunc_order": K.trunc_order,
             }
         )
-    status = "floored" if best_err < initial else "max_iter"
-    return SolveResult(status, best, best_err, max_iter, trace)
+    if err.norm_grid <= tol:
+        return SolveResult("converged", value, err.norm_grid, it, trace)
+    status = "floored" if best_err < initial else ("diverged" if stalls >= 2 else "max_iter")
+    return SolveResult(status, best, best_err, it, trace)
 
 
 def flow(hamiltonian, z0: np.ndarray, time: float, step: float = 1e-4) -> np.ndarray:

@@ -32,7 +32,8 @@ REJECTED_IDS = [",".join(f"{k}={v}" for k, v in knobs.items()) for knobs, _ in R
 # lambda specs that parse but raise ArithmeticError at the probe point
 # mu = d = v = tau = 1, and a fragment of the error each names
 ARITHMETIC_LAMBDAS = [("mu / (d - 1)", "division by zero"),
-                      ("mu * 10.0**400", "out of range")]
+                      ("mu * 10.0**400", "out of range"),
+                      ("mu * 1e300 * 1e300", "out of range at μ = d = v = τ = 1")]
 
 
 @pytest.fixture

@@ -143,6 +143,19 @@ class TestParseConfig:
         assert fragment in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, code", [("strict", 1), ("measured", 0)])
+    def test_lambda_overflowing_at_run_time_ends_with_a_certificate(
+            self, write_files, mode, code):
+        # c = (mu + 1)**1000 is finite at the probe and infinite at the run's mu
+        cfg_path, out = write_files(ROUGH, "out", y0=[0.4], rho=0.02, r=0.8,
+                                    target_error=1e-8, lambda_spec="(mu+1)**1000",
+                                    condition_mode=mode)
+        assert main(["run", "--config", str(cfg_path)]) == code
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["c_value"] == "inf"
+        assert cert["termination_reason"] == (
+            "condition2_failed" if mode == "strict" else "target_reached")
+
     def test_missing_keys_named(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{}")

@@ -1,6 +1,7 @@
 """Cascade schedule arithmetic, gates, stage bookkeeping and certificates."""
 
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -60,6 +61,16 @@ class TestEvalLambda:
     def test_general_arithmetic(self):
         assert eval_lambda("mu + 2*d - v/tau", 1.0, 2.0, 6.0, 3.0) == 3.0
         assert eval_lambda("(mu + d)**2", 1.0, 2.0, 0.0, 0.0) == 9.0
+
+    def test_overflowing_power_reads_infinite_as_a_product_does(self):
+        # 4.00009**1000 overflows a float; so does 1e300 * 1e300
+        assert eval_lambda("(mu+1)**1000", 3.00009, 1.0, 1.0, 1.0) == math.inf
+        assert eval_lambda("mu*1e300*1e300", 1.0, 1.0, 1.0, 1.0) == math.inf
+        assert eval_lambda("(-mu-1)**1001", 3.0, 1.0, 1.0, 1.0) == -math.inf
+        assert eval_lambda("(-mu-1)**1000", 3.0, 1.0, 1.0, 1.0) == math.inf
+        assert eval_lambda("-(mu+1)**1000", 3.0, 1.0, 1.0, 1.0) == -math.inf
+        # an exponent tower is taken in floats, not as an exact integer
+        assert eval_lambda("2**10**10", 1.0, 1.0, 1.0, 1.0) == math.inf
 
     @pytest.mark.parametrize(
         "spec",
@@ -341,9 +352,8 @@ class TestRunScheme:
         k0 = K0.grid_samples()
         assert np.array_equal(samples[0], k0)
         assert not any(np.array_equal(z, k0) for z in samples[1:])
-        # K0, the trial iterate, and the stage-1 solve's three iterates
-        # (the first of them the trial iterate again)
-        assert len(samples) == 5
+        # K0 and the stage-1 solve's three iterates after it
+        assert len(samples) == 4
 
     def test_measured_gate_rejects_strong_coupling(self):
         h = HamiltonianModel.pendulum(0.2)
@@ -462,6 +472,22 @@ class TestRunParams:
         assert named.startswith("lambda_spec does not evaluate: ")
         assert fragment in named
 
+    @pytest.mark.parametrize("mode, reason", [("strict", "condition2_failed"),
+                                              ("measured", "target_reached")])
+    def test_lambda_overflowing_at_run_time_ends_the_run(self, mode, reason):
+        # the spec is finite at the probe, 2**1000, but mu = 3.00009 on the
+        # C^4 rotator, so c = 4.00009**1000 overflows
+        h, K0, params = rough_rotator()
+        params = dataclasses.replace(params, lambda_spec="(mu+1)**1000",
+                                     condition_mode=mode)
+        res = run_scheme(h, K0, np.array([GOLDEN]), params)
+        cert = res.certificate
+        assert cert["c_value"] == "inf"
+        assert cert["conditions_strict"]["condition2_ok"] is False
+        assert cert["termination_reason"] == reason
+        assert res.converged is (mode == "measured")
+        json.dumps(cert)
+
     def test_every_violation_in_one_value_error(self):
         with pytest.raises(ValueError) as exc:
             RunParams(rho=0.0, r=-1.0, gamma=0.0, l=3, horizon=0)
@@ -486,8 +512,7 @@ class EvaluationCounter:
 
     Wraps jet_grid, invariance_error and nondegeneracy wherever
     kamtori.solver and kamtori.driver look them up; a torus is keyed by its
-    samples on its sampling grid.  trial is the pair of the gate's trial
-    step, the first newton_step the driver takes itself.
+    samples on its sampling grid.
     """
 
     KINDS = {"jet_grid": "jets", "invariance_error": "defects",
@@ -498,19 +523,10 @@ class EvaluationCounter:
         import kamtori.solver as solver
 
         self.pairs = {kind: collections.Counter() for kind in self.KINDS.values()}
-        self.trial = None
         for module in (solver, driver):
             for name, kind in self.KINDS.items():
                 if hasattr(module, name):
                     mp.setattr(module, name, self._counted(kind, getattr(module, name)))
-        step = driver.newton_step
-
-        def trial_step(h, K, *args, **kwargs):
-            K_next, diag = step(h, K, *args, **kwargs)
-            if self.trial is None:
-                self.trial = self.key(h, K_next.grid_samples())
-            return K_next, diag
-        mp.setattr(driver, "newton_step", trial_step)
 
     @staticmethod
     def key(model, samples):
@@ -527,13 +543,9 @@ class EvaluationCounter:
         return {kind: sum(pairs.values()) for kind, pairs in self.pairs.items()}
 
     def repeats(self) -> dict:
-        """Per kind, the pairs evaluated more than once, the trial iterate's
-        second evaluation excepted."""
-        return {
-            kind: {key: c for key, c in pairs.items()
-                   if c > 1 and not (key == self.trial and c == 2)}
-            for kind, pairs in self.pairs.items()
-        }
+        """Per kind, the pairs evaluated more than once."""
+        return {kind: {key: c for key, c in pairs.items() if c > 1}
+                for kind, pairs in self.pairs.items()}
 
 
 def rough_rotator():
@@ -638,15 +650,15 @@ class TestMeasuredOnce:
         assert calls["stencil"] == 0
 
     def test_each_torus_sampled_once_per_grid(self, rough_run):
-        # K0, the gate's trial torus and the four stage tori are each
-        # synthesized once: the bump's hull, every mu hull and every value
-        # of a model at a torus share its default-grid samples
+        # K0 and the four stage tori are each synthesized once: the bump's
+        # hull, every mu hull and every value of a model at a torus share
+        # its default-grid samples
         from kamtori.fourier import sampling_size
 
         _, _, calls, _ = rough_run
         pairs = [(id(K), size or sampling_size(K.trunc_order))
                  for K, size in calls["samples"]]
-        assert len(pairs) == len(set(pairs)) == 6
+        assert len(pairs) == len(set(pairs)) == 5
 
     def test_certificate_names_each_c3_method(self, rough_run):
         res, _, _, _ = rough_run
@@ -683,14 +695,12 @@ class TestMeasuredOnce:
         res, _, _, evaluations = rough_run
         assert [rec["iterations"] for rec in res.stages] == [3, 1, 0, 0]
         assert res.certificate["k0"]["index"] == 0
-        # stage 1's first step repeats the gate's trial step from K0, so its
-        # iterate's jet and defect come twice; nothing else does
-        assert evaluations.pairs["jets"][evaluations.trial] == 2
+        # the gate reads stage 1's first step: no pair is evaluated twice
         assert evaluations.repeats() == {"jets": {}, "defects": {}, "frames": {}}
-        # H and the first approximant at K0, the trial iterate, stage 1's
-        # 3 iterates, H at stage 1's torus and stage 2's iterate; frames for
-        # the 4 steps (the schedule's is stage 1's first) and stage 3's start
-        assert evaluations.totals() == {"jets": 8, "defects": 8, "frames": 5}
+        # H and the first approximant at K0, stage 1's 3 iterates, H at
+        # stage 1's torus and stage 2's iterate; frames for the 4 steps (the
+        # schedule's is stage 1's first) and stage 3's start
+        assert evaluations.totals() == {"jets": 7, "defects": 7, "frames": 5}
 
     def test_stage_starts_reuse_the_measured_defects(self, rough_run):
         res, _, _, _ = rough_run
@@ -749,17 +759,49 @@ class TestMeasuredOnce:
         norms = [row["norm_dk"] for row in stage1["trace"] if "norm_dk" in row]
         assert norms and max(norms) < 10
 
+    def test_gate_reads_stage_ones_first_step(self, rough_run, bypass_run):
+        # oracle: the step from K0 and the defects on both sides of it,
+        # taken here with newton_step and invariance_error
+        from kamtori.solver import invariance_error, newton_step
+
+        res, (seq,), _, _ = rough_run
+        _, K0, params = rough_rotator()
+        h, K0_bypass, bypass = bypass_run
+        cases = ((seq.approximants[res.certificate["k0"]["index"]], K0, params, res),
+                 (h, K0_bypass, RunParams(target_error=1e-11), bypass))
+        for model, K, p, run in cases:
+            freq = FrequencyVector.estimated(np.array([GOLDEN]), p.sigma, p.horizon)
+            K1, diag = newton_step(model, K, freq)
+            e0 = invariance_error(model, K, freq).norm_grid
+            e1 = invariance_error(model, K1, freq).norm_grid
+            measured = run.certificate["conditions_measured"]
+            assert measured["quadratic_constant"] == e1 / e0**2
+            assert measured["step_amplification"] == diag.correction_sup / e0
+            assert measured["condition2_lhs"] == pytest.approx(e1 / e0, rel=1e-14)
+            assert measured["vacuous"] is False
+            assert measured["quadratic_constant"] == run.stages[0]["measured_quadratic"]
+
+    def test_start_at_a_solved_torus_reads_vacuous(self):
+        # stage 1 takes no step, so the gate measured nothing and says so
+        h = HamiltonianModel.pendulum(1e-3)
+        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=64)
+        freq = FrequencyVector.estimated(np.array([GOLDEN]), sigma=1.1, horizon=256)
+        solved = solve_torus(h, K0, freq, tol=1e-13).torus
+        res = run_scheme(h, solved, np.array([GOLDEN]), RunParams(target_error=1e-11))
+        assert res.stages[0]["iterations"] == 0
+        assert res.certificate["conditions_measured"] == {
+            "quadratic_constant": 0.0, "step_amplification": 0.0,
+            "condition2_lhs": 0.0, "condition2_ok": True,
+            "condition3_lhs": 0.0, "condition3_ok": True, "vacuous": True}
+
     def test_analytic_run_evaluates_each_pair_once(self, bypass_run):
         h, K0, _ = bypass_run
         with pytest.MonkeyPatch.context() as mp:
             evaluations = EvaluationCounter(mp)
             res = run_scheme(h, K0, np.array([GOLDEN]), RunParams(target_error=1e-11))
         assert res.converged
-        # stage 1's first step repeats the trial step from K0, so its
-        # iterate's jet and defect come twice; nothing else does
-        assert evaluations.pairs["jets"][evaluations.trial] == 2
         assert evaluations.repeats() == {"jets": {}, "defects": {}, "frames": {}}
-        assert evaluations.totals() == {"jets": 5, "defects": 5, "frames": 4}
+        assert evaluations.totals() == {"jets": 4, "defects": 4, "frames": 4}
 
 
 def fourier_taylor_derivative(model):

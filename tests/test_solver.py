@@ -315,11 +315,15 @@ class TestNewtonStep:
         h = HamiltonianModel.pendulum(eps)
         K = TorusEmbedding.circle(GOLDEN, trunc_order=64)
         e0 = invariance_error(h, K, golden_freq).norm_grid
-        K1, diag = newton_step(h, K, golden_freq)
+        value = Iterate.evaluate(h, K, golden_freq)
+        K1, _ = newton_step(h, K, golden_freq, value)
         e1 = invariance_error(h, K1, golden_freq).norm_grid
-        assert diag.error_before == pytest.approx(e0)
+        assert value.error.norm_grid == pytest.approx(e0)
         assert e1 <= 1e3 * e0**2
-        assert np.allclose(diag.torsion_average, [[-1.0]], atol=1e-10)
+        assert np.allclose(value.frame.avg_s, [[-1.0]], atol=1e-10)
+        # a step without a value evaluates the same one
+        alone, _ = newton_step(h, K, golden_freq)
+        assert np.array_equal(alone.periodic.half, K1.periodic.half)
 
     def test_first_step_matches_lindstedt(self, golden_freq):
         # first-order in eps: x(theta) = theta - eps sin(2 pi theta)/(2 pi w^2)
@@ -333,7 +337,43 @@ class TestNewtonStep:
         assert np.max(np.abs(u - want)) < 5 * eps**2
 
 
+def status_from_rows(trace: list, tol: float) -> tuple[str, float]:
+    """A solve's status and returned error, recomputed from its trace rows
+    by the stopping rules alone: tol, two iterates in a row without
+    progress below best - round_off, and the last row otherwise."""
+    best, stalls = np.inf, 0
+    for row in trace:
+        err = row["error"]
+        stalls = 0 if err < best - row["round_off"] else stalls + 1
+        best = min(best, err)
+        if err <= tol:
+            return "converged", err
+    if best < trace[0]["error"]:
+        return "floored", best
+    return ("diverged" if stalls >= 2 else "max_iter"), best
+
+
 class TestSolveTorus:
+    @pytest.mark.parametrize("eps, knobs, status", [
+        (1e-3, {"tol": 1e-11}, "converged"),
+        (1e-3, {"max_iter": 1}, "floored"),
+        (1e-3, {"tol": 1e-17}, "floored"),
+        (0.05, {}, "diverged"),
+        (0.5, {"max_iter": 1}, "max_iter"),
+    ])
+    def test_every_evaluated_iterate_has_a_row(self, golden_freq, eps, knobs, status):
+        # no row here is refined, so each records the defect the rules read
+        h = HamiltonianModel.pendulum(eps)
+        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=64)
+        res = solve_torus(h, K0, golden_freq, **knobs)
+        assert res.status == status
+        assert [row["iter"] for row in res.trace] == list(range(res.iterations + 1))
+        assert all(row["jets"] == 1 for row in res.trace)
+        assert status_from_rows(res.trace, knobs.get("tol", 1e-12)) == (status, res.error)
+        # the last row is the last iterate evaluated, not a stepped one
+        assert "correction" not in res.trace[-1]
+        assert all("correction" in row for row in res.trace[:-1])
+
     def test_exact_guess_converges_in_zero_steps(self, golden_freq):
         h = HamiltonianModel.free_rotator(1)
         K = TorusEmbedding.circle(GOLDEN, trunc_order=16)
@@ -531,9 +571,9 @@ class TestOneEvaluationPerIterate:
     ):
         steps = []
 
-        def recorded(h, K, omega, *args, **kwargs):
-            out = newton_step(h, K, omega, *args, **kwargs)
-            steps.append((h, K, omega, out))
+        def recorded(h, K, omega, value):
+            out = newton_step(h, K, omega, value)
+            steps.append((h, K, omega, value, out))
             return out
 
         monkeypatch.setattr(solver_module, "newton_step", recorded)
@@ -542,12 +582,14 @@ class TestOneEvaluationPerIterate:
             res = solve_torus(h, K0, freq, tol=1e-12)
             assert res.converged and res.torus.trunc_order > K0.trunc_order
             assert len(steps) >= 2
-            for h_i, K, omega, (shared, shared_diag) in steps:
-                alone, diag = newton_step(h_i, K, omega)
+            for h_i, K, omega, value, (shared, _) in steps:
+                alone, _ = newton_step(h_i, K, omega)
                 diff = np.max(np.abs(shared.periodic.coeffs - alone.periodic.coeffs))
                 assert diff <= 1e-13
-                # the defect of this very iterate, also right after a resize
-                assert shared_diag.error_before == diag.error_before
+                # the value of this very iterate, also right after a resize
+                assert value.K is K
+                fresh = Iterate.evaluate(h_i, K, omega)
+                assert value.error.norm_grid == fresh.error.norm_grid
 
     def test_frame_tensors_match_einsum_reference(self, coupled_freq):
         h = coupled_rotator(1e-3)
@@ -581,9 +623,15 @@ class TestOneEvaluationPerIterate:
     def test_frame_from_another_grid_rejected(self, golden_freq):
         h = HamiltonianModel.pendulum(1e-3)
         K = TorusEmbedding.circle(GOLDEN, trunc_order=16)
-        nd = nondegeneracy(h, K, grid_size=K.periodic.grid_size + 2)
-        with pytest.raises(ValueError, match="does not match the step's grid"):
-            newton_step(h, K, golden_freq, nd)
+        size = sampling_size(16) + 2
+        jet = jet_grid(h, K.grid_samples(size))
+        value = Iterate(h, K, jet[2],
+                        invariance_error(h, K, golden_freq, grid_size=size, jet=jet))
+        with pytest.raises(ValueError, match="step value's grid does not match K's sampling grid"):
+            newton_step(h, K, golden_freq, value)
+        other = Iterate.evaluate(HamiltonianModel.pendulum(2e-3), K, golden_freq)
+        with pytest.raises(ValueError, match="of another model or torus than the step's"):
+            newton_step(h, K, golden_freq, other)
 
 
 class TestStartValue:
