@@ -14,22 +14,26 @@ shells of constant |k|_1 in increasing order, lexicographic within a
 shell, one representative per conjugate pair (first nonzero component
 positive).
 
-For n >= 2 the scan runs over blocks of consecutive wavevectors in that
-order, at most _BLOCK of them each, one margin pass per block.  A block
-is a run of heads (shell s, first component k_0 >= 0), so a large shell
-is cut between first components; each head expands in one numpy pass to
-every k with that shell and first component, and a row that is not
-canonical (possible only at k_0 = 0) gets an infinite margin.  The
-winner is the smallest margin, ties going to the smallest shell and then
-to the lexicographically first k; only the tied rows are sorted.
-k . omega is the matrix product ks @ omega that the cohomology's divisor
-table takes too, so a certified margin and a divisor are the same
-floating-point number.
+For n >= 2 the scan runs over prefixes.  Write k = (p, t), p the first
+n - 1 components (canonical or zero) and t the last, and let
+t* = -(p . omega') / omega_n (t* = 0 when omega_n = 0).  Then
+f(t) = |p . omega' + t omega_n| (|p|_1 + |t|)^sigma is nondecreasing for
+t >= max(0, t*) and nonincreasing for t <= min(0, t*); in between it is
+the product of a nonnegative affine function and the sigma-th power of
+another, so log-concave, and its least value there is at an end.  Hence
+the least margin over |t| <= K - |p|_1 lies among floor(t*) - 1 ..
+floor(t*) + 2 and -1, 0, 1, clipped to that range; the outer two
+neighbours of t* absorb its rounding.  For p = 0 only t = 1 is canonical
+and least.  At n = 2 the prefixes are one array; at n >= 3 each first
+component is a block.  The winner is the smallest margin, ties going to
+the smallest shell and then to the lexicographically first k, the least
+(margin, shell, k) over the blocks.  k . omega is the matrix product
+ks @ omega that the cohomology's divisor table takes too, so a certified
+margin and a divisor are the same floating-point number.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,115 +88,67 @@ def _margins_1d(omega: float, horizon: int, sigma: float) -> np.ndarray:
     return divisor * k**sigma
 
 
-# wavevectors per scan block (one head may hold more)
-_BLOCK = 1 << 16
-
-
-def _completions(m: int, t: int) -> int:
-    """Integer vectors of m components with |v|_1 == t."""
-    if t == 0:
-        return 1
-    return sum(2**j * math.comb(m, j) * math.comb(t - 1, j - 1)
-               for j in range(1, min(m, t) + 1))
-
-
-def _head_blocks(n: int, horizon: int):
-    """The scan's blocks as (shell, first) head arrays, in scan order.
-
-    A head (s, k_0) stands for every k with |k|_1 = s and first component
-    k_0 >= 0; a block takes consecutive heads while they stand for at most
-    _BLOCK vectors, and a head that alone stands for more is a block.  A
-    block of one vector is the head (s, s), k = (s, 0, ..., 0), whose dot
-    with omega rounds the same on every path.
-    """
-    per_first = np.array([_completions(n - 1, t) for t in range(horizon + 1)])
-    ranges, size = [], 0
-    for s in range(1, horizon + 1):
-        # cum[v]: the vectors of heads k_0 = 0..v-1 of shell s
-        cum = np.concatenate([[0], np.cumsum(per_first[s::-1])])
-        start = 0
-        while start <= s:
-            # heads start..stop-1 fill what the block has left; a block that
-            # fills before the shell ends is complete
-            stop = int(np.searchsorted(cum, cum[start] + _BLOCK - size, side="right")) - 1
-            if stop == start and not size:
-                stop += 1
-            if stop > start:
-                ranges.append((s, start, stop))
-                size += cum[stop] - cum[start]
-                start = stop
-            if start <= s:
-                yield _heads(ranges)
-                ranges, size = [], 0
-    if ranges:
-        yield _heads(ranges)
-
-
-def _heads(ranges):
-    """(shell, first) arrays of (s, lo, hi) ranges, first running over lo..hi-1."""
-    s, lo, hi = np.array(ranges).T
-    count = hi - lo
-    starts = np.cumsum(count) - count
-    return np.repeat(s, count), np.arange(count.sum()) - np.repeat(starts - lo, count)
-
-
-def _expand(n: int, shells: np.ndarray, firsts: np.ndarray):
-    """(ks, shell per row): every k of each head, canonical or not."""
-    heads = firsts[:, None]
-    budget = shells - firsts
-    # each row's next component runs over -budget..budget, the budget that
-    # row has left; the last component takes the remainder with either sign
-    for _ in range(n - 2):
+def _ball(d: int, radius: int) -> np.ndarray:
+    """Every integer d-vector v with |v|_1 <= radius, one per row."""
+    ball = np.zeros((1, 0), dtype=np.int64)
+    budget = np.array([radius])
+    # each row's next component runs over -budget..budget, the budget it has left
+    for _ in range(d):
         width = 2 * budget + 1
-        rows = np.repeat(np.arange(len(heads)), width)
+        rows = np.repeat(np.arange(len(ball)), width)
         v = np.arange(rows.size) - np.repeat(np.cumsum(width) - width + budget, width)
-        heads = np.column_stack([heads[rows], v])
+        ball = np.column_stack([ball[rows], v])
         budget = budget[rows] - np.abs(v)
-        shells = shells[rows]
-    pos = budget > 0
-    m = len(heads)
-    ks = np.empty((m + np.count_nonzero(pos), n), dtype=np.int64)
-    ks[:m, :-1] = heads
-    ks[:m, -1] = budget
-    ks[m:, :-1] = heads[pos]
-    ks[m:, -1] = -budget[pos]
-    return ks, np.concatenate([shells, shells[pos]])
+    return ball
 
 
-def _shell_vectors(n: int, shell: int) -> np.ndarray:
-    """Canonical wavevectors with |k|_1 == shell (n >= 2), in scan order."""
-    ks, _ = _expand(n, np.full(shell + 1, shell), np.arange(shell + 1))
-    ks = ks[canonical(ks)]
-    return ks[np.lexsort(ks.T[::-1])]
+def _prefix_blocks(n: int, horizon: int):
+    """The (n-1)-prefixes p, canonical or zero, with |p|_1 <= horizon, in blocks."""
+    if n == 2:
+        yield np.arange(horizon + 1)[:, None]
+        return
+    for first in range(horizon + 1):
+        rest = _ball(n - 2, horizon - first)
+        if first == 0:
+            rest = rest[canonical(rest)]
+        yield np.column_stack([np.full(len(rest), first), rest])
 
 
 def _scan(omega: np.ndarray, sigma: float, horizon: int):
     """Exhaustive margin scan; returns (worst_margin, worst_k).
 
-    Within a block the tied rows are sorted by shell, then
-    lexicographically; blocks come in scan order, and a later block
-    replaces the winner only with a strictly smaller margin.
+    For n >= 2, each block of prefixes p offers the few last components t
+    that can minimise the margin of k = (p, t) (module docstring); the
+    least (margin, shell, k) over the blocks wins.
     """
     n = omega.size
     if n == 1:
         margins = _margins_1d(float(omega[0]), horizon, sigma)
         idx = int(np.argmin(margins))
         return float(margins[idx]), (idx + 1,)
-    worst = np.inf
-    worst_k: tuple[int, ...] = (0,) * n
-    for shells, firsts in _head_blocks(n, horizon):
-        ks, shell = _expand(n, shells, firsts)
-        lo = int(shells[0])
-        weight = np.array([float(s) ** sigma for s in range(lo, int(shells[-1]) + 1)])
-        margins = np.abs(ks.astype(float) @ omega) * weight[shell - lo]
-        zero = np.flatnonzero(ks[:, 0] == 0)  # the only rows that can be non-canonical
-        margins[zero[~canonical(ks[zero])]] = np.inf
-        best = margins.min()
-        if best < worst:
-            tied = np.flatnonzero(margins == best)
-            j = tied[np.lexsort((*ks[tied].T[::-1], shell[tied]))[0]]
-            worst, worst_k = float(best), tuple(int(v) for v in ks[j])
-    return worst, worst_k
+    weight = np.array([float(s) ** sigma for s in range(horizon + 1)])
+    last = float(omega[-1])
+    best: tuple = (np.inf, 0, (0,) * n)
+    for prefix in _prefix_blocks(n, horizon):
+        size = np.abs(prefix).sum(axis=1)
+        reach = (horizon - size)[:, None]
+        t_star = np.zeros(len(prefix))
+        if last:
+            # a t* that overflows is beyond every reach, as the clip takes it
+            with np.errstate(over="ignore"):
+                t_star = -(prefix.astype(float) @ omega[:-1]) / last
+        # t* rounded with a neighbour either side, and -1, 0, 1; |t| <= reach
+        around = np.floor(t_star)[:, None] + np.arange(-1, 3)
+        ts = np.column_stack([around, np.tile(np.arange(-1, 2), (len(prefix), 1))])
+        ts = np.clip(ts, -reach, reach).astype(np.int64)
+        ts[size == 0] = 1  # k = (0, ..., 0, t) is canonical for t > 0 only
+        ks = np.column_stack([np.repeat(prefix, ts.shape[1], axis=0), ts.ravel()])
+        shell = np.repeat(size, ts.shape[1]) + np.abs(ts.ravel())
+        margins = np.abs(ks.astype(float) @ omega) * weight[shell]
+        tied = np.flatnonzero(margins == margins.min())
+        j = tied[np.lexsort((*ks[tied].T[::-1], shell[tied]))[0]]
+        best = min(best, (float(margins[j]), int(shell[j]), tuple(int(v) for v in ks[j])))
+    return best[0], best[2]
 
 
 def check_diophantine(

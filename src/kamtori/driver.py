@@ -224,11 +224,19 @@ class KamSchedule:
 def check_conditions(
     c: float, gamma: float, sigma: float, delta0: float, e_norm: float, r: float
 ) -> dict:
-    """Smallness conditions: c g^-4 d0^-4s |e| < 1 and c g^-2 d0^-2s |e| < r."""
-    if min(c, gamma, sigma, delta0, r) <= 0 or e_norm < 0:
-        raise ValueError("inputs must be positive (e_norm >= 0)")
-    lhs2 = c * gamma ** -4 * delta0 ** (-4 * sigma) * e_norm
-    lhs3 = c * gamma ** -2 * delta0 ** (-2 * sigma) * e_norm
+    """Smallness conditions: c g^-4 d0^-4s |e| < 1 and c g^-2 d0^-2s |e| < r.
+
+    A zero defect meets both for every positive c, an infinite one too
+    (each lhs is 0).  A c that is not positive (a lambda-form that is not
+    positive at the run's mu, d, v, tau) is no constant of the proof, and
+    fails both (each lhs is inf).
+    """
+    if min(gamma, sigma, delta0, r) <= 0 or e_norm < 0:
+        raise ValueError("gamma, sigma, delta0 and r must be positive, and e_norm >= 0")
+    lhs2 = lhs3 = 0.0 if c > 0 else math.inf
+    if c > 0 and e_norm > 0:
+        lhs2 = c * gamma ** -4 * delta0 ** (-4 * sigma) * e_norm
+        lhs3 = c * gamma ** -2 * delta0 ** (-2 * sigma) * e_norm
     return {
         "condition2_lhs": lhs2,
         "condition2_rhs": 1.0,
@@ -415,8 +423,11 @@ class RunParams:
             bad.append(f"lambda_spec must be a string, got {self.lambda_spec}")
         else:
             try:
-                if not math.isfinite(eval_lambda(self.lambda_spec, 1.0, 1.0, 1.0, 1.0)):
+                probe = eval_lambda(self.lambda_spec, 1.0, 1.0, 1.0, 1.0)
+                if not math.isfinite(probe):
                     raise OverflowError("numerical result out of range at μ = d = v = τ = 1")
+                if probe <= 0:
+                    bad.append(f"lambda_spec must be positive, got {probe} at μ = d = v = τ = 1")
             except (ArithmeticError, SyntaxError, TypeError, ValueError) as exc:
                 bad.append(f"lambda_spec does not evaluate: {exc}")
         if bad:
@@ -486,6 +497,14 @@ def _defect_record(err: ErrorField) -> dict:
     }
 
 
+def _quadratic_constant(res: SolveResult) -> float | None:
+    """e1 / e0^2 over a solve's first Newton step, from its first two trace
+    rows; None when it took no step (or stepped from a zero defect)."""
+    if res.iterations == 0 or res.trace[0]["error"] == 0:
+        return None
+    return res.trace[1]["error"] / res.trace[0]["error"] ** 2
+
+
 def _measured_conditions(stage1: SolveResult, r: float) -> dict:
     """The smallness conditions measured on stage 1's first Newton step.
 
@@ -496,12 +515,14 @@ def _measured_conditions(stage1: SolveResult, r: float) -> dict:
     d e0 / (1 - min(c e0, 1/2)), by r.  A stage 1 that took no step (its
     start met tol) measured nothing: every number is 0, and vacuous says so.
     """
-    vacuous = stage1.iterations == 0
-    e0 = c_meas = d_meas = 0.0
-    if not vacuous:
-        row0, row1 = stage1.trace[:2]
-        e0 = row0["error"]
-        c_meas, d_meas = row1["error"] / e0**2, row0["correction"] / e0
+    c_meas = _quadratic_constant(stage1)
+    vacuous = c_meas is None
+    e0 = d_meas = 0.0
+    if vacuous:
+        c_meas = 0.0
+    else:
+        e0 = stage1.trace[0]["error"]
+        d_meas = stage1.trace[0]["correction"] / e0
     q = c_meas * e0
     drift_bound = d_meas * e0 / max(1.0 - min(q, 0.5), 0.5)
     return {
@@ -744,8 +765,8 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         c_k = eval_lambda(params.lambda_spec, mu_k, nd_k.norm_dk, nd_k.norm_n,
                           nd_k.norm_s_inv)
         delta_k = schedule.delta_k(k)
-        a3_lhs = c_k * freq.gamma ** -4 * delta_k ** (-4 * params.sigma) * e_k
-        a4_lhs = c_k * freq.gamma ** -2 * delta_k ** (-2 * params.sigma) * e_k
+        small = check_conditions(c_k, freq.gamma, params.sigma, delta_k, e_k,
+                                 schedule.r_k(k))
 
         k_new = res.torus
         step_norm = k_new.difference(k_prev).strip_norm(rho_k).value
@@ -754,9 +775,6 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         # H's value at k_new starts the next stage: the solve's own value,
         # except after a smoothed stage 1
         start = _value(hamiltonian, k_new, freq, rho_k, res.value)
-        quad = None
-        if len(res.trace) >= 2 and res.trace[0]["error"] > 0:
-            quad = res.trace[1]["error"] / res.trace[0]["error"] ** 2
         record = {
             "stage": k,
             "model": "smoothed" if k == 1 else "limit",
@@ -775,18 +793,18 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
             "A2_c_k": c_k,
             "A2_c": c_value,
             "A2_ok": bool(c_k <= c_value),
-            "A3_lhs": a3_lhs,
-            "A3_ok": bool(a3_lhs < 1.0),
-            "A4_lhs": a4_lhs,
+            "A3_lhs": small["condition2_lhs"],
+            "A3_ok": small["condition2_ok"],
+            "A4_lhs": small["condition3_lhs"],
             "A4_rhs": schedule.r_k(k),
-            "A4_ok": bool(a4_lhs < schedule.r_k(k)),
+            "A4_ok": small["condition3_ok"],
             "mu_k": mu_k,
             "d_k": nd_k.norm_dk,
             "v_k": nd_k.norm_n,
             "tau_k": nd_k.norm_s_inv,
             "step_norm": step_norm,
             "step_within_r_k": bool(step_norm <= schedule.r_k(k)),
-            "measured_quadratic": quad,
+            "measured_quadratic": _quadratic_constant(res),
             "trace": res.trace,
         }
         stages.append(_jsonable(record))

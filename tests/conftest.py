@@ -23,6 +23,8 @@ REJECTED_KNOBS = [
     ({"sigma": None}, "sigma must be positive, got None"),
     ({"lambda_spec": "mu *"}, "lambda_spec does not evaluate: "),
     ({"lambda_spec": ["mu"]}, "lambda_spec must be a string, got ['mu']"),
+    ({"lambda_spec": "mu - 100"}, "lambda_spec must be positive, got -99.0 at μ = d = v = τ = 1"),
+    ({"lambda_spec": "0*mu"}, "lambda_spec must be positive, got 0.0 at μ = d = v = τ = 1"),
     ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
     ({"horizon": 100.5}, "horizon must be an integer, got 100.5"),
     ({"max_iter": True}, "max_iter must be an integer, got True"),

@@ -156,6 +156,17 @@ class TestParseConfig:
         assert cert["termination_reason"] == (
             "condition2_failed" if mode == "strict" else "target_reached")
 
+    def test_nonpositive_lambda_at_run_time_ends_with_a_certificate(self, write_files):
+        # c = 2 - mu is 1 at the probe and negative at the run's mu
+        cfg_path, out = write_files(ROUGH, "out", y0=[0.4], rho=0.02, r=0.8,
+                                    target_error=1e-8, lambda_spec="2 - mu",
+                                    condition_mode="strict")
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["c_value"] < 0
+        assert cert["conditions_strict"]["condition2_lhs"] == "inf"
+        assert cert["termination_reason"] == "condition2_failed"
+
     def test_missing_keys_named(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{}")

@@ -57,27 +57,46 @@ def brute_force_scan(omega, sigma, horizon):
 GOLDEN_SILVER = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
 
 
-class TestBlockedScan:
-    """The scan in blocks of shells against one pass over every wavevector."""
-
-    # 37 cuts shells into pieces between first components and puts a tie
-    # in separate blocks; the default packs many shells into one block
-    @pytest.fixture(params=[None, 37], ids=["default-blocks", "small-blocks"])
-    def block(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(diophantine, "_BLOCK", request.param)
+class TestPrefixScan:
+    """The scan over (n-1)-prefixes against one pass over every wavevector."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_random_n2_bit_identical(self, block, seed):
+    def test_random_n2_bit_identical(self, seed):
         omega = np.random.default_rng(seed).random(2)
         report = check_diophantine(omega, 1e-9, 1.1, 150)
         assert (report.worst_margin, report.worst_k) == brute_force_scan(omega, 1.1, 150)
 
     @pytest.mark.parametrize("seed", [4, 5])
-    def test_random_n3_bit_identical(self, block, seed):
+    def test_random_n3_bit_identical(self, seed):
         omega = np.random.default_rng(seed).random(3)
         report = check_diophantine(omega, 1e-9, 2.1, 16)
         assert (report.worst_margin, report.worst_k) == brute_force_scan(omega, 2.1, 16)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_random_n4_bit_identical(self, seed):
+        omega = np.random.default_rng(seed).random(4)
+        report = check_diophantine(omega, 1e-9, 3.1, 8)
+        assert (report.worst_margin, report.worst_k) == brute_force_scan(omega, 3.1, 8)
+
+    @pytest.mark.parametrize("omega, sigma, horizon", [
+        # negative components: t* of either sign
+        ((0.7548776662466927, -0.5698402909980532), 1.3, 60),
+        ((-0.3, 0.8660254037844386, -0.5), 2.5, 14),
+        # omega_n = 0: t* = 0, and k = (0, 1) has margin 0
+        ((GOLDEN, 0.0), 1.1, 40),
+        ((np.sqrt(2.0), np.sqrt(3.0), 0.0), 2.1, 12),
+        # a small omega_n puts t* = -(p . omega') / omega_n beyond the
+        # horizon for every nonzero prefix, so each takes a clipped end
+        ((1.0, 1e-3), 1.1, 40),
+        ((np.sqrt(2.0), 1.0, -1e-4), 2.1, 12),
+        # t* overflows a float
+        ((1.0, 1e-320), 1.1, 40),
+    ], ids=["n2-negative", "n3-negative", "n2-last-zero", "n3-last-zero",
+            "n2-clipped", "n3-clipped", "n2-overflowing-t-star"])
+    def test_matches_brute_force(self, omega, sigma, horizon):
+        omega = np.array(omega)
+        report = check_diophantine(omega, 1e-9, sigma, horizon)
+        assert (report.worst_margin, report.worst_k) == brute_force_scan(omega, sigma, horizon)
 
     @pytest.mark.parametrize("omega, sigma, want", [
         # k . omega = 0 on (2, -1), (4, -2), ...: shell 3 wins over shell 6
@@ -86,14 +105,14 @@ class TestBlockedScan:
         # (0, 2, -1) on shell 3
         ((1.0, 1.0, 2.0), 2.1, (1, -1, 0)),
     ], ids=["n2", "n3"])
-    def test_resonant_tie_goes_to_the_smallest_shell(self, block, omega, sigma, want):
+    def test_resonant_tie_goes_to_the_smallest_shell(self, omega, sigma, want):
         omega = np.array(omega)
         report = check_diophantine(omega, 0.1, sigma, 12)
         assert report.resonant
         assert report.worst_k == want
         assert (report.worst_margin, report.worst_k) == brute_force_scan(omega, sigma, 12)
 
-    def test_resonant_tie_within_a_shell_goes_lexicographically(self, block):
+    def test_resonant_tie_within_a_shell_goes_lexicographically(self):
         # (0, 1, -1), (1, -1, 0) and (1, 0, -1) all sit on shell 2 at margin 0
         omega = np.array([1.0, 1.0, 1.0])
         report = check_diophantine(omega, 0.1, 2.1, 6)
@@ -106,6 +125,14 @@ class TestBlockedScan:
         assert (report.worst_margin, report.worst_k) == brute_force_scan(
             GOLDEN_SILVER, 1.1, 256)
 
+    def test_golden_silver_at_horizon_10000(self):
+        # the console script's default horizon: no mode up to |k|_1 = 10^4
+        # beats (63, -94), and the margin is the one found at 256
+        report = check_diophantine(GOLDEN_SILVER, 1e-9, 1.1, 10_000)
+        assert report.worst_k == (63, -94)
+        assert report.worst_margin == check_diophantine(
+            GOLDEN_SILVER, 1e-9, 1.1, 256).worst_margin
+
     def test_solve_holding_the_worst_mode_meets_the_certified_bound(self):
         # gamma is the margin of (63, -94); the divisor table takes the same
         # k . omega, so the mode's divisor meets gamma |k|^-sigma at M = 128
@@ -114,13 +141,6 @@ class TestBlockedScan:
         report = solve_cohomological(g, freq).report
         assert report.certified
         assert report.worst_k == (63, -94)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_shell_vectors_match_product(n):
-    for shell in range(1, 9):
-        got = [tuple(map(int, k)) for k in diophantine._shell_vectors(n, shell)]
-        assert got == canonical_shell(n, shell)
 
 
 class TestEstimateGamma:

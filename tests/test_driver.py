@@ -120,9 +120,22 @@ class TestCheckConditions:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
-            check_conditions(0.0, 1.0, 1.1, 1.0, 0.1, 0.4)
+            check_conditions(1.0, 0.0, 1.1, 1.0, 0.1, 0.4)
         with pytest.raises(ValueError, match="positive"):
             check_conditions(1.0, 1.0, 1.1, 1.0, -0.1, 0.4)
+
+    def test_zero_defect_reads_zero_for_an_infinite_constant(self):
+        # inf * 0 would be nan: an exact torus meets both conditions instead
+        rep = check_conditions(math.inf, 1.0, 1.1, 0.5, 0.0, 0.4)
+        assert rep["condition2_lhs"] == rep["condition3_lhs"] == 0.0
+        assert rep["condition2_ok"] and rep["condition3_ok"]
+
+    @pytest.mark.parametrize("c", [0.0, -2.0, math.nan])
+    @pytest.mark.parametrize("e_norm", [0.0, 0.1])
+    def test_nonpositive_constant_fails_both(self, c, e_norm):
+        rep = check_conditions(c, 1.0, 1.1, 0.5, e_norm, 0.4)
+        assert rep["condition2_lhs"] == rep["condition3_lhs"] == math.inf
+        assert not rep["condition2_ok"] and not rep["condition3_ok"]
 
 
 class TestKamSchedule:
@@ -486,6 +499,37 @@ class TestRunParams:
         assert cert["conditions_strict"]["condition2_ok"] is False
         assert cert["termination_reason"] == reason
         assert res.converged is (mode == "measured")
+        json.dumps(cert)
+
+    @pytest.mark.parametrize("mode", ["strict", "measured"])
+    def test_infinite_constant_on_an_exact_torus_reads_zero(self, mode):
+        # the free rotator's circle is exact (e = 0) and c = (mu+1)**1000 is
+        # infinite at the run's mu: c e reads 0, where inf * 0 read nan
+        h = HamiltonianModel.free_rotator(1)
+        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=16)
+        params = RunParams(lambda_spec="(mu+1)**1000", condition_mode=mode)
+        res = run_scheme(h, K0, np.array([GOLDEN]), params)
+        cert = res.certificate
+        assert cert["c_value"] == "inf"
+        assert cert["conditions_strict"]["condition2_lhs"] == 0.0
+        assert [s["A3_lhs"] for s in res.stages] == [0.0] * len(res.stages)
+        assert [s["A4_lhs"] for s in res.stages] == [0.0] * len(res.stages)
+        assert "nan" not in json.dumps([cert, res.stages])
+        assert cert["termination_reason"] == "target_reached"
+
+    @pytest.mark.parametrize("mode, reason", [("strict", "condition2_failed"),
+                                              ("measured", "target_reached")])
+    def test_nonpositive_constant_at_run_time_fails_the_conditions(self, mode, reason):
+        # 2 - mu is 1 at the probe and negative at the run's mu = mu0 + 1
+        h, K0, params = rough_rotator()
+        params = dataclasses.replace(params, lambda_spec="2 - mu", condition_mode=mode)
+        res = run_scheme(h, K0, np.array([GOLDEN]), params)
+        cert = res.certificate
+        assert cert["c_value"] < 0
+        strict = cert["conditions_strict"]
+        assert strict["condition2_lhs"] == strict["condition3_lhs"] == "inf"
+        assert not strict["condition2_ok"] and not strict["condition3_ok"]
+        assert cert["termination_reason"] == reason
         json.dumps(cert)
 
     def test_every_violation_in_one_value_error(self):
