@@ -136,6 +136,27 @@ def _strip_weights(dim_domain: int, trunc_order: int, rho: float):
 
 
 @lru_cache(maxsize=64)
+def _dk_factor(dim_domain: int, trunc_order: int) -> np.ndarray:
+    """2 pi i k_j on the k_n >= 0 half, component-major (n, *modes): the
+    factor of the derivative along each axis, cached per (n, M), read-only."""
+    ks = half_wavevectors(dim_domain, trunc_order)
+    factor = np.ascontiguousarray(np.moveaxis(2j * np.pi * ks, -1, 0))
+    factor.flags.writeable = False
+    return factor
+
+
+@lru_cache(maxsize=64)
+def _directional_factor(dim_domain: int, trunc_order: int, omega: tuple) -> np.ndarray:
+    """2 pi i k . omega on the k_n >= 0 half, shape (2M+1,)*(n-1) + (M+1,):
+    the factor of the derivative along omega, cached per (n, M, omega),
+    read-only."""
+    factor = 2j * np.pi * (half_wavevectors(dim_domain, trunc_order)
+                           @ np.asarray(omega, dtype=float))
+    factor.flags.writeable = False
+    return factor
+
+
+@lru_cache(maxsize=64)
 def _fft_blocks(trunc_order: int, size: int, dim_domain: int) -> tuple:
     """Where the stored half sits in the rfftn array of a grid of N points.
 
@@ -635,10 +656,15 @@ class TorusEmbedding:
     periodic: FourierMap
 
     def __post_init__(self):
-        w = np.array(self.winding, dtype=float)
+        w = self.winding
+        # a read-only float array that owns its data, such as another
+        # embedding's winding, is adopted as it is
+        if not (isinstance(w, np.ndarray) and w.dtype == float
+                and w.flags.owndata and not w.flags.writeable):
+            w = np.array(w, dtype=float)
+            w.flags.writeable = False
         if w.shape != (self.periodic.dim_range, self.periodic.dim_domain):
             raise ValueError("winding shape must be (dim_range, dim_domain)")
-        w.flags.writeable = False
         object.__setattr__(self, "winding", w)
 
     @property
@@ -670,6 +696,8 @@ class TorusEmbedding:
 
         The default grid's samples are synthesized once per embedding and
         shared read-only; an explicit grid_size is synthesized on each call.
+        Like synthesize's, the samples are a grid-major view of a
+        component-major (m, *grid) buffer.
         """
         return self._default_samples if grid_size is None else self._synthesized(grid_size)
 
@@ -680,14 +708,21 @@ class TorusEmbedding:
         return out
 
     def _synthesized(self, grid_size: int | None) -> np.ndarray:
-        theta = self.grid(grid_size)
-        return theta @ self.winding.T + self.periodic.synthesize(theta.shape[0])
+        n = self.dim_domain
+        size = sampling_size(self.trunc_order) if grid_size is None else int(grid_size)
+        out = self.periodic.synthesize(size)
+        # W theta, added column by column into the component-major buffer:
+        # column j times the angle theta_j = i / N, i < N, along grid axis j
+        buf, axis = _range_first(out, 1), np.arange(size) / size
+        for j, column in enumerate(self.winding.T):
+            buf += np.multiply.outer(column, axis).reshape(
+                (-1,) + (1,) * j + (size,) + (1,) * (n - 1 - j))
+        return out
 
     def dk(self) -> FourierMap:
         """Jacobian DK as an (m, n) matrix-valued FourierMap (exact)."""
         per = self.periodic
-        ks = half_wavevectors(per.dim_domain, per.trunc_order)
-        factor = np.moveaxis(2j * np.pi * ks, -1, 0)
+        factor = _dk_factor(per.dim_domain, per.trunc_order)
         # component-major (2n, n, *modes): row i, column j is 2 pi i k_j amp_i
         half = np.empty(per.range_shape + factor.shape, dtype=complex)
         np.multiply(_range_first(per.half, 1)[:, None], factor[None], out=half)
@@ -698,7 +733,9 @@ class TorusEmbedding:
         """d/dt K(theta + t omega): periodic (the winding shift is constant)."""
         om = np.asarray(getattr(omega, "omega", omega), dtype=float)
         per = self.periodic
-        half = per._scaled_modes(2j * np.pi * per._kdot(om))
+        factor = _directional_factor(per.dim_domain, per.trunc_order,
+                                     tuple(np.atleast_1d(om).tolist()))
+        half = per._scaled_modes(factor)
         half[per._zero_mode()] += self.winding @ om
         return FourierMap._wrap(per.dim_domain, half)
 

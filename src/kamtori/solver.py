@@ -26,10 +26,15 @@ N = G^-1 and the Lagrangian defect L = DK^T J DK, its symplectic form is
 
 so M^-1 v is the block solve of M^T J M xi = M^T J v through
 C = I + L N L N, |det M| = sqrt|det C|, M xi = DK xi_T + J DK N xi_N and
-S = N (DK^T D^2H DK - (J DK)^T D^2H (J DK)) N: every pointwise matrix is
-n x n, and the two inverses (G and C) are one vectorized elimination
-across the grid.  On an invariant torus L = 0 (it is Lagrangian), C = I
-and M is symplectic up to the normalisation N.
+S = N T N, where the twist DK^T D^2H DK - (J DK)^T D^2H (J DK) is one
+quadratic form T = DK^T Q DK, Q = D^2H - J^T D^2H J.  Every pointwise
+matrix is n x n, and each piece is computed once per frame: the two
+inverses (G and C) with their |det| are closed forms (the adjugate) for
+n <= 2 and a vectorized elimination across the grid for n >= 3.  On an
+invariant torus L = 0 (it is Lagrangian), C = I and M is symplectic up to
+the normalisation N; where L is exactly zero on the grid, as at n = 1 and
+on the flat circle, C is neither formed nor inverted.  N is analyzed on
+its n(n+1)/2 entries on and above the diagonal and mirrored into n_map.
 
 Every per-grid-point tensor of the frame is component-major: a contiguous
 (rows, cols, *grid) array, or (rows, *grid) for a vector field, so a
@@ -66,7 +71,7 @@ iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -96,6 +101,7 @@ __all__ = [
 ]
 
 COND_DK_LIMIT = 1e8
+TRIG_COND = 1e3  # the n = 3 closed form of cond(DK^T DK) holds below this
 FLOOR_ULPS = 16  # round-off allowance of solve_torus's floor rule, in eps
 
 
@@ -239,29 +245,101 @@ def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(x), abs_det
 
 
+def _inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a^-1 and |det a| at every grid point of an (n, n, *grid) field.
+
+    In closed form for n <= 2, the adjugate over the determinant; by the
+    elimination _solve for n >= 3.
+    """
+    n = a.shape[0]
+    if n == 1:
+        return 1.0 / a, np.abs(a[0, 0])
+    if n == 2:
+        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        inv = np.empty_like(a)
+        inv[0, 0], inv[1, 1] = a[1, 1], a[0, 0]
+        np.negative(a[0, 1], out=inv[0, 1])
+        np.negative(a[1, 0], out=inv[1, 0])
+        inv /= det
+        return inv, np.abs(det)
+    return _solve(a, np.eye(n))
+
+
 def _gram_cond(gram: np.ndarray) -> float:
     """Grid max of the 2-norm condition number of a gram field (n, n, *grid).
 
     The gram is symmetric positive semi-definite, so its condition number
     is the ratio of its extreme eigenvalues, infinite once the smallest is
-    <= 0.  They have closed forms for n <= 2: the entry itself at n = 1,
-    and at n = 2 lambda+ = tr/2 + hypot((a - d)/2, b) and
-    lambda- = det/lambda+, which avoids the cancellation of tr/2 - hypot.
+    <= 0.  They have closed forms for n <= 3: the entry itself at n = 1;
+    at n = 2 lambda+ = tr/2 + hypot((a - d)/2, b) and lambda- = det/lambda+;
+    at n = 3 lambda_max = _sym3_max(G) and lambda_min = det G over
+    lambda_max lambda_mid, the largest eigenvalue of adj G, = _sym3_max of
+    the adjugate.  Taking the smallest as a determinant over the others
+    avoids the cancellation of tr/2 - hypot at n = 2, and at n = 3 that of
+    the smallest root of the trigonometric formula and the error of its
+    middle root near a double eigenvalue.  det G still loses about
+    eps lambda_max^2 / (lambda_mid lambda_min) relative, so the n = 3 form
+    holds only where lambda_mid >= lambda_max / TRIG_COND and
+    cond <= TRIG_COND; there its relative error is at most a few
+    sqrt(eps) ~ 1e-8, reached at a double eigenvalue, where arccos turns
+    the round-off of its argument into its square root.  The other grid
+    points, folds among them, take eigvalsh, which serves n >= 4 as well.
     """
     n = gram.shape[0]
-    if n == 1:
-        lo = hi = gram[0, 0]
-    elif n == 2:
-        a, b, d = gram[0, 0], gram[0, 1], gram[1, 1]
-        hi = (a + d) / 2 + np.hypot((a - d) / 2, b)
-        with np.errstate(invalid="ignore"):  # 0/0 where DK = 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where DK = 0
+        if n == 1:
+            lo = hi = gram[0, 0]
+        elif n == 2:
+            a, b, d = gram[0, 0], gram[0, 1], gram[1, 1]
+            hi = (a + d) / 2 + np.hypot((a - d) / 2, b)
             lo = (a * d - b * b) / hi
-    else:
-        lam = np.linalg.eigvalsh(_grid_major(gram, 2))
-        lo, hi = lam[..., 0], lam[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+        elif n == 3:
+            adj = _adjugate3(gram)
+            det = sum(gram[0, j] * adj[j, 0] for j in range(3))
+            hi, top_adj = _sym3_max(gram), _sym3_max(adj)
+            lo = det / top_adj
+            # NaN, two small eigenvalues or a large cond: not trusted
+            held = (top_adj * TRIG_COND >= hi * hi) & (lo * TRIG_COND >= hi)
+            if not held.all():
+                lam = np.linalg.eigvalsh(_grid_major(gram, 2)[~held])
+                lo[~held], hi[~held] = lam[:, 0], lam[:, -1]
+        else:
+            lam = np.linalg.eigvalsh(_grid_major(gram, 2))
+            lo, hi = lam[..., 0], lam[..., -1]
         ratio = np.where(lo > 0, hi / lo, np.inf)
     return float(np.max(ratio))
+
+
+def _adjugate3(a: np.ndarray) -> np.ndarray:
+    """The adjugate of a symmetric (3, 3, *grid) field, from its 2 x 2 minors."""
+    adj = np.empty_like(a)
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        # the cofactor of a[j, i]: the minor without row j and column i
+        r0, r1 = [r for r in range(3) if r != j]
+        c0, c1 = [c for c in range(3) if c != i]
+        sign = -1.0 if (i + j) % 2 else 1.0
+        adj[i, j] = sign * (a[r0, c0] * a[r1, c1] - a[r0, c1] * a[r1, c0])
+        adj[j, i] = adj[i, j]
+    return adj
+
+
+def _sym3_max(a: np.ndarray) -> np.ndarray:
+    """The largest eigenvalue of a symmetric (3, 3, *grid) field.
+
+    O. K. Smith's trigonometric formula (CACM 4, 1961): with q = tr/3,
+    p = sqrt(tr((a - qI)^2)/6) and r = det((a - qI)/p)/2, clipped to
+    [-1, 1] against round-off, it is q + 2p cos(arccos(r)/3); where p = 0
+    (a = qI) it is q.
+    """
+    q = (a[0, 0] + a[1, 1] + a[2, 2]) / 3
+    shifted = a - q * np.eye(3).reshape((3, 3) + (1,) * q.ndim)
+    p = np.sqrt((shifted[0, 0] ** 2 + shifted[1, 1] ** 2 + shifted[2, 2] ** 2
+                 + 2 * (a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2)) / 6)
+    b = shifted / np.where(p > 0, p, 1.0)
+    det_b = (b[0, 0] * (b[1, 1] * b[2, 2] - b[1, 2] * b[2, 1])
+             - b[0, 1] * (b[1, 0] * b[2, 2] - b[1, 2] * b[2, 0])
+             + b[0, 2] * (b[1, 0] * b[2, 1] - b[1, 1] * b[2, 0]))
+    return q + 2 * p * np.cos(np.arccos(np.clip(det_b / 2, -1.0, 1.0)) / 3)
 
 
 @dataclass(frozen=True)
@@ -271,17 +349,19 @@ class AdaptedFrame:
     Every field is component-major, a contiguous (rows, cols, *grid) array.
     dk and jdk are DK and J DK, (2n, n, *grid); n_mat is N = (DK^T DK)^-1,
     lag the Lagrangian defect L = DK^T J DK, b = N L N and c_inv the
-    inverse of C = I + L B, each (n, n, *grid).  abs_det is
-    |det M| = sqrt|det C| per grid point, and cond the grid max of the
-    2-norm condition number of DK^T DK.
+    inverse of C = I + L B, each (n, n, *grid).  Where L is exactly zero
+    on the whole grid, as on every frame at n = 1 and on a flat circle,
+    C = I and B = 0: b and c_inv are None, and nothing is formed or
+    inverted for them.  abs_det is |det M| = sqrt|det C| per grid point,
+    and cond the grid max of the 2-norm condition number of DK^T DK.
     """
 
     dk: np.ndarray
     jdk: np.ndarray
     n_mat: np.ndarray
     lag: np.ndarray
-    b: np.ndarray
-    c_inv: np.ndarray
+    b: np.ndarray | None
+    c_inv: np.ndarray | None
     abs_det: np.ndarray
     cond: float
 
@@ -294,19 +374,24 @@ class AdaptedFrame:
         """
         n = dk.shape[1]
         # J = [[0, I], [-I, 0]] swaps the (x, y) row blocks with a sign
-        jdk = np.concatenate([dk[n:], -dk[:n]])
+        jdk = np.empty_like(dk)
+        jdk[:n] = dk[n:]
+        np.negative(dk[:n], out=jdk[n:])
         gram = _matmul(_t(dk), dk)
         cond = _gram_cond(gram)
         if cond > COND_DK_LIMIT:
             raise ValueError(
                 f"DK rank-deficient on grid: cond(DK^T DK) = {cond:.3e}"
             )
-        n_mat, _ = _solve(gram, np.eye(n))
+        n_mat, _ = _inverse(gram)
         lag = _matmul(_t(dk), jdk)
+        if not lag.any():  # Lagrangian on the grid: C = I
+            ones = np.ones(dk.shape[2:])
+            return cls(dk, jdk, n_mat, lag, None, None, ones, cond), gram
         b = _matmul(_matmul(n_mat, lag), n_mat)
         c = _matmul(lag, b)
         c[range(n), range(n)] += 1.0
-        c_inv, det_c = _solve(c, np.eye(n))
+        c_inv, det_c = _inverse(c)
         return cls(dk, jdk, n_mat, lag, b, c_inv, np.sqrt(det_c), cond), gram
 
     def apply(self, xi_t: np.ndarray, xi_n: np.ndarray) -> np.ndarray:
@@ -318,11 +403,14 @@ class AdaptedFrame:
 
         M^T J v = (w_T, w_N) = (DK^T J v, N DK^T v), and the rows
         L xi_T - xi_N = w_T, xi_T + B xi_N = w_N give
-        xi_N = C^-1 (L w_N - w_T) and xi_T = w_N - B xi_N.  v is
-        (2n, *grid), xi_T and xi_N are (n, *grid).
+        xi_N = C^-1 (L w_N - w_T) and xi_T = w_N - B xi_N, which are
+        (-w_T, w_N) where L = 0.  v is (2n, *grid), xi_T and xi_N are
+        (n, *grid).
         """
         w_t = -_apply(_t(self.jdk), v)  # DK^T J = -(J DK)^T
         w_n = _apply(self.n_mat, _apply(_t(self.dk), v))
+        if self.c_inv is None:
+            return w_n, -w_t
         xi_n = _apply(self.c_inv, _apply(self.lag, w_n) - w_t)
         return w_n - _apply(self.b, xi_n), xi_n
 
@@ -333,8 +421,10 @@ class NondegeneracyData:
 
     n_map is N = (DK^T DK)^-1, s_map the torsion S (analyzed on first
     use), both as maps on the torus; avg_s must be invertible for the
-    Newton step to exist.  norm_n and norm_dk are coefficient bounds at the
-    strip width rho (Iterate.frame_at takes them at another).
+    Newton step to exist.  dk_map is DK.  norm_n and norm_dk are
+    coefficient bounds of n_map and dk_map at the strip width rho
+    (Iterate.frame_at takes them at another), and norm_s_inv is
+    |<S>^-1|_2.
     lagrangian_defect is the grid max of |DK^T J DK|, zero on a Lagrangian
     torus.  frame and s hold the frame blocks and S on the sampling grid
     for newton_step, component-major like every AdaptedFrame field: s is
@@ -342,6 +432,7 @@ class NondegeneracyData:
     """
 
     n_map: FourierMap
+    dk_map: FourierMap
     avg_s: np.ndarray
     avg_s_inv: np.ndarray
     rho: float
@@ -363,12 +454,46 @@ class NondegeneracyData:
 
 def _frame_tensors(hess: np.ndarray, dk: np.ndarray):
     """Pointwise frame, S and gram from D^2H(K) (2n, 2n, *grid) and DK
-    (2n, n, *grid) on the grid; S and the gram are (n, n, *grid)."""
+    (2n, n, *grid) on the grid; S and the gram are (n, n, *grid).
+
+    The twist DK^T H DK - (J DK)^T H (J DK) is one quadratic form
+    T = DK^T Q DK with Q = H - J^T H J, which for H = [[Hxx, Hxy],
+    [Hyx, Hyy]] is [[Hxx - Hyy, Hxy + Hyx], [Hyx + Hxy, Hyy - Hxx]], and
+    S = N T N.  N and C^-1 come in closed form for n <= 2, and C = I
+    where L = 0 (AdaptedFrame.build); nondegeneracy analyzes N on its
+    n(n+1)/2 entries on and above the diagonal (_symmetric_map).
+    """
     frame, gram = AdaptedFrame.build(dk)
-    jdk = frame.jdk
-    twist = (_matmul(_t(dk), _matmul(hess, dk))
-             - _matmul(_t(jdk), _matmul(hess, jdk)))
+    n = dk.shape[1]
+    q = np.empty_like(hess)
+    np.subtract(hess[:n, :n], hess[n:, n:], out=q[:n, :n])
+    np.add(hess[:n, n:], hess[n:, :n], out=q[:n, n:])
+    q[n:, :n] = q[:n, n:]
+    np.negative(q[:n, :n], out=q[n:, n:])
+    twist = _matmul(_t(dk), _matmul(q, dk))
     return frame, _matmul(_matmul(frame.n_mat, twist), frame.n_mat), gram
+
+
+@lru_cache(maxsize=8)
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the n(n+1)/2 entries on and above the diagonal,
+    and the (n, n) position of entry (i, j) or (j, i) in that list."""
+    rows, cols = np.triu_indices(n)
+    where = np.empty((n, n), dtype=int)
+    where[rows, cols] = where[cols, rows] = np.arange(rows.size)
+    return rows, cols, where
+
+
+def _symmetric_map(mat: np.ndarray, trunc_order: int) -> FourierMap:
+    """The map of a symmetric (n, n, *grid) field at trunc_order, analyzed
+    on its n(n+1)/2 entries on and above the diagonal and mirrored below."""
+    n = mat.shape[0]
+    if n == 1:  # the one entry is the whole triangle: nothing to mirror
+        return FourierMap.from_samples(_grid_major(mat, 2), n, trunc_order)
+    rows, cols, where = _triangle(n)
+    tri = FourierMap.from_samples(_grid_major(mat[rows, cols], 1), n, trunc_order)
+    half = np.moveaxis(tri.half, -1, 0)[where]  # (n, n, *modes), contiguous
+    return FourierMap._wrap(n, _grid_major(half, 2))
 
 
 def nondegeneracy(
@@ -388,24 +513,25 @@ def nondegeneracy(
     # the Hessian and DK samples enter the frame component-major
     frame, s, _ = _frame_tensors(_components(hess, 2),
                                  _components(dk_map.synthesize(gs), 2))
-    n, m = K.dim_domain, K.trunc_order
+    m = K.trunc_order
     avg_s = s.mean(axis=tuple(range(2, s.ndim)))
+    # one SVD: the singularity check and |<S>^-1|_2 = 1 / sigma_min
     svals = np.linalg.svd(avg_s, compute_uv=False)
     if svals[-1] < 1e-12 * max(1.0, svals[0]):
         raise ValueError(
             f"averaged torsion <S> is singular: smallest singular value "
             f"{svals[-1]:.3e}"
         )
-    avg_s_inv = np.linalg.inv(avg_s)
-    n_map = FourierMap.from_samples(_grid_major(frame.n_mat, 2), n, m)
+    n_map = _symmetric_map(frame.n_mat, m)
     return NondegeneracyData(
         n_map=n_map,
+        dk_map=dk_map,
         avg_s=avg_s,
-        avg_s_inv=avg_s_inv,
+        avg_s_inv=np.linalg.inv(avg_s),
         rho=rho,
         norm_n=n_map.strip_norm(rho).value,
         norm_dk=dk_map.strip_norm(rho).value,
-        norm_s_inv=float(np.linalg.norm(avg_s_inv, 2)),
+        norm_s_inv=float(1.0 / svals[-1]),
         cond_dk=frame.cond,
         frame_min_det=float(np.min(frame.abs_det)),
         lagrangian_defect=float(np.max(np.abs(frame.lag))),
@@ -504,7 +630,7 @@ class Iterate:
         nd = self.frame
         return nd if rho == nd.rho else replace(
             nd, rho=rho, norm_n=nd.n_map.strip_norm(rho).value,
-            norm_dk=self.K.dk().strip_norm(rho).value)
+            norm_dk=nd.dk_map.strip_norm(rho).value)
 
 
 @dataclass

@@ -612,15 +612,15 @@ def rough_run():
     Counts jets, defects and frames per (model, torus) pair, every
     cl_gap call made after the ladder is built, every dense C^l grid
     (_cl_sup, _factored_sup) and stencil pass, and every synthesis of a
-    torus's grid samples.  Per solve_torus call, it also records the
-    solver's own jet_grid, newton_step and resize calls.
+    torus's grid samples and every DK map.  Per solve_torus call, it also
+    records the solver's own jet_grid, newton_step and resize calls.
     """
     import kamtori.driver as driver
     import kamtori.smoothing as smoothing
     import kamtori.solver as solver
 
     calls = {"late_cl_gap": 0, "solver.jet_grid": 0, "solver.newton_step": 0,
-             "resized": 0, "dense_grid": 0, "stencil": 0, "samples": [],
+             "resized": 0, "dense_grid": 0, "stencil": 0, "dk": 0, "samples": [],
              "solves": []}
     ladders = []
 
@@ -669,6 +669,7 @@ def rough_run():
         mp.setattr(TorusEmbedding, "resized",
                    counted("resized", TorusEmbedding.resized))
         mp.setattr(TorusEmbedding, "_synthesized", synthesized)
+        mp.setattr(TorusEmbedding, "dk", counted("dk", TorusEmbedding.dk))
         for name in ("_cl_sup", "_factored_sup"):
             mp.setattr(smoothing, name, counted("dense_grid", getattr(smoothing, name)))
         mp.setattr(smoothing, "_stencil_all", counted("stencil", smoothing._stencil_all))
@@ -745,6 +746,13 @@ class TestMeasuredOnce:
         # stage 1's torus and stage 2's iterate; frames for the 4 steps (the
         # schedule's is stage 1's first) and stage 3's start
         assert evaluations.totals() == {"jets": 7, "defects": 7, "frames": 5}
+
+    def test_each_frame_builds_dk_once(self, rough_run):
+        # every stage takes norm_dk at its own rho from its start's frame,
+        # whose DK map was built with it
+        res, _, calls, evaluations = rough_run
+        assert len({rec["rho_k"] for rec in res.stages}) == len(res.stages) > 1
+        assert calls["dk"] == evaluations.totals()["frames"]
 
     def test_stage_starts_reuse_the_measured_defects(self, rough_run):
         res, _, _, _ = rough_run

@@ -11,7 +11,8 @@ from kamtori import FourierMap, TorusEmbedding, analyze, solve_cohomological
 
 import kamtori.solver as solver
 from kamtori.fourier import (
-    _fft_blocks, _strip_weights, canonical, sampling_size, wavevectors,
+    _directional_factor, _dk_factor, _fft_blocks, _strip_weights, canonical,
+    sampling_size, wavevectors,
 )
 
 from conftest import GOLDEN, random_trig
@@ -714,6 +715,60 @@ class TestTorusEmbedding:
         K2 = TorusEmbedding(w, K1.periodic)
         with pytest.raises(ValueError, match="winding"):
             K1.difference(K2)
+
+    def test_read_only_winding_is_adopted(self):
+        K = TorusEmbedding.circle([0.3, 0.7], trunc_order=4)
+        assert not K.winding.flags.writeable
+        assert K.with_periodic(K.periodic).winding is K.winding
+        assert K.resized(8).winding is K.winding
+        # a writable winding, or a read-only view of one, is copied
+        w = np.vstack([np.eye(2), np.zeros((2, 2))])
+        view = w[:]
+        view.flags.writeable = False
+        for given in (w, view, w.tolist()):
+            K2 = TorusEmbedding(given, K.periodic)
+            assert K2.winding is not given and not K2.winding.flags.writeable
+        w[0, 0] = 5.0
+        assert K2.winding[0, 0] == 1.0
+        assert TorusEmbedding(w, K.periodic).winding[0, 0] == 5.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_derivative_tables_equal_the_plain_factors(self, n):
+        # DK and d_omega K scale the half by 2 pi i k_j and 2 pi i k.omega:
+        # the cached tables give the same bytes as the factors built inline
+        rng = np.random.default_rng(30 + n)
+        K0 = TorusEmbedding.circle(rng.random(n), trunc_order=5)
+        K = K0.with_periodic(K0.periodic + random_trig(rng, n, 5, (2 * n,)))
+        per, omega = K.periodic, rng.random(n)
+        ks = wavevectors(n, 5)[..., 5:, :]
+        dk = per.half[..., :, None] * (2j * np.pi * ks)[..., None, :]
+        dk[(5,) * (n - 1) + (0,)] += K.winding
+        assert np.array_equal(K.dk().half, dk)
+        dw = per.half * (2j * np.pi * (ks @ omega))[..., None]
+        dw[(5,) * (n - 1) + (0,)] += K.winding @ omega
+        assert np.array_equal(K.directional(omega).half, dw)
+        assert K.dk().half.base is not None  # a new array per call
+        table = _dk_factor(n, 5)
+        assert table is _dk_factor(n, 5) and not table.flags.writeable
+        assert not _directional_factor(n, 5, tuple(omega)).flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_samples_add_the_winding_per_axis(self, n):
+        rng = np.random.default_rng(40 + n)
+        K0 = TorusEmbedding.circle(rng.random(n), trunc_order=4)
+        K = K0.with_periodic(K0.periodic + random_trig(rng, n, 4, (2 * n,)))
+        for size in (None, 13):
+            theta = K.grid(size)
+            want = theta @ K.winding.T + K.periodic.synthesize(theta.shape[0])
+            # the standard winding [I; 0] adds theta_j or 0: the same bytes
+            assert np.array_equal(K.grid_samples(size), want)
+        # any integer winding: the same sum in another order
+        w = rng.integers(-2, 3, (2 * n, n)).astype(float)
+        K2 = TorusEmbedding(w, K.periodic)
+        theta = K2.grid()
+        want = theta @ w.T + K2.periodic.synthesize(theta.shape[0])
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(K2.grid_samples() - want)) <= 4 * eps * np.max(np.abs(want))
 
 
 def largest_prime_factor(x: int) -> int:

@@ -22,7 +22,7 @@ from kamtori import (
 from kamtori.fourier import sampling_size
 from kamtori.hamiltonian import jet_grid, symplectic_matrix
 from kamtori.solver import (
-    COND_DK_LIMIT, AdaptedFrame, _frame_tensors, _gram_cond, _solve,
+    COND_DK_LIMIT, AdaptedFrame, _frame_tensors, _gram_cond, _inverse, _solve,
 )
 
 from conftest import GOLDEN
@@ -132,6 +132,60 @@ class TestNondegeneracy:
         assert np.max(np.abs(a - b)) < 1e-10
 
 
+class TestFrameData:
+    """What nondegeneracy keeps of the frame: N analyzed once on its
+    distinct entries, |<S>^-1|_2 from the SVD of <S>, and DK's map."""
+
+    CASES = {1: [(1, 0, 0.3)], 2: [(2, 1, 0.7), (0, 0, 0.3)],
+             3: [(3, 1, 0.6), (4, 2, -0.5), (5, 0, 0.4), (0, 0, 0.3)]}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_n_map_is_the_analysis_of_n(self, monkeypatch, n):
+        K = sheared_torus(n, self.CASES[n])
+        analyzed = []
+
+        def counted(samples, *args, **kwargs):
+            analyzed.append(samples.size)
+            return from_samples(samples, *args, **kwargs)
+
+        from_samples = FourierMap.from_samples
+        monkeypatch.setattr(FourierMap, "from_samples", staticmethod(counted))
+        nd = nondegeneracy(HamiltonianModel.free_rotator(n), K)
+        monkeypatch.undo()
+        gs = sampling_size(K.trunc_order)
+        # one analysis, of the n(n+1)/2 entries on and above the diagonal
+        assert analyzed == [gs**n * n * (n + 1) // 2]
+        full = FourierMap.from_samples(grid(nd.frame.n_mat), n, K.trunc_order)
+        assert nd.n_map.range_shape == (n, n)
+        assert np.array_equal(nd.n_map.half, np.swapaxes(nd.n_map.half, -1, -2))
+        scale = np.max(np.abs(full.half))
+        assert np.max(np.abs(nd.n_map.half - full.half)) <= 1e-15 * scale
+        if n <= 2:  # the closed-form N is exactly symmetric
+            assert np.array_equal(nd.n_map.half, full.half)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_norm_s_inv_is_the_two_norm_of_the_inverse(self, n):
+        h = coupled_rotator(1e-3) if n == 2 else HamiltonianModel.free_rotator(n)
+        nd = nondegeneracy(h, sheared_torus(n, self.CASES[n]))
+        want = np.linalg.norm(np.linalg.inv(nd.avg_s), 2)
+        assert nd.norm_s_inv == pytest.approx(want, rel=1e-13)
+        assert np.max(np.abs(nd.avg_s @ nd.avg_s_inv - np.eye(n))) <= 1e-13
+
+    def test_frame_at_takes_dk_from_the_frame(self, monkeypatch, golden_freq):
+        h = HamiltonianModel.pendulum(1e-3)
+        value = Iterate.evaluate(h, TorusEmbedding.circle(GOLDEN, trunc_order=32),
+                                 golden_freq)
+        calls = []
+        dk = TorusEmbedding.dk
+        monkeypatch.setattr(TorusEmbedding, "dk",
+                            lambda K: calls.append(K) or dk(K))
+        nd = value.frame
+        rhos = [value.frame_at(rho) for rho in (0.01, 0.02, 0.05)]
+        assert len(calls) == 1
+        assert [r.norm_dk for r in rhos] == [
+            nd.dk_map.strip_norm(rho).value for rho in (0.01, 0.02, 0.05)]
+
+
 def sheared_torus(n, shears, trunc_order=8):
     """Flat torus over T^n plus amp sin(2 pi theta_axis) / (2 pi) added to
     component row of K, for each (row, axis, amp) in shears."""
@@ -204,6 +258,35 @@ class TestBlockFrame:
         assert np.max(np.abs(inv - np.linalg.inv(a))) <= 1e-12 * np.max(
             np.abs(np.linalg.inv(a))
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lagrangian_frame_takes_c_as_identity(self, n):
+        # shears of the x rows only: DK = [I + Dx; 0], so L = 0 exactly
+        # while N varies; M^-1 still matches the dense frame
+        shears = [(0, 0, 0.6), (1, n - 1, -0.3), (n - 1, 0, 0.2)][:n]
+        dk = sheared_torus(n, shears).dk().synthesize()
+        frame, _ = AdaptedFrame.build(comp(dk))
+        assert not frame.lag.any()
+        assert frame.b is None and frame.c_inv is None
+        assert np.all(frame.abs_det == 1.0)
+        n_mat = grid(frame.n_mat)
+        assert np.max(np.abs(n_mat - n_mat[:1, :1])) > 0.1  # N varies
+        m = dense_frame(dk)
+        xi = np.random.default_rng(4).standard_normal(dk.shape[:-2] + (2 * n,))
+        got = grid(np.concatenate(frame.solve(comp(xi, 1))), 1)
+        want = np.linalg.solve(m, xi[..., None])[..., 0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(np.abs(np.linalg.det(m)) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_inverse_matches_linalg(self, n):
+        rng = np.random.default_rng(20 + n)
+        a = rng.standard_normal((5, 7, n, n))
+        a[0, 0] = np.roll(np.eye(n), 1, axis=0)  # a zero diagonal
+        inv, abs_det = _inverse(comp(a))
+        want = np.linalg.inv(a)
+        assert np.max(np.abs(grid(inv) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(abs_det / np.abs(np.linalg.det(a)) - 1.0)) <= 1e-12
 
 
 class TestLagrangianDefect:
@@ -278,8 +361,8 @@ def random_grams(rng, n, count, smallest):
 
 
 class TestGramSpectrum:
-    """Closed-form cond(G) for n <= 2 (eigvalsh for n >= 3) against
-    np.linalg.cond, one matrix at a time."""
+    """Closed-form cond(G) for n <= 3 against np.linalg.cond, one matrix
+    at a time."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_linalg_cond(self, n):
@@ -300,6 +383,71 @@ class TestGramSpectrum:
         assert 20 < rejected.sum() < 180 and np.any(want > 1e10)
         assert np.array_equal(got > COND_DK_LIMIT, rejected)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-4
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e4])
+    def test_nearly_repeated_eigenvalues_read_one(self, monkeypatch, c):
+        # cI plus a symmetric perturbation of 1e-14 relative, general or of
+        # rank one (a double eigenvalue): the arccos argument of the n = 3
+        # closed form leaves [-1, 1] in round-off, in about 1 case in 250
+        # and 1 in 3 respectively; clipped, it needs no eigvalsh
+        def unused(*args):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+        rng = np.random.default_rng(7)
+        e = rng.standard_normal((600, 3, 3))
+        v = rng.standard_normal((600, 3))
+        grams = c * (np.eye(3) + 1e-14 * np.concatenate(
+            [e + np.swapaxes(e, 1, 2), v[:, :, None] * v[:, None, :]]))
+        got = np.array([_gram_cond(comp(g[None, None])) for g in grams])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - 1.0)) <= 1e-12
+        flat = _gram_cond(comp(np.eye(3)[None, None] * c))
+        assert flat == pytest.approx(1.0, abs=1e-15)
+
+    @staticmethod
+    def rotated(rng, eigenvalues):
+        """Q diag(eigenvalues) Q^T for random rotations Q: (count, 3, 3)."""
+        q = np.linalg.qr(rng.standard_normal((len(eigenvalues), 3, 3)))[0]
+        return np.einsum("pij,pj,pkj->pik", q, eigenvalues, q)
+
+    @pytest.mark.parametrize("double", ["top", "bottom"])
+    def test_double_eigenvalue_costs_at_most_root_eps(self, double):
+        # at a double eigenvalue the arccos argument is +-1 up to round-off,
+        # where arccos turns an error e into sqrt(e): lambda_max and
+        # lambda_max lambda_mid stay within a few sqrt(eps) ~ 1.5e-8
+        rng = np.random.default_rng(8)
+        d = rng.uniform(1.1, 1e3, 300)
+        one = np.ones(300)
+        lam = np.stack([one, d, d] if double == "top" else [one, one, d], 1)
+        grams = self.rotated(rng, lam)
+        got = np.array([_gram_cond(comp(g[None, None])) for g in grams])
+        assert np.max(np.abs(got / np.linalg.cond(grams) - 1.0)) <= 1e-7
+
+    def test_gate_decision_at_a_double_small_eigenvalue(self):
+        # eigenvalues (s, s, 1), s from 1e-6 to 1e-10: cond straddles the
+        # gate, and the smallest is det G over lambda_max lambda_mid
+        rng = np.random.default_rng(9)
+        s = 10.0 ** rng.uniform(-10.0, -6.0, 200)
+        grams = self.rotated(rng, np.stack([s, s, np.ones(200)], 1))
+        want = np.linalg.cond(grams)
+        got = np.array([_gram_cond(comp(g[None, None])) for g in grams])
+        rejected = want > COND_DK_LIMIT
+        assert 20 < rejected.sum() < 180
+        assert np.array_equal(got > COND_DK_LIMIT, rejected)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-4
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_singular_gram_rejected(self, rank):
+        # det G and adj G are round-off where G has rank <= 1: such points
+        # must still read a cond above the gate
+        rng = np.random.default_rng(10 + rank)
+        a = rng.standard_normal((50, 6, 3))
+        a[:, :, rank:] = 0.0
+        a = a @ np.linalg.qr(rng.standard_normal((50, 3, 3)))[0]
+        grams = np.swapaxes(a, 1, 2) @ a
+        got = np.array([_gram_cond(comp(g[None, None])) for g in grams])
+        assert np.all(got > COND_DK_LIMIT)
 
 
 class TestNewtonStep:
@@ -477,6 +625,79 @@ def solve_coupled(eps, tol):
     h = coupled_rotator(eps)
     K0 = TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=16)
     return h, freq, solve_torus(h, K0, freq, tol=tol, max_trunc_order=freq.horizon)
+
+
+def separable_pendula(eps):
+    """sum_j y_j^2/2 + eps_j cos 2 pi x_j: one pendulum per angle."""
+    n = len(eps)
+    terms = []
+    for j, e in enumerate(eps):
+        unit = tuple(int(i == j) for i in range(n))
+        terms += [((0,) * n, tuple(2 * u for u in unit), 0.5),
+                  (unit, (0,) * n, e / 2.0)]
+    return HamiltonianModel(n, terms)
+
+
+def solve_separable(eps, omega, trunc_order):
+    """solve_torus from the circle at omega on separable_pendula(eps)."""
+    sigma = 1.1 if len(omega) < 3 else 2.1
+    freq = FrequencyVector.estimated(np.asarray(omega), sigma=sigma, horizon=256)
+    K0 = TorusEmbedding.circle(np.asarray(omega), trunc_order=trunc_order)
+    return solve_torus(separable_pendula(eps), K0, freq, tol=1e-12)
+
+
+def product_gaps(res, factors):
+    """How far an n-D torus is from the product of n 1-D tori.
+
+    The torus of a separable H is (x_j(theta_j), y_j(theta_j)) with each
+    pair the 1-D torus of its factor; both solves start from the circle at
+    phase zero, so the phase needs no fitting.  Returns the largest
+    amplitude difference on the factor axes (k = k_j e_j, components x_j
+    and y_j) and the largest amplitude off them (k with two or more
+    nonzero entries, or a component of another factor).
+    """
+    n, m = len(factors), res.torus.trunc_order
+    coeffs = res.torus.periodic.coeffs  # (2M+1,)*n + (2n,), k at k + M
+    off = np.ones(coeffs.shape, dtype=bool)
+    axis_gap = 0.0
+    for j, factor in enumerate(factors):
+        line = tuple(slice(None) if i == j else m for i in range(n))
+        want = factor.torus.periodic.resized(m).coeffs  # (2M+1, 2)
+        axis_gap = max(axis_gap, np.max(np.abs(coeffs[line][:, [j, n + j]] - want)))
+        off[line + ([j, n + j],)] = False
+    return axis_gap, np.max(np.abs(coeffs[off]))
+
+
+class TestSeparableOracle:
+    """A sum of 1-D pendula has the product of their tori as its torus: an
+    oracle for n >= 2 that no n-D code computes."""
+
+    OMEGA = [GOLDEN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.5]
+    # n = 2 refines from M = 16 to 32; n = 3 from M = 8 to 16
+    CASES = {2: ([5e-3, 4e-3], 16, 32), 3: ([1e-3, 8e-4, 6e-4], 8, 16)}
+
+    @pytest.fixture(scope="class", params=[2, 3])
+    def product(self, request):
+        eps, m0, m = self.CASES[request.param]
+        omega = self.OMEGA[: request.param]
+        res = solve_separable(eps, omega, m0)
+        assert res.converged and res.torus.trunc_order == m
+        return eps, omega, m0, res
+
+    def test_torus_is_the_product_of_the_factor_tori(self, product):
+        eps, omega, m0, res = product
+        factors = [solve_separable([e], [w], m0) for e, w in zip(eps, omega)]
+        assert all(f.converged for f in factors)
+        axis_gap, off_axis = product_gaps(res, factors)
+        assert axis_gap <= 1e-14
+        assert off_axis <= 1e-13  # round-off against amplitudes up to 0.62
+
+    def test_a_perturbed_factor_is_caught(self, product):
+        eps, omega, m0, res = product
+        eps = [eps[0] * 1.01] + eps[1:]
+        factors = [solve_separable([e], [w], m0) for e, w in zip(eps, omega)]
+        axis_gap, _ = product_gaps(res, factors)
+        assert axis_gap > 1e-7
 
 
 class ConstantForce:
