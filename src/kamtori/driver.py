@@ -824,8 +824,10 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         if start.error.norm_grid <= params.target_error and enough:
             termination = "target_reached"
             break
-        if k > 1 and res.status == "floored" and enough:
-            termination = "truncation_floor"
+        # a real floor, or a stage that the truncation cap held above tol
+        if k > 1 and res.status in ("floored", "truncation_capped") and enough:
+            termination = ("truncation_floor" if res.status == "floored"
+                           else "truncation_capped")
             break
 
     gaps = [

@@ -15,7 +15,10 @@ irfft on the last) on an odd grid of N >= 2M+1 points per axis, into a
 component-major (*range_shape, *grid) buffer returned as a grid-major
 view.  Both equal numpy's n-D transforms bit for bit.  Derivatives,
 shifts, sums, resizing and strip norms act on the half against cached
-wavevector tables.
+wavevector tables.  Every transform and product writes its half into a
+new component-major (*range_shape, *modes) array, and FourierMap._wrap
+adopts such a half as it is; only the public constructor checks the
+layout and copies.
 
 The cold paths derive what they need from the half: ``coeffs`` (the full
 centered spectrum, amplitude of k at index k + M), ``modes``,
@@ -33,10 +36,11 @@ FourierMap P).
 An order-M embedding is sampled on :func:`sampling_size` points per axis:
 the smallest odd N >= 2M+1 with no prime factor above 13, a fast length
 for pocketfft (2M+1 itself is 129 = 3 * 43 at M = 64 and prime at
-M = 128).  Any odd N >= 2M+1 samples an order-M map exactly, so the
-analysis of such samples keeps the order it is given, ``from_samples(...,
-trunc_order=M)``, and an iterate's order never follows its grid; the
-solver's Newton steps take no grid size of their own.
+M = 128), searched once per M and memoised.  Any odd N >= 2M+1 samples
+an order-M map exactly, so the analysis of such samples keeps the order
+it is given, ``from_samples(..., trunc_order=M)``, and an iterate's
+order never follows its grid; the solver's Newton steps take no grid
+size of their own.
 ``FourierMap.grid_size`` is 2M+1, the smallest exact grid, on which
 ``synthesize`` and ``grid_sup`` sample by default.
 """
@@ -46,6 +50,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -67,10 +72,12 @@ __all__ = [
 FAST_FACTORS = (3, 5, 7, 11, 13)
 
 
+@lru_cache(maxsize=1024)
 def sampling_size(trunc_order: int) -> int:
     """Grid points per axis on which an order-M map is sampled.
 
-    The smallest odd N >= 2M+1 whose prime factors are all at most 13.
+    The smallest odd N >= 2M+1 whose prime factors are all at most 13,
+    found by a factor search once per M and memoised.
     """
     size = 2 * int(trunc_order) + 1
     while True:
@@ -177,15 +184,20 @@ def _fft_blocks(trunc_order: int, size: int, dim_domain: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=64)
+def _last_first(ndim: int, count: int) -> tuple:
+    """The axis order that moves the last count of ndim axes to the front."""
+    return tuple(range(ndim - count, ndim)) + tuple(range(ndim - count))
+
+
 def _range_first(x: np.ndarray, rank: int) -> np.ndarray:
     """(*modes, *comp) as a (*comp, *modes) view; rank counts the comp axes."""
-    g = x.ndim - rank
-    return x.transpose(tuple(range(g, x.ndim)) + tuple(range(g)))
+    return x.transpose(_last_first(x.ndim, rank))
 
 
 def _grid_major(x: np.ndarray, rank: int) -> np.ndarray:
     """Component-major (*comp, *grid) as a grid-major (*grid, *comp) view."""
-    return x.transpose(tuple(range(rank, x.ndim)) + tuple(range(rank)))
+    return x.transpose(_last_first(x.ndim, x.ndim - rank))
 
 
 @dataclass(frozen=True)
@@ -263,23 +275,25 @@ class FourierMap:
                     idx = tuple(m + ki for ki in kk[:-1]) + (kk[-1],)
                     total[idx] += a
                     count[idx] += 1
-        self._adopt(dim_domain, total / np.maximum(count, 1))
-
-    def _adopt(self, dim_domain: int, half: np.ndarray) -> None:
-        """Take a Hermitian half-spectrum array that no one else writes to.
-
-        It is stored component-major, as a view of a contiguous
-        (*range_shape, *modes) array, copied into one if it is not.
-        """
-        rank = half.ndim - dim_domain
+        half, rank = total / np.maximum(count, 1), len(range_shape)
+        # stored component-major: a view of a contiguous (*range_shape,
+        # *modes) array, copied into one if it is not
         if not _range_first(half, rank).flags.c_contiguous:
             half = _grid_major(np.ascontiguousarray(_range_first(half, rank)), rank)
+        self._adopt(dim_domain, half)
+
+    def _adopt(self, dim_domain: int, half: np.ndarray) -> None:
+        """Hold a Hermitian half-spectrum array that no one else writes to,
+        read-only from here on."""
         half.flags.writeable = False
         object.__setattr__(self, "dim_domain", dim_domain)
         object.__setattr__(self, "half", half)
 
     @classmethod
     def _wrap(cls, dim_domain: int, half: np.ndarray) -> "FourierMap":
+        """The map of a half that this package's transforms and products
+        made, adopted without a layout check: each makes it a grid-major
+        view of a new contiguous component-major array."""
         self = object.__new__(cls)
         self._adopt(dim_domain, half)
         return self
@@ -299,7 +313,7 @@ class FourierMap:
 
     @property
     def dim_range(self) -> int:
-        return int(np.prod(self.range_shape)) if self.range_shape else 1
+        return math.prod(self.range_shape)
 
     @property
     def grid_size(self) -> int:
@@ -360,15 +374,17 @@ class FourierMap:
     def _at_order(self, trunc_order: int) -> np.ndarray:
         """The half zero-padded or cut to another truncation order.
 
-        At the same order this is ``half`` itself, read-only.
+        At the same order this is ``half`` itself, read-only, and a cut is
+        a view of it; a padded half is a grid-major view of a new
+        component-major array.
         """
         n, m = self.dim_domain, self.trunc_order
         if trunc_order == m:
             return self.half
         if trunc_order > m:
-            d = trunc_order - m
-            pad = [(d, d)] * (n - 1) + [(0, d)] + [(0, 0)] * len(self.range_shape)
-            return np.pad(self.half, pad)
+            d, rank = trunc_order - m, len(self.range_shape)
+            pad = [(0, 0)] * rank + [(d, d)] * (n - 1) + [(0, d)]
+            return _grid_major(np.pad(_range_first(self.half, rank), pad), rank)
         cut = slice(m - trunc_order, m + trunc_order + 1)
         return self.half[(cut,) * (n - 1) + (slice(trunc_order + 1),)]
 
@@ -441,11 +457,11 @@ class FourierMap:
         grid of any odd size N >= 2M+1.  The result has shape (*grid,
         *range_shape): a grid-major view of that contiguous buffer.
         """
-        size = self.grid_size if grid_size is None else int(grid_size)
+        n, m, shape = self.dim_domain, self.trunc_order, self.range_shape
+        size = 2 * m + 1 if grid_size is None else int(grid_size)
         if size % 2 == 0:
             raise ValueError("grid size must be odd")
-        n, m, shape = self.dim_domain, self.trunc_order, self.range_shape
-        if size < self.grid_size:
+        if size < 2 * m + 1:
             raise ValueError("grid too small for stored modes")
         rank = len(shape)
         # irfftn's passes: ifft on each leading grid axis, then irfft on the
@@ -464,8 +480,10 @@ class FourierMap:
     # -- calculus --------------------------------------------------------
 
     def _scaled_modes(self, factor: np.ndarray) -> np.ndarray:
-        """The half times a per-mode factor of shape (2M+1,)*(n-1) + (M+1,)."""
-        return self.half * factor[(...,) + (None,) * len(self.range_shape)]
+        """The half times a per-mode factor of shape (2M+1,)*(n-1) + (M+1,),
+        a grid-major view of a new component-major array."""
+        rank = self.half.ndim - self.dim_domain
+        return _grid_major(_range_first(self.half, rank) * factor, rank)
 
     def _times(self, factor: np.ndarray) -> "FourierMap":
         return FourierMap._wrap(self.dim_domain, self._scaled_modes(factor))
@@ -537,7 +555,11 @@ class FourierMap:
 
     def resized(self, trunc_order: int) -> "FourierMap":
         """Embed into (or truncate to) a different truncation order."""
-        return FourierMap._wrap(self.dim_domain, self._at_order(trunc_order))
+        half = self._at_order(trunc_order)
+        if trunc_order < self.trunc_order:  # a cut is a view: copy it
+            rank = len(self.range_shape)
+            half = _grid_major(np.ascontiguousarray(_range_first(half, rank)), rank)
+        return FourierMap._wrap(self.dim_domain, half)
 
     def shifted(self, theta0: np.ndarray) -> "FourierMap":
         """Precompose with the rigid rotation theta -> theta + theta0."""

@@ -253,20 +253,21 @@ def _angle_table(u: np.ndarray, ks: np.ndarray, coef: np.ndarray, q: int) -> np.
     """
     e = np.exp(2j * np.pi * u)
     powers = [np.ones_like(e), e]
-    for _ in range(2, int(np.abs(ks).max(initial=0)) + 1):
+    for _ in range(2, int(np.maximum.reduce(np.abs(ks), None, initial=0)) + 1):
         powers.append(powers[-1] * e)
     out = np.empty((q + 1, ks.size, u.size), dtype=complex)
     for row, (k, c) in enumerate(zip(ks.tolist(), coef.tolist())):
         np.multiply(powers[k] if k >= 0 else powers[-k].conj(), c, out=out[0, row])
+    d = (2j * np.pi * ks)[:, None]
     for j in range(1, q + 1):
-        np.multiply(out[j - 1], (2j * np.pi * ks)[:, None], out=out[j])
+        np.multiply(out[j - 1], d, out=out[j])
     return out
 
 
 def _action_table(u: np.ndarray, ms: np.ndarray, coef: np.ndarray, q: int) -> np.ndarray:
     """Orders 0..q of coef y^m at y = u, one row per (m, coef)."""
     powers = [np.ones_like(u), u]
-    for _ in range(2, int(ms.max(initial=0)) + 1):
+    for _ in range(2, int(np.maximum.reduce(ms, None, initial=0)) + 1):
         powers.append(powers[-1] * u)
     out = np.zeros((q + 1, ms.size, u.size))
     for row, (m, c) in enumerate(zip(ms.tolist(), coef.tolist())):

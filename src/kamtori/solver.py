@@ -35,6 +35,9 @@ invariant torus L = 0 (it is Lagrangian), C = I and M is symplectic up to
 the normalisation N; where L is exactly zero on the grid, as at n = 1 and
 on the flat circle, C is neither formed nor inverted.  N is analyzed on
 its n(n+1)/2 entries on and above the diagonal and mirrored into n_map.
+The averaged torsion <S> takes one SVD, for its singularity check and
+|<S>^-1|_2, and one inverse; a 1 x 1 <S> = [s] takes |s| and 1/s
+instead, bit for bit what LAPACK returns (_torsion_inverse).
 
 Every per-grid-point tensor of the frame is component-major: a contiguous
 (rows, cols, *grid) array, or (rows, *grid) for a vector field, so a
@@ -82,6 +85,7 @@ from .fourier import (
     StripNormEstimate,
     TorusEmbedding,
     _grid_major,
+    _range_first,
     sampling_size,
 )
 from .hamiltonian import jet_grid, symplectic_matrix
@@ -103,6 +107,11 @@ __all__ = [
 COND_DK_LIMIT = 1e8
 TRIG_COND = 1e3  # the n = 3 closed form of cond(DK^T DK) holds below this
 FLOOR_ULPS = 16  # round-off allowance of solve_torus's floor rule, in eps
+EPS = 2.0**-52  # the float64 machine epsilon, np.finfo(float).eps
+# LAPACK's SVD scales a matrix whose largest entry lies outside about
+# [2^-459, 2^459] and then rounds; inside this band it returns |s| for a
+# 1 x 1 matrix [s] exactly
+SVD_EXACT = (2.0**-400, 2.0**400)
 
 
 @dataclass(frozen=True)
@@ -165,7 +174,7 @@ def invariance_error(
     gs = grid_size or sampling_size(K.trunc_order)
     _, grad, _ = jet if jet is not None else jet_grid(hamiltonian, K.grid_samples(grid_size))
     # J = [[0, I], [-I, 0]] swaps the row blocks of grad H with a sign
-    grad_c = np.moveaxis(grad, -1, 0)
+    grad_c = _range_first(grad, 1)
     values = np.empty(grad_c.shape)
     values[:n] = grad_c[n:]
     np.negative(grad_c[:n], out=values[n:])
@@ -175,8 +184,8 @@ def invariance_error(
     return ErrorField(
         e=e,
         norm_rho=e.strip_norm(rho),
-        norm_grid=float(np.max(np.abs(values))),
-        round_off=float(FLOOR_ULPS * np.finfo(float).eps * np.max(np.abs(grad))),
+        norm_grid=float(np.maximum.reduce(np.abs(values), None)),
+        round_off=float(FLOOR_ULPS * EPS * np.maximum.reduce(np.abs(grad), None)),
         values=values,
     )
 
@@ -194,7 +203,7 @@ def _components(x: np.ndarray, rank: int) -> np.ndarray:
 
 def _t(mat: np.ndarray) -> np.ndarray:
     """Pointwise transpose of a component-major matrix field."""
-    return np.swapaxes(mat, 0, 1)
+    return mat.swapaxes(0, 1)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -286,6 +295,10 @@ def _gram_cond(gram: np.ndarray) -> float:
     points, folds among them, take eigvalsh, which serves n >= 4 as well.
     """
     n = gram.shape[0]
+    if n == 1:  # the ratio g / g is 1 wherever the entry g is positive and finite
+        g = gram[0, 0]
+        if 0 < np.minimum.reduce(g, None) and np.maximum.reduce(g, None) < np.inf:
+            return 1.0
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where DK = 0
         if n == 1:
             lo = hi = gram[0, 0]
@@ -307,7 +320,7 @@ def _gram_cond(gram: np.ndarray) -> float:
             lam = np.linalg.eigvalsh(_grid_major(gram, 2))
             lo, hi = lam[..., 0], lam[..., -1]
         ratio = np.where(lo > 0, hi / lo, np.inf)
-    return float(np.max(ratio))
+    return float(np.maximum.reduce(ratio, None))
 
 
 def _adjugate3(a: np.ndarray) -> np.ndarray:
@@ -385,7 +398,7 @@ class AdaptedFrame:
             )
         n_mat, _ = _inverse(gram)
         lag = _matmul(_t(dk), jdk)
-        if not lag.any():  # Lagrangian on the grid: C = I
+        if not np.logical_or.reduce(lag, None):  # Lagrangian on the grid: C = I
             ones = np.ones(dk.shape[2:])
             return cls(dk, jdk, n_mat, lag, None, None, ones, cond), gram
         b = _matmul(_matmul(n_mat, lag), n_mat)
@@ -419,16 +432,16 @@ class AdaptedFrame:
 class NondegeneracyData:
     """Frame and twist data for the adapted-frame reduction.
 
-    n_map is N = (DK^T DK)^-1, s_map the torsion S (analyzed on first
-    use), both as maps on the torus; avg_s must be invertible for the
-    Newton step to exist.  dk_map is DK.  norm_n and norm_dk are
-    coefficient bounds of n_map and dk_map at the strip width rho
-    (Iterate.frame_at takes them at another), and norm_s_inv is
-    |<S>^-1|_2.
+    n_map is N = (DK^T DK)^-1 as a map on the torus, and avg_s the grid
+    average of the torsion S, which must be invertible for the Newton
+    step to exist.  dk_map is DK.  norm_n and norm_dk are coefficient
+    bounds of n_map and dk_map at the strip width rho (Iterate.frame_at
+    takes them at another), and norm_s_inv is |<S>^-1|_2.
     lagrangian_defect is the grid max of |DK^T J DK|, zero on a Lagrangian
-    torus.  frame and s hold the frame blocks and S on the sampling grid
-    for newton_step, component-major like every AdaptedFrame field: s is
-    (n, n, *grid).
+    torus, and frame_min_det the grid min of |det M|; where L is exactly
+    zero they are 0 and 1 without a reduction.  frame and s hold the frame
+    blocks and S on the sampling grid for newton_step, component-major
+    like every AdaptedFrame field: s is (n, n, *grid).
     """
 
     n_map: FourierMap
@@ -444,12 +457,6 @@ class NondegeneracyData:
     lagrangian_defect: float
     frame: AdaptedFrame
     s: np.ndarray
-
-    @cached_property
-    def s_map(self) -> FourierMap:
-        n_map = self.n_map
-        return FourierMap.from_samples(_grid_major(self.s, 2), n_map.dim_domain,
-                                       n_map.trunc_order)
 
 
 def _frame_tensors(hess: np.ndarray, dk: np.ndarray):
@@ -514,30 +521,52 @@ def nondegeneracy(
     frame, s, _ = _frame_tensors(_components(hess, 2),
                                  _components(dk_map.synthesize(gs), 2))
     m = K.trunc_order
-    avg_s = s.mean(axis=tuple(range(2, s.ndim)))
-    # one SVD: the singularity check and |<S>^-1|_2 = 1 / sigma_min
-    svals = np.linalg.svd(avg_s, compute_uv=False)
-    if svals[-1] < 1e-12 * max(1.0, svals[0]):
-        raise ValueError(
-            f"averaged torsion <S> is singular: smallest singular value "
-            f"{svals[-1]:.3e}"
-        )
+    avg_s = np.add.reduce(s, tuple(range(2, s.ndim))) / s[0, 0].size
+    norm_s_inv, avg_s_inv = _torsion_inverse(avg_s)
     n_map = _symmetric_map(frame.n_mat, m)
+    if frame.c_inv is None:  # L = 0 and C = I on the whole grid
+        min_det, lag_defect = 1.0, 0.0
+    else:
+        min_det = float(np.minimum.reduce(frame.abs_det, None))
+        lag_defect = float(np.maximum.reduce(np.abs(frame.lag), None))
     return NondegeneracyData(
         n_map=n_map,
         dk_map=dk_map,
         avg_s=avg_s,
-        avg_s_inv=np.linalg.inv(avg_s),
+        avg_s_inv=avg_s_inv,
         rho=rho,
         norm_n=n_map.strip_norm(rho).value,
         norm_dk=dk_map.strip_norm(rho).value,
-        norm_s_inv=float(1.0 / svals[-1]),
+        norm_s_inv=norm_s_inv,
         cond_dk=frame.cond,
-        frame_min_det=float(np.min(frame.abs_det)),
-        lagrangian_defect=float(np.max(np.abs(frame.lag))),
+        frame_min_det=min_det,
+        lagrangian_defect=lag_defect,
         frame=frame,
         s=s,
     )
+
+
+def _torsion_inverse(avg_s: np.ndarray) -> tuple[float, np.ndarray]:
+    """|<S>^-1|_2 = 1 / sigma_min and <S>^-1, after the singularity check
+    sigma_min >= 1e-12 max(1, sigma_max), which raises ValueError.
+
+    A 1 x 1 <S> = [s] has the inverse 1 / s, and sigma = |s| where |s|
+    lies in SVD_EXACT, each bit for bit what LAPACK returns; any other
+    <S> takes its singular values from one SVD, and n >= 2 its inverse
+    from LAPACK.
+    """
+    if avg_s.shape == (1, 1) and SVD_EXACT[0] <= abs(avg_s[0, 0]) <= SVD_EXACT[1]:
+        small = big = abs(avg_s[0, 0])
+    else:
+        svals = np.linalg.svd(avg_s, compute_uv=False)
+        small, big = svals[-1], svals[0]
+    if small < 1e-12 * max(1.0, big):
+        raise ValueError(
+            f"averaged torsion <S> is singular: smallest singular value "
+            f"{small:.3e}"
+        )
+    inverse = 1.0 / avg_s if avg_s.shape == (1, 1) else np.linalg.inv(avg_s)
+    return float(1.0 / small), inverse
 
 
 @dataclass(frozen=True)
@@ -585,8 +614,11 @@ def newton_step(hamiltonian, K: TorusEmbedding, omega: FrequencyVector,
     )
     xi_n0 = _components(sol_n.solution.synthesize(gs), 1)
     s_xi_n0 = _apply(nd.s, xi_n0)
+    # the grid averages of eta_T and S xi_N^0
+    points = eta_t[0].size
     c_n = nd.avg_s_inv @ (
-        -eta_t.mean(axis=grid_axes) - s_xi_n0.mean(axis=grid_axes)
+        -(np.add.reduce(eta_t, grid_axes) / points)
+        - np.add.reduce(s_xi_n0, grid_axes) / points
     )
     xi_n = xi_n0 + c_n.reshape((n,) + (1,) * n)
 
@@ -599,7 +631,8 @@ def newton_step(hamiltonian, K: TorusEmbedding, omega: FrequencyVector,
     delta = nd.frame.apply(xi_t, xi_n)
     delta_map = FourierMap.from_samples(_grid_major(delta, 1), n, m)
     K_next = K.with_periodic(K.periodic + delta_map)
-    return K_next, StepDiagnostics(float(np.max(np.abs(delta))), sol_n.report)
+    return K_next, StepDiagnostics(float(np.maximum.reduce(np.abs(delta), None)),
+                                   sol_n.report)
 
 
 @dataclass(frozen=True, eq=False)
@@ -682,14 +715,19 @@ def solve_torus(
     lowest defect so far and r is the defect's round_off.  Two consecutive
     iterates without progress end the iteration: if some iterate improved
     on the initial error, the best one is returned with status "floored"
-    (the iteration hit its numerical floor), otherwise "diverged".  The
-    truncation order doubles, up to max_trunc_order, before the next step
-    when two things hold: the defect's spectral tail is genuine
+    (the iteration hit its numerical floor), otherwise "diverged"; after
+    max_iter steps it is "max_iter" unless it improved.  The truncation
+    order doubles, up to max_trunc_order, before the next step when two
+    things hold: the defect's spectral tail is genuine
     (ErrorField.genuine_tail: its tail_flag trips and its largest tail
     amplitude tail_max exceeds the same r), and the tail block's share of
     the strip norm at rho, tail_sum, exceeds tol.  A tail made of
     round-off never refines, and neither does one whose sup bound tail_sum
-    is below tol, since it cannot hold the defect above tol.
+    is below tol, since it cannot hold the defect above tol.  Where both
+    hold but doubling M would pass max_trunc_order, the refinement is
+    blocked; a solve that stalls or reaches max_iter with the refinement
+    of its last iterate blocked returns its best iterate with status
+    "truncation_capped" instead: the cap, not round-off, held it.
 
     The trace has a row per Newton step and one for the last iterate it
     evaluated, whichever rule ended the solve, so each status can be read
@@ -703,7 +741,9 @@ def solve_torus(
     quantities (|DK|, |N|, |<S>^-1|), the frame's min |det M|, the
     Lagrangian defect max |DK^T J DK|, all from the Iterate the step took,
     and the corrected iterate's truncation order; its "error" is that of
-    the iterate the step corrected, after any refinement.
+    the iterate the step corrected, after any refinement.  A row whose
+    refinement was blocked records "refine_blocked": True; no other row
+    has the key.
 
     With a FrequencyVector, every retained mode must stay inside its
     Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
@@ -733,14 +773,17 @@ def solve_torus(
                "tail_max": err.norm_rho.tail_max,
                "tail_sum": err.norm_rho.tail_sum, "round_off": err.round_off,
                "grid": err.values.shape[0], "jets": 1}
+        refine = err.genuine_tail and err.norm_rho.tail_sum > tol
+        blocked = refine and K.trunc_order * 2 > max_trunc_order
+        if blocked:
+            row["refine_blocked"] = True
         stalls = 0 if err.norm_grid < best_err - err.round_off else stalls + 1
         if err.norm_grid < best_err:
             best_err, best = err.norm_grid, value
         if err.norm_grid <= tol or stalls >= 2 or it == max_iter:
             trace.append(row)
             break
-        if (err.genuine_tail and err.norm_rho.tail_sum > tol
-                and K.trunc_order * 2 <= max_trunc_order):
+        if refine and not blocked:
             K = K.resized(K.trunc_order * 2)
             value = Iterate.evaluate(hamiltonian, K, omega, rho)
             err = value.error
@@ -764,7 +807,12 @@ def solve_torus(
         )
     if err.norm_grid <= tol:
         return SolveResult("converged", value, err.norm_grid, it, trace)
-    status = "floored" if best_err < initial else ("diverged" if stalls >= 2 else "max_iter")
+    if blocked:
+        status = "truncation_capped"
+    elif best_err < initial:
+        status = "floored"
+    else:
+        status = "diverged" if stalls >= 2 else "max_iter"
     return SolveResult(status, best, best_err, it, trace)
 
 

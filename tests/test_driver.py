@@ -308,6 +308,22 @@ class TestRunScheme:
             run_scheme(h, K0, np.array([GOLDEN]), params)
         assert calls == []
 
+    def test_capped_stage_ends_the_run_as_capped(self):
+        # the coupled rotator from the M = 8 circle at horizon 16: every stage
+        # stalls with its refinement blocked at 16 // 2 = 8, which is no floor
+        omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+        c = 1e-3 / 2
+        h = HamiltonianModel(2, [((0, 0), (2, 0), 0.5), ((0, 0), (0, 2), 0.5),
+                                 ((1, 0), (0, 0), c), ((0, 1), (0, 0), c),
+                                 ((1, -1), (0, 0), c)])
+        res = run_scheme(h, TorusEmbedding.circle(omega, trunc_order=8), omega,
+                         RunParams(rho=0.01, r=0.8, horizon=16, target_error=1e-12))
+        statuses = [rec["status"] for rec in res.stages]
+        assert statuses == ["truncation_capped"] * len(statuses)
+        assert len(statuses) == RunParams().min_tori
+        assert res.certificate["termination_reason"] == "truncation_capped"
+        assert not res.converged
+
     def test_stage_records_follow_schedule(self, bypass_run):
         _, _, res = bypass_run
         p = RunParams(target_error=1e-11)

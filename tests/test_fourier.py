@@ -11,8 +11,8 @@ from kamtori import FourierMap, TorusEmbedding, analyze, solve_cohomological
 
 import kamtori.solver as solver
 from kamtori.fourier import (
-    _directional_factor, _dk_factor, _fft_blocks, _strip_weights, canonical,
-    sampling_size, wavevectors,
+    _directional_factor, _dk_factor, _fft_blocks, _range_first, _strip_weights,
+    canonical, sampling_size, wavevectors,
 )
 
 from conftest import GOLDEN, random_trig
@@ -635,6 +635,56 @@ class TestStorageConvention:
             FourierMap(1, (), {(3,): 1.0}, trunc_order=2)
 
 
+def component_major(f) -> bool:
+    """The layout FourierMap._wrap adopts without a check: a read-only half
+    whose component-major (*range_shape, *modes) view is C-contiguous."""
+    return (not f.half.flags.writeable
+            and _range_first(f.half, len(f.range_shape)).flags.c_contiguous)
+
+
+class TestHalfLayout:
+    """Every map the package's constructors, transforms and products make
+    holds its half component-major, the invariant _wrap trusts."""
+
+    @pytest.mark.parametrize("n, m", [(1, 6), (2, 4), (3, 2)])
+    @pytest.mark.parametrize("range_shape", [(), (2,), (4, 2)],
+                             ids=["scalar", "vector", "matrix"])
+    def test_maps_and_their_products(self, n, m, range_shape):
+        rng = np.random.default_rng(40 + 3 * n + len(range_shape))
+        f = random_trig(rng, n, m, range_shape)
+        g = random_trig(rng, n, m - 1, range_shape)
+        made = {
+            "__init__": f,
+            "constant": FourierMap.constant(np.ones(range_shape), n, m),
+            "from_samples": FourierMap.from_samples(f.synthesize(), n),
+            "from_samples at M - 1": FourierMap.from_samples(f.synthesize(), n, m - 1),
+            "add": f + g, "sub": g - f, "add at equal order": f + f,
+            "scaled": f.scaled(-2.5),
+            "resized up": f.resized(m + 2), "resized same": f.resized(m),
+            "resized down": f.resized(m - 1),
+            "shifted": f.shifted(rng.random(n)),
+            "partial": f.partial(n - 1),
+            "directional": f.directional(rng.random(n)),
+            "from_json": FourierMap.from_json(f.to_json()),
+        }
+        for name, h in made.items():
+            assert component_major(h), name
+        samples = f.synthesize(f.grid_size + 2)
+        assert _range_first(samples, len(range_shape)).flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_embedding_maps_and_solutions(self, n):
+        omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.5])[:n]
+        rng = np.random.default_rng(50 + n)
+        per = random_trig(rng, n, 3, (2 * n,))
+        K = TorusEmbedding(np.vstack([np.eye(n), np.zeros((n, n))]), per)
+        for h in (K.dk(), K.directional(omega), K.resized(5).periodic,
+                  K.shifted(rng.random(n)).periodic,
+                  solve_cohomological(per, omega).solution,
+                  solver._symmetric_map(np.ones((n, n, 7) + (7,) * (n - 1)), 3)):
+            assert component_major(h)
+
+
 def csv_writer_reference(f):
     """FourierMap.to_csv as one csv.writer row per mode of f.modes."""
     out = io.StringIO()
@@ -795,6 +845,14 @@ class TestSamplingGrid:
                        for c in range(2 * m + 1, size, 2))
         spots = [sampling_size(m) for m in (8, 16, 32, 64, 128, 256)]
         assert spots == [21, 33, 65, 135, 273, 525]
+
+    def test_memoised_size_is_the_search(self):
+        search = [sampling_size.__wrapped__(m) for m in range(601)]
+        first = [sampling_size(m) for m in range(601)]
+        hits = sampling_size.cache_info().hits
+        assert [sampling_size(m) for m in range(601)] == first == search
+        assert sampling_size.cache_info().hits == hits + 601
+        assert sampling_size(np.int64(64)) == 135
 
     @pytest.mark.parametrize("n, m, extra", [(1, 6, 5), (2, 4, 3), (3, 2, 1)])
     @pytest.mark.parametrize("range_shape", [(), (2,), (2, 2)],

@@ -19,10 +19,11 @@ from kamtori import (
     nondegeneracy,
     solve_torus,
 )
-from kamtori.fourier import sampling_size
+from kamtori.fourier import _grid_major, sampling_size
 from kamtori.hamiltonian import jet_grid, symplectic_matrix
 from kamtori.solver import (
-    COND_DK_LIMIT, AdaptedFrame, _frame_tensors, _gram_cond, _inverse, _solve,
+    COND_DK_LIMIT, SVD_EXACT, AdaptedFrame, _frame_tensors, _gram_cond, _inverse,
+    _solve, _torsion_inverse,
 )
 
 from conftest import GOLDEN
@@ -105,7 +106,8 @@ class TestNondegeneracy:
         assert nd.avg_s == pytest.approx(np.array([[-1.0]]), abs=1e-12)
         assert nd.avg_s_inv == pytest.approx(np.array([[-1.0]]), abs=1e-12)
         theta = np.linspace(0, 1, 17, endpoint=False)[:, None]
-        assert np.max(np.abs(nd.s_map(theta) + 1.0)) < 1e-12
+        s_map = FourierMap.from_samples(_grid_major(nd.s, 2), 1, 8)
+        assert np.max(np.abs(s_map(theta) + 1.0)) < 1e-12
 
     def test_frame_identities_on_grid(self, solved_pendulum):
         h, res = solved_pendulum
@@ -171,6 +173,13 @@ class TestFrameData:
         assert nd.norm_s_inv == pytest.approx(want, rel=1e-13)
         assert np.max(np.abs(nd.avg_s @ nd.avg_s_inv - np.eye(n))) <= 1e-13
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_avg_s_is_the_grid_mean(self, n):
+        h = coupled_rotator(1e-3) if n == 2 else HamiltonianModel.free_rotator(n)
+        nd = nondegeneracy(h, sheared_torus(n, self.CASES[n]))
+        want = nd.s.mean(axis=tuple(range(2, nd.s.ndim)))
+        assert want.tobytes() == nd.avg_s.tobytes()
+
     def test_frame_at_takes_dk_from_the_frame(self, monkeypatch, golden_freq):
         h = HamiltonianModel.pendulum(1e-3)
         value = Iterate.evaluate(h, TorusEmbedding.circle(GOLDEN, trunc_order=32),
@@ -184,6 +193,59 @@ class TestFrameData:
         assert len(calls) == 1
         assert [r.norm_dk for r in rhos] == [
             nd.dk_map.strip_norm(rho).value for rho in (0.01, 0.02, 0.05)]
+
+
+def lapack_torsion(avg_s):
+    """|<S>^-1|_2 and <S>^-1 by one SVD and one inverse, for every n: the
+    reference for _torsion_inverse's 1 x 1 path."""
+    svals = np.linalg.svd(avg_s, compute_uv=False)
+    if svals[-1] < 1e-12 * max(1.0, svals[0]):
+        raise ValueError(f"averaged torsion <S> is singular: smallest singular "
+                         f"value {svals[-1]:.3e}")
+    return float(1.0 / svals[-1]), np.linalg.inv(avg_s)
+
+
+class TestTorsionInverse:
+    """A 1 x 1 <S> takes no inverse from LAPACK, and no SVD where |s| lies
+    in SVD_EXACT, yet gives LAPACK's numbers and errors bit for bit; n >= 2
+    stays on LAPACK."""
+
+    @staticmethod
+    def same(got, want):
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_one_by_one_is_lapack_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        # |s| from the 1e-12 rule up past SVD_EXACT, where LAPACK scales
+        mags = np.concatenate([10.0 ** rng.uniform(-12, 300, 3000),
+                               [1e-12, 1.0, SVD_EXACT[1], 2.0**459]])
+        edges = np.concatenate([np.nextafter(mags, 0.0), np.nextafter(mags, np.inf)])
+        values = np.concatenate([mags, edges[edges >= 1e-12]])
+        for s in np.concatenate([values, -values]):
+            avg_s = np.array([[s]])
+            self.same(_torsion_inverse(avg_s), lapack_torsion(avg_s))
+
+    @pytest.mark.parametrize("s", [0.0, -0.0, 5e-324, 2.0**-459, SVD_EXACT[0],
+                                   np.nextafter(SVD_EXACT[0], 0.0), 1e-13,
+                                   np.nextafter(1e-12, 0.0), -np.nextafter(1e-12, 0.0)])
+    def test_singular_one_by_one_raises_as_lapack(self, s):
+        with pytest.raises(ValueError) as want:
+            lapack_torsion(np.array([[s]]))
+        with pytest.raises(ValueError, match="averaged torsion <S> is singular") as got:
+            _torsion_inverse(np.array([[s]]))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_larger_torsion_stays_on_lapack(self, n):
+        avg_s = np.random.default_rng(n).standard_normal((n, n))
+        self.same(_torsion_inverse(avg_s), lapack_torsion(avg_s))
+        singular = np.outer(np.arange(1.0, n + 1), np.ones(n))
+        with pytest.raises(ValueError) as want:
+            lapack_torsion(singular)
+        with pytest.raises(ValueError) as got:
+            _torsion_inverse(singular)
+        assert str(got.value) == str(want.value)
 
 
 def sheared_torus(n, shears, trunc_order=8):
@@ -294,6 +356,20 @@ class TestLagrangianDefect:
         K = TorusEmbedding.circle([0.3, 0.7], trunc_order=8)
         assert nondegeneracy(coupled_rotator(1e-3), K).lagrangian_defect == 0.0
 
+    @pytest.mark.parametrize("case", ["pendulum", "circle", "sheared"])
+    def test_defect_and_min_det_are_the_grid_reductions(self, solved_pendulum, case):
+        # where L is exactly zero they are set to 0 and 1 without reducing
+        if case == "pendulum":
+            h, res = solved_pendulum
+            nd = nondegeneracy(h, res.torus)
+        else:
+            K = (TorusEmbedding.circle([0.3, 0.7], trunc_order=8) if case == "circle"
+                 else sheared_torus(2, [(2, 1, 0.25)]))
+            nd = nondegeneracy(coupled_rotator(1e-3), K)
+        assert (nd.frame.c_inv is None) is (case != "sheared")
+        assert nd.lagrangian_defect == float(np.max(np.abs(nd.frame.lag)))
+        assert nd.frame_min_det == float(np.min(nd.frame.abs_det))
+
     @pytest.mark.parametrize("a", [0.25, -0.05])
     def test_sheared_embedding_closed_form(self, a):
         # DK = [I; Dy] gives L = Dy - Dy^T, whose one entry a cos(2 pi theta2)
@@ -363,6 +439,17 @@ def random_grams(rng, n, count, smallest):
 class TestGramSpectrum:
     """Closed-form cond(G) for n <= 3 against np.linalg.cond, one matrix
     at a time."""
+
+    @pytest.mark.parametrize("entries", [
+        [1.0, 2.0, 1e-300], [5e-324, 1e300], [1.0, 0.0, 2.0], [1.0, -1.0],
+        [-0.0], [1.0, np.nan], [1.0, np.inf], [np.inf, 0.0]])
+    def test_one_by_one_is_the_grid_ratio(self, entries):
+        # 1 where 0 < g < inf without a ratio array; else the ratio as before
+        g = np.array(entries, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = float(np.max(np.where(g > 0, g / g, np.inf)))
+        got = _gram_cond(g[None, None])
+        assert got == want or (np.isnan(got) and np.isnan(want))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_linalg_cond(self, n):
@@ -488,7 +575,8 @@ class TestNewtonStep:
 def status_from_rows(trace: list, tol: float) -> tuple[str, float]:
     """A solve's status and returned error, recomputed from its trace rows
     by the stopping rules alone: tol, two iterates in a row without
-    progress below best - round_off, and the last row otherwise."""
+    progress below best - round_off, and the last row otherwise, where a
+    blocked refinement of the last iterate reads truncation_capped."""
     best, stalls = np.inf, 0
     for row in trace:
         err = row["error"]
@@ -496,6 +584,8 @@ def status_from_rows(trace: list, tol: float) -> tuple[str, float]:
         best = min(best, err)
         if err <= tol:
             return "converged", err
+    if trace[-1].get("refine_blocked"):
+        return "truncation_capped", best
     if best < trace[0]["error"]:
         return "floored", best
     return ("diverged" if stalls >= 2 else "max_iter"), best
@@ -508,6 +598,8 @@ class TestSolveTorus:
         (1e-3, {"tol": 1e-17}, "floored"),
         (0.05, {}, "diverged"),
         (0.5, {"max_iter": 1}, "max_iter"),
+        # at the cap a tail of round-off blocks nothing: still a floor
+        (1e-3, {"tol": 1e-17, "max_trunc_order": 64}, "floored"),
     ])
     def test_every_evaluated_iterate_has_a_row(self, golden_freq, eps, knobs, status):
         # no row here is refined, so each records the defect the rules read
@@ -521,6 +613,34 @@ class TestSolveTorus:
         # the last row is the last iterate evaluated, not a stepped one
         assert "correction" not in res.trace[-1]
         assert all("correction" in row for row in res.trace[:-1])
+
+    def test_capped_refinement_is_named(self):
+        # the coupled rotator from the M = 8 circle under a cap of 8: each
+        # iterate from the first step on has a genuine tail above tol, so the
+        # solve stalls near 6.0e-9 where it would otherwise refine
+        freq = FrequencyVector.estimated(COUPLED_OMEGA, sigma=1.1, horizon=256)
+        res = solve_torus(coupled_rotator(1e-3),
+                          TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=8),
+                          freq, tol=1e-12, max_trunc_order=8)
+        assert res.status == "truncation_capped" and not res.converged
+        assert res.torus.trunc_order == 8
+        assert res.error == pytest.approx(6.0e-9, rel=0.01)
+        last = res.trace[-1]
+        assert last["tail_flag"] and last["tail_max"] > last["round_off"]
+        assert last["tail_sum"] > 1e-12
+        assert [row.get("refine_blocked", False) for row in res.trace] == [
+            False] + [True] * res.iterations
+        assert status_from_rows(res.trace, 1e-12) == (res.status, res.error)
+        # a cap of 16 admits one doubling and blocks the next, yet the solve
+        # converges at 16: a converged solve is never capped
+        wider = solve_torus(coupled_rotator(1e-3),
+                            TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=8),
+                            freq, tol=1e-12, max_trunc_order=16)
+        assert wider.converged and wider.torus.trunc_order == 16
+        assert wider.trace[1]["trunc_order"] == 16
+        assert not wider.trace[0].get("refine_blocked")
+        assert any(row.get("refine_blocked") for row in wider.trace)
+        assert status_from_rows(wider.trace, 1e-12) == (wider.status, wider.error)
 
     def test_exact_guess_converges_in_zero_steps(self, golden_freq):
         h = HamiltonianModel.free_rotator(1)
@@ -932,7 +1052,8 @@ class TestSamplingGrid:
         nd = nondegeneracy(h, K, grid_size=45)
         assert err.values.shape[0] == nd.frame.dk.shape[-1] == 45
         assert err.e.trunc_order == nd.n_map.trunc_order == 16
-        assert nd.s_map.trunc_order == 16
+        assert nd.s.shape[-1] == 45
+        assert FourierMap.from_samples(_grid_major(nd.s, 2), 1, 16).trunc_order == 16
         default = invariance_error(h, K, golden_freq)
         assert default.values.shape[0] == 33 and default.e.trunc_order == 16
         K1, _ = newton_step(h, K, golden_freq)

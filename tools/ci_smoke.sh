@@ -1,0 +1,114 @@
+#!/usr/bin/env bash
+# Console-script smoke checks of an installed kamtori: `kamtori solve`,
+# `kamtori run` (1-DOF and 2-DOF rough cascades) and `kamtori diophantine`,
+# with their reruns, named config errors and certificate fields.
+#
+# Usage: tools/ci_smoke.sh   (with the package installed, e.g. pip install .)
+# Works in a fresh temporary directory and leaves the source tree alone.
+set -euo pipefail
+
+kamtori --help > /dev/null
+python -c "import kamtori.cli"
+cd "$(mktemp -d)"
+echo "working in $PWD"
+
+cat > model.json <<'EOF'
+{"n": 1, "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0},
+                   {"k": [1], "m": [0], "re": 5e-4, "im": 0.0}]}
+EOF
+cat > config.json <<'EOF'
+{"hamiltonian": "model.json", "omega": [0.6180339887498949],
+ "y0": [0.6180339887498949], "trunc": 16, "out": "out"}
+EOF
+kamtori solve --config config.json
+# the echoed config reproduces the run byte for byte
+kamtori solve --config out/config.json --out again
+cmp out/config.json again/config.json
+cmp out/certificate.json again/certificate.json
+# an override flag meets the config's bounds: exit 1, named reason
+code=0
+kamtori solve --config config.json --out rejected --max-iter 0 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+grep -q "^config error: " err.txt
+test ! -e rejected
+
+# the rough cascade: cutoff, smoothing ladder and staged solves on the free
+# rotator plus a C^4 B-spline term of amplitude 1e-4
+cat > rough.json <<'EOF'
+{"n": 1, "smoothness_class": null,
+ "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0}],
+ "rough": [{"coordinate": 0, "amplitude": 1e-4,
+            "profile": {"type": "bspline", "degree": 5,
+                        "coefficients": [0.0, 0.52, 0.55, 0.05, -0.48, -0.55]}}]}
+EOF
+cat > rough-config.json <<'EOF'
+{"hamiltonian": "rough.json", "omega": [0.6180339887498949], "y0": [0.4],
+ "rho": 0.02, "r": 0.8, "sigma": 1.1, "horizon": 256,
+ "target_error": 1e-8, "out": "rough"}
+EOF
+kamtori run --config rough-config.json
+kamtori run --config rough/config.json --out rough-again
+# every output of the rerun is byte-identical; config.json names its --out
+diff -r -x config.json rough rough-again
+# the rungs are smooth across the angle seam: the smoothed stage converges,
+# and its start defect has no genuine spectral tail
+python -c 'import json; c = json.load(open("rough/certificate.json")); s = c["stages"][0]["status"]; assert s == "converged", s; assert c["e0_stage1"]["tail_flag"] is False, c["e0_stage1"]'
+# the ladder anchors at its first rung, and the certificate names how each
+# C^3 number (gaps, tails, mu0, mu_k) was taken
+python -c 'import json; c = json.load(open("rough/certificate.json")); assert c["k0"]["index"] == 0, c["k0"]; m = c["c3_methods"]; assert {"rule", "gaps_c3", "gaps_c0", "ladder_gaps_c3", "tails_c3", "mu0", "mu_k"} <= set(m), m; assert len(m["mu_k"]) == len(c["stages"]), m'
+# the measured gate reads stage 1's first Newton step, which it took
+python -c 'import json; c = json.load(open("rough/certificate.json")); g = c["conditions_measured"]; assert g["quadratic_constant"] == c["stages"][0]["measured_quadratic"], (g, c["stages"][0]["measured_quadratic"]); assert g["vacuous"] is False, g'
+
+# the 2-DOF rough cascade: B-spline terms of amplitude 1e-4 on both angles;
+# V_N on every rung axis anchors its ladder by degree 128
+cat > rough2.json <<'EOF'
+{"n": 2, "smoothness_class": null,
+ "terms": [{"k": [0, 0], "m": [2, 0], "re": 0.5, "im": 0.0},
+           {"k": [0, 0], "m": [0, 2], "re": 0.5, "im": 0.0}],
+ "rough": [{"coordinate": 0, "amplitude": 1e-4,
+            "profile": {"type": "bspline", "degree": 5,
+                        "coefficients": [0.0, 0.52, 0.55, 0.05, -0.48, -0.55]}},
+           {"coordinate": 1, "amplitude": 1e-4,
+            "profile": {"type": "bspline", "degree": 5,
+                        "coefficients": [0.0, 0.52, 0.55, 0.05, -0.48, -0.55]}}]}
+EOF
+cat > rough2-config.json <<'EOF'
+{"hamiltonian": "rough2.json", "omega": [0.6180339887498949, 0.41421356237309515],
+ "rho": 0.02, "r": 0.8, "sigma": 1.1, "horizon": 256,
+ "target_error": 1e-8, "out": "rough2"}
+EOF
+kamtori run --config rough2-config.json
+kamtori run --config rough2/config.json --out rough2-again
+diff -r -x config.json rough2 rough2-again
+python -c 'import json; c = json.load(open("rough2/certificate.json")); assert c["converged"] is True, c["termination_reason"]; assert c["k0"]["index"] >= 0, c["k0"]; assert max(c["smoothing"]["ladder_degrees"]) <= 128, c["smoothing"]'
+# the final torus reads back from its CSV and writes the same bytes
+python -c 'from kamtori import TorusEmbedding; raw = open("rough2/torus_final.csv", "rb").read(); assert TorusEmbedding.from_csv(raw.decode()).to_csv().encode() == raw'
+# a y0 of two components on a 1-DOF model: exit 1, named reason
+sed 's/"y0": \[0.4\]/"y0": [0.1, 0.2]/' rough-config.json > bad-y0.json
+code=0
+kamtori run --config bad-y0.json --out rough-rejected 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+grep -q "^config error: y0 must have n = 1 components, got 2$" err.txt
+test ! -e rough-rejected
+
+# the 2-DOF Diophantine scan at the default horizon 10000 (10^8 wavevectors,
+# a few candidate last components per first one) finds the worst mode of
+# golden, sqrt2 - 1
+timeout 120 kamtori diophantine --omega 0.6180339887498949,0.41421356237309515 > dio.json
+cat dio.json
+python -c 'import json; d = json.load(open("dio.json")); assert d["worst_k"] == [63, -94], d'
+# the 3-DOF scan at horizon 256, which an M = 64 torus needs, finds the worst
+# mode of golden, sqrt2 - 1, sqrt5 - 2
+timeout 120 kamtori diophantine --omega 0.6180339887498949,0.41421356237309515,0.2320508075688772 --sigma 2.1 --horizon 256 > dio3.json
+cat dio3.json
+python -c 'import json; d = json.load(open("dio3.json")); assert d["worst_k"] == [3, -14, 17], d'
+# a bad diophantine flag: exit 1, named reason, nothing on stdout
+code=0
+kamtori diophantine --omega 0.618,abc > dio-bad.json 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+grep -q "^config error: omega must be comma-separated numbers, got '0.618,abc'$" err.txt
+test ! -s dio-bad.json
+echo "console-script smoke checks passed"
