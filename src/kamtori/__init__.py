@@ -26,12 +26,7 @@ from .driver import (
     run_scheme,
     select_k0,
 )
-from .fourier import (
-    FourierMap,
-    StripNormEstimate,
-    TorusEmbedding,
-    analyze,
-)
+from .fourier import FourierMap, StripNormEstimate, TorusEmbedding
 from .hamiltonian import (
     Box,
     BSplineProfile,
@@ -72,7 +67,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "analyze",
     "bernstein_1d",
     "bernstein_derivative",
     "bernstein_nd",

@@ -34,7 +34,7 @@ margin and a divisor are the same floating-point number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,18 +214,18 @@ class FrequencyVector:
         return cls(omega, gamma, sigma, horizon, verified=False)
 
     @classmethod
-    def estimated(cls, omega, sigma: float, horizon: int, safety: float = 1.0):
-        """Build with gamma set to the scan minimum (scaled by safety).
+    def estimated(cls, omega, sigma: float, horizon: int):
+        """Build with gamma set to the scan minimum.
 
         One scan both estimates and verifies: checked at the smallest
         positive gamma, the report's worst margin is the estimate, and
-        gamma = safety * margin passes iff it does not exceed the margin.
+        gamma = margin passes the bound it was read from.  A margin that is
+        not positive (0, or nan from 0 * inf at a huge sigma) is resonant.
         """
         scan = check_diophantine(omega, _TINY_GAMMA, sigma, horizon)
-        gamma = scan.worst_margin * safety
-        if gamma <= 0:
+        gamma = scan.worst_margin
+        if not gamma > 0:
             raise ValueError("omega is resonant within the horizon")
-        _require(replace(scan, gamma=gamma, passed=bool(scan.worst_margin >= gamma)))
         freq = cls.unchecked(omega, gamma, sigma, horizon)
         object.__setattr__(freq, "verified", True)  # the scan above checked it
         return freq

@@ -29,10 +29,12 @@ construction bounded.  Stage 1 starts from the selected model's value
 at K0, and stage k >= 2 from H's value at stage k-1's torus: the one
 stage k-1's solve returned, or after a smoothed stage 1 a new one.  A
 stage's d_k, v_k, tau_k and e_k are norms of its start value at rho_k,
-the width its solve runs at; the final defect is the last stage's.  Every C^3 number (gaps, tails, mu0, mu_k) is a cl_bound from
-per-axis factor sups, and the certificate's c3_methods names how each
-was taken.  The CLI's smooth and verify commands call smoothing_ladder
-and kam_schedule, the same code that run_scheme uses.
+the width its solve runs at; the final defect is the last stage's.
+
+Every C^3 number (gaps, tails, mu0, mu_k) is a cl_bound from per-axis
+factor sups, and the certificate's c3_methods names how each was taken.
+The CLI's smooth and verify commands call smoothing_ladder and
+kam_schedule, the same code that run_scheme uses.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA = "mu * d**2 * v**2 * tau**2"
+LEMMA4_SLACK = 1.5  # how far later scaled gaps may exceed the first in lemma4_check
 
 _LAMBDA_NODES = (
     ast.Expression,
@@ -310,26 +313,27 @@ def select_k0(
     return chosen, rows
 
 
-def lemma4_check(gaps, l: int, slack: float = 1.5) -> dict:
+def lemma4_check(gaps, l: int) -> dict:
     """Geometric-convergence test: gaps_k <= A 4^(-l k) with stable fit.
 
     gaps are ||K_k - K_{k+1}|| at widths rho/4^k, k = 1-based.  The fit
     A = max_k gap_k 4^(l k) passes when it is set by the first gap up to
-    the slack factor: later gaps may not push the envelope up, otherwise
-    the sequence decays slower than 4^(-l) per stage and the C^l limit
-    argument does not apply.
+    the factor LEMMA4_SLACK, which the result echoes as "slack": later
+    gaps may not push the envelope up, otherwise the sequence decays
+    slower than 4^(-l) per stage and the C^l limit argument does not
+    apply.
     """
     gaps = [float(g) for g in gaps]
     if len(gaps) < 3:
         raise ValueError("need at least 3 gaps to test the envelope")
     scaled = [g * 4.0 ** (l * (k + 1)) for k, g in enumerate(gaps)]
     a_fit = max(scaled)
-    passed = a_fit <= slack * scaled[0]
+    passed = a_fit <= LEMMA4_SLACK * scaled[0]
     return {
         "a_fit": a_fit,
         "per_stage": scaled,
         "gaps": gaps,
-        "slack": slack,
+        "slack": LEMMA4_SLACK,
         "passed": bool(passed),
     }
 
@@ -442,7 +446,6 @@ class RunResult:
     torus: TorusEmbedding
     certificate: dict
     stages: list
-    sequence: SmoothingSequence | None = None
 
     @property
     def converged(self) -> bool:
@@ -585,7 +588,7 @@ def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
     h0 = Iterate.evaluate(hamiltonian, K0, freq, params.rho)
     h_ext = hamiltonian
     if not analytic:
-        h_ext = cutoff_extend(hamiltonian, K0, params.r, params.rho)
+        h_ext = cutoff_extend(hamiltonian, K0, params.r)
     seq = build_smoothing_sequence(
         h_ext, l, params.sigma, params.count, h0.error.norm_rho.value,
         start_degree=params.start_degree, max_degree=params.max_degree,
@@ -718,7 +721,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         cert["k0"] = {"error": str(exc)}
         cert["converged"] = False
         cert["termination_reason"] = "no_admissible_k0"
-        return RunResult(K0, _jsonable(cert), stages, seq)
+        return RunResult(K0, _jsonable(cert), stages)
 
     # the stage-1 model's value at K0 starts stage 1: the schedule's at
     # k0 = 0 and on analytic input, where every sequence entry is H itself
@@ -754,7 +757,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
                 if not gate[condition + "_ok"]:
                     cert["converged"] = False
                     cert["termination_reason"] = condition + "_failed"
-                    return RunResult(K0, _jsonable(cert), stages, seq)
+                    return RunResult(K0, _jsonable(cert), stages)
 
         r_prev = schedule.r_k(k - 1) if k > 1 else params.r
         # the defect and the frame's growth norms at the width the stage solved at
@@ -872,4 +875,4 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         and cert["final"]["drift_within_r"]
         and lemma4.get("passed", False)
     )
-    return RunResult(k_final, _jsonable(cert), stages, seq)
+    return RunResult(k_final, _jsonable(cert), stages)

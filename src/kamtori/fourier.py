@@ -51,7 +51,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -62,7 +62,6 @@ __all__ = [
     "FourierMap",
     "StripNormEstimate",
     "TorusEmbedding",
-    "analyze",
     "sampling_size",
 ]
 
@@ -205,16 +204,15 @@ class StripNormEstimate:
     """Certified upper bound for the sup of a map over a complex strip.
 
     ``value`` is the coefficient bound sum_k |amp(k)| exp(2 pi |k|_1 rho),
-    which dominates sup over the strip of half-width rho.  ``grid_max`` is
-    the observed maximum on the real sampling grid (a lower bound for the
-    true sup), synthesized from ``source`` on first use.  ``tail_flag``
-    trips when the last dyadic block of modes (|k|_inf > M/2) contributes
-    more than 1e-10 of the total, signalling that the truncation order is
-    suspect.  ``tail_max`` is the largest unweighted amplitude max|amp(k)|
-    in that block, the scale to hold against round-off.  ``tail_sum`` is
-    that block's share of ``value``, sum over |k|_inf > M/2 of
-    |amp(k)| exp(2 pi |k|_1 rho), which bounds the sup of the tail block
-    alone over the strip.
+    which dominates sup over the strip of half-width rho (the map's
+    grid_sup, its maximum on the real sampling grid, is a lower bound for
+    the true sup).  ``tail_flag`` trips when the last dyadic block of modes
+    (|k|_inf > M/2) contributes more than 1e-10 of the total, signalling
+    that the truncation order is suspect.  ``tail_max`` is the largest
+    unweighted amplitude max|amp(k)| in that block, the scale to hold
+    against round-off.  ``tail_sum`` is that block's share of ``value``,
+    sum over |k|_inf > M/2 of |amp(k)| exp(2 pi |k|_1 rho), which bounds
+    the sup of the tail block alone over the strip.
     """
 
     value: float
@@ -222,11 +220,6 @@ class StripNormEstimate:
     tail_flag: bool
     tail_max: float
     tail_sum: float
-    source: FourierMap = field(repr=False, compare=False)
-
-    @cached_property
-    def grid_max(self) -> float:
-        return self.source.grid_sup()
 
 
 class FourierMap:
@@ -520,7 +513,7 @@ class FourierMap:
         return StripNormEstimate(
             value=total, rho=rho, tail_flag=total > 0 and tail_sum > 1e-10 * total,
             tail_max=float(np.maximum.reduce(amax, None, where=tail, initial=0.0)),
-            tail_sum=tail_sum, source=self,
+            tail_sum=tail_sum,
         )
 
     def grid_sup(self) -> float:
@@ -645,14 +638,6 @@ class FourierMap:
             f"FourierMap(n={self.dim_domain}, range={self.range_shape}, "
             f"M={self.trunc_order}, {len(self.modes)} stored modes)"
         )
-
-
-# -- module-level analysis entry point --------------------------------------
-
-
-def analyze(samples: np.ndarray, dim_domain: int) -> FourierMap:
-    """Discrete Fourier analysis on the uniform odd grid over [0,1)^n."""
-    return FourierMap.from_samples(samples, dim_domain)
 
 
 @lru_cache(maxsize=16)

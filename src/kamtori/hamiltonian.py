@@ -38,7 +38,6 @@ __all__ = [
     "RoughTerm",
     "SinPowerProfile",
     "SumModel",
-    "evaluate_jet",
     "product_jet",
     "symplectic_matrix",
 ]
@@ -623,13 +622,6 @@ def _check_box(hamiltonian, z: np.ndarray) -> np.ndarray:
             f"evaluation point outside validity box: {bad.reshape(-1, box.dim)[0]}"
         )
     return z
-
-
-def evaluate_jet(hamiltonian, z: np.ndarray):
-    """(value, gradient, Hessian) at a single phase-space point."""
-    z = _check_box(hamiltonian, np.asarray(z, dtype=float))
-    val, grad, hess = hamiltonian.jet_batch(z)
-    return float(val), grad, hess
 
 
 def jet_grid(hamiltonian, z: np.ndarray):

@@ -906,14 +906,9 @@ class PlateauBump:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return np.prod(self._profile(self.distance(z)), axis=-1)
 
-    def axis_factor(self, i: int, y: np.ndarray) -> np.ndarray:
-        """The factor of phi along the i-th non-periodic coordinate, at values y."""
-        lo, hi = self.anchors[:, i]
-        y = np.asarray(y, dtype=float)
-        return self._profile(np.maximum(np.maximum(lo - y, y - hi), 0.0))
-
     def axis_jet(self, i: int, y: np.ndarray, q: int) -> np.ndarray:
-        """(q + 1, len(y)): D^0..D^q of axis_factor(i, .) at y, exact.
+        """(q + 1, len(y)): D^0..D^q at y of phi's factor along the i-th
+        non-periodic coordinate, exact; order 0 is the factor itself.
 
         The profile's argument t = (5r/2 - g_i(y)) / (3r/2) is affine off
         the hull, with dt/dy = -1/(3r/2) above it and +1/(3r/2) below it;
@@ -949,7 +944,7 @@ class PlateauBump:
 class CutoffHamiltonian(SumModel):
     """Rough summands localized near a torus image; analytic part kept exact.
 
-    The value is analytic(z) + phi(z) * sum of rough terms; cut_values
+    The value is analytic(z) + bump(z) * sum of rough terms; cut_values
     exposes the localized summand alone (it vanishes identically where some
     action lies 5r/2 or more outside the image's action hull and equals the
     rough part exactly where every action lies within r of it).  As a sum
@@ -957,23 +952,14 @@ class CutoffHamiltonian(SumModel):
     the smoothing operators sample, they never differentiate this object.
     """
 
-    def __init__(self, analytic, rough, bump: PlateauBump, box: Box, n: int, rho: float):
+    def __init__(self, analytic, rough, bump: PlateauBump, box: Box):
         self.rough = tuple(rough)
         self.bump = bump
         self.box = box  # _cut_part() reads it, and SumModel.__init__ keeps it
         super().__init__([analytic, self._cut_part()] if self.rough else [analytic])
         self.analytic = analytic
-        self.n = n
-        self.rho = float(rho)
         classes = [t.profile.smoothness_class for t in self.rough]
         self.smoothness_class = min(classes) if classes else math.inf
-
-    @property
-    def r(self) -> float:
-        return self.bump.r
-
-    def phi(self, z):
-        return self.bump(z)
 
     def rough_values(self, z):
         z = np.asarray(z, dtype=float)
@@ -1021,7 +1007,7 @@ class _BumpFactor:
     i: int
 
     def __call__(self, u):
-        return self.bump.axis_factor(self.i, u)
+        return self.jet(u, 0)[0]
 
     def jet(self, u, q: int) -> np.ndarray:
         return self.bump.axis_jet(self.i, u, q)
@@ -1060,7 +1046,8 @@ def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
     The box spans the full angle chart [0, 1]^n (periodic) and the action
     range of K0's samples on its sampling grid, inflated by 3r; the
     3r-neighborhood of the image must sit inside the Hamiltonian's own
-    domain.
+    domain.  The cutoff does not depend on the strip width: rho is
+    accepted and not read.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -1084,7 +1071,7 @@ def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
     else:
         raise TypeError("cutoff_extend expects an analytic or composite model")
     box = Box(lo, hi, periodic)
-    return CutoffHamiltonian(analytic, rough, bump, box, n, rho)
+    return CutoffHamiltonian(analytic, rough, bump, box)
 
 
 # -- the smoothing sequence ----------------------------------------------------

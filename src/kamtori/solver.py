@@ -56,10 +56,10 @@ An iterate K of truncation order M is sampled on sampling_size(M) points
 per axis, the smallest odd N >= 2M+1 with no prime factor above 13, and
 every analysis of its grid samples (the defect e, N, S, eta_N, the
 tangent right-hand side and Delta) keeps the modes |k|_inf <= M, so the
-order of an iterate never follows its grid.  invariance_error and
-nondegeneracy also take another odd grid_size >= 2M+1, for checks on a
-finer grid; newton_step and solve_torus take no grid size and always use
-the sampling grid.
+order of an iterate never follows its grid.  invariance_error also takes
+another odd grid_size >= 2M+1, for checks on a finer grid; nondegeneracy,
+newton_step and solve_torus take no grid size and always use the
+sampling grid.
 
 Each (model, torus) pair is evaluated once, into an Iterate: one jet of
 H at K's grid samples, whose gradient gives the defect (invariance_error)
@@ -504,23 +504,23 @@ def _symmetric_map(mat: np.ndarray, trunc_order: int) -> FourierMap:
 
 
 def nondegeneracy(
-    hamiltonian, K: TorusEmbedding, grid_size=None, rho: float = 0.0, jet=None,
+    hamiltonian, K: TorusEmbedding, rho: float = 0.0, hess=None,
 ) -> NondegeneracyData:
     """Definition-level non-degeneracy check: frame rank and averaged twist.
 
-    The frame is built on sampling_size(M) points per axis unless
-    grid_size gives another odd size >= 2M+1; N and S keep K's order M.
-    jet, when given, is the jet of H at K's samples on the same grid; it
-    is evaluated when omitted.  A frame with cond(DK^T DK) above
-    COND_DK_LIMIT is rejected before anything is inverted.
+    The frame is built on sampling_size(M) points per axis, and N and S
+    keep K's order M.  hess, when given, is the Hessian of H at K's grid
+    samples, as jet_grid returns it; it is evaluated when omitted.  A
+    frame with cond(DK^T DK) above COND_DK_LIMIT is rejected before
+    anything is inverted.
     """
-    gs = grid_size or sampling_size(K.trunc_order)
-    _, _, hess = jet if jet is not None else jet_grid(hamiltonian, K.grid_samples(grid_size))
+    if hess is None:
+        hess = jet_grid(hamiltonian, K.grid_samples())[2]
+    m = K.trunc_order
     dk_map = K.dk()
     # the Hessian and DK samples enter the frame component-major
     frame, s, _ = _frame_tensors(_components(hess, 2),
-                                 _components(dk_map.synthesize(gs), 2))
-    m = K.trunc_order
+                                 _components(dk_map.synthesize(sampling_size(m)), 2))
     avg_s = np.add.reduce(s, tuple(range(2, s.ndim))) / s[0, 0].size
     norm_s_inv, avg_s_inv = _torsion_inverse(avg_s)
     n_map = _symmetric_map(frame.n_mat, m)
@@ -656,7 +656,7 @@ class Iterate:
     @cached_property
     def frame(self) -> NondegeneracyData:
         return nondegeneracy(self.model, self.K, rho=self.error.norm_rho.rho,
-                             jet=(None, None, self.hess))
+                             hess=self.hess)
 
     def frame_at(self, rho: float) -> NondegeneracyData:
         """The frame with norm_n and norm_dk taken at rho from N and DK."""

@@ -221,11 +221,6 @@ class TestFrequencyVector:
         freq = FrequencyVector.estimated(np.array([GOLDEN]), 1.0, 500)
         assert freq.gamma == estimate_gamma(np.array([GOLDEN]), 1.0, 500)
 
-    def test_estimated_safety_shrinks_gamma(self):
-        base = FrequencyVector.estimated(np.array([GOLDEN]), 1.0, 500)
-        safe = FrequencyVector.estimated(np.array([GOLDEN]), 1.0, 500, safety=0.5)
-        assert safe.gamma == pytest.approx(0.5 * base.gamma)
-
     def test_estimated_scans_once(self, monkeypatch):
         calls = []
         scan = diophantine._scan
@@ -241,11 +236,13 @@ class TestFrequencyVector:
         assert freq.verified
         assert freq.gamma == estimate_gamma(omega, 1.1, 40)
 
-    @pytest.mark.parametrize("safety", [1.5, 1.0 + 1e-12])
-    def test_estimated_safety_above_one_rejected(self, safety):
-        want = r"fails the Diophantine bound: worst k=\(1,\)"
-        with pytest.raises(ValueError, match=want):
-            FrequencyVector.estimated(np.array([GOLDEN]), 1.0, 500, safety=safety)
+    # a zero margin, and a nan one: 0 * inf once 6^400 overflows
+    @pytest.mark.parametrize("omega, sigma", [([1.0, 2.0], 1.5), ([0.5], 400.0)],
+                             ids=["zero", "nan"])
+    def test_estimated_rejects_a_resonant_margin(self, omega, sigma):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="resonant within the horizon"):
+                FrequencyVector.estimated(np.array(omega), sigma, 10)
 
     def test_unchecked_skips_scan(self):
         freq = FrequencyVector.unchecked(np.array([1.0, 2.0]), 0.1, 1.5, 10)

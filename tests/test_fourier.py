@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kamtori import FourierMap, TorusEmbedding, analyze, solve_cohomological
+from kamtori import FourierMap, TorusEmbedding, solve_cohomological
 
 import kamtori.solver as solver
 from kamtori.fourier import (
@@ -19,7 +19,7 @@ from conftest import GOLDEN, random_trig
 
 
 def brute_dft(samples, n):
-    """Direct O(N^2) DFT sum, the reference for analyze()."""
+    """Direct O(N^2) DFT sum, the reference for FourierMap.from_samples."""
     size = samples.shape[0]
     m = (size - 1) // 2
     grid = [np.arange(size) / size for _ in range(n)]
@@ -37,13 +37,13 @@ def brute_dft(samples, n):
 class TestAnalyze:
     def test_constant_field(self):
         samples = np.full((9,), 3.5)
-        f = analyze(samples, 1)
+        f = FourierMap.from_samples(samples, 1)
         assert set(f.modes) == {(0,)}
         assert f.amplitude((0,)) == pytest.approx(3.5)
 
     def test_cosine_amplitudes(self):
         theta = np.arange(11) / 11
-        f = analyze(np.cos(2 * np.pi * theta), 1)
+        f = FourierMap.from_samples(np.cos(2 * np.pi * theta), 1)
         assert f.amplitude((1,)) == pytest.approx(0.5, abs=1e-14)
         for k, amp in f.modes.items():
             if k != (1,):
@@ -53,7 +53,7 @@ class TestAnalyze:
         rng = np.random.default_rng(7)
         g = random_trig(rng, 2, 4)
         samples = g.synthesize(9)
-        f = analyze(samples, 2)
+        f = FourierMap.from_samples(samples, 2)
         ref = brute_dft(samples, 2)
         for k, amp in f.modes.items():
             want = ref[k]
@@ -63,29 +63,29 @@ class TestAnalyze:
         rng = np.random.default_rng(3)
         g = random_trig(rng, 2, 3, (2,))
         samples = g.synthesize()
-        back = analyze(samples, 2)
+        back = FourierMap.from_samples(samples, 2)
         again = back.synthesize()
         scale = np.max(np.abs(samples))
         assert np.max(np.abs(again - samples)) < 1e-12 * scale
 
     def test_even_grid_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            analyze(np.zeros((8,)), 1)
+            FourierMap.from_samples(np.zeros((8,)), 1)
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
         s1 = random_trig(rng, 1, 5).synthesize(11)
         s2 = random_trig(rng, 1, 5).synthesize(11)
         a, b = 1.7, -0.3
-        lhs = analyze(a * s1 + b * s2, 1)
-        rhs = analyze(s1, 1).scaled(a) + analyze(s2, 1).scaled(b)
+        lhs = FourierMap.from_samples(a * s1 + b * s2, 1)
+        rhs = FourierMap.from_samples(s1, 1).scaled(a) + FourierMap.from_samples(s2, 1).scaled(b)
         assert lhs.allclose(rhs, tol=1e-12)
 
     def test_parseval(self):
         rng = np.random.default_rng(5)
         g = random_trig(rng, 2, 3)
         samples = g.synthesize()
-        power = analyze(samples, 2).power()
+        power = FourierMap.from_samples(samples, 2).power()
         mean_sq = float(np.mean(samples**2))
         assert power == pytest.approx(mean_sq, rel=1e-10)
 
@@ -358,22 +358,6 @@ class TestStripNorm:
         g = random_trig(rng, 2, 4)
         est = g.strip_norm(rho)
         assert est.value >= g.grid_sup() - 1e-12
-
-    def test_grid_max_synthesizes_on_first_use_only(self, monkeypatch):
-        g = random_trig(np.random.default_rng(23), 2, 4)
-        calls = []
-        synthesize = FourierMap.synthesize
-
-        def counted(self, *args):
-            calls.append(1)
-            return synthesize(self, *args)
-
-        monkeypatch.setattr(FourierMap, "synthesize", counted)
-        est = g.strip_norm(0.1)
-        assert calls == []
-        assert est.grid_max == np.max(np.abs(synthesize(g)))
-        assert est.grid_max == est.grid_max
-        assert len(calls) == 1
 
     def test_tail_flag(self):
         smooth = FourierMap(1, (), {(1,): 1.0}, trunc_order=16)
@@ -1045,4 +1029,4 @@ class TestProperties:
         )
         est = f.strip_norm(rho)
         assert est.value == pytest.approx(want, rel=1e-13, abs=0.0)
-        assert est.value >= est.grid_max - 1e-12 * scale(f)
+        assert est.value >= f.grid_sup() - 1e-12 * scale(f)

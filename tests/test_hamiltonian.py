@@ -22,7 +22,7 @@ from kamtori import (
     SinPowerProfile,
     symplectic_matrix,
 )
-from kamtori.hamiltonian import evaluate_jet
+from kamtori.hamiltonian import jet_grid
 
 
 def random_model(rng, n=1, terms=5, order=2, degree=2):
@@ -58,14 +58,14 @@ class TestSymplecticMatrix:
 class TestJets:
     def test_rotator_point_jet(self):
         h = HamiltonianModel.free_rotator(1)
-        val, grad, hess = evaluate_jet(h, np.array([0.3, 2.0]))
+        val, grad, hess = jet_grid(h, np.array([0.3, 2.0]))
         assert val == pytest.approx(2.0)
         assert np.allclose(grad, [0.0, 2.0])
         assert np.allclose(hess, [[0.0, 0.0], [0.0, 1.0]])
 
     def test_pendulum_gradient(self):
         h = HamiltonianModel.pendulum(0.1)
-        _, grad, _ = evaluate_jet(h, np.array([0.25, 1.0]))
+        _, grad, _ = jet_grid(h, np.array([0.25, 1.0]))
         assert grad[0] == pytest.approx(-0.2 * np.pi, abs=1e-14)
         assert grad[1] == pytest.approx(1.0, abs=1e-14)
 
@@ -73,7 +73,7 @@ class TestJets:
         rng = np.random.default_rng(41)
         h = random_model(rng, n=2)
         for z in rng.random((20, 4)):
-            _, grad, _ = evaluate_jet(h, z)
+            _, grad, _ = jet_grid(h, z)
             assert np.max(np.abs(grad - fd_gradient(h, z))) < 1e-7
 
     def test_hessian_matches_gradient_differences(self):
@@ -81,7 +81,7 @@ class TestJets:
         h = random_model(rng, n=1)
         step = 1e-5
         for z in rng.random((10, 2)):
-            _, _, hess = evaluate_jet(h, z)
+            _, _, hess = jet_grid(h, z)
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = step
@@ -110,7 +110,7 @@ class TestBox:
         box = Box(np.array([0.0, -0.5]), np.array([1.0, 0.5]), np.array([True, False]))
         bounded = HamiltonianModel(1, [((0,), (2,), 0.5)], box=box)
         with pytest.raises(ValueError, match="outside"):
-            evaluate_jet(bounded, np.array([0.3, 2.0]))
+            jet_grid(bounded, np.array([0.3, 2.0]))
 
 
 class TestProfiles:

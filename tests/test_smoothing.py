@@ -359,7 +359,7 @@ class TestCutoff:
         hx = cutoff_extend(h, K0, r=0.8)
         pts = K0.grid_samples().reshape(-1, 2)[::8]
         assert np.max(np.abs(hx(pts) - h.jet_batch(pts)[0])) < 1e-14
-        assert np.all(hx.phi(pts) == 1.0)
+        assert np.all(hx.bump(pts) == 1.0)
 
     def test_vanishes_far_from_image(self, rough_system):
         h, K0 = rough_system
@@ -375,11 +375,11 @@ class TestCutoff:
         hx = cutoff_extend(h, K0, r=r)
         d = np.linspace(1.05 * r, 2.45 * r, 60)
         pts = np.stack([np.full(60, 0.3), 0.4 + d], axis=-1)
-        phi = hx.phi(pts)
+        phi = hx.bump(pts)
         assert np.all((phi > 0.0) & (phi < 1.0))
         step = 1e-6
-        hi = hx.phi(pts + [0.0, step])
-        lo = hx.phi(pts - [0.0, step])
+        hi = hx.bump(pts + [0.0, step])
+        lo = hx.bump(pts - [0.0, step])
         slope = np.max(np.abs(hi - lo) / (2 * step))
         assert slope <= hx.bump.derivative_bound(1) * 1.05
 
@@ -463,7 +463,7 @@ class TestActionHullCutoff:
             for d in (1.2 * r, 1.6 * r, 2.1 * r):
                 z = np.stack([x, np.full_like(x, 0.4 + a + d)], axis=-1)
                 for v in ([1.0, 0.0], [1.0, 1.0], [1.0, -1.0]):
-                    d2 = stencil(hx.phi, z, np.array(v), 2, step)
+                    d2 = stencil(hx.bump, z, np.array(v), 2, step)
                     sup = max(sup, float(np.max(np.abs(d2))))
             peaks.append(sup)
         assert peaks[-1] <= 1.1 * peaks[0]
@@ -474,14 +474,14 @@ class TestActionHullCutoff:
         K0 = wavy_torus([1e-2, 3e-2])
         hx = cutoff_extend(rough_2dof, K0, r=r)
         samples = K0.grid_samples().reshape(-1, 4)
-        assert np.all(hx.phi(samples) == 1.0)
+        assert np.all(hx.bump(samples) == 1.0)
         assert np.all(hx.cut_values(samples) == hx.rough_values(samples))
         rng = np.random.default_rng(3)
         z = np.concatenate(
             [rng.uniform(0, 1, (4000, 2)), rng.uniform(-0.7, 0.8, (4000, 2))], axis=1
         )
         g = action_gaps(K0, z)
-        phi, cut = hx.phi(z), hx.cut_values(z)
+        phi, cut = hx.bump(z), hx.cut_values(z)
         inner = np.all(g <= r, axis=-1)
         outer = np.any(g >= 2.5 * r, axis=-1)
         assert inner.sum() > 50 and outer.sum() > 50
@@ -508,7 +508,7 @@ class TestActionHullCutoff:
         z = np.concatenate([rng.uniform(0, 1, (3000, 2)), y], axis=1)
         v = rng.uniform(-1, 1, (3000, 4))
         v /= np.max(np.abs(v), axis=-1, keepdims=True)
-        measured = float(np.max(np.abs(stencil(hx.phi, z, v, q, c * 1.5 * r))))
+        measured = float(np.max(np.abs(stencil(hx.bump, z, v, q, c * 1.5 * r))))
         bound = hx.bump.derivative_bound(q)
         assert measured <= bound
         # and it is not vacuous: the sampled sup reaches 35-67 % of it
@@ -605,7 +605,7 @@ class TestSeparableOracles:
         nodes = [hx.box.lo[i] + hx.box.widths()[i] * np.arange(k + 1) / k for i in (0, 1)]
         on_plateau = np.stack([nodes[0], np.full(k + 1, 0.4)], axis=-1)
         along_y = np.stack([np.zeros(k + 1), nodes[1]], axis=-1)
-        assert np.array_equal(np.multiply.outer(hx.cut_values(on_plateau), hx.phi(along_y)),
+        assert np.array_equal(np.multiply.outer(hx.cut_values(on_plateau), hx.bump(along_y)),
                               lattice)
 
     def test_n2_rung_matches_tensor_operator(self, cut_2dof, dense):
@@ -952,7 +952,11 @@ class TestFactorBounds:
         above = s((2.5 * 0.2 - (y - 0.3)) / (1.5 * 0.2))
         ys = np.concatenate([np.linspace(-0.39, -0.11, 15), np.linspace(0.51, 0.79, 15)])
         table = bump.axis_jet(0, ys, 3)
-        assert np.array_equal(table[0], bump.axis_factor(0, ys))
+        # order 0 is the bump itself, byte for byte: its dense value on (x, y)
+        xs = np.linspace(0.0, 1.0, ys.size, endpoint=False)
+        dense = PlateauBump(np.array([[0.0, 0.1], [0.0, 0.3]]), r=0.2,
+                            periodic=np.array([True, False]))
+        assert np.array_equal(table[0], dense(np.column_stack([xs, ys])))
         for q in range(4):
             sides = [sp.lambdify(y, sp.diff(e, y, q)) for e in (below, above)]
             want = np.array([sides[int(v > 0.1)](v) for v in ys])

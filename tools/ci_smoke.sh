@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Console-script smoke checks of an installed kamtori: `kamtori solve`,
-# `kamtori run` (1-DOF and 2-DOF rough cascades) and `kamtori diophantine`,
-# with their reruns, named config errors and certificate fields.
+# `kamtori verify`, `kamtori smooth`, `kamtori run` (1-DOF and 2-DOF rough
+# cascades) and `kamtori diophantine`, with their reruns, named config
+# errors and certificate fields.
 #
 # Usage: tools/ci_smoke.sh   (with the package installed, e.g. pip install .)
 # Works in a fresh temporary directory and leaves the source tree alone.
@@ -32,6 +33,15 @@ cat err.txt
 test "$code" -eq 1
 grep -q "^config error: " err.txt
 test ! -e rejected
+# the a-posteriori check of the torus that solve wrote passes (exit 0),
+# and its echoed config reproduces the certificate byte for byte
+cat > verify-config.json <<'EOF'
+{"hamiltonian": "model.json", "omega": [0.6180339887498949],
+ "torus_file": "out/torus_final.csv", "out": "verified"}
+EOF
+kamtori verify --config verify-config.json
+kamtori verify --config verified/config.json --out verified-again
+cmp verified/certificate.json verified-again/certificate.json
 
 # the rough cascade: cutoff, smoothing ladder and staged solves on the free
 # rotator plus a C^4 B-spline term of amplitude 1e-4
@@ -47,6 +57,11 @@ cat > rough-config.json <<'EOF'
  "rho": 0.02, "r": 0.8, "sigma": 1.1, "horizon": 256,
  "target_error": 1e-8, "out": "rough"}
 EOF
+# the cutoff and smoothing ladder alone exit 0, and the echoed config
+# reproduces the gap table, the approximants and the certificate
+kamtori smooth --config rough-config.json --out smoothed
+kamtori smooth --config smoothed/config.json --out smoothed-again
+diff -r -x config.json smoothed smoothed-again
 kamtori run --config rough-config.json
 kamtori run --config rough/config.json --out rough-again
 # every output of the rerun is byte-identical; config.json names its --out
