@@ -297,7 +297,7 @@ def cmd_solve(args) -> int:
     K0 = cfg.load_torus()
     freq = cfg.frequency()
     tol = cfg.params.tol if cfg.params.tol is not None else 1e-12
-    # rho = 0 here: at the doubled truncation orders the strip weighting
+    # rho = 0 here: at the refined truncation orders the strip weighting
     # amplifies FFT floor noise, and bare solves gate on the grid error
     res = solve_torus(
         H, K0, freq, tol=tol, max_iter=cfg.params.max_iter,

@@ -489,7 +489,9 @@ def _c3_near(model, K: TorusEmbedding, margin: float) -> float:
 def _defect_record(err: ErrorField) -> dict:
     """A defect's norms and its tail state.  solve_torus refines on two
     halves: tail_flag (ErrorField.genuine_tail) is the round-off half, and
-    tail_sum, the tail's share of the strip norm, is held against tol."""
+    the tol half holds tail_beyond, the mass past M that tail_sum, the
+    tail's share of the strip norm, predicts, against tol; the stage
+    traces record it."""
     return {
         "grid": err.norm_grid,
         "rho": err.norm_rho.value,

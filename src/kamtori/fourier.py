@@ -212,7 +212,9 @@ class StripNormEstimate:
     unweighted amplitude max|amp(k)| in that block, the scale to hold
     against round-off.  ``tail_sum`` is that block's share of ``value``,
     sum over |k|_inf > M/2 of |amp(k)| exp(2 pi |k|_1 rho), which bounds
-    the sup of the tail block alone over the strip.
+    the sup of the tail block alone over the strip.  ``tail_beyond`` is
+    the share past M that the decay from the head (``value - tail_sum``)
+    to the tail block predicts for one more block of M/2 orders.
     """
 
     value: float
@@ -220,6 +222,15 @@ class StripNormEstimate:
     tail_flag: bool
     tail_max: float
     tail_sum: float
+
+    @property
+    def tail_beyond(self) -> float:
+        """tail_sum^2 / head, with head = value - tail_sum: inf where the
+        head is not positive and the tail is, 0 without a tail."""
+        head = self.value - self.tail_sum
+        if head > 0:
+            return self.tail_sum * (self.tail_sum / head)
+        return math.inf if self.tail_sum > 0 else 0.0
 
 
 class FourierMap:

@@ -44,6 +44,8 @@ __all__ = [
 
 # uniform points of a sampled factor sup on an interval, endpoints included
 SAMPLE_POINTS = 129
+# how far past a non-periodic edge Box.contains still admits a point
+BOX_SLACK = 1e-9
 
 _NO_TERMS = np.zeros(0, dtype=int)
 _ONE_TERM = np.zeros(1, dtype=int)
@@ -105,13 +107,16 @@ class Box:
         lo = self.lo[axis]
         return lo + np.mod(u - lo, self.hi[axis] - lo)
 
-    def contains(self, z: np.ndarray, slack: float = 1e-9) -> np.ndarray:
+    def contains(self, z: np.ndarray) -> np.ndarray:
+        """True where z lies in the box, within BOX_SLACK on each
+        non-periodic axis."""
         z = self.wrap(z)
         ok = np.ones(z.shape[:-1], dtype=bool)
         for i in range(self.dim):
             if self.periodic[i]:
                 continue
-            ok &= (z[..., i] >= self.lo[i] - slack) & (z[..., i] <= self.hi[i] + slack)
+            lo, hi = self.lo[i] - BOX_SLACK, self.hi[i] + BOX_SLACK
+            ok &= (z[..., i] >= lo) & (z[..., i] <= hi)
         return ok
 
 

@@ -69,10 +69,19 @@ width come from the stored maps (ErrorField.at, Iterate.frame_at).
 solve_torus starts from a given Iterate and returns the Iterate of its
 torus, so a cascade hands evaluated iterates on.  A resized K is a new
 iterate.
+
+solve_torus grows M to the order the defect's spectrum asks for: where
+the defect's tail is more than round-off, the decay from the head of its
+strip norm to the tail block |k|_inf > M/2, extended geometrically,
+predicts the mass past each order, and M grows (by at most a factor of
+two) to the first order where that falls below tol, then to the largest
+order its sampling grid holds.  An iterate costs about sampling_size(M)^n
+grid points, so at n >= 2 the order sets the cost of every later iterate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -698,6 +707,27 @@ def check_horizon(K0: TorusEmbedding, omega: FrequencyVector) -> None:
         )
 
 
+def _refined_order(norm: StripNormEstimate, m: int, cap: int, tol: float) -> int:
+    """The order a refinement from order m takes, from the defect's norm.
+
+    The head value - tail_sum holds the modes |k|_inf <= m/2 and
+    q = tail_sum / head is the decay over the tail block of m/2 orders;
+    extended geometrically, the spectrum holds head q^(2M'/m) / (1 - q)
+    past order M'.  The order is the smallest M' where that is <= tol,
+    clamped to [m + 1, min(2m, cap)], and min(2m, cap) where q >= 1 (no
+    decay seen); it is then raised to the largest order its sampling grid
+    holds, (sampling_size(M') - 1) // 2, within cap.
+    """
+    head = norm.value - norm.tail_sum
+    q = norm.tail_sum / head if head > 0 else math.inf
+    top = min(2 * m, cap)
+    order = top
+    if q < 1:
+        order = next((o for o in range(m + 1, top)
+                      if head * q ** (2 * o / m) / (1 - q) <= tol), top)
+    return min((sampling_size(order) - 1) // 2, cap)
+
+
 def solve_torus(
     hamiltonian,
     K0: TorusEmbedding,
@@ -716,28 +746,36 @@ def solve_torus(
     iterates without progress end the iteration: if some iterate improved
     on the initial error, the best one is returned with status "floored"
     (the iteration hit its numerical floor), otherwise "diverged"; after
-    max_iter steps it is "max_iter" unless it improved.  The truncation
-    order doubles, up to max_trunc_order, before the next step when two
-    things hold: the defect's spectral tail is genuine
-    (ErrorField.genuine_tail: its tail_flag trips and its largest tail
-    amplitude tail_max exceeds the same r), and the tail block's share of
-    the strip norm at rho, tail_sum, exceeds tol.  A tail made of
-    round-off never refines, and neither does one whose sup bound tail_sum
-    is below tol, since it cannot hold the defect above tol.  Where both
-    hold but doubling M would pass max_trunc_order, the refinement is
-    blocked; a solve that stalls or reaches max_iter with the refinement
-    of its last iterate blocked returns its best iterate with status
-    "truncation_capped" instead: the cap, not round-off, held it.
+    max_iter steps it is "max_iter" unless it improved.
+
+    The truncation order M grows before the next step when two things
+    hold: the defect's spectral tail is genuine (ErrorField.genuine_tail:
+    its tail_flag trips and its largest tail amplitude tail_max exceeds
+    the same r), and the mass its spectrum predicts past M exceeds tol.
+    That prediction is the strip norm's tail_beyond at rho: the ratio
+    q = tail_sum / head of the tail block |k|_inf > M/2 to the head
+    value - tail_sum, carried one block of M/2 orders further,
+    tail_sum^2 / head.  A tail made of round-off never refines, and
+    neither does one that decays below tol by M, however large its tail
+    block.  The new order is the smallest M' whose geometric tail
+    head q^(2M'/M) / (1 - q) is <= tol, clamped to [M + 1, min(2M, cap)],
+    or min(2M, cap) where q >= 1, and raised to the largest order its
+    sampling grid holds within cap (_refined_order); cap is
+    max_trunc_order, or horizon // n where that is lower.  Growth wanted
+    at M = cap is blocked; a solve that stalls or reaches max_iter with
+    the refinement of its last iterate blocked returns its best iterate
+    with status "truncation_capped" instead: the cap, not round-off, held
+    it.
 
     The trace has a row per Newton step and one for the last iterate it
     evaluated, whichever rule ended the solve, so each status can be read
     off the rows.  Every row records the iterate's defect ("error") and
     the tail state that decided its refinement: tail_flag, tail_max,
-    tail_sum and round_off (r) at the order the iterate was first
-    evaluated at, the odd grid size N = sampling_size(M) its defect was
-    evaluated on ("grid") and the jets of H it used ("jets": 1, or 2 when
-    it was resized, the jet at its old order and the one at the new, whose
-    grid the row then records).  A step row also records the growth
+    tail_sum, tail_beyond and round_off (r) at the order the iterate was
+    first evaluated at, the odd grid size N = sampling_size(M) its defect
+    was evaluated on ("grid") and the jets of H it used ("jets": 1, or 2
+    when it was resized, the jet at its old order and the one at the new,
+    whose grid the row then records).  A step row also records the growth
     quantities (|DK|, |N|, |<S>^-1|), the frame's min |det M|, the
     Lagrangian defect max |DK^T J DK|, all from the Iterate the step took,
     and the corrected iterate's truncation order; its "error" is that of
@@ -769,12 +807,13 @@ def solve_torus(
         if it:
             value = Iterate.evaluate(hamiltonian, K, omega, rho)
         err = value.error.at(rho)
+        beyond = err.norm_rho.tail_beyond
         row = {"iter": it, "error": err.norm_grid, "tail_flag": err.tail_flag,
                "tail_max": err.norm_rho.tail_max,
-               "tail_sum": err.norm_rho.tail_sum, "round_off": err.round_off,
-               "grid": err.values.shape[0], "jets": 1}
-        refine = err.genuine_tail and err.norm_rho.tail_sum > tol
-        blocked = refine and K.trunc_order * 2 > max_trunc_order
+               "tail_sum": err.norm_rho.tail_sum, "tail_beyond": beyond,
+               "round_off": err.round_off, "grid": err.values.shape[0], "jets": 1}
+        refine = err.genuine_tail and beyond > tol
+        blocked = refine and K.trunc_order >= max_trunc_order
         if blocked:
             row["refine_blocked"] = True
         stalls = 0 if err.norm_grid < best_err - err.round_off else stalls + 1
@@ -784,7 +823,8 @@ def solve_torus(
             trace.append(row)
             break
         if refine and not blocked:
-            K = K.resized(K.trunc_order * 2)
+            K = K.resized(_refined_order(err.norm_rho, K.trunc_order,
+                                         max_trunc_order, tol))
             value = Iterate.evaluate(hamiltonian, K, omega, rho)
             err = value.error
             row["grid"] = err.values.shape[0]

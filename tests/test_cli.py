@@ -301,7 +301,7 @@ class TestDispatch:
         assert main(["solve", "--config", str(cfg_path)]) == 0
         rows = (out / "torus_samples.csv").read_text().splitlines()
         assert rows[0] == "theta0,z0,z1"
-        # odd sample grid at the final (possibly doubled) truncation order
+        # odd sample grid at the final (possibly refined) truncation order
         assert len(rows) >= 1 + 65 and (len(rows) - 1) % 2 == 1
 
     def test_run_gate_failure_names_condition(self, write_files):

@@ -23,7 +23,7 @@ from kamtori.fourier import _grid_major, sampling_size
 from kamtori.hamiltonian import jet_grid, symplectic_matrix
 from kamtori.solver import (
     COND_DK_LIMIT, SVD_EXACT, AdaptedFrame, _frame_tensors, _gram_cond, _inverse,
-    _solve, _torsion_inverse,
+    _refined_order, _solve, _torsion_inverse,
 )
 
 from conftest import GOLDEN
@@ -591,6 +591,47 @@ def status_from_rows(trace: list, tol: float) -> tuple[str, float]:
     return ("diverged" if stalls >= 2 else "max_iter"), best
 
 
+def refinements_from_rows(trace: list, m0: int, cap: int, tol: float) -> list:
+    """Each row's refinement, (blocked, order its step kept), recomputed
+    from the rows alone.  Growth is wanted on a genuine tail (tail_flag,
+    tail_max above round_off) whose tail_beyond exceeds tol, and blocked
+    at M = cap.  With q = tail_beyond / tail_sum and head = tail_sum / q,
+    the order solves head q^(2M'/M) / (1 - q) = tol for M' in closed form,
+    rounds up, clamps to [M + 1, min(2M, cap)] (min(2M, cap) where q >= 1)
+    and takes the largest order of its grid within cap.  The last row
+    takes no step: its order is None."""
+    order, out = m0, []
+    for row in trace:
+        genuine = row["tail_flag"] and row["tail_max"] > row["round_off"]
+        wanted = genuine and row["tail_beyond"] > tol
+        blocked = wanted and order >= cap
+        if wanted and not blocked:
+            top = min(2 * order, cap)
+            q = row["tail_beyond"] / row["tail_sum"]
+            new = top
+            if q < 1:
+                head = row["tail_sum"] / q
+                need = order / 2 * np.log(tol * (1 - q) / head) / np.log(q)
+                new = int(min(max(np.ceil(need), order + 1), top))
+            order = min((sampling_size(new) - 1) // 2, cap)
+        out.append((blocked, order if "correction" in row else None))
+    return out
+
+
+def assert_rows_recompute(res, m0: int, cap: int, tol: float) -> None:
+    """Every row's refinement, order, grid and jets as its tail predicts."""
+    got = [(row.get("refine_blocked", False), row.get("trunc_order"))
+           for row in res.trace]
+    assert got == refinements_from_rows(res.trace, m0, cap, tol)
+    order = m0
+    for row in res.trace:
+        new = row.get("trunc_order", order)  # the last row keeps the order
+        assert row["jets"] == (2 if new != order else 1)
+        assert row["grid"] == sampling_size(new)
+        order = new
+    assert status_from_rows(res.trace, tol) == (res.status, res.error)
+
+
 class TestSolveTorus:
     @pytest.mark.parametrize("eps, knobs, status", [
         (1e-3, {"tol": 1e-11}, "converged"),
@@ -616,8 +657,9 @@ class TestSolveTorus:
 
     def test_capped_refinement_is_named(self):
         # the coupled rotator from the M = 8 circle under a cap of 8: each
-        # iterate from the first step on has a genuine tail above tol, so the
-        # solve stalls near 6.0e-9 where it would otherwise refine
+        # iterate from the second step on has a genuine tail whose predicted
+        # mass past M exceeds tol, so the solve stalls near 6.0e-9 where it
+        # would otherwise refine
         freq = FrequencyVector.estimated(COUPLED_OMEGA, sigma=1.1, horizon=256)
         res = solve_torus(coupled_rotator(1e-3),
                           TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=8),
@@ -627,20 +669,37 @@ class TestSolveTorus:
         assert res.error == pytest.approx(6.0e-9, rel=0.01)
         last = res.trace[-1]
         assert last["tail_flag"] and last["tail_max"] > last["round_off"]
-        assert last["tail_sum"] > 1e-12
+        assert last["tail_beyond"] > 1e-12
         assert [row.get("refine_blocked", False) for row in res.trace] == [
-            False] + [True] * res.iterations
+            False, False] + [True] * (res.iterations - 1)
         assert status_from_rows(res.trace, 1e-12) == (res.status, res.error)
-        # a cap of 16 admits one doubling and blocks the next, yet the solve
-        # converges at 16: a converged solve is never capped
+        # a cap of 16 admits the growth from 8 at the second step and
+        # blocks the next, yet the solve converges at 16: a converged solve
+        # is never capped
         wider = solve_torus(coupled_rotator(1e-3),
                             TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=8),
                             freq, tol=1e-12, max_trunc_order=16)
         assert wider.converged and wider.torus.trunc_order == 16
-        assert wider.trace[1]["trunc_order"] == 16
-        assert not wider.trace[0].get("refine_blocked")
+        assert [row["trunc_order"] for row in wider.trace[:3]] == [8, 8, 16]
+        assert not any(row.get("refine_blocked") for row in wider.trace[:3])
         assert any(row.get("refine_blocked") for row in wider.trace)
         assert status_from_rows(wider.trace, 1e-12) == (wider.status, wider.error)
+
+    def test_growth_reaches_a_cap_that_doubling_overshoots(self):
+        # under a cap of 12 doubling from 8 would pass the cap; the order
+        # grows to 12, on its grid of 25, and only growth wanted there is
+        # blocked
+        freq = FrequencyVector.estimated(COUPLED_OMEGA, sigma=1.1, horizon=256)
+        res = solve_torus(coupled_rotator(1e-3),
+                          TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=8),
+                          freq, tol=1e-12, max_trunc_order=12)
+        assert res.status == "truncation_capped"
+        assert res.torus.trunc_order == 12
+        assert [row["trunc_order"] for row in res.trace[:3]] == [8, 8, 12]
+        assert [row["grid"] for row in res.trace[2:]] == [25] * (res.iterations - 1)
+        assert [row.get("refine_blocked", False) for row in res.trace] == [
+            False] * 3 + [True] * (res.iterations - 2)
+        assert_rows_recompute(res, 8, 12, 1e-12)
 
     def test_exact_guess_converges_in_zero_steps(self, golden_freq):
         h = HamiltonianModel.free_rotator(1)
@@ -793,8 +852,9 @@ class TestSeparableOracle:
     oracle for n >= 2 that no n-D code computes."""
 
     OMEGA = [GOLDEN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.5]
-    # n = 2 refines from M = 16 to 32; n = 3 from M = 8 to 16
-    CASES = {2: ([5e-3, 4e-3], 16, 32), 3: ([1e-3, 8e-4, 6e-4], 8, 16)}
+    # n = 2 refines from M = 8 to 12; n = 3 from M = 4 to 6 and then 12,
+    # the order each factor's own solve from the same M ends at
+    CASES = {2: ([5e-3, 4e-3], 8, 12), 3: ([1e-3, 8e-4, 6e-4], 4, 12)}
 
     @pytest.fixture(scope="class", params=[2, 3])
     def product(self, request):
@@ -848,7 +908,7 @@ class TestDiophantineHorizon:
     omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
 
     def test_refinement_stays_inside_horizon_at_n2(self):
-        # refining to M = 64 would retain |k|_1 = 128 > horizon
+        # refining past M = 32 would retain |k|_1 > 64 = horizon
         freq = FrequencyVector.estimated(self.omega, sigma=1.1, horizon=64)
         K0 = TorusEmbedding.circle(self.omega, trunc_order=16)
         res = solve_torus(coupled_rotator(1e-3), K0, freq, tol=1e-12,
@@ -877,11 +937,11 @@ class TestOneEvaluationPerIterate:
         return FrequencyVector.estimated(self.omega, sigma=1.1, horizon=64)
 
     def cases(self, golden_freq, coupled_freq):
-        """(model, K0, omega, refinement cap): n = 1 held at M = 8 (its first
-        defect has a tail above round-off, which would refine it), n = 2
-        refining 16 -> 32 up to its horizon."""
+        """(model, K0, omega, refinement cap): n = 1 held at M = 8 (its
+        third defect's tail predicts mass past M above tol, which would
+        refine it to 12), n = 2 refining 16 -> 32 up to its horizon."""
         return [
-            (HamiltonianModel.pendulum(1e-3),
+            (HamiltonianModel.pendulum(5e-3),
              TorusEmbedding.circle(GOLDEN, trunc_order=8), golden_freq, 8),
             (coupled_rotator(1e-3),
              TorusEmbedding.circle(self.omega, trunc_order=16), coupled_freq, 512),
@@ -1067,13 +1127,20 @@ class TestSamplingGrid:
             nondegeneracy(h, K, grid_size=45)
 
     def test_coupled_solve_to_64_on_fast_grids(self):
+        # under a cap of 64 the order grows 16 -> 31 -> 62, each the largest
+        # order of its grid (63, 125), and then to the cap 64 on the grid
+        # of 135, which holds 67
         tol = 1e-12
-        h, freq, res = solve_coupled(1.2e-3, tol)
+        freq = FrequencyVector.estimated(COUPLED_OMEGA, sigma=1.1, horizon=256)
+        h = coupled_rotator(2.2e-3)
+        res = solve_torus(h, TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=16),
+                          freq, tol=tol, max_trunc_order=64)
         m = res.torus.trunc_order
         assert res.converged and m == 64
         grids = [row["grid"] for row in res.trace]
         orders = [row.get("trunc_order", m) for row in res.trace]
         assert grids == [sampling_size(order) for order in orders]
+        assert sorted(set(orders)) == [16, 31, 62, 64]
         assert grids[-1] == 135
         for size in (2 * m + 1, 2 * ((3 * m) // 2) + 1):
             err = invariance_error(h, res.torus, freq, grid_size=size)
@@ -1081,18 +1148,20 @@ class TestSamplingGrid:
 
 
 class TestRefinementAboveRoundOff:
-    """solve_torus doubles M only on a tail above the iterate's round-off r."""
+    """solve_torus grows M only on a tail above the iterate's round-off r."""
 
     tol = 1e-12
 
     @pytest.fixture(scope="class")
     def coupled_solve(self):
-        return solve_coupled(5.6e-4, self.tol)
+        return solve_coupled(1e-3, self.tol)
 
     def test_coupled_rotator_converges_at_32(self, coupled_solve):
-        # from iterate 3 on the tail trips at M = 32, but only with round-off
+        # the last iterate's tail trips at M = 32, but only with round-off
         h, freq, res = coupled_solve
         assert res.converged and res.torus.trunc_order == 32
+        last = res.trace[-1]
+        assert last["tail_flag"] and last["tail_max"] <= last["round_off"]
         fine = 2 * ((3 * 32) // 2) + 1
         err = invariance_error(h, res.torus, freq, grid_size=fine).norm_grid
         assert err <= 10 * self.tol
@@ -1106,30 +1175,31 @@ class TestRefinementAboveRoundOff:
 
     def test_genuine_tail_still_resizes(self, coupled_solve):
         _, _, res = coupled_solve
-        row = res.trace[2]
+        row = res.trace[3]
         assert row["tail_flag"] and row["tail_max"] > 100 * row["round_off"]
-        assert [r.get("trunc_order") for r in res.trace[:3]] == [16, 16, 32]
+        assert [r.get("trunc_order") for r in res.trace[:4]] == [16, 16, 16, 32]
 
     def test_trace_rows_record_the_refinement_decision(self, coupled_solve):
         # each row holds what decided its refinement: a genuine tail
-        # (tail_flag, tail_max > round_off) whose tail_sum exceeds tol
+        # (tail_flag, tail_max > round_off) whose predicted mass past M,
+        # tail_beyond, exceeds tol, and the order its spectrum asks for
         _, freq, res = coupled_solve
-        _, _, below_tol = solve_coupled(1e-3, self.tol)
+        _, _, held_at_16 = solve_coupled(5.6e-4, self.tol)
+        _, _, grown = solve_coupled(2e-3, self.tol)
         held = 0
-        for solved in (res, below_tol):
+        for solved in (res, held_at_16, grown):
             assert len(solved.trace) == solved.iterations + 1
-            order = 16
             for row in solved.trace:
                 assert row["round_off"] > 0 and row["tail_max"] >= 0
                 assert row["tail_sum"] >= row["tail_max"]
-                if "trunc_order" in row:
-                    genuine = row["tail_flag"] and row["tail_max"] > row["round_off"]
-                    refine = (genuine and row["tail_sum"] > self.tol
-                              and 2 * order <= freq.horizon // 2)
-                    assert row["trunc_order"] == (2 * order if refine else order)
-                    held += genuine and not refine
-                    order = row["trunc_order"]
-        assert held  # a genuine tail below tol kept its order
+                genuine = row["tail_flag"] and row["tail_max"] > row["round_off"]
+                held += genuine and row["tail_beyond"] <= self.tol
+            assert_rows_recompute(solved, 16, freq.horizon // 2, self.tol)
+        assert held  # a genuine tail predicting no mass past M kept its order
+        # growth to orders that are no powers of two: the first order whose
+        # extrapolated tail meets tol, raised to the largest of its grid
+        assert [row.get("trunc_order") for row in grown.trace] == [
+            16, 16, 27, 58, 58, None]
 
 
     def test_trace_rows_record_grid_and_jets(self, coupled_solve):
@@ -1147,8 +1217,8 @@ class TestRefinementAboveRoundOff:
 
 
 class TestRefinementAboveTol:
-    """solve_torus doubles M only on a genuine tail whose tail_sum, the
-    tail block's share of the strip norm, exceeds tol."""
+    """solve_torus grows M only on a genuine tail whose tail_beyond, the
+    strip norm's predicted mass past M, exceeds tol."""
 
     @staticmethod
     def fine_errors(h, freq, res):
@@ -1158,16 +1228,28 @@ class TestRefinementAboveTol:
                 for size in (2 * m + 1, 2 * ((3 * m) // 2) + 1)]
 
     def test_tail_below_tol_stays_at_32(self):
-        # iterate 3 has a genuine tail (tail_max 5e-14 > r) of tail_sum 2e-13
+        # iterate 2 has a genuine tail (tail_max 2.6e-10 > r) of tail_sum
+        # 1.1e-9 > tol, yet its spectrum predicts 7e-14 past M = 16, so it
+        # steps at 16; iterate 3 refines to 32, where the solve converges
         tol = 1e-12
         h, freq, res = solve_coupled(1e-3, tol)
         assert res.converged and res.iterations == 4
         assert res.torus.trunc_order == 32
+        row = res.trace[2]
+        assert row["tail_max"] > row["round_off"] and row["tail_sum"] > tol
+        assert row["tail_beyond"] < tol and row["trunc_order"] == 16
         assert max(self.fine_errors(h, freq, res)) <= 10 * tol
 
     def test_tail_above_tol_refines(self):
-        _, _, res = solve_coupled(1e-3, 1e-13)
-        assert res.converged and res.torus.trunc_order == 64
+        # iterate 2 predicts between 1e-13 and 1e-12 past M = 16: the
+        # tighter tol refines there, to 17 and then 37, the looser one only
+        # at iterate 3, to 32
+        _, _, res = solve_coupled(1.05e-3, 1e-13)
+        _, _, loose = solve_coupled(1.05e-3, 1e-12)
+        assert res.converged and res.torus.trunc_order == 37
+        assert loose.converged and loose.torus.trunc_order == 32
+        assert 1e-13 < res.trace[2]["tail_beyond"] == loose.trace[2]["tail_beyond"] < 1e-12
+        assert (res.trace[2]["trunc_order"], loose.trace[2]["trunc_order"]) == (17, 16)
 
     @pytest.mark.parametrize("eps", [3e-4, 6e-4, 1e-3, 1.5e-3, 2e-3])
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
@@ -1175,6 +1257,65 @@ class TestRefinementAboveTol:
         h, freq, res = solve_coupled(eps, tol)
         assert res.converged
         assert max(self.fine_errors(h, freq, res)) <= 10 * tol
+
+
+def two_block_norm(m, head, tail):
+    """The strip norm at rho = 0 of a 1-D map of order m with amplitude
+    head at k = 0 and its tail block holding tail at k = m (a mode k > 0
+    stands for its conjugate too, so it counts twice)."""
+    return FourierMap(1, (), {(0,): head, (m,): tail / 2}, trunc_order=m).strip_norm(0.0)
+
+
+class TestRefinedOrder:
+    """_refined_order on spectra of known decay q = tail_sum / head over the
+    M/2 orders of the tail block: head 1 and a tail of q, both exact."""
+
+    M, Q = 16, 2.0**-10
+
+    def norm(self, q=Q):
+        est = two_block_norm(self.M, 1.0, q)
+        assert (est.value - est.tail_sum, est.tail_sum) == (1.0, q)
+        return est
+
+    def test_tail_beyond_extends_the_decay_by_one_block(self):
+        assert self.norm().tail_beyond == self.Q**2
+        assert two_block_norm(16, 0.0, 1e-3).tail_beyond == np.inf  # no head
+        assert two_block_norm(16, 1.0, 0.0).tail_beyond == 0.0
+
+    # past M' the geometric tail holds q^(2M'/M) / (1 - q) = 2^(-1.25 M')
+    # times 1.001: 9.5e-7 at 16, 4.0e-7 at 17, 2.2e-9 at 23, 9.3e-10 at 24,
+    # 7.1e-8 at 19 and 3.0e-8 at 20, and 1e-30 needs M' = 80
+    @pytest.mark.parametrize("tol, cap, want", [
+        (1e-3, 512, 17),   # M' <= M: clamped to M + 1, on the grid of 35
+        (5e-7, 512, 17),   # M' = 17 on its own
+        (1e-9, 512, 24),   # M' = 24, which the grid of 49 holds
+        (5e-8, 512, 22),   # M' = 20 has the grid of 45, which holds 22
+        (5e-8, 21, 21),    # ... and no more than the cap
+        (1e-30, 512, 32),  # at most 2M
+        (1e-30, 24, 24),   # at most the cap
+        (1e-30, 23, 23),   # the grid of 23 is 49, which holds 24: cap
+    ])
+    def test_order_from_a_geometric_tail(self, tol, cap, want):
+        assert _refined_order(self.norm(), self.M, cap, tol) == want
+
+    @pytest.mark.parametrize("q, cap, want", [
+        (1.0, 512, 32), (2.0, 512, 32), (2.0, 20, 20), (np.inf, 512, 32)])
+    def test_no_decay_takes_the_largest_step(self, q, cap, want):
+        # q >= 1 (no head at all for q = inf) takes min(2M, cap) whatever tol
+        est = two_block_norm(self.M, 0.0, 1.0) if q == np.inf else self.norm(q)
+        assert _refined_order(est, self.M, cap, 1e-3) == want
+
+    @pytest.mark.parametrize("r", [0.2, 0.3, 0.4])
+    def test_order_tracks_a_geometric_spectrum(self, r):
+        # amplitudes r^|k| to order 128, cut at M = 16: the order predicted
+        # from the cut spectrum is within one of the least order past which
+        # the full spectrum's norm is <= tol
+        tol = 1e-12
+        full = FourierMap(1, (), {(k,): r**k for k in range(129)}, trunc_order=128)
+        got = _refined_order(full.resized(16).strip_norm(0.0), 16, 512, tol)
+        past = [2 * sum(r**k for k in range(m + 1, 129)) for m in range(129)]
+        least = next(m for m in range(129) if past[m] <= tol)
+        assert 16 < least < 32 and abs(got - least) <= 1
 
 
 def padded_at_order(self, trunc_order):

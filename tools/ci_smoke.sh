@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Console-script smoke checks of an installed kamtori: `kamtori solve`,
-# `kamtori verify`, `kamtori smooth`, `kamtori run` (1-DOF and 2-DOF rough
-# cascades) and `kamtori diophantine`, with their reruns, named config
-# errors and certificate fields.
+# Console-script smoke checks of an installed kamtori: `kamtori solve`
+# (1-DOF, and a 3-DOF coupled rotator that must converge), `kamtori verify`,
+# `kamtori smooth`, `kamtori run` (1-DOF and 2-DOF rough cascades) and
+# `kamtori diophantine`, with their reruns, named config errors and
+# certificate fields.
 #
 # Usage: tools/ci_smoke.sh   (with the package installed, e.g. pip install .)
 # Works in a fresh temporary directory and leaves the source tree alone.
@@ -64,7 +65,8 @@ kamtori smooth --config smoothed/config.json --out smoothed-again
 diff -r -x config.json smoothed smoothed-again
 kamtori run --config rough-config.json
 kamtori run --config rough/config.json --out rough-again
-# every output of the rerun is byte-identical; config.json names its --out
+# every output of the rerun is byte-identical; config.json is too, since it
+# echoes the config file's "out", not the --out flag
 diff -r -x config.json rough rough-again
 # the rungs are smooth across the angle seam: the smoothed stage converges,
 # and its start defect has no genuine spectral tail
@@ -108,6 +110,29 @@ test "$code" -eq 1
 grep -q "^config error: y0 must have n = 1 components, got 2$" err.txt
 test ! -e rough-rejected
 
+# the 3-DOF coupled rotator at eps = 1e-3 from the M = 8 circle (sigma 2.1,
+# horizon 120, tol 1e-10): its order grows to the horizon's cap 120 // 3 = 40
+# and the solve converges there (exit 0)
+cat > rotor3.json <<'EOF'
+{"n": 3, "terms": [{"k": [0, 0, 0], "m": [2, 0, 0], "re": 0.5, "im": 0.0},
+                   {"k": [0, 0, 0], "m": [0, 2, 0], "re": 0.5, "im": 0.0},
+                   {"k": [0, 0, 0], "m": [0, 0, 2], "re": 0.5, "im": 0.0},
+                   {"k": [1, 0, 0], "m": [0, 0, 0], "re": 5e-4, "im": 0.0},
+                   {"k": [0, 1, 0], "m": [0, 0, 0], "re": 5e-4, "im": 0.0},
+                   {"k": [0, 0, 1], "m": [0, 0, 0], "re": 5e-4, "im": 0.0},
+                   {"k": [1, -1, 0], "m": [0, 0, 0], "re": 5e-4, "im": 0.0},
+                   {"k": [0, 1, -1], "m": [0, 0, 0], "re": 5e-4, "im": 0.0}]}
+EOF
+cat > rotor3-config.json <<'EOF'
+{"hamiltonian": "rotor3.json",
+ "omega": [0.6180339887498949, 0.41421356237309515, 0.2320508075688772],
+ "sigma": 2.1, "horizon": 120, "tol": 1e-10, "trunc": 8, "out": "rotor3"}
+EOF
+kamtori solve --config rotor3-config.json
+python -c 'import json; rows = [json.loads(r) for r in open("rotor3/trace.jsonl")]; assert rows[-2]["trunc_order"] == 40, rows[-2]'
+# its two torus CSVs hold 81^3 points each, about 170 MB together
+rm -r rotor3
+
 # the 2-DOF Diophantine scan at the default horizon 10000 (10^8 wavevectors,
 # a few candidate last components per first one) finds the worst mode of
 # golden, sqrt2 - 1
@@ -115,7 +140,7 @@ timeout 120 kamtori diophantine --omega 0.6180339887498949,0.41421356237309515 >
 cat dio.json
 python -c 'import json; d = json.load(open("dio.json")); assert d["worst_k"] == [63, -94], d'
 # the 3-DOF scan at horizon 256, which an M = 64 torus needs, finds the worst
-# mode of golden, sqrt2 - 1, sqrt5 - 2
+# mode of golden, sqrt2 - 1, sqrt3 - 1.5
 timeout 120 kamtori diophantine --omega 0.6180339887498949,0.41421356237309515,0.2320508075688772 --sigma 2.1 --horizon 256 > dio3.json
 cat dio3.json
 python -c 'import json; d = json.load(open("dio3.json")); assert d["worst_k"] == [3, -14, 17], d'
