@@ -21,7 +21,6 @@ from .driver import (
     RunParams,
     RunResult,
     check_conditions,
-    eval_lambda,
     lemma4_check,
     run_scheme,
     select_k0,
@@ -78,7 +77,6 @@ __all__ = [
     "cl_norm",
     "cutoff_extend",
     "estimate_gamma",
-    "eval_lambda",
     "flow",
     "invariance_error",
     "lemma4_check",

@@ -59,11 +59,12 @@ class RunConfig:
 
     params holds the run knobs with their defaults and bounds
     (driver.RunParams).  The other fields name the model file, the
-    frequency, the initial torus (a coefficient file, or the circle over
+    frequency, the initial torus (a torus CSV file, or the circle over
     y0, omega when None, at truncation order trunc) and the output
     directory.  to_json echoes all of them as one flat document.  model
-    is the Hamiltonian parse_config built from the model file to validate
-    it, the one every subcommand solves on; it is not echoed.
+    and torus are the Hamiltonian and the torus file's embedding that
+    parse_config read to validate them, the ones every subcommand works
+    on; they are not echoed.
     """
 
     hamiltonian: str
@@ -74,6 +75,7 @@ class RunConfig:
     trunc: int = 64
     out: str | None = None
     model: object = field(default=None, repr=False, compare=False)
+    torus: TorusEmbedding | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self)
@@ -82,11 +84,8 @@ class RunConfig:
         return _json_text(doc)
 
     def load_torus(self) -> TorusEmbedding:
-        if self.torus_file is not None:
-            text = Path(self.torus_file).read_text()
-            if self.torus_file.endswith(".json"):
-                return TorusEmbedding.from_json(text)
-            return TorusEmbedding.from_csv(text)
+        if self.torus is not None:
+            return self.torus
         y0 = self.y0 if self.y0 is not None else self.omega
         return TorusEmbedding.circle(np.asarray(y0, dtype=float), self.trunc)
 
@@ -124,7 +123,7 @@ def load_hamiltonian(path: str):
     return CompositeHamiltonian(analytic=base, rough=terms)
 
 
-_UNECHOED = frozenset({"params", "model"})
+_UNECHOED = frozenset({"params", "model", "torus"})
 _CLI_KEYS = frozenset(f.name for f in fields(RunConfig)) - _UNECHOED
 _PARAM_KEYS = frozenset(f.name for f in fields(RunParams))
 
@@ -133,10 +132,11 @@ def parse_config(path, **overrides) -> RunConfig:
     """Read and validate a config file, reporting every violation at once.
 
     overrides (the command-line flags) replace the file's keys before
-    anything is checked, so they meet the same bounds.  The model file is
-    loaded, so a model it cannot build is one violation.  omega and y0
-    must be numbers, one per degree of freedom of the model, and trunc an
-    integer >= 1.
+    anything is checked, so they meet the same bounds.  The model file
+    and the torus file are loaded, so a model it cannot build, or a torus
+    file that does not parse or whose torus is not of the model's n, is
+    one violation.  omega and y0 must be numbers, one per degree of
+    freedom of the model, and trunc an integer >= 1.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -147,18 +147,8 @@ def parse_config(path, **overrides) -> RunConfig:
     raw.update(overrides)
 
     bad = []
-    for key in sorted(set(raw) - _CLI_KEYS - _PARAM_KEYS - {"torus"}):
+    for key in sorted(set(raw) - _CLI_KEYS - _PARAM_KEYS):
         bad.append(f"unknown key: {key}")
-
-    torus_file, y0 = raw.get("torus_file"), raw.get("y0")
-    torus = raw.get("torus")
-    if torus is not None:
-        if isinstance(torus, dict) and "file" in torus:
-            torus_file = torus["file"]
-        elif isinstance(torus, dict) and "circle" in torus:
-            y0 = torus["circle"].get("y0")
-        else:
-            bad.append("torus must be {'file': path} or {'circle': {'y0': ...}}")
 
     for key in ("hamiltonian", "omega"):
         if key not in raw:
@@ -177,17 +167,29 @@ def parse_config(path, **overrides) -> RunConfig:
                 bad.append(f"hamiltonian file does not parse: {exc}")
             else:
                 n = model.n
+    torus = None
+    torus_file = raw.get("torus_file")
     if torus_file is not None:
         torus_file = str(Path(torus_file).absolute())
         if not Path(torus_file).is_file():
             bad.append(f"torus file not found: {torus_file}")
+        else:
+            try:
+                torus = TorusEmbedding.from_csv(Path(torus_file).read_text())
+            except (ValueError, LookupError, csv.Error) as exc:
+                bad.append(f"torus file does not parse: {exc}")
+            else:
+                shape = (torus.dim_domain, torus.dim_range)
+                if n is not None and shape != (n, 2 * n):
+                    bad.append(f"torus file must embed T^{n} in R^{2 * n}, "
+                               f"got T^{shape[0]} in R^{shape[1]}")
 
     vals = {k: raw[k] for k in _CLI_KEYS & set(raw)}
     vals["hamiltonian"] = ham
     vals["torus_file"] = torus_file
     listed = {"omega": raw["omega"]} if "omega" in raw else {}
-    if y0 is not None:
-        listed["y0"] = y0
+    if raw.get("y0") is not None:
+        listed["y0"] = raw["y0"]
     for key, value in listed.items():
         try:
             vals[key] = tuple(float(v) for v in np.atleast_1d(value))
@@ -218,7 +220,7 @@ def parse_config(path, **overrides) -> RunConfig:
 
     if bad:
         raise ConfigError(bad)
-    return RunConfig(params=params, model=model, **vals)
+    return RunConfig(params=params, model=model, torus=torus, **vals)
 
 
 # -- artifact helpers ---------------------------------------------------------
@@ -231,18 +233,6 @@ def _json_text(doc) -> str:
 
 def _write_json(path: Path, doc) -> None:
     path.write_text(_json_text(_jsonable(doc)))
-
-
-def _samples_csv(K: TorusEmbedding) -> str:
-    """The torus on its sampling grid, one row per point: the angles, then
-    the image, each as repr of a float.  No field needs quoting, so a row
-    is its fields joined by commas, ended by csv's \\r\\n."""
-    n, m = K.dim_domain, K.dim_range
-    rows = np.concatenate([K.grid(None).reshape(-1, n),
-                           K.grid_samples().reshape(-1, m)], axis=1)
-    header = [f"theta{j}" for j in range(n)] + [f"z{j}" for j in range(m)]
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows.tolist()]
-    return "\r\n".join(lines) + "\r\n"
 
 
 def _prepare_out(cfg: RunConfig, override) -> Path:
@@ -307,7 +297,6 @@ def cmd_solve(args) -> int:
         for rec in res.trace:
             fh.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
     (out / "torus_final.csv").write_text(res.torus.to_csv())
-    (out / "torus_samples.csv").write_text(_samples_csv(res.torus))
     _write_json(
         out / "certificate.json",
         {
@@ -330,9 +319,7 @@ def cmd_verify(args) -> int:
     freq = cfg.frequency()
     schedule, value = kam_schedule(H, K, freq, cfg.params)
     err, nd = value.error, value.frame
-    c_value, conditions = schedule.strict_conditions(
-        cfg.params.lambda_spec, err.norm_rho.value
-    )
+    c_value, conditions = schedule.strict_conditions(err.norm_rho.value)
     passed = bool(conditions["condition2_ok"] and conditions["condition3_ok"])
     _write_json(
         out / "certificate.json",
@@ -447,7 +434,6 @@ def cmd_run(args) -> int:
     cert = dict(res.certificate, stages=summaries)
     (out / "certificate.json").write_text(_json_text(cert))
     (out / "torus_final.csv").write_text(res.torus.to_csv())
-    (out / "torus_samples.csv").write_text(_samples_csv(res.torus))
     return 0 if res.converged else 1
 
 

@@ -11,15 +11,17 @@ the torus gaps feed the geometric-convergence check, and the whole run
 is summarized in a deterministic certificate.
 
 The proof-side constant c = lambda(mu, d, v, tau) is existential: no
-explicit polynomial is available.  Certificates therefore always carry
-the raw measured quantities plus both condition variants: the literal
-lambda-form left-hand sides under a configurable spec (default
-"mu * d**2 * v**2 * tau**2"), and measured analogues (observed quadratic
-constant and step amplification of stage 1's first Newton step, read off
-its solve's trace, so stage 1 runs before the gate; a stage 1 that takes
-no step leaves them vacuous, and says so).  The default gate decision
-uses the measured variant; "strict" mode gates on the literal one.  A
-failed gate returns K0 with no stage records.
+explicit polynomial is available.  Certificates therefore carry the raw
+measured quantities plus both condition variants: the literal left-hand
+sides under the fixed placeholder lambda = mu * d**2 * v**2 * tau**2
+(DEFAULT_LAMBDA, which the certificate echoes), reported and never
+gated on, and measured analogues (observed quadratic constant and step
+amplification of stage 1's first Newton step, read off its solve's
+trace, so stage 1 runs before the gate; a stage 1 that takes no step
+leaves them vacuous, and says so).  The run gates on the measured
+variant; a failed gate returns K0 with no stage records.  With mu, d, v,
+tau and every stage's mu_k, d_k, v_k, tau_k in the certificate, any
+other candidate lambda can be evaluated offline.
 
 Each (model, torus) pair is evaluated once, into a solver.Iterate that
 the stages pass on.  The ladder holds H's value at K0 and the schedule's
@@ -39,11 +41,9 @@ kam_schedule, the same code that run_scheme uses.
 
 from __future__ import annotations
 
-import ast
 import math
 import numbers
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ __all__ = [
     "RunParams",
     "RunResult",
     "check_conditions",
-    "eval_lambda",
     "kam_schedule",
     "lemma4_check",
     "run_scheme",
@@ -79,68 +78,20 @@ __all__ = [
 DEFAULT_LAMBDA = "mu * d**2 * v**2 * tau**2"
 LEMMA4_SLACK = 1.5  # how far later scaled gaps may exceed the first in lemma4_check
 
-_LAMBDA_NODES = (
-    ast.Expression,
-    ast.BinOp,
-    ast.UnaryOp,
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.Div,
-    ast.Pow,
-    ast.USub,
-    ast.UAdd,
-    ast.Constant,
-    ast.Name,
-    ast.Load,
-)
 
-
-def _power(base, exp) -> float:
-    """base ** exp in floats, or an infinity where it overflows, as * gives."""
-    base, exp = float(base), float(exp)
+def _square(x) -> float:
+    """x ** 2 in floats, or inf where it overflows, as a product gives."""
+    x = float(x)
     try:
-        return base ** exp
-    except OverflowError:  # exp % 2 == 1 only for an odd integer exp
-        return -math.inf if base < 0 and exp % 2 == 1 else math.inf
+        return x ** 2.0
+    except OverflowError:
+        return math.inf
 
 
-class _PowerCalls(ast.NodeTransformer):
-    """Rewrites a ** b as _power(a, b)."""
-
-    def visit_BinOp(self, node):
-        node = self.generic_visit(node)
-        if isinstance(node.op, ast.Pow):
-            node = ast.Call(ast.Name("_power", ast.Load()), [node.left, node.right], [])
-        return node
-
-
-@lru_cache(maxsize=16)
-def _compiled_lambda(spec: str):
-    """The code of a spec, parsed and checked once per distinct string; a
-    rejected spec raises on every call (lru_cache keeps no exception)."""
-    tree = ast.parse(spec, mode="eval")
-    for node in ast.walk(tree):
-        if not isinstance(node, _LAMBDA_NODES):
-            raise ValueError(f"lambda spec: unsupported element {type(node).__name__}")
-        if isinstance(node, ast.Name) and node.id not in {"mu", "d", "v", "tau"}:
-            raise ValueError(f"lambda spec: unknown name {node.id!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ValueError("lambda spec: only numeric constants allowed")
-    tree = ast.fix_missing_locations(_PowerCalls().visit(tree))
-    return compile(tree, "<lambda-spec>", "eval")
-
-
-def eval_lambda(spec: str, mu: float, d: float, v: float, tau: float) -> float:
-    """Evaluate a user-supplied polynomial spec in mu, d, v, tau.
-
-    Only arithmetic expressions over those four names and numeric
-    constants are admitted; anything else raises.  Arithmetic is in
-    floats, and a power that overflows gives an infinity, as a product
-    does.
-    """
-    return float(eval(_compiled_lambda(spec), {"__builtins__": {}, "_power": _power},
-                      {"mu": mu, "d": d, "v": v, "tau": tau}))
+def _lambda(mu: float, d: float, v: float, tau: float) -> float:
+    """The reported lambda-form DEFAULT_LAMBDA, ((mu d^2) v^2) tau^2, in
+    floats; a square that overflows reads inf, as a product does."""
+    return float(mu * _square(d) * _square(v) * _square(tau))
 
 
 @dataclass(frozen=True)
@@ -218,9 +169,9 @@ class KamSchedule:
         q = 4.0 ** (-(self.l + self.sigma))
         return self.r * (1 - q**k) / (1 - q)
 
-    def strict_conditions(self, lambda_spec: str, e_norm: float) -> tuple[float, dict]:
-        """(c, conditions): the literal lambda-form gate at defect norm e_norm."""
-        c = eval_lambda(lambda_spec, self.mu, self.d, self.v, self.tau)
+    def strict_conditions(self, e_norm: float) -> tuple[float, dict]:
+        """(c, conditions): the literal lambda-form conditions at defect norm e_norm."""
+        c = _lambda(self.mu, self.d, self.v, self.tau)
         return c, check_conditions(c, self.gamma, self.sigma, self.delta0, e_norm, self.r)
 
 
@@ -230,9 +181,8 @@ def check_conditions(
     """Smallness conditions: c g^-4 d0^-4s |e| < 1 and c g^-2 d0^-2s |e| < r.
 
     A zero defect meets both for every positive c, an infinite one too
-    (each lhs is 0).  A c that is not positive (a lambda-form that is not
-    positive at the run's mu, d, v, tau) is no constant of the proof, and
-    fails both (each lhs is inf).
+    (each lhs is 0).  A c that is not positive is no constant of the
+    proof, and fails both (each lhs is inf).
     """
     if min(gamma, sigma, delta0, r) <= 0 or e_norm < 0:
         raise ValueError("gamma, sigma, delta0 and r must be positive, and e_norm >= 0")
@@ -369,8 +319,6 @@ _BOUNDS = (
     ("start_degree must be >= 3, got {p.start_degree}", lambda p: p.start_degree >= 3),
     ("max_degree must be >= start_degree = {p.start_degree}, got {p.max_degree}",
      lambda p: p.max_degree >= p.start_degree),
-    ("condition_mode must be 'measured' or 'strict', got {p.condition_mode}",
-     lambda p: p.condition_mode in ("measured", "strict")),
 )
 
 
@@ -402,8 +350,6 @@ class RunParams:
     count: int = 2
     start_degree: int = 8
     max_degree: int = 4096
-    condition_mode: str = "measured"
-    lambda_spec: str = DEFAULT_LAMBDA
 
     def __post_init__(self):
         not_int = []
@@ -423,17 +369,6 @@ class RunParams:
                 held = False
             if not held:
                 bad.append(message.format(p=self))
-        if not isinstance(self.lambda_spec, str):
-            bad.append(f"lambda_spec must be a string, got {self.lambda_spec}")
-        else:
-            try:
-                probe = eval_lambda(self.lambda_spec, 1.0, 1.0, 1.0, 1.0)
-                if not math.isfinite(probe):
-                    raise OverflowError("numerical result out of range at μ = d = v = τ = 1")
-                if probe <= 0:
-                    bad.append(f"lambda_spec must be positive, got {probe} at μ = d = v = τ = 1")
-            except (ArithmeticError, SyntaxError, TypeError, ValueError) as exc:
-                bad.append(f"lambda_spec does not evaluate: {exc}")
         if bad:
             raise ConfigError(bad)
 
@@ -646,7 +581,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         "sigma": freq.sigma,
         "horizon": freq.horizon,
         "l": l,
-        "lambda_spec": params.lambda_spec,
+        "lambda_spec": DEFAULT_LAMBDA,
         "analytic_input": analytic_input,
     }
     stages: list[dict] = []
@@ -730,11 +665,9 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     start = _value(seq.approximants[k0_index], K0, freq, params.rho, value0)
     cert["e0_stage1"] = _defect_record(start.error)
 
-    # gate: literal lambda-form conditions, and measured analogues read off
-    # stage 1's solve, which runs before the gate applies
-    c_value, strict = schedule.strict_conditions(
-        params.lambda_spec, start.error.norm_rho.value
-    )
+    # the literal lambda-form conditions, reported; the gate reads the
+    # measured analogues off stage 1's solve, which runs before it applies
+    c_value, strict = schedule.strict_conditions(start.error.norm_rho.value)
     cert["c_value"] = c_value
     cert["conditions_strict"] = strict
 
@@ -753,8 +686,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
             max_trunc_order=freq.horizon, rho=rho_k, start=start,
         )
         if k == 1:
-            measured = cert["conditions_measured"] = _measured_conditions(res, params.r)
-            gate = strict if params.condition_mode == "strict" else measured
+            gate = cert["conditions_measured"] = _measured_conditions(res, params.r)
             for condition in ("condition2", "condition3"):
                 if not gate[condition + "_ok"]:
                     cert["converged"] = False
@@ -767,8 +699,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         nd_k = start.frame_at(rho_k)
         mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r))
         methods["mu_k"].append(h_k.sup_method)
-        c_k = eval_lambda(params.lambda_spec, mu_k, nd_k.norm_dk, nd_k.norm_n,
-                          nd_k.norm_s_inv)
+        c_k = _lambda(mu_k, nd_k.norm_dk, nd_k.norm_n, nd_k.norm_s_inv)
         delta_k = schedule.delta_k(k)
         small = check_conditions(c_k, freq.gamma, params.sigma, delta_k, e_k,
                                  schedule.r_k(k))
@@ -817,12 +748,6 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
 
         if res.status == "diverged":
             termination = f"diverged_at_stage_{k}"
-            failed_stage = k
-            break
-        if params.condition_mode == "strict" and not (
-            record["A1_ok"] and record["A2_ok"] and record["A3_ok"] and record["A4_ok"]
-        ):
-            termination = f"A_failed_at_stage_{k}"
             failed_stage = k
             break
         enough = len(tori) - 1 >= params.min_tori

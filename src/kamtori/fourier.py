@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -583,31 +582,6 @@ class FourierMap:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json(self) -> str:
-        records = [
-            {"k": list(k), "amp": [[float(z.real), float(z.imag)] for z in np.ravel(a)]}
-            for k, a in self.modes.items()
-        ]
-        doc = {
-            "n": self.dim_domain,
-            "m": self.dim_range,
-            "range_shape": list(self.range_shape),
-            "trunc_order": self.trunc_order,
-            "canonical": True,
-            "modes": records,
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierMap":
-        doc = json.loads(text)
-        shape = tuple(doc["range_shape"])
-        modes = {}
-        for rec in doc["modes"]:
-            amp = np.array([complex(re, im) for re, im in rec["amp"]]).reshape(shape)
-            modes[tuple(rec["k"])] = amp
-        return cls(doc["n"], shape, modes, doc["trunc_order"])
-
     def to_csv(self) -> str:
         """One record per stored mode: wavevector, then (re, im) pairs; the
         rows end in \\r\\n as csv.writer writes them (none needs quoting)."""
@@ -623,15 +597,14 @@ class FourierMap:
                 "canonical=1\n" + "".join(",".join(row) + "\r\n" for row in rows))
 
     @classmethod
-    def from_csv(cls, text: str, range_shape: tuple[int, ...] | None = None):
+    def from_csv(cls, text: str):
         lines = text.splitlines()
         meta = {}
         for token in lines[0].lstrip("# ").split():
             key, _, val = token.partition("=")
             meta[key] = int(val)
         n, m = meta["n"], meta["m"]
-        if range_shape is None:
-            range_shape = (m,) if m > 1 else ()
+        range_shape = (m,) if m > 1 else ()
         modes = {}
         for row in csv.reader(lines[2:]):
             if not row:
@@ -804,16 +777,3 @@ class TorusEmbedding:
         m, n = per.dim_range, per.dim_domain
         winding = np.array(entries, dtype=float).reshape(m, n)
         return cls(winding, per)
-
-    def to_json(self) -> str:
-        doc = {
-            "winding": [[int(w) for w in row] for row in self.winding],
-            "periodic": json.loads(self.periodic.to_json()),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TorusEmbedding":
-        doc = json.loads(text)
-        per = FourierMap.from_json(json.dumps(doc["periodic"]))
-        return cls(np.array(doc["winding"], dtype=float), per)

@@ -388,11 +388,11 @@ class AdaptedFrame:
     cond: float
 
     @classmethod
-    def build(cls, dk: np.ndarray) -> tuple["AdaptedFrame", np.ndarray]:
-        """The frame at DK on the grid, and the gram matrix G = DK^T DK.
+    def build(cls, dk: np.ndarray) -> "AdaptedFrame":
+        """The frame at DK on the grid.
 
-        Raises ValueError when cond(G) exceeds COND_DK_LIMIT somewhere on
-        the grid, before G or C is inverted.
+        Raises ValueError when cond(DK^T DK) exceeds COND_DK_LIMIT somewhere
+        on the grid, before it or C is inverted.
         """
         n = dk.shape[1]
         # J = [[0, I], [-I, 0]] swaps the (x, y) row blocks with a sign
@@ -409,12 +409,12 @@ class AdaptedFrame:
         lag = _matmul(_t(dk), jdk)
         if not np.logical_or.reduce(lag, None):  # Lagrangian on the grid: C = I
             ones = np.ones(dk.shape[2:])
-            return cls(dk, jdk, n_mat, lag, None, None, ones, cond), gram
+            return cls(dk, jdk, n_mat, lag, None, None, ones, cond)
         b = _matmul(_matmul(n_mat, lag), n_mat)
         c = _matmul(lag, b)
         c[range(n), range(n)] += 1.0
         c_inv, det_c = _inverse(c)
-        return cls(dk, jdk, n_mat, lag, b, c_inv, np.sqrt(det_c), cond), gram
+        return cls(dk, jdk, n_mat, lag, b, c_inv, np.sqrt(det_c), cond)
 
     def apply(self, xi_t: np.ndarray, xi_n: np.ndarray) -> np.ndarray:
         """M xi = DK xi_T + J DK N xi_N on the grid: (n, *grid) in, (2n, *grid) out."""
@@ -468,28 +468,6 @@ class NondegeneracyData:
     s: np.ndarray
 
 
-def _frame_tensors(hess: np.ndarray, dk: np.ndarray):
-    """Pointwise frame, S and gram from D^2H(K) (2n, 2n, *grid) and DK
-    (2n, n, *grid) on the grid; S and the gram are (n, n, *grid).
-
-    The twist DK^T H DK - (J DK)^T H (J DK) is one quadratic form
-    T = DK^T Q DK with Q = H - J^T H J, which for H = [[Hxx, Hxy],
-    [Hyx, Hyy]] is [[Hxx - Hyy, Hxy + Hyx], [Hyx + Hxy, Hyy - Hxx]], and
-    S = N T N.  N and C^-1 come in closed form for n <= 2, and C = I
-    where L = 0 (AdaptedFrame.build); nondegeneracy analyzes N on its
-    n(n+1)/2 entries on and above the diagonal (_symmetric_map).
-    """
-    frame, gram = AdaptedFrame.build(dk)
-    n = dk.shape[1]
-    q = np.empty_like(hess)
-    np.subtract(hess[:n, :n], hess[n:, n:], out=q[:n, :n])
-    np.add(hess[:n, n:], hess[n:, :n], out=q[:n, n:])
-    q[n:, :n] = q[:n, n:]
-    np.negative(q[:n, :n], out=q[n:, n:])
-    twist = _matmul(_t(dk), _matmul(q, dk))
-    return frame, _matmul(_matmul(frame.n_mat, twist), frame.n_mat), gram
-
-
 @lru_cache(maxsize=8)
 def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows and columns of the n(n+1)/2 entries on and above the diagonal,
@@ -522,14 +500,30 @@ def nondegeneracy(
     samples, as jet_grid returns it; it is evaluated when omitted.  A
     frame with cond(DK^T DK) above COND_DK_LIMIT is rejected before
     anything is inverted.
+
+    The twist DK^T H DK - (J DK)^T H (J DK) is one quadratic form
+    T = DK^T Q DK with Q = H - J^T H J, which for H = [[Hxx, Hxy],
+    [Hyx, Hyy]] is [[Hxx - Hyy, Hxy + Hyx], [Hyx + Hxy, Hyy - Hxx]], and
+    S = N T N.  N and C^-1 come in closed form for n <= 2, and C = I
+    where L = 0 (AdaptedFrame.build); N is analyzed on its n(n+1)/2
+    entries on and above the diagonal (_symmetric_map).
     """
     if hess is None:
         hess = jet_grid(hamiltonian, K.grid_samples())[2]
     m = K.trunc_order
     dk_map = K.dk()
     # the Hessian and DK samples enter the frame component-major
-    frame, s, _ = _frame_tensors(_components(hess, 2),
-                                 _components(dk_map.synthesize(sampling_size(m)), 2))
+    hess = _components(hess, 2)
+    dk = _components(dk_map.synthesize(sampling_size(m)), 2)
+    frame = AdaptedFrame.build(dk)
+    n = dk.shape[1]
+    q = np.empty_like(hess)
+    np.subtract(hess[:n, :n], hess[n:, n:], out=q[:n, :n])
+    np.add(hess[:n, n:], hess[n:, :n], out=q[:n, n:])
+    q[n:, :n] = q[:n, n:]
+    np.negative(q[:n, :n], out=q[n:, n:])
+    twist = _matmul(_t(dk), _matmul(q, dk))
+    s = _matmul(_matmul(frame.n_mat, twist), frame.n_mat)
     avg_s = np.add.reduce(s, tuple(range(2, s.ndim))) / s[0, 0].size
     norm_s_inv, avg_s_inv = _torsion_inverse(avg_s)
     n_map = _symmetric_map(frame.n_mat, m)

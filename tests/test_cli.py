@@ -1,8 +1,5 @@
 """Config validation, subcommand dispatch, artifacts and exit codes."""
 
-import ast
-import csv
-import io
 import json
 import math
 import os
@@ -16,13 +13,11 @@ import pytest
 import kamtori
 import kamtori.cli as cli
 import kamtori.diophantine as diophantine
-import kamtori.driver as driver
 from kamtori import FrequencyVector, HamiltonianModel, TorusEmbedding
 from kamtori.cli import ConfigError, RunConfig, main, parse_config
 from kamtori.solver import invariance_error, newton_step
 
-from conftest import (ARITHMETIC_LAMBDAS, GOLDEN, REJECTED_IDS, REJECTED_KNOBS,
-                      random_trig)
+from conftest import GOLDEN, REJECTED_IDS, REJECTED_KNOBS
 
 ROTATOR = {"n": 1, "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0}]}
 PENDULUM = {
@@ -105,7 +100,6 @@ class TestParseConfig:
         assert cfg.params.r == 0.35
         assert cfg.trunc == 64
         assert cfg.params.max_iter == 12
-        assert cfg.params.condition_mode == "measured"
         assert cfg.params.l is None and cfg.params.tol is None
 
     def test_sigma_boundary_named(self, write_files):
@@ -133,40 +127,6 @@ class TestParseConfig:
         [named] = exc.value.violations
         assert named.startswith(violation)
 
-    @pytest.mark.parametrize("spec, fragment", ARITHMETIC_LAMBDAS,
-                             ids=[s for s, _ in ARITHMETIC_LAMBDAS])
-    def test_lambda_arithmetic_error_exits_1(self, write_files, capsys, spec, fragment):
-        cfg_path, out = write_files(PENDULUM, "out", lambda_spec=spec)
-        assert main(["run", "--config", str(cfg_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: lambda_spec does not evaluate: ")
-        assert fragment in err and err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("mode, code", [("strict", 1), ("measured", 0)])
-    def test_lambda_overflowing_at_run_time_ends_with_a_certificate(
-            self, write_files, mode, code):
-        # c = (mu + 1)**1000 is finite at the probe and infinite at the run's mu
-        cfg_path, out = write_files(ROUGH, "out", y0=[0.4], rho=0.02, r=0.8,
-                                    target_error=1e-8, lambda_spec="(mu+1)**1000",
-                                    condition_mode=mode)
-        assert main(["run", "--config", str(cfg_path)]) == code
-        cert = json.loads((out / "certificate.json").read_text())
-        assert cert["c_value"] == "inf"
-        assert cert["termination_reason"] == (
-            "condition2_failed" if mode == "strict" else "target_reached")
-
-    def test_nonpositive_lambda_at_run_time_ends_with_a_certificate(self, write_files):
-        # c = 2 - mu is 1 at the probe and negative at the run's mu
-        cfg_path, out = write_files(ROUGH, "out", y0=[0.4], rho=0.02, r=0.8,
-                                    target_error=1e-8, lambda_spec="2 - mu",
-                                    condition_mode="strict")
-        assert main(["run", "--config", str(cfg_path)]) == 1
-        cert = json.loads((out / "certificate.json").read_text())
-        assert cert["c_value"] < 0
-        assert cert["conditions_strict"]["condition2_lhs"] == "inf"
-        assert cert["termination_reason"] == "condition2_failed"
-
     def test_missing_keys_named(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{}")
@@ -184,16 +144,57 @@ class TestParseConfig:
             parse_config(tmp_path / "absent.json")
 
     def test_invalid_lambda_rejected(self, write_files):
-        cfg_path, _ = write_files(PENDULUM, "out", lambda_spec="mu * open('x')")
-        with pytest.raises(ConfigError, match="lambda_spec"):
+        # the lambda-form is fixed and reported, so no spec of it is a key
+        cfg_path, _ = write_files(PENDULUM, "out", lambda_spec="mu * d**2 * v**2 * tau**2")
+        with pytest.raises(ConfigError) as exc:
             parse_config(cfg_path)
+        assert exc.value.violations == ["unknown key: lambda_spec"]
 
     def test_torus_block_forms(self, write_files, tmp_path):
-        cfg_path, _ = write_files(PENDULUM, "out", torus={"circle": {"y0": [0.3]}})
-        assert parse_config(cfg_path).y0 == (0.3,)
-        cfg_path2, _ = write_files(PENDULUM, "out", torus={"spin": 1})
-        with pytest.raises(ConfigError, match="torus must be"):
-            parse_config(cfg_path2)
+        # the initial torus is spelled by the flat torus_file and y0 keys only
+        for block in ({"circle": {"y0": [0.3]}}, {"file": str(tmp_path / "t.csv")}):
+            cfg_path, _ = write_files(PENDULUM, "out", torus=block)
+            with pytest.raises(ConfigError) as exc:
+                parse_config(cfg_path)
+            assert exc.value.violations == ["unknown key: torus"]
+
+    def test_strict_condition_mode_rejected_before_any_output(self, write_files, capsys):
+        cfg_path, out = write_files(ROUGH, "out", condition_mode="strict", **ROUGH_KNOBS)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "config error: unknown key: condition_mode\n"
+        assert not out.exists()
+
+    @staticmethod
+    def write_torus(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def test_unparsable_torus_file_rejected_before_any_output(self, write_files, capsys,
+                                                              tmp_path):
+        K = TorusEmbedding.circle(np.array([GOLDEN]), 8)
+        cases = [  # (file name, text, the reason it is rejected with)
+            ("torus.json", json.dumps({"winding": K.winding.tolist()}),
+             "torus csv must start with a '# winding=' line"),
+            ("cut.csv", K.to_csv().replace("trunc_order=8", "trunc_order=eight"),
+             "invalid literal for int() with base 10: 'eight'"),
+        ]
+        for name, text, reason in cases:
+            torus = self.write_torus(tmp_path, name, text)
+            cfg_path, out = write_files(PENDULUM, "out", torus_file=torus)
+            assert main(["verify", "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err == f"config error: torus file does not parse: {reason}\n"
+            assert not out.exists()
+
+    def test_torus_of_another_n_rejected_before_any_output(self, write_files, capsys,
+                                                           tmp_path):
+        K = TorusEmbedding.circle(np.array([GOLDEN, 0.4]), 8)
+        torus = self.write_torus(tmp_path, "torus.csv", K.to_csv())
+        cfg_path, out = write_files(PENDULUM, "out", torus_file=torus)
+        assert main(["verify", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: torus file must embed T^1 in R^2, got T^2 in R^4\n")
+        assert not out.exists()
 
     CLI_FIELDS = [
         ({"trunc": "x"}, "trunc must be an integer, got x"),
@@ -201,7 +202,7 @@ class TestParseConfig:
         ({"omega": ["a"]}, "omega must be a list of numbers, got ['a']"),
         ({"y0": [0.1, 0.2]}, "y0 must have n = 1 components, got 2"),
         ({"omega": [GOLDEN, 0.3]}, "omega must have n = 1 components, got 2"),
-        ({"torus": {"circle": {"y0": [None]}}}, "y0 must be a list of numbers, got [None]"),
+        ({"y0": [None]}, "y0 must be a list of numbers, got [None]"),
     ]
     CLI_IDS = ["trunc=x", "trunc=2.5", "omega=a", "y0-2dof", "omega-2dof", "circle-y0"]
 
@@ -285,8 +286,8 @@ class TestDispatch:
             "certificate.json",
             "trace.jsonl",
             "torus_final.csv",
-            "torus_samples.csv",
         } <= names
+        assert "torus_samples.csv" not in names
         lines = (out / "trace.jsonl").read_text().splitlines()
         assert len(lines) >= 2
         # stored mode amplitude 5e-4 means eps = 1e-3 after reality folding
@@ -295,14 +296,6 @@ class TestDispatch:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["status"] == "converged"
         assert cert["error"] < 1e-12
-
-    def test_solve_samples_csv_shape(self, write_files):
-        cfg_path, out = write_files(PENDULUM, "solve2", trunc=32)
-        assert main(["solve", "--config", str(cfg_path)]) == 0
-        rows = (out / "torus_samples.csv").read_text().splitlines()
-        assert rows[0] == "theta0,z0,z1"
-        # odd sample grid at the final (possibly refined) truncation order
-        assert len(rows) >= 1 + 65 and (len(rows) - 1) % 2 == 1
 
     def test_run_gate_failure_names_condition(self, write_files):
         cfg_path, out = write_files(STRONG, "gate", target_error=1e-10)
@@ -531,37 +524,6 @@ class TestComputedOnce:
         assert len(builds) == 1
         assert "model" not in json.loads((out / "config.json").read_text())
 
-    def test_one_lambda_parse_per_run(self, write_files, monkeypatch):
-        spec = "1.0 * mu * d**2 * v**2 * tau**2"
-        parses = []
-        parse = ast.parse
-
-        def counted(source, *args, **kwargs):
-            if source == spec:
-                parses.append(source)
-            return parse(source, *args, **kwargs)
-
-        driver._compiled_lambda.cache_clear()
-        monkeypatch.setattr(ast, "parse", counted)
-        cfg_path, out = write_files(ROUGH, "run", lambda_spec=spec, **ROUGH_KNOBS)
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        cert = json.loads((out / "certificate.json").read_text())
-        # the gate's c and every stage's c_k evaluated the spec
-        assert cert["lambda_spec"] == spec and len(cert["stages"]) >= 2
-        assert len(parses) == 1
-
-    @pytest.mark.parametrize("n, trunc", [(1, 5), (2, 3)])
-    def test_samples_csv_matches_csv_writer(self, n, trunc):
-        rng = np.random.default_rng(n)
-        K = TorusEmbedding.circle(rng.random(n), trunc)
-        K = K.with_periodic(K.periodic + random_trig(rng, n, trunc, (2 * n,)).scaled(1e-3))
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow([f"theta{j}" for j in range(n)] + [f"z{j}" for j in range(2 * n)])
-        for t, v in zip(K.grid(None).reshape(-1, n), K.grid_samples().reshape(-1, 2 * n)):
-            writer.writerow([repr(float(x)) for x in t] + [repr(float(x)) for x in v])
-        assert cli._samples_csv(K) == out.getvalue()
-
 
 class TestSharedDriverPath:
     """smooth and verify report what run measures on the same config."""
@@ -569,7 +531,7 @@ class TestSharedDriverPath:
     def test_verify_matches_run_on_analytic_input(self, write_files):
         cfg_path, out = write_files(PENDULUM, "run", target_error=1e-10)
         assert main(["run", "--config", str(cfg_path)]) == 0
-        # the literal gate fails here; the check is that both paths agree
+        # the literal conditions fail here; the check is that both paths agree
         assert main(["verify", "--config", str(cfg_path), "--out", str(out / "v")]) == 1
         run = json.loads((out / "certificate.json").read_text())
         ver = json.loads((out / "v" / "certificate.json").read_text())

@@ -1,7 +1,6 @@
 """Cascade schedule arithmetic, gates, stage bookkeeping and certificates."""
 
 import collections
-import dataclasses
 import itertools
 import json
 import math
@@ -20,8 +19,8 @@ from kamtori.driver import (
     ConfigError,
     KamSchedule,
     RunParams,
+    _lambda,
     check_conditions,
-    eval_lambda,
     lemma4_check,
     run_scheme,
     select_k0,
@@ -34,8 +33,7 @@ from kamtori.smoothing import (
     rung_nd,
 )
 
-from conftest import (ARITHMETIC_LAMBDAS, GOLDEN, REJECTED_IDS, REJECTED_KNOBS,
-                      rung_derivative)
+from conftest import GOLDEN, REJECTED_IDS, REJECTED_KNOBS, rung_derivative
 
 
 def synthetic_sequence(gaps, a_const, l=4, sigma=1.1):
@@ -56,38 +54,14 @@ def synthetic_sequence(gaps, a_const, l=4, sigma=1.1):
 
 class TestEvalLambda:
     def test_default_product_form(self):
-        assert eval_lambda(DEFAULT_LAMBDA, 2.0, 3.0, 4.0, 5.0) == 2 * 9 * 16 * 25
-
-    def test_general_arithmetic(self):
-        assert eval_lambda("mu + 2*d - v/tau", 1.0, 2.0, 6.0, 3.0) == 3.0
-        assert eval_lambda("(mu + d)**2", 1.0, 2.0, 0.0, 0.0) == 9.0
+        assert _lambda(2.0, 3.0, 4.0, 5.0) == 2 * 9 * 16 * 25
 
     def test_overflowing_power_reads_infinite_as_a_product_does(self):
-        # 4.00009**1000 overflows a float; so does 1e300 * 1e300
-        assert eval_lambda("(mu+1)**1000", 3.00009, 1.0, 1.0, 1.0) == math.inf
-        assert eval_lambda("mu*1e300*1e300", 1.0, 1.0, 1.0, 1.0) == math.inf
-        assert eval_lambda("(-mu-1)**1001", 3.0, 1.0, 1.0, 1.0) == -math.inf
-        assert eval_lambda("(-mu-1)**1000", 3.0, 1.0, 1.0, 1.0) == math.inf
-        assert eval_lambda("-(mu+1)**1000", 3.0, 1.0, 1.0, 1.0) == -math.inf
-        # an exponent tower is taken in floats, not as an exact integer
-        assert eval_lambda("2**10**10", 1.0, 1.0, 1.0, 1.0) == math.inf
-
-    @pytest.mark.parametrize(
-        "spec",
-        ["__import__('os')", "mu(1)", "x * d", "mu; d", "'a' + d", "[mu]"],
-    )
-    def test_rejects_non_arithmetic(self, spec):
-        with pytest.raises((ValueError, SyntaxError)):
-            eval_lambda(spec, 1.0, 1.0, 1.0, 1.0)
-
-    @pytest.mark.parametrize("spec", ["mu + foo", "mu *", "mu * 'a'", "mu(1)"])
-    def test_bad_spec_raises_the_same_message_every_call(self, spec):
-        raised = []
-        for _ in range(3):
-            with pytest.raises((ValueError, SyntaxError)) as exc:
-                eval_lambda(spec, 1.0, 1.0, 1.0, 1.0)
-            raised.append((type(exc.value), str(exc.value)))
-        assert raised[1:] == raised[:1] * 2
+        # 1e200**2 overflows a float; so does 1e300 * 1e300
+        assert _lambda(1.0, 1e200, 1.0, 1.0) == math.inf
+        assert _lambda(1.0, 1.0, -1e200, 1.0) == math.inf
+        assert _lambda(1e300, 1.0, 1.0, 1e150) == math.inf
+        assert _lambda(0.5, 1e154, 1.0, 1.0) == 0.5 * 1e154 ** 2
 
 
 class TestCheckConditions:
@@ -346,15 +320,12 @@ class TestRunScheme:
         assert cert["e0_original"]["grid"] == pytest.approx(
             2 * np.pi * 1e-3, rel=1e-4
         )
-        assert cert["c_value"] == pytest.approx(
-            eval_lambda(
-                DEFAULT_LAMBDA,
-                cert["schedule"]["mu"],
-                cert["schedule"]["d"],
-                cert["schedule"]["v"],
-                cert["schedule"]["tau"],
-            )
-        )
+        assert cert["lambda_spec"] == DEFAULT_LAMBDA
+        schedule = cert["schedule"]
+        mu, d, v, tau = (schedule[k] for k in ("mu", "d", "v", "tau"))
+        assert cert["c_value"] == mu * d**2 * v**2 * tau**2
+        for rec in res.stages:
+            assert rec["A2_c_k"] == _lambda(rec["mu_k"], rec["d_k"], rec["v_k"], rec["tau_k"])
         json.dumps(cert)
 
     def test_certificate_deterministic(self, bypass_run):
@@ -394,18 +365,15 @@ class TestRunScheme:
         assert res.stages == []
         assert cert["conditions_measured"]["condition2_lhs"] > 1.0
 
-    def test_strict_gate_is_conservative(self):
-        # the literal lambda-form constant rejects even the mild pendulum
-        h = HamiltonianModel.pendulum(1e-3)
-        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=64)
-        res = run_scheme(
-            h, K0, np.array([GOLDEN]),
-            RunParams(target_error=1e-10, condition_mode="strict"),
-        )
+    def test_strict_gate_is_conservative(self, bypass_run):
+        # the literal lambda-form conditions reject even the mild pendulum;
+        # they are reported, and the run, gated on the measured ones, goes on
+        _, _, res = bypass_run
         cert = res.certificate
-        assert cert["termination_reason"] == "condition2_failed"
         assert cert["conditions_strict"]["condition2_lhs"] > 1.0
-        assert res.stages == []
+        assert not cert["conditions_strict"]["condition2_ok"]
+        assert cert["conditions_measured"]["condition2_ok"]
+        assert res.converged and cert["termination_reason"] == "target_reached"
 
     def test_requested_l_capped_by_smoothness(self):
         from kamtori import BSplineProfile, CompositeHamiltonian, RoughTerm
@@ -417,10 +385,6 @@ class TestRunScheme:
         K0 = TorusEmbedding.circle(GOLDEN, trunc_order=16)
         with pytest.raises(ValueError, match="exceeds"):
             run_scheme(h, K0, np.array([GOLDEN]), RunParams(l=5))
-
-    def test_condition_mode_validated(self):
-        with pytest.raises(ValueError, match="condition_mode"):
-            RunParams(condition_mode="loose")
 
 
 def bspline_run(coordinates, amplitude, y0, **knobs):
@@ -491,62 +455,6 @@ class TestRunParams:
         # an integer of another type is stored as an int
         stored = getattr(RunParams(**{"max_degree": 4096, name: np.int64(8)}), name)
         assert stored == 8 and type(stored) is int
-
-    @pytest.mark.parametrize("spec, fragment", ARITHMETIC_LAMBDAS,
-                             ids=[s for s, _ in ARITHMETIC_LAMBDAS])
-    def test_lambda_arithmetic_error_named(self, spec, fragment):
-        with pytest.raises(ConfigError) as exc:
-            RunParams(lambda_spec=spec)
-        [named] = exc.value.violations
-        assert named.startswith("lambda_spec does not evaluate: ")
-        assert fragment in named
-
-    @pytest.mark.parametrize("mode, reason", [("strict", "condition2_failed"),
-                                              ("measured", "target_reached")])
-    def test_lambda_overflowing_at_run_time_ends_the_run(self, mode, reason):
-        # the spec is finite at the probe, 2**1000, but mu = 3.00009 on the
-        # C^4 rotator, so c = 4.00009**1000 overflows
-        h, K0, params = rough_rotator()
-        params = dataclasses.replace(params, lambda_spec="(mu+1)**1000",
-                                     condition_mode=mode)
-        res = run_scheme(h, K0, np.array([GOLDEN]), params)
-        cert = res.certificate
-        assert cert["c_value"] == "inf"
-        assert cert["conditions_strict"]["condition2_ok"] is False
-        assert cert["termination_reason"] == reason
-        assert res.converged is (mode == "measured")
-        json.dumps(cert)
-
-    @pytest.mark.parametrize("mode", ["strict", "measured"])
-    def test_infinite_constant_on_an_exact_torus_reads_zero(self, mode):
-        # the free rotator's circle is exact (e = 0) and c = (mu+1)**1000 is
-        # infinite at the run's mu: c e reads 0, where inf * 0 read nan
-        h = HamiltonianModel.free_rotator(1)
-        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=16)
-        params = RunParams(lambda_spec="(mu+1)**1000", condition_mode=mode)
-        res = run_scheme(h, K0, np.array([GOLDEN]), params)
-        cert = res.certificate
-        assert cert["c_value"] == "inf"
-        assert cert["conditions_strict"]["condition2_lhs"] == 0.0
-        assert [s["A3_lhs"] for s in res.stages] == [0.0] * len(res.stages)
-        assert [s["A4_lhs"] for s in res.stages] == [0.0] * len(res.stages)
-        assert "nan" not in json.dumps([cert, res.stages])
-        assert cert["termination_reason"] == "target_reached"
-
-    @pytest.mark.parametrize("mode, reason", [("strict", "condition2_failed"),
-                                              ("measured", "target_reached")])
-    def test_nonpositive_constant_at_run_time_fails_the_conditions(self, mode, reason):
-        # 2 - mu is 1 at the probe and negative at the run's mu = mu0 + 1
-        h, K0, params = rough_rotator()
-        params = dataclasses.replace(params, lambda_spec="2 - mu", condition_mode=mode)
-        res = run_scheme(h, K0, np.array([GOLDEN]), params)
-        cert = res.certificate
-        assert cert["c_value"] < 0
-        strict = cert["conditions_strict"]
-        assert strict["condition2_lhs"] == strict["condition3_lhs"] == "inf"
-        assert not strict["condition2_ok"] and not strict["condition3_ok"]
-        assert cert["termination_reason"] == reason
-        json.dumps(cert)
 
     def test_every_violation_in_one_value_error(self):
         with pytest.raises(ValueError) as exc:

@@ -22,7 +22,7 @@ from kamtori import (
 from kamtori.fourier import _grid_major, sampling_size
 from kamtori.hamiltonian import jet_grid, symplectic_matrix
 from kamtori.solver import (
-    COND_DK_LIMIT, SVD_EXACT, AdaptedFrame, _frame_tensors, _gram_cond, _inverse,
+    COND_DK_LIMIT, SVD_EXACT, AdaptedFrame, _gram_cond, _inverse,
     _refined_order, _solve, _torsion_inverse,
 )
 
@@ -287,7 +287,7 @@ class TestBlockFrame:
     def test_operators_match_dense_frame(self, case):
         n, shears = self.CASES[case]
         dk = sheared_torus(n, shears).dk().synthesize()
-        frame, _ = AdaptedFrame.build(comp(dk))
+        frame = AdaptedFrame.build(comp(dk))
         m = dense_frame(dk)
         xi = np.random.default_rng(3).standard_normal(dk.shape[:-2] + (2 * n,))
         assert np.max(np.abs(frame.lag)) > 0.1  # not Lagrangian: L != 0
@@ -327,7 +327,7 @@ class TestBlockFrame:
         # while N varies; M^-1 still matches the dense frame
         shears = [(0, 0, 0.6), (1, n - 1, -0.3), (n - 1, 0, 0.2)][:n]
         dk = sheared_torus(n, shears).dk().synthesize()
-        frame, _ = AdaptedFrame.build(comp(dk))
+        frame = AdaptedFrame.build(comp(dk))
         assert not frame.lag.any()
         assert frame.b is None and frame.c_inv is None
         assert np.all(frame.abs_det == 1.0)
@@ -997,7 +997,7 @@ class TestOneEvaluationPerIterate:
         K, _ = newton_step(h, TorusEmbedding.circle(self.omega, trunc_order=16),
                            coupled_freq)
         _, _, hess = jet_grid(h, K.grid_samples())
-        dk = K.dk().synthesize()
+        dk = K.dk().synthesize(sampling_size(K.trunc_order))
         j = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0.0]])
         a = np.einsum("ij,...jk->...ik", j, hess)
         gram = np.einsum("...ji,...jk->...ik", dk, dk)
@@ -1007,15 +1007,16 @@ class TestOneEvaluationPerIterate:
         )
         comm = a @ j - np.einsum("ij,...jk->...ik", j, a)
         s = n_mat @ np.einsum("...ji,...jk,...kl->...il", dk, comm, dk) @ n_mat
-        frame, got_s, got_gram = _frame_tensors(comp(hess), comp(dk))
+        nd = nondegeneracy(h, K, hess=hess)
+        frame, got_s = nd.frame, nd.s
         xi = np.random.default_rng(5).standard_normal(dk.shape[:-2] + (4,))
         mat_vec = lambda mat, v: np.einsum("...ij,...j->...i", mat, v)  # noqa: E731
         got = (grid(frame.n_mat),
                grid(frame.apply(comp(xi[..., :2], 1), comp(xi[..., 2:], 1)), 1),
                grid(np.concatenate(frame.solve(comp(xi, 1))), 1),
-               frame.abs_det, grid(got_s), grid(got_gram))
+               frame.abs_det, grid(got_s))
         want = (n_mat, mat_vec(m, xi), mat_vec(np.linalg.inv(m), xi),
-                np.abs(np.linalg.det(m)), s, gram)
+                np.abs(np.linalg.det(m)), s)
         assert np.max(np.abs(dk - dk.mean(axis=(0, 1)))) > 1e-6  # DK varies
         for g, w in zip(got, want):
             assert g.shape == w.shape

@@ -43,6 +43,19 @@ EOF
 kamtori verify --config verify-config.json
 kamtori verify --config verified/config.json --out verified-again
 cmp verified/certificate.json verified-again/certificate.json
+# a torus file that does not parse: exit 1, one named reason, no output
+echo "not a torus" > bad-torus.csv
+cat > bad-torus-config.json <<'EOF'
+{"hamiltonian": "model.json", "omega": [0.6180339887498949],
+ "torus_file": "bad-torus.csv", "out": "bad-torus"}
+EOF
+code=0
+kamtori verify --config bad-torus-config.json 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(wc -l < err.txt)" -eq 1
+grep -q "^config error: torus file does not parse: " err.txt
+test ! -e bad-torus
 
 # the rough cascade: cutoff, smoothing ladder and staged solves on the free
 # rotator plus a C^4 B-spline term of amplitude 1e-4
@@ -109,6 +122,16 @@ cat err.txt
 test "$code" -eq 1
 grep -q "^config error: y0 must have n = 1 components, got 2$" err.txt
 test ! -e rough-rejected
+# the lambda-form conditions are reported, never gated on: a strict
+# condition mode is no key of a config (exit 1, one named reason)
+sed 's/"out": "rough"}/"out": "rough-strict", "condition_mode": "strict"}/' rough-config.json > strict.json
+code=0
+kamtori run --config strict.json 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(wc -l < err.txt)" -eq 1
+grep -q "^config error: unknown key: condition_mode$" err.txt
+test ! -e rough-strict
 
 # the 3-DOF coupled rotator at eps = 1e-3 from the M = 8 circle (sigma 2.1,
 # horizon 120, tol 1e-10): its order grows to the horizon's cap 120 // 3 = 40
@@ -130,7 +153,7 @@ cat > rotor3-config.json <<'EOF'
 EOF
 kamtori solve --config rotor3-config.json
 python -c 'import json; rows = [json.loads(r) for r in open("rotor3/trace.jsonl")]; assert rows[-2]["trunc_order"] == 40, rows[-2]'
-# its two torus CSVs hold 81^3 points each, about 170 MB together
+# its one torus CSV, the M = 40 modes on T^3, takes about 76 MB
 rm -r rotor3
 
 # the 2-DOF Diophantine scan at the default horizon 10000 (10^8 wavevectors,
