@@ -34,7 +34,6 @@ from .hamiltonian import (
     RoughTerm,
     SinPowerProfile,
     SumModel,
-    symplectic_matrix,
 )
 from .smoothing import (
     BernsteinApproximant,
@@ -56,7 +55,6 @@ from .solver import (
     NondegeneracyData,
     SolveResult,
     StepDiagnostics,
-    flow,
     invariance_error,
     newton_step,
     nondegeneracy,
@@ -77,7 +75,6 @@ __all__ = [
     "cl_norm",
     "cutoff_extend",
     "estimate_gamma",
-    "flow",
     "invariance_error",
     "lemma4_check",
     "newton_step",
@@ -86,7 +83,6 @@ __all__ = [
     "select_k0",
     "solve_cohomological",
     "solve_torus",
-    "symplectic_matrix",
     "BernsteinApproximant",
     "Box",
     "BSplineProfile",

@@ -205,10 +205,6 @@ class FrequencyVector:
         if self.verified:
             _require(check_diophantine(omega, self.gamma, self.sigma, self.horizon))
 
-    @property
-    def dim(self) -> int:
-        return int(self.omega.size)
-
     @classmethod
     def unchecked(cls, omega, gamma: float, sigma: float, horizon: int):
         return cls(omega, gamma, sigma, horizon, verified=False)

@@ -54,6 +54,7 @@ from .smoothing import (
     SAMPLE_RULE,
     SmoothingSequence,
     SmoothingUnachievable,
+    START_DEGREE,
     build_smoothing_sequence,
     cl_bound,
     cutoff_extend,
@@ -77,13 +78,14 @@ __all__ = [
 
 DEFAULT_LAMBDA = "mu * d**2 * v**2 * tau**2"
 LEMMA4_SLACK = 1.5  # how far later scaled gaps may exceed the first in lemma4_check
+# torus gaps lemma4_check fits: a run takes one stage more before it may stop
+LEMMA4_GAPS = 3
 
 
-def _square(x) -> float:
-    """x ** 2 in floats, or inf where it overflows, as a product gives."""
-    x = float(x)
+def _power(x, p) -> float:
+    """x ** p in floats, or inf where it overflows, as a product gives."""
     try:
-        return x ** 2.0
+        return float(x) ** p
     except OverflowError:
         return math.inf
 
@@ -91,7 +93,7 @@ def _square(x) -> float:
 def _lambda(mu: float, d: float, v: float, tau: float) -> float:
     """The reported lambda-form DEFAULT_LAMBDA, ((mu d^2) v^2) tau^2, in
     floats; a square that overflows reads inf, as a product does."""
-    return float(mu * _square(d) * _square(v) * _square(tau))
+    return float(mu * _power(d, 2) * _power(v, 2) * _power(tau, 2))
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,7 @@ class KamSchedule:
     uses 2^(-4 sigma), the notation block 1/(2^(4 sigma) - 2^(2 sigma + 1)));
     both are exposed, the capped constants mu = mu0 + 1, d = d0 + beta,
     v = v0 + beta, tau = tau0 + beta + 1 use the notation-block variant.
+    beta grows as gamma^-2, and a power that overflows reads inf (_power).
     """
 
     rho: float
@@ -130,14 +133,15 @@ class KamSchedule:
 
     @property
     def beta_statement(self) -> float:
-        return self.gamma ** -2 * self.delta0 ** (2 * self.sigma - 1) * 2.0 ** (-4 * self.sigma)
+        return (_power(self.gamma, -2) * _power(self.delta0, 2 * self.sigma - 1)
+                * 2.0 ** (-4 * self.sigma))
 
     @property
     def beta_notation(self) -> float:
         den = 2.0 ** (4 * self.sigma) - 2.0 ** (2 * self.sigma + 1)
         if den <= 0:
             return math.inf
-        return self.gamma ** -2 * self.delta0 ** (2 * self.sigma - 1) / den
+        return _power(self.gamma, -2) * _power(self.delta0, 2 * self.sigma - 1) / den
 
     @property
     def mu(self) -> float:
@@ -182,14 +186,15 @@ def check_conditions(
 
     A zero defect meets both for every positive c, an infinite one too
     (each lhs is 0).  A c that is not positive is no constant of the
-    proof, and fails both (each lhs is inf).
+    proof, and fails both (each lhs is inf).  A power that overflows reads
+    inf (_power).
     """
     if min(gamma, sigma, delta0, r) <= 0 or e_norm < 0:
         raise ValueError("gamma, sigma, delta0 and r must be positive, and e_norm >= 0")
     lhs2 = lhs3 = 0.0 if c > 0 else math.inf
     if c > 0 and e_norm > 0:
-        lhs2 = c * gamma ** -4 * delta0 ** (-4 * sigma) * e_norm
-        lhs3 = c * gamma ** -2 * delta0 ** (-2 * sigma) * e_norm
+        lhs2 = c * _power(gamma, -4) * _power(delta0, -4 * sigma) * e_norm
+        lhs3 = c * _power(gamma, -2) * _power(delta0, -2 * sigma) * e_norm
     return {
         "condition2_lhs": lhs2,
         "condition2_rhs": 1.0,
@@ -218,7 +223,10 @@ def select_k0(
       (9)  tail < 1
       (10) 4 d^2 v^2 tau^2 (tail + remaining gaps) < 1
       (15) A_fit * 4^(-j (l + 2 sigma)) <= e0_norm
-    Raises when no index qualifies, naming the blocking inequality.
+    A power of d, v or tau that overflows reads inf (_power), and a
+    witness whose gaps and tails sum to exactly 0 reads 0, as a zero
+    defect does in check_conditions.  Raises when no index qualifies,
+    naming the blocking inequality.
     """
     m = len(seq.approximants)
     if tails is None:
@@ -226,15 +234,17 @@ def select_k0(
     if len(tails) != m:
         raise ValueError("need one tail estimate per sequence entry")
     rate = seq.l + 2.0 * seq.sigma
+    d2, v2, tau2 = _power(d, 2), _power(v, 2), _power(tau, 2)
     rows = []
     chosen = None
     for j in range(m):
         remaining = seq.gaps_c3[j:]
         worst_gap = max(remaining, default=0.0)
         tail_sum = tails[j] + sum(remaining)
-        lhs8 = 2.0 * d**2 * v**2 * worst_gap * tau
+        lhs8 = 0.0 if worst_gap == 0 else 2.0 * d2 * v2 * worst_gap * tau
         lhs9 = tails[j]
-        lhs10 = 4.0 * d**2 * v**2 * tau**2 * (tails[j] + tail_sum)
+        witness = tails[j] + tail_sum
+        lhs10 = 0.0 if witness == 0 else 4.0 * d2 * v2 * tau2 * witness
         lhs15 = seq.a_const * 4.0 ** (-j * rate)
         row = {
             "index": j,
@@ -274,8 +284,8 @@ def lemma4_check(gaps, l: int) -> dict:
     apply.
     """
     gaps = [float(g) for g in gaps]
-    if len(gaps) < 3:
-        raise ValueError("need at least 3 gaps to test the envelope")
+    if len(gaps) < LEMMA4_GAPS:
+        raise ValueError(f"need at least {LEMMA4_GAPS} gaps to test the envelope")
     scaled = [g * 4.0 ** (l * (k + 1)) for k, g in enumerate(gaps)]
     a_fit = max(scaled)
     passed = a_fit <= LEMMA4_SLACK * scaled[0]
@@ -297,8 +307,7 @@ class ConfigError(ValueError):
 
 
 # RunParams knobs that count something; l may also be None
-_INTEGER_KNOBS = ("horizon", "l", "max_iter", "max_stages", "min_tori", "count",
-                  "start_degree", "max_degree")
+_INTEGER_KNOBS = ("horizon", "l", "max_iter", "max_stages", "count", "max_degree")
 
 # (message, test) per bound of a RunParams knob; a value the test cannot
 # compare (a string for a number, None where a value is required) fails it
@@ -312,13 +321,12 @@ _BOUNDS = (
     ("target_error must be positive, got {p.target_error}", lambda p: p.target_error > 0),
     ("tol must be positive, got {p.tol}", lambda p: p.tol is None or p.tol > 0),
     ("max_iter must be >= 1, got {p.max_iter}", lambda p: p.max_iter >= 1),
-    ("max_stages must be >= 1, got {p.max_stages}", lambda p: p.max_stages >= 1),
-    ("min_tori must be >= 0, got {p.min_tori}", lambda p: p.min_tori >= 0),
+    # fewer stages give lemma 4 fewer than LEMMA4_GAPS torus gaps to fit
+    (f"max_stages must be >= {LEMMA4_GAPS + 1}, got {{p.max_stages}}",
+     lambda p: p.max_stages >= LEMMA4_GAPS + 1),
     ("count must be >= 1, got {p.count}", lambda p: p.count >= 1),
-    # rung_nd needs degree 3 for the C^3 gaps it measures
-    ("start_degree must be >= 3, got {p.start_degree}", lambda p: p.start_degree >= 3),
-    ("max_degree must be >= start_degree = {p.start_degree}, got {p.max_degree}",
-     lambda p: p.max_degree >= p.start_degree),
+    (f"max_degree must be >= {START_DEGREE}, got {{p.max_degree}}",
+     lambda p: p.max_degree >= START_DEGREE),
 )
 
 
@@ -330,7 +338,9 @@ class RunParams:
     radius, Diophantine exponent and constant (estimated over horizon
     when None) and smoothness class (the model's when None).  target_error
     ends the cascade, tol (target_error when None) each stage's solve.
-    The rest size the cascade and the smoothing ladder.
+    The rest size the cascade and the smoothing ladder; a cascade stops
+    no earlier than stage LEMMA4_GAPS + 1, when lemma 4 has its gaps, and
+    the ladder starts at degree START_DEGREE.
     Construction checks every knob and raises one ConfigError listing
     each violation; an integer knob must be an integer (not a bool) and is
     stored as an int.  Everything is echoed into the certificate.
@@ -346,9 +356,7 @@ class RunParams:
     tol: float | None = None
     max_iter: int = 12
     max_stages: int = 6
-    min_tori: int = 4
     count: int = 2
-    start_degree: int = 8
     max_degree: int = 4096
 
     def __post_init__(self):
@@ -528,7 +536,7 @@ def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
         h_ext = cutoff_extend(hamiltonian, K0, params.r)
     seq = build_smoothing_sequence(
         h_ext, l, params.sigma, params.count, h0.error.norm_rho.value,
-        start_degree=params.start_degree, max_degree=params.max_degree,
+        max_degree=params.max_degree,
     )
     return Ladder(l, analytic, h0, h_ext, seq)
 
@@ -750,7 +758,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
             termination = f"diverged_at_stage_{k}"
             failed_stage = k
             break
-        enough = len(tori) - 1 >= params.min_tori
+        enough = len(tori) - 2 >= LEMMA4_GAPS
         if start.error.norm_grid <= params.target_error and enough:
             termination = "target_reached"
             break
@@ -770,9 +778,9 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     informative = [g for g, rec in zip(gaps, stages[1:]) if rec["iterations"] > 0]
     evidence = {
         "informative_gaps": informative,
-        "vacuous": sum(g > 0 for g in informative) < 3,
+        "vacuous": sum(g > 0 for g in informative) < LEMMA4_GAPS,
     }
-    if len(gaps) >= 3:
+    if len(gaps) >= LEMMA4_GAPS:
         lemma4 = {**lemma4_check(gaps, l), **evidence}
     else:
         lemma4 = {"passed": False, "error": f"only {len(gaps)} gaps measured", **evidence}

@@ -14,7 +14,7 @@ Synthesis is one scatter and irfftn's passes (ifft on each leading axis,
 irfft on the last) on an odd grid of N >= 2M+1 points per axis, into a
 component-major (*range_shape, *grid) buffer returned as a grid-major
 view.  Both equal numpy's n-D transforms bit for bit.  Derivatives,
-shifts, sums, resizing and strip norms act on the half against cached
+sums, resizing and strip norms act on the half against cached
 wavevector tables.  Every transform and product writes its half into a
 new component-major (*range_shape, *modes) array, and FourierMap._wrap
 adopts such a half as it is; only the public constructor checks the
@@ -22,8 +22,7 @@ layout and copies.
 
 The cold paths derive what they need from the half: ``coeffs`` (the full
 centered spectrum, amplitude of k at index k + M), ``modes``,
-``amplitude``, evaluation at points, ``power``, ``allclose`` and
-serialization.  Files keep the canonical half-spectrum: one wavevector of
+evaluation at points, ``allclose`` and serialization.  Files keep the canonical half-spectrum: one wavevector of
 each conjugate pair, the one whose first nonzero component is positive.
 ``modes`` is the read-only mapping of the nonzero canonical modes that
 serialization writes.
@@ -53,7 +52,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -362,18 +361,6 @@ class FourierMap:
         keys = map(tuple, ks[keep].tolist())
         return MappingProxyType(dict(zip(keys, full[keep])))
 
-    def amplitude(self, k: Iterable[int]) -> np.ndarray:
-        """Complex amplitude of wavevector k (zero beyond the truncation)."""
-        k = tuple(int(ki) for ki in k)
-        m = self.trunc_order
-        if max(map(abs, k)) > m:
-            return np.zeros(self.range_shape, complex)
-        conj = k[-1] < 0  # stored as the conjugate of -k
-        if conj:
-            k = tuple(-ki for ki in k)
-        amp = self.half[tuple(m + ki for ki in k[:-1]) + (k[-1],)]
-        return np.conj(amp) if conj else amp.copy()
-
     def _at_order(self, trunc_order: int) -> np.ndarray:
         """The half zero-padded or cut to another truncation order.
 
@@ -488,16 +475,9 @@ class FourierMap:
         rank = self.half.ndim - self.dim_domain
         return _grid_major(_range_first(self.half, rank) * factor, rank)
 
-    def _times(self, factor: np.ndarray) -> "FourierMap":
-        return FourierMap._wrap(self.dim_domain, self._scaled_modes(factor))
-
-    def partial(self, axis: int) -> "FourierMap":
-        """Exact partial derivative with respect to theta_axis."""
-        ks = half_wavevectors(self.dim_domain, self.trunc_order)[..., axis]
-        return self._times(2j * np.pi * ks)
-
     def directional(self, omega: np.ndarray) -> "FourierMap":
-        return self._times(2j * np.pi * self._kdot(omega))
+        factor = 2j * np.pi * self._kdot(omega)
+        return FourierMap._wrap(self.dim_domain, self._scaled_modes(factor))
 
     def average(self) -> np.ndarray:
         """Zero mode; reality makes the imaginary part vanish exactly."""
@@ -531,10 +511,6 @@ class FourierMap:
         vals = self.synthesize()
         return float(np.max(np.abs(vals))) if vals.size else 0.0
 
-    def power(self) -> float:
-        """Sum over all modes of |amp|^2 (Parseval partner of the grid mean)."""
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
     # -- algebra ----------------------------------------------------------
 
     def _binary(self, other: "FourierMap", sign: float) -> "FourierMap":
@@ -563,10 +539,6 @@ class FourierMap:
             rank = len(self.range_shape)
             half = _grid_major(np.ascontiguousarray(_range_first(half, rank)), rank)
         return FourierMap._wrap(self.dim_domain, half)
-
-    def shifted(self, theta0: np.ndarray) -> "FourierMap":
-        """Precompose with the rigid rotation theta -> theta + theta0."""
-        return self._times(np.exp(2j * np.pi * self._kdot(theta0)))
 
     @classmethod
     def constant(cls, value: np.ndarray, dim_domain: int, trunc_order: int = 0):
@@ -740,12 +712,6 @@ class TorusEmbedding:
 
     def resized(self, trunc_order: int) -> "TorusEmbedding":
         return TorusEmbedding(self.winding, self.periodic.resized(trunc_order))
-
-    def shifted(self, theta0) -> "TorusEmbedding":
-        theta0 = np.asarray(theta0, dtype=float)
-        shifted = self.periodic.shifted(theta0)
-        const = FourierMap.constant(self.winding @ theta0, self.dim_domain)
-        return TorusEmbedding(self.winding, shifted + const)
 
     @classmethod
     def circle(

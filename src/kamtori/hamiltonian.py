@@ -1,18 +1,19 @@
 """Hamiltonian models as sums of products of 1-D functions, and their jets.
 
 A model is a short sum over terms r of prod_i t_{r,i}(z_i), one factor
-per coordinate of z = (x, y) in T^n x R^n.  It offers rank, box (or
-None), support(axis) (the terms whose factor along axis is not 1) and,
-where that is not empty, axis_values(axis, u, q): the (q + 1,
-len(support(axis)), len(u)) table of those factors' derivatives of orders
-0..q at u, complex if need be as long as the sum is real; a model whose
-derivative_tables is false offers order 0 only.  product_jet builds every
-model's jet from its tables.  axis_sups(axis, lo, hi, q) gives, per
-supported term, sup |D^j factor| on [lo, hi] for j <= q, the per-axis
-sups that smoothing's C^l bounds multiply out: closed forms or
-coefficient bounds where sup_method is "coefficient_bound", else sampled
-from axis_values (sampled_sups), whose grid tables a model keeps
-(grid_table).  The analytic model is a Fourier-Taylor term table
+per coordinate of z = (x, y) in T^n x R^n.  It offers rank, box (where
+jet_grid may evaluate it: a smoothed model keeps its rung's box, and the
+analytic model and a rough summand have None), support(axis) (the terms
+whose factor along axis is not 1) and, where that is not empty,
+axis_values(axis, u, q): the (q + 1, len(support(axis)), len(u)) table of
+those factors' derivatives of orders 0..q at u, complex if need be as
+long as the sum is real; a model whose derivative_tables is false offers
+order 0 only.  product_jet builds every model's jet from its tables.
+axis_sups(axis, lo, hi, q) gives, per supported term, sup |D^j factor|
+on [lo, hi] for j <= q, the per-axis sups that smoothing's C^l bounds
+multiply out: closed forms or coefficient bounds where sup_method is
+"coefficient_bound", else sampled from axis_values (sampled_sups), whose
+grid tables a model keeps (grid_table).  The analytic model is a Fourier-Taylor term table
 sum c e^{2 pi i k.x} y^m (the file format); rough summands are 1-D C^l
 profiles of one coordinate; SumModel is the one sum of models.
 """
@@ -39,7 +40,6 @@ __all__ = [
     "SinPowerProfile",
     "SumModel",
     "product_jet",
-    "symplectic_matrix",
 ]
 
 # uniform points of a sampled factor sup on an interval, endpoints included
@@ -49,14 +49,6 @@ BOX_SLACK = 1e-9
 
 _NO_TERMS = np.zeros(0, dtype=int)
 _ONE_TERM = np.zeros(1, dtype=int)
-
-
-def symplectic_matrix(n: int) -> np.ndarray:
-    """J = [[0, I_n], [-I_n, 0]] acting on (x, y) blocks."""
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    return j
 
 
 @dataclass(frozen=True)
@@ -291,9 +283,10 @@ class HamiltonianModel(SumOfProducts):
     on the first of them (on x_0 for a constant term).
     """
 
-    __slots__ = ("n", "terms", "smoothness_class", "box", "_axes")
+    __slots__ = ("n", "terms", "smoothness_class", "_axes")
+    box = None
 
-    def __init__(self, n: int, terms, smoothness_class: float = math.inf, box=None):
+    def __init__(self, n: int, terms, smoothness_class: float = math.inf):
         folded: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
         for k, m, c in terms:
             k = tuple(int(v) for v in k)
@@ -319,7 +312,6 @@ class HamiltonianModel(SumOfProducts):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "terms", tuple(sorted(folded.items())))
         object.__setattr__(self, "smoothness_class", float(smoothness_class))
-        object.__setattr__(self, "box", box)
         object.__setattr__(self, "_axes", self._axis_rows())
 
     def __setattr__(self, *a):
@@ -373,21 +365,6 @@ class HamiltonianModel(SumOfProducts):
         return out
 
     # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        records = [
-            {
-                "k": list(k),
-                "m": list(m),
-                "re": float(np.real(c)),
-                "im": float(np.imag(c)),
-            }
-            for (k, m), c in self.terms
-        ]
-        cls = None if math.isinf(self.smoothness_class) else self.smoothness_class
-        return json.dumps(
-            {"n": self.n, "smoothness_class": cls, "terms": records}, sort_keys=True
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "HamiltonianModel":

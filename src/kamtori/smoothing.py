@@ -94,15 +94,10 @@ def unit_box(dim: int) -> Box:
     return Box(np.zeros(dim), np.ones(dim), np.zeros(dim, dtype=bool))
 
 
-def _as_box(box, dim: int | None) -> Box:
-    """box as a Box; None is the unit box, and dim, when given, is checked."""
+def _as_box(box: Box | None, dim: int | None) -> Box:
+    """None is the unit box; dim, when given, is checked."""
     if box is None:
         return unit_box(dim)
-    if not isinstance(box, Box):
-        arr = np.atleast_2d(np.asarray(box, dtype=float))
-        if arr.shape[1:] != (2,):
-            raise ValueError("box must be a Box or an array of (lo, hi) pairs")
-        box = Box(arr[:, 0], arr[:, 1], np.zeros(arr.shape[0], dtype=bool))
     if dim is not None and box.dim != dim:
         raise ValueError(f"box has {box.dim} axes, expected {dim}")
     return box
@@ -217,11 +212,10 @@ def cl_norm(fun, box, order: int = 3, points_per_axis: int = 64) -> float:
     The dense reference for plain callables and for checking cl_bound: a
     grid max, so it reads at most the sup.  A model with exact derivative
     tables is measured from its per-axis tables (_factored_sup), never
-    evaluated on the grid.  Another fun has exact derivatives when it
-    supports .derivative(alpha) (Bernstein coefficient calculus).
-    Otherwise (a plain callable, or a SeparableFunction of plain
-    callables) 5-point central stencils with per-axis step h = width/100
-    are taken on a grid staggered off the seams.
+    evaluated on the grid.  Any other fun (a plain callable, a Bernstein
+    approximant, or a SeparableFunction of plain callables) takes 5-point
+    central stencils with per-axis step h = width/100 on a grid staggered
+    off the seams.
     """
     return max(_cl_sup([fun], box, order, points_per_axis))
 
@@ -229,11 +223,10 @@ def cl_norm(fun, box, order: int = 3, points_per_axis: int = 64) -> float:
 def cl_gap(f, g, box, order: int = 3, points_per_axis: int = 64) -> float:
     """Max over |alpha| <= order of sup |D^alpha (f - g)| on a box grid.
 
-    The dense reference of a gap, as cl_norm is of a norm: exact
-    derivatives on the plain grid when both sides have them, else 5-point
-    stencils on the staggered grid.  When both sides are models with exact
-    tables the same numbers come from per-axis tables (_factored_sup)
-    without evaluating either side on the grid.
+    The dense reference of a gap, as cl_norm is of a norm: when both
+    sides are models with exact derivative tables, from their per-axis
+    tables on the plain grid (_factored_sup), without evaluating either
+    side there; else 5-point stencils of f - g on the staggered grid.
     """
     return max(_cl_sup([f, g], box, order, points_per_axis))
 
@@ -243,27 +236,16 @@ def _cl_sup(funs, box, order: int, points_per_axis: int) -> list[float]:
     funs[0], or with a second entry of funs[0] - funs[1]: cl_norm and
     cl_gap are the max of this list, and its entry 0 is the C^0 sup."""
     box = _as_box(box, next((f.dim for f in funs if getattr(f, "dim", None)), None))
-    # models whose tables have exact derivatives; values-only ones and
-    # plain callables are evaluated as functions
-    factored = all(getattr(f, "derivative_tables", False) for f in funs)
-    exact = factored or all(hasattr(f, "derivative") for f in funs)
-    if exact:
-        axes = _grid_axes(box, points_per_axis, np.zeros(box.dim))
-    else:
-        h = _stencil_step(box, points_per_axis)
-        axes = _grid_axes(
-            box, points_per_axis, np.where(box.periodic, 0.0, 2 * h), True
-        )
-    if factored:
-        return _factored_sup(funs, axes, order)
+    # models whose tables have exact derivatives; anything else is
+    # evaluated as a function
+    if all(getattr(f, "derivative_tables", False) for f in funs):
+        return _factored_sup(funs, _grid_axes(box, points_per_axis, np.zeros(box.dim)),
+                             order)
+    h = _stencil_step(box, points_per_axis)
+    axes = _grid_axes(box, points_per_axis, np.where(box.periodic, 0.0, 2 * h), True)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     signs = (1.0, -1.0)[: len(funs)]
     out = [0.0] * (order + 1)
-    if exact:
-        for alpha in _multi_indices(box.dim, order):
-            vals = sum(s * f.derivative(alpha)(pts) for s, f in zip(signs, funs))
-            out[sum(alpha)] = max(out[sum(alpha)], float(np.max(np.abs(vals))))
-        return out
     diff = lambda z: sum(s * np.asarray(f(z), dtype=float) for s, f in zip(signs, funs))
     for alpha, vals in _stencil_all(diff, pts, order, h).items():
         out[sum(alpha)] = max(out[sum(alpha)], float(np.max(np.abs(vals))))
@@ -807,9 +789,6 @@ def rung_nd(f: SeparableFunction, N: int, box=None) -> SeparableRung:
 
 # -- cutoff extension ---------------------------------------------------------
 
-# measured sups of d^q/dt^q of the e^{-1/t} smoothstep on (0, 1)
-_SMOOTHSTEP_DERIV_SUP = (1.0, 2.0, 9.842, 110.567, 2280.398)
-
 
 def _exp_inverse_polys(count: int) -> np.ndarray:
     """(count, 2 count - 1): coefficients of P_0..P_{count-1} in powers of
@@ -923,23 +902,6 @@ class PlateauBump:
             out[j] *= slope**j
         return out
 
-    def derivative_bound(self, q: int) -> float:
-        """Bound on |d^q phi| along any direction v with |v|_inf = 1.
-
-        Leibniz over the action factors: sum over |beta| = q of
-        (q! / beta!) prod_i S_{beta_i} / (1.5 r)^q, S_j the profile sups;
-        with one action axis this is the sup itself.
-        """
-        if not 0 <= q <= 4:
-            raise ValueError("bounds tabulated for orders 0..4")
-        total = 0.0
-        for beta in iter_product(range(q + 1), repeat=self.anchors.shape[1]):
-            if sum(beta) == q:
-                total += math.factorial(q) * math.prod(
-                    _SMOOTHSTEP_DERIV_SUP[b] / math.factorial(b) for b in beta
-                )
-        return total / (1.5 * self.r) ** q
-
 
 class CutoffHamiltonian(SumModel):
     """Rough summands localized near a torus image; analytic part kept exact.
@@ -1044,10 +1006,9 @@ def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
     """Localize the rough part of a Hamiltonian to a box around K0's image.
 
     The box spans the full angle chart [0, 1]^n (periodic) and the action
-    range of K0's samples on its sampling grid, inflated by 3r; the
-    3r-neighborhood of the image must sit inside the Hamiltonian's own
-    domain.  The cutoff does not depend on the strip width: rho is
-    accepted and not read.
+    range of K0's samples on its sampling grid, inflated by 3r.  The
+    cutoff does not depend on the strip width: rho is accepted and not
+    read.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -1056,14 +1017,6 @@ def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
     bump = PlateauBump(K0.grid_samples(), r, periodic)
     lo = np.concatenate([np.zeros(n), bump.anchors[0] - 3 * r])
     hi = np.concatenate([np.ones(n), bump.anchors[1] + 3 * r])
-    dom = getattr(hamiltonian, "box", None)
-    if dom is not None:
-        for i in range(n, 2 * n):
-            if lo[i] < dom.lo[i] or hi[i] > dom.hi[i]:
-                raise ValueError(
-                    f"torus too close to domain boundary: axis {i} needs "
-                    f"[{lo[i]:.4f}, {hi[i]:.4f}] inside [{dom.lo[i]:.4f}, {dom.hi[i]:.4f}]"
-                )
     if isinstance(hamiltonian, CompositeHamiltonian):
         analytic, rough = hamiltonian.analytic, hamiltonian.rough
     elif isinstance(hamiltonian, HamiltonianModel):
@@ -1111,18 +1064,21 @@ class SmoothingSequence:
         return self.a_const * 4.0 ** (-k * (self.l + 2 * self.sigma))
 
 
+# the ladder's first degree: rung_nd needs 3 for the C^3 gaps it measures
+START_DEGREE = 8
+
+
 def build_smoothing_sequence(
     h_ext,
     l: int,
     sigma: float,
     count: int,
     e0_norm: float,
-    start_degree: int = 8,
     max_degree: int = 4096,
 ) -> SmoothingSequence:
     """Doubling-degree ladder of rungs (rung_nd) for the cut rough part, re-anchored.
 
-    Builds rungs at degrees start_degree * 2^j, bounds consecutive C^3
+    Builds rungs at degrees START_DEGREE * 2^j, bounds consecutive C^3
     gaps (cl_bound, from coefficients), and re-anchors the sequence at the
     first entry whose outgoing gap is <= e0_norm; count entries are kept
     from there; the last kept one's tail to the cut target is bounded,
@@ -1180,7 +1136,7 @@ def build_smoothing_sequence(
             raw_gaps_c3.append(max(sups))
             raw_gaps_c0.append(sups[0])
 
-    deg = start_degree
+    deg = START_DEGREE
     emit(deg)
     anchor = None
     while True:

@@ -97,7 +97,7 @@ from .fourier import (
     _range_first,
     sampling_size,
 )
-from .hamiltonian import jet_grid, symplectic_matrix
+from .hamiltonian import jet_grid
 
 __all__ = [
     "ErrorField",
@@ -106,7 +106,6 @@ __all__ = [
     "SolveResult",
     "StepDiagnostics",
     "check_horizon",
-    "flow",
     "invariance_error",
     "newton_step",
     "nondegeneracy",
@@ -849,30 +848,3 @@ def solve_torus(
         status = "diverged" if stalls >= 2 else "max_iter"
     return SolveResult(status, best, best_err, it, trace)
 
-
-def flow(hamiltonian, z0: np.ndarray, time: float, step: float = 1e-4) -> np.ndarray:
-    """Integrate the Hamiltonian field with classical RK4 (verification aid)."""
-    j = symplectic_matrix(hamiltonian.n)
-
-    def f(z):
-        _, grad, _ = jet_grid(hamiltonian, z)
-        return grad @ j.T
-
-    z = np.array(z0, dtype=float)
-    sgn = 1.0 if time >= 0 else -1.0
-    h = sgn * abs(step)
-    steps = int(abs(time) / abs(step))
-    for _ in range(steps):
-        k1 = f(z)
-        k2 = f(z + 0.5 * h * k1)
-        k3 = f(z + 0.5 * h * k2)
-        k4 = f(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    rest = time - steps * h
-    if abs(rest) > 0:
-        k1 = f(z)
-        k2 = f(z + 0.5 * rest * k1)
-        k3 = f(z + 0.5 * rest * k2)
-        k4 = f(z + rest * k3)
-        z = z + (rest / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return z

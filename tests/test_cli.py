@@ -164,6 +164,14 @@ class TestParseConfig:
         assert capsys.readouterr().err == "config error: unknown key: condition_mode\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("knob", ["start_degree", "min_tori"])
+    def test_removed_knob_rejected_before_any_output(self, write_files, capsys, knob):
+        # the ladder starts at degree 8, and a run stops once lemma 4 has 3 gaps
+        cfg_path, out = write_files(ROUGH, "out", **{knob: 8}, **ROUGH_KNOBS)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: unknown key: {knob}\n"
+        assert not out.exists()
+
     @staticmethod
     def write_torus(tmp_path, name, text):
         path = tmp_path / name

@@ -16,6 +16,7 @@ from kamtori import (
 )
 from kamtori.driver import (
     DEFAULT_LAMBDA,
+    LEMMA4_GAPS,
     ConfigError,
     KamSchedule,
     RunParams,
@@ -211,6 +212,18 @@ class TestSelectK0:
         with pytest.raises(ValueError, match="tail"):
             select_k0(seq, 1.0, 1.0, 1.0, 1e-4, tails=[0.0])
 
+    def test_zero_witness_reads_zero_for_infinite_constants(self):
+        # d^2 v^2 tau^2 overflows, and inf * 0 would be nan: a sequence with
+        # no gap and no tail meets (8) and (10) instead, as an exact torus does
+        seq = synthetic_sequence([0.0, 0.0], a_const=0.0)
+        k0, rows = select_k0(seq, 1e200, 1e200, 1e200, 1e-4)
+        assert k0 == 0
+        assert rows[0]["ineq8_lhs"] == rows[0]["ineq10_lhs"] == 0.0
+        seq = synthetic_sequence([1e-300, 0.0], a_const=0.0)
+        _, rows = select_k0(seq, 1e200, 1e200, 1e200, 1e-4)
+        assert rows[0]["ineq8_lhs"] == rows[0]["ineq10_lhs"] == math.inf
+        assert rows[1]["ok"]
+
 
 class TestLemma4:
     def test_exact_envelope_passes_with_unit_fit(self):
@@ -282,6 +295,21 @@ class TestRunScheme:
             run_scheme(h, K0, np.array([GOLDEN]), params)
         assert calls == []
 
+    @pytest.mark.parametrize("model", ["rotator", "pendulum"])
+    @pytest.mark.parametrize("gamma", [1e-40, 1e-80])
+    def test_tiny_gamma_reaches_the_target(self, model, gamma):
+        # d, v and tau grow as gamma^-2: their powers read inf and never raise,
+        # and a ladder of zero gaps and tails keeps every witness at 0
+        h = (HamiltonianModel.free_rotator(1) if model == "rotator"
+             else HamiltonianModel.pendulum(1e-3))
+        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=16)
+        res = run_scheme(h, K0, np.array([GOLDEN]), RunParams(gamma=gamma))
+        cert = res.certificate
+        assert cert["c_value"] == "inf"
+        assert cert["k0"]["index"] == 0
+        assert cert["termination_reason"] == "target_reached"
+        assert res.converged
+
     def test_capped_stage_ends_the_run_as_capped(self):
         # the coupled rotator from the M = 8 circle at horizon 16: every stage
         # stalls with its refinement blocked at 16 // 2 = 8, which is no floor
@@ -294,7 +322,7 @@ class TestRunScheme:
                          RunParams(rho=0.01, r=0.8, horizon=16, target_error=1e-12))
         statuses = [rec["status"] for rec in res.stages]
         assert statuses == ["truncation_capped"] * len(statuses)
-        assert len(statuses) == RunParams().min_tori
+        assert len(statuses) == LEMMA4_GAPS + 1
         assert res.certificate["termination_reason"] == "truncation_capped"
         assert not res.converged
 
@@ -443,8 +471,7 @@ class TestRunParams:
         assert named.startswith(violation)
 
     @pytest.mark.parametrize("name", ["horizon", "l", "max_iter", "max_stages",
-                                      "min_tori", "count", "start_degree",
-                                      "max_degree"])
+                                      "count", "max_degree"])
     def test_integer_knobs_take_integers_only(self, name):
         for value in (8.0, "8", None, False):
             if name == "l" and value is None:

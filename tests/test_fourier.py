@@ -39,12 +39,12 @@ class TestAnalyze:
         samples = np.full((9,), 3.5)
         f = FourierMap.from_samples(samples, 1)
         assert set(f.modes) == {(0,)}
-        assert f.amplitude((0,)) == pytest.approx(3.5)
+        assert f.coeffs[f.trunc_order] == pytest.approx(3.5)
 
     def test_cosine_amplitudes(self):
         theta = np.arange(11) / 11
         f = FourierMap.from_samples(np.cos(2 * np.pi * theta), 1)
-        assert f.amplitude((1,)) == pytest.approx(0.5, abs=1e-14)
+        assert f.coeffs[f.trunc_order + 1] == pytest.approx(0.5, abs=1e-14)
         for k, amp in f.modes.items():
             if k != (1,):
                 assert abs(amp) < 1e-14
@@ -85,7 +85,7 @@ class TestAnalyze:
         rng = np.random.default_rng(5)
         g = random_trig(rng, 2, 3)
         samples = g.synthesize()
-        power = FourierMap.from_samples(samples, 2).power()
+        power = float(np.sum(np.abs(FourierMap.from_samples(samples, 2).coeffs) ** 2))
         mean_sq = float(np.mean(samples**2))
         assert power == pytest.approx(mean_sq, rel=1e-10)
 
@@ -526,12 +526,8 @@ class TestHalfSpectrumMap:
         def times(factor):
             return dense * factor[per_mode]
 
-        for axis in range(n):
-            self.close(f.partial(axis).coeffs, times(2j * np.pi * ks[..., axis]))
         omega = rng.standard_normal(n)
         self.close(f.directional(omega).coeffs, times(2j * np.pi * ks @ omega))
-        theta0 = rng.random(n)
-        self.close(f.shifted(theta0).coeffs, times(np.exp(2j * np.pi * ks @ theta0)))
         self.close(np.asarray(f.average()), dense[(m,) * n].real)
 
     def test_sums_and_resizing(self, case):
@@ -581,14 +577,8 @@ class TestHalfSpectrumMap:
         keep = canonical(ks)
         assert list(f.modes) == [tuple(k) for k in ks[keep].tolist()]
         self.close(np.array(list(f.modes.values())), dense[keep])
-        for k in [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,),
-                  (-m,) * n, (m + 1,) + (0,) * (n - 1)]:
-            inside = max(map(abs, k)) <= m
-            want = dense[tuple(v + m for v in k)] if inside else np.zeros(f.range_shape)
-            self.close(np.asarray(f.amplitude(k)), np.asarray(want))
         theta = rng.random((6, n))
         self.close(f(theta), dense_eval(dense, theta))
-        assert f.power() == pytest.approx(np.sum(np.abs(dense) ** 2), rel=1e-12)
         nudged = FourierMap._wrap(n, f.half + 1e-9)
         assert f.allclose(nudged, tol=2e-9) and not f.allclose(nudged, tol=5e-10)
         # a CSV keeps the range flattened to its m components
@@ -646,8 +636,6 @@ class TestHalfLayout:
             "scaled": f.scaled(-2.5),
             "resized up": f.resized(m + 2), "resized same": f.resized(m),
             "resized down": f.resized(m - 1),
-            "shifted": f.shifted(rng.random(n)),
-            "partial": f.partial(n - 1),
             "directional": f.directional(rng.random(n)),
             "from_csv": FourierMap.from_csv(f.to_csv()),
         }
@@ -663,7 +651,6 @@ class TestHalfLayout:
         per = random_trig(rng, n, 3, (2 * n,))
         K = TorusEmbedding(np.vstack([np.eye(n), np.zeros((n, n))]), per)
         for h in (K.dk(), K.directional(omega), K.resized(5).periodic,
-                  K.shifted(rng.random(n)).periodic,
                   solve_cohomological(per, omega).solution,
                   solver._symmetric_map(np.ones((n, n, 7) + (7,) * (n - 1)), 3)):
             assert component_major(h)
@@ -945,12 +932,11 @@ class TestProperties:
         samples = np.random.default_rng(seed).standard_normal(
             (2 * m + 1,) * n + range_shape
         )
-        f = FourierMap.from_samples(samples, n)
-        for idx in np.ndindex(*((2 * m + 1,) * n)):
-            k = tuple(i - m for i in idx)
-            minus = tuple(-v for v in k)
-            assert np.array_equal(f.amplitude(minus), np.conj(f.amplitude(k)))
-        assert np.all(f.amplitude((0,) * n).imag == 0.0)
+        full = FourierMap.from_samples(samples, n).coeffs
+        # amp(-k) sits at the flipped index of amp(k), and k = 0 at the center
+        minus = np.flip(full, axis=tuple(range(n)))
+        assert np.array_equal(minus, np.conj(full))
+        assert np.all(full[(m,) * n].imag == 0.0)
 
     @PROPERTY
     @given(trig_maps(), st.integers(0, 2))
@@ -970,22 +956,9 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         theta = rng.random((7, f.dim_domain))
         tol = 1e-10 * scale(f)
-        for axis in range(f.dim_domain):
-            want = eval_modes(f, theta, lambda k: 2j * np.pi * k[axis])
-            assert np.max(np.abs(f.partial(axis)(theta) - want)) < tol
         omega = rng.standard_normal(f.dim_domain)
         want = eval_modes(f, theta, lambda k: 2j * np.pi * np.dot(k, omega))
         assert np.max(np.abs(f.directional(omega)(theta) - want)) < tol
-
-    @PROPERTY
-    @given(trig_maps(), st.integers(0, 2**32 - 1))
-    def test_shift_group_law(self, f, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rng.random((2, f.dim_domain))
-        assert f.shifted(a).shifted(b).allclose(f.shifted(a + b), 1e-12 * scale(f))
-        assert f.shifted(np.zeros(f.dim_domain)).allclose(f, tol=0.0)
-        theta = rng.random((5, f.dim_domain))
-        assert np.max(np.abs(f.shifted(a)(theta) - f(theta + a))) < 1e-11 * scale(f)
 
     @PROPERTY
     @given(trig_maps(), st.integers(0, 3))

@@ -1,4 +1,4 @@
-"""Exact jets from per-axis tables, profiles and the symplectic structure."""
+"""Exact jets from per-axis tables, profiles and the model file."""
 
 import json
 import math
@@ -20,7 +20,9 @@ from kamtori import (
     HamiltonianModel,
     RoughTerm,
     SinPowerProfile,
-    symplectic_matrix,
+    TorusEmbedding,
+    build_smoothing_sequence,
+    cutoff_extend,
 )
 from kamtori.hamiltonian import jet_grid
 
@@ -45,14 +47,6 @@ def fd_gradient(h, z, step=1e-5):
         e[i] = step
         out[i] = (h.jet_batch(z + e)[0] - h.jet_batch(z - e)[0]) / (2 * step)
     return out
-
-
-class TestSymplecticMatrix:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_structure(self, n):
-        j = symplectic_matrix(n)
-        assert np.array_equal(j @ j, -np.eye(2 * n))
-        assert np.array_equal(j.T, -j)
 
 
 class TestJets:
@@ -107,10 +101,17 @@ class TestBox:
         assert not box.contains(np.array([0.5, 2.0]))
 
     def test_outside_box_is_hard_error(self):
-        box = Box(np.array([0.0, -0.5]), np.array([1.0, 0.5]), np.array([True, False]))
-        bounded = HamiltonianModel(1, [((0,), (2,), 0.5)], box=box)
+        # a smoothed stage model keeps its rung's box: actions 0.4 -+ 3r
+        h = CompositeHamiltonian(HamiltonianModel.free_rotator(1),
+                                 [RoughTerm(0, SinPowerProfile(4.5), 1e-3)])
+        hx = cutoff_extend(h, TorusEmbedding.circle(0.4, trunc_order=8), r=0.1)
+        seq = build_smoothing_sequence(hx, l=4, sigma=1.1, count=1, e0_norm=1.0)
+        stage = seq.approximants[0]
+        assert stage.box is hx.box
+        inside = jet_grid(stage, np.array([1.3, 0.65]))[0]
+        assert inside == jet_grid(stage, np.array([0.3, 0.65]))[0]
         with pytest.raises(ValueError, match="outside"):
-            jet_grid(bounded, np.array([0.3, 2.0]))
+            jet_grid(stage, np.array([0.3, 0.75]))
 
 
 class TestProfiles:
@@ -171,11 +172,11 @@ class TestComposite:
 class TestSerialization:
     def test_json_round_trip(self):
         h = HamiltonianModel.pendulum(0.25)
-        back = HamiltonianModel.from_json(h.to_json())
-        rng = np.random.default_rng(67)
-        z = rng.random((20, 2))
-        assert np.allclose(back.jet_batch(z)[0], h.jet_batch(z)[0])
-        assert back.n == h.n
+        terms = [{"k": list(k), "m": list(m), "re": c.real, "im": c.imag}
+                 for (k, m), c in h.terms]
+        back = HamiltonianModel.from_json(json.dumps({"n": 1, "terms": terms}))
+        assert back.terms == h.terms and back.n == h.n
+        assert math.isinf(back.smoothness_class)
 
     def test_missing_keys_named(self):
         with pytest.raises(ValueError, match="terms"):

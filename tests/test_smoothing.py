@@ -305,6 +305,13 @@ def stencil(f, z, v, q, h):
     return sum(w * f(z + o * h * v) for o, w in zip(offs, weights)) / scale
 
 
+def profile_sup(q, r):
+    """Sampled sup of |D^q| of the bump's factor along one action axis:
+    the smoothstep's exact jet over [0, 1], over (1.5 r)^q."""
+    t = np.linspace(0.0, 1.0, 20001)
+    return float(np.max(np.abs(PlateauBump.smoothstep_jet(t, q)[q]))) / (1.5 * r) ** q
+
+
 class TestPlateauBump:
     def test_smoothstep_shape(self):
         s = PlateauBump.smoothstep
@@ -315,15 +322,6 @@ class TestPlateauBump:
         v = s(t)
         assert np.all(np.diff(v) >= 0)
         assert np.max(np.abs(s(t) + s(1 - t) - 1.0)) < 1e-14
-
-    @pytest.mark.parametrize("q,h", [(1, 1e-6), (2, 1e-5), (3, 1e-4), (4, 1e-3)])
-    def test_derivative_bounds_match_profile_sups(self, q, h):
-        t = np.linspace(5 * h, 1 - 5 * h, 4001)
-        measured = float(np.max(np.abs(stencil(PlateauBump.smoothstep, t, 1.0, q, h))))
-        bump = PlateauBump(np.zeros((1, 1)), r=2.0 / 3.0, periodic=np.array([False]))
-        # radius 2/3 makes the chart scale 1.5 r = 1, exposing the raw sup
-        frozen = bump.derivative_bound(q)
-        assert measured == pytest.approx(frozen, rel=2e-2)
 
     def test_regions(self):
         anchors = np.array([[0.0, 0.0]])
@@ -381,19 +379,7 @@ class TestCutoff:
         hi = hx.bump(pts + [0.0, step])
         lo = hx.bump(pts - [0.0, step])
         slope = np.max(np.abs(hi - lo) / (2 * step))
-        assert slope <= hx.bump.derivative_bound(1) * 1.05
-
-    def test_domain_margin_enforced(self):
-        box_h = HamiltonianModel(
-            1,
-            [((0,), (2,), 0.5)],
-            box=__import__("kamtori").Box(
-                np.array([0.0, -0.1]), np.array([1.0, 0.1]), np.array([True, False])
-            ),
-        )
-        K0 = TorusEmbedding.circle(0.0, trunc_order=8)
-        with pytest.raises(ValueError, match="too close"):
-            cutoff_extend(box_h, K0, r=0.2)
+        assert slope <= profile_sup(1, r) * 1.05
 
     def test_box_is_the_cutoff_box(self, rough_system):
         # the box set before SumModel.__init__ survives it
@@ -467,7 +453,7 @@ class TestActionHullCutoff:
                     sup = max(sup, float(np.max(np.abs(d2))))
             peaks.append(sup)
         assert peaks[-1] <= 1.1 * peaks[0]
-        assert max(peaks) <= hx.bump.derivative_bound(2) * 1.01
+        assert max(peaks) <= profile_sup(2, r) * 1.01
 
     def test_plateau_and_support_are_those_of_the_hull(self, rough_2dof):
         r = 0.1
@@ -494,36 +480,6 @@ class TestActionHullCutoff:
         assert band.sum() > 50
         assert np.all((phi[band] > 0.0) & (phi[band] < 1.0))
 
-    @pytest.mark.parametrize("q,c", [(1, 1e-6), (2, 1e-5), (3, 1e-4), (4, 1e-3)])
-    def test_directional_derivatives_within_leibniz_bound(self, rough_2dof, q, c):
-        r = 0.1
-        K0 = wavy_torus([1e-2, 3e-2])
-        hx = cutoff_extend(rough_2dof, K0, r=r)
-        lo, hi = hx.bump.anchors
-        rng = np.random.default_rng(q)
-        # both actions in the transition band, where the mixed terms live
-        side = rng.choice([-1.0, 1.0], (3000, 2))
-        depth = rng.uniform(r, 2.5 * r, (3000, 2))
-        y = np.where(side > 0, hi + depth, lo - depth)
-        z = np.concatenate([rng.uniform(0, 1, (3000, 2)), y], axis=1)
-        v = rng.uniform(-1, 1, (3000, 4))
-        v /= np.max(np.abs(v), axis=-1, keepdims=True)
-        measured = float(np.max(np.abs(stencil(hx.bump, z, v, q, c * 1.5 * r))))
-        bound = hx.bump.derivative_bound(q)
-        assert measured <= bound
-        # and it is not vacuous: the sampled sup reaches 35-67 % of it
-        assert measured >= 0.25 * bound
-
-    def test_one_action_axis_reproduces_profile_table(self):
-        one = PlateauBump(np.zeros((1, 2)), r=0.3, periodic=np.array([True, False]))
-        two = PlateauBump(
-            np.zeros((1, 4)), r=0.3, periodic=np.array([True, True, False, False])
-        )
-        sups = (1.0, 2.0, 9.842, 110.567, 2280.398)
-        for q in range(5):
-            assert one.derivative_bound(q) == pytest.approx(sups[q] / 0.45**q)
-        assert two.derivative_bound(1) == pytest.approx(2 * 2.0 / 0.45)
-        assert two.derivative_bound(2) == pytest.approx((2 * 9.842 + 2 * 2.0**2) / 0.45**2)
 
 
 def box_points(box, count, seed):
@@ -715,7 +671,7 @@ class TestValleePoussinRung:
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
         seq = build_smoothing_sequence(
-            hx, l=4, sigma=1.1, count=3, e0_norm=0.2, start_degree=8, max_degree=128
+            hx, l=4, sigma=1.1, count=3, e0_norm=0.2, max_degree=128
         )
         return seq.history["rungs"]
 
@@ -852,7 +808,7 @@ class TestSmoothingSequence:
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
         seq = build_smoothing_sequence(
-            hx, l=4, sigma=1.1, count=2, e0_norm=0.2, start_degree=8, max_degree=128
+            hx, l=4, sigma=1.1, count=2, e0_norm=0.2, max_degree=128
         )
         assert seq.degrees == [8, 16]
         assert seq.anchor_index == 0
@@ -873,7 +829,7 @@ class TestSmoothingSequence:
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
         seq = build_smoothing_sequence(
-            hx, l=4, sigma=1.1, count=2, e0_norm=0.11, start_degree=8, max_degree=128
+            hx, l=4, sigma=1.1, count=2, e0_norm=0.11, max_degree=128
         )
         ladder_gaps = seq.history["ladder_gaps_c3"]
         assert seq.history["ladder_degrees"][:3] == [8, 16, 32]
@@ -885,7 +841,7 @@ class TestSmoothingSequence:
     def test_prefix_stability_when_count_grows(self, rough_system):
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
-        kw = dict(l=4, sigma=1.1, e0_norm=0.2, start_degree=8, max_degree=128)
+        kw = dict(l=4, sigma=1.1, e0_norm=0.2, max_degree=128)
         seq2 = build_smoothing_sequence(hx, count=2, **kw)
         seq3 = build_smoothing_sequence(hx, count=3, **kw)
         assert seq3.degrees[:2] == seq2.degrees
@@ -908,8 +864,7 @@ class TestSmoothingSequence:
         hx = cutoff_extend(h, K0, r=0.8)
         with pytest.raises(ValueError, match="unachievable"):
             build_smoothing_sequence(
-                hx, l=4, sigma=1.1, count=2, e0_norm=1e-6, start_degree=8,
-                max_degree=16,
+                hx, l=4, sigma=1.1, count=2, e0_norm=1e-6, max_degree=16,
             )
 
     def test_parameter_validation(self):

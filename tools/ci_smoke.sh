@@ -132,6 +132,16 @@ test "$code" -eq 1
 test "$(wc -l < err.txt)" -eq 1
 grep -q "^config error: unknown key: condition_mode$" err.txt
 test ! -e rough-strict
+# the ladder's first degree is fixed at 8: start_degree is no key of a
+# config either (exit 1, one named reason, no output)
+sed 's/"out": "rough"}/"out": "rough-start", "start_degree": 8}/' rough-config.json > start.json
+code=0
+kamtori run --config start.json 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(wc -l < err.txt)" -eq 1
+grep -q "^config error: unknown key: start_degree$" err.txt
+test ! -e rough-start
 
 # the 3-DOF coupled rotator at eps = 1e-3 from the M = 8 circle (sigma 2.1,
 # horizon 120, tol 1e-10): its order grows to the horizon's cap 120 // 3 = 40
