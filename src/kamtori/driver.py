@@ -8,7 +8,9 @@ remaining stages against the original H (once close enough, H's own
 finitely many derivatives suffice for the quadratic iteration).  Every
 stage records the drift, constant, and smallness bookkeeping (A1..A4),
 the torus gaps feed the geometric-convergence check, and the whole run
-is summarized in a deterministic certificate.
+is summarized in a deterministic certificate.  Only smoothing_ladder
+decides which models are cut off: one without rough terms (analytic, or
+a HamiltonianModel of any declared class) takes the constant sequence.
 
 The proof-side constant c = lambda(mu, d, v, tau) is existential: no
 explicit polynomial is available.  Certificates therefore carry the raw
@@ -25,10 +27,10 @@ other candidate lambda can be evaluated offline.
 
 Each (model, torus) pair is evaluated once, into a solver.Iterate that
 the stages pass on.  The ladder holds H's value at K0 and the schedule's
-frame is the first approximant's value there (the ladder's on analytic
-input); its tails are the C^3 distances to the cut target that its
-construction bounded.  Stage 1 starts from the selected model's value
-at K0, and stage k >= 2 from H's value at stage k-1's torus: the one
+frame is the first approximant's value there (the ladder's for a
+constant sequence); its tails are the C^3 distances to the cut target
+that its construction bounded.  Stage 1 starts from the selected model's
+value at K0, and stage k >= 2 from H's value at stage k-1's torus: the one
 stage k-1's solve returned, or after a smoothed stage 1 a new one.  A
 stage's d_k, v_k, tau_k and e_k are norms of its start value at rho_k,
 the width its solve runs at; the final defect is the last stage's.
@@ -49,7 +51,7 @@ import numpy as np
 
 from .diophantine import FrequencyVector
 from .fourier import TorusEmbedding
-from .hamiltonian import Box
+from .hamiltonian import Box, HamiltonianModel
 from .smoothing import (
     SAMPLE_RULE,
     SmoothingSequence,
@@ -240,10 +242,9 @@ def select_k0(
     for j in range(m):
         remaining = seq.gaps_c3[j:]
         worst_gap = max(remaining, default=0.0)
-        tail_sum = tails[j] + sum(remaining)
         lhs8 = 0.0 if worst_gap == 0 else 2.0 * d2 * v2 * worst_gap * tau
         lhs9 = tails[j]
-        witness = tails[j] + tail_sum
+        witness = tails[j] + sum(remaining)
         lhs10 = 0.0 if witness == 0 else 4.0 * d2 * v2 * tau2 * witness
         lhs15 = seq.a_const * 4.0 ** (-j * rate)
         row = {
@@ -498,6 +499,8 @@ def _smoothness(hamiltonian, l: int | None) -> tuple[int, bool]:
     analytic = math.isinf(smooth_cls)
     if l is None:
         l = 4 if analytic else int(smooth_cls)
+    if l < 4:
+        raise ValueError("smoothness class l must be >= 4")
     if not analytic and l > smooth_cls:
         raise ValueError(f"requested l={l} exceeds the model's C^{smooth_cls}")
     return l, analytic
@@ -516,7 +519,7 @@ class Ladder:
 
     l is the resolved smoothness class, h0 the value of H at K0 (its
     defect's strip norm at rho anchors the sequence), h_ext the cut-off
-    model (H itself for analytic input) and seq its approximant ladder.
+    model (H itself for a model without rough terms) and seq its ladder.
     """
 
     l: int
@@ -528,12 +531,13 @@ class Ladder:
 
 def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
                      params: RunParams) -> Ladder:
-    """Resolve l, evaluate H at K0, cut off and smooth the rough part."""
+    """Resolve l, evaluate H at K0, cut off and smooth the rough part if any."""
     l, analytic = _smoothness(hamiltonian, params.l)
     h0 = Iterate.evaluate(hamiltonian, K0, freq, params.rho)
-    h_ext = hamiltonian
-    if not analytic:
-        h_ext = cutoff_extend(hamiltonian, K0, params.r)
+    if analytic or isinstance(hamiltonian, HamiltonianModel):
+        seq = SmoothingSequence.constant(hamiltonian, params.count, l, params.sigma)
+        return Ladder(l, analytic, h0, hamiltonian, seq)
+    h_ext = cutoff_extend(hamiltonian, K0, params.r)
     seq = build_smoothing_sequence(
         h_ext, l, params.sigma, params.count, h0.error.norm_rho.value,
         max_degree=params.max_degree,
@@ -573,9 +577,9 @@ def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
 def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> RunResult:
     """Full cascade for a C^l (or analytic) Hamiltonian; see module docstring.
 
-    Analytic input bypasses cutoff and smoothing entirely (constant
-    sequence), and the cascade degenerates to direct Newton solves whose
-    first stage reproduces solve_torus on H itself.
+    A model without rough terms (smoothing_ladder) bypasses cutoff and
+    smoothing entirely (constant sequence), and the cascade degenerates
+    to direct Newton solves whose first stage reproduces solve_torus on H.
     """
     freq = _frequency(omega, params)
     check_horizon(K0, freq)

@@ -325,12 +325,6 @@ class FourierMap:
         """Index of k = 0 in ``half``."""
         return (self.trunc_order,) * (self.dim_domain - 1) + (0,)
 
-    def _kdot(self, v: np.ndarray) -> np.ndarray:
-        """k . v over the stored half, shape (2M+1,)*(n-1) + (M+1,)."""
-        return half_wavevectors(self.dim_domain, self.trunc_order) @ np.asarray(
-            v, dtype=float
-        )
-
     @property
     def coeffs(self) -> np.ndarray:
         """The full centered spectrum, shape (2M+1,)*n + range_shape, read-only.
@@ -476,7 +470,8 @@ class FourierMap:
         return _grid_major(_range_first(self.half, rank) * factor, rank)
 
     def directional(self, omega: np.ndarray) -> "FourierMap":
-        factor = 2j * np.pi * self._kdot(omega)
+        om = np.atleast_1d(np.asarray(omega, dtype=float))
+        factor = _directional_factor(self.dim_domain, self.trunc_order, tuple(om.tolist()))
         return FourierMap._wrap(self.dim_domain, self._scaled_modes(factor))
 
     def average(self) -> np.ndarray:
@@ -529,9 +524,6 @@ class FourierMap:
     def __sub__(self, other: "FourierMap") -> "FourierMap":
         return self._binary(other, -1.0)
 
-    def scaled(self, c: float) -> "FourierMap":
-        return FourierMap._wrap(self.dim_domain, c * self.half)
-
     def resized(self, trunc_order: int) -> "FourierMap":
         """Embed into (or truncate to) a different truncation order."""
         half = self._at_order(trunc_order)
@@ -539,12 +531,6 @@ class FourierMap:
             rank = len(self.range_shape)
             half = _grid_major(np.ascontiguousarray(_range_first(half, rank)), rank)
         return FourierMap._wrap(self.dim_domain, half)
-
-    @classmethod
-    def constant(cls, value: np.ndarray, dim_domain: int, trunc_order: int = 0):
-        value = np.asarray(value, dtype=float)
-        zero = (0,) * dim_domain
-        return cls(dim_domain, value.shape, {zero: value.astype(complex)}, trunc_order)
 
     def allclose(self, other: "FourierMap", tol: float = 1e-12) -> bool:
         """Every amplitude within tol; |amp(-k)| differences equal |amp(k)|'s,
@@ -714,12 +700,10 @@ class TorusEmbedding:
         return TorusEmbedding(self.winding, self.periodic.resized(trunc_order))
 
     @classmethod
-    def circle(
-        cls, y0, trunc_order: int = 16, dim_domain: int | None = None
-    ) -> "TorusEmbedding":
+    def circle(cls, y0, trunc_order: int = 16) -> "TorusEmbedding":
         """Zero-section torus K(theta) = (theta, y0) over T^n."""
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        n = dim_domain if dim_domain is not None else y0.size
+        n = y0.size
         winding = np.vstack([np.eye(n), np.zeros((n, n))])
         zero = (0,) * n
         const = np.concatenate([np.zeros(n), y0]).astype(complex)

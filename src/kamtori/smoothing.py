@@ -45,7 +45,8 @@ Four layers:
    enveloped by A * 4^(-k(l+2*sigma)), re-anchored at the first index
    whose gap drops below the initial invariance error; the last kept
    entry's C^3 tail to the cut target is bounded too, and each earlier
-   tail by its gap plus the next tail.
+   tail by its gap plus the next tail.  Layers 3 and 4 take rough models
+   only; the driver gives any other model SmoothingSequence.constant.
 
 Only the rough summands of a Hamiltonian are cut off and smoothed; an
 analytic summand is entire, needs no extension, and multiplying it by the
@@ -66,8 +67,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .fourier import TorusEmbedding
-from .hamiltonian import (SAMPLE_POINTS, Box, CompositeHamiltonian, HamiltonianModel,
-                          SumModel, SumOfProducts, grid_table, sampled_max)
+from .hamiltonian import (SAMPLE_POINTS, Box, CompositeHamiltonian, SumModel,
+                          SumOfProducts, grid_table, sampled_max)
 
 __all__ = [
     "BernsteinApproximant",
@@ -918,10 +919,9 @@ class CutoffHamiltonian(SumModel):
         self.rough = tuple(rough)
         self.bump = bump
         self.box = box  # _cut_part() reads it, and SumModel.__init__ keeps it
-        super().__init__([analytic, self._cut_part()] if self.rough else [analytic])
+        super().__init__([analytic, self._cut_part()])
         self.analytic = analytic
-        classes = [t.profile.smoothness_class for t in self.rough]
-        self.smoothness_class = min(classes) if classes else math.inf
+        self.smoothness_class = min(t.profile.smoothness_class for t in self.rough)
 
     def rough_values(self, z):
         z = np.asarray(z, dtype=float)
@@ -938,7 +938,7 @@ class CutoffHamiltonian(SumModel):
         """cut_values as a sum of products of 1-D functions of the coordinates:
         the model's own rough part, so that every bound of a run reads one
         set of its grid tables."""
-        return self.parts[1] if self.rough else self._cut_part()
+        return self.parts[1]
 
     def _cut_part(self) -> SeparableFunction:
         """The rough part as a SeparableFunction on the model's box.
@@ -1008,23 +1008,19 @@ def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
     The box spans the full angle chart [0, 1]^n (periodic) and the action
     range of K0's samples on its sampling grid, inflated by 3r.  The
     cutoff does not depend on the strip width: rho is accepted and not
-    read.
+    read.  Only a CompositeHamiltonian with rough terms is cut off.
     """
     if r <= 0:
         raise ValueError("r must be positive")
+    if not (isinstance(hamiltonian, CompositeHamiltonian) and hamiltonian.rough):
+        raise TypeError("a model without rough terms needs no cut-off")
     n = K0.dim_domain
     periodic = np.concatenate([np.ones(n, bool), np.zeros(n, bool)])
     bump = PlateauBump(K0.grid_samples(), r, periodic)
     lo = np.concatenate([np.zeros(n), bump.anchors[0] - 3 * r])
     hi = np.concatenate([np.ones(n), bump.anchors[1] + 3 * r])
-    if isinstance(hamiltonian, CompositeHamiltonian):
-        analytic, rough = hamiltonian.analytic, hamiltonian.rough
-    elif isinstance(hamiltonian, HamiltonianModel):
-        analytic, rough = hamiltonian, ()
-    else:
-        raise TypeError("cutoff_extend expects an analytic or composite model")
     box = Box(lo, hi, periodic)
-    return CutoffHamiltonian(analytic, rough, bump, box)
+    return CutoffHamiltonian(hamiltonian.analytic, hamiltonian.rough, bump, box)
 
 
 # -- the smoothing sequence ----------------------------------------------------
@@ -1040,11 +1036,11 @@ class SmoothingSequence:
 
     a_const is the fitted envelope max_k gap_k * 4^(k(l+2 sigma)), so every
     stored gap satisfies gap_k <= a_const * 4^(-k(l+2 sigma)) by
-    construction.  The sequence is re-anchored: index 0 is the first
-    ladder entry whose outgoing gap dropped below e0_norm.  tails_c3[k]
-    bounds entry k's C^3 distance to the cut rough target (0 on analytic
-    input); methods names how the gaps and the tails were taken
-    (cl_bound).
+    construction.  A ladder is re-anchored: index 0 is its first entry
+    whose outgoing gap dropped below e0_norm.  tails_c3[k] bounds entry
+    k's C^3 distance to the cut rough target (0 in the constant sequence
+    of a model without rough terms); methods names how the gaps and the
+    tails were taken (cl_bound).
     """
 
     approximants: list
@@ -1054,7 +1050,6 @@ class SmoothingSequence:
     a_const: float
     l: int
     sigma: float
-    e0_norm: float
     anchor_index: int
     history: dict
     tails_c3: list[float] = field(default_factory=list)
@@ -1062,6 +1057,24 @@ class SmoothingSequence:
 
     def bound(self, k: int) -> float:
         return self.a_const * 4.0 ** (-k * (self.l + 2 * self.sigma))
+
+    @classmethod
+    def constant(cls, model, count: int, l: int, sigma: float) -> "SmoothingSequence":
+        """count copies of model itself, with zero gaps and tails."""
+        zeros = [0.0] * max(count - 1, 0)
+        return cls(
+            approximants=[model] * count,
+            degrees=[0] * count,
+            gaps_c3=zeros,
+            gaps_c0=list(zeros),
+            a_const=0.0,
+            l=l,
+            sigma=sigma,
+            anchor_index=0,
+            history={"ladder_degrees": [], "ladder_gaps_c3": [], "analytic": True},
+            tails_c3=[0.0] * count,
+            methods={"gaps": "coefficient_bound", "tails": "coefficient_bound"},
+        )
 
 
 # the ladder's first degree: rung_nd needs 3 for the C^3 gaps it measures
@@ -1083,9 +1096,9 @@ def build_smoothing_sequence(
     first entry whose outgoing gap is <= e0_norm; count entries are kept
     from there; the last kept one's tail to the cut target is bounded,
     and each earlier tail by its gap plus the next tail.
-    The envelope constant is fitted to the kept gaps.  Purely analytic
-    input yields the constant sequence with zero gaps and tails.  Raises
-    when no gap reaches e0_norm by max_degree.
+    The envelope constant is fitted to the kept gaps.  h_ext is a cut-off
+    model (cutoff_extend), so it has rough terms.  Raises when no gap
+    reaches e0_norm by max_degree.
     """
     if l < 4:
         raise ValueError("smoothness class l must be >= 4")
@@ -1093,31 +1106,8 @@ def build_smoothing_sequence(
         raise ValueError("count must be >= 1")
     if e0_norm < 0:
         raise ValueError("e0_norm must be >= 0")
-    # a cut-off model without rough terms is of class C^inf
-    analytic_input = (
-        isinstance(h_ext, HamiltonianModel)
-        or math.isinf(getattr(h_ext, "smoothness_class", math.inf))
-    )
-    if analytic_input:
-        model = h_ext.analytic if isinstance(h_ext, CutoffHamiltonian) else h_ext
-        zeros = [0.0] * max(count - 1, 0)
-        return SmoothingSequence(
-            approximants=[model] * count,
-            degrees=[0] * count,
-            gaps_c3=zeros,
-            gaps_c0=list(zeros),
-            a_const=0.0,
-            l=l,
-            sigma=sigma,
-            e0_norm=e0_norm,
-            anchor_index=0,
-            history={"ladder_degrees": [], "ladder_gaps_c3": [], "analytic": True},
-            tails_c3=[0.0] * count,
-            methods={"gaps": "coefficient_bound", "tails": "coefficient_bound"},
-        )
-
     if not isinstance(h_ext, CutoffHamiltonian):
-        raise TypeError("expected a CutoffHamiltonian or an analytic model")
+        raise TypeError("expected a CutoffHamiltonian, which has rough terms")
 
     box = h_ext.box
     target = h_ext.separable()
@@ -1153,8 +1143,6 @@ def build_smoothing_sequence(
             f"smoothing bound unachievable at max degree {max_degree}: smallest "
             f"C^3 gap {min(raw_gaps_c3, default=np.inf):.3e} > e0_norm {e0_norm:.3e}"
         )
-    while len(approx) - anchor < count and degrees[-1] * 2 <= max_degree:
-        emit(degrees[-1] * 2)
 
     kept = approx[anchor : anchor + count]
     kept_deg = degrees[anchor : anchor + count]
@@ -1179,12 +1167,10 @@ def build_smoothing_sequence(
         a_const=a_const,
         l=l,
         sigma=sigma,
-        e0_norm=e0_norm,
         anchor_index=anchor,
         history={
             "ladder_degrees": degrees,
             "ladder_gaps_c3": raw_gaps_c3,
-            "ladder_gaps_c0": raw_gaps_c0,
             "analytic": False,
             "rungs": kept,
         },

@@ -22,7 +22,7 @@ class TestClosedForms:
         assert sol.average == pytest.approx(0.0)
 
     def test_constant_input(self):
-        g = FourierMap.constant(np.array(2.5), 1)
+        g = FourierMap(1, (), {(0,): 2.5})
         sol = solve_cohomological(g, np.array([GOLDEN]))
         assert sol.solution.grid_sup() == 0.0
         assert sol.average == pytest.approx(2.5)
@@ -226,8 +226,8 @@ class TestReferenceSolve:
             FourierMap(n, (2,), {(1,) + (0,) * (n - 1): [0.5, 0.0],
                                  (1,) + (-1,) * (n - 1): [0.0, 0.25j]}, order),
             FourierMap(n, (), {(order,) * n: 1e-3, (0,) * n: 2.0}, order),
-            FourierMap.constant(np.array([1.0, -2.0]), n, order),
-            FourierMap.constant(np.zeros(2), n, order),
+            FourierMap(n, (2,), {(0,) * n: [1.0, -2.0]}, order),
+            FourierMap(n, (2,), {}, order),
         ]
         freqs = [omega, FrequencyVector.unchecked(omega, 1e-6, n + 0.1, 2 * n * order),
                  FrequencyVector.unchecked(omega, 2.0, n + 0.1, 2 * n * order),

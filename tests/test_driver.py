@@ -47,7 +47,6 @@ def synthetic_sequence(gaps, a_const, l=4, sigma=1.1):
         a_const=a_const,
         l=l,
         sigma=sigma,
-        e0_norm=0.0,
         anchor_index=0,
         history={},
     )
@@ -169,7 +168,7 @@ class TestKamSchedule:
 class TestSelectK0:
     def test_analytic_sequence_trips_on_trigger(self):
         h = HamiltonianModel.pendulum(1e-3)
-        seq = build_smoothing_sequence(h, l=4, sigma=1.1, count=3, e0_norm=1e-3)
+        seq = SmoothingSequence.constant(h, 3, l=4, sigma=1.1)
         k0, rows = select_k0(seq, 1.0, 1.0, 1.0, 1e-3)
         assert k0 == 0
         assert all(r["ok"] for r in rows)
@@ -224,6 +223,15 @@ class TestSelectK0:
         assert rows[0]["ineq8_lhs"] == rows[0]["ineq10_lhs"] == math.inf
         assert rows[1]["ok"]
 
+    def test_ineq10_counts_each_tail_once(self):
+        # d = v = tau = 1: (10) reads 4 (tail_j + remaining gaps), so
+        # j = 0 gives 4 (0.15 + 0.05) = 0.8 < 1 and j = 1 gives 4 * 0.1
+        seq = synthetic_sequence([0.05], a_const=0.0)
+        k0, rows = select_k0(seq, 1.0, 1.0, 1.0, 1e-4, tails=[0.15, 0.1])
+        assert k0 == 0
+        assert [r["ineq10_lhs"] for r in rows] == pytest.approx([0.8, 0.4], rel=1e-15)
+        assert all(r["ok"] for r in rows)
+
 
 class TestLemma4:
     def test_exact_envelope_passes_with_unit_fit(self):
@@ -267,6 +275,22 @@ class TestRunScheme:
         )
         assert np.array_equal(res.torus.winding, direct.torus.winding)
         assert res.torus.periodic.allclose(direct.torus.periodic, 1e-11)
+
+    def test_declared_class_without_rough_terms_is_not_cut_off(self, monkeypatch):
+        # a HamiltonianModel of class C^5 has no rough part: the driver gives
+        # it the constant sequence of H itself, at l = 5 and not as analytic
+        import kamtori.driver as driver
+
+        cuts = []
+        monkeypatch.setattr(driver, "cutoff_extend", lambda *a, **k: cuts.append(a))
+        h5 = HamiltonianModel(1, [((0,), (2,), 0.5), ((1,), (0,), 5e-4)], smoothness_class=5)
+        K0 = TorusEmbedding.circle(GOLDEN, trunc_order=64)
+        res = run_scheme(h5, K0, np.array([GOLDEN]), RunParams(target_error=1e-11))
+        assert cuts == []
+        cert = res.certificate
+        assert cert["l"] == 5 and cert["analytic_input"] is False
+        assert cert["smoothing"]["degrees"] == [0, 0]
+        assert res.converged
 
     def test_k0_beyond_horizon_rejected_before_any_jet(self, monkeypatch):
         import kamtori.driver as driver

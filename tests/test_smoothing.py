@@ -21,6 +21,7 @@ from kamtori.smoothing import (
     PlateauBump,
     SeparableFunction,
     SeparableRung,
+    SmoothingSequence,
     bernstein_1d,
     bernstein_derivative,
     bernstein_nd,
@@ -790,19 +791,24 @@ class TestRungTableOracles:
 class TestSmoothingSequence:
     def test_analytic_input_gives_constant_sequence(self):
         h = HamiltonianModel.pendulum(1e-3)
-        seq = build_smoothing_sequence(h, l=4, sigma=1.1, count=3, e0_norm=1e-3)
+        seq = SmoothingSequence.constant(h, 3, l=4, sigma=1.1)
         assert seq.approximants == [h, h, h]
-        assert seq.gaps_c3 == [0.0, 0.0]
-        assert seq.a_const == 0.0
+        assert seq.degrees == [0, 0, 0]
+        assert seq.gaps_c3 == seq.gaps_c0 == [0.0, 0.0]
+        assert seq.tails_c3 == [0.0, 0.0, 0.0]
+        assert seq.a_const == 0.0 and seq.anchor_index == 0
         assert seq.history["analytic"]
 
     def test_cutoff_without_rough_part_is_analytic(self):
-        h = HamiltonianModel.free_rotator(1)
+        # a model without rough terms is neither cut off nor laddered: the
+        # driver gives it the constant sequence, and both refuse it by type
         K0 = TorusEmbedding.circle(0.4, trunc_order=16)
-        hx = cutoff_extend(h, K0, r=0.5)
-        seq = build_smoothing_sequence(hx, l=4, sigma=1.1, count=2, e0_norm=1e-6)
-        assert seq.approximants[0] is h
-        assert seq.gaps_c3 == [0.0]
+        h = HamiltonianModel.free_rotator(1)
+        for model in (h, CompositeHamiltonian(h, [])):
+            with pytest.raises(TypeError, match="no cut-off"):
+                cutoff_extend(model, K0, r=0.5)
+            with pytest.raises(TypeError, match="CutoffHamiltonian"):
+                build_smoothing_sequence(model, l=4, sigma=1.1, count=2, e0_norm=1e-6)
 
     def test_ladder_reanchors_and_bounds_gaps(self, rough_system):
         h, K0 = rough_system

@@ -1324,7 +1324,8 @@ def padded_at_order(self, trunc_order):
 def padded_directional(self, omega):
     """TorusEmbedding.directional adding the winding term as an M = 0 map."""
     om = np.asarray(getattr(omega, "omega", omega), dtype=float)
-    const = FourierMap.constant(self.winding @ om, self.dim_domain)
+    const = FourierMap(self.dim_domain, (self.dim_range,),
+                       {(0,) * self.dim_domain: self.winding @ om})
     return self.periodic.directional(om) + const
 
 

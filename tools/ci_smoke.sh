@@ -114,6 +114,33 @@ diff -r -x config.json rough2 rough2-again
 python -c 'import json; c = json.load(open("rough2/certificate.json")); assert c["converged"] is True, c["termination_reason"]; assert c["k0"]["index"] >= 0, c["k0"]; assert max(c["smoothing"]["ladder_degrees"]) <= 128, c["smoothing"]'
 # the final torus reads back from its CSV and writes the same bytes
 python -c 'from kamtori import TorusEmbedding; raw = open("rough2/torus_final.csv", "rb").read(); assert TorusEmbedding.from_csv(raw.decode()).to_csv().encode() == raw'
+# inequality (10) of every k0 witness, recomputed from the certificate's
+# schedule, tails and kept gaps: 4 d^2 v^2 tau^2 (tail_j + remaining gaps)
+for run in rough rough2; do
+python - "$run/certificate.json" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))
+s, tails, gaps = c["schedule"], c["tails_c3"], c["smoothing"]["gaps_c3"]
+for w in c["k0"]["witnesses"]:
+    j = w["index"]
+    x = tails[j] + sum(gaps[j:])
+    want = 0.0 if x == 0 else 4.0 * s["d"] ** 2 * s["v"] ** 2 * s["tau"] ** 2 * x
+    assert abs(w["ineq10_lhs"] - want) <= 1e-12 * abs(want), (sys.argv[1], j, w, want)
+EOF
+done
+# a model of declared class C^5 without rough terms is not cut off: the run
+# converges at l = 5 on the constant sequence of H itself (exit 0)
+cat > c5.json <<'EOF'
+{"n": 1, "smoothness_class": 5,
+ "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0},
+           {"k": [1], "m": [0], "re": 5e-4, "im": 0.0}]}
+EOF
+cat > c5-config.json <<'EOF'
+{"hamiltonian": "c5.json", "omega": [0.6180339887498949],
+ "y0": [0.6180339887498949], "trunc": 16, "out": "c5"}
+EOF
+kamtori run --config c5-config.json
+python -c 'import json; c = json.load(open("c5/certificate.json")); assert c["converged"] is True, c["termination_reason"]; assert c["analytic_input"] is False and c["l"] == 5, (c["analytic_input"], c["l"]); d = c["smoothing"]["degrees"]; assert d and set(d) == {0}, d'
 # a y0 of two components on a 1-DOF model: exit 1, named reason
 sed 's/"y0": \[0.4\]/"y0": [0.1, 0.2]/' rough-config.json > bad-y0.json
 code=0
