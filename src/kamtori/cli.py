@@ -37,6 +37,7 @@ from .driver import (
     RunParams,
     _frequency,
     _jsonable,
+    _smoothness,
     kam_schedule,
     run_scheme,
     smoothing_ladder,
@@ -136,7 +137,9 @@ def parse_config(path, **overrides) -> RunConfig:
     and the torus file are loaded, so a model it cannot build, or a torus
     file that does not parse or whose torus is not of the model's n, is
     one violation.  omega and y0 must be numbers, one per degree of
-    freedom of the model, and trunc an integer >= 1.
+    freedom of the model, and trunc an integer >= 1.  The smoothness
+    class l, the model's own where the file gives none, must be >= 4 and
+    within the model's class.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -209,6 +212,12 @@ def parse_config(path, **overrides) -> RunConfig:
         params = RunParams(**knobs)
     except ConfigError as exc:
         bad.extend(exc.violations)
+    else:
+        if model is not None:  # l resolved against the model's class
+            try:
+                _smoothness(model, params.l)
+            except ValueError as exc:
+                bad.append(str(exc))
     sigma = knobs.get("sigma", RunParams.sigma)
     # sigma = n - 1 sits on the boundary where Diophantine vectors cease
     # to have full measure; the strict inequality is required

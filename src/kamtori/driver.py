@@ -500,7 +500,7 @@ def _smoothness(hamiltonian, l: int | None) -> tuple[int, bool]:
     if l is None:
         l = 4 if analytic else int(smooth_cls)
     if l < 4:
-        raise ValueError("smoothness class l must be >= 4")
+        raise ValueError(f"smoothness class l must be >= 4, got {l}")
     if not analytic and l > smooth_cls:
         raise ValueError(f"requested l={l} exceeds the model's C^{smooth_cls}")
     return l, analytic
@@ -683,8 +683,9 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     cert["c_value"] = c_value
     cert["conditions_strict"] = strict
 
-    # Newton cascade: stage 1 on the smoothed model, then the original H,
-    # each stage from the start value its predecessor left
+    # Newton cascade: stage 1 on the selected sequence entry (H itself for
+    # a constant sequence), then the original H, each stage from the start
+    # value its predecessor left
     tol = params.tol if params.tol is not None else params.target_error
     tori = [K0]
     termination = "stage_cap"
@@ -725,8 +726,8 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         start = _value(hamiltonian, k_new, freq, rho_k, res.value)
         record = {
             "stage": k,
-            "model": "smoothed" if k == 1 else "limit",
-            "limit": k != 1,
+            "model": "limit" if h_k is hamiltonian else "smoothed",
+            "limit": h_k is hamiltonian,
             "rho_k": rho_k,
             "delta_k": delta_k,
             "r_k": schedule.r_k(k),

@@ -70,18 +70,21 @@ solve_torus starts from a given Iterate and returns the Iterate of its
 torus, so a cascade hands evaluated iterates on.  A resized K is a new
 iterate.
 
-solve_torus grows M to the order the defect's spectrum asks for: where
-the defect's tail is more than round-off, the decay from the head of its
-strip norm to the tail block |k|_inf > M/2, extended geometrically,
-predicts the mass past each order, and M grows (by at most a factor of
-two) to the first order where that falls below tol, then to the largest
-order its sampling grid holds.  An iterate costs about sampling_size(M)^n
-grid points, so at n >= 2 the order sets the cost of every later iterate.
+solve_torus grows M when the defect's tail is more than round-off and
+predicts mass past M above tol, and it grows M to the order the torus's
+own spectrum asks for: the decay of d_omega K between its peaks in the
+two halves of its tail block, M/2 < |k|_inf <= 3M/4 and
+3M/4 < |k|_inf <= M, extended geometrically, predicts the defect that the
+modes past each order leave, and M grows (by at most a factor of two) to
+the first order where that falls below tol, then to the largest order its
+sampling grid holds.  The defect's own spectrum does not set the order:
+until the last iterates its head holds the Newton error, not the
+truncation's.  An iterate costs about sampling_size(M)^n grid points, so
+at n >= 2 the order sets the cost of every later iterate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -95,6 +98,7 @@ from .fourier import (
     TorusEmbedding,
     _grid_major,
     _range_first,
+    half_wavevectors,
     sampling_size,
 )
 from .hamiltonian import jet_grid
@@ -700,24 +704,42 @@ def check_horizon(K0: TorusEmbedding, omega: FrequencyVector) -> None:
         )
 
 
-def _refined_order(norm: StripNormEstimate, m: int, cap: int, tol: float) -> int:
-    """The order a refinement from order m takes, from the defect's norm.
+def _tail_shells(K: TorusEmbedding, omega) -> list[list]:
+    """Where d_omega K peaks in each half of its tail block, the shells
+    M/2 < |k|_inf <= 3M/4 and 3M/4 < |k|_inf <= M: a pair [order,
+    amplitude] per shell, the order |k|_inf of the shell's largest
+    amplitude (over the components) and that amplitude, [0, 0.0] for an
+    empty shell."""
+    m = K.trunc_order
+    amp = np.maximum.reduce(np.abs(_range_first(K.directional(omega).half, 1)), 0).ravel()
+    order = np.abs(half_wavevectors(K.dim_domain, m)).max(axis=-1).ravel()
+    shells = []
+    for lo, hi in ((m / 2, 3 * m / 4), (3 * m / 4, m)):
+        inside = np.flatnonzero((lo < order) & (order <= hi))
+        top = inside[np.argmax(amp[inside])] if inside.size else None
+        shells.append([0, 0.0] if top is None else [int(order[top]), float(amp[top])])
+    return shells
 
-    The head value - tail_sum holds the modes |k|_inf <= m/2 and
-    q = tail_sum / head is the decay over the tail block of m/2 orders;
-    extended geometrically, the spectrum holds head q^(2M'/m) / (1 - q)
-    past order M'.  The order is the smallest M' where that is <= tol,
-    clamped to [m + 1, min(2m, cap)], and min(2m, cap) where q >= 1 (no
-    decay seen); it is then raised to the largest order its sampling grid
-    holds, (sampling_size(M') - 1) // 2, within cap.
+
+def _grown_order(shells: list[list], m: int, cap: int, tol: float) -> int:
+    """The order a refinement from order m takes, from _tail_shells.
+
+    With a1 the largest amplitude of d_omega K at order o1 in the first
+    shell and a2 that at o2 in the second, d_omega K decays by
+    r = (a2 / a1)^(1 / (o2 - o1)) per order across the tail block.
+    Extended geometrically from a2, the modes past order M' leave a
+    defect of 2 a2 r^(M' + 1 - o2) / (1 - r), each mode with its
+    conjugate.  The order is the least M' where that is <= tol, clamped
+    to [m + 1, min(2m, cap)], and min(2m, cap) where no decay is seen
+    (a1 = 0, or a2 >= a1); it is then raised to the largest order its
+    sampling grid holds, (sampling_size(M') - 1) // 2, within cap.
     """
-    head = norm.value - norm.tail_sum
-    q = norm.tail_sum / head if head > 0 else math.inf
-    top = min(2 * m, cap)
-    order = top
-    if q < 1:
+    (o1, a1), (o2, a2) = shells
+    top = order = min(2 * m, cap)
+    if a2 < a1:
+        r = (a2 / a1) ** (1.0 / (o2 - o1))
         order = next((o for o in range(m + 1, top)
-                      if head * q ** (2 * o / m) / (1 - q) <= tol), top)
+                      if 2 * a2 * r ** (o + 1 - o2) / (1 - r) <= tol), top)
     return min((sampling_size(order) - 1) // 2, cap)
 
 
@@ -750,15 +772,19 @@ def solve_torus(
     value - tail_sum, carried one block of M/2 orders further,
     tail_sum^2 / head.  A tail made of round-off never refines, and
     neither does one that decays below tol by M, however large its tail
-    block.  The new order is the smallest M' whose geometric tail
-    head q^(2M'/M) / (1 - q) is <= tol, clamped to [M + 1, min(2M, cap)],
-    or min(2M, cap) where q >= 1, and raised to the largest order its
-    sampling grid holds within cap (_refined_order); cap is
-    max_trunc_order, or horizon // n where that is lower.  Growth wanted
-    at M = cap is blocked; a solve that stalls or reaches max_iter with
-    the refinement of its last iterate blocked returns its best iterate
-    with status "truncation_capped" instead: the cap, not round-off, held
-    it.
+    block.  The new order is read from the torus, not from the defect,
+    whose head still holds the Newton error: d_omega K peaks at a1, at
+    order o1, in the shell M/2 < |k|_inf <= 3M/4 and at a2, at order o2,
+    in the shell 3M/4 < |k|_inf <= M, so it decays by
+    r = (a2 / a1)^(1 / (o2 - o1)) per order.  The new order is the least
+    M' whose dropped modes leave a defect 2 a2 r^(M' + 1 - o2) / (1 - r)
+    <= tol, clamped to [M + 1, min(2M, cap)], or min(2M, cap) where
+    a2 >= a1, and raised to the largest order its sampling grid holds
+    within cap (_grown_order); cap is max_trunc_order, or horizon // n
+    where that is lower.  Growth wanted at M = cap is blocked; a solve
+    that stalls or reaches max_iter with the refinement of its last
+    iterate blocked returns its best iterate with status
+    "truncation_capped" instead: the cap, not round-off, held it.
 
     The trace has a row per Newton step and one for the last iterate it
     evaluated, whichever rule ended the solve, so each status can be read
@@ -772,9 +798,10 @@ def solve_torus(
     quantities (|DK|, |N|, |<S>^-1|), the frame's min |det M|, the
     Lagrangian defect max |DK^T J DK|, all from the Iterate the step took,
     and the corrected iterate's truncation order; its "error" is that of
-    the iterate the step corrected, after any refinement.  A row whose
-    refinement was blocked records "refine_blocked": True; no other row
-    has the key.
+    the iterate the step corrected, after any refinement.  A row that
+    refines records the peaks its new order was read from,
+    "refine_decay": [[o1, a1], [o2, a2]], and a row whose refinement was
+    blocked records "refine_blocked": True; no other row has either key.
 
     With a FrequencyVector, every retained mode must stay inside its
     Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
@@ -816,8 +843,9 @@ def solve_torus(
             trace.append(row)
             break
         if refine and not blocked:
-            K = K.resized(_refined_order(err.norm_rho, K.trunc_order,
-                                         max_trunc_order, tol))
+            shells = _tail_shells(K, omega)
+            row["refine_decay"] = shells
+            K = K.resized(_grown_order(shells, K.trunc_order, max_trunc_order, tol))
             value = Iterate.evaluate(hamiltonian, K, omega, rho)
             err = value.error
             row["grid"] = err.values.shape[0]

@@ -246,6 +246,20 @@ class TestParseConfig:
         assert err == f"config error: hamiltonian file does not parse: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify", "smooth"])
+    @pytest.mark.parametrize("declared, knobs, violation", [
+        (3, {}, "smoothness class l must be >= 4, got 3"),
+        (5, {"l": 6}, "requested l=6 exceeds the model's C^5.0"),
+    ], ids=["class-3", "l-above-class"])
+    def test_model_class_rejected_before_any_output(self, write_files, capsys, command,
+                                                    declared, knobs, violation):
+        # l is the model's class where the config gives none
+        cfg_path, out = write_files(dict(PENDULUM, smoothness_class=declared), "out",
+                                    **knobs)
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {violation}\n"
+        assert not out.exists()
+
     def test_echo_round_trips(self, write_files):
         cfg_path, out = write_files(ROTATOR, "echo", trunc=16)
         cfg = parse_config(cfg_path)

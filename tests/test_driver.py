@@ -357,7 +357,8 @@ class TestRunScheme:
             k = rec["stage"]
             assert rec["rho_k"] == p.rho / 2.0 ** (k - 1)
             assert rec["delta_k"] == rec["rho_k"] / 12
-            assert rec["model"] == ("smoothed" if k == 1 else "limit")
+            # a constant sequence: every stage solves on H itself
+            assert (rec["model"], rec["limit"]) == ("limit", True)
             assert rec["A1_ok"]
         assert res.stages[0]["iterations"] >= 2
         assert all(r["iterations"] == 0 for r in res.stages[1:])
@@ -770,6 +771,12 @@ class TestMeasuredOnce:
         assert stage2["d_k"] == first["norm_dk"]
         assert stage2["v_k"] == first["norm_n"]
         assert stage2["tau_k"] == first["norm_s_inv"]
+
+    def test_stage_records_name_the_model_they_solved_on(self, rough_run):
+        # stage 1 solves on the selected rung, every later stage on H
+        res, _, _, _ = rough_run
+        assert [(rec["model"], rec["limit"]) for rec in res.stages] == (
+            [("smoothed", False)] + [("limit", True)] * (len(res.stages) - 1))
 
     def test_smoothed_stage_converges_below_the_horizon_cap(self, rough_run):
         # the rung is a trigonometric polynomial in the angle, so stage 1's

@@ -1,6 +1,8 @@
 """Invariance defect, adapted-frame data and the quasi-Newton iteration."""
 
 import dataclasses
+import itertools
+import json
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from kamtori.fourier import _grid_major, sampling_size
 from kamtori.hamiltonian import jet_grid
 from kamtori.solver import (
     COND_DK_LIMIT, SVD_EXACT, AdaptedFrame, _gram_cond, _inverse,
-    _refined_order, _solve, _torsion_inverse,
+    _grown_order, _solve, _tail_shells, _torsion_inverse,
 )
 
 from conftest import GOLDEN
@@ -591,29 +593,39 @@ def status_from_rows(trace: list, tol: float) -> tuple[str, float]:
     return ("diverged" if stalls >= 2 else "max_iter"), best
 
 
+def order_from_decay(decay, m: int, cap: int, tol: float) -> int:
+    """The order a refinement from m takes, from the peaks [[o1, a1],
+    [o2, a2]] a row records as refine_decay.  With the per-order decay
+    r = (a2 / a1)^(1 / (o2 - o1)), the order solves
+    2 a2 r^(M' + 1 - o2) / (1 - r) = tol for M' in closed form, rounds up,
+    clamps to [M + 1, min(2M, cap)] (min(2M, cap) where a2 >= a1) and
+    takes the largest order of its grid within cap."""
+    (o1, a1), (o2, a2) = decay
+    top = new = min(2 * m, cap)
+    if a2 < a1:
+        new = m + 1  # a2 = 0: nothing is left past M
+        if a2 > 0:
+            log_r = np.log(a2 / a1) / (o2 - o1)
+            need = o2 - 1 + np.log(tol * (1 - np.exp(log_r)) / (2 * a2)) / log_r
+            new = int(min(max(np.ceil(need), m + 1), top))
+    return min((sampling_size(new) - 1) // 2, cap)
+
+
 def refinements_from_rows(trace: list, m0: int, cap: int, tol: float) -> list:
     """Each row's refinement, (blocked, order its step kept), recomputed
     from the rows alone.  Growth is wanted on a genuine tail (tail_flag,
     tail_max above round_off) whose tail_beyond exceeds tol, and blocked
-    at M = cap.  With q = tail_beyond / tail_sum and head = tail_sum / q,
-    the order solves head q^(2M'/M) / (1 - q) = tol for M' in closed form,
-    rounds up, clamps to [M + 1, min(2M, cap)] (min(2M, cap) where q >= 1)
-    and takes the largest order of its grid within cap.  The last row
-    takes no step: its order is None."""
+    at M = cap; a row that grows records refine_decay, and no other row
+    does, and its new order follows from it (order_from_decay).  The last
+    row takes no step: its order is None."""
     order, out = m0, []
     for row in trace:
         genuine = row["tail_flag"] and row["tail_max"] > row["round_off"]
         wanted = genuine and row["tail_beyond"] > tol
         blocked = wanted and order >= cap
+        assert ("refine_decay" in row) == (wanted and not blocked)
         if wanted and not blocked:
-            top = min(2 * order, cap)
-            q = row["tail_beyond"] / row["tail_sum"]
-            new = top
-            if q < 1:
-                head = row["tail_sum"] / q
-                need = order / 2 * np.log(tol * (1 - q) / head) / np.log(q)
-                new = int(min(max(np.ceil(need), order + 1), top))
-            order = min((sampling_size(new) - 1) // 2, cap)
+            order = order_from_decay(row["refine_decay"], order, cap, tol)
         out.append((blocked, order if "correction" in row else None))
     return out
 
@@ -673,32 +685,33 @@ class TestSolveTorus:
         assert [row.get("refine_blocked", False) for row in res.trace] == [
             False, False] + [True] * (res.iterations - 1)
         assert status_from_rows(res.trace, 1e-12) == (res.status, res.error)
-        # a cap of 16 admits the growth from 8 at the second step and
-        # blocks the next, yet the solve converges at 16: a converged solve
-        # is never capped
+        # a cap of 16 admits the growth from 8 to 10 at the second step and
+        # from 10 to 16 at the third, and blocks the next, yet the solve
+        # converges at 16: a converged solve is never capped
         wider = solve_torus(coupled_rotator(1e-3),
                             TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=8),
                             freq, tol=1e-12, max_trunc_order=16)
         assert wider.converged and wider.torus.trunc_order == 16
-        assert [row["trunc_order"] for row in wider.trace[:3]] == [8, 8, 16]
-        assert not any(row.get("refine_blocked") for row in wider.trace[:3])
+        assert [row["trunc_order"] for row in wider.trace[:4]] == [8, 8, 10, 16]
+        assert not any(row.get("refine_blocked") for row in wider.trace[:4])
         assert any(row.get("refine_blocked") for row in wider.trace)
         assert status_from_rows(wider.trace, 1e-12) == (wider.status, wider.error)
 
     def test_growth_reaches_a_cap_that_doubling_overshoots(self):
-        # under a cap of 12 doubling from 8 would pass the cap; the order
-        # grows to 12, on its grid of 25, and only growth wanted there is
-        # blocked
+        # under a cap of 12 the order grows from 8 to 10 and then, where the
+        # spectrum asks for more than 12, to the cap 12, on its grid of 25;
+        # only growth wanted there is blocked
         freq = FrequencyVector.estimated(COUPLED_OMEGA, sigma=1.1, horizon=256)
         res = solve_torus(coupled_rotator(1e-3),
                           TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=8),
                           freq, tol=1e-12, max_trunc_order=12)
         assert res.status == "truncation_capped"
         assert res.torus.trunc_order == 12
-        assert [row["trunc_order"] for row in res.trace[:3]] == [8, 8, 12]
-        assert [row["grid"] for row in res.trace[2:]] == [25] * (res.iterations - 1)
+        assert [row["trunc_order"] for row in res.trace[:4]] == [8, 8, 10, 12]
+        assert order_from_decay(res.trace[3]["refine_decay"], 10, 512, 1e-12) > 12
+        assert [row["grid"] for row in res.trace[3:]] == [25] * (res.iterations - 2)
         assert [row.get("refine_blocked", False) for row in res.trace] == [
-            False] * 3 + [True] * (res.iterations - 2)
+            False] * 4 + [True] * (res.iterations - 3)
         assert_rows_recompute(res, 8, 12, 1e-12)
 
     def test_exact_guess_converges_in_zero_steps(self, golden_freq):
@@ -842,22 +855,24 @@ class TestSeparableOracle:
     oracle for n >= 2 that no n-D code computes."""
 
     OMEGA = [GOLDEN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.5]
-    # n = 2 refines from M = 8 to 12; n = 3 from M = 4 to 6 and then 12,
-    # the order each factor's own solve from the same M ends at
-    CASES = {2: ([5e-3, 4e-3], 8, 12), 3: ([1e-3, 8e-4, 6e-4], 4, 12)}
+    # n = 2 refines from M = 8, n = 3 from M = 4
+    CASES = {2: ([5e-3, 4e-3], 8), 3: ([1e-3, 8e-4, 6e-4], 4)}
 
     @pytest.fixture(scope="class", params=[2, 3])
     def product(self, request):
-        eps, m0, m = self.CASES[request.param]
+        eps, m0 = self.CASES[request.param]
         omega = self.OMEGA[: request.param]
         res = solve_separable(eps, omega, m0)
-        assert res.converged and res.torus.trunc_order == m
+        assert res.converged and res.torus.trunc_order > m0
         return eps, omega, m0, res
 
     def test_torus_is_the_product_of_the_factor_tori(self, product):
         eps, omega, m0, res = product
         factors = [solve_separable([e], [w], m0) for e, w in zip(eps, omega)]
         assert all(f.converged for f in factors)
+        # the product's spectrum is the union of its factors' spectra, so
+        # it grows to the order its most demanding factor grows to
+        assert res.torus.trunc_order == max(f.torus.trunc_order for f in factors)
         axis_gap, off_axis = product_gaps(res, factors)
         assert axis_gap <= 1e-14
         assert off_axis <= 1e-13  # round-off against amplitudes up to 0.62
@@ -929,7 +944,7 @@ class TestOneEvaluationPerIterate:
     def cases(self, golden_freq, coupled_freq):
         """(model, K0, omega, refinement cap): n = 1 held at M = 8 (its
         third defect's tail predicts mass past M above tol, which would
-        refine it to 12), n = 2 refining 16 -> 32 up to its horizon."""
+        refine it), n = 2 refining once, 16 -> 22, below its horizon."""
         return [
             (HamiltonianModel.pendulum(5e-3),
              TorusEmbedding.circle(GOLDEN, trunc_order=8), golden_freq, 8),
@@ -952,7 +967,8 @@ class TestOneEvaluationPerIterate:
             calls.clear()
             res = solve_torus(h, K0, freq, tol=1e-12, max_trunc_order=cap)
             assert res.converged and res.iterations >= 2
-            refinements = int(np.log2(res.torus.trunc_order // K0.trunc_order))
+            orders = [K0.trunc_order] + [row["trunc_order"] for row in res.trace[:-1]]
+            refinements = sum(a != b for a, b in zip(orders, orders[1:]))
             resizes.append(refinements)
             assert len(calls) == res.iterations + 1 + refinements
         assert resizes == [0, 1]
@@ -1118,8 +1134,8 @@ class TestSamplingGrid:
             nondegeneracy(h, K, grid_size=45)
 
     def test_coupled_solve_to_64_on_fast_grids(self):
-        # under a cap of 64 the order grows 16 -> 31 -> 62, each the largest
-        # order of its grid (63, 125), and then to the cap 64 on the grid
+        # under a cap of 64 the order grows 16 -> 17 -> 37, each the largest
+        # order of its grid (35, 75), and then to the cap 64 on the grid
         # of 135, which holds 67
         tol = 1e-12
         freq = FrequencyVector.estimated(COUPLED_OMEGA, sigma=1.1, horizon=256)
@@ -1131,7 +1147,7 @@ class TestSamplingGrid:
         grids = [row["grid"] for row in res.trace]
         orders = [row.get("trunc_order", m) for row in res.trace]
         assert grids == [sampling_size(order) for order in orders]
-        assert sorted(set(orders)) == [16, 31, 62, 64]
+        assert sorted(set(orders)) == [16, 17, 37, 64]
         assert grids[-1] == 135
         for size in (2 * m + 1, 2 * ((3 * m) // 2) + 1):
             err = invariance_error(h, res.torus, freq, grid_size=size)
@@ -1147,15 +1163,17 @@ class TestRefinementAboveRoundOff:
     def coupled_solve(self):
         return solve_coupled(1e-3, self.tol)
 
-    def test_coupled_rotator_converges_at_32(self, coupled_solve):
+    def test_coupled_rotator_converges_at_32(self):
+        # at eps 1.05e-3 and tol 1e-13 the order grows 16 -> 17 -> 32, and
         # the last iterate's tail trips at M = 32, but only with round-off
-        h, freq, res = coupled_solve
+        tol = 1e-13
+        h, freq, res = solve_coupled(1.05e-3, tol)
         assert res.converged and res.torus.trunc_order == 32
         last = res.trace[-1]
         assert last["tail_flag"] and last["tail_max"] <= last["round_off"]
         fine = 2 * ((3 * 32) // 2) + 1
         err = invariance_error(h, res.torus, freq, grid_size=fine).norm_grid
-        assert err <= 10 * self.tol
+        assert err <= 10 * tol
 
     def test_pendulum_stays_at_64(self, golden_freq):
         res = solve_torus(HamiltonianModel.pendulum(1e-3),
@@ -1168,7 +1186,7 @@ class TestRefinementAboveRoundOff:
         _, _, res = coupled_solve
         row = res.trace[3]
         assert row["tail_flag"] and row["tail_max"] > 100 * row["round_off"]
-        assert [r.get("trunc_order") for r in res.trace[:4]] == [16, 16, 16, 32]
+        assert [r.get("trunc_order") for r in res.trace[:4]] == [16, 16, 16, 22]
 
     def test_trace_rows_record_the_refinement_decision(self, coupled_solve):
         # each row holds what decided its refinement: a genuine tail
@@ -1190,8 +1208,26 @@ class TestRefinementAboveRoundOff:
         # growth to orders that are no powers of two: the first order whose
         # extrapolated tail meets tol, raised to the largest of its grid
         assert [row.get("trunc_order") for row in grown.trace] == [
-            16, 16, 27, 58, 58, None]
+            16, 16, 17, 37, 58, None]
 
+
+    def test_refining_rows_record_the_decay_they_read(self):
+        # each row that grows M records the peaks [[o1, a1], [o2, a2]] of
+        # d_omega K in the two halves of its tail block, and its new order
+        # follows from them alone, also after a JSON round trip
+        _, freq, res = solve_coupled(2e-3, self.tol)
+        order, grown = 16, []
+        for row in (json.loads(json.dumps(row)) for row in res.trace):
+            new = row.get("trunc_order", order)
+            assert ("refine_decay" in row) == (new != order)
+            if new != order:
+                (o1, a1), (o2, a2) = row["refine_decay"]
+                assert order / 2 < o1 <= 3 * order / 4 < o2 <= order and a1 > 0
+                assert order_from_decay(row["refine_decay"], order,
+                                        freq.horizon // 2, self.tol) == new
+                grown.append(new)
+            order = new
+        assert grown == [17, 37, 58]
 
     def test_trace_rows_record_grid_and_jets(self, coupled_solve):
         _, _, res = coupled_solve
@@ -1201,7 +1237,7 @@ class TestRefinementAboveRoundOff:
             assert row["jets"] == (2 if new > order else 1)
             assert row["grid"] == sampling_size(new)
             order = new
-        assert {row["grid"] for row in res.trace} == {33, 65}
+        assert {row["grid"] for row in res.trace} == {33, 45}
         assert [row["jets"] for row in res.trace].count(2) == 1
         # one jet per iterate plus one per resize, as solve_torus takes them
         assert sum(row["jets"] for row in res.trace) == res.iterations + 2
@@ -1218,14 +1254,14 @@ class TestRefinementAboveTol:
         return [invariance_error(h, res.torus, freq, grid_size=size).norm_grid
                 for size in (2 * m + 1, 2 * ((3 * m) // 2) + 1)]
 
-    def test_tail_below_tol_stays_at_32(self):
+    def test_tail_below_tol_steps_at_16(self):
         # iterate 2 has a genuine tail (tail_max 2.6e-10 > r) of tail_sum
         # 1.1e-9 > tol, yet its spectrum predicts 7e-14 past M = 16, so it
-        # steps at 16; iterate 3 refines to 32, where the solve converges
+        # steps at 16; iterate 3 refines to 22, where the solve converges
         tol = 1e-12
         h, freq, res = solve_coupled(1e-3, tol)
         assert res.converged and res.iterations == 4
-        assert res.torus.trunc_order == 32
+        assert res.torus.trunc_order == 22
         row = res.trace[2]
         assert row["tail_max"] > row["round_off"] and row["tail_sum"] > tol
         assert row["tail_beyond"] < tol and row["trunc_order"] == 16
@@ -1233,12 +1269,12 @@ class TestRefinementAboveTol:
 
     def test_tail_above_tol_refines(self):
         # iterate 2 predicts between 1e-13 and 1e-12 past M = 16: the
-        # tighter tol refines there, to 17 and then 37, the looser one only
-        # at iterate 3, to 32
+        # tighter tol refines there, to 17 and then 32, the looser one only
+        # at iterate 3, to 22
         _, _, res = solve_coupled(1.05e-3, 1e-13)
         _, _, loose = solve_coupled(1.05e-3, 1e-12)
-        assert res.converged and res.torus.trunc_order == 37
-        assert loose.converged and loose.torus.trunc_order == 32
+        assert res.converged and res.torus.trunc_order == 32
+        assert loose.converged and loose.torus.trunc_order == 22
         assert 1e-13 < res.trace[2]["tail_beyond"] == loose.trace[2]["tail_beyond"] < 1e-12
         assert (res.trace[2]["trunc_order"], loose.trace[2]["trunc_order"]) == (17, 16)
 
@@ -1257,25 +1293,56 @@ def two_block_norm(m, head, tail):
     return FourierMap(1, (), {(0,): head, (m,): tail / 2}, trunc_order=m).strip_norm(0.0)
 
 
+def spectrum_torus(amplitudes, omega) -> TorusEmbedding:
+    """A torus over T^n whose d_omega K has amplitude amplitudes(k) at each
+    k != 0 (in its first angle component, the others zero): its spectrum
+    holds amplitudes(k) / |2 pi k.omega|.  amplitudes is a dict {k: a}."""
+    omega = np.asarray(omega, dtype=float)
+    n = omega.size
+    modes = {}
+    for k, a in amplitudes.items():
+        amp = np.zeros(2 * n)
+        amp[0] = a / abs(2 * np.pi * np.dot(k, omega))
+        modes[k] = amp
+    m = max(max(abs(x) for x in k) for k in amplitudes)
+    return TorusEmbedding(np.vstack([np.eye(n), np.zeros((n, n))]),
+                          FourierMap(n, (2 * n,), modes, m))
+
+
+def dropped_defect(K: TorusEmbedding, omega, order: int) -> float:
+    """The defect the modes of K past order leave: the coefficient sum of
+    d_omega K over |k|_inf > order, each mode with its conjugate."""
+    d = K.periodic.directional(np.asarray(omega, dtype=float))
+    return d.strip_norm(0.0).value - d.resized(order).strip_norm(0.0).value
+
+
+def grid_order(order: int) -> int:
+    """The largest order the sampling grid of order holds."""
+    return (sampling_size(order) - 1) // 2
+
+
 class TestRefinedOrder:
-    """_refined_order on spectra of known decay q = tail_sum / head over the
-    M/2 orders of the tail block: head 1 and a tail of q, both exact."""
+    """_grown_order on torus spectra of known decay: d_omega K with
+    amplitude c r^|k| across the tail block of M = 16 peaks at 9 and 13."""
 
-    M, Q = 16, 2.0**-10
+    M, R = 16, 2.0**-1.25
+    OMEGA = [GOLDEN]
 
-    def norm(self, q=Q):
-        est = two_block_norm(self.M, 1.0, q)
-        assert (est.value - est.tail_sum, est.tail_sum) == (1.0, q)
-        return est
+    def torus(self, amplitude):
+        return spectrum_torus({(k,): amplitude(k) for k in range(1, self.M + 1)},
+                              self.OMEGA)
+
+    def shells(self, amplitude):
+        return _tail_shells(self.torus(amplitude), self.OMEGA)
 
     def test_tail_beyond_extends_the_decay_by_one_block(self):
-        assert self.norm().tail_beyond == self.Q**2
+        assert two_block_norm(16, 1.0, 2.0**-10).tail_beyond == 2.0**-20
         assert two_block_norm(16, 0.0, 1e-3).tail_beyond == np.inf  # no head
         assert two_block_norm(16, 1.0, 0.0).tail_beyond == 0.0
 
-    # past M' the geometric tail holds q^(2M'/M) / (1 - q) = 2^(-1.25 M')
-    # times 1.001: 9.5e-7 at 16, 4.0e-7 at 17, 2.2e-9 at 23, 9.3e-10 at 24,
-    # 7.1e-8 at 19 and 3.0e-8 at 20, and 1e-30 needs M' = 80
+    # with c = (1 - r) / (2r) the modes past M' leave 2 c r^(M'+1) / (1 - r)
+    # = 2^(-1.25 M'): 9.5e-7 at 16, 4.0e-7 at 17, 2.2e-9 at 23, 9.3e-10 at
+    # 24, 7.1e-8 at 19 and 3.0e-8 at 20, and 1e-30 needs M' = 80
     @pytest.mark.parametrize("tol, cap, want", [
         (1e-3, 512, 17),   # M' <= M: clamped to M + 1, on the grid of 35
         (5e-7, 512, 17),   # M' = 17 on its own
@@ -1287,26 +1354,57 @@ class TestRefinedOrder:
         (1e-30, 23, 23),   # the grid of 23 is 49, which holds 24: cap
     ])
     def test_order_from_a_geometric_tail(self, tol, cap, want):
-        assert _refined_order(self.norm(), self.M, cap, tol) == want
+        r = self.R
+        c = (1 - r) / (2 * r)
+        shells = self.shells(lambda k: c * r**k)
+        assert [o for o, _ in shells] == [9, 13]
+        assert shells[1][1] == pytest.approx(c * r**13, rel=1e-13)
+        assert _grown_order(shells, self.M, cap, tol) == want
 
     @pytest.mark.parametrize("q, cap, want", [
         (1.0, 512, 32), (2.0, 512, 32), (2.0, 20, 20), (np.inf, 512, 32)])
     def test_no_decay_takes_the_largest_step(self, q, cap, want):
-        # q >= 1 (no head at all for q = inf) takes min(2M, cap) whatever tol
-        est = two_block_norm(self.M, 0.0, 1.0) if q == np.inf else self.norm(q)
-        assert _refined_order(est, self.M, cap, 1e-3) == want
+        # the second shell's peak q times the first's, or nothing in the
+        # first shell for q = inf: min(2M, cap) whatever tol
+        if q == np.inf:
+            shells = self.shells(lambda k: 1.0 if k > 12 else 0.0)
+            assert shells[0][1] == 0.0
+        else:
+            shells = self.shells(lambda k: {9: 1e-6, 13: q * 1e-6}.get(k, 0.0))
+            assert shells[1][1] == pytest.approx(q * shells[0][1], rel=1e-13)
+        assert _grown_order(shells, self.M, cap, 1e-3) == want
+
+    def test_nothing_past_the_first_shell_takes_one_more_order(self):
+        shells = self.shells(lambda k: 1e-3 if k <= 12 else 0.0)
+        assert shells[1][1] == 0.0
+        assert _grown_order(shells, self.M, 512, 1e-30) == grid_order(17)
 
     @pytest.mark.parametrize("r", [0.2, 0.3, 0.4])
     def test_order_tracks_a_geometric_spectrum(self, r):
-        # amplitudes r^|k| to order 128, cut at M = 16: the order predicted
-        # from the cut spectrum is within one of the least order past which
-        # the full spectrum's norm is <= tol
-        tol = 1e-12
-        full = FourierMap(1, (), {(k,): r**k for k in range(129)}, trunc_order=128)
-        got = _refined_order(full.resized(16).strip_norm(0.0), 16, 512, tol)
-        past = [2 * sum(r**k for k in range(m + 1, 129)) for m in range(129)]
-        least = next(m for m in range(129) if past[m] <= tol)
-        assert 16 < least < 32 and abs(got - least) <= 1
+        # K with amplitudes r^|k| to order 128, cut at M = 16: the order
+        # read from the cut torus is, before the raise to its grid, within
+        # one of the least order whose dropped modes leave a defect <= tol
+        tol = 1e-10
+        full = TorusEmbedding(np.array([[1.0], [0.0]]), FourierMap(
+            1, (2,), {(k,): [r**k, 0.0] for k in range(1, 129)}, trunc_order=128))
+        got = _grown_order(_tail_shells(full.resized(16), self.OMEGA), 16, 512, tol)
+        least = next(m for m in range(129)
+                     if dropped_defect(full, self.OMEGA, m) <= tol)
+        assert 16 < least <= 32
+        assert got in {grid_order(m) for m in (least - 1, least, least + 1)}
+
+    @pytest.mark.parametrize("r, tol", [(0.2, 1e-12), (0.3, 1e-11), (0.4, 1e-9)])
+    def test_order_tracks_a_spectrum_on_the_two_torus(self, r, tol):
+        # the same on T^2, with amplitudes r^|k|_1 to |k|_inf = 40
+        omega = COUPLED_OMEGA
+        modes = {k: np.full(4, r ** (abs(k[0]) + abs(k[1])))
+                 for k in itertools.product(range(-40, 41), range(41)) if any(k)}
+        full = TorusEmbedding(np.vstack([np.eye(2), np.zeros((2, 2))]),
+                              FourierMap(2, (4,), modes, 40))
+        got = _grown_order(_tail_shells(full.resized(16), omega), 16, 512, tol)
+        least = next(m for m in range(41) if dropped_defect(full, omega, m) <= tol)
+        assert 16 < least <= 32
+        assert got in {grid_order(m) for m in (least - 1, least, least + 1)}
 
 
 def padded_at_order(self, trunc_order):

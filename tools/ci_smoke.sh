@@ -171,8 +171,10 @@ grep -q "^config error: unknown key: start_degree$" err.txt
 test ! -e rough-start
 
 # the 3-DOF coupled rotator at eps = 1e-3 from the M = 8 circle (sigma 2.1,
-# horizon 120, tol 1e-10): its order grows to the horizon's cap 120 // 3 = 40
-# and the solve converges there (exit 0)
+# horizon 120, tol 1e-10): its order grows 8 -> 10 -> 22 -> 24, each read
+# off the torus's own spectrum, and then, where that spectrum decays too
+# slowly for any order below 2 x 24, to the horizon's cap 120 // 3 = 40;
+# the solve converges there (exit 0)
 cat > rotor3.json <<'EOF'
 {"n": 3, "terms": [{"k": [0, 0, 0], "m": [2, 0, 0], "re": 0.5, "im": 0.0},
                    {"k": [0, 0, 0], "m": [0, 2, 0], "re": 0.5, "im": 0.0},
