@@ -62,10 +62,11 @@ class RunConfig:
     (driver.RunParams).  The other fields name the model file, the
     frequency, the initial torus (a torus CSV file, or the circle over
     y0, omega when None, at truncation order trunc) and the output
-    directory.  to_json echoes all of them as one flat document.  model
-    and torus are the Hamiltonian and the torus file's embedding that
-    parse_config read to validate them, the ones every subcommand works
-    on; they are not echoed.
+    directory.  to_json echoes the run's inputs as one flat document:
+    every field but out, which names where a run writes, not what it
+    computes.  model and torus are the Hamiltonian and the torus file's
+    embedding that parse_config read to validate them, the ones every
+    subcommand works on; they are not echoed either.
     """
 
     hamiltonian: str
@@ -80,7 +81,7 @@ class RunConfig:
 
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in _UNECHOED}
+               if f.name not in _UNECHOED and f.name != "out"}
         doc.update(asdict(self.params))
         return _json_text(doc)
 

@@ -51,12 +51,12 @@ import numpy as np
 
 from .diophantine import FrequencyVector
 from .fourier import TorusEmbedding
-from .hamiltonian import Box, HamiltonianModel
+from .hamiltonian import HamiltonianModel
 from .smoothing import (
     SAMPLE_RULE,
     SmoothingSequence,
     SmoothingUnachievable,
-    START_DEGREE,
+    _hull_box,
     build_smoothing_sequence,
     cl_bound,
     cutoff_extend,
@@ -82,6 +82,10 @@ DEFAULT_LAMBDA = "mu * d**2 * v**2 * tau**2"
 LEMMA4_SLACK = 1.5  # how far later scaled gaps may exceed the first in lemma4_check
 # torus gaps lemma4_check fits: a run takes one stage more before it may stop
 LEMMA4_GAPS = 3
+# the cascade's stage cap (at least LEMMA4_GAPS + 1, or lemma 4 never has
+# its gaps) and the smoothing sequence's length
+MAX_STAGES = 6
+LADDER_COUNT = 2
 
 
 def _power(x, p) -> float:
@@ -123,11 +127,10 @@ class KamSchedule:
     def __post_init__(self):
         if min(self.rho, self.r, self.gamma) <= 0 or self.sigma <= 0:
             raise ValueError("rho, r, gamma, sigma must be positive")
+        # l >= 4 also gives the 4^(l+sigma) >= 4 that
+        # sum r_k = r / (1 - 4^-(l+sigma)) <= (4/3) r needs
         if self.l < 4:
             raise ValueError("smoothness class l must be >= 4")
-        # sum r_k = r / (1 - 4^-(l+sigma)) <= (4/3) r needs 4^(l+sigma) >= 4
-        if self.l + self.sigma < 1:
-            raise ValueError("l + sigma < 1 breaks the drift envelope")
 
     @property
     def delta0(self) -> float:
@@ -308,7 +311,7 @@ class ConfigError(ValueError):
 
 
 # RunParams knobs that count something; l may also be None
-_INTEGER_KNOBS = ("horizon", "l", "max_iter", "max_stages", "count", "max_degree")
+_INTEGER_KNOBS = ("horizon", "l", "max_iter")
 
 # (message, test) per bound of a RunParams knob; a value the test cannot
 # compare (a string for a number, None where a value is required) fails it
@@ -322,12 +325,6 @@ _BOUNDS = (
     ("target_error must be positive, got {p.target_error}", lambda p: p.target_error > 0),
     ("tol must be positive, got {p.tol}", lambda p: p.tol is None or p.tol > 0),
     ("max_iter must be >= 1, got {p.max_iter}", lambda p: p.max_iter >= 1),
-    # fewer stages give lemma 4 fewer than LEMMA4_GAPS torus gaps to fit
-    (f"max_stages must be >= {LEMMA4_GAPS + 1}, got {{p.max_stages}}",
-     lambda p: p.max_stages >= LEMMA4_GAPS + 1),
-    ("count must be >= 1, got {p.count}", lambda p: p.count >= 1),
-    (f"max_degree must be >= {START_DEGREE}, got {{p.max_degree}}",
-     lambda p: p.max_degree >= START_DEGREE),
 )
 
 
@@ -338,10 +335,11 @@ class RunParams:
     rho, r, sigma, gamma and l are the scheme's hypotheses: strip width,
     radius, Diophantine exponent and constant (estimated over horizon
     when None) and smoothness class (the model's when None).  target_error
-    ends the cascade, tol (target_error when None) each stage's solve.
-    The rest size the cascade and the smoothing ladder; a cascade stops
-    no earlier than stage LEMMA4_GAPS + 1, when lemma 4 has its gaps, and
-    the ladder starts at degree START_DEGREE.
+    ends the cascade, tol (target_error when None) each stage's solve,
+    and max_iter caps its Newton steps.  The cascade's and the ladder's
+    sizes are constants: at most MAX_STAGES stages, none stopping before
+    stage LEMMA4_GAPS + 1, and LADDER_COUNT approximants from rungs of
+    degree START_DEGREE up to MAX_DEGREE (smoothing).
     Construction checks every knob and raises one ConfigError listing
     each violation; an integer knob must be an integer (not a bool) and is
     stored as an int.  Everything is echoed into the certificate.
@@ -356,9 +354,6 @@ class RunParams:
     target_error: float = 1e-9
     tol: float | None = None
     max_iter: int = 12
-    max_stages: int = 6
-    count: int = 2
-    max_degree: int = 4096
 
     def __post_init__(self):
         not_int = []
@@ -408,15 +403,6 @@ def _jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
-
-
-def _hull_box(K: TorusEmbedding, margin: float) -> Box:
-    """Box hull of the margin-neighborhood of the torus image (angles periodic)."""
-    n = K.dim_domain
-    pts = K.grid_samples().reshape(-1, 2 * n)
-    lo = np.concatenate([np.zeros(n), pts[:, n:].min(axis=0) - margin])
-    hi = np.concatenate([np.ones(n), pts[:, n:].max(axis=0) + margin])
-    return Box(lo, hi, np.concatenate([np.ones(n, bool), np.zeros(n, bool)]))
 
 
 def _c3_near(model, K: TorusEmbedding, margin: float) -> float:
@@ -535,13 +521,11 @@ def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
     l, analytic = _smoothness(hamiltonian, params.l)
     h0 = Iterate.evaluate(hamiltonian, K0, freq, params.rho)
     if analytic or isinstance(hamiltonian, HamiltonianModel):
-        seq = SmoothingSequence.constant(hamiltonian, params.count, l, params.sigma)
+        seq = SmoothingSequence.constant(hamiltonian, LADDER_COUNT, l, params.sigma)
         return Ladder(l, analytic, h0, hamiltonian, seq)
     h_ext = cutoff_extend(hamiltonian, K0, params.r)
     seq = build_smoothing_sequence(
-        h_ext, l, params.sigma, params.count, h0.error.norm_rho.value,
-        max_degree=params.max_degree,
-    )
+        h_ext, l, params.sigma, LADDER_COUNT, h0.error.norm_rho.value)
     return Ladder(l, analytic, h0, h_ext, seq)
 
 
@@ -655,10 +639,10 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         "d": schedule.d,
         "v": schedule.v,
         "tau": schedule.tau,
-        "rho_k": [schedule.rho_k(k) for k in range(1, params.max_stages + 1)],
-        "delta_k": [schedule.delta_k(k) for k in range(1, params.max_stages + 1)],
-        "r_k": [schedule.r_k(k) for k in range(1, params.max_stages + 1)],
-        "drift_budget": schedule.drift_budget(params.max_stages),
+        "rho_k": [schedule.rho_k(k) for k in range(1, MAX_STAGES + 1)],
+        "delta_k": [schedule.delta_k(k) for k in range(1, MAX_STAGES + 1)],
+        "r_k": [schedule.r_k(k) for k in range(1, MAX_STAGES + 1)],
+        "drift_budget": schedule.drift_budget(MAX_STAGES),
     }
 
     try:
@@ -690,7 +674,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     tori = [K0]
     termination = "stage_cap"
     failed_stage = None
-    for k in range(1, params.max_stages + 1):
+    for k in range(1, MAX_STAGES + 1):
         h_k, k_prev = start.model, start.K
         rho_k = schedule.rho_k(k)
         # refinement may not outgrow the certified Diophantine horizon

@@ -101,8 +101,8 @@ class Box:
 
     def contains(self, z: np.ndarray) -> np.ndarray:
         """True where z lies in the box, within BOX_SLACK on each
-        non-periodic axis."""
-        z = self.wrap(z)
+        non-periodic axis; a periodic axis is not checked."""
+        z = np.asarray(z)
         ok = np.ones(z.shape[:-1], dtype=bool)
         for i in range(self.dim):
             if self.periodic[i]:

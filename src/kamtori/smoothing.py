@@ -1001,25 +1001,32 @@ class _RoughFactor:
         return out
 
 
+def _hull_box(K: TorusEmbedding, margin: float) -> Box:
+    """Box hull of the margin-neighborhood of the torus image: the angle
+    chart [0, 1]^n (periodic) times the action range of K's samples on its
+    sampling grid, inflated by margin."""
+    n = K.dim_domain
+    pts = K.grid_samples().reshape(-1, 2 * n)
+    lo = np.concatenate([np.zeros(n), pts[:, n:].min(axis=0) - margin])
+    hi = np.concatenate([np.ones(n), pts[:, n:].max(axis=0) + margin])
+    return Box(lo, hi, np.concatenate([np.ones(n, bool), np.zeros(n, bool)]))
+
+
 def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
                   rho: float = 0.0) -> CutoffHamiltonian:
     """Localize the rough part of a Hamiltonian to a box around K0's image.
 
-    The box spans the full angle chart [0, 1]^n (periodic) and the action
-    range of K0's samples on its sampling grid, inflated by 3r.  The
-    cutoff does not depend on the strip width: rho is accepted and not
-    read.  Only a CompositeHamiltonian with rough terms is cut off.
+    The box is _hull_box(K0, 3r): the angle chart times K0's action range,
+    inflated by 3r.  The cutoff does not depend on the strip width: rho is
+    accepted and not read.  Only a CompositeHamiltonian with rough terms
+    is cut off.
     """
     if r <= 0:
         raise ValueError("r must be positive")
     if not (isinstance(hamiltonian, CompositeHamiltonian) and hamiltonian.rough):
         raise TypeError("a model without rough terms needs no cut-off")
-    n = K0.dim_domain
-    periodic = np.concatenate([np.ones(n, bool), np.zeros(n, bool)])
-    bump = PlateauBump(K0.grid_samples(), r, periodic)
-    lo = np.concatenate([np.zeros(n), bump.anchors[0] - 3 * r])
-    hi = np.concatenate([np.ones(n), bump.anchors[1] + 3 * r])
-    box = Box(lo, hi, periodic)
+    box = _hull_box(K0, 3 * r)
+    bump = PlateauBump(K0.grid_samples(), r, box.periodic)
     return CutoffHamiltonian(hamiltonian.analytic, hamiltonian.rough, bump, box)
 
 
@@ -1027,7 +1034,7 @@ def cutoff_extend(hamiltonian, K0: TorusEmbedding, r: float,
 
 
 class SmoothingUnachievable(ValueError):
-    """No ladder gap reached e0_norm by max_degree."""
+    """No ladder gap reached e0_norm by MAX_DEGREE."""
 
 
 @dataclass
@@ -1077,8 +1084,10 @@ class SmoothingSequence:
         )
 
 
-# the ladder's first degree: rung_nd needs 3 for the C^3 gaps it measures
+# the ladder's first degree (rung_nd needs 3 for the C^3 gaps it measures)
+# and the last it builds before it gives up
 START_DEGREE = 8
+MAX_DEGREE = 4096
 
 
 def build_smoothing_sequence(
@@ -1087,7 +1096,6 @@ def build_smoothing_sequence(
     sigma: float,
     count: int,
     e0_norm: float,
-    max_degree: int = 4096,
 ) -> SmoothingSequence:
     """Doubling-degree ladder of rungs (rung_nd) for the cut rough part, re-anchored.
 
@@ -1098,7 +1106,7 @@ def build_smoothing_sequence(
     and each earlier tail by its gap plus the next tail.
     The envelope constant is fitted to the kept gaps.  h_ext is a cut-off
     model (cutoff_extend), so it has rough terms.  Raises when no gap
-    reaches e0_norm by max_degree.
+    reaches e0_norm by MAX_DEGREE.
     """
     if l < 4:
         raise ValueError("smoothness class l must be >= 4")
@@ -1131,7 +1139,7 @@ def build_smoothing_sequence(
     anchor = None
     while True:
         deg *= 2
-        if deg > max_degree:
+        if deg > MAX_DEGREE:
             break
         emit(deg)
         if anchor is None and raw_gaps_c3[-1] <= e0_norm:
@@ -1140,7 +1148,7 @@ def build_smoothing_sequence(
             break
     if anchor is None:
         raise SmoothingUnachievable(
-            f"smoothing bound unachievable at max degree {max_degree}: smallest "
+            f"smoothing bound unachievable at max degree {MAX_DEGREE}: smallest "
             f"C^3 gap {min(raw_gaps_c3, default=np.inf):.3e} > e0_norm {e0_norm:.3e}"
         )
 

@@ -10,10 +10,6 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # run knobs that crash or measure nothing, and the start of the one
 # violation each is rejected with, alike by RunParams and by a config file
 REJECTED_KNOBS = [
-    ({"max_degree": 4}, "max_degree must be >= 8, got 4"),
-    ({"count": 0}, "count must be >= 1, got 0"),
-    ({"max_stages": 0}, "max_stages must be >= 4, got 0"),
-    ({"max_stages": 3}, "max_stages must be >= 4, got 3"),
     ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
     ({"tol": -1}, "tol must be positive, got -1"),
     ({"target_error": 0}, "target_error must be positive, got 0"),

@@ -1,5 +1,6 @@
 """Config validation, subcommand dispatch, artifacts and exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,8 +14,10 @@ import pytest
 import kamtori
 import kamtori.cli as cli
 import kamtori.diophantine as diophantine
+import kamtori.smoothing as smoothing
 from kamtori import FrequencyVector, HamiltonianModel, TorusEmbedding
 from kamtori.cli import ConfigError, RunConfig, main, parse_config
+from kamtori.driver import LADDER_COUNT
 from kamtori.solver import invariance_error, newton_step
 
 from conftest import GOLDEN, REJECTED_IDS, REJECTED_KNOBS
@@ -164,9 +167,11 @@ class TestParseConfig:
         assert capsys.readouterr().err == "config error: unknown key: condition_mode\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("knob", ["start_degree", "min_tori"])
+    @pytest.mark.parametrize("knob", ["start_degree", "min_tori", "count", "max_stages",
+                                      "max_degree"])
     def test_removed_knob_rejected_before_any_output(self, write_files, capsys, knob):
-        # the ladder starts at degree 8, and a run stops once lemma 4 has 3 gaps
+        # the ladder keeps 2 rungs from degree 8 up to 4096, and a run takes
+        # at most 6 stages and stops once lemma 4 has 3 gaps
         cfg_path, out = write_files(ROUGH, "out", **{knob: 8}, **ROUGH_KNOBS)
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"config error: unknown key: {knob}\n"
@@ -265,7 +270,17 @@ class TestParseConfig:
         cfg = parse_config(cfg_path)
         assert main(["verify", "--config", str(cfg_path)]) == 0
         echoed = parse_config(out / "config.json")
-        assert echoed == cfg
+        # out names where the run wrote, not one of its inputs
+        assert echoed == dataclasses.replace(cfg, out=None)
+
+    def test_echo_names_no_output_directory(self, write_files, tmp_path):
+        cfg_path, out = write_files(PENDULUM, "configured")
+        elsewhere = tmp_path / "elsewhere"
+        assert main(["smooth", "--config", str(cfg_path), "--out", str(elsewhere)]) == 0
+        echo = (elsewhere / "config.json").read_text()
+        assert "out" not in json.loads(echo)
+        assert str(out) not in echo and str(elsewhere) not in echo
+        assert not out.exists()
 
 
 class TestDispatch:
@@ -327,10 +342,11 @@ class TestDispatch:
         assert cert["stages"] == []
         assert cert["conditions_measured"]["condition2_lhs"] > 1.0
 
-    def test_run_unachievable_ladder_writes_its_certificate(self, write_files):
+    def test_run_unachievable_ladder_writes_its_certificate(self, write_files,
+                                                            monkeypatch):
         # at y0 = golden no ladder gap up to degree 16 reaches the defect
-        cfg_path, out = write_files(ROUGH, "ladder", rho=0.02, r=0.8, target_error=1e-8,
-                                    max_degree=16)
+        monkeypatch.setattr(smoothing, "MAX_DEGREE", 16)
+        cfg_path, out = write_files(ROUGH, "ladder", rho=0.02, r=0.8, target_error=1e-8)
         assert main(["run", "--config", str(cfg_path)]) == 1
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["converged"] is False
@@ -389,7 +405,7 @@ class TestDispatch:
 
     def test_smooth_rough_ladder(self, write_files):
         cfg_path, out = write_files(
-            ROUGH, "smooth", y0=[0.4], rho=0.02, r=0.8, count=2
+            ROUGH, "smooth", y0=[0.4], rho=0.02, r=0.8
         )
         assert main(["smooth", "--config", str(cfg_path)]) == 0
         cert = json.loads((out / "certificate.json").read_text())
@@ -425,11 +441,13 @@ class TestDispatch:
         assert np.max(np.abs(angle * action - rung(z))) <= 1e-12 * np.max(np.abs(rung(z)))
 
     def test_smooth_analytic_input_short_circuit(self, write_files):
-        cfg_path, out = write_files(PENDULUM, "smooth_an", count=3)
+        cfg_path, out = write_files(PENDULUM, "smooth_an")
         assert main(["smooth", "--config", str(cfg_path)]) == 0
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["analytic_input"]
-        assert cert["gaps_c3"] == [0.0, 0.0]
+        # LADDER_COUNT copies of H itself, with the zero gaps between them
+        assert cert["degrees"] == [0] * LADDER_COUNT
+        assert cert["gaps_c3"] == [0.0] * (LADDER_COUNT - 1)
         assert cert["a_const"] == 0.0
 
     @pytest.mark.parametrize("command, model, extra", [

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import kamtori.smoothing as smoothing
 from kamtori import (
     FrequencyVector,
     HamiltonianModel,
@@ -458,9 +459,10 @@ def bspline_run(coordinates, amplitude, y0, **knobs):
 class TestRoughRuns:
     """Rough cascades whose ladders take V_N on every axis."""
 
-    def test_unachievable_ladder_ends_with_a_certificate(self):
+    def test_unachievable_ladder_ends_with_a_certificate(self, monkeypatch):
         # at y0 = golden the defect is small: no gap up to degree 16 reaches it
-        K0, res = bspline_run([0], 1e-4, [GOLDEN], max_degree=16)
+        monkeypatch.setattr(smoothing, "MAX_DEGREE", 16)
+        K0, res = bspline_run([0], 1e-4, [GOLDEN])
         cert = res.certificate
         assert not res.converged and cert["converged"] is False
         assert cert["termination_reason"] == "smoothing_unachievable"
@@ -495,8 +497,7 @@ class TestRunParams:
         [named] = exc.value.violations
         assert named.startswith(violation)
 
-    @pytest.mark.parametrize("name", ["horizon", "l", "max_iter", "max_stages",
-                                      "count", "max_degree"])
+    @pytest.mark.parametrize("name", ["horizon", "l", "max_iter"])
     def test_integer_knobs_take_integers_only(self, name):
         for value in (8.0, "8", None, False):
             if name == "l" and value is None:
@@ -505,7 +506,7 @@ class TestRunParams:
                 RunParams(**{name: value})
             assert exc.value.violations == [f"{name} must be an integer, got {value}"]
         # an integer of another type is stored as an int
-        stored = getattr(RunParams(**{"max_degree": 4096, name: np.int64(8)}), name)
+        stored = getattr(RunParams(**{name: np.int64(8)}), name)
         assert stored == 8 and type(stored) is int
 
     def test_every_violation_in_one_value_error(self):
@@ -925,7 +926,8 @@ class TestFactoredC3Norm:
 
     @pytest.mark.parametrize("n, points", [(1, 9), (2, 5)])
     def test_matches_exact_derivatives(self, n, points):
-        from kamtori.driver import _c3_near, _hull_box
+        from kamtori.driver import _c3_near
+        from kamtori.smoothing import _hull_box
 
         K, cases, _ = self.models(n)
         for model, derivatives in cases:
@@ -935,7 +937,8 @@ class TestFactoredC3Norm:
 
     @pytest.mark.parametrize("n, points", [(1, 9), (2, 5)])
     def test_matches_the_value_stencil_path(self, n, points):
-        from kamtori.driver import _c3_near, _hull_box
+        from kamtori.driver import _c3_near
+        from kamtori.smoothing import _hull_box
 
         K, _, hx = self.models(n)
         want = cl_norm(lambda z: hx(z), _hull_box(K, 0.4), 3, points)
@@ -945,7 +948,8 @@ class TestFactoredC3Norm:
     def test_bounds_the_dense_reference(self, n, points):
         # every model of a run, the cut-off one with its exact tables,
         # against cl_norm's dense grid
-        from kamtori.driver import _c3_near, _hull_box
+        from kamtori.driver import _c3_near
+        from kamtori.smoothing import _hull_box
 
         K, cases, hx = self.models(n)
         for model in [hx] + [m for m, _ in cases]:

@@ -672,7 +672,7 @@ class TestValleePoussinRung:
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
         seq = build_smoothing_sequence(
-            hx, l=4, sigma=1.1, count=3, e0_norm=0.2, max_degree=128
+            hx, l=4, sigma=1.1, count=3, e0_norm=0.2
         )
         return seq.history["rungs"]
 
@@ -814,7 +814,7 @@ class TestSmoothingSequence:
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
         seq = build_smoothing_sequence(
-            hx, l=4, sigma=1.1, count=2, e0_norm=0.2, max_degree=128
+            hx, l=4, sigma=1.1, count=2, e0_norm=0.2
         )
         assert seq.degrees == [8, 16]
         assert seq.anchor_index == 0
@@ -835,7 +835,7 @@ class TestSmoothingSequence:
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
         seq = build_smoothing_sequence(
-            hx, l=4, sigma=1.1, count=2, e0_norm=0.11, max_degree=128
+            hx, l=4, sigma=1.1, count=2, e0_norm=0.11
         )
         ladder_gaps = seq.history["ladder_gaps_c3"]
         assert seq.history["ladder_degrees"][:3] == [8, 16, 32]
@@ -847,7 +847,7 @@ class TestSmoothingSequence:
     def test_prefix_stability_when_count_grows(self, rough_system):
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
-        kw = dict(l=4, sigma=1.1, e0_norm=0.2, max_degree=128)
+        kw = dict(l=4, sigma=1.1, e0_norm=0.2)
         seq2 = build_smoothing_sequence(hx, count=2, **kw)
         seq3 = build_smoothing_sequence(hx, count=3, **kw)
         assert seq3.degrees[:2] == seq2.degrees
@@ -865,13 +865,12 @@ class TestSmoothingSequence:
         assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
         assert gaps[-1] < 1e-4
 
-    def test_unachievable_bound_raises(self, rough_system):
+    def test_unachievable_bound_raises(self, rough_system, monkeypatch):
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
-        with pytest.raises(ValueError, match="unachievable"):
-            build_smoothing_sequence(
-                hx, l=4, sigma=1.1, count=2, e0_norm=1e-6, max_degree=16,
-            )
+        monkeypatch.setattr(smoothing, "MAX_DEGREE", 16)
+        with pytest.raises(ValueError, match="unachievable at max degree 16"):
+            build_smoothing_sequence(hx, l=4, sigma=1.1, count=2, e0_norm=1e-6)
 
     def test_parameter_validation(self):
         h = HamiltonianModel.pendulum(1e-3)

@@ -72,15 +72,15 @@ cat > rough-config.json <<'EOF'
  "target_error": 1e-8, "out": "rough"}
 EOF
 # the cutoff and smoothing ladder alone exit 0, and the echoed config
-# reproduces the gap table, the approximants and the certificate
+# reproduces the gap table, the approximants, the certificate and itself
 kamtori smooth --config rough-config.json --out smoothed
 kamtori smooth --config smoothed/config.json --out smoothed-again
-diff -r -x config.json smoothed smoothed-again
+diff -r smoothed smoothed-again
 kamtori run --config rough-config.json
 kamtori run --config rough/config.json --out rough-again
-# every output of the rerun is byte-identical; config.json is too, since it
-# echoes the config file's "out", not the --out flag
-diff -r -x config.json rough rough-again
+# every output of the rerun is byte-identical, config.json too: the echo
+# names the run's inputs, not the directory it was written to
+diff -r rough rough-again
 # the rungs are smooth across the angle seam: the smoothed stage converges,
 # and its start defect has no genuine spectral tail
 python -c 'import json; c = json.load(open("rough/certificate.json")); s = c["stages"][0]["status"]; assert s == "converged", s; assert c["e0_stage1"]["tail_flag"] is False, c["e0_stage1"]'
@@ -110,7 +110,7 @@ cat > rough2-config.json <<'EOF'
 EOF
 kamtori run --config rough2-config.json
 kamtori run --config rough2/config.json --out rough2-again
-diff -r -x config.json rough2 rough2-again
+diff -r rough2 rough2-again
 python -c 'import json; c = json.load(open("rough2/certificate.json")); assert c["converged"] is True, c["termination_reason"]; assert c["k0"]["index"] >= 0, c["k0"]; assert max(c["smoothing"]["ladder_degrees"]) <= 128, c["smoothing"]'
 # the final torus reads back from its CSV and writes the same bytes
 python -c 'from kamtori import TorusEmbedding; raw = open("rough2/torus_final.csv", "rb").read(); assert TorusEmbedding.from_csv(raw.decode()).to_csv().encode() == raw'
@@ -159,16 +159,18 @@ test "$code" -eq 1
 test "$(wc -l < err.txt)" -eq 1
 grep -q "^config error: unknown key: condition_mode$" err.txt
 test ! -e rough-strict
-# the ladder's first degree is fixed at 8: start_degree is no key of a
-# config either (exit 1, one named reason, no output)
-sed 's/"out": "rough"}/"out": "rough-start", "start_degree": 8}/' rough-config.json > start.json
-code=0
-kamtori run --config start.json 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(wc -l < err.txt)" -eq 1
-grep -q "^config error: unknown key: start_degree$" err.txt
-test ! -e rough-start
+# the ladder's degrees and length and the cascade's stage cap are
+# constants, no keys of a config either (exit 1, one named reason, no output)
+for knob in start_degree count max_stages max_degree; do
+  sed "s/\"out\": \"rough\"}/\"out\": \"rough-$knob\", \"$knob\": 8}/" rough-config.json > knob.json
+  code=0
+  kamtori run --config knob.json 2> err.txt || code=$?
+  cat err.txt
+  test "$code" -eq 1
+  test "$(wc -l < err.txt)" -eq 1
+  grep -q "^config error: unknown key: $knob\$" err.txt
+  test ! -e "rough-$knob"
+done
 
 # the 3-DOF coupled rotator at eps = 1e-3 from the M = 8 circle (sigma 2.1,
 # horizon 120, tol 1e-10): its order grows 8 -> 10 -> 22 -> 24, each read
