@@ -36,6 +36,7 @@ from .driver import (
     ConfigError,
     RunParams,
     _frequency,
+    _is_number,
     _jsonable,
     _smoothness,
     kam_schedule,
@@ -64,9 +65,10 @@ class RunConfig:
     y0, omega when None, at truncation order trunc) and the output
     directory.  to_json echoes the run's inputs as one flat document:
     every field but out, which names where a run writes, not what it
-    computes.  model and torus are the Hamiltonian and the torus file's
-    embedding that parse_config read to validate them, the ones every
-    subcommand works on; they are not echoed either.
+    computes.  model, torus and freq are what parse_config built from
+    them to validate them, the ones every subcommand works on: the
+    Hamiltonian, the initial torus and the run's FrequencyVector.  They
+    are not echoed either.
     """
 
     hamiltonian: str
@@ -78,21 +80,13 @@ class RunConfig:
     out: str | None = None
     model: object = field(default=None, repr=False, compare=False)
     torus: TorusEmbedding | None = field(default=None, repr=False, compare=False)
+    freq: FrequencyVector | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in _UNECHOED and f.name != "out"}
         doc.update(asdict(self.params))
         return _json_text(doc)
-
-    def load_torus(self) -> TorusEmbedding:
-        if self.torus is not None:
-            return self.torus
-        y0 = self.y0 if self.y0 is not None else self.omega
-        return TorusEmbedding.circle(np.asarray(y0, dtype=float), self.trunc)
-
-    def frequency(self) -> FrequencyVector:
-        return _frequency(np.asarray(self.omega, dtype=float), self.params)
 
 
 def load_hamiltonian(path: str):
@@ -125,7 +119,7 @@ def load_hamiltonian(path: str):
     return CompositeHamiltonian(analytic=base, rough=terms)
 
 
-_UNECHOED = frozenset({"params", "model", "torus"})
+_UNECHOED = frozenset({"params", "model", "torus", "freq"})
 _CLI_KEYS = frozenset(f.name for f in fields(RunConfig)) - _UNECHOED
 _PARAM_KEYS = frozenset(f.name for f in fields(RunParams))
 
@@ -137,10 +131,13 @@ def parse_config(path, **overrides) -> RunConfig:
     anything is checked, so they meet the same bounds.  The model file
     and the torus file are loaded, so a model it cannot build, or a torus
     file that does not parse or whose torus is not of the model's n, is
-    one violation.  omega and y0 must be numbers, one per degree of
-    freedom of the model, and trunc an integer >= 1.  The smoothness
+    one violation.  omega and y0 must be lists of numbers, one per degree
+    of freedom of the model, and trunc an integer >= 1.  The smoothness
     class l, the model's own where the file gives none, must be >= 4 and
-    within the model's class.
+    within the model's class.  A config valid so far is then given its
+    initial torus (the file's, or the circle over y0, omega when None)
+    and its FrequencyVector, whose Diophantine scan may reject omega as
+    one more violation.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -195,17 +192,17 @@ def parse_config(path, **overrides) -> RunConfig:
     if raw.get("y0") is not None:
         listed["y0"] = raw["y0"]
     for key, value in listed.items():
-        try:
-            vals[key] = tuple(float(v) for v in np.atleast_1d(value))
-        except (TypeError, ValueError):
+        entries = value if isinstance(value, list) else [value]
+        if not all(_is_number(v) for v in entries):
             bad.append(f"{key} must be a list of numbers, got {value}")
             continue
+        vals[key] = tuple(float(v) for v in entries)
         if n is not None and len(vals[key]) != n:
             bad.append(f"{key} must have n = {n} components, got {len(vals[key])}")
-    trunc = vals.get("trunc")
-    if trunc is not None and (isinstance(trunc, bool) or not isinstance(trunc, int)):
+    trunc = vals.get("trunc", RunConfig.trunc)
+    if isinstance(trunc, bool) or not isinstance(trunc, int):
         bad.append(f"trunc must be an integer, got {trunc}")
-    elif trunc is not None and not trunc >= 1:
+    elif not trunc >= 1:
         bad.append(f"truncation order M must be >= 1, got {trunc}")
 
     knobs = {k: raw[k] for k in _PARAM_KEYS & set(raw)}
@@ -222,7 +219,7 @@ def parse_config(path, **overrides) -> RunConfig:
     sigma = knobs.get("sigma", RunParams.sigma)
     # sigma = n - 1 sits on the boundary where Diophantine vectors cease
     # to have full measure; the strict inequality is required
-    if n is not None and isinstance(sigma, (int, float)) and not sigma > n - 1:
+    if n is not None and _is_number(sigma) and not sigma > n - 1:
         bad.append(
             f"sigma must be strictly greater than n - 1 = {n - 1} "
             f"(Diophantine exponent bound), got {sigma}"
@@ -230,7 +227,14 @@ def parse_config(path, **overrides) -> RunConfig:
 
     if bad:
         raise ConfigError(bad)
-    return RunConfig(params=params, model=model, torus=torus, **vals)
+    if torus is None:
+        y0 = vals.get("y0") or vals["omega"]
+        torus = TorusEmbedding.circle(np.array(y0), trunc)
+    try:
+        freq = _frequency(np.array(vals["omega"]), params)
+    except ValueError as exc:  # resonant, or gamma above what the scan finds
+        raise ConfigError([str(exc)])
+    return RunConfig(params=params, model=model, torus=torus, freq=freq, **vals)
 
 
 # -- artifact helpers ---------------------------------------------------------
@@ -293,9 +297,7 @@ def cmd_diophantine(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
-    H = cfg.model
-    K0 = cfg.load_torus()
-    freq = cfg.frequency()
+    H, K0, freq = cfg.model, cfg.torus, cfg.freq
     tol = cfg.params.tol if cfg.params.tol is not None else 1e-12
     # rho = 0 here: at the refined truncation orders the strip weighting
     # amplifies FFT floor noise, and bare solves gate on the grid error
@@ -324,9 +326,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
-    H = cfg.model
-    K = cfg.load_torus()
-    freq = cfg.frequency()
+    H, K, freq = cfg.model, cfg.torus, cfg.freq
     schedule, value = kam_schedule(H, K, freq, cfg.params)
     err, nd = value.error, value.frame
     c_value, conditions = schedule.strict_conditions(err.norm_rho.value)
@@ -364,11 +364,8 @@ def cmd_verify(args) -> int:
 def cmd_smooth(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
-    H = cfg.model
-    K0 = cfg.load_torus()
-    freq = cfg.frequency()
     try:
-        ladder = smoothing_ladder(H, K0, freq, cfg.params)
+        ladder = smoothing_ladder(cfg.model, cfg.torus, cfg.freq, cfg.params)
     except ValueError as exc:
         _write_json(out / "certificate.json", {"passed": False, "error": str(exc)})
         return 1
@@ -428,9 +425,7 @@ def cmd_smooth(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
-    H = cfg.model
-    K0 = cfg.load_torus()
-    res = run_scheme(H, K0, np.asarray(cfg.omega, dtype=float), cfg.params)
+    res = run_scheme(cfg.model, cfg.torus, cfg.freq, cfg.params)
 
     # run_scheme hands over its stage records and certificate in JSON form
     stages_dir = out / "stages"

@@ -310,11 +310,13 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-# RunParams knobs that count something; l may also be None
+# RunParams knobs by type, and those of them that may also be None
 _INTEGER_KNOBS = ("horizon", "l", "max_iter")
+_REAL_KNOBS = ("rho", "r", "sigma", "gamma", "target_error", "tol")
+_OPTIONAL_KNOBS = frozenset({"l", "gamma", "tol"})
 
-# (message, test) per bound of a RunParams knob; a value the test cannot
-# compare (a string for a number, None where a value is required) fails it
+# (message, test) per bound of a RunParams knob, tested once the knob has
+# its type
 _BOUNDS = (
     ("rho must be positive, got {p.rho}", lambda p: p.rho > 0),
     ("r must be positive, got {p.r}", lambda p: p.r > 0),
@@ -326,6 +328,11 @@ _BOUNDS = (
     ("tol must be positive, got {p.tol}", lambda p: p.tol is None or p.tol > 0),
     ("max_iter must be >= 1, got {p.max_iter}", lambda p: p.max_iter >= 1),
 )
+
+
+def _is_number(value) -> bool:
+    """A real number, as a JSON number parses: a bool is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -341,8 +348,10 @@ class RunParams:
     stage LEMMA4_GAPS + 1, and LADDER_COUNT approximants from rungs of
     degree START_DEGREE up to MAX_DEGREE (smoothing).
     Construction checks every knob and raises one ConfigError listing
-    each violation; an integer knob must be an integer (not a bool) and is
-    stored as an int.  Everything is echoed into the certificate.
+    each violation.  A knob must be a number, an integer knob an integer,
+    and neither a bool; gamma, l and tol may also be None.  An integer
+    knob is stored as an int, a real one as given.  Everything is echoed
+    into the certificate.
     """
 
     rho: float = 0.05
@@ -356,22 +365,20 @@ class RunParams:
     max_iter: int = 12
 
     def __post_init__(self):
-        not_int = []
-        for name in _INTEGER_KNOBS:
+        bad, mistyped = [], []
+        for name in _INTEGER_KNOBS + _REAL_KNOBS:
             value = getattr(self, name)
-            if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            integral = name in _INTEGER_KNOBS
+            if value is None and name in _OPTIONAL_KNOBS:
+                continue
+            if not _is_number(value) or (integral and not isinstance(value, numbers.Integral)):
+                mistyped.append(name)
+                kind = "an integer" if integral else "a number"
+                bad.append(f"{name} must be {kind}, got {value}")
+            elif integral:
                 object.__setattr__(self, name, int(value))
-            elif not (name == "l" and value is None):
-                not_int.append(name)
-        bad = [f"{name} must be an integer, got {getattr(self, name)}" for name in not_int]
         for message, test in _BOUNDS:
-            if any(f"{{p.{name}}}" in message for name in not_int):
-                continue  # its non-integer knob is named above
-            try:
-                held = test(self)
-            except TypeError:
-                held = False
-            if not held:
+            if not any(f"{{p.{name}}}" in message for name in mistyped) and not test(self):
                 bad.append(message.format(p=self))
         if bad:
             raise ConfigError(bad)

@@ -30,7 +30,7 @@ S = N T N, where the twist DK^T D^2H DK - (J DK)^T D^2H (J DK) is one
 quadratic form T = DK^T Q DK, Q = D^2H - J^T D^2H J.  Every pointwise
 matrix is n x n, and each piece is computed once per frame: the two
 inverses (G and C) with their |det| are closed forms (the adjugate) for
-n <= 2 and a vectorized elimination across the grid for n >= 3.  On an
+n <= 3 and LAPACK on the grid-major view for n >= 4.  On an
 invariant torus L = 0 (it is Lagrangian), C = I and M is symplectic up to
 the normalisation N; where L is exactly zero on the grid, as at n = 1 and
 on the flat circle, C is neither formed nor inverted.  N is analyzed on
@@ -41,8 +41,8 @@ instead, bit for bit what LAPACK returns (_torsion_inverse).
 
 Every per-grid-point tensor of the frame is component-major: a contiguous
 (rows, cols, *grid) array, or (rows, *grid) for a vector field, so a
-pointwise product is one einsum over the leading axes and an inverse is
-an elimination on whole-grid arrays, one per matrix entry.
+pointwise product is one einsum over the leading axes and a closed-form
+inverse is whole-grid arithmetic on one matrix entry at a time.
 FourierMap.synthesize returns a grid-major view of a component-major
 buffer, so DK's samples and the cohomological solutions enter the frame
 and the step without a copy, and from_samples analyzes grid-major views
@@ -228,49 +228,11 @@ def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,j...->i...", mat, vec)
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x with a x = b at every grid point, and |det a| there.
-
-    a has shape (n, n, *grid) and b is (n, k, *grid) or a constant (n, k).
-    Gaussian elimination with partial pivoting, one Python loop over the n
-    columns and every operation a whole-grid array operation on one matrix
-    entry, so it serves any n; |det a| is the product of the pivots'
-    magnitudes.  x has shape (n, k, *grid).
-    """
-    n, k, grid = a.shape[0], b.shape[1], a.shape[2:]
-    b = np.broadcast_to(np.reshape(b, b.shape + (1,) * (a.ndim - b.ndim)),
-                        (n, k) + grid)
-    # row r of the augmented system [a | b], one grid array per entry
-    rows = [list(a[r]) + list(b[r]) for r in range(n)]
-    abs_det = np.ones(grid)
-    for col in range(n):
-        for r in range(col + 1, n):
-            swap = np.abs(rows[r][col]) > np.abs(rows[col][col])
-            rows[col], rows[r] = (
-                [np.where(swap, y, x) for x, y in zip(rows[col], rows[r])],
-                [np.where(swap, x, y) for x, y in zip(rows[col], rows[r])],
-            )
-        pivot = rows[col][col]
-        abs_det = abs_det * np.abs(pivot)
-        for r in range(col + 1, n):
-            f = rows[r][col] / pivot
-            rows[r] = rows[r][: col + 1] + [
-                y - f * x for x, y in zip(rows[col][col + 1 :], rows[r][col + 1 :])
-            ]
-    x = [None] * n
-    for r in reversed(range(n)):
-        acc = rows[r][n:]
-        for c in range(r + 1, n):
-            acc = [v - rows[r][c] * w for v, w in zip(acc, x[c])]
-        x[r] = [v / rows[r][r] for v in acc]
-    return np.array(x), abs_det
-
-
 def _inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a^-1 and |det a| at every grid point of an (n, n, *grid) field.
 
-    In closed form for n <= 2, the adjugate over the determinant; by the
-    elimination _solve for n >= 3.
+    In closed form for n <= 3, the adjugate over the determinant; by
+    LAPACK for n >= 4, where a singular block raises LinAlgError.
     """
     n = a.shape[0]
     if n == 1:
@@ -283,7 +245,14 @@ def _inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.negative(a[1, 0], out=inv[1, 0])
         inv /= det
         return inv, np.abs(det)
-    return _solve(a, np.eye(n))
+    if n == 3:
+        inv = _adjugate3(a)
+        det = a[0, 0] * inv[0, 0] + a[0, 1] * inv[1, 0] + a[0, 2] * inv[2, 0]
+        inv /= det
+        return inv, np.abs(det)
+    grid_major = _grid_major(a, 2)
+    return (_components(np.linalg.inv(grid_major), 2),
+            np.abs(np.linalg.det(grid_major)))
 
 
 def _gram_cond(gram: np.ndarray) -> float:
@@ -336,15 +305,17 @@ def _gram_cond(gram: np.ndarray) -> float:
 
 
 def _adjugate3(a: np.ndarray) -> np.ndarray:
-    """The adjugate of a symmetric (3, 3, *grid) field, from its 2 x 2 minors."""
+    """The adjugate of a (3, 3, *grid) field, from its 2 x 2 minors.
+
+    Entry (i, j) is the cofactor of a[j, i]; with the rows and columns
+    of its minor taken cyclically after j and i, it needs no sign.
+    """
     adj = np.empty_like(a)
-    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-        # the cofactor of a[j, i]: the minor without row j and column i
-        r0, r1 = [r for r in range(3) if r != j]
-        c0, c1 = [c for c in range(3) if c != i]
-        sign = -1.0 if (i + j) % 2 else 1.0
-        adj[i, j] = sign * (a[r0, c0] * a[r1, c1] - a[r0, c1] * a[r1, c0])
-        adj[j, i] = adj[i, j]
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[i, j] = a[j1, i1] * a[j2, i2] - a[j1, i2] * a[j2, i1]
     return adj
 
 

@@ -14,8 +14,8 @@ REJECTED_KNOBS = [
     ({"tol": -1}, "tol must be positive, got -1"),
     ({"target_error": 0}, "target_error must be positive, got 0"),
     ({"r": 0}, "r must be positive, got 0"),
-    ({"rho": "wide"}, "rho must be positive, got wide"),
-    ({"sigma": None}, "sigma must be positive, got None"),
+    ({"rho": "wide"}, "rho must be a number, got wide"),
+    ({"sigma": None}, "sigma must be a number, got None"),
     ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
     ({"horizon": 100.5}, "horizon must be an integer, got 100.5"),
     ({"max_iter": True}, "max_iter must be an integer, got True"),

@@ -212,12 +212,16 @@ class TestParseConfig:
     CLI_FIELDS = [
         ({"trunc": "x"}, "trunc must be an integer, got x"),
         ({"trunc": 2.5}, "trunc must be an integer, got 2.5"),
+        ({"trunc": None}, "trunc must be an integer, got None"),
         ({"omega": ["a"]}, "omega must be a list of numbers, got ['a']"),
         ({"y0": [0.1, 0.2]}, "y0 must have n = 1 components, got 2"),
         ({"omega": [GOLDEN, 0.3]}, "omega must have n = 1 components, got 2"),
         ({"y0": [None]}, "y0 must be a list of numbers, got [None]"),
+        ({"omega": str(GOLDEN)}, f"omega must be a list of numbers, got {GOLDEN}"),
+        ({"y0": [True]}, "y0 must be a list of numbers, got [True]"),
     ]
-    CLI_IDS = ["trunc=x", "trunc=2.5", "omega=a", "y0-2dof", "omega-2dof", "circle-y0"]
+    CLI_IDS = ["trunc=x", "trunc=2.5", "trunc=null", "omega=a", "y0-2dof", "omega-2dof",
+               "circle-y0", "omega-string", "y0=true"]
 
     @pytest.mark.parametrize("fields, violation", CLI_FIELDS, ids=CLI_IDS)
     def test_cli_field_rejection_named(self, write_files, fields, violation):
@@ -231,6 +235,21 @@ class TestParseConfig:
                                                   fields, violation):
         cfg_path, out = write_files(PENDULUM, "out", **fields)
         assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {violation}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "smooth", "run"])
+    @pytest.mark.parametrize("fields, violation", [
+        ({"tol": True}, "tol must be a number, got True"),
+        ({"omega": [0.5]}, "omega is resonant within the horizon"),
+        ({"gamma": 10.0}, "omega fails the Diophantine bound: worst k=(1,) "
+                          "margin=3.820e-01 < gamma=1.000e+01"),
+    ], ids=["tol=true", "resonant", "gamma-above-margin"])
+    def test_refused_config_writes_nothing(self, write_files, capsys, command,
+                                           fields, violation):
+        # parse_config refuses each, the frequency by its scan, before any output
+        cfg_path, out = write_files(PENDULUM, "out", **fields)
+        assert main([command, "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"config error: {violation}\n"
         assert not out.exists()
 
@@ -430,8 +449,8 @@ class TestDispatch:
         from kamtori.driver import smoothing_ladder
 
         cfg = parse_config(cfg_path)
-        rung = smoothing_ladder(cfg.model, cfg.load_torus(),
-                                cfg.frequency(), cfg.params).seq.history["rungs"][0]
+        rung = smoothing_ladder(cfg.model, cfg.torus, cfg.freq,
+                                cfg.params).seq.history["rungs"][0]
         lo, hi = np.array(doc["box"]["lo"]), np.array(doc["box"]["hi"])
         z = lo + (hi - lo) * np.random.default_rng(0).uniform(0, 1, (50, 2))
         t = (z - lo) / (hi - lo)
@@ -654,15 +673,15 @@ class TestRunConfigHelpers:
 
     def test_frequency_prefers_explicit_gamma(self, write_files):
         cfg_path, _ = write_files(PENDULUM, "out", gamma=0.3, sigma=1.0)
-        freq = parse_config(cfg_path).frequency()
+        freq = parse_config(cfg_path).freq
         assert freq.gamma == 0.3
         cfg_path2, _ = write_files(PENDULUM, "out", sigma=1.0, horizon=10000)
-        est = parse_config(cfg_path2).frequency()
+        est = parse_config(cfg_path2).freq
         assert est.gamma == pytest.approx(0.3819660112501051, abs=1e-15)
 
     def test_load_torus_circle_default(self, write_files):
         cfg_path, _ = write_files(PENDULUM, "out", trunc=16)
-        K = parse_config(cfg_path).load_torus()
+        K = parse_config(cfg_path).torus
         assert K.dim_domain == 1 and K.dim_range == 2
         theta = np.array([[0.25]])
         assert K(theta)[0] == pytest.approx([0.25, GOLDEN], abs=1e-14)

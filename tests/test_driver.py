@@ -509,6 +509,18 @@ class TestRunParams:
         stored = getattr(RunParams(**{name: np.int64(8)}), name)
         assert stored == 8 and type(stored) is int
 
+    @pytest.mark.parametrize("name", ["rho", "r", "sigma", "gamma", "target_error", "tol"])
+    def test_real_knobs_take_numbers_only(self, name):
+        for value in (True, "0.5", [0.5], None):
+            if name in ("gamma", "tol") and value is None:
+                continue  # estimated gamma, and tol = target_error
+            with pytest.raises(ConfigError) as exc:
+                RunParams(**{name: value})
+            assert exc.value.violations == [f"{name} must be a number, got {value}"]
+        # a number keeps its type, so the echo and the certificate read it as given
+        stored = getattr(RunParams(**{name: 2}), name)
+        assert stored == 2 and type(stored) is int
+
     def test_every_violation_in_one_value_error(self):
         with pytest.raises(ValueError) as exc:
             RunParams(rho=0.0, r=-1.0, gamma=0.0, l=3, horizon=0)

@@ -193,7 +193,10 @@ cat > rotor3-config.json <<'EOF'
  "sigma": 2.1, "horizon": 120, "tol": 1e-10, "trunc": 8, "out": "rotor3"}
 EOF
 kamtori solve --config rotor3-config.json
-python -c 'import json; rows = [json.loads(r) for r in open("rotor3/trace.jsonl")]; assert rows[-2]["trunc_order"] == 40, rows[-2]'
+# every step row's order, and the iteration count, are pinned; the last row
+# is the converged iterate's, which takes no step
+python -c 'import json; rows = [json.loads(r) for r in open("rotor3/trace.jsonl")]; m = [r["trunc_order"] for r in rows[:-1]]; assert m == [8, 8, 10, 22, 24, 40], m; assert "trunc_order" not in rows[-1], rows[-1]'
+python -c 'import json; c = json.load(open("rotor3/certificate.json")); assert c["status"] == "converged" and c["iterations"] == 6, c'
 # its one torus CSV, the M = 40 modes on T^3, takes about 76 MB
 rm -r rotor3
 
