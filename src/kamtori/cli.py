@@ -52,7 +52,7 @@ from .hamiltonian import (
     SinPowerProfile,
 )
 from .smoothing import SAMPLE_RULE
-from .solver import solve_torus
+from .solver import check_horizon, solve_torus
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,8 @@ def parse_config(path, **overrides) -> RunConfig:
     within the model's class.  A config valid so far is then given its
     initial torus (the file's, or the circle over y0, omega when None)
     and its FrequencyVector, whose Diophantine scan may reject omega as
-    one more violation.
+    one more violation, as may a torus whose order reaches beyond the
+    scan's horizon (solver.check_horizon).
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -177,7 +178,7 @@ def parse_config(path, **overrides) -> RunConfig:
         else:
             try:
                 torus = TorusEmbedding.from_csv(Path(torus_file).read_text())
-            except (ValueError, LookupError, csv.Error) as exc:
+            except (ValueError, LookupError) as exc:
                 bad.append(f"torus file does not parse: {exc}")
             else:
                 shape = (torus.dim_domain, torus.dim_range)
@@ -232,7 +233,8 @@ def parse_config(path, **overrides) -> RunConfig:
         torus = TorusEmbedding.circle(np.array(y0), trunc)
     try:
         freq = _frequency(np.array(vals["omega"]), params)
-    except ValueError as exc:  # resonant, or gamma above what the scan finds
+        check_horizon(torus, freq)
+    except ValueError as exc:  # resonant, gamma above the scan's, K0 beyond the horizon
         raise ConfigError([str(exc)])
     return RunConfig(params=params, model=model, torus=torus, freq=freq, **vals)
 
@@ -327,7 +329,11 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(cfg, args.out)
     H, K, freq = cfg.model, cfg.torus, cfg.freq
-    schedule, value = kam_schedule(H, K, freq, cfg.params)
+    try:
+        schedule, value = kam_schedule(H, K, freq, cfg.params)
+    except ValueError as exc:  # a singular <S> or a rank-deficient DK
+        _write_json(out / "certificate.json", {"passed": False, "error": str(exc)})
+        return 1
     err, nd = value.error, value.frame
     c_value, conditions = schedule.strict_conditions(err.norm_rho.value)
     passed = bool(conditions["condition2_ok"] and conditions["condition3_ok"])

@@ -17,15 +17,15 @@ view.  Both equal numpy's n-D transforms bit for bit.  Derivatives,
 sums, resizing and strip norms act on the half against cached
 wavevector tables.  Every transform and product writes its half into a
 new component-major (*range_shape, *modes) array, and FourierMap._wrap
-adopts such a half as it is; only the public constructor checks the
-layout and copies.
+adopts such a half as it is.
 
 The cold paths derive what they need from the half: ``coeffs`` (the full
-centered spectrum, amplitude of k at index k + M), ``modes``,
-evaluation at points, ``allclose`` and serialization.  Files keep the canonical half-spectrum: one wavevector of
-each conjugate pair, the one whose first nonzero component is positive.
-``modes`` is the read-only mapping of the nonzero canonical modes that
-serialization writes.
+centered spectrum, amplitude of k at index k + M), evaluation at points,
+``allclose`` and the mode table, the arrays (ks, amps) of the nonzero
+canonical modes (of each conjugate pair the k whose first nonzero
+component is positive).  ``modes`` maps that table and a file lists it,
+one CSV row per mode; one np.loadtxt reads the rows back, and one array
+fold turns them, or the constructor's {k: amp}, into the half.
 
 Torus embeddings K(theta) = W theta + P(theta), which wind around the
 angle coordinates and therefore are not themselves periodic, are handled
@@ -46,7 +46,6 @@ size of their own.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -197,6 +196,37 @@ def _grid_major(x: np.ndarray, rank: int) -> np.ndarray:
     return x.transpose(_last_first(x.ndim, x.ndim - rank))
 
 
+def _fold(ks: np.ndarray, amps: np.ndarray, trunc_order: int | None) -> np.ndarray:
+    """The half of the modes k (rows of ks) with amplitudes amps (rows,
+    *range_shape) at trunc_order (default: the largest |k|_inf), a grid-major
+    view of a new component-major array: amp at k and conj(amp) at -k of the
+    full centered grid, a slot given twice averaged, one given once kept bit
+    for bit (sums start from -0.0); no k may be given twice, so each += is exact."""
+    n, rank, shape = ks.shape[1], amps.ndim - 1, amps.shape[1:]
+    max_order = np.abs(ks).max(initial=0)
+    m = int(max_order if trunc_order is None else trunc_order)
+    if m < max_order:
+        raise ValueError("trunc_order smaller than largest stored mode")
+    side = 2 * m + 1
+    # k's flat index in the (2M+1)^n grid, k at k + M; -k's is its mirror
+    slot = (ks.astype(np.intp) + m) @ side ** np.arange(n - 1, -1, -1)
+    given = np.bincount(slot, minlength=side**n)
+    if given.max(initial=0) > 1:
+        k = np.subtract(np.unravel_index(given.argmax(), (side,) * n), m)
+        raise ValueError(f"wavevector {tuple(k.tolist())} is given twice")
+    total = np.full((side**n,) + shape, complex(-0.0, -0.0))
+    total[slot] += amps
+    total[::-1][slot] += np.conj(amps)
+    keep = (slice(None),) * (n - 1) + (slice(m, None),)  # the k_n >= 0 half
+    count = (given + given[::-1]).reshape((side,) * n)[keep]
+    total = _range_first(total.reshape((side,) * n + shape)[keep], rank)
+    # part by part, as complex division by count + 0j turns -0.0 into 0.0
+    half = np.zeros(total.shape, dtype=complex)
+    np.divide(total.real, count, out=half.real, where=count > 0)
+    np.divide(total.imag, count, out=half.imag, where=count > 0)
+    return _grid_major(half, rank)
+
+
 @dataclass(frozen=True)
 class StripNormEstimate:
     """Certified upper bound for the sup of a map over a complex strip.
@@ -251,38 +281,20 @@ class FourierMap:
         if dim_domain < 1:
             raise ValueError("dim_domain must be >= 1")
         range_shape = tuple(range_shape)
-        items = []
+        ks, amps = [], []
         for k, amp in modes.items():
             k = tuple(int(ki) for ki in k)
             if len(k) != dim_domain:
                 raise ValueError(f"wavevector {k} has wrong dimension")
             amp = np.asarray(amp, dtype=complex)
             if amp.shape != range_shape:
-                raise ValueError(
-                    f"amplitude for {k} has shape {amp.shape}, expected {range_shape}"
-                )
-            items.append((k, amp))
-        max_order = max((max(map(abs, k), default=0) for k, _ in items), default=0)
-        if trunc_order is None:
-            trunc_order = max_order
-        if trunc_order < max_order:
-            raise ValueError("trunc_order smaller than largest stored mode")
-        m = int(trunc_order)
-        grid = (2 * m + 1,) * (dim_domain - 1) + (m + 1,)
-        total = np.zeros(grid + range_shape, dtype=complex)
-        count = np.zeros(grid + (1,) * len(range_shape))
-        for k, amp in items:
-            for kk, a in ((k, amp), (tuple(-ki for ki in k), np.conj(amp))):
-                if kk[-1] >= 0:  # the k_n < 0 member of a pair is not stored
-                    idx = tuple(m + ki for ki in kk[:-1]) + (kk[-1],)
-                    total[idx] += a
-                    count[idx] += 1
-        half, rank = total / np.maximum(count, 1), len(range_shape)
-        # stored component-major: a view of a contiguous (*range_shape,
-        # *modes) array, copied into one if it is not
-        if not _range_first(half, rank).flags.c_contiguous:
-            half = _grid_major(np.ascontiguousarray(_range_first(half, rank)), rank)
-        self._adopt(dim_domain, half)
+                raise ValueError(f"amplitude for {k} has shape {amp.shape}, "
+                                 f"expected {range_shape}")
+            ks.append(k)
+            amps.append(amp)
+        ks = np.array(ks, dtype=int).reshape(-1, dim_domain)
+        amps = np.array(amps, dtype=complex).reshape((-1,) + range_shape)
+        self._adopt(dim_domain, _fold(ks, amps, trunc_order))
 
     def _adopt(self, dim_domain: int, half: np.ndarray) -> None:
         """Hold a Hermitian half-spectrum array that no one else writes to,
@@ -342,18 +354,20 @@ class FourierMap:
         full.flags.writeable = False
         return full
 
-    @property
-    def modes(self) -> Mapping[tuple[int, ...], np.ndarray]:
-        """Read-only {k: amplitude} of the nonzero canonical modes, k sorted.
-
-        Derived from the half on each access; compute paths use the array.
-        """
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero canonical modes, k sorted: (ks, amps), rows first."""
         full = self.coeffs
         ks = wavevectors(self.dim_domain, self.trunc_order)
         axes = tuple(range(self.dim_domain, full.ndim))
         keep = canonical(ks) & np.any(full != 0, axis=axes)
-        keys = map(tuple, ks[keep].tolist())
-        return MappingProxyType(dict(zip(keys, full[keep])))
+        return ks[keep], full[keep]
+
+    @property
+    def modes(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        """Read-only {k: amplitude} of the nonzero canonical modes, k sorted,
+        derived from the half on each access; compute paths use the array."""
+        ks, amps = self._rows()
+        return MappingProxyType(dict(zip(map(tuple, ks.tolist()), amps)))
 
     def _at_order(self, trunc_order: int) -> np.ndarray:
         """The half zero-padded or cut to another truncation order.
@@ -541,45 +555,44 @@ class FourierMap:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self) -> str:
-        """One record per stored mode: wavevector, then (re, im) pairs; the
-        rows end in \\r\\n as csv.writer writes them (none needs quoting)."""
-        modes = self.modes
-        amps = np.array(list(modes.values())).reshape(-1, self.dim_range)
-        pairs = np.stack([amps.real, amps.imag], axis=-1).reshape(-1, 2 * self.dim_range)
-        header = [f"k{j}" for j in range(self.dim_domain)]
-        for j in range(self.dim_range):
-            header += [f"re{j}", f"im{j}"]
-        rows = [header] + [[*map(str, k), *map(repr, v)]
-                           for k, v in zip(modes, pairs.tolist())]
+        """Meta line, header row, then per :meth:`_rows` row k and the repr of
+        each (re, im) pair; rows end in \\r\\n, as csv.writer ends them."""
+        ks, amps = self._rows()
+        pairs = amps.reshape(len(ks), self.dim_range).view(float)
+        header = [f"k{j}" for j in range(self.dim_domain)] + [
+            f"{part}{j}" for j in range(self.dim_range) for part in ("re", "im")]
+        row = ",".join(["%d"] * self.dim_domain + ["%r"] * pairs.shape[1]) + "\r\n"
         return (f"# n={self.dim_domain} m={self.dim_range} trunc_order={self.trunc_order} "
-                "canonical=1\n" + "".join(",".join(row) + "\r\n" for row in rows))
+                "canonical=1\n" + ",".join(header) + "\r\n"
+                + "".join([row % (*k, *v) for k, v in zip(ks.tolist(), pairs.tolist())]))
 
     @classmethod
-    def from_csv(cls, text: str):
+    def from_csv(cls, text: str) -> "FourierMap":
+        """The map of a :meth:`to_csv` text, its rows read by one np.loadtxt;
+        a ValueError names rows of the wrong field count, a wavevector entry
+        that is not an integer and a wavevector given twice."""
         lines = text.splitlines()
-        meta = {}
-        for token in lines[0].lstrip("# ").split():
-            key, _, val = token.partition("=")
-            meta[key] = int(val)
+        meta = {key: int(val) for key, _, val in
+                (token.partition("=") for token in lines[0].lstrip("# ").split())}
         n, m = meta["n"], meta["m"]
-        range_shape = (m,) if m > 1 else ()
-        modes = {}
-        for row in csv.reader(lines[2:]):
-            if not row:
-                continue
-            k = tuple(int(v) for v in row[:n])
-            vals = [float(v) for v in row[n:]]
-            amp = np.array(
-                [complex(vals[2 * j], vals[2 * j + 1]) for j in range(m)]
-            ).reshape(range_shape)
-            modes[k] = amp
-        return cls(n, range_shape, modes, meta["trunc_order"])
+        data = lines[2:]  # below the header row
+        rows = (np.loadtxt(data, delimiter=",", ndmin=2) if any(data)
+                else np.empty((0, n + 2 * m)))
+        if rows.shape[1] != n + 2 * m:
+            raise ValueError(f"mode rows need n + 2 m = {n + 2 * m} fields (n = {n}, "
+                             f"m = {m}), got {rows.shape[1]}")
+        ks = rows[:, :n]
+        whole = np.isfinite(ks) & (ks == np.round(ks))
+        if not whole.all():
+            raise ValueError(f"wavevector entry {ks[~whole][0]} is not an integer")
+        # the (re, im) pairs as complex by a view, every bit kept
+        amps = np.ascontiguousarray(rows[:, n:]).view(complex)
+        amps = amps.reshape((-1,) + ((m,) if m > 1 else ()))
+        return cls._wrap(n, _fold(ks, amps, meta["trunc_order"]))
 
     def __repr__(self) -> str:
-        return (
-            f"FourierMap(n={self.dim_domain}, range={self.range_shape}, "
-            f"M={self.trunc_order}, {len(self.modes)} stored modes)"
-        )
+        return (f"FourierMap(n={self.dim_domain}, range={self.range_shape}, "
+                f"M={self.trunc_order}, {len(self._rows()[0])} stored modes)")
 
 
 @lru_cache(maxsize=16)
@@ -719,11 +732,9 @@ class TorusEmbedding:
 
     @classmethod
     def from_csv(cls, text: str) -> "TorusEmbedding":
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith("# winding="):
+        head, _, table = text.partition("\n")
+        if not head.startswith("# winding="):
             raise ValueError("torus csv must start with a '# winding=' line")
-        entries = [int(v) for v in lines[0].split("=", 1)[1].split()]
-        per = FourierMap.from_csv("\n".join(lines[1:]))
-        m, n = per.dim_range, per.dim_domain
-        winding = np.array(entries, dtype=float).reshape(m, n)
-        return cls(winding, per)
+        winding = np.array([int(v) for v in head.split("=", 1)[1].split()], dtype=float)
+        per = FourierMap.from_csv(table)
+        return cls(winding.reshape(per.dim_range, per.dim_domain), per)

@@ -191,6 +191,8 @@ class TestParseConfig:
              "torus csv must start with a '# winding=' line"),
             ("cut.csv", K.to_csv().replace("trunc_order=8", "trunc_order=eight"),
              "invalid literal for int() with base 10: 'eight'"),
+            ("twice.csv", K.to_csv() + K.to_csv().splitlines()[-1],
+             "wavevector (0,) is given twice"),
         ]
         for name, text, reason in cases:
             torus = self.write_torus(tmp_path, name, text)
@@ -244,10 +246,13 @@ class TestParseConfig:
         ({"omega": [0.5]}, "omega is resonant within the horizon"),
         ({"gamma": 10.0}, "omega fails the Diophantine bound: worst k=(1,) "
                           "margin=3.820e-01 < gamma=1.000e+01"),
-    ], ids=["tol=true", "resonant", "gamma-above-margin"])
+        ({"horizon": 10, "trunc": 16}, "K0 truncation order 16 on T^1 reaches "
+                                       "|k|_1 = 16 beyond the Diophantine horizon 10"),
+    ], ids=["tol=true", "resonant", "gamma-above-margin", "trunc-beyond-horizon"])
     def test_refused_config_writes_nothing(self, write_files, capsys, command,
                                            fields, violation):
-        # parse_config refuses each, the frequency by its scan, before any output
+        # parse_config refuses each, the frequency by its scan and K0 by its
+        # horizon, before any output
         cfg_path, out = write_files(PENDULUM, "out", **fields)
         assert main([command, "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"config error: {violation}\n"
@@ -332,6 +337,28 @@ class TestDispatch:
         # |y|^2/2 has closed-form factor sups: mu0 is a bound outright
         assert cert["c3_methods"]["mu0"] == "coefficient_bound"
         assert (out / "config.json").is_file()
+
+    @pytest.mark.parametrize("model, torus, reason", [
+        # H = omega y + 1e-3 cos 2 pi x has no twist: <S> = 0 up to round-off
+        ({"n": 1, "terms": [{"k": [0], "m": [1], "re": GOLDEN, "im": 0.0},
+                            {"k": [1], "m": [0], "re": 5e-4, "im": 0.0}]},
+         None, "averaged torsion <S> is singular: smallest singular value "),
+        # a torus of winding 0 has DK = 0
+        (PENDULUM, "# winding=0 0", "DK rank-deficient on grid: cond(DK^T DK) = inf"),
+    ], ids=["twistless", "flat-torus"])
+    def test_verify_failed_hypothesis_writes_its_certificate(self, write_files, tmp_path,
+                                                             model, torus, reason):
+        extra = {"y0": [0.0], "trunc": 16}
+        if torus is not None:
+            K = TorusEmbedding.circle(np.array([GOLDEN]), 16)
+            path = tmp_path / "flat.csv"
+            path.write_text(K.to_csv().replace("# winding=1 0", torus))
+            extra = {"torus_file": str(path)}
+        cfg_path, out = write_files(model, "verify", **extra)
+        assert main(["verify", "--config", str(cfg_path)]) == 1
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert.keys() == {"passed", "error"} and cert["passed"] is False
+        assert cert["error"].startswith(reason)
 
     def test_solve_pendulum_artifacts(self, write_files):
         cfg_path, out = write_files(PENDULUM, "solve")

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -708,6 +709,73 @@ class TestSerialization:
         back = TorusEmbedding.from_csv(K.to_csv())
         assert np.array_equal(back.winding, K.winding)
         assert back.periodic.allclose(K.periodic, tol=1e-15)
+
+
+class TestModeTableReader:
+    """FourierMap.from_csv: one np.loadtxt and the constructor's fold."""
+
+    SPECIAL = [complex(-0.0, 0.75), complex(5e-324, -0.0), complex(1e300, -1e300),
+               complex(-1e300, 2.5e-310)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("range_shape", [(), (2,), (6,)], ids=["m=1", "m=2", "m=6"])
+    def test_round_trip_bit_for_bit(self, n, range_shape):
+        rng = np.random.default_rng(60 + 7 * n + len(range_shape))
+        order = 4 if n == 1 else 2
+        modes = dict(random_trig(rng, n, order, range_shape).modes)
+        # -0.0, subnormal and +-1e300 parts, the first on the k_n = 0 plane
+        plane = (1,) + (0,) * (n - 1)
+        keys = [plane] + [k for k in modes if any(k) and k != plane]
+        for k, z in zip(keys, self.SPECIAL):
+            modes[k] = np.full(range_shape, z)
+        f = FourierMap(n, range_shape, modes, order + 1)
+        parts = np.stack([f.half.real, f.half.imag])
+        assert np.signbit(parts[parts == 0]).any() and (parts == 5e-324).any()
+        text = f.to_csv()
+        back = FourierMap.from_csv(text)
+        assert same_bits(back.half, f.half)
+        assert back.to_csv() == text
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_map_reads_back_without_warning(self, n):
+        f = FourierMap(n, (2,), {}, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = FourierMap.from_csv(f.to_csv())
+        assert back.trunc_order == 2 and same_bits(back.half, f.half)
+
+    def test_torus_round_trip_bit_for_bit(self):
+        K = TorusEmbedding.circle(np.array([GOLDEN, 0.4]), 4)
+        rng = np.random.default_rng(67)
+        K = K.with_periodic(K.periodic + random_trig(rng, 2, 4, (4,)))
+        back = TorusEmbedding.from_csv(K.to_csv())
+        assert np.array_equal(back.winding, K.winding)
+        assert same_bits(back.periodic.half, K.periodic.half)
+
+    @staticmethod
+    def table(rows):
+        """A to_csv text of an n = 2, m = 1 map at order 3 with these rows."""
+        return ("# n=2 m=1 trunc_order=3 canonical=1\nk0,k1,re0,im0\r\n"
+                + "".join(row + "\r\n" for row in rows))
+
+    @pytest.mark.parametrize("rows, reason", [
+        (["1,0,0.5,0.25,7"], r"mode rows need n \+ 2 m = 4 fields \(n = 2, m = 1\), got 5"),
+        (["1,2"], r"mode rows need n \+ 2 m = 4 fields \(n = 2, m = 1\), got 2"),
+        (["1,0,0.5,0.25", "0,1,0.5"], "number of columns changed from 4 to 3"),
+        (["1,0.5,0.5,0.25"], "wavevector entry 0.5 is not an integer"),
+        (["1,nan,0.5,0.25"], "wavevector entry nan is not an integer"),
+        (["1,-2,0.5,0.25", "0,1,1.0,0.0", "1,-2,0.5,0.5"],
+         r"wavevector \(1, -2\) is given twice"),
+    ], ids=["extra-field", "short-row", "ragged", "half-integer-k", "nan-k", "repeated-k"])
+    def test_malformed_rows_named(self, rows, reason):
+        with pytest.raises(ValueError, match=reason):
+            FourierMap.from_csv(self.table(rows))
+
+    def test_conjugate_rows_average(self):
+        # k and -k both listed is a slot given twice, as in the constructor
+        f = FourierMap.from_csv(self.table(["1,-2,0.5,0.25", "-1,2,0.25,0.5"]))
+        assert f.modes == FourierMap(2, (), {(1, -2): 0.5 + 0.25j, (-1, 2): 0.25 + 0.5j},
+                                     3).modes
 
 
 class TestTorusEmbedding:

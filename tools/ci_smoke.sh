@@ -197,8 +197,15 @@ kamtori solve --config rotor3-config.json
 # is the converged iterate's, which takes no step
 python -c 'import json; rows = [json.loads(r) for r in open("rotor3/trace.jsonl")]; m = [r["trunc_order"] for r in rows[:-1]]; assert m == [8, 8, 10, 22, 24, 40], m; assert "trunc_order" not in rows[-1], rows[-1]'
 python -c 'import json; c = json.load(open("rotor3/certificate.json")); assert c["status"] == "converged" and c["iterations"] == 6, c'
+# verify reads that n = 3 torus file back: the literal strict conditions
+# miss by about 1e34 (exit 1), and its grid defect is the solve's, bit for bit
+sed 's/"tol": 1e-10, "trunc": 8, "out": "rotor3"}/"torus_file": "rotor3\/torus_final.csv", "out": "rotor3-verified"}/' rotor3-config.json > rotor3-verify.json
+code=0
+kamtori verify --config rotor3-verify.json || code=$?
+test "$code" -eq 1
+python -c 'import json; v = json.load(open("rotor3-verified/certificate.json")); s = json.load(open("rotor3/certificate.json")); assert v["passed"] is False, v; assert v["error_grid"] == s["error"], (v["error_grid"], s["error"])'
 # its one torus CSV, the M = 40 modes on T^3, takes about 76 MB
-rm -r rotor3
+rm -r rotor3 rotor3-verified
 
 # the 2-DOF Diophantine scan at the default horizon 10000 (10^8 wavevectors,
 # a few candidate last components per first one) finds the worst mode of
