@@ -61,7 +61,15 @@ from .smoothing import (
     cl_bound,
     cutoff_extend,
 )
-from .solver import ErrorField, Iterate, SolveResult, check_horizon, solve_torus
+from .solver import (
+    HYPOTHESIS_STATUSES,
+    ErrorField,
+    HypothesisError,
+    Iterate,
+    SolveResult,
+    check_horizon,
+    solve_torus,
+)
 
 __all__ = [
     "ConfigError",
@@ -633,7 +641,13 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     cert["c3_methods"] = methods
 
     # base quantities for the first sequence entry
-    schedule, value0 = kam_schedule(hamiltonian, K0, freq, params, ladder)
+    try:
+        schedule, value0 = kam_schedule(hamiltonian, K0, freq, params, ladder)
+    except HypothesisError as exc:  # no Newton step exists from K0
+        cert["schedule"] = {"error": str(exc)}
+        cert["converged"] = False
+        cert["termination_reason"] = exc.status
+        return RunResult(K0, _jsonable(cert), stages)
     cert["schedule"] = {
         "delta0": schedule.delta0,
         "beta_statement": schedule.beta_statement,
@@ -684,6 +698,11 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     for k in range(1, MAX_STAGES + 1):
         h_k, k_prev = start.model, start.K
         rho_k = schedule.rho_k(k)
+        try:  # the frame the stage steps from, with its growth norms at rho_k
+            nd_k = start.frame_at(rho_k)
+        except HypothesisError as exc:
+            termination, failed_stage = f"{exc.status}_at_stage_{k}", k
+            break
         # refinement may not outgrow the certified Diophantine horizon
         res = solve_torus(
             h_k, k_prev, freq, tol=tol, max_iter=params.max_iter,
@@ -700,7 +719,6 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         r_prev = schedule.r_k(k - 1) if k > 1 else params.r
         # the defect and the frame's growth norms at the width the stage solved at
         e_k = start.error.at(rho_k).norm_rho.value
-        nd_k = start.frame_at(rho_k)
         mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r))
         methods["mu_k"].append(h_k.sup_method)
         c_k = _lambda(mu_k, nd_k.norm_dk, nd_k.norm_n, nd_k.norm_s_inv)
@@ -750,8 +768,8 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         stages.append(_jsonable(record))
         tori.append(k_new)
 
-        if res.status == "diverged":
-            termination = f"diverged_at_stage_{k}"
+        if res.status in ("diverged", *HYPOTHESIS_STATUSES):
+            termination = f"{res.status}_at_stage_{k}"
             failed_stage = k
             break
         enough = len(tori) - 2 >= LEMMA4_GAPS

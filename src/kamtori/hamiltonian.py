@@ -8,7 +8,8 @@ whose factor along axis is not 1) and, where that is not empty,
 axis_values(axis, u, q): the (q + 1, len(support(axis)), len(u)) table of
 those factors' derivatives of orders 0..q at u, complex if need be as
 long as the sum is real; a model whose derivative_tables is false offers
-order 0 only.  product_jet builds every model's jet from its tables.
+order 0 only.  product_jet builds every model's jet from its tables:
+the gradient, and the Hessian entries of the axis pairs some term covers.
 axis_sups(axis, lo, hi, q) gives, per supported term, sup |D^j factor|
 on [lo, hi] for j <= q, the per-axis sups that smoothing's C^l bounds
 multiply out: closed forms or coefficient bounds where sup_method is
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -124,13 +125,16 @@ def _product(tables, orders):
 
 
 def product_jet(model, z: np.ndarray):
-    """Value, gradient and Hessian of a sum of products at points z (..., dim).
+    """Gradient and Hessian entries of a sum of products at points z (..., dim).
 
     Each axis's table of orders 0-2 is evaluated once, for the terms in its
     support.  A term's products run over its own support axes only, so it
-    adds to the gradient and Hessian entries of those axes alone.  The
-    gradient and Hessian are views of component-major (dim, *base) and
-    (dim, dim, *base) arrays.
+    adds to the gradient and Hessian entries of those axes alone, and the
+    Hessian keeps only the entries (a, b), a <= b, where some term's
+    support covers both axes: every other entry is zero by structure.
+    Returns grad, a grid-major view (..., dim) of a component-major
+    (dim, ...) array, and hess, a dict from each such (a, b) to
+    D_a D_b H at z, of shape z.shape[:-1], in ascending order of (a, b).
     """
     z = np.asarray(z, dtype=float)
     base, dim = z.shape[:-1], z.shape[-1]
@@ -145,24 +149,22 @@ def product_jet(model, z: np.ndarray):
             for row, r in enumerate(terms.tolist()):
                 axes[r].append(axis)
                 tables[r].append(table[:, row])
-    val = np.zeros(pts.shape[0])
-    grad = np.zeros((dim,) + val.shape)
-    hess = np.zeros((dim, dim) + val.shape)
+    pairs = sorted({pair for term_axes in axes
+                    for pair in combinations_with_replacement(term_axes, 2)})
+    slot = {pair: i for i, pair in enumerate(pairs)}
+    grad = np.zeros((dim, pts.shape[0]))
+    hess = np.zeros((len(pairs), pts.shape[0]))
     for term_axes, term_tables in zip(axes, tables):
         s = range(len(term_axes))
-        val += _product(term_tables, [0 for _ in s])
         for j in s:
             grad[term_axes[j]] += _product(term_tables, [int(i == j) for i in s])
         for j, l in combinations_with_replacement(s, 2):
             orders = [(i == j) + (i == l) for i in s]
-            hess[term_axes[j], term_axes[l]] += _product(term_tables, orders)
-    for a, b in combinations(range(dim), 2):
-        hess[b, a] = hess[a, b]
+            hess[slot[term_axes[j], term_axes[l]]] += _product(term_tables, orders)
     grid = tuple(range(1, len(base) + 1))
     return (
-        val.reshape(base),
         grad.reshape((dim,) + base).transpose(grid + (0,)),
-        hess.reshape((dim, dim) + base).transpose(tuple(g + 1 for g in grid) + (0, 1)),
+        dict(zip(pairs, hess.reshape((len(pairs),) + base))),
     )
 
 

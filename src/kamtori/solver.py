@@ -27,17 +27,25 @@ N = G^-1 and the Lagrangian defect L = DK^T J DK, its symplectic form is
 so M^-1 v is the block solve of M^T J M xi = M^T J v through
 C = I + L N L N, |det M| = sqrt|det C|, M xi = DK xi_T + J DK N xi_N and
 S = N T N, where the twist DK^T D^2H DK - (J DK)^T D^2H (J DK) is one
-quadratic form T = DK^T Q DK, Q = D^2H - J^T D^2H J.  Every pointwise
-matrix is n x n, and each piece is computed once per frame: the two
-inverses (G and C) with their |det| are closed forms (the adjugate) for
-n <= 3 and LAPACK on the grid-major view for n >= 4.  On an
-invariant torus L = 0 (it is Lagrangian), C = I and M is symplectic up to
-the normalisation N; where L is exactly zero on the grid, as at n = 1 and
+quadratic form T = DK^T Q DK, Q = D^2H - J^T D^2H J = [[A, B], [B, -A]]
+with A = Hxx - Hyy and B = Hxy + Hyx.  The jet keeps only the Hessian
+entries of axes some term of the model couples, A and B are formed from
+those, and B's products are skipped where the model has no x-y entry,
+as no mechanical H = |y|^2/2 + V(x) has.  Every pointwise matrix is
+n x n, and each piece is computed once per frame: the two inverses
+(G and C) with their |det| are closed forms (the adjugate) for n <= 3
+and LAPACK on the grid-major view for n >= 4.  On an invariant torus
+L = 0 (it is Lagrangian), C = I and M is symplectic up to the
+normalisation N; where L is exactly zero on the grid, as at n = 1 and
 on the flat circle, C is neither formed nor inverted.  N is analyzed on
 its n(n+1)/2 entries on and above the diagonal and mirrored into n_map.
-The averaged torsion <S> takes one SVD, for its singularity check and
-|<S>^-1|_2, and one inverse; a 1 x 1 <S> = [s] takes |s| and 1/s
-instead, bit for bit what LAPACK returns (_torsion_inverse).
+The averaged torsion <S> needs its singular values, for its singularity
+check and |<S>^-1|_2, and its inverse: a 1 x 1 <S> = [s] takes |s| and
+1/s, bit for bit what LAPACK returns, a 2 x 2 one closed forms, and
+n >= 3 one SVD and one LAPACK inverse (_torsion_inverse).  A frame whose
+DK is rank-deficient or whose <S> is singular fails a hypothesis of the
+step and raises HypothesisError, whose status names which; solve_torus
+ends there with that status.
 
 Every per-grid-point tensor of the frame is component-major: a contiguous
 (rows, cols, *grid) array, or (rows, *grid) for a vector field, so a
@@ -48,9 +56,10 @@ buffer, so DK's samples and the cohomological solutions enter the frame
 and the step without a copy, and from_samples analyzes grid-major views
 of component-major arrays as they are.  The defect is built
 component-major: J grad H is a row-block swap of the jet's gradient.
-The jet keeps its grid-major (*grid, *comp) layout, so its Hessian and
-gradient are converted once, where they enter the frame (nondegeneracy)
-and the defect (invariance_error).
+The jet's gradient keeps its grid-major (*grid, 2n) layout and is
+converted once, where it enters the defect (invariance_error); its
+Hessian entries are arrays of the grid's shape, which the frame reads as
+they are (nondegeneracy).
 
 An iterate K of truncation order M is sampled on sampling_size(M) points
 per axis, the smallest odd N >= 2M+1 with no prime factor above 13, and
@@ -63,7 +72,9 @@ sampling grid.
 
 Each (model, torus) pair is evaluated once, into an Iterate: one jet of
 H at K's grid samples, whose gradient gives the defect (invariance_error)
-and whose Hessian gives the frame, built on first use (nondegeneracy);
+and whose Hessian entries give the frame, built on first use
+(nondegeneracy), so an iterate that builds no frame, such as a solve's
+last one or one about to be resized, pays for no more than those entries;
 newton_step takes the Iterate it steps from.  Norms at another strip
 width come from the stored maps (ErrorField.at, Iterate.frame_at).
 solve_torus starts from a given Iterate and returns the Iterate of its
@@ -85,8 +96,10 @@ at n >= 2 the order sets the cost of every later iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -105,6 +118,7 @@ from .hamiltonian import jet_grid
 
 __all__ = [
     "ErrorField",
+    "HypothesisError",
     "Iterate",
     "NondegeneracyData",
     "SolveResult",
@@ -124,6 +138,22 @@ EPS = 2.0**-52  # the float64 machine epsilon, np.finfo(float).eps
 # [2^-459, 2^459] and then rounds; inside this band it returns |s| for a
 # 1 x 1 matrix [s] exactly
 SVD_EXACT = (2.0**-400, 2.0**400)
+
+
+# the statuses of HypothesisError, each a failed hypothesis of the Newton step
+HYPOTHESIS_STATUSES = ("dk_rank_deficient", "torsion_singular")
+
+
+class HypothesisError(ValueError):
+    """A hypothesis of the Newton step fails at an iterate: its frame is
+    rank-deficient (status "dk_rank_deficient", cond(DK^T DK) above
+    COND_DK_LIMIT) or its averaged torsion <S> is singular (status
+    "torsion_singular", the twist condition).  status names the failure;
+    the message gives the number that failed."""
+
+    def __init__(self, status: str, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -184,7 +214,7 @@ def invariance_error(
     om = _omega_array(omega)
     n = K.dim_domain
     gs = grid_size or sampling_size(K.trunc_order)
-    _, grad, _ = jet if jet is not None else jet_grid(hamiltonian, K.grid_samples(grid_size))
+    grad, _ = jet if jet is not None else jet_grid(hamiltonian, K.grid_samples(grid_size))
     # J = [[0, I], [-I, 0]] swaps the row blocks of grad H with a sign
     grad_c = _range_first(grad, 1)
     values = np.empty(grad_c.shape)
@@ -365,8 +395,8 @@ class AdaptedFrame:
     def build(cls, dk: np.ndarray) -> "AdaptedFrame":
         """The frame at DK on the grid.
 
-        Raises ValueError when cond(DK^T DK) exceeds COND_DK_LIMIT somewhere
-        on the grid, before it or C is inverted.
+        Raises HypothesisError when cond(DK^T DK) exceeds COND_DK_LIMIT
+        somewhere on the grid, before it or C is inverted.
         """
         n = dk.shape[1]
         # J = [[0, I], [-I, 0]] swaps the (x, y) row blocks with a sign
@@ -376,8 +406,9 @@ class AdaptedFrame:
         gram = _matmul(_t(dk), dk)
         cond = _gram_cond(gram)
         if cond > COND_DK_LIMIT:
-            raise ValueError(
-                f"DK rank-deficient on grid: cond(DK^T DK) = {cond:.3e}"
+            raise HypothesisError(
+                "dk_rank_deficient",
+                f"DK rank-deficient on grid: cond(DK^T DK) = {cond:.3e}",
             )
         n_mat, _ = _inverse(gram)
         lag = _matmul(_t(dk), jdk)
@@ -464,39 +495,67 @@ def _symmetric_map(mat: np.ndarray, trunc_order: int) -> FourierMap:
     return FourierMap._wrap(n, _grid_major(half, 2))
 
 
+def _twist(hess: dict, dk: np.ndarray) -> np.ndarray:
+    """The twist T = DK^T Q DK, (n, n, *grid), from the Hessian entries hess
+    that product_jet returns and component-major DK samples (2n, n, *grid).
+
+    Q = H - J^T H J = [[A, B], [B, -A]] with A = Hxx - Hyy and
+    B = Hxy + Hyx, so T = Dx^T (A Dx + B Dy) + Dy^T (B Dx - A Dy) for the
+    row blocks Dx and Dy of DK.  A and B are formed from the entries
+    present, an absent one being zero; where the model has no x-y entry,
+    B = 0 and neither it nor its products are formed.
+    """
+    n = dk.shape[1]
+    shape = (n, n) + dk.shape[2:]
+    coupled = any(a < n <= b for a, b in hess)  # an x-y entry
+    ab = np.empty((1 + coupled,) + shape)  # A, and B where the model couples x, y
+    for i, j in combinations_with_replacement(range(n), 2):
+        np.subtract(hess.get((i, j), 0.0), hess.get((n + i, n + j), 0.0), out=ab[0, i, j])
+        if coupled:  # B_ij = Hxy_ij + Hxy_ji
+            np.add(hess.get((i, n + j), 0.0), hess.get((j, n + i), 0.0), out=ab[1, i, j])
+        if i != j:
+            ab[:, j, i] = ab[:, i, j]
+    blocks = dk.reshape((2,) + shape)  # Dx and Dy
+    prod = np.einsum("sij...,tjk...->stik...", ab, blocks)  # A Dx, A Dy (B Dx, B Dy)
+    if coupled:
+        prod[0, 0] += prod[1, 1]  # A Dx + B Dy
+        prod[1, 0] -= prod[0, 1]  # B Dx - A Dy
+        q_dk = prod[:, 0]
+    else:
+        q_dk = prod[0]
+        np.negative(q_dk[1], out=q_dk[1])  # -A Dy
+    return np.einsum("pji...,pjk...->ik...", blocks, q_dk)
+
+
 def nondegeneracy(
     hamiltonian, K: TorusEmbedding, rho: float = 0.0, hess=None,
 ) -> NondegeneracyData:
     """Definition-level non-degeneracy check: frame rank and averaged twist.
 
     The frame is built on sampling_size(M) points per axis, and N and S
-    keep K's order M.  hess, when given, is the Hessian of H at K's grid
-    samples, as jet_grid returns it; it is evaluated when omitted.  A
-    frame with cond(DK^T DK) above COND_DK_LIMIT is rejected before
-    anything is inverted.
+    keep K's order M.  hess, when given, is the dict of Hessian entries of
+    H at K's grid samples, as jet_grid returns it; it is evaluated when
+    omitted.  A frame with cond(DK^T DK) above COND_DK_LIMIT is rejected
+    before anything is inverted, and a singular <S> after it is averaged,
+    each by a HypothesisError.
 
     The twist DK^T H DK - (J DK)^T H (J DK) is one quadratic form
     T = DK^T Q DK with Q = H - J^T H J, which for H = [[Hxx, Hxy],
-    [Hyx, Hyy]] is [[Hxx - Hyy, Hxy + Hyx], [Hyx + Hxy, Hyy - Hxx]], and
-    S = N T N.  N and C^-1 come in closed form for n <= 2, and C = I
-    where L = 0 (AdaptedFrame.build); N is analyzed on its n(n+1)/2
-    entries on and above the diagonal (_symmetric_map).
+    [Hyx, Hyy]] is [[A, B], [B, -A]], A = Hxx - Hyy and B = Hxy + Hyx,
+    and S = N T N.  T is contracted from the n x n blocks A and B, formed
+    from the entries the model has, and B's products are skipped where it
+    has no x-y entry (_twist).  N and C^-1 come in closed form for
+    n <= 3, and C = I where L = 0 (AdaptedFrame.build); N is analyzed on
+    its n(n+1)/2 entries on and above the diagonal (_symmetric_map).
     """
     if hess is None:
-        hess = jet_grid(hamiltonian, K.grid_samples())[2]
+        hess = jet_grid(hamiltonian, K.grid_samples())[1]
     m = K.trunc_order
     dk_map = K.dk()
-    # the Hessian and DK samples enter the frame component-major
-    hess = _components(hess, 2)
+    # DK's samples enter the frame component-major
     dk = _components(dk_map.synthesize(sampling_size(m)), 2)
     frame = AdaptedFrame.build(dk)
-    n = dk.shape[1]
-    q = np.empty_like(hess)
-    np.subtract(hess[:n, :n], hess[n:, n:], out=q[:n, :n])
-    np.add(hess[:n, n:], hess[n:, :n], out=q[:n, n:])
-    q[n:, :n] = q[:n, n:]
-    np.negative(q[:n, :n], out=q[n:, n:])
-    twist = _matmul(_t(dk), _matmul(q, dk))
+    twist = _twist(hess, dk)
     s = _matmul(_matmul(frame.n_mat, twist), frame.n_mat)
     avg_s = np.add.reduce(s, tuple(range(2, s.ndim))) / s[0, 0].size
     norm_s_inv, avg_s_inv = _torsion_inverse(avg_s)
@@ -525,24 +584,46 @@ def nondegeneracy(
 
 def _torsion_inverse(avg_s: np.ndarray) -> tuple[float, np.ndarray]:
     """|<S>^-1|_2 = 1 / sigma_min and <S>^-1, after the singularity check
-    sigma_min >= 1e-12 max(1, sigma_max), which raises ValueError.
+    sigma_min >= 1e-12 max(1, sigma_max), which raises HypothesisError.
 
     A 1 x 1 <S> = [s] has the inverse 1 / s, and sigma = |s| where |s|
-    lies in SVD_EXACT, each bit for bit what LAPACK returns; any other
-    <S> takes its singular values from one SVD, and n >= 2 its inverse
-    from LAPACK.
+    lies in SVD_EXACT, each bit for bit what LAPACK returns.  A 2 x 2
+    <S> = [[a, b], [c, d]] with entries below 2^1000 in magnitude (so
+    finite, and sigma_max < 2^1002) takes both in closed form, after
+    scaling by the power of two 2^-e that brings its largest entry into
+    [1/2, 1) exactly, so that no step overflows or underflows where LAPACK
+    would not: sigma_max = hypot(a + d, c - b)/2 + hypot(a - d, c + b)/2,
+    sigma_min = |ad - bc| / sigma_max (0 for the zero matrix), and the
+    inverse is the adjugate over the determinant, scaled back by 2^-e.
+    Any other <S> takes its singular values from one SVD and its inverse
+    from LAPACK, which raises LinAlgError on a NaN.
     """
+    det = None
     if avg_s.shape == (1, 1) and SVD_EXACT[0] <= abs(avg_s[0, 0]) <= SVD_EXACT[1]:
         small = big = abs(avg_s[0, 0])
+    elif avg_s.shape == (2, 2) and np.abs(avg_s).max() < 2.0**1000:
+        (a, b), (c, d) = avg_s.tolist()
+        e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+        a, b, c, d = (math.ldexp(v, -e) for v in (a, b, c, d))
+        big = (math.hypot(a + d, c - b) + math.hypot(a - d, c + b)) / 2
+        det = a * d - b * c
+        small = math.ldexp(abs(det) / big, e) if big else 0.0
+        big = math.ldexp(big, e)
     else:
         svals = np.linalg.svd(avg_s, compute_uv=False)
         small, big = svals[-1], svals[0]
     if small < 1e-12 * max(1.0, big):
-        raise ValueError(
+        raise HypothesisError(
+            "torsion_singular",
             f"averaged torsion <S> is singular: smallest singular value "
-            f"{small:.3e}"
+            f"{small:.3e}",
         )
-    inverse = 1.0 / avg_s if avg_s.shape == (1, 1) else np.linalg.inv(avg_s)
+    if det is not None:
+        inverse = np.ldexp(np.array([[d, -b], [-c, a]]) / det, -e)
+    elif avg_s.shape == (1, 1):
+        inverse = 1.0 / avg_s
+    else:
+        inverse = np.linalg.inv(avg_s)
     return float(1.0 / small), inverse
 
 
@@ -616,19 +697,21 @@ def newton_step(hamiltonian, K: TorusEmbedding, omega: FrequencyVector,
 class Iterate:
     """One evaluation of a model on a torus K: its jet at K's samples on
     the sampling grid gives the defect and the frame, built on first use at
-    the defect's rho, so hess is all of the jet that is kept.  Norms at
-    another rho come from error.at and frame_at, never from H."""
+    the defect's rho.  The jet's gradient goes into the defect, so hess,
+    the dict of the Hessian entries the model couples (product_jet), is
+    all of the jet that is kept.  Norms at another rho come from error.at
+    and frame_at, never from H."""
 
     model: object
     K: TorusEmbedding
-    hess: np.ndarray = field(repr=False)
+    hess: dict = field(repr=False)
     error: ErrorField
 
     @classmethod
     def evaluate(cls, model, K: TorusEmbedding, omega, rho: float = 0.0) -> "Iterate":
         """One jet of model at K's samples and the defect it gives, at rho."""
         jet = jet_grid(model, K.grid_samples())
-        return cls(model, K, jet[2], invariance_error(model, K, omega, rho=rho, jet=jet))
+        return cls(model, K, jet[1], invariance_error(model, K, omega, rho=rho, jet=jet))
 
     @cached_property
     def frame(self) -> NondegeneracyData:
@@ -755,7 +838,10 @@ def solve_torus(
     where that is lower.  Growth wanted at M = cap is blocked; a solve
     that stalls or reaches max_iter with the refinement of its last
     iterate blocked returns its best iterate with status
-    "truncation_capped" instead: the cap, not round-off, held it.
+    "truncation_capped" instead: the cap, not round-off, held it.  An
+    iterate whose frame fails a hypothesis of the step (HypothesisError)
+    ends the solve there, with the best iterate and the failure's status,
+    "dk_rank_deficient" or "torsion_singular".
 
     The trace has a row per Newton step and one for the last iterate it
     evaluated, whichever rule ended the solve, so each status can be read
@@ -773,6 +859,8 @@ def solve_torus(
     refines records the peaks its new order was read from,
     "refine_decay": [[o1, a1], [o2, a2]], and a row whose refinement was
     blocked records "refine_blocked": True; no other row has either key.
+    The row of an iterate whose frame failed a hypothesis records the
+    failure's message as "hypothesis_failed".
 
     With a FrequencyVector, every retained mode must stay inside its
     Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
@@ -821,7 +909,11 @@ def solve_torus(
             err = value.error
             row["grid"] = err.values.shape[0]
             row["jets"] += 1
-        nd = value.frame_at(rho)
+        try:
+            nd = value.frame_at(rho)
+        except HypothesisError as exc:  # no step exists from this iterate
+            trace.append({**row, "error": err.norm_grid, "hypothesis_failed": str(exc)})
+            return SolveResult(exc.status, best, best_err, it, trace)
         K, diag = newton_step(hamiltonian, K, omega, value)
         trace.append(
             {

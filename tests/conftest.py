@@ -74,3 +74,22 @@ def rung_derivative(rung, alpha, z):
             factor += (half[:, k : k + 1] * (2j * np.pi * k / width) ** q * wave).real
         out *= factor
     return out.sum(axis=0).reshape(np.shape(z)[:-1])
+
+
+def dense_hessian(hess, z):
+    """The (..., dim, dim) Hessian at points z (..., dim) from the entries
+    product_jet returns there, mirrored below the diagonal and zero at
+    every absent entry."""
+    z = np.asarray(z)
+    out = np.zeros(z.shape + z.shape[-1:])
+    for (a, b), entry in hess.items():
+        out[..., a, b] = out[..., b, a] = entry
+    return out
+
+
+def dense_jet(model, z):
+    """(value, gradient, dense Hessian) of model at points z (..., dim): the
+    value from model(z), the rest from its jet_batch."""
+    z = np.asarray(z, dtype=float)
+    grad, hess = model.jet_batch(z)
+    return model(z), grad, dense_hessian(hess, z)

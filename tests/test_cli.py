@@ -54,6 +54,20 @@ ROUGH = {
 }
 
 
+# a model and torus on which a Newton step does not exist, the message
+# that names the failed hypothesis and the status solve and run give it
+FAILED_HYPOTHESES = [
+    # H = omega y + 1e-3 cos 2 pi x has no twist: <S> = 0 up to round-off
+    ({"n": 1, "terms": [{"k": [0], "m": [1], "re": GOLDEN, "im": 0.0},
+                        {"k": [1], "m": [0], "re": 5e-4, "im": 0.0}]},
+     None, "averaged torsion <S> is singular: smallest singular value ",
+     "torsion_singular"),
+    # a torus of winding 0 has DK = 0
+    (PENDULUM, "# winding=0 0", "DK rank-deficient on grid: cond(DK^T DK) = inf",
+     "dk_rank_deficient"),
+]
+
+
 def tail_state_holders(doc, path=""):
     """Paths of the objects in doc that record tail_max or round_off."""
     if isinstance(doc, list):
@@ -338,27 +352,46 @@ class TestDispatch:
         assert cert["c3_methods"]["mu0"] == "coefficient_bound"
         assert (out / "config.json").is_file()
 
-    @pytest.mark.parametrize("model, torus, reason", [
-        # H = omega y + 1e-3 cos 2 pi x has no twist: <S> = 0 up to round-off
-        ({"n": 1, "terms": [{"k": [0], "m": [1], "re": GOLDEN, "im": 0.0},
-                            {"k": [1], "m": [0], "re": 5e-4, "im": 0.0}]},
-         None, "averaged torsion <S> is singular: smallest singular value "),
-        # a torus of winding 0 has DK = 0
-        (PENDULUM, "# winding=0 0", "DK rank-deficient on grid: cond(DK^T DK) = inf"),
-    ], ids=["twistless", "flat-torus"])
-    def test_verify_failed_hypothesis_writes_its_certificate(self, write_files, tmp_path,
-                                                             model, torus, reason):
+    @staticmethod
+    def failed_hypothesis_config(write_files, tmp_path, model, torus, command):
         extra = {"y0": [0.0], "trunc": 16}
         if torus is not None:
             K = TorusEmbedding.circle(np.array([GOLDEN]), 16)
             path = tmp_path / "flat.csv"
             path.write_text(K.to_csv().replace("# winding=1 0", torus))
             extra = {"torus_file": str(path)}
-        cfg_path, out = write_files(model, "verify", **extra)
+        return write_files(model, command, **extra)
+
+    @pytest.mark.parametrize("model, torus, reason, status", FAILED_HYPOTHESES,
+                             ids=["twistless", "flat-torus"])
+    def test_verify_failed_hypothesis_writes_its_certificate(self, write_files, tmp_path,
+                                                             model, torus, reason, status):
+        cfg_path, out = self.failed_hypothesis_config(write_files, tmp_path, model, torus,
+                                                      "verify")
         assert main(["verify", "--config", str(cfg_path)]) == 1
         cert = json.loads((out / "certificate.json").read_text())
         assert cert.keys() == {"passed", "error"} and cert["passed"] is False
         assert cert["error"].startswith(reason)
+
+    @pytest.mark.parametrize("command", ["solve", "run"])
+    @pytest.mark.parametrize("model, torus, reason, status", FAILED_HYPOTHESES,
+                             ids=["twistless", "flat-torus"])
+    def test_failed_hypothesis_ends_solve_and_run_with_its_name(
+            self, write_files, tmp_path, capsys, model, torus, reason, status, command):
+        cfg_path, out = self.failed_hypothesis_config(write_files, tmp_path, model, torus,
+                                                      command)
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == ""
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (out / "torus_final.csv").is_file()
+        if command == "solve":
+            assert cert["status"] == status and cert["iterations"] == 0
+            [row] = map(json.loads, (out / "trace.jsonl").read_text().splitlines())
+            assert row["hypothesis_failed"].startswith(reason)
+        else:
+            assert (cert["converged"], cert["termination_reason"]) == (False, status)
+            assert cert["schedule"]["error"].startswith(reason)
+            assert cert["stages"] == []
 
     def test_solve_pendulum_artifacts(self, write_files):
         cfg_path, out = write_files(PENDULUM, "solve")

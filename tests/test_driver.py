@@ -351,6 +351,48 @@ class TestRunScheme:
         assert res.certificate["termination_reason"] == "truncation_capped"
         assert not res.converged
 
+    def test_twistless_model_ends_the_run_before_any_stage(self):
+        # H = omega y + 1e-3 cos 2 pi x from y0 = 0: <S> = 0 at K0, so no
+        # Newton step exists and the schedule has no tau0
+        h = HamiltonianModel(1, [((0,), (1,), GOLDEN), ((1,), (0,), 5e-4)])
+        K0 = TorusEmbedding.circle(np.array([0.0]), trunc_order=16)
+        res = run_scheme(h, K0, np.array([GOLDEN]), RunParams())
+        cert = res.certificate
+        assert (cert["termination_reason"], res.converged) == ("torsion_singular", False)
+        assert cert["schedule"]["error"].startswith("averaged torsion <S> is singular")
+        assert res.stages == [] and res.torus is K0
+        json.dumps(cert)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_failed_hypothesis_within_the_cascade(self, bypass_run, monkeypatch, stage):
+        # <S> turns singular at stage 1's second frame (inside its solve), or
+        # at the frame of stage 2's start, the torus stage 1 converged to:
+        # the schedule's frame at K0 is call 1 and stage 1 steps from it
+        import kamtori.solver as solver
+
+        _, _, done = bypass_run
+        fail_at = 2 if stage == 1 else done.stages[0]["iterations"] + 1
+        calls = []
+        inverse = solver._torsion_inverse
+
+        def failing(avg_s):
+            calls.append(avg_s)
+            if len(calls) >= fail_at:
+                raise solver.HypothesisError("torsion_singular", "averaged torsion <S> "
+                                             "is singular: smallest singular value 0")
+            return inverse(avg_s)
+
+        monkeypatch.setattr(solver, "_torsion_inverse", failing)
+        h, K0, _ = bypass_run
+        res = run_scheme(h, K0, np.array([GOLDEN]), RunParams(target_error=1e-11))
+        cert = res.certificate
+        assert cert["termination_reason"] == f"torsion_singular_at_stage_{stage}"
+        assert (cert["failed_stage"], res.converged) == (stage, False)
+        [rec] = res.stages
+        assert rec["status"] == ("torsion_singular" if stage == 1 else "converged")
+        assert len(calls) == fail_at
+        json.dumps(cert)
+
     def test_stage_records_follow_schedule(self, bypass_run):
         _, _, res = bypass_run
         p = RunParams(target_error=1e-11)

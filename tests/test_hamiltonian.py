@@ -24,7 +24,10 @@ from kamtori import (
     build_smoothing_sequence,
     cutoff_extend,
 )
-from kamtori.hamiltonian import jet_grid
+from kamtori.hamiltonian import SumModel, jet_grid
+from kamtori.smoothing import rung_nd
+
+from conftest import dense_hessian, dense_jet
 
 
 def random_model(rng, n=1, terms=5, order=2, degree=2):
@@ -45,21 +48,23 @@ def fd_gradient(h, z, step=1e-5):
     for i in range(z.size):
         e = np.zeros_like(z)
         e[i] = step
-        out[i] = (h.jet_batch(z + e)[0] - h.jet_batch(z - e)[0]) / (2 * step)
+        out[i] = (h(z + e) - h(z - e)) / (2 * step)
     return out
 
 
 class TestJets:
     def test_rotator_point_jet(self):
         h = HamiltonianModel.free_rotator(1)
-        val, grad, hess = jet_grid(h, np.array([0.3, 2.0]))
-        assert val == pytest.approx(2.0)
+        z = np.array([0.3, 2.0])
+        grad, hess = jet_grid(h, z)
+        assert list(hess) == [(1, 1)]  # |y|^2/2 couples no two axes
+        assert h(z) == pytest.approx(2.0)
         assert np.allclose(grad, [0.0, 2.0])
-        assert np.allclose(hess, [[0.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(dense_hessian(hess, z), [[0.0, 0.0], [0.0, 1.0]])
 
     def test_pendulum_gradient(self):
         h = HamiltonianModel.pendulum(0.1)
-        _, grad, _ = jet_grid(h, np.array([0.25, 1.0]))
+        grad, _ = jet_grid(h, np.array([0.25, 1.0]))
         assert grad[0] == pytest.approx(-0.2 * np.pi, abs=1e-14)
         assert grad[1] == pytest.approx(1.0, abs=1e-14)
 
@@ -67,7 +72,7 @@ class TestJets:
         rng = np.random.default_rng(41)
         h = random_model(rng, n=2)
         for z in rng.random((20, 4)):
-            _, grad, _ = jet_grid(h, z)
+            grad, _ = jet_grid(h, z)
             assert np.max(np.abs(grad - fd_gradient(h, z))) < 1e-7
 
     def test_hessian_matches_gradient_differences(self):
@@ -75,19 +80,19 @@ class TestJets:
         h = random_model(rng, n=1)
         step = 1e-5
         for z in rng.random((10, 2)):
-            _, _, hess = jet_grid(h, z)
+            hess = dense_hessian(jet_grid(h, z)[1], z)
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = step
                 col = (
-                    h.jet_batch(z + e)[1] - h.jet_batch(z - e)[1]
+                    h.jet_batch(z + e)[0] - h.jet_batch(z - e)[0]
                 ) / (2 * step)
                 assert np.max(np.abs(hess[:, i] - col)) < 1e-6
 
     def test_reality_of_values(self):
         rng = np.random.default_rng(47)
         h = random_model(rng, n=1)
-        vals = h.jet_batch(rng.random((50, 2)))[0]
+        vals = h(rng.random((50, 2)))
         assert np.all(np.isreal(vals))
 
 
@@ -109,7 +114,7 @@ class TestBox:
         stage = seq.approximants[0]
         assert stage.box is hx.box
         inside = jet_grid(stage, np.array([1.3, 0.65]))[0]
-        assert inside == jet_grid(stage, np.array([0.3, 0.65]))[0]
+        assert np.array_equal(inside, jet_grid(stage, np.array([0.3, 0.65]))[0])
         with pytest.raises(ValueError, match="outside"):
             jet_grid(stage, np.array([0.3, 0.75]))
 
@@ -155,9 +160,9 @@ class TestComposite:
         rough = RoughTerm(0, SinPowerProfile(4.5), 0.2)
         comp = CompositeHamiltonian(base, [rough])
         z = rng.random((10, 2))
-        v, g, h = comp.jet_batch(z)
-        vb, gb, hb = base.jet_batch(z)
-        vr, gr, hr = rough.jet_batch(z)
+        v, g, h = dense_jet(comp, z)
+        vb, gb, hb = dense_jet(base, z)
+        vr, gr, hr = dense_jet(rough, z)
         assert np.allclose(v, vb + vr)
         assert np.allclose(g, gb + gr)
         assert np.allclose(h, hb + hr)
@@ -278,20 +283,20 @@ class TestProductJet:
         z = rng.uniform([0.1, -1.0, -1.0, 0.2], [0.9, 2.0, 1.0, 0.9], (40, 4))
         jets = [sp.lambdify(syms, e, "numpy") for e in (expr, grad, hess)]
         want = [np.array([np.asarray(f(*p), dtype=float) for p in z]) for f in jets]
-        assert_jets_close(h.jet_batch(z), want, 1e-12)
+        assert_jets_close(dense_jet(h, z), want, 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_parent_term_formula(self, n):
         rng = np.random.default_rng(73 + n)
         h = random_model(rng, n=n, terms=8, order=3, degree=3)
         z = rng.uniform(-1.0, 1.0, (7, 5, 2 * n))
-        assert_jets_close(h.jet_batch(z), parent_jet(h, z), 1e-13)
+        assert_jets_close(dense_jet(h, z), parent_jet(h, z), 1e-13)
 
     def test_constant_and_conjugate_terms(self):
         h = HamiltonianModel(2, [((0, 0), (0, 0), 1.5), ((-2, 1), (0, 3), 0.4 + 0.1j),
                                  ((0, -1), (1, 0), 0.2j)])
         z = np.random.default_rng(79).uniform(-1.0, 1.0, (30, 4))
-        assert_jets_close(h.jet_batch(z), parent_jet(h, z), 1e-13)
+        assert_jets_close(dense_jet(h, z), parent_jet(h, z), 1e-13)
 
     def test_axes_whose_factors_are_one_are_skipped(self, monkeypatch):
         seen = []
@@ -318,6 +323,78 @@ class TestProductJet:
         monkeypatch.setattr(np, "exp", counted)
         h.jet_batch(np.random.default_rng(83).random((9, 4)))
         assert calls == [True, True]
+
+
+@pytest.fixture(scope="module")
+def coupled_models():
+    """Every model class whose jet a command takes, at n = 2, with points in
+    its box: the analytic model (with an x1-y1 term), a composite of it and
+    rough terms on x1 and y2, a V_N rung of the composite's cut-off part,
+    and their sum, the shape of a smoothed stage model."""
+    analytic = HamiltonianModel(2, [((0, 0), (2, 0), 0.5), ((0, 0), (0, 2), 0.5),
+                                    ((1, -1), (0, 0), 0.3), ((1, 0), (1, 0), 0.2 + 0.1j)])
+    rough = [RoughTerm(0, BSplineProfile([0.0, 0.52, 0.55, 0.05, -0.48, -0.55]), 1e-2),
+             RoughTerm(3, SinPowerProfile(4.5, 0.6, 0.1), 2e-2)]
+    composite = CompositeHamiltonian(analytic, rough)
+    cut = cutoff_extend(composite, TorusEmbedding.circle(np.array([0.4, -0.3]), 8), r=0.1)
+    rung = rung_nd(cut.separable(), 4, cut.box)
+    box = cut.box
+    z = box.lo + box.widths() * np.random.default_rng(101).uniform(0.05, 0.95, (40, 4))
+    models = {"analytic": analytic, "composite": composite, "rung": rung,
+              "sum": SumModel([analytic, rung])}
+    return models, z
+
+
+class TestHessianPattern:
+    """product_jet keeps the Hessian entries (a, b) where some term's support
+    covers both axes; every other entry is zero in a dense reference."""
+
+    @staticmethod
+    def gradient_differences(h, z, step=1e-5):
+        """(..., dim, dim): column b is the central difference of the
+        gradient along axis b."""
+        out = np.zeros(z.shape + z.shape[-1:])
+        for b in range(z.shape[-1]):
+            e = np.zeros(z.shape[-1])
+            e[b] = step
+            out[..., b] = (h.jet_batch(z + e)[0] - h.jet_batch(z - e)[0]) / (2 * step)
+        return out
+
+    # entries of the 10 on and above the diagonal that each model lacks: the
+    # cut-off part's terms carry a bump factor on every axis
+    ABSENT = {"analytic": 4, "composite": 4, "rung": 0, "sum": 0}
+
+    @pytest.mark.parametrize("name", sorted(ABSENT))
+    def test_entries_are_the_coupled_pairs(self, coupled_models, name):
+        models, z = coupled_models
+        h = models[name]
+        _, hess = h.jet_batch(z)
+        terms = [set(h.support(axis).tolist()) for axis in range(4)]
+        coupled = [(a, b) for a in range(4) for b in range(a, 4) if terms[a] & terms[b]]
+        assert list(hess) == coupled
+        assert 10 - len(coupled) == self.ABSENT[name]
+        fd = self.gradient_differences(h, z)
+        scale = max(1.0, np.max(np.abs(fd)))
+        for a in range(4):
+            for b in range(a, 4):
+                if (a, b) in hess:
+                    for got in (fd[..., a, b], fd[..., b, a]):
+                        assert np.max(np.abs(hess[a, b] - got)) <= 1e-6 * scale, (a, b)
+                else:  # the gradient along a does not read axis b at all
+                    assert not fd[..., a, b].any() and not fd[..., b, a].any(), (a, b)
+
+    def test_analytic_entries_match_the_parent_formula(self, coupled_models):
+        models, z = coupled_models
+        h = models["analytic"]
+        _, hess = h.jet_batch(z)
+        assert (0, 2) in hess  # the x1-y1 term
+        want = parent_jet(h, z)[2]
+        got = dense_hessian(hess, z)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for a in range(4):
+            for b in range(a, 4):
+                if (a, b) not in hess:
+                    assert not want[..., a, b].any() and not want[..., b, a].any(), (a, b)
 
 
 class TestBSplineTable:

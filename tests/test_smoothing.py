@@ -37,7 +37,7 @@ from kamtori.smoothing import (
 import kamtori.smoothing as smoothing
 from kamtori.smoothing import _vallee_poussin_half
 
-from conftest import rung_derivative
+from conftest import dense_jet, rung_derivative
 
 
 def brute_bernstein(samples, x):
@@ -357,7 +357,7 @@ class TestCutoff:
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
         pts = K0.grid_samples().reshape(-1, 2)[::8]
-        assert np.max(np.abs(hx(pts) - h.jet_batch(pts)[0])) < 1e-14
+        assert np.max(np.abs(hx(pts) - h(pts))) < 1e-14
         assert np.all(hx.bump(pts) == 1.0)
 
     def test_vanishes_far_from_image(self, rough_system):
@@ -366,7 +366,7 @@ class TestCutoff:
         hx = cutoff_extend(h, K0, r=r)
         far = np.array([[0.3, 0.4 + 2.6 * r]])
         assert hx.cut_values(far)[0] == 0.0
-        assert hx(far)[0] == h.analytic.jet_batch(far)[0]
+        assert hx(far)[0] == h.analytic(far)[0]
 
     def test_transition_is_strict_and_rate_limited(self, rough_system):
         h, K0 = rough_system
@@ -578,7 +578,7 @@ class TestSeparableOracles:
         for alpha, want in tensor.items():
             got = factored_derivative(rung, alpha, z)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-        val, grad, hess = rung.jet_batch(z)
+        val, grad, hess = dense_jet(rung, z)
         eye = np.eye(4, dtype=int)
         assert np.max(np.abs(val - tensor[(0,) * 4])) <= 1e-15
         for a in range(4):
@@ -726,7 +726,7 @@ class TestValleePoussinRung:
             for q in range(4):
                 want = g(v, q)
                 assert np.max(np.abs(table[q] - want)) <= 1e-12 * np.max(np.abs(want)), (axis, q)
-        val, grad, hess = rung.jet_batch(np.stack([u, y], axis=-1))
+        val, grad, hess = dense_jet(rung, np.stack([u, y], axis=-1))
         scale = np.max(np.abs(p(u, 2))) * np.max(np.abs(a(y, 2)))
         assert np.max(np.abs(val - p(u) * a(y))) <= 1e-12 * scale
         assert np.max(np.abs(grad[:, 0] - p(u, 1) * a(y))) <= 1e-12 * scale

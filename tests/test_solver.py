@@ -27,7 +27,7 @@ from kamtori.solver import (
     _grown_order, _tail_shells, _torsion_inverse,
 )
 
-from conftest import GOLDEN
+from conftest import GOLDEN, dense_hessian
 
 
 # the frame kernels are component-major: (rows, cols, *grid) and
@@ -196,6 +196,40 @@ class TestFrameData:
             nd.dk_map.strip_norm(rho).value for rho in (0.01, 0.02, 0.05)]
 
 
+class TestTwistBlocks:
+    """The twist from the Hessian's entries against DK^T (H - J^T H J) DK
+    formed densely, on a model with H_xy != 0."""
+
+    # coupled_2dof's model plus c e^{2 pi i x1} y1 and its conjugate
+    MODEL = HamiltonianModel(2, [((0, 0), (2, 0), 0.5), ((0, 0), (0, 2), 0.5),
+                                 ((1, 0), (0, 0), 5e-4), ((0, 1), (0, 0), 5e-4),
+                                 ((1, -1), (0, 0), 5e-4), ((1, 0), (1, 0), 0.05)])
+
+    def test_twist_matches_the_dense_quadratic_form(self):
+        h = self.MODEL
+        # y rows that vary, so that the x-y blocks meet DK's y rows
+        K = sheared_torus(2, [(2, 1, 0.7), (3, 0, -0.4), (0, 0, 0.3)])
+        z = K.grid_samples()
+        entries = jet_grid(h, z)[1]
+        assert (0, 2) in entries and (1, 3) not in entries  # H_x1y1 only
+        hess = dense_hessian(entries, z)
+        j = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+        q = hess - j.T @ hess @ j
+        dk = K.dk().synthesize(sampling_size(K.trunc_order))
+        form = lambda q: np.einsum("...ji,...jk,...kl->...il", dk, q, dk)  # noqa: E731
+        want = form(q)
+        scale = np.max(np.abs(want))
+        got = grid(solver_module._twist(entries, comp(dk)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        # S = N T N on the same grid, through nondegeneracy
+        n_mat = np.linalg.inv(np.einsum("...ji,...jk->...ik", dk, dk))
+        s = grid(nondegeneracy(h, K, hess=entries).s)
+        assert np.max(np.abs(s - n_mat @ want @ n_mat)) <= 1e-13 * np.max(np.abs(s))
+        # the x-y blocks' share is far above that tolerance
+        q[..., :2, 2:] = q[..., 2:, :2] = 0.0
+        assert np.max(np.abs(form(q) - want)) > 1e-3 * scale
+
+
 def lapack_torsion(avg_s):
     """|<S>^-1|_2 and <S>^-1 by one SVD and one inverse, for every n: the
     reference for _torsion_inverse's 1 x 1 path."""
@@ -208,7 +242,8 @@ def lapack_torsion(avg_s):
 
 class TestTorsionInverse:
     """A 1 x 1 <S> takes no inverse from LAPACK, and no SVD where |s| lies
-    in SVD_EXACT, yet gives LAPACK's numbers and errors bit for bit; n >= 2
+    in SVD_EXACT, yet gives LAPACK's numbers and errors bit for bit; a
+    2 x 2 <S> takes closed forms within a few ulps of LAPACK's; n >= 3
     stays on LAPACK."""
 
     @staticmethod
@@ -237,7 +272,73 @@ class TestTorsionInverse:
             _torsion_inverse(np.array([[s]]))
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_two_by_two_matches_lapack(self, monkeypatch, scale):
+        rng = np.random.default_rng(29)
+        mats = rng.standard_normal((500, 2, 2)) * scale
+        mats[0] = [[0.0, 2.0 * scale], [-3.0 * scale, 0.0]]  # a zero diagonal
+        mats[1] = [[scale, scale], [-scale, scale]]  # a scaled rotation
+        wants = []
+        for avg_s in mats:
+            svals = np.linalg.svd(avg_s, compute_uv=False)
+            try:
+                wants.append((svals[0] / svals[1], lapack_torsion(avg_s)))
+            except ValueError as exc:  # only the 1e-150 matrices are singular
+                assert scale == 1e-150
+                wants.append((None, str(exc)))
+        monkeypatch.setattr(np.linalg, "svd", None)  # no LAPACK SVD on this path
+        monkeypatch.setattr(np.linalg, "inv", None)
+        for avg_s, (cond, want) in zip(mats, wants):
+            if cond is None:
+                with pytest.raises(ValueError, match="averaged torsion <S> is singular") as got:
+                    _torsion_inverse(avg_s)
+                reported = float(str(got.value).rsplit(" ", 1)[1])
+                assert reported == pytest.approx(float(want.rsplit(" ", 1)[1]), rel=2e-3)
+                continue
+            norm, inverse = _torsion_inverse(avg_s)
+            # a few ulps of the inverse's scale, times cond for the determinant
+            tol = 8 * np.finfo(float).eps * cond
+            assert abs(norm - want[0]) <= tol * want[0]
+            assert np.max(np.abs(inverse - want[1])) <= tol * np.max(np.abs(want[1]))
+
+    def test_two_by_two_gate_reads_both_singular_values(self):
+        # sigma_min against 1e-12 sigma_max = 1e-9, on either side by 1 %,
+        # in a rotated frame so that no entry is zero
+        c, s_ = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s_], [s_, c]])
+        for small, singular in ((0.99e-9, True), (1.01e-9, False)):
+            avg_s = rot @ np.diag([1e3, small]) @ rot.T
+            if singular:
+                with pytest.raises(ValueError, match="singular: smallest singular value 9.9"):
+                    _torsion_inverse(avg_s)
+            else:
+                assert _torsion_inverse(avg_s)[0] == pytest.approx(1 / small, rel=1e-3)
+
+    @pytest.mark.parametrize("avg_s", [[[0.0, 0.0], [0.0, 0.0]], [[3.0, 0.0], [0.0, 0.0]],
+                                       [[0.0, -0.0], [5e-324, 2.0]], [[1.0, 2.0], [2.0, 4.0]]],
+                             ids=["zero", "diagonal", "subnormal", "rank-one"])
+    def test_singular_two_by_two_raises_as_lapack(self, avg_s):
+        avg_s = np.array(avg_s)
+        with pytest.raises(ValueError) as want:
+            lapack_torsion(avg_s)
+        with pytest.raises(solver_module.HypothesisError) as got:
+            _torsion_inverse(avg_s)
+        assert got.value.status == "torsion_singular"
+        prefix = "averaged torsion <S> is singular: smallest singular value "
+        assert str(got.value).startswith(prefix) and str(want.value).startswith(prefix)
+        if avg_s[0, 1] == 0:  # LAPACK's sigma_min is exact here, and so is the closed form
+            assert str(got.value) == str(want.value)
+        else:  # both are round-off of sigma_max
+            assert float(str(got.value).rsplit(" ", 1)[1]) <= 1e-15 * 5.0
+
+    def test_two_by_two_outside_the_closed_form_stays_on_lapack(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _torsion_inverse(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+        # entries from 2^1000 up, where sigma_max may pass the float range
+        huge = np.array([[2.0**1000, 1.0], [-3.0, 2.0**1001]])
+        self.same(_torsion_inverse(huge), lapack_torsion(huge))
+
+    @pytest.mark.parametrize("n", [3, 4])
     def test_larger_torsion_stays_on_lapack(self, n):
         avg_s = np.random.default_rng(n).standard_normal((n, n))
         self.same(_torsion_inverse(avg_s), lapack_torsion(avg_s))
@@ -767,6 +868,30 @@ class TestSolveTorus:
         assert res.status in ("floored", "max_iter")
         assert res.error < initial
 
+    @pytest.mark.parametrize("case, status, message", [
+        # H = omega y + 1e-3 cos 2 pi x from y0 = 0: no twist, <S> = 0
+        ("twistless", "torsion_singular",
+         "averaged torsion <S> is singular: smallest singular value "),
+        # a torus of winding 0 has DK = 0
+        ("flat", "dk_rank_deficient", "DK rank-deficient on grid: cond(DK^T DK) = inf"),
+    ])
+    def test_failed_hypothesis_ends_with_its_status(self, golden_freq, case, status,
+                                                   message):
+        K0 = TorusEmbedding.circle(np.array([0.0]), trunc_order=16)
+        h = HamiltonianModel(1, [((0,), (1,), GOLDEN), ((1,), (0,), 5e-4)])
+        if case == "flat":  # the point x = 0, y = omega, which moves
+            h = HamiltonianModel.pendulum(1e-3)
+            K0 = TorusEmbedding(np.zeros((2, 1)),
+                                TorusEmbedding.circle(GOLDEN, trunc_order=16).periodic)
+        start = Iterate.evaluate(h, K0, golden_freq)
+        res = solve_torus(h, K0, golden_freq, start=start)
+        assert status in solver_module.HYPOTHESIS_STATUSES
+        assert (res.status, res.iterations, res.value) == (status, 0, start)
+        assert res.error == start.error.norm_grid > 1e-4
+        [row] = res.trace
+        assert row["hypothesis_failed"].startswith(message)
+        assert status_from_rows(res.trace, 1e-12)[1] == res.error
+
 
 def coupled_rotator(eps):
     """|y|^2/2 + eps (cos 2pi x1 + cos 2pi x2 + cos 2pi (x1 - x2))."""
@@ -876,10 +1001,10 @@ class ConstantForce:
         self.model, self.n, self.c = model, model.n, c
 
     def jet_batch(self, z):
-        value, grad, hess = self.model.jet_batch(z)
+        grad, hess = self.model.jet_batch(z)
         grad = grad.copy()
         grad[..., 0] += self.c
-        return value, grad, hess
+        return grad, hess
 
 
 class JetCounter:
@@ -986,7 +1111,8 @@ class TestOneEvaluationPerIterate:
         h = coupled_rotator(1e-3)
         K, _ = newton_step(h, TorusEmbedding.circle(self.omega, trunc_order=16),
                            coupled_freq)
-        _, _, hess = jet_grid(h, K.grid_samples())
+        entries = jet_grid(h, K.grid_samples())[1]
+        hess = dense_hessian(entries, K.grid_samples())
         dk = K.dk().synthesize(sampling_size(K.trunc_order))
         j = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0.0]])
         a = np.einsum("ij,...jk->...ik", j, hess)
@@ -997,7 +1123,7 @@ class TestOneEvaluationPerIterate:
         )
         comm = a @ j - np.einsum("ij,...jk->...ik", j, a)
         s = n_mat @ np.einsum("...ji,...jk,...kl->...il", dk, comm, dk) @ n_mat
-        nd = nondegeneracy(h, K, hess=hess)
+        nd = nondegeneracy(h, K, hess=entries)
         frame, got_s = nd.frame, nd.s
         xi = np.random.default_rng(5).standard_normal(dk.shape[:-2] + (4,))
         mat_vec = lambda mat, v: np.einsum("...ij,...j->...i", mat, v)  # noqa: E731
@@ -1017,7 +1143,7 @@ class TestOneEvaluationPerIterate:
         K = TorusEmbedding.circle(GOLDEN, trunc_order=16)
         size = sampling_size(16) + 2
         jet = jet_grid(h, K.grid_samples(size))
-        value = Iterate(h, K, jet[2],
+        value = Iterate(h, K, jet[1],
                         invariance_error(h, K, golden_freq, grid_size=size, jet=jet))
         with pytest.raises(ValueError, match="step value's grid does not match K's sampling grid"):
             newton_step(h, K, golden_freq, value)
@@ -1072,7 +1198,7 @@ class TestStartValue:
         else:
             size = sampling_size(16) + 2
             jet = jet_grid(h, K0.grid_samples(size))
-            start = Iterate(h, K0, jet,
+            start = Iterate(h, K0, jet[1],
                             invariance_error(h, K0, golden_freq, grid_size=size, jet=jet))
             match = "grid does not match K0's sampling grid"
         with pytest.raises(ValueError, match=match):

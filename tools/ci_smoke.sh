@@ -3,7 +3,8 @@
 # (1-DOF, and a 3-DOF coupled rotator that must converge), `kamtori verify`,
 # `kamtori smooth`, `kamtori run` (1-DOF and 2-DOF rough cascades) and
 # `kamtori diophantine`, with their reruns, named config errors and
-# certificate fields.
+# certificate fields, and `kamtori solve` and `kamtori run` on a model
+# without twist, which must name that failure.
 #
 # Usage: tools/ci_smoke.sh   (with the package installed, e.g. pip install .)
 # Works in a fresh temporary directory and leaves the source tree alone.
@@ -56,6 +57,28 @@ test "$code" -eq 1
 test "$(wc -l < err.txt)" -eq 1
 grep -q "^config error: torus file does not parse: " err.txt
 test ! -e bad-torus
+
+# a model without twist, H = omega y + 1e-3 cos 2 pi x from y0 = 0: its
+# averaged torsion <S> is singular, so no Newton step exists; solve and run
+# each exit 1 with the failed hypothesis named in their certificate, and
+# no traceback
+cat > twistless.json <<'EOF'
+{"n": 1, "terms": [{"k": [0], "m": [1], "re": 0.6180339887498949, "im": 0.0},
+                   {"k": [1], "m": [0], "re": 5e-4, "im": 0.0}]}
+EOF
+cat > twistless-config.json <<'EOF'
+{"hamiltonian": "twistless.json", "omega": [0.6180339887498949],
+ "y0": [0.0], "trunc": 16}
+EOF
+for cmd in solve run; do
+  code=0
+  kamtori "$cmd" --config twistless-config.json --out "twistless-$cmd" 2> err.txt || code=$?
+  cat err.txt
+  test "$code" -eq 1
+  ! grep -q "Traceback" err.txt
+done
+python -c 'import json; c = json.load(open("twistless-solve/certificate.json")); assert c["status"] == "torsion_singular", c'
+python -c 'import json; c = json.load(open("twistless-run/certificate.json")); assert c["converged"] is False and c["termination_reason"] == "torsion_singular", c'
 
 # the rough cascade: cutoff, smoothing ladder and staged solves on the free
 # rotator plus a C^4 B-spline term of amplitude 1e-4
