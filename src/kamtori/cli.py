@@ -12,11 +12,13 @@ run          full cascade (cutoff, smoothing, staged Newton, certificate).
 A config file is one flat JSON object: the run knobs, whose defaults and
 bounds live in driver.RunParams, beside the fields RunConfig adds (model
 file, frequency, initial torus, truncation order, output directory).
-The override flags replace the file's keys before validation.  Every
-invocation that touches disk writes the echoed config next to its
-outputs, JSON is emitted with sorted keys and no timestamps so reruns are
-byte-stable, and exit codes are 0 (pass / convergence), 1 (certified
-failure or rejected config), 2 (usage error).
+A config command takes that file (--config) and an output directory that
+replaces the file's (--out), and no other flag.  Every invocation that
+touches disk writes the echoed config next to its outputs, JSON is
+emitted with sorted keys and no timestamps so reruns are byte-stable,
+and exit codes are 0 (pass / convergence), 1 (certified failure or
+rejected config), 2 (usage error, a flag other than those two among
+them).
 """
 
 from __future__ import annotations
@@ -124,21 +126,21 @@ _CLI_KEYS = frozenset(f.name for f in fields(RunConfig)) - _UNECHOED
 _PARAM_KEYS = frozenset(f.name for f in fields(RunParams))
 
 
-def parse_config(path, **overrides) -> RunConfig:
+def parse_config(path) -> RunConfig:
     """Read and validate a config file, reporting every violation at once.
 
-    overrides (the command-line flags) replace the file's keys before
-    anything is checked, so they meet the same bounds.  The model file
-    and the torus file are loaded, so a model it cannot build, or a torus
-    file that does not parse or whose torus is not of the model's n, is
-    one violation.  omega and y0 must be lists of numbers, one per degree
-    of freedom of the model, and trunc an integer >= 1.  The smoothness
-    class l, the model's own where the file gives none, must be >= 4 and
-    within the model's class.  A config valid so far is then given its
-    initial torus (the file's, or the circle over y0, omega when None)
-    and its FrequencyVector, whose Diophantine scan may reject omega as
-    one more violation, as may a torus whose order reaches beyond the
-    scan's horizon (solver.check_horizon).
+    The file's keys are the run knobs (driver.RunParams) and RunConfig's
+    own fields.  The model file and the torus file are loaded, so a model
+    it cannot build, or a torus file that does not parse or whose torus
+    is not of the model's n, is one violation.  omega and y0 must be
+    lists of numbers, one per degree of freedom of the model, and trunc
+    an integer >= 1.  The smoothness class l, the model's own where the
+    file gives none, must be >= 4 and within the model's class.  A config
+    valid so far is then given its initial torus (the file's, or the
+    circle over y0, omega when None) and its FrequencyVector, whose
+    Diophantine scan may reject omega as one more violation, as may a
+    torus whose order reaches beyond the scan's horizon
+    (solver.check_horizon).
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -146,7 +148,6 @@ def parse_config(path, **overrides) -> RunConfig:
         raise ConfigError([f"config file not found: {path}"])
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"])
-    raw.update(overrides)
 
     bad = []
     for key in sorted(set(raw) - _CLI_KEYS - _PARAM_KEYS):
@@ -258,14 +259,6 @@ def _prepare_out(cfg: RunConfig, override) -> Path:
     return out
 
 
-def _load_config(args) -> RunConfig:
-    """The config file named by --config, with the override flags applied."""
-    flags = ("hamiltonian", "max_iter", "tol", "trunc")
-    return parse_config(
-        args.config, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None}
-    )
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -297,16 +290,13 @@ def cmd_diophantine(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args)
+    cfg = parse_config(args.config)
     out = _prepare_out(cfg, args.out)
     H, K0, freq = cfg.model, cfg.torus, cfg.freq
     tol = cfg.params.tol if cfg.params.tol is not None else 1e-12
     # rho = 0 here: at the refined truncation orders the strip weighting
     # amplifies FFT floor noise, and bare solves gate on the grid error
-    res = solve_torus(
-        H, K0, freq, tol=tol, max_iter=cfg.params.max_iter,
-        max_trunc_order=cfg.params.horizon, rho=0.0,
-    )
+    res = solve_torus(H, K0, freq, tol=tol, max_trunc_order=cfg.params.horizon, rho=0.0)
     with (out / "trace.jsonl").open("w") as fh:
         for rec in res.trace:
             fh.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
@@ -326,7 +316,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args)
+    cfg = parse_config(args.config)
     out = _prepare_out(cfg, args.out)
     H, K, freq = cfg.model, cfg.torus, cfg.freq
     try:
@@ -368,7 +358,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    cfg = _load_config(args)
+    cfg = parse_config(args.config)
     out = _prepare_out(cfg, args.out)
     try:
         ladder = smoothing_ladder(cfg.model, cfg.torus, cfg.freq, cfg.params)
@@ -429,7 +419,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args)
+    cfg = parse_config(args.config)
     out = _prepare_out(cfg, args.out)
     res = run_scheme(cfg.model, cfg.torus, cfg.freq, cfg.params)
 
@@ -454,10 +444,6 @@ def cmd_run(args) -> int:
 def _add_config_flags(sub) -> None:
     sub.add_argument("--config", required=True, help="path to a JSON config file")
     sub.add_argument("--out", default=None, help="output directory (overrides config)")
-    sub.add_argument("--hamiltonian", default=None, help="model file (overrides config)")
-    sub.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    sub.add_argument("--tol", type=float, default=None)
-    sub.add_argument("--trunc", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -319,7 +319,7 @@ class ConfigError(ValueError):
 
 
 # RunParams knobs by type, and those of them that may also be None
-_INTEGER_KNOBS = ("horizon", "l", "max_iter")
+_INTEGER_KNOBS = ("horizon", "l")
 _REAL_KNOBS = ("rho", "r", "sigma", "gamma", "target_error", "tol")
 _OPTIONAL_KNOBS = frozenset({"l", "gamma", "tol"})
 
@@ -334,7 +334,6 @@ _BOUNDS = (
     ("l must be at least 4, got {p.l}", lambda p: p.l is None or p.l >= 4),
     ("target_error must be positive, got {p.target_error}", lambda p: p.target_error > 0),
     ("tol must be positive, got {p.tol}", lambda p: p.tol is None or p.tol > 0),
-    ("max_iter must be >= 1, got {p.max_iter}", lambda p: p.max_iter >= 1),
 )
 
 
@@ -350,11 +349,12 @@ class RunParams:
     rho, r, sigma, gamma and l are the scheme's hypotheses: strip width,
     radius, Diophantine exponent and constant (estimated over horizon
     when None) and smoothness class (the model's when None).  target_error
-    ends the cascade, tol (target_error when None) each stage's solve,
-    and max_iter caps its Newton steps.  The cascade's and the ladder's
-    sizes are constants: at most MAX_STAGES stages, none stopping before
-    stage LEMMA4_GAPS + 1, and LADDER_COUNT approximants from rungs of
-    degree START_DEGREE up to MAX_DEGREE (smoothing).
+    ends the cascade, and tol (target_error when None) each stage's
+    solve, which takes at most solve_torus's 12 Newton steps.  The
+    cascade's and the ladder's sizes are constants: at most MAX_STAGES
+    stages, none stopping before stage LEMMA4_GAPS + 1, and LADDER_COUNT
+    approximants from rungs of degree START_DEGREE up to MAX_DEGREE
+    (smoothing).
     Construction checks every knob and raises one ConfigError listing
     each violation.  A knob must be a number, an integer knob an integer,
     and neither a bool; gamma, l and tol may also be None.  An integer
@@ -370,7 +370,6 @@ class RunParams:
     l: int | None = None
     target_error: float = 1e-9
     tol: float | None = None
-    max_iter: int = 12
 
     def __post_init__(self):
         bad, mistyped = [], []
@@ -704,10 +703,8 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
             termination, failed_stage = f"{exc.status}_at_stage_{k}", k
             break
         # refinement may not outgrow the certified Diophantine horizon
-        res = solve_torus(
-            h_k, k_prev, freq, tol=tol, max_iter=params.max_iter,
-            max_trunc_order=freq.horizon, rho=rho_k, start=start,
-        )
+        res = solve_torus(h_k, k_prev, freq, tol=tol, max_trunc_order=freq.horizon,
+                          rho=rho_k, start=start)
         if k == 1:
             gate = cert["conditions_measured"] = _measured_conditions(res, params.r)
             for condition in ("condition2", "condition3"):

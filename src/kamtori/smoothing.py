@@ -918,8 +918,7 @@ class CutoffHamiltonian(SumModel):
     def __init__(self, analytic, rough, bump: PlateauBump, box: Box):
         self.rough = tuple(rough)
         self.bump = bump
-        self.box = box  # _cut_part() reads it, and SumModel.__init__ keeps it
-        super().__init__([analytic, self._cut_part()])
+        super().__init__([analytic, self._cut_part(box)])
         self.analytic = analytic
         self.smoothness_class = min(t.profile.smoothness_class for t in self.rough)
 
@@ -940,8 +939,8 @@ class CutoffHamiltonian(SumModel):
         set of its grid tables."""
         return self.parts[1]
 
-    def _cut_part(self) -> SeparableFunction:
-        """The rough part as a SeparableFunction on the model's box.
+    def _cut_part(self, box: Box) -> SeparableFunction:
+        """The rough part as a SeparableFunction on box, the model's.
 
         One term per rough coordinate c (in order of first appearance):
         the sum of the profiles on c, times the bump's factor on every
@@ -949,16 +948,16 @@ class CutoffHamiltonian(SumModel):
         factors wrap like cut_values does.  Every factor has exact
         derivative tables (jet).
         """
-        action_axes = np.nonzero(~self.box.periodic)[0]
+        action_axes = np.nonzero(~box.periodic)[0]
         terms = []
         for c in dict.fromkeys(t.coordinate for t in self.rough):
-            funcs = [None] * self.box.dim
+            funcs = [None] * box.dim
             for i, axis in enumerate(action_axes):
                 funcs[axis] = _BumpFactor(self.bump, i)
             on_c = tuple(t for t in self.rough if t.coordinate == c)
-            funcs[c] = _RoughFactor(self.box, c, on_c, funcs[c])
+            funcs[c] = _RoughFactor(box, c, on_c, funcs[c])
             terms.append(funcs)
-        return SeparableFunction(terms, self.box)
+        return SeparableFunction(terms, box)
 
 
 @dataclass(frozen=True)

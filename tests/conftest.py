@@ -10,15 +10,14 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # run knobs that crash or measure nothing, and the start of the one
 # violation each is rejected with, alike by RunParams and by a config file
 REJECTED_KNOBS = [
-    ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
     ({"tol": -1}, "tol must be positive, got -1"),
     ({"target_error": 0}, "target_error must be positive, got 0"),
     ({"r": 0}, "r must be positive, got 0"),
     ({"rho": "wide"}, "rho must be a number, got wide"),
     ({"sigma": None}, "sigma must be a number, got None"),
-    ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
     ({"horizon": 100.5}, "horizon must be an integer, got 100.5"),
-    ({"max_iter": True}, "max_iter must be an integer, got True"),
+    ({"horizon": 0}, "horizon must be >= 1, got 0"),
+    ({"horizon": True}, "horizon must be an integer, got True"),
 ]
 REJECTED_IDS = [",".join(f"{k}={v}" for k, v in knobs.items()) for knobs, _ in REJECTED_KNOBS]
 

@@ -1,5 +1,6 @@
 """Config validation, subcommand dispatch, artifacts and exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -116,7 +117,6 @@ class TestParseConfig:
         assert cfg.params.rho == 0.05
         assert cfg.params.r == 0.35
         assert cfg.trunc == 64
-        assert cfg.params.max_iter == 12
         assert cfg.params.l is None and cfg.params.tol is None
 
     def test_sigma_boundary_named(self, write_files):
@@ -127,13 +127,13 @@ class TestParseConfig:
 
     def test_all_violations_reported_at_once(self, write_files):
         cfg_path, _ = write_files(
-            PENDULUM, "out", gamma=-1.0, rho=0.0, l=3, max_iter=0, bogus=1
+            PENDULUM, "out", gamma=-1.0, rho=0.0, l=3, horizon=0, bogus=1
         )
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg_path)
         text = str(exc.value)
         assert len(exc.value.violations) >= 5
-        for frag in ("gamma", "rho", "l must be", "max_iter", "unknown key: bogus"):
+        for frag in ("gamma", "rho", "l must be", "horizon", "unknown key: bogus"):
             assert frag in text
 
     @pytest.mark.parametrize("knobs, violation", REJECTED_KNOBS, ids=REJECTED_IDS)
@@ -182,10 +182,11 @@ class TestParseConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("knob", ["start_degree", "min_tori", "count", "max_stages",
-                                      "max_degree"])
+                                      "max_degree", "max_iter"])
     def test_removed_knob_rejected_before_any_output(self, write_files, capsys, knob):
-        # the ladder keeps 2 rungs from degree 8 up to 4096, and a run takes
-        # at most 6 stages and stops once lemma 4 has 3 gaps
+        # the ladder keeps 2 rungs from degree 8 up to 4096, a run takes at
+        # most 6 stages and stops once lemma 4 has 3 gaps, and each solve
+        # takes at most 12 Newton steps
         cfg_path, out = write_files(ROUGH, "out", **{knob: 8}, **ROUGH_KNOBS)
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"config error: unknown key: {knob}\n"
@@ -229,6 +230,7 @@ class TestParseConfig:
         ({"trunc": "x"}, "trunc must be an integer, got x"),
         ({"trunc": 2.5}, "trunc must be an integer, got 2.5"),
         ({"trunc": None}, "trunc must be an integer, got None"),
+        ({"trunc": 0}, "truncation order M must be >= 1, got 0"),
         ({"omega": ["a"]}, "omega must be a list of numbers, got ['a']"),
         ({"y0": [0.1, 0.2]}, "y0 must have n = 1 components, got 2"),
         ({"omega": [GOLDEN, 0.3]}, "omega must have n = 1 components, got 2"),
@@ -236,8 +238,8 @@ class TestParseConfig:
         ({"omega": str(GOLDEN)}, f"omega must be a list of numbers, got {GOLDEN}"),
         ({"y0": [True]}, "y0 must be a list of numbers, got [True]"),
     ]
-    CLI_IDS = ["trunc=x", "trunc=2.5", "trunc=null", "omega=a", "y0-2dof", "omega-2dof",
-               "circle-y0", "omega-string", "y0=true"]
+    CLI_IDS = ["trunc=x", "trunc=2.5", "trunc=null", "trunc=0", "omega=a", "y0-2dof",
+               "omega-2dof", "circle-y0", "omega-string", "y0=true"]
 
     @pytest.mark.parametrize("fields, violation", CLI_FIELDS, ids=CLI_IDS)
     def test_cli_field_rejection_named(self, write_files, fields, violation):
@@ -670,49 +672,22 @@ class TestSharedDriverPath:
 
 
 class TestOverrides:
-    def test_flag_overrides_apply(self, write_files, tmp_path):
-        cfg_path, out = write_files(PENDULUM, "ovr")
-        alt = tmp_path / "alt.json"
-        alt.write_text(json.dumps(ROTATOR))
-        code = main(
-            [
-                "solve",
-                "--config",
-                str(cfg_path),
-                "--hamiltonian",
-                str(alt),
-                "--max-iter",
-                "3",
-                "--tol",
-                "1e-10",
-                "--trunc",
-                "16",
-            ]
-        )
-        assert code == 0
-        echoed = json.loads((out / "config.json").read_text())
-        assert echoed["hamiltonian"] == str(alt)
-        assert echoed["max_iter"] == 3
-        assert echoed["tol"] == 1e-10
-        assert echoed["trunc"] == 16
-        # rotator at the exact circle: zero error, zero iterations
-        cert = json.loads((out / "certificate.json").read_text())
-        assert cert["error"] == 0.0
-        assert cert["iterations"] == 0
+    """A config command takes the config file and an output directory, and
+    every other run input from that file."""
 
-    @pytest.mark.parametrize(
-        "flag, value, violation",
-        [
-            ("--max-iter", "0", "max_iter must be >= 1, got 0"),
-            ("--tol", "-1", "tol must be positive, got -1.0"),
-            ("--trunc", "0", "truncation order M must be >= 1, got 0"),
-        ],
-        ids=["max_iter", "tol", "trunc"],
-    )
-    def test_flag_overrides_validated(self, write_files, capsys, flag, value, violation):
-        cfg_path, out = write_files(PENDULUM, "ovr")
-        assert main(["solve", "--config", str(cfg_path), flag, value]) == 1
-        assert capsys.readouterr().err == f"config error: {violation}\n"
+    def test_config_commands_take_config_and_out_only(self):
+        subs = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        for command in ("solve", "verify", "smooth", "run"):
+            flags = set(subs.choices[command]._option_string_actions)
+            assert flags == {"-h", "--help", "--config", "--out"}, command
+
+    def test_removed_flag_is_a_usage_error(self, write_files, capsys):
+        cfg_path, out = write_files(ROTATOR, "out", trunc=16)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(cfg_path), "--tol", "1e-20"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-20" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_flag_overrides_config(self, write_files, tmp_path):

@@ -383,7 +383,7 @@ class TestCutoff:
         assert slope <= profile_sup(1, r) * 1.05
 
     def test_box_is_the_cutoff_box(self, rough_system):
-        # the box set before SumModel.__init__ survives it
+        # SumModel takes the box from the cut part, its last boxed part
         h, K0 = rough_system
         hx = cutoff_extend(h, K0, r=0.8)
         lo, hi = hx.bump.anchors

@@ -994,6 +994,60 @@ class TestSeparableOracle:
         assert axis_gap > 1e-7
 
 
+class TestLibrationOracle:
+    """Libration tori of the pendulum H = y^2/2 + eps cos 2 pi x around
+    x = 1/2: tori of winding 0, no graph over the angle, found without
+    action-angle variables.  With phi = 2 pi x - pi the motion is
+    phi'' = -4 pi^2 eps sin phi, whose libration of amplitude phi_max has
+    frequency nu = pi sqrt(eps) / (2 K(m)), m = sin^2(phi_max / 2), and
+    energy H = -eps cos phi_max: an elliptic-function oracle that no code
+    of the solver computes."""
+
+    EPS = 0.06
+    TOL = 1e-10
+
+    @staticmethod
+    def oracle(eps, nu):
+        """(A, phi_max) of the libration of frequency nu: x - 1/2 reaches
+        A = phi_max / (2 pi)."""
+        from scipy.optimize import brentq
+        from scipy.special import ellipk
+
+        m = brentq(lambda m: np.pi * np.sqrt(eps) / (2.0 * ellipk(m)) - nu,
+                   0.0, 1.0 - 1e-12, xtol=1e-16)
+        phi_max = 2.0 * np.arcsin(np.sqrt(m))
+        return phi_max / (2.0 * np.pi), phi_max
+
+    # measured: 4, 5 and 6 iterations, ending at M = 49, 62 and 115
+    @pytest.fixture(scope="class", params=[4.0, 4.5, 6.0])
+    def libration(self, request):
+        nu = 1.0 / (request.param + GOLDEN)
+        A, _ = self.oracle(self.EPS, nu)
+        # the harmonic guess x = 1/2 + A cos 2 pi theta,
+        # y = -2 pi nu A sin 2 pi theta
+        modes = {(0,): np.array([0.5, 0.0]), (1,): np.array([A / 2, 1j * np.pi * nu * A])}
+        K0 = TorusEmbedding(np.zeros((2, 1)), FourierMap(1, (2,), modes, trunc_order=32))
+        freq = FrequencyVector.estimated([nu], 1.1, 256)
+        res = solve_torus(HamiltonianModel.pendulum(self.EPS), K0, freq, tol=1e-12,
+                          max_trunc_order=256)
+        assert res.converged and res.torus.trunc_order > 32
+        assert not res.torus.winding.any()
+        z = res.torus(np.arange(2049)[:, None] / 2049)
+        return nu, z
+
+    def test_amplitude_and_energy_are_the_oracle_s(self, libration):
+        nu, z = libration
+        A, phi_max = self.oracle(self.EPS, nu)
+        assert abs(z[:, 0].max() - 0.5 - A) <= self.TOL
+        energy = HamiltonianModel.pendulum(self.EPS)(z)
+        assert np.max(np.abs(energy + self.EPS * np.cos(phi_max))) <= self.TOL
+
+    def test_a_perturbed_oracle_is_caught(self, libration):
+        nu, z = libration
+        A, _ = self.oracle(self.EPS * 1.001, nu)
+        assert abs(z[:, 0].max() - 0.5 - A) > self.TOL
+
+
 class ConstantForce:
     """A model whose field gains the constant force -c in the first action."""
 

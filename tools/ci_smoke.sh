@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Console-script smoke checks of an installed kamtori: `kamtori solve`
-# (1-DOF, and a 3-DOF coupled rotator that must converge), `kamtori verify`,
-# `kamtori smooth`, `kamtori run` (1-DOF and 2-DOF rough cascades) and
+# (1-DOF, a 1-DOF libration torus of winding 0, and a 3-DOF coupled rotator
+# that must converge), `kamtori verify`, `kamtori smooth`, `kamtori run` (1-DOF and 2-DOF rough cascades) and
 # `kamtori diophantine`, with their reruns, named config errors and
 # certificate fields, and `kamtori solve` and `kamtori run` on a model
 # without twist, which must name that failure.
@@ -28,13 +28,16 @@ kamtori solve --config config.json
 kamtori solve --config out/config.json --out again
 cmp out/config.json again/config.json
 cmp out/certificate.json again/certificate.json
-# an override flag meets the config's bounds: exit 1, named reason
-code=0
-kamtori solve --config config.json --out rejected --max-iter 0 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-grep -q "^config error: " err.txt
-test ! -e rejected
+# a config command takes --config and --out only: any other flag is a
+# usage error (exit 2, argparse's reason, no output)
+for flag in "--hamiltonian model.json" "--max-iter 3" "--tol 1e-3" "--trunc 16"; do
+  code=0
+  kamtori solve --config config.json --out rejected $flag 2> err.txt || code=$?
+  cat err.txt
+  test "$code" -eq 2
+  grep -q "unrecognized arguments: $flag\$" err.txt
+  test ! -e rejected
+done
 # the a-posteriori check of the torus that solve wrote passes (exit 0),
 # and its echoed config reproduces the certificate byte for byte
 cat > verify-config.json <<'EOF'
@@ -57,6 +60,37 @@ test "$code" -eq 1
 test "$(wc -l < err.txt)" -eq 1
 grep -q "^config error: torus file does not parse: " err.txt
 test ! -e bad-torus
+
+# a libration torus of the pendulum H = y^2/2 + 0.06 cos 2 pi x, winding 0
+# around x = 1/2, from the harmonic guess x = 1/2 + A cos 2 pi theta,
+# y = -2 pi nu A sin 2 pi theta at nu = 1/(4 + golden), with A the
+# elliptic-function amplitude of that frequency: solve converges in 4
+# iterations (exit 0)
+cat > lib.json <<'EOF'
+{"n": 1, "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0},
+                   {"k": [1], "m": [0], "re": 0.03, "im": 0.0}]}
+EOF
+cat > lib0.csv <<'EOF'
+# winding=0 0
+# n=1 m=2 trunc_order=32 canonical=1
+k0,re0,im0,re1,im1
+0,0.5,0.0,0.0,0.0
+1,0.10882127689796273,0.0,0.0,0.1480595963086211
+EOF
+cat > lib-config.json <<'EOF'
+{"hamiltonian": "lib.json", "omega": [0.21654236465910046],
+ "torus_file": "lib0.csv", "out": "lib"}
+EOF
+kamtori solve --config lib-config.json
+python -c 'import json; c = json.load(open("lib/certificate.json")); assert c["status"] == "converged" and c["iterations"] == 4, c'
+# verify reads the solved torus back: the literal strict condition 2 misses
+# by about 7.5e10 (exit 1), its grid defect is the solve's, bit for bit, and
+# the Lagrangian defect of a 1-DOF torus is 0
+sed 's/"torus_file": "lib0.csv", "out": "lib"}/"torus_file": "lib\/torus_final.csv", "out": "lib-verified"}/' lib-config.json > lib-verify.json
+code=0
+kamtori verify --config lib-verify.json || code=$?
+test "$code" -eq 1
+python -c 'import json; v = json.load(open("lib-verified/certificate.json")); s = json.load(open("lib/certificate.json")); assert v["conditions"]["condition2_ok"] is False, v; assert v["error_grid"] == s["error"], (v["error_grid"], s["error"]); assert v["nondegeneracy"]["lagrangian_defect"] == 0, v'
 
 # a model without twist, H = omega y + 1e-3 cos 2 pi x from y0 = 0: its
 # averaged torsion <S> is singular, so no Newton step exists; solve and run
@@ -182,9 +216,10 @@ test "$code" -eq 1
 test "$(wc -l < err.txt)" -eq 1
 grep -q "^config error: unknown key: condition_mode$" err.txt
 test ! -e rough-strict
-# the ladder's degrees and length and the cascade's stage cap are
-# constants, no keys of a config either (exit 1, one named reason, no output)
-for knob in start_degree count max_stages max_degree; do
+# the ladder's degrees and length, the cascade's stage cap and each solve's
+# Newton-step cap are constants, no keys of a config either (exit 1, one
+# named reason, no output)
+for knob in start_degree count max_stages max_degree max_iter; do
   sed "s/\"out\": \"rough\"}/\"out\": \"rough-$knob\", \"$knob\": 8}/" rough-config.json > knob.json
   code=0
   kamtori run --config knob.json 2> err.txt || code=$?
