@@ -37,6 +37,7 @@ from .diophantine import _TINY_GAMMA, FrequencyVector, check_diophantine
 from .driver import (
     ConfigError,
     RunParams,
+    _defect_record,
     _frequency,
     _is_number,
     _jsonable,
@@ -96,7 +97,9 @@ def load_hamiltonian(path: str):
 
     The base document is the {n, terms, smoothness_class} form; an optional
     "rough" list adds 1-D profile summands, each
-    {coordinate, amplitude, profile: {type: bspline|sinpower, ...}}.
+    {coordinate, amplitude, profile: {type: bspline|sinpower, ...}}.  A
+    term's re and im, a rough amplitude and a profile's numbers must be
+    finite; a ValueError names the first that is not.
     """
     doc = json.loads(Path(path).read_text())
     rough_docs = doc.pop("rough", [])
@@ -108,17 +111,24 @@ def load_hamiltonian(path: str):
         prof = rec["profile"]
         kind = prof.get("type")
         if kind == "bspline":
-            profile = BSplineProfile(prof["coefficients"], prof.get("degree", 5))
+            profile = BSplineProfile(_finite("bspline coefficients", prof["coefficients"]),
+                                     prof.get("degree", 5))
         elif kind == "sinpower":
-            profile = SinPowerProfile(
-                prof.get("power", 4.5), prof.get("scale", 1.0), prof.get("shift", 0.0)
-            )
+            profile = SinPowerProfile(*(
+                _finite(f"sinpower {key}", prof.get(key, default))
+                for key, default in (("power", 4.5), ("scale", 1.0), ("shift", 0.0))))
         else:
             raise ConfigError([f"unknown rough profile type: {kind!r}"])
-        terms.append(
-            RoughTerm(int(rec["coordinate"]), profile, float(rec.get("amplitude", 1.0)))
-        )
+        amplitude = _finite("rough amplitude", rec.get("amplitude", 1.0))
+        terms.append(RoughTerm(int(rec["coordinate"]), profile, float(amplitude)))
     return CompositeHamiltonian(analytic=base, rough=terms)
+
+
+def _finite(name: str, value):
+    """value as it is; a ValueError names it where an entry is not finite."""
+    if not np.isfinite(np.asarray(value, dtype=float)).all():
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 _UNECHOED = frozenset({"params", "model", "torus", "freq"})
@@ -133,7 +143,8 @@ def parse_config(path) -> RunConfig:
     own fields.  The model file and the torus file are loaded, so a model
     it cannot build, or a torus file that does not parse or whose torus
     is not of the model's n, is one violation.  omega and y0 must be
-    lists of numbers, one per degree of freedom of the model, and trunc
+    lists of finite numbers, one per degree of freedom of the model, as
+    every real run knob must be finite (driver._is_number), and trunc
     an integer >= 1.  The smoothness class l, the model's own where the
     file gives none, must be >= 4 and within the model's class.  A config
     valid so far is then given its initial torus (the file's, or the
@@ -330,12 +341,7 @@ def cmd_verify(args) -> int:
     _write_json(
         out / "certificate.json",
         {
-            "error_grid": err.norm_grid,
-            "error_rho": err.norm_rho.value,
-            "tail_flag": err.genuine_tail,
-            "tail_max": err.norm_rho.tail_max,
-            "tail_sum": err.norm_rho.tail_sum,
-            "round_off": err.round_off,
+            **_defect_record(err),
             "nondegeneracy": {
                 "norm_dk": nd.norm_dk,
                 "norm_n": nd.norm_n,

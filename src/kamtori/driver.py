@@ -338,8 +338,10 @@ _BOUNDS = (
 
 
 def _is_number(value) -> bool:
-    """A real number, as a JSON number parses: a bool is none."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite real number: a bool is none, nor are the NaN and Infinity
+    that Python's json parses.  An int of any size is finite."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -356,10 +358,10 @@ class RunParams:
     approximants from rungs of degree START_DEGREE up to MAX_DEGREE
     (smoothing).
     Construction checks every knob and raises one ConfigError listing
-    each violation.  A knob must be a number, an integer knob an integer,
-    and neither a bool; gamma, l and tol may also be None.  An integer
-    knob is stored as an int, a real one as given.  Everything is echoed
-    into the certificate.
+    each violation.  A knob must be a finite number, an integer knob an
+    integer, and neither a bool; gamma, l and tol may also be None.  An
+    integer knob is stored as an int, a real one as given.  Everything is
+    echoed into the certificate.
     """
 
     rho: float = 0.05
@@ -431,19 +433,10 @@ def _c3_near(model, K: TorusEmbedding, margin: float) -> float:
 
 
 def _defect_record(err: ErrorField) -> dict:
-    """A defect's norms and its tail state.  solve_torus refines on two
-    halves: tail_flag (ErrorField.genuine_tail) is the round-off half, and
-    the tol half holds tail_beyond, the mass past M that tail_sum, the
-    tail's share of the strip norm, predicts, against tol; the stage
-    traces record it."""
-    return {
-        "grid": err.norm_grid,
-        "rho": err.norm_rho.value,
-        "tail_flag": err.genuine_tail,
-        "tail_max": err.norm_rho.tail_max,
-        "tail_sum": err.norm_rho.tail_sum,
-        "round_off": err.round_off,
-    }
+    """A defect's grid sup and strip norm, with its tail record
+    (ErrorField.tail_record), the one solve_torus's trace rows carry."""
+    return {"error_grid": err.norm_grid, "error_rho": err.norm_rho.value,
+            **err.tail_record()}
 
 
 def _quadratic_constant(res: SolveResult) -> float | None:
@@ -733,7 +726,6 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         record = {
             "stage": k,
             "model": "limit" if h_k is hamiltonian else "smoothed",
-            "limit": h_k is hamiltonian,
             "rho_k": rho_k,
             "delta_k": delta_k,
             "r_k": schedule.r_k(k),
@@ -803,10 +795,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     cert["final"] = {
         "error_vs_original_grid": final_err.norm_grid,
         "error_vs_original_coeff": final_err.norm_rho.value,
-        "tail_flag": final_err.genuine_tail,
-        "tail_max": final_err.norm_rho.tail_max,
-        "tail_sum": final_err.norm_rho.tail_sum,
-        "round_off": final_err.round_off,
+        **final_err.tail_record(),
         "drift": final_drift,
         "drift_within_r": bool(final_drift <= params.r),
         "drift_within_budget": bool(final_drift <= 4.0 * params.r / 3.0),

@@ -234,20 +234,18 @@ class StripNormEstimate:
     ``value`` is the coefficient bound sum_k |amp(k)| exp(2 pi |k|_1 rho),
     which dominates sup over the strip of half-width rho (the map's
     grid_sup, its maximum on the real sampling grid, is a lower bound for
-    the true sup).  ``tail_flag`` trips when the last dyadic block of modes
-    (|k|_inf > M/2) contributes more than 1e-10 of the total, signalling
-    that the truncation order is suspect.  ``tail_max`` is the largest
-    unweighted amplitude max|amp(k)| in that block, the scale to hold
-    against round-off.  ``tail_sum`` is that block's share of ``value``,
-    sum over |k|_inf > M/2 of |amp(k)| exp(2 pi |k|_1 rho), which bounds
-    the sup of the tail block alone over the strip.  ``tail_beyond`` is
-    the share past M that the decay from the head (``value - tail_sum``)
-    to the tail block predicts for one more block of M/2 orders.
+    the true sup).  ``tail_max`` is the largest unweighted amplitude
+    max|amp(k)| in the last dyadic block of modes (|k|_inf > M/2), the
+    scale to hold against round-off.  ``tail_sum`` is that block's share
+    of ``value``, sum over |k|_inf > M/2 of |amp(k)| exp(2 pi |k|_1 rho),
+    which bounds the sup of the tail block alone over the strip.
+    ``tail_beyond`` is the share past M that the decay from the head
+    (``value - tail_sum``) to the tail block predicts for one more block
+    of M/2 orders.
     """
 
     value: float
     rho: float
-    tail_flag: bool
     tail_max: float
     tail_sum: float
 
@@ -508,11 +506,10 @@ class FourierMap:
         nz = amax > 0  # zero modes add nothing, even where the weight overflows
         terms = amax[nz] * weight[nz]
         total = float(np.add.reduce(terms))
-        tail_sum = float(np.add.reduce(terms[tail[nz]]))
         return StripNormEstimate(
-            value=total, rho=rho, tail_flag=total > 0 and tail_sum > 1e-10 * total,
+            value=total, rho=rho,
             tail_max=float(np.maximum.reduce(amax, None, where=tail, initial=0.0)),
-            tail_sum=tail_sum,
+            tail_sum=float(np.add.reduce(terms[tail[nz]])),
         )
 
     def grid_sup(self) -> float:
@@ -570,7 +567,8 @@ class FourierMap:
     def from_csv(cls, text: str) -> "FourierMap":
         """The map of a :meth:`to_csv` text, its rows read by one np.loadtxt;
         a ValueError names rows of the wrong field count, a wavevector entry
-        that is not an integer and a wavevector given twice."""
+        that is not an integer, an amplitude entry that is not finite and a
+        wavevector given twice."""
         lines = text.splitlines()
         meta = {key: int(val) for key, _, val in
                 (token.partition("=") for token in lines[0].lstrip("# ").split())}
@@ -581,12 +579,15 @@ class FourierMap:
         if rows.shape[1] != n + 2 * m:
             raise ValueError(f"mode rows need n + 2 m = {n + 2 * m} fields (n = {n}, "
                              f"m = {m}), got {rows.shape[1]}")
-        ks = rows[:, :n]
+        ks, parts = rows[:, :n], rows[:, n:]
         whole = np.isfinite(ks) & (ks == np.round(ks))
         if not whole.all():
             raise ValueError(f"wavevector entry {ks[~whole][0]} is not an integer")
+        finite = np.isfinite(parts)
+        if not finite.all():
+            raise ValueError(f"amplitude entry {parts[~finite][0]} is not finite")
         # the (re, im) pairs as complex by a view, every bit kept
-        amps = np.ascontiguousarray(rows[:, n:]).view(complex)
+        amps = np.ascontiguousarray(parts).view(complex)
         amps = amps.reshape((-1,) + ((m,) if m > 1 else ()))
         return cls._wrap(n, _fold(ks, amps, meta["trunc_order"]))
 

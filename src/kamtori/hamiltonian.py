@@ -21,6 +21,7 @@ profiles of one coordinate; SumModel is the one sum of models.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -379,7 +380,10 @@ class HamiltonianModel(SumOfProducts):
             missing = {"k", "m", "re", "im"} - set(rec)
             if missing:
                 raise ValueError(f"term {rec} missing keys {sorted(missing)}")
-            terms.append((rec["k"], rec["m"], complex(rec["re"], rec["im"])))
+            coef = complex(rec["re"], rec["im"])
+            if not cmath.isfinite(coef):
+                raise ValueError(f"term {rec} needs a finite re and im")
+            terms.append((rec["k"], rec["m"], coef))
         sc = doc.get("smoothness_class")
         return cls(n, terms, math.inf if sc is None else float(sc))
 

@@ -173,17 +173,13 @@ class ErrorField:
     round_off: float
     values: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def tail_flag(self) -> bool:
-        return self.norm_rho.tail_flag
-
-    @property
-    def genuine_tail(self) -> bool:
-        """The round-off half of solve_torus's refinement rule: tail_flag
-        trips and the tail's largest amplitude tail_max exceeds round_off,
-        so a tail of round-off is not genuine.  solve_torus refines only a
-        genuine tail whose tail_sum also exceeds its tol."""
-        return bool(self.tail_flag and self.norm_rho.tail_max > self.round_off)
+    def tail_record(self) -> dict:
+        """The defect's tail state as every record reports it and
+        solve_torus's refinement rule reads it: norm_rho's tail_max,
+        tail_sum and tail_beyond, and round_off."""
+        norm = self.norm_rho
+        return {"tail_max": norm.tail_max, "tail_sum": norm.tail_sum,
+                "tail_beyond": norm.tail_beyond, "round_off": self.round_off}
 
     def at(self, rho: float) -> "ErrorField":
         """This defect with its strip norm taken at rho from e."""
@@ -205,9 +201,7 @@ def invariance_error(
     another odd size >= 2M+1; e keeps K's order M either way.  norm_grid
     is the max absolute component over the grid, the quantity the Newton
     iteration drives down.  norm_rho is the coefficient bound over the
-    strip of half-width rho (rho = 0 gives the plain coefficient sum); its
-    tail_flag trips when the defect's spectrum has not decayed by the
-    truncation order, meaning the grid is too coarse to trust.
+    strip of half-width rho (rho = 0 gives the plain coefficient sum).
     jet, when given, is the jet of H at K's samples on the same grid; it
     is evaluated when omitted.
     """
@@ -818,10 +812,10 @@ def solve_torus(
     max_iter steps it is "max_iter" unless it improved.
 
     The truncation order M grows before the next step when two things
-    hold: the defect's spectral tail is genuine (ErrorField.genuine_tail:
-    its tail_flag trips and its largest tail amplitude tail_max exceeds
-    the same r), and the mass its spectrum predicts past M exceeds tol.
-    That prediction is the strip norm's tail_beyond at rho: the ratio
+    hold, both read off the defect's tail record (ErrorField.tail_record):
+    the largest amplitude of its tail block, tail_max, exceeds the same
+    r, and the mass its spectrum predicts past M exceeds tol.  That
+    prediction is the strip norm's tail_beyond at rho: the ratio
     q = tail_sum / head of the tail block |k|_inf > M/2 to the head
     value - tail_sum, carried one block of M/2 orders further,
     tail_sum^2 / head.  A tail made of round-off never refines, and
@@ -846,9 +840,9 @@ def solve_torus(
     The trace has a row per Newton step and one for the last iterate it
     evaluated, whichever rule ended the solve, so each status can be read
     off the rows.  Every row records the iterate's defect ("error") and
-    the tail state that decided its refinement: tail_flag, tail_max,
-    tail_sum, tail_beyond and round_off (r) at the order the iterate was
-    first evaluated at, the odd grid size N = sampling_size(M) its defect
+    the tail record that decided its refinement (tail_max, tail_sum,
+    tail_beyond and round_off, r) at the order the iterate was first
+    evaluated at, the odd grid size N = sampling_size(M) its defect
     was evaluated on ("grid") and the jets of H it used ("jets": 1, or 2
     when it was resized, the jet at its old order and the one at the new,
     whose grid the row then records).  A step row also records the growth
@@ -886,12 +880,10 @@ def solve_torus(
         if it:
             value = Iterate.evaluate(hamiltonian, K, omega, rho)
         err = value.error.at(rho)
-        beyond = err.norm_rho.tail_beyond
-        row = {"iter": it, "error": err.norm_grid, "tail_flag": err.tail_flag,
-               "tail_max": err.norm_rho.tail_max,
-               "tail_sum": err.norm_rho.tail_sum, "tail_beyond": beyond,
-               "round_off": err.round_off, "grid": err.values.shape[0], "jets": 1}
-        refine = err.genuine_tail and beyond > tol
+        tail = err.tail_record()
+        row = {"iter": it, "error": err.norm_grid, **tail,
+               "grid": err.values.shape[0], "jets": 1}
+        refine = tail["tail_max"] > tail["round_off"] and tail["tail_beyond"] > tol
         blocked = refine and K.trunc_order >= max_trunc_order
         if blocked:
             row["refine_blocked"] = True

@@ -18,6 +18,8 @@ REJECTED_KNOBS = [
     ({"horizon": 100.5}, "horizon must be an integer, got 100.5"),
     ({"horizon": 0}, "horizon must be >= 1, got 0"),
     ({"horizon": True}, "horizon must be an integer, got True"),
+    ({"rho": float("nan")}, "rho must be a number, got nan"),
+    ({"tol": float("inf")}, "tol must be a number, got inf"),
 ]
 REJECTED_IDS = [",".join(f"{k}={v}" for k, v in knobs.items()) for knobs, _ in REJECTED_KNOBS]
 

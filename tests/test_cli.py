@@ -69,6 +69,14 @@ FAILED_HYPOTHESES = [
 ]
 
 
+TAIL_KEYS = {"tail_max", "tail_sum", "tail_beyond", "round_off"}
+
+
+def tail_keys(record: dict) -> set:
+    """The keys of a record that report its defect's tail."""
+    return {key for key in record if key.startswith("tail") or key == "round_off"}
+
+
 def tail_state_holders(doc, path=""):
     """Paths of the objects in doc that record tail_max or round_off."""
     if isinstance(doc, list):
@@ -208,6 +216,8 @@ class TestParseConfig:
              "invalid literal for int() with base 10: 'eight'"),
             ("twice.csv", K.to_csv() + K.to_csv().splitlines()[-1],
              "wavevector (0,) is given twice"),
+            ("nan.csv", K.to_csv() + "1,nan,0.0,0.0,0.0\n",
+             "amplitude entry nan is not finite"),
         ]
         for name, text, reason in cases:
             torus = self.write_torus(tmp_path, name, text)
@@ -237,9 +247,11 @@ class TestParseConfig:
         ({"y0": [None]}, "y0 must be a list of numbers, got [None]"),
         ({"omega": str(GOLDEN)}, f"omega must be a list of numbers, got {GOLDEN}"),
         ({"y0": [True]}, "y0 must be a list of numbers, got [True]"),
+        ({"y0": [math.nan]}, "y0 must be a list of numbers, got [nan]"),
+        ({"omega": [math.inf]}, "omega must be a list of numbers, got [inf]"),
     ]
     CLI_IDS = ["trunc=x", "trunc=2.5", "trunc=null", "trunc=0", "omega=a", "y0-2dof",
-               "omega-2dof", "circle-y0", "omega-string", "y0=true"]
+               "omega-2dof", "circle-y0", "omega-string", "y0=true", "y0=nan", "omega=inf"]
 
     @pytest.mark.parametrize("fields, violation", CLI_FIELDS, ids=CLI_IDS)
     def test_cli_field_rejection_named(self, write_files, fields, violation):
@@ -279,10 +291,26 @@ class TestParseConfig:
         (rough_model(-1), "rough term coordinate -1 outside [0, 2) for n=1"),
         (rough_model(profile={"type": "sinpower", "power": 4.0}),
          "power must exceed 4 for C^4 regularity"),
+        # Python's json reads NaN and Infinity, and every model number must be finite
+        (dict(ROUGH, terms=[{"k": [0], "m": [2], "re": math.inf, "im": 0.0}]),
+         "term {'k': [0], 'm': [2], 're': inf, 'im': 0.0} needs a finite re and im"),
+        (dict(ROUGH, rough=[dict(ROUGH["rough"][0], amplitude=math.inf)]),
+         "rough amplitude must be finite, got inf"),
+        (rough_model(profile={"type": "bspline", "coefficients": [0.0, math.nan] * 3}),
+         "bspline coefficients must be finite, got [0.0, nan, 0.0, nan, 0.0, nan]"),
+        (rough_model(profile={"type": "sinpower", "power": math.nan}),
+         "sinpower power must be finite, got nan"),
+        (rough_model(profile={"type": "sinpower", "scale": math.inf}),
+         "sinpower scale must be finite, got inf"),
+        (rough_model(profile={"type": "sinpower", "shift": math.nan}),
+         "sinpower shift must be finite, got nan"),
     ]
 
     @pytest.mark.parametrize("model, reason", BAD_MODELS,
-                             ids=["coordinate=2", "coordinate=-1", "sinpower-power=4"])
+                             ids=["coordinate=2", "coordinate=-1", "sinpower-power=4",
+                                  "term-re=inf", "amplitude=inf", "bspline-coefficient=nan",
+                                  "sinpower-power=nan", "sinpower-scale=inf",
+                                  "sinpower-shift=nan"])
     def test_bad_model_rejected_before_any_output(self, write_files, capsys,
                                                   model, reason):
         cfg_path, out = write_files(model, "out", y0=[0.4], rho=0.02, r=0.8)
@@ -433,7 +461,7 @@ class TestDispatch:
         assert cert["converged"] is False
         assert cert["termination_reason"] == "smoothing_unachievable"
         assert "unachievable at max degree 16" in cert["smoothing"]["error"]
-        assert cert["e0_original"]["rho"] > 0
+        assert cert["e0_original"]["error_rho"] > 0
         assert cert["stages"] == []
         assert (out / "torus_final.csv").is_file()
 
@@ -450,28 +478,42 @@ class TestDispatch:
     def test_run_stage_traces_record_tail_state(self, write_files):
         cfg_path, out = write_files(PENDULUM, "run", target_error=1e-10)
         assert main(["run", "--config", str(cfg_path)]) == 0
-        keys = {"tail_flag", "tail_max", "round_off"}
         rows = [json.loads(line)
                 for path in sorted((out / "stages").iterdir())
                 for line in path.read_text().splitlines()]
-        assert rows and all(keys <= row.keys() for row in rows)
+        assert rows and all(TAIL_KEYS <= row.keys() for row in rows)
         # per-iterate rows stay out of the certificate: the tail state it
         # records is that of the three defects it summarizes
         cert = json.loads((out / "certificate.json").read_text())
         assert set(tail_state_holders(cert)) == {"e0_original", "e0_stage1", "final"}
 
-    def test_run_tail_flag_ignores_a_round_off_tail(self, write_files):
+    def test_every_defect_record_carries_one_tail_record(self, write_files):
+        # trace rows, the run certificate's three defects and verify's
+        # certificate report the four tail keys the refinement rule reads
+        cfg_path, out = write_files(PENDULUM, "run", target_error=1e-10)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        rows = [json.loads(line)
+                for path in sorted((out / "stages").iterdir())
+                for line in path.read_text().splitlines()]
+        cfg_path, checked = write_files(PENDULUM, "verify",
+                                        torus_file=str(out / "torus_final.csv"))
+        main(["verify", "--config", str(cfg_path)])  # the strict conditions fail
+        verified = json.loads((checked / "certificate.json").read_text())
+        records = rows + [cert["e0_original"], cert["e0_stage1"], cert["final"], verified]
+        assert [tail_keys(rec) for rec in records] == [TAIL_KEYS] * len(records)
+
+    def test_run_final_record_holds_a_round_off_tail(self, write_files):
         cfg_path, out = write_files(PENDULUM, "run", target_error=1e-10)
         assert main(["run", "--config", str(cfg_path)]) == 0
         final = json.loads((out / "certificate.json").read_text())["final"]
-        assert final["tail_flag"] is False
         assert 0 < final["tail_max"] < final["round_off"]
-        # the spectral tail of the final defect trips on round-off alone
+        # the record is the final defect's own tail record, taken again
         K = TorusEmbedding.from_csv((out / "torus_final.csv").read_text())
         err = invariance_error(HamiltonianModel.pendulum(1e-3), K, np.array([GOLDEN]))
-        assert err.tail_flag and not err.genuine_tail
+        assert {key: final[key] for key in TAIL_KEYS} == err.tail_record()
 
-    def test_verify_tail_flag_reports_a_genuine_tail(self, write_files, tmp_path):
+    def test_verify_reports_a_tail_above_round_off(self, write_files, tmp_path):
         # one Newton step from the circle at M = 8 leaves a tail of real modes
         freq = FrequencyVector.estimated(np.array([GOLDEN]), 1.1, 256)
         K, _ = newton_step(HamiltonianModel.pendulum(1e-3),
@@ -481,8 +523,8 @@ class TestDispatch:
         cfg_path, out = write_files(PENDULUM, "verify", torus_file=str(torus))
         main(["verify", "--config", str(cfg_path)])
         cert = json.loads((out / "certificate.json").read_text())
-        assert cert["tail_flag"] is True
         assert cert["tail_max"] > 10 * cert["round_off"]
+        assert cert["tail_sum"] >= cert["tail_max"] and cert["tail_beyond"] > 0
 
     def test_smooth_rough_ladder(self, write_files):
         cfg_path, out = write_files(

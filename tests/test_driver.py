@@ -401,7 +401,7 @@ class TestRunScheme:
             assert rec["rho_k"] == p.rho / 2.0 ** (k - 1)
             assert rec["delta_k"] == rec["rho_k"] / 12
             # a constant sequence: every stage solves on H itself
-            assert (rec["model"], rec["limit"]) == ("limit", True)
+            assert rec["model"] == "limit"
             assert rec["A1_ok"]
         assert res.stages[0]["iterations"] >= 2
         assert all(r["iterations"] == 0 for r in res.stages[1:])
@@ -413,7 +413,7 @@ class TestRunScheme:
         assert cert["lemma4"]["passed"]
         assert cert["final"]["target_met"]
         assert cert["final"]["drift_within_r"]
-        assert cert["e0_original"]["grid"] == pytest.approx(
+        assert cert["e0_original"]["error_grid"] == pytest.approx(
             2 * np.pi * 1e-3, rel=1e-4
         )
         assert cert["lambda_spec"] == DEFAULT_LAMBDA
@@ -510,7 +510,7 @@ class TestRoughRuns:
         assert cert["termination_reason"] == "smoothing_unachievable"
         assert cert["smoothing"]["error"].startswith(
             "smoothing bound unachievable at max degree 16")
-        e0 = cert["e0_original"]["rho"]
+        e0 = cert["e0_original"]["error_rho"]
         assert f"e0_norm {e0:.3e}" in cert["smoothing"]["error"]
         assert res.stages == [] and res.torus is K0
         json.dumps(cert)
@@ -749,8 +749,8 @@ class TestMeasuredOnce:
         assert len(methods["mu_k"]) == len(res.stages)
 
     def test_defect_records_carry_tail_sum(self, rough_run):
-        # tail_sum, the tol half of the refinement rule, is the defect's
-        # own: H at K0 and at the final torus, the stage-1 model at K0
+        # the tail record the refinement rule reads is the defect's own: H
+        # at K0 and at the final torus, the stage-1 model at K0
         from kamtori.solver import invariance_error
 
         res, (seq,), _, _ = rough_run
@@ -766,6 +766,8 @@ class TestMeasuredOnce:
         for key, err in records.items():
             assert cert[key]["tail_sum"] == err.norm_rho.tail_sum, key
             assert cert[key]["tail_max"] == err.norm_rho.tail_max, key
+            assert cert[key]["tail_beyond"] == err.norm_rho.tail_beyond, key
+            assert cert[key]["round_off"] == err.round_off, key
 
     def test_driver_measures_each_stage_start_once(self, rough_run):
         res, _, _, evaluations = rough_run
@@ -788,7 +790,7 @@ class TestMeasuredOnce:
     def test_stage_starts_reuse_the_measured_defects(self, rough_run):
         res, _, _, _ = rough_run
         cert = res.certificate
-        assert res.stages[0]["e_k_rho"] == cert["e0_stage1"]["rho"]
+        assert res.stages[0]["e_k_rho"] == cert["e0_stage1"]["error_rho"]
         assert (cert["final"]["error_vs_original_grid"]
                 == res.stages[-1]["error_vs_original_grid"])
 
@@ -830,17 +832,18 @@ class TestMeasuredOnce:
     def test_stage_records_name_the_model_they_solved_on(self, rough_run):
         # stage 1 solves on the selected rung, every later stage on H
         res, _, _, _ = rough_run
-        assert [(rec["model"], rec["limit"]) for rec in res.stages] == (
-            [("smoothed", False)] + [("limit", True)] * (len(res.stages) - 1))
+        assert [rec["model"] for rec in res.stages] == (
+            ["smoothed"] + ["limit"] * (len(res.stages) - 1))
+        assert not any("limit" in rec for rec in res.stages)
 
     def test_smoothed_stage_converges_below_the_horizon_cap(self, rough_run):
         # the rung is a trigonometric polynomial in the angle, so stage 1's
-        # torus has an analytic spectrum: no genuine tail at K0, no
+        # torus has an analytic spectrum: no tail above round-off at K0, no
         # refinement to the horizon's cap, growth norms near 1
         res, _, _, _ = rough_run
         cert = res.certificate
         stage1 = res.stages[0]
-        assert cert["e0_stage1"]["tail_flag"] is False
+        assert cert["e0_stage1"]["tail_max"] <= cert["e0_stage1"]["round_off"]
         assert stage1["status"] == "converged"
         orders = [row["trunc_order"] for row in stage1["trace"] if "trunc_order" in row]
         assert orders and max(orders) <= 64 < cert["horizon"]

@@ -698,15 +698,14 @@ def order_from_decay(decay, m: int, cap: int, tol: float) -> int:
 
 def refinements_from_rows(trace: list, m0: int, cap: int, tol: float) -> list:
     """Each row's refinement, (blocked, order its step kept), recomputed
-    from the rows alone.  Growth is wanted on a genuine tail (tail_flag,
-    tail_max above round_off) whose tail_beyond exceeds tol, and blocked
-    at M = cap; a row that grows records refine_decay, and no other row
-    does, and its new order follows from it (order_from_decay).  The last
-    row takes no step: its order is None."""
+    from the rows alone.  Growth is wanted where tail_max is above
+    round_off and tail_beyond exceeds tol, and blocked at M = cap; a row
+    that grows records refine_decay, and no other row does, and its new
+    order follows from it (order_from_decay).  The last row takes no
+    step: its order is None."""
     order, out = m0, []
     for row in trace:
-        genuine = row["tail_flag"] and row["tail_max"] > row["round_off"]
-        wanted = genuine and row["tail_beyond"] > tol
+        wanted = row["tail_max"] > row["round_off"] and row["tail_beyond"] > tol
         blocked = wanted and order >= cap
         assert ("refine_decay" in row) == (wanted and not blocked)
         if wanted and not blocked:
@@ -754,9 +753,9 @@ class TestSolveTorus:
 
     def test_capped_refinement_is_named(self):
         # the coupled rotator from the M = 8 circle under a cap of 8: each
-        # iterate from the second step on has a genuine tail whose predicted
-        # mass past M exceeds tol, so the solve stalls near 6.0e-9 where it
-        # would otherwise refine
+        # iterate from the second step on has a tail above round-off whose
+        # predicted mass past M exceeds tol, so the solve stalls near 6.0e-9
+        # where it would otherwise refine
         freq = FrequencyVector.estimated(COUPLED_OMEGA, sigma=1.1, horizon=256)
         res = solve_torus(coupled_rotator(1e-3),
                           TorusEmbedding.circle(COUPLED_OMEGA, trunc_order=8),
@@ -765,8 +764,7 @@ class TestSolveTorus:
         assert res.torus.trunc_order == 8
         assert res.error == pytest.approx(6.0e-9, rel=0.01)
         last = res.trace[-1]
-        assert last["tail_flag"] and last["tail_max"] > last["round_off"]
-        assert last["tail_beyond"] > 1e-12
+        assert last["tail_max"] > last["round_off"] and last["tail_beyond"] > 1e-12
         assert [row.get("refine_blocked", False) for row in res.trace] == [
             False, False] + [True] * (res.iterations - 1)
         assert status_from_rows(res.trace, 1e-12) == (res.status, res.error)
@@ -1018,18 +1016,23 @@ class TestLibrationOracle:
         phi_max = 2.0 * np.arcsin(np.sqrt(m))
         return phi_max / (2.0 * np.pi), phi_max
 
+    @classmethod
+    def solve(cls, eps, nu):
+        """solve_torus on the pendulum of eps from the harmonic guess of its
+        libration of frequency nu at M = 32: x = 1/2 + A cos 2 pi theta,
+        y = -2 pi nu A sin 2 pi theta, with A the oracle's."""
+        A, _ = cls.oracle(eps, nu)
+        modes = {(0,): np.array([0.5, 0.0]), (1,): np.array([A / 2, 1j * np.pi * nu * A])}
+        K0 = TorusEmbedding(np.zeros((2, 1)), FourierMap(1, (2,), modes, trunc_order=32))
+        freq = FrequencyVector.estimated([nu], 1.1, 256)
+        return solve_torus(HamiltonianModel.pendulum(eps), K0, freq, tol=1e-12,
+                           max_trunc_order=256)
+
     # measured: 4, 5 and 6 iterations, ending at M = 49, 62 and 115
     @pytest.fixture(scope="class", params=[4.0, 4.5, 6.0])
     def libration(self, request):
         nu = 1.0 / (request.param + GOLDEN)
-        A, _ = self.oracle(self.EPS, nu)
-        # the harmonic guess x = 1/2 + A cos 2 pi theta,
-        # y = -2 pi nu A sin 2 pi theta
-        modes = {(0,): np.array([0.5, 0.0]), (1,): np.array([A / 2, 1j * np.pi * nu * A])}
-        K0 = TorusEmbedding(np.zeros((2, 1)), FourierMap(1, (2,), modes, trunc_order=32))
-        freq = FrequencyVector.estimated([nu], 1.1, 256)
-        res = solve_torus(HamiltonianModel.pendulum(self.EPS), K0, freq, tol=1e-12,
-                          max_trunc_order=256)
+        res = self.solve(self.EPS, nu)
         assert res.converged and res.torus.trunc_order > 32
         assert not res.torus.winding.any()
         z = res.torus(np.arange(2049)[:, None] / 2049)
@@ -1046,6 +1049,49 @@ class TestLibrationOracle:
         nu, z = libration
         A, _ = self.oracle(self.EPS * 1.001, nu)
         assert abs(z[:, 0].max() - 0.5 - A) > self.TOL
+
+
+class TestLibrationRotationProduct:
+    """A torus of winding rows [0 0; 0 1; 0 0; 0 0], no graph over T^2:
+    on separable_pendula([0.06, 4e-3]) at omega = (nu, sqrt 2 - 1) it is
+    the product of the first pendulum's libration of frequency nu and the
+    second's rotation, each solved on its own."""
+
+    EPS = [TestLibrationOracle.EPS, 4e-3]
+    NU = 1.0 / (4.0 + GOLDEN)
+    OMEGA = [NU, np.sqrt(2.0) - 1.0]
+
+    # measured: 4 iterations, ending at M = 49
+    @pytest.fixture(scope="class")
+    def product(self):
+        A, _ = TestLibrationOracle.oracle(self.EPS[0], self.NU)
+        winding = np.zeros((4, 2))
+        winding[1, 1] = 1.0
+        # the libration's harmonic guess in (x1, y1), the circle in (x2, y2)
+        modes = {(0, 0): np.array([0.5, 0.0, 0.0, self.OMEGA[1]]),
+                 (1, 0): np.array([A / 2, 0.0, 1j * np.pi * self.NU * A, 0.0])}
+        K0 = TorusEmbedding(winding, FourierMap(2, (4,), modes, trunc_order=32))
+        freq = FrequencyVector.estimated(self.OMEGA, 1.1, 256)
+        res = solve_torus(separable_pendula(self.EPS), K0, freq, tol=1e-12,
+                          max_trunc_order=256)
+        assert res.converged and res.torus.trunc_order > 32
+        assert np.array_equal(res.torus.winding, winding)
+        return res
+
+    def factors(self, eps_libration):
+        return [TestLibrationOracle.solve(eps_libration, self.NU),
+                solve_separable(self.EPS[1:], self.OMEGA[1:], 32)]
+
+    def test_torus_is_the_product_of_libration_and_rotation(self, product):
+        factors = self.factors(self.EPS[0])
+        assert all(f.converged for f in factors)
+        axis_gap, off_axis = product_gaps(product, factors)
+        assert axis_gap <= 1e-14  # measured 2.8e-17
+        assert off_axis <= 1e-13  # measured 8.2e-15
+
+    def test_a_perturbed_libration_is_caught(self, product):
+        axis_gap, _ = product_gaps(product, self.factors(self.EPS[0] * 1.01))
+        assert axis_gap > 1e-7  # measured 2.9e-3
 
 
 class ConstantForce:
@@ -1329,12 +1375,12 @@ class TestRefinementAboveRoundOff:
 
     def test_coupled_rotator_converges_at_32(self):
         # at eps 1.05e-3 and tol 1e-13 the order grows 16 -> 17 -> 32, and
-        # the last iterate's tail trips at M = 32, but only with round-off
+        # the last iterate keeps a tail at M = 32, but only of round-off
         tol = 1e-13
         h, freq, res = solve_coupled(1.05e-3, tol)
         assert res.converged and res.torus.trunc_order == 32
         last = res.trace[-1]
-        assert last["tail_flag"] and last["tail_max"] <= last["round_off"]
+        assert 0 < last["tail_max"] <= last["round_off"]
         fine = 2 * ((3 * 32) // 2) + 1
         err = invariance_error(h, res.torus, freq, grid_size=fine).norm_grid
         assert err <= 10 * tol
@@ -1344,17 +1390,20 @@ class TestRefinementAboveRoundOff:
                           TorusEmbedding.circle(GOLDEN, trunc_order=64),
                           golden_freq, tol=self.tol)
         assert res.converged and res.torus.trunc_order == 64
-        assert any(row["tail_flag"] for row in res.trace)  # round-off tripped it
+        # the last defect is mostly tail block, and that tail is round-off
+        last = res.trace[-1]
+        assert last["tail_sum"] > 0.5 * last["error"]
+        assert 0 < last["tail_max"] <= last["round_off"]
 
     def test_genuine_tail_still_resizes(self, coupled_solve):
         _, _, res = coupled_solve
         row = res.trace[3]
-        assert row["tail_flag"] and row["tail_max"] > 100 * row["round_off"]
+        assert row["tail_max"] > 100 * row["round_off"]
         assert [r.get("trunc_order") for r in res.trace[:4]] == [16, 16, 16, 22]
 
     def test_trace_rows_record_the_refinement_decision(self, coupled_solve):
-        # each row holds what decided its refinement: a genuine tail
-        # (tail_flag, tail_max > round_off) whose predicted mass past M,
+        # each row holds what decided its refinement: a tail above
+        # round-off (tail_max > round_off) whose predicted mass past M,
         # tail_beyond, exceeds tol, and the order its spectrum asks for
         _, freq, res = coupled_solve
         _, _, held_at_16 = solve_coupled(5.6e-4, self.tol)
@@ -1365,10 +1414,10 @@ class TestRefinementAboveRoundOff:
             for row in solved.trace:
                 assert row["round_off"] > 0 and row["tail_max"] >= 0
                 assert row["tail_sum"] >= row["tail_max"]
-                genuine = row["tail_flag"] and row["tail_max"] > row["round_off"]
-                held += genuine and row["tail_beyond"] <= self.tol
+                held += (row["tail_max"] > row["round_off"]
+                         and row["tail_beyond"] <= self.tol)
             assert_rows_recompute(solved, 16, freq.horizon // 2, self.tol)
-        assert held  # a genuine tail predicting no mass past M kept its order
+        assert held  # a tail above round-off predicting no mass past M kept its order
         # growth to orders that are no powers of two: the first order whose
         # extrapolated tail meets tol, raised to the largest of its grid
         assert [row.get("trunc_order") for row in grown.trace] == [
@@ -1408,8 +1457,8 @@ class TestRefinementAboveRoundOff:
 
 
 class TestRefinementAboveTol:
-    """solve_torus grows M only on a genuine tail whose tail_beyond, the
-    strip norm's predicted mass past M, exceeds tol."""
+    """solve_torus grows M only on a tail above round-off whose
+    tail_beyond, the strip norm's predicted mass past M, exceeds tol."""
 
     @staticmethod
     def fine_errors(h, freq, res):
@@ -1419,9 +1468,9 @@ class TestRefinementAboveTol:
                 for size in (2 * m + 1, 2 * ((3 * m) // 2) + 1)]
 
     def test_tail_below_tol_steps_at_16(self):
-        # iterate 2 has a genuine tail (tail_max 2.6e-10 > r) of tail_sum
-        # 1.1e-9 > tol, yet its spectrum predicts 7e-14 past M = 16, so it
-        # steps at 16; iterate 3 refines to 22, where the solve converges
+        # iterate 2 has a tail above round-off (tail_max 2.6e-10 > r) of
+        # tail_sum 1.1e-9 > tol, yet its spectrum predicts 7e-14 past M = 16,
+        # so it steps at 16; iterate 3 refines to 22, where the solve converges
         tol = 1e-12
         h, freq, res = solve_coupled(1e-3, tol)
         assert res.converged and res.iterations == 4

@@ -60,6 +60,23 @@ test "$code" -eq 1
 test "$(wc -l < err.txt)" -eq 1
 grep -q "^config error: torus file does not parse: " err.txt
 test ! -e bad-torus
+# a torus file with a NaN amplitude (np.loadtxt reads "nan"): exit 1, one
+# named reason, no output
+cat > nan-torus.csv <<'EOF'
+# winding=1 0
+# n=1 m=2 trunc_order=8 canonical=1
+k0,re0,im0,re1,im1
+0,0.0,0.0,0.6180339887498949,0.0
+1,nan,0.0,0.0,0.0
+EOF
+sed 's/bad-torus/nan-torus/g' bad-torus-config.json > nan-torus-config.json
+code=0
+kamtori verify --config nan-torus-config.json 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(wc -l < err.txt)" -eq 1
+grep -q "^config error: torus file does not parse: amplitude entry nan is not finite$" err.txt
+test ! -e nan-torus
 
 # a libration torus of the pendulum H = y^2/2 + 0.06 cos 2 pi x, winding 0
 # around x = 1/2, from the harmonic guess x = 1/2 + A cos 2 pi theta,
@@ -139,8 +156,11 @@ kamtori run --config rough/config.json --out rough-again
 # names the run's inputs, not the directory it was written to
 diff -r rough rough-again
 # the rungs are smooth across the angle seam: the smoothed stage converges,
-# and its start defect has no genuine spectral tail
-python -c 'import json; c = json.load(open("rough/certificate.json")); s = c["stages"][0]["status"]; assert s == "converged", s; assert c["e0_stage1"]["tail_flag"] is False, c["e0_stage1"]'
+# and its start defect has no spectral tail above round-off
+python -c 'import json; c = json.load(open("rough/certificate.json")); s = c["stages"][0]["status"]; assert s == "converged", s; e = c["e0_stage1"]; assert e["tail_max"] <= e["round_off"], e'
+# every defect record carries the one tail record the refinement rule reads:
+# the run's e0_original, e0_stage1 and final, and verify's certificate
+python -c 'import json; c = json.load(open("rough/certificate.json")); v = json.load(open("verified/certificate.json")); keys = {"tail_max", "tail_sum", "tail_beyond", "round_off"}; recs = [c["e0_original"], c["e0_stage1"], c["final"], v]; assert all(keys <= r.keys() and "tail_flag" not in r for r in recs), recs'
 # the ladder anchors at its first rung, and the certificate names how each
 # C^3 number (gaps, tails, mu0, mu_k) was taken
 python -c 'import json; c = json.load(open("rough/certificate.json")); assert c["k0"]["index"] == 0, c["k0"]; m = c["c3_methods"]; assert {"rule", "gaps_c3", "gaps_c0", "ladder_gaps_c3", "tails_c3", "mu0", "mu_k"} <= set(m), m; assert len(m["mu_k"]) == len(c["stages"]), m'
