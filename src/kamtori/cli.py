@@ -53,6 +53,8 @@ from .hamiltonian import (
     HamiltonianModel,
     RoughTerm,
     SinPowerProfile,
+    _integer,
+    _is_integer,
 )
 from .smoothing import SAMPLE_RULE
 from .solver import check_horizon, solve_torus
@@ -99,7 +101,8 @@ def load_hamiltonian(path: str):
     "rough" list adds 1-D profile summands, each
     {coordinate, amplitude, profile: {type: bspline|sinpower, ...}}.  A
     term's re and im, a rough amplitude and a profile's numbers must be
-    finite; a ValueError names the first that is not.
+    finite, and n, a term's k and m entries, a coordinate and a B-spline
+    degree JSON integers; a ValueError names the first that is not.
     """
     doc = json.loads(Path(path).read_text())
     rough_docs = doc.pop("rough", [])
@@ -112,7 +115,7 @@ def load_hamiltonian(path: str):
         kind = prof.get("type")
         if kind == "bspline":
             profile = BSplineProfile(_finite("bspline coefficients", prof["coefficients"]),
-                                     prof.get("degree", 5))
+                                     _integer("bspline degree", prof.get("degree", 5)))
         elif kind == "sinpower":
             profile = SinPowerProfile(*(
                 _finite(f"sinpower {key}", prof.get(key, default))
@@ -120,7 +123,8 @@ def load_hamiltonian(path: str):
         else:
             raise ConfigError([f"unknown rough profile type: {kind!r}"])
         amplitude = _finite("rough amplitude", rec.get("amplitude", 1.0))
-        terms.append(RoughTerm(int(rec["coordinate"]), profile, float(amplitude)))
+        terms.append(RoughTerm(_integer("rough term coordinate", rec["coordinate"]),
+                               profile, float(amplitude)))
     return CompositeHamiltonian(analytic=base, rough=terms)
 
 
@@ -213,7 +217,7 @@ def parse_config(path) -> RunConfig:
         if n is not None and len(vals[key]) != n:
             bad.append(f"{key} must have n = {n} components, got {len(vals[key])}")
     trunc = vals.get("trunc", RunConfig.trunc)
-    if isinstance(trunc, bool) or not isinstance(trunc, int):
+    if not _is_integer(trunc):
         bad.append(f"trunc must be an integer, got {trunc}")
     elif not trunc >= 1:
         bad.append(f"truncation order M must be >= 1, got {trunc}")
@@ -307,7 +311,7 @@ def cmd_solve(args) -> int:
     tol = cfg.params.tol if cfg.params.tol is not None else 1e-12
     # rho = 0 here: at the refined truncation orders the strip weighting
     # amplifies FFT floor noise, and bare solves gate on the grid error
-    res = solve_torus(H, K0, freq, tol=tol, max_trunc_order=cfg.params.horizon, rho=0.0)
+    res = solve_torus(H, K0, freq, tol=tol, rho=0.0)
     with (out / "trace.jsonl").open("w") as fh:
         for rec in res.trace:
             fh.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")

@@ -5,16 +5,18 @@ k . omega), phi_hat(0) = 0.  The zero mode of g is the obstruction; it is
 returned alongside so callers can deal with it (Newton steps cancel it
 through the counterterm in the tangent direction).
 
-Every retained mode must sit inside the horizon of a verified Diophantine
-certificate for the small-divisor bound to mean anything; this module
-enforces that and reports the divisors actually encountered.
+omega is a FrequencyVector, certified |k . omega| >= gamma |k|_1^-sigma
+for 0 < |k|_1 <= horizon on the same floating-point k . omega.  The solve
+checks that every retained mode lies inside the horizon and trusts the
+bound there; it keeps the resonance guard |k . omega| >= RESONANCE_TOL
+for a certified but near-resonant omega, and reports the divisors met.
 
 The solve works on the stored k_n >= 0 half of the map.  Everything that
-depends only on (n, M, omega, gamma, sigma) is one read-only table, cached
-per those five (_DivisorTable).  A call takes the live modes (nonzero,
-k != 0) and reads its checks off the table: the largest live |k|_1 is one
-masked maximum, the least divisor the first live mode in the table's
-fixed divisor order, and the certified floor one masked any.
+depends only on (n, M, omega) is one read-only table, cached per those
+three (_DivisorTable).  A call takes the live modes (nonzero, k != 0)
+and reads its checks off the table: the largest live |k|_1 is one
+masked maximum and the least divisor the first live mode in the table's
+fixed divisor order.
 """
 
 from __future__ import annotations
@@ -40,13 +42,11 @@ class DivisorReport:
     worst_k: tuple
     max_amplification: float
     max_order: int
-    certified: bool
 
     def __str__(self):
-        tag = "certified" if self.certified else "uncertified"
         return (
             f"min |k.omega| = {self.min_divisor:.3e} at k = {self.worst_k}, "
-            f"amplification <= {self.max_amplification:.3e} ({tag})"
+            f"amplification <= {self.max_amplification:.3e}"
         )
 
 
@@ -68,9 +68,8 @@ class _DivisorTable:
     modes are those with k != 0 that stand for one pair each (k_n > 0, and
     the canonical member on the k_n = 0 plane); div_rank is the position of
     each named mode in the fixed order by (|k . omega|, rank), and the size
-    of the half for the rest.  floor is gamma |k|_1^-sigma (None without a
-    certificate); resonant and low mark the named modes that fail the
-    resonance guard and that floor.  divisor is 2 pi i k . omega, 1 where
+    of the half for the rest.  resonant marks the named modes that fail
+    the resonance guard.  divisor is 2 pi i k . omega, 1 where
     k . omega = 0.
     """
 
@@ -79,16 +78,13 @@ class _DivisorTable:
     canonical_k: np.ndarray
     rank: np.ndarray
     div_rank: np.ndarray
-    floor: np.ndarray | None
     resonant: np.ndarray
-    low: np.ndarray | None
     divisor: np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _divisor_table(dim_domain: int, trunc_order: int, omega: tuple,
-                   gamma: float | None, sigma: float | None) -> _DivisorTable:
-    """The solve's table, cached per (n, M, omega, gamma, sigma)."""
+def _divisor_table(dim_domain: int, trunc_order: int, omega: tuple) -> _DivisorTable:
+    """The solve's table, cached per (n, M, omega)."""
     m = trunc_order
     ks = half_wavevectors(dim_domain, m)
     order = np.abs(ks).sum(axis=-1)
@@ -104,71 +100,51 @@ def _divisor_table(dim_domain: int, trunc_order: int, omega: tuple,
     div_rank = np.empty(order.shape, dtype=np.intp)
     div_rank.flat[by_div] = np.arange(div_rank.size)
     div_rank[~named] = div_rank.size
-    floor = low = None
-    if gamma is not None:
-        floor = gamma * np.where(order > 0, order, 1.0) ** (-sigma)
-        low = named & (adiv < floor * (1 - 1e-12))
     divisor = np.where(div != 0, 2j * np.pi * div, 1.0)
-    table = _DivisorTable(order, adiv, canonical_k, rank, div_rank, floor,
-                          named & (adiv < RESONANCE_TOL), low, divisor)
+    table = _DivisorTable(order, adiv, canonical_k, rank, div_rank,
+                          named & (adiv < RESONANCE_TOL), divisor)
     for value in table.__dict__.values():
-        if value is not None:
-            value.flags.writeable = False
+        value.flags.writeable = False
     return table
 
 
-def solve_cohomological(
-    g: FourierMap, omega: FrequencyVector | np.ndarray
-) -> CohomologySolution:
+def solve_cohomological(g: FourierMap, omega: FrequencyVector) -> CohomologySolution:
     """Solve d_omega phi = g - <g> with <phi> = 0.
 
-    Accepts either a verified FrequencyVector (preferred: its scan horizon
-    must cover every retained mode, and the gamma |k|^-sigma lower bound is
-    checked against the divisors actually used) or a bare frequency array,
-    in which case only the resonance guard applies.
+    omega's Diophantine horizon must cover every retained mode; within
+    it its certificate bounds each divisor below by gamma |k|_1^-sigma.
     """
-    cert = isinstance(omega, FrequencyVector)
-    om = np.asarray(omega.omega if cert else omega, dtype=float)
+    if not isinstance(omega, FrequencyVector):
+        raise TypeError(f"omega must be a FrequencyVector, got {type(omega).__name__}")
     n = g.dim_domain
-    if om.size != n:
-        raise ValueError(f"frequency has {om.size} components, map domain is T^{n}")
-    table = _divisor_table(
-        n, g.trunc_order, tuple(om.tolist()),
-        omega.gamma if cert else None, omega.sigma if cert else None,
-    )
+    if omega.omega.size != n:
+        raise ValueError(f"frequency has {omega.omega.size} components, "
+                         f"map domain is T^{n}")
+    table = _divisor_table(n, g.trunc_order, tuple(omega.omega.tolist()))
     # the live modes: nonzero amplitude and k != 0
     half = _range_first(g.half, len(g.range_shape))
     live = np.logical_or.reduce(half.reshape((-1,) + table.order.shape) != 0, 0)
     live[g._zero_mode()] = False
     max_order = int(np.maximum.reduce(table.order, None, where=live, initial=0))
-    if cert and max_order > omega.horizon:
+    if max_order > omega.horizon:
         raise ValueError(
             f"retained modes reach |k|_1 = {max_order} but the Diophantine "
             f"certificate only covers |k|_1 <= {omega.horizon}"
         )
     adiv = table.adiv
-
-    def first(bad):
-        """The canonical k of the first offending pair in k order."""
-        rank = np.where(bad, table.rank, np.iinfo(table.rank.dtype).max)
-        i = np.unravel_index(np.argmin(rank), bad.shape)
-        return tuple(table.canonical_k[i].tolist()), i
-
     # the first live named mode in the divisor order has the least |k.omega|
     worst = int(np.where(live, table.div_rank, table.div_rank.size).argmin())
     named = table.div_rank.flat[worst] < table.div_rank.size
     min_div = float(adiv.flat[worst]) if named else np.inf
     if min_div < RESONANCE_TOL:
-        k, i = first(live & table.resonant)
+        # the first resonant pair in k order
+        bad = live & table.resonant
+        rank = np.where(bad, table.rank, np.iinfo(table.rank.dtype).max)
+        i = np.unravel_index(np.argmin(rank), bad.shape)
         raise ValueError(
-            f"resonant mode k = {k}: |k.omega| = {adiv[i]:.3e} below "
-            f"{RESONANCE_TOL:.0e}, equation is not solvable"
-        )
-    if cert and np.logical_or.reduce(table.low, None, where=live):
-        k, i = first(live & table.low)
-        raise ValueError(
-            f"divisor |k.omega| = {adiv[i]:.3e} at k = {k} violates the "
-            f"certified bound gamma |k|^-sigma = {table.floor[i]:.3e}"
+            f"resonant mode k = {tuple(table.canonical_k[i].tolist())}: "
+            f"|k.omega| = {adiv[i]:.3e} below {RESONANCE_TOL:.0e}, "
+            "equation is not solvable"
         )
     worst_k = tuple(table.canonical_k.reshape(-1, n)[worst].tolist()) if named else ()
     max_amp = 1.0 / (2 * np.pi * min_div) if named else 0.0
@@ -177,5 +153,5 @@ def solve_cohomological(
     return CohomologySolution(
         solution=FourierMap._wrap(n, _grid_major(phi, len(g.range_shape))),
         average=g.average(),
-        report=DivisorReport(min_div, worst_k, max_amp, max_order, cert),
+        report=DivisorReport(min_div, worst_k, max_amp, max_order),
     )

@@ -30,6 +30,12 @@ the smallest shell and then to the lexicographically first k, the least
 (margin, shell, k) over the blocks.  k . omega is the matrix product
 ks @ omega that the cohomology's divisor table takes too, so a certified
 margin and a divisor are the same floating-point number.
+
+FrequencyVector is the certified frequency, the only one the Newton
+solve takes.  Its construction runs one scan: at the given gamma, or,
+for gamma = None, at the smallest positive one, whose worst margin
+becomes gamma.  The cohomological solve trusts that certificate inside
+the horizon and does not test the bound again.
 """
 
 from __future__ import annotations
@@ -184,47 +190,34 @@ class FrequencyVector:
     """A frequency vector with a finite-horizon Diophantine certificate.
 
     Construction verifies the bound by exhaustive scan and raises on
-    failure, so holding a FrequencyVector means the certificate was
-    checked.  ``unchecked`` skips the scan for expert use (for instance
-    to demonstrate resonant failure modes downstream).
+    failure, so holding a FrequencyVector means that every k with
+    0 < |k|_1 <= horizon has margin(k) >= gamma.  gamma = None takes the
+    scan's worst margin as gamma, which passes the bound it was read
+    from; a margin that is not positive (0, or nan from 0 * inf at a
+    huge sigma) is resonant.
     """
 
     omega: np.ndarray
-    gamma: float
+    gamma: float | None
     sigma: float
     horizon: int
-    verified: bool = True
 
     def __post_init__(self):
         omega = np.atleast_1d(np.asarray(self.omega, dtype=float)).copy()
         omega.flags.writeable = False
         object.__setattr__(self, "omega", omega)
-        _validate(omega, self.sigma, self.horizon)
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.verified:
+        if self.gamma is not None:
             _require(check_diophantine(omega, self.gamma, self.sigma, self.horizon))
-
-    @classmethod
-    def unchecked(cls, omega, gamma: float, sigma: float, horizon: int):
-        return cls(omega, gamma, sigma, horizon, verified=False)
+            return
+        margin = check_diophantine(omega, _TINY_GAMMA, self.sigma, self.horizon).worst_margin
+        if not margin > 0:
+            raise ValueError("omega is resonant within the horizon")
+        object.__setattr__(self, "gamma", margin)
 
     @classmethod
     def estimated(cls, omega, sigma: float, horizon: int):
-        """Build with gamma set to the scan minimum.
-
-        One scan both estimates and verifies: checked at the smallest
-        positive gamma, the report's worst margin is the estimate, and
-        gamma = margin passes the bound it was read from.  A margin that is
-        not positive (0, or nan from 0 * inf at a huge sigma) is resonant.
-        """
-        scan = check_diophantine(omega, _TINY_GAMMA, sigma, horizon)
-        gamma = scan.worst_margin
-        if not gamma > 0:
-            raise ValueError("omega is resonant within the horizon")
-        freq = cls.unchecked(omega, gamma, sigma, horizon)
-        object.__setattr__(freq, "verified", True)  # the scan above checked it
-        return freq
+        """Build with gamma set to the scan minimum."""
+        return cls(omega, None, sigma, horizon)
 
 
 def _require(report: DiophantineReport) -> None:

@@ -349,10 +349,10 @@ class RunParams:
     """Knobs of run_scheme: the one place that holds their defaults and bounds.
 
     rho, r, sigma, gamma and l are the scheme's hypotheses: strip width,
-    radius, Diophantine exponent and constant (estimated over horizon
-    when None) and smoothness class (the model's when None).  target_error
-    ends the cascade, and tol (target_error when None) each stage's
-    solve, which takes at most solve_torus's 12 Newton steps.  The
+    radius, Diophantine exponent and constant (the horizon scan's worst
+    margin when None) and smoothness class (the model's when None).
+    target_error ends the cascade, and tol (target_error when None) each
+    stage's solve, which takes at most solve_torus's 12 Newton steps.  The
     cascade's and the ladder's sizes are constants: at most MAX_STAGES
     stages, none stopping before stage LEMMA4_GAPS + 1, and LADDER_COUNT
     approximants from rungs of degree START_DEGREE up to MAX_DEGREE
@@ -479,11 +479,16 @@ def _measured_conditions(stage1: SolveResult, r: float) -> dict:
 
 
 def _frequency(omega, params: RunParams) -> FrequencyVector:
-    if isinstance(omega, FrequencyVector):
-        return omega
-    if params.gamma is not None:
+    """omega certified at params' sigma, horizon and gamma (None: the
+    scan's margin).  A FrequencyVector is taken as it is where it carries
+    the same sigma and horizon, and the same gamma where params sets one."""
+    if not isinstance(omega, FrequencyVector):
         return FrequencyVector(omega, params.gamma, params.sigma, params.horizon)
-    return FrequencyVector.estimated(omega, params.sigma, params.horizon)
+    for name in ("sigma", "horizon", "gamma"):
+        want, held = getattr(params, name), getattr(omega, name)
+        if want is not None and held != want:
+            raise ValueError(f"the frequency's {name} {held} is not the params' {want}")
+    return omega
 
 
 def _smoothness(hamiltonian, l: int | None) -> tuple[int, bool]:
@@ -695,9 +700,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         except HypothesisError as exc:
             termination, failed_stage = f"{exc.status}_at_stage_{k}", k
             break
-        # refinement may not outgrow the certified Diophantine horizon
-        res = solve_torus(h_k, k_prev, freq, tol=tol, max_trunc_order=freq.horizon,
-                          rho=rho_k, start=start)
+        res = solve_torus(h_k, k_prev, freq, tol=tol, rho=rho_k, start=start)
         if k == 1:
             gate = cert["conditions_measured"] = _measured_conditions(res, params.r)
             for condition in ("condition2", "condition3"):

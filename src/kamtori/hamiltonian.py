@@ -374,12 +374,15 @@ class HamiltonianModel(SumOfProducts):
         doc = json.loads(text)
         if "n" not in doc or "terms" not in doc:
             raise ValueError("hamiltonian spec needs keys 'n' and 'terms'")
-        n = int(doc["n"])
+        n = _integer("n", doc["n"])
         terms = []
         for rec in doc["terms"]:
             missing = {"k", "m", "re", "im"} - set(rec)
             if missing:
                 raise ValueError(f"term {rec} missing keys {sorted(missing)}")
+            if not all(isinstance(rec[key], list) and all(map(_is_integer, rec[key]))
+                       for key in ("k", "m")):
+                raise ValueError(f"term {rec} needs integer lists k and m")
             coef = complex(rec["re"], rec["im"])
             if not cmath.isfinite(coef):
                 raise ValueError(f"term {rec} needs a finite re and im")
@@ -403,6 +406,19 @@ class HamiltonianModel(SumOfProducts):
     def pendulum(cls, eps: float) -> "HamiltonianModel":
         """H = y^2/2 + eps cos(2 pi x)."""
         return cls(1, [((0,), (2,), 0.5), ((1,), (0,), eps / 2.0)])
+
+
+def _is_integer(value) -> bool:
+    """An int and no bool: what a JSON integer reads as."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(name: str, value) -> int:
+    """value where it is an integer (_is_integer); a ValueError names it
+    where it is not."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 # -- C^l profiles -----------------------------------------------------------

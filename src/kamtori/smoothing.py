@@ -1077,7 +1077,7 @@ class SmoothingSequence:
             l=l,
             sigma=sigma,
             anchor_index=0,
-            history={"ladder_degrees": [], "ladder_gaps_c3": [], "analytic": True},
+            history={"ladder_degrees": [], "ladder_gaps_c3": []},
             tails_c3=[0.0] * count,
             methods={"gaps": "coefficient_bound", "tails": "coefficient_bound"},
         )
@@ -1178,7 +1178,6 @@ def build_smoothing_sequence(
         history={
             "ladder_degrees": degrees,
             "ladder_gaps_c3": raw_gaps_c3,
-            "analytic": False,
             "rungs": kept,
         },
         tails_c3=tails,

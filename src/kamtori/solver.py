@@ -88,7 +88,9 @@ two halves of its tail block, M/2 < |k|_inf <= 3M/4 and
 3M/4 < |k|_inf <= M, extended geometrically, predicts the defect that the
 modes past each order leave, and M grows (by at most a factor of two) to
 the first order where that falls below tol, then to the largest order its
-sampling grid holds.  The defect's own spectrum does not set the order:
+sampling grid holds, never past horizon // n: omega is a FrequencyVector,
+and the modes |k|_1 <= n M of an iterate stay inside the horizon its
+certificate covers.  The defect's own spectrum does not set the order:
 until the last iterates its head holds the Newton error, not the
 truncation's.  An iterate costs about sampling_size(M)^n grid points, so
 at n >= 2 the order sets the cost of every later iterate.
@@ -743,6 +745,8 @@ class SolveResult:
 
 def check_horizon(K0: TorusEmbedding, omega: FrequencyVector) -> None:
     """Reject a K0 whose modes reach |k|_1 = n M beyond omega's horizon."""
+    if not isinstance(omega, FrequencyVector):
+        raise TypeError(f"omega must be a FrequencyVector, got {type(omega).__name__}")
     n = K0.dim_domain
     if n * K0.trunc_order > omega.horizon:
         raise ValueError(
@@ -797,7 +801,7 @@ def solve_torus(
     omega: FrequencyVector,
     tol: float = 1e-12,
     max_iter: int = 12,
-    max_trunc_order: int = 512,
+    max_trunc_order: int | None = None,
     rho: float = 0.0,
     start: Iterate | None = None,
 ) -> SolveResult:
@@ -828,8 +832,8 @@ def solve_torus(
     M' whose dropped modes leave a defect 2 a2 r^(M' + 1 - o2) / (1 - r)
     <= tol, clamped to [M + 1, min(2M, cap)], or min(2M, cap) where
     a2 >= a1, and raised to the largest order its sampling grid holds
-    within cap (_grown_order); cap is max_trunc_order, or horizon // n
-    where that is lower.  Growth wanted at M = cap is blocked; a solve
+    within cap (_grown_order); cap is horizon // n, or max_trunc_order
+    where that is given and lower.  Growth wanted at M = cap is blocked; a solve
     that stalls or reaches max_iter with the refinement of its last
     iterate blocked returns its best iterate with status
     "truncation_capped" instead: the cap, not round-off, held it.  An
@@ -856,17 +860,19 @@ def solve_torus(
     The row of an iterate whose frame failed a hypothesis records the
     failure's message as "hypothesis_failed".
 
-    With a FrequencyVector, every retained mode must stay inside its
-    Diophantine horizon, |k|_1 <= n M <= horizon: a K0 beyond it is
-    rejected before any work, and refinement stops at horizon // n.
+    omega is a FrequencyVector (a bare array raises TypeError), and every
+    retained mode must stay inside its Diophantine horizon,
+    |k|_1 <= n M <= horizon: a K0 beyond it is rejected before any work,
+    and refinement stops at horizon // n.
     start, when given, is the Iterate of (hamiltonian, K0) on K0's
     sampling grid and serves as the first iterate; its norms are taken
     again at rho.  A start value of another model, torus or grid raises
     ValueError.
     """
-    if isinstance(omega, FrequencyVector):
-        check_horizon(K0, omega)
-        max_trunc_order = min(max_trunc_order, omega.horizon // K0.dim_domain)
+    check_horizon(K0, omega)
+    cap = omega.horizon // K0.dim_domain
+    if max_trunc_order is not None:
+        cap = min(cap, max_trunc_order)
     if start is not None:
         _check_value(start, hamiltonian, K0, "start value", "solve", "K0")
     K = K0
@@ -884,7 +890,7 @@ def solve_torus(
         row = {"iter": it, "error": err.norm_grid, **tail,
                "grid": err.values.shape[0], "jets": 1}
         refine = tail["tail_max"] > tail["round_off"] and tail["tail_beyond"] > tol
-        blocked = refine and K.trunc_order >= max_trunc_order
+        blocked = refine and K.trunc_order >= cap
         if blocked:
             row["refine_blocked"] = True
         stalls = 0 if err.norm_grid < best_err - err.round_off else stalls + 1
@@ -896,7 +902,7 @@ def solve_torus(
         if refine and not blocked:
             shells = _tail_shells(K, omega)
             row["refine_decay"] = shells
-            K = K.resized(_grown_order(shells, K.trunc_order, max_trunc_order, tol))
+            K = K.resized(_grown_order(shells, K.trunc_order, cap, tol))
             value = Iterate.evaluate(hamiltonian, K, omega, rho)
             err = value.error
             row["grid"] = err.values.shape[0]

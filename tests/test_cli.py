@@ -304,13 +304,27 @@ class TestParseConfig:
          "sinpower scale must be finite, got inf"),
         (rough_model(profile={"type": "sinpower", "shift": math.nan}),
          "sinpower shift must be finite, got nan"),
+        # every integer field is a JSON integer: no float, bool or string
+        (dict(ROUGH, n=1.9), "n must be an integer, got 1.9"),
+        (dict(ROUGH, n=True), "n must be an integer, got True"),
+        (dict(ROUGH, terms=[{"k": [1.5], "m": [0], "re": 0.5, "im": 0.0}]),
+         "term {'k': [1.5], 'm': [0], 're': 0.5, 'im': 0.0} needs integer lists k and m"),
+        (dict(ROUGH, terms=[{"k": [0], "m": [2.7], "re": 0.5, "im": 0.0}]),
+         "term {'k': [0], 'm': [2.7], 're': 0.5, 'im': 0.0} needs integer lists k and m"),
+        (dict(ROUGH, terms=[{"k": ["1"], "m": [True], "re": 0.5, "im": 0.0}]),
+         "term {'k': ['1'], 'm': [True], 're': 0.5, 'im': 0.0} needs integer lists k and m"),
+        (rough_model(0.7), "rough term coordinate must be an integer, got 0.7"),
+        (rough_model(profile=dict(ROUGH["rough"][0]["profile"], degree=5.5)),
+         "bspline degree must be an integer, got 5.5"),
     ]
 
     @pytest.mark.parametrize("model, reason", BAD_MODELS,
                              ids=["coordinate=2", "coordinate=-1", "sinpower-power=4",
                                   "term-re=inf", "amplitude=inf", "bspline-coefficient=nan",
                                   "sinpower-power=nan", "sinpower-scale=inf",
-                                  "sinpower-shift=nan"])
+                                  "sinpower-shift=nan", "n=1.9", "n=true", "k=1.5",
+                                  "m=2.7", "k-string-m-bool", "coordinate=0.7",
+                                  "degree=5.5"])
     def test_bad_model_rejected_before_any_output(self, write_files, capsys,
                                                   model, reason):
         cfg_path, out = write_files(model, "out", y0=[0.4], rho=0.02, r=0.8)

@@ -9,13 +9,22 @@ from kamtori.fourier import canonical, half_wavevectors
 
 from conftest import GOLDEN, random_trig
 
+# certified, yet its (1, -1) divisor 2^-49 = 1.8e-15 is below RESONANCE_TOL
+NEAR_RESONANT = [1.0, 1.0 + 2.0**-49]
+
+
+def certified(omega, horizon=64):
+    """omega with gamma the scan's margin at sigma = n + 0.1."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    return FrequencyVector.estimated(omega, omega.size + 0.1, horizon)
+
 
 class TestClosedForms:
     def test_cosine_golden(self):
         # g = cos(2 pi theta) has the closed-form primitive sin(2 pi theta)
         # along omega, scaled by 1 / (2 pi omega)
         g = FourierMap(1, (), {(1,): 0.5})
-        sol = solve_cohomological(g, np.array([GOLDEN]))
+        sol = solve_cohomological(g, certified([GOLDEN]))
         theta = np.linspace(0, 1, 101)[:, None]
         want = np.sin(2 * np.pi * theta[:, 0]) / (2 * np.pi * GOLDEN)
         assert np.max(np.abs(sol.solution(theta) - want)) < 1e-13
@@ -23,7 +32,7 @@ class TestClosedForms:
 
     def test_constant_input(self):
         g = FourierMap(1, (), {(0,): 2.5})
-        sol = solve_cohomological(g, np.array([GOLDEN]))
+        sol = solve_cohomological(g, certified([GOLDEN]))
         assert sol.solution.grid_sup() == 0.0
         assert sol.average == pytest.approx(2.5)
         assert sol.report.max_amplification == 0.0
@@ -31,28 +40,28 @@ class TestClosedForms:
     def test_solution_is_mean_free(self):
         rng = np.random.default_rng(11)
         g = random_trig(rng, 2, 6, (2,))
-        sol = solve_cohomological(g, np.array([1.0, GOLDEN]))
+        sol = solve_cohomological(g, certified([1.0, GOLDEN]))
         assert np.all(sol.solution.average() == 0.0)
 
 
 class TestInversion:
     def test_forward_apply_recovers_input(self):
         rng = np.random.default_rng(13)
-        omega = np.array([1.0, GOLDEN])
+        omega = certified([1.0, GOLDEN])
         g = random_trig(rng, 2, 6, ())
         sol = solve_cohomological(g, omega)
-        recon = sol.solution.directional(omega)
+        recon = sol.solution.directional(omega.omega)
         theta = rng.random((1000, 2))
         want = g(theta) - g.average()
         assert np.max(np.abs(recon(theta) - want)) < 1e-10
 
     def test_mode_by_mode_exact(self):
         rng = np.random.default_rng(17)
-        omega = np.array([1.0, GOLDEN])
+        omega = certified([1.0, GOLDEN])
         g = random_trig(rng, 2, 5, ())
         sol = solve_cohomological(g, omega)
         for k, amp in sol.solution.modes.items():
-            div = 2j * np.pi * np.dot(k, omega)
+            div = 2j * np.pi * np.dot(k, omega.omega)
             g_amp = np.asarray(g.modes[k])
             assert np.max(np.abs(amp * div - g_amp)) < 1e-12 * max(
                 1.0, np.max(np.abs(g_amp))
@@ -61,7 +70,7 @@ class TestInversion:
     def test_range_shape_preserved(self):
         rng = np.random.default_rng(19)
         g = random_trig(rng, 1, 4, (2, 2))
-        sol = solve_cohomological(g, np.array([GOLDEN]))
+        sol = solve_cohomological(g, certified([GOLDEN]))
         assert sol.solution.range_shape == (2, 2)
         assert sol.average.shape == (2, 2)
 
@@ -81,15 +90,39 @@ class TestCertifiedBound:
             )
             assert np.max(np.abs(amp)) <= bound * (1 + 1e-12)
 
-    def test_report_certified_flag(self):
+    def test_report_names_the_worst_divisor(self):
         g = FourierMap(1, (), {(1,): 0.5})
         omega = FrequencyVector.estimated(np.array([GOLDEN]), sigma=1.1, horizon=8)
         sol = solve_cohomological(g, omega)
-        assert sol.report.certified
         assert sol.report.worst_k == (1,)
         assert sol.report.min_divisor == pytest.approx(GOLDEN)
-        bare = solve_cohomological(g, np.array([GOLDEN]))
-        assert not bare.report.certified
+        assert sol.report.max_order == 1
+
+    @pytest.mark.parametrize("omega, sigma, horizon", [
+        ([GOLDEN], 1.1, 256),
+        ([GOLDEN, np.sqrt(2.0) - 1.0], 1.1, 256),
+        ([GOLDEN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.5], 2.1, 24),
+    ], ids=["n1", "n2", "n3"])
+    @pytest.mark.parametrize("gamma", ["estimated", "just-below"])
+    def test_certificate_bounds_every_divisor_inside_the_horizon(self, omega, sigma,
+                                                                 horizon, gamma):
+        # the solve trusts the certificate within its horizon: every named
+        # mode of the divisor table there meets gamma |k|_1^-sigma, by brute force
+        freq = FrequencyVector.estimated(np.array(omega), sigma, horizon)
+        if gamma == "just-below":
+            freq = FrequencyVector(freq.omega, np.nextafter(freq.gamma, 0.0), sigma,
+                                   horizon)
+        n = len(omega)
+        table = _divisor_table(n, horizon, tuple(freq.omega.tolist()))
+        inside = (table.div_rank < table.div_rank.size) & (table.order <= horizon)
+        # one named mode per conjugate pair with 0 < |k|_1 <= horizon
+        cube = np.indices((2 * horizon + 1,) * n).reshape(n, -1) - horizon
+        pairs = (np.count_nonzero(np.abs(cube).sum(axis=0) <= horizon) - 1) // 2
+        assert np.count_nonzero(inside) == pairs
+        floor = freq.gamma * table.order[inside].astype(float) ** -sigma
+        assert np.all(table.adiv[inside] >= floor * (1 - 1e-12))
+        if n > 1:  # the scan's divisor is the table's, so the worst meets the floor
+            assert np.min(table.adiv[inside] / floor) <= 1 + 1e-12
 
     def test_horizon_coverage_enforced(self):
         g = FourierMap(1, (), {(12,): 0.25})
@@ -100,10 +133,15 @@ class TestCertifiedBound:
 
 class TestResonance:
     def test_resonant_mode_named(self):
-        # k = (2, -1) annihilates omega = (1, 2)
-        g = FourierMap(2, (), {(2, -1): 0.5, (1, 0): 0.25})
-        with pytest.raises(ValueError, match=r"\(2, -1\)"):
-            solve_cohomological(g, np.array([1.0, 2.0]))
+        # the certificate holds, yet |(1, -1) . omega| = 2^-49 is below the guard
+        omega = certified(NEAR_RESONANT, horizon=8)
+        assert omega.gamma == 2.0**-49 * 2.0**omega.sigma
+        g = FourierMap(2, (), {(3, -3): 0.5, (1, -1): 0.5, (1, 0): 0.25})
+        with pytest.raises(ValueError, match=r"resonant mode k = \(1, -1\): "
+                           r"\|k.omega\| = 1.776e-15 below 1e-14"):
+            solve_cohomological(g, omega)
+        clear = FourierMap(2, (), {(1, 0): 0.25, (0, 1): 0.25})
+        assert solve_cohomological(clear, omega).report.worst_k == (1, 0)
 
     def test_half_stored_mode_named_canonically(self):
         # the stored half keeps (-1, 1), the conjugate of the canonical (1, -1)
@@ -111,28 +149,32 @@ class TestResonance:
         assert g.half[0, 1] == 0.5 and g.half[2, 0] == 0
         omega = FrequencyVector.estimated(np.array([1.0, GOLDEN]), sigma=1.1,
                                           horizon=8)
-        for om in (omega, omega.omega):
-            assert solve_cohomological(g, om).report.worst_k == (1, -1)
+        assert solve_cohomological(g, omega).report.worst_k == (1, -1)
         with pytest.raises(ValueError, match=r"\(1, -1\)"):
-            solve_cohomological(g, np.array([1.0, 1.0]))
+            solve_cohomological(g, certified(NEAR_RESONANT, horizon=8))
         # |k.omega| ties go to the first pair in k order, (0, 1), although
-        # the half stores (2, -1) as (-2, 1) ahead of it
-        tie = FourierMap(2, (), {(2, -1): 0.5, (0, 1): 0.5})
-        assert solve_cohomological(tie, np.array([1.0, 1.0])).report.worst_k == (0, 1)
+        # the half stores (1, -1) as (-1, 1) ahead of it; omega = (1, 1/2)
+        # is certified up to |k|_1 = 2, short of its resonance (1, -2)
+        tie = FourierMap(2, (), {(1, -1): 0.5, (0, 1): 0.5})
+        half = certified([1.0, 0.5], horizon=2)
+        assert solve_cohomological(tie, half).report.worst_k == (0, 1)
 
     def test_divisor_table_cached_read_only(self):
         omega = FrequencyVector.estimated(np.array([1.0, GOLDEN]), sigma=1.1,
                                           horizon=16)
-        key = (2, 3, tuple(omega.omega.tolist()), omega.gamma, omega.sigma)
+        key = (2, 3, tuple(omega.omega.tolist()))
         table = _divisor_table(*key)
         assert _divisor_table(*key) is table
-        others = [(2, 4) + key[2:], (2, 3, (1.0, 0.5)) + key[3:],
-                  key[:3] + (omega.gamma / 2, omega.sigma),
-                  key[:4] + (2.0,), key[:3] + (None, None)]
-        for other in others:
+        for other in [(2, 4, key[2]), (2, 3, (1.0, 0.5))]:
             assert _divisor_table(*other) is not table
-        arrays = [v for v in vars(table).values() if v is not None]
-        assert len(arrays) == 9
+        # the table depends on (n, M, omega) alone: another sigma, gamma
+        # and horizon of the same omega read it
+        hits = _divisor_table.cache_info().hits
+        again = FrequencyVector(omega.omega, omega.gamma / 2, 1.5, 8)
+        solve_cohomological(FourierMap(2, (), {(1, 0): 1.0}, 3), again)
+        assert _divisor_table.cache_info().hits == hits + 1
+        arrays = list(vars(table).values())
+        assert len(arrays) == 7
         for value in arrays:
             assert value.shape[:2] == (7, 4)
             assert not value.flags.writeable
@@ -145,6 +187,12 @@ class TestResonance:
     def test_dimension_mismatch(self):
         g = FourierMap(2, (), {(1, 0): 0.5})
         with pytest.raises(ValueError, match="components"):
+            solve_cohomological(g, certified([GOLDEN]))
+
+    def test_bare_array_refused(self):
+        # the Newton solve takes a certified frequency only
+        g = FourierMap(1, (), {(1,): 0.5})
+        with pytest.raises(TypeError, match="omega must be a FrequencyVector, got ndarray"):
             solve_cohomological(g, np.array([GOLDEN]))
 
 
@@ -153,19 +201,17 @@ def reference_solve(g, omega):
     member of each pair, the first offending pair by its canonical k's
     position in the full centered grid.  Returns (phi half, DivisorReport)
     or raises the solver's ValueError."""
-    cert = isinstance(omega, FrequencyVector)
-    om = np.asarray(omega.omega if cert else omega, dtype=float)
     n, m = g.dim_domain, g.trunc_order
     ks = half_wavevectors(n, m)
     order = np.abs(ks).sum(axis=-1)
-    div = ks @ om
+    div = ks @ omega.omega
     adiv = np.abs(div)
     is_canonical = canonical(ks)
     canonical_k = np.where(is_canonical[..., None], ks, -ks)
     rank = np.ravel_multi_index(tuple(np.moveaxis(canonical_k + m, -1, 0)), (2 * m + 1,) * n)
     live = np.any(g.half != 0, axis=tuple(range(n, g.half.ndim))) & (order > 0)
     max_order = int(order[live].max(initial=0))
-    if cert and max_order > omega.horizon:
+    if max_order > omega.horizon:
         raise ValueError(f"retained modes reach |k|_1 = {max_order} but the Diophantine "
                          f"certificate only covers |k|_1 <= {omega.horizon}")
     named = live & (is_canonical | (ks[..., -1] > 0))
@@ -178,13 +224,6 @@ def reference_solve(g, omega):
         k, i = first(named & (adiv < RESONANCE_TOL))
         raise ValueError(f"resonant mode k = {k}: |k.omega| = {adiv[i]:.3e} below "
                          f"{RESONANCE_TOL:.0e}, equation is not solvable")
-    if cert:
-        floor = omega.gamma * np.where(order > 0, order, 1.0) ** (-omega.sigma)
-        low = named & (adiv < floor * (1 - 1e-12))
-        if low.any():
-            k, i = first(low)
-            raise ValueError(f"divisor |k.omega| = {adiv[i]:.3e} at k = {k} violates the "
-                             f"certified bound gamma |k|^-sigma = {floor[i]:.3e}")
     min_div, worst_k, max_amp = np.inf, (), 0.0
     if named.any():
         min_div = float(adiv[named].min())
@@ -193,7 +232,7 @@ def reference_solve(g, omega):
     divisor = np.where(div != 0, 2j * np.pi * div, 1.0)
     per_mode = (...,) + (None,) * len(g.range_shape)
     phi = np.where(live[per_mode], g.half / divisor[per_mode], 0.0)
-    return phi, DivisorReport(min_div, worst_k, max_amp, max_order, cert)
+    return phi, DivisorReport(min_div, worst_k, max_amp, max_order)
 
 
 def outcome(solve, g, omega):
@@ -213,12 +252,11 @@ class TestReferenceSolve:
     bit, the same report, and the same error naming the same first k."""
 
     @pytest.mark.parametrize("n, omega, resonant", [
-        (1, [GOLDEN], False), (2, [1.0, GOLDEN], False), (2, [1.0, 2.0], True),
-        (3, [1.0, GOLDEN, np.sqrt(2.0)], False), (3, [1.0, 1.0, 2.0], True),
+        (1, [GOLDEN], False), (2, [1.0, GOLDEN], False), (2, NEAR_RESONANT, True),
+        (3, [1.0, GOLDEN, np.sqrt(2.0)], False), (3, NEAR_RESONANT + [np.sqrt(2.0)], True),
     ], ids=["n1", "n2", "n2-resonant", "n3", "n3-resonant"])
     def test_dense_and_sparse_supports(self, n, omega, resonant):
         rng = np.random.default_rng(len(omega) + int(10 * omega[-1]))
-        omega = np.array(omega)
         order = {1: 12, 2: 4, 3: 2}[n]
         dense = random_trig(rng, n, order, (2 * n,))
         sparse = [
@@ -229,23 +267,21 @@ class TestReferenceSolve:
             FourierMap(n, (2,), {(0,) * n: [1.0, -2.0]}, order),
             FourierMap(n, (2,), {}, order),
         ]
-        freqs = [omega, FrequencyVector.unchecked(omega, 1e-6, n + 0.1, 2 * n * order),
-                 FrequencyVector.unchecked(omega, 2.0, n + 0.1, 2 * n * order),
-                 FrequencyVector.unchecked(omega, 1e-6, n + 0.1, 1)]
+        # certified over every retained |k|_1, and over |k|_1 <= 1 only
+        freqs = [certified(omega, 2 * n * order), certified(omega, 1)]
         seen = set()
         for g in [dense, dense.resized(order + 1)] + sparse:
             for freq in freqs:
                 want = outcome(reference_solve, g, freq)
                 assert outcome(solve_cohomological, g, freq) == want
                 seen.add(want.split(" ")[0] if isinstance(want, str) else "solved")
-        # solved, and each error: horizon, resonance, certified floor
-        assert seen == {"solved", "retained", "divisor"} | ({"resonant"} if resonant else set())
+        # solved, and each error: horizon and, near resonance, the guard
+        assert seen == {"solved", "retained"} | ({"resonant"} if resonant else set())
 
     def test_the_pendulums_first_step(self):
         # the first Newton step of the pendulum solves for the k = (1) mode only
         g = FourierMap(1, (2,), {(1,): [0.0, 0.5j]}, 64)
         freq = FrequencyVector.estimated(np.array([1.0 / (1.0 + GOLDEN)]), 1.1, 256)
-        for omega in (freq, freq.omega):
-            got = outcome(solve_cohomological, g, omega)
-            assert got == outcome(reference_solve, g, omega)
-            assert got[1].worst_k == (1,) and got[1].max_order == 1
+        got = outcome(solve_cohomological, g, freq)
+        assert got == outcome(reference_solve, g, freq)
+        assert got[1].worst_k == (1,) and got[1].max_order == 1

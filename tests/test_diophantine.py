@@ -118,8 +118,8 @@ class TestPrefixScan:
         freq = FrequencyVector.estimated(GOLDEN_SILVER, 1.1, 256)
         g = FourierMap(2, (), {(63, -94): 1.0}, trunc_order=128)
         report = solve_cohomological(g, freq).report
-        assert report.certified
         assert report.worst_k == (63, -94)
+        assert report.min_divisor >= freq.gamma * 157.0**-1.1 * (1 - 1e-12)
 
 
 class TestEstimateGamma:
@@ -233,7 +233,6 @@ class TestFrequencyVector:
         omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
         freq = FrequencyVector.estimated(omega, 1.1, 40)
         assert len(calls) == 1
-        assert freq.verified
         assert freq.gamma == estimate_gamma(omega, 1.1, 40)
 
     # a zero margin, and a nan one: 0 * inf once 6^400 overflows
@@ -244,6 +243,10 @@ class TestFrequencyVector:
             with pytest.raises(ValueError, match="resonant within the horizon"):
                 FrequencyVector.estimated(np.array(omega), sigma, 10)
 
-    def test_unchecked_skips_scan(self):
-        freq = FrequencyVector.unchecked(np.array([1.0, 2.0]), 0.1, 1.5, 10)
-        assert freq.gamma == 0.1
+    def test_none_gamma_is_the_scan_margin(self):
+        # a null gamma is the worst margin, as estimated builds it
+        omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+        freq = FrequencyVector(omega, None, 1.1, 40)
+        assert freq.gamma == estimate_gamma(omega, 1.1, 40)
+        with pytest.raises(ValueError, match="resonant within the horizon"):
+            FrequencyVector(np.array([1.0, 2.0]), None, 1.5, 10)

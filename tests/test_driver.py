@@ -293,6 +293,25 @@ class TestRunScheme:
         assert cert["smoothing"]["degrees"] == [0, 0]
         assert res.converged
 
+    @pytest.mark.parametrize("freq, knobs, message", [
+        ((1.5, 128), {"sigma": 1.1, "horizon": 256}, "sigma 1.5 is not the params' 1.1"),
+        ((1.1, 128), {"horizon": 256}, "horizon 128 is not the params' 256"),
+        ((0.3, 1.1, 256), {"gamma": 0.2}, "gamma 0.3 is not the params' 0.2"),
+    ], ids=["sigma", "horizon", "gamma"])
+    def test_frequency_of_other_params_refused(self, monkeypatch, freq, knobs, message):
+        # one sigma, horizon and gamma per run: the certificate's, the
+        # schedule's and the witnesses' would otherwise part
+        import kamtori.driver as driver
+
+        monkeypatch.setattr(driver, "smoothing_ladder", lambda *a: pytest.fail("ran"))
+        golden = np.array([GOLDEN])
+        freq = (FrequencyVector.estimated(golden, *freq) if len(freq) == 2
+                else FrequencyVector(golden, *freq))
+        params = RunParams(target_error=1e-10, **knobs)
+        with pytest.raises(ValueError, match=f"^the frequency's {message}$"):
+            run_scheme(HamiltonianModel.pendulum(1e-3),
+                       TorusEmbedding.circle(GOLDEN, trunc_order=32), freq, params)
+
     def test_k0_beyond_horizon_rejected_before_any_jet(self, monkeypatch):
         import kamtori.driver as driver
         import kamtori.solver as solver

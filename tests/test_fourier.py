@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kamtori import FourierMap, TorusEmbedding, solve_cohomological
+from kamtori import FourierMap, FrequencyVector, TorusEmbedding, solve_cohomological
 
 import kamtori.solver as solver
 from kamtori.fourier import (
@@ -641,8 +641,9 @@ class TestHalfLayout:
         rng = np.random.default_rng(50 + n)
         per = random_trig(rng, n, 3, (2 * n,))
         K = TorusEmbedding(np.vstack([np.eye(n), np.zeros((n, n))]), per)
+        freq = FrequencyVector.estimated(omega, n + 0.1, 3 * n)
         for h in (K.dk(), K.directional(omega), K.resized(5).periodic,
-                  solve_cohomological(per, omega).solution,
+                  solve_cohomological(per, freq).solution,
                   solver._symmetric_map(np.ones((n, n, 7) + (7,) * (n - 1)), 3)):
             assert component_major(h)
 
@@ -937,9 +938,11 @@ class TestSamplingGrid:
 # the amplitudes come from numpy's generator for that seed.
 
 PROPERTY = settings(max_examples=25, deadline=None)
-OMEGAS = {
-    1: np.array([GOLDEN]),
-    2: np.array([1.0, GOLDEN]),
+# certified over |k|_1 <= 4 n, as far as the nonzero modes of
+# trig_maps(orders=(0, 4)) reach
+FREQS = {
+    1: FrequencyVector.estimated(np.array([GOLDEN]), 1.1, 4),
+    2: FrequencyVector.estimated(np.array([1.0, GOLDEN]), 1.1, 8),
 }
 
 
@@ -1039,11 +1042,11 @@ class TestProperties:
     @PROPERTY
     @given(trig_maps(orders=(0, 4)))
     def test_cohomological_inverse(self, f):
-        omega = OMEGAS[f.dim_domain]
-        sol = solve_cohomological(f, omega)
+        freq = FREQS[f.dim_domain]
+        sol = solve_cohomological(f, freq)
         assert np.array_equal(sol.average, f.average())
         mean = FourierMap(f.dim_domain, f.range_shape, {(0,) * f.dim_domain: f.average()})
-        assert sol.solution.directional(omega).allclose(
+        assert sol.solution.directional(freq.omega).allclose(
             f - mean, tol=1e-13 * scale(f)
         )
 

@@ -797,7 +797,8 @@ class TestSmoothingSequence:
         assert seq.gaps_c3 == seq.gaps_c0 == [0.0, 0.0]
         assert seq.tails_c3 == [0.0, 0.0, 0.0]
         assert seq.a_const == 0.0 and seq.anchor_index == 0
-        assert seq.history["analytic"]
+        # no ladder was climbed
+        assert seq.history == {"ladder_degrees": [], "ladder_gaps_c3": []}
 
     def test_cutoff_without_rough_part_is_analytic(self):
         # a model without rough terms is neither cut off nor laddered: the

@@ -1125,8 +1125,7 @@ class TestDiophantineHorizon:
         # refining past M = 32 would retain |k|_1 > 64 = horizon
         freq = FrequencyVector.estimated(self.omega, sigma=1.1, horizon=64)
         K0 = TorusEmbedding.circle(self.omega, trunc_order=16)
-        res = solve_torus(coupled_rotator(1e-3), K0, freq, tol=1e-12,
-                          max_trunc_order=freq.horizon)
+        res = solve_torus(coupled_rotator(1e-3), K0, freq, tol=1e-12)
         assert res.converged
         assert 2 * res.torus.trunc_order <= freq.horizon
 
@@ -1139,6 +1138,14 @@ class TestDiophantineHorizon:
         assert h.calls == 0
         ok = solve_torus(h, K0.resized(32), freq, max_iter=0)
         assert h.calls > 0 and ok.iterations == 0
+
+    def test_bare_array_refused_before_any_jet(self):
+        # the Newton solve takes a certified frequency only
+        h = JetCounter(coupled_rotator(1e-3))
+        K0 = TorusEmbedding.circle(self.omega, trunc_order=8)
+        with pytest.raises(TypeError, match="omega must be a FrequencyVector, got ndarray"):
+            solve_torus(h, K0, self.omega)
+        assert h.calls == 0
 
 
 class TestOneEvaluationPerIterate:

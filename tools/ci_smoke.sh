@@ -77,6 +77,27 @@ test "$code" -eq 1
 test "$(wc -l < err.txt)" -eq 1
 grep -q "^config error: torus file does not parse: amplitude entry nan is not finite$" err.txt
 test ! -e nan-torus
+# the frequency is certified once, where the config is read, and nowhere
+# else: a resonant omega, and a gamma above the scan's worst margin, each
+# exit 1 with one named reason and write nothing
+cat > resonant-config.json <<'EOF'
+{"hamiltonian": "model.json", "omega": [0.5], "out": "resonant"}
+EOF
+cat > gamma-config.json <<'EOF'
+{"hamiltonian": "model.json", "omega": [0.6180339887498949], "gamma": 10.0,
+ "out": "gamma"}
+EOF
+for case in "resonant|omega is resonant within the horizon" \
+            "gamma|omega fails the Diophantine bound: worst k=(1,) margin=3.820e-01 < gamma=1.000e+01"; do
+  name=${case%%|*}
+  code=0
+  kamtori solve --config "$name-config.json" 2> err.txt || code=$?
+  cat err.txt
+  test "$code" -eq 1
+  test "$(wc -l < err.txt)" -eq 1
+  grep -qxF "config error: ${case#*|}" err.txt
+  test ! -e "$name"
+done
 
 # a libration torus of the pendulum H = y^2/2 + 0.06 cos 2 pi x, winding 0
 # around x = 1/2, from the harmonic guess x = 1/2 + A cos 2 pi theta,
