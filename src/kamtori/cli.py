@@ -41,6 +41,7 @@ from .driver import (
     _frequency,
     _is_number,
     _jsonable,
+    _sequence_record,
     _smoothness,
     kam_schedule,
     run_scheme,
@@ -57,7 +58,7 @@ from .hamiltonian import (
     _is_integer,
 )
 from .smoothing import SAMPLE_RULE
-from .solver import check_horizon, solve_torus
+from .solver import Iterate, check_horizon, solve_torus
 
 
 @dataclass(frozen=True)
@@ -371,7 +372,8 @@ def cmd_smooth(args) -> int:
     cfg = parse_config(args.config)
     out = _prepare_out(cfg, args.out)
     try:
-        ladder = smoothing_ladder(cfg.model, cfg.torus, cfg.freq, cfg.params)
+        h0 = Iterate.evaluate(cfg.model, cfg.torus, cfg.freq, cfg.params.rho)
+        ladder = smoothing_ladder(h0, cfg.params)
     except ValueError as exc:
         _write_json(out / "certificate.json", {"passed": False, "error": str(exc)})
         return 1
@@ -415,12 +417,8 @@ def cmd_smooth(args) -> int:
         {
             "passed": True,
             "analytic_input": ladder.analytic_input,
-            "e0_rho": ladder.h0.error.norm_rho.value,
-            "anchor_index": seq.anchor_index,
-            "degrees": list(seq.degrees),
-            "gaps_c3": list(seq.gaps_c3),
-            "gaps_c0": list(seq.gaps_c0),
-            "a_const": seq.a_const,
+            "e0_rho": h0.error.norm_rho.value,
+            **_sequence_record(seq),
             "l": ladder.l,
             "sigma": cfg.params.sigma,
         },

@@ -43,12 +43,6 @@ class DivisorReport:
     max_amplification: float
     max_order: int
 
-    def __str__(self):
-        return (
-            f"min |k.omega| = {self.min_divisor:.3e} at k = {self.worst_k}, "
-            f"amplification <= {self.max_amplification:.3e}"
-        )
-
 
 @dataclass(frozen=True)
 class CohomologySolution:

@@ -66,14 +66,6 @@ class DiophantineReport:
     worst_margin: float
     resonant: bool
 
-    def __str__(self) -> str:
-        verdict = "pass" if self.passed else "fail"
-        return (
-            f"diophantine {verdict}: worst k={self.worst_k} "
-            f"margin={self.worst_margin:.6e} (gamma={self.gamma:.6e}, "
-            f"sigma={self.sigma}, horizon={self.horizon})"
-        )
-
 
 def _validate(omega: np.ndarray, sigma: float, horizon: int) -> None:
     n = omega.size
@@ -185,7 +177,7 @@ def estimate_gamma(omega, sigma: float, horizon: int) -> float:
     return worst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyVector:
     """A frequency vector with a finite-horizon Diophantine certificate.
 
@@ -194,7 +186,7 @@ class FrequencyVector:
     0 < |k|_1 <= horizon has margin(k) >= gamma.  gamma = None takes the
     scan's worst margin as gamma, which passes the bound it was read
     from; a margin that is not positive (0, or nan from 0 * inf at a
-    huge sigma) is resonant.
+    huge sigma) is resonant.  It compares and hashes by identity.
     """
 
     omega: np.ndarray

@@ -25,15 +25,22 @@ variant; a failed gate returns K0 with no stage records.  With mu, d, v,
 tau and every stage's mu_k, d_k, v_k, tau_k in the certificate, any
 other candidate lambda can be evaluated offline.
 
+run_scheme takes its named steps in order: one jet of H at K0, whose
+value is the e0_original record and anchors the ladder (smoothing_ladder,
+as in the smooth command), the schedule (kam_schedule), k0 (select_k0),
+one _run_stage per stage (its record, its solve and the next start), and
+the evidence: torus gaps, lemma 4 and the final record.  A run that ends
+before its cascade ends through _ended, with K0 and no stage records.
+
 Each (model, torus) pair is evaluated once, into a solver.Iterate that
-the stages pass on.  The ladder holds H's value at K0 and the schedule's
-frame is the first approximant's value there (the ladder's for a
-constant sequence); its tails are the C^3 distances to the cut target
-that its construction bounded.  Stage 1 starts from the selected model's
-value at K0, and stage k >= 2 from H's value at stage k-1's torus: the one
-stage k-1's solve returned, or after a smoothed stage 1 a new one.  A
-stage's d_k, v_k, tau_k and e_k are norms of its start value at rho_k,
-the width its solve runs at; the final defect is the last stage's.
+the stages pass on.  The schedule's frame is the first approximant's
+value at K0 (H's, the ladder's, for a constant sequence); the ladder's
+tails are the C^3 distances to the cut target that its construction
+bounded.  Stage 1 starts from the selected model's value at K0, and
+stage k >= 2 from H's value at stage k-1's torus: the one stage k-1's
+solve returned, or after a smoothed stage 1 a new one.  A stage's d_k,
+v_k, tau_k and e_k are norms of its start value at rho_k, the width its
+solve runs at; the final defect is the last stage's.
 
 Every C^3 number (gaps, tails, mu0, mu_k) is a cl_bound from per-axis
 factor sups, and the certificate's c3_methods names how each was taken.
@@ -439,6 +446,13 @@ def _defect_record(err: ErrorField) -> dict:
             **err.tail_record()}
 
 
+def _sequence_record(seq: SmoothingSequence) -> dict:
+    """A smoothing sequence's certificate fields, run's and smooth's alike."""
+    return {"anchor_index": seq.anchor_index, "degrees": list(seq.degrees),
+            "gaps_c3": list(seq.gaps_c3), "gaps_c0": list(seq.gaps_c0),
+            "a_const": seq.a_const}
+
+
 def _quadratic_constant(res: SolveResult) -> float | None:
     """e1 / e0^2 over a solve's first Newton step, from its first two trace
     rows; None when it took no step (or stepped from a zero defect)."""
@@ -527,15 +541,15 @@ class Ladder:
     seq: SmoothingSequence
 
 
-def smoothing_ladder(hamiltonian, K0: TorusEmbedding, freq: FrequencyVector,
-                     params: RunParams) -> Ladder:
-    """Resolve l, evaluate H at K0, cut off and smooth the rough part if any."""
+def smoothing_ladder(h0: Iterate, params: RunParams) -> Ladder:
+    """Resolve l of H = h0.model, and cut off and smooth its rough part,
+    if any, near K0 = h0.K; h0, H's value at K0, anchors the sequence."""
+    hamiltonian = h0.model
     l, analytic = _smoothness(hamiltonian, params.l)
-    h0 = Iterate.evaluate(hamiltonian, K0, freq, params.rho)
     if analytic or isinstance(hamiltonian, HamiltonianModel):
         seq = SmoothingSequence.constant(hamiltonian, LADDER_COUNT, l, params.sigma)
         return Ladder(l, analytic, h0, hamiltonian, seq)
-    h_ext = cutoff_extend(hamiltonian, K0, params.r)
+    h_ext = cutoff_extend(hamiltonian, h0.K, params.r)
     seq = build_smoothing_sequence(
         h_ext, l, params.sigma, LADDER_COUNT, h0.error.norm_rho.value)
     return Ladder(l, analytic, h0, h_ext, seq)
@@ -570,6 +584,77 @@ def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
     return schedule, value
 
 
+def _ended(K0: TorusEmbedding, cert: dict, reason: str) -> RunResult:
+    """A run that ends before its cascade: K0, no stage, not converged."""
+    cert["converged"] = False
+    cert["termination_reason"] = reason
+    return RunResult(K0, _jsonable(cert), [])
+
+
+def _run_stage(k: int, start: Iterate, hamiltonian, K0: TorusEmbedding,
+               freq: FrequencyVector, schedule: KamSchedule, params: RunParams,
+               c_value: float) -> tuple[dict, SolveResult, Iterate]:
+    """Stage k of the cascade: the solve of start's model from start at
+    rho_k, the stage's record in JSON form, and the next stage's start,
+    H's value at the torus the solve returned.  Raises the HypothesisError
+    of a start with no frame at rho_k, before any solve."""
+    h_k, k_prev = start.model, start.K
+    rho_k = schedule.rho_k(k)
+    # the frame the stage steps from, with its growth norms at rho_k
+    nd_k = start.frame_at(rho_k)
+    tol = params.tol if params.tol is not None else params.target_error
+    res = solve_torus(h_k, k_prev, freq, tol=tol, rho=rho_k, start=start)
+
+    r_prev = schedule.r_k(k - 1) if k > 1 else params.r
+    # the defect and the frame's growth norms at the width the stage solved at
+    e_k = start.error.at(rho_k).norm_rho.value
+    mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r))
+    c_k = _lambda(mu_k, nd_k.norm_dk, nd_k.norm_n, nd_k.norm_s_inv)
+    delta_k = schedule.delta_k(k)
+    small = check_conditions(c_k, freq.gamma, params.sigma, delta_k, e_k,
+                             schedule.r_k(k))
+
+    k_new = res.torus
+    step_norm = k_new.difference(k_prev).strip_norm(rho_k).value
+    drift = k_new.difference(K0).strip_norm(schedule.rho_k(k + 1)).value
+    drift_rhs = schedule.drift_budget(k)
+    # H's value at k_new starts the next stage: the solve's own value,
+    # except after a smoothed stage 1
+    following = _value(hamiltonian, k_new, freq, rho_k, res.value)
+    record = {
+        "stage": k,
+        "model": "limit" if h_k is hamiltonian else "smoothed",
+        "rho_k": rho_k,
+        "delta_k": delta_k,
+        "r_k": schedule.r_k(k),
+        "status": res.status,
+        "iterations": res.iterations,
+        "error_stage_model": res.error,
+        "error_vs_original_grid": following.error.norm_grid,
+        "e_k_rho": e_k,
+        "A1_lhs": drift,
+        "A1_rhs": drift_rhs,
+        "A1_ok": bool(drift <= drift_rhs),
+        "A2_c_k": c_k,
+        "A2_c": c_value,
+        "A2_ok": bool(c_k <= c_value),
+        "A3_lhs": small["condition2_lhs"],
+        "A3_ok": small["condition2_ok"],
+        "A4_lhs": small["condition3_lhs"],
+        "A4_rhs": schedule.r_k(k),
+        "A4_ok": small["condition3_ok"],
+        "mu_k": mu_k,
+        "d_k": nd_k.norm_dk,
+        "v_k": nd_k.norm_n,
+        "tau_k": nd_k.norm_s_inv,
+        "step_norm": step_norm,
+        "step_within_r_k": bool(step_norm <= schedule.r_k(k)),
+        "measured_quadratic": _quadratic_constant(res),
+        "trace": res.trace,
+    }
+    return _jsonable(record), res, following
+
+
 def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> RunResult:
     """Full cascade for a C^l (or analytic) Hamiltonian; see module docstring.
 
@@ -592,39 +677,25 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         "lambda_spec": DEFAULT_LAMBDA,
         "analytic_input": analytic_input,
     }
-    stages: list[dict] = []
 
+    # H's value at K0: its defect is the anchor scale of the sequence
+    h0 = Iterate.evaluate(hamiltonian, K0, freq, params.rho)
+    cert["e0_original"] = _defect_record(h0.error)
     try:
-        ladder = smoothing_ladder(hamiltonian, K0, freq, params)
+        ladder = smoothing_ladder(h0, params)
     except SmoothingUnachievable as exc:
-        # the run ends here, as it does when no k0 is admissible
-        cert["e0_original"] = _defect_record(
-            Iterate.evaluate(hamiltonian, K0, freq, params.rho).error)
         cert["smoothing"] = {"error": str(exc)}
-        cert["converged"] = False
-        cert["termination_reason"] = "smoothing_unachievable"
-        return RunResult(K0, _jsonable(cert), stages)
+        return _ended(K0, cert, "smoothing_unachievable")
     seq = ladder.seq
-
-    # initial defect of the original model, the anchor scale of the sequence
-    e0_orig = ladder.h0.error
-    cert["e0_original"] = _defect_record(e0_orig)
-    e0_norm = e0_orig.norm_rho.value
-
     cert["smoothing"] = {
-        "anchor_index": seq.anchor_index,
-        "degrees": list(seq.degrees),
-        "gaps_c3": list(seq.gaps_c3),
-        "gaps_c0": list(seq.gaps_c0),
-        "a_const": seq.a_const,
+        **_sequence_record(seq),
         "ladder_degrees": list(seq.history["ladder_degrees"]),
         "ladder_gaps_c3": list(seq.history["ladder_gaps_c3"]),
     }
 
     # each kept approximant's C^3 distance to the rough target, bounded
     # when the ladder was built
-    tails = seq.tails_c3
-    cert["tails_c3"] = list(tails)
+    cert["tails_c3"] = list(seq.tails_c3)
     # how each C^3 number was taken; mu_k gets one entry per stage below
     methods = {
         "rule": SAMPLE_RULE,
@@ -642,9 +713,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         schedule, value0 = kam_schedule(hamiltonian, K0, freq, params, ladder)
     except HypothesisError as exc:  # no Newton step exists from K0
         cert["schedule"] = {"error": str(exc)}
-        cert["converged"] = False
-        cert["termination_reason"] = exc.status
-        return RunResult(K0, _jsonable(cert), stages)
+        return _ended(K0, cert, exc.status)
     cert["schedule"] = {
         "delta0": schedule.delta0,
         "beta_statement": schedule.beta_statement,
@@ -664,15 +733,12 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     }
 
     try:
-        k0_index, k0_rows = select_k0(
-            seq, schedule.d, schedule.v, schedule.tau, e0_norm, tails
-        )
-        cert["k0"] = {"index": k0_index, "witnesses": k0_rows}
+        k0_index, k0_rows = select_k0(seq, schedule.d, schedule.v, schedule.tau,
+                                      h0.error.norm_rho.value, seq.tails_c3)
     except ValueError as exc:
         cert["k0"] = {"error": str(exc)}
-        cert["converged"] = False
-        cert["termination_reason"] = "no_admissible_k0"
-        return RunResult(K0, _jsonable(cert), stages)
+        return _ended(K0, cert, "no_admissible_k0")
+    cert["k0"] = {"index": k0_index, "witnesses": k0_rows}
 
     # the stage-1 model's value at K0 starts stage 1: the schedule's at
     # k0 = 0 and on analytic input, where every sequence entry is H itself
@@ -688,81 +754,27 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     # Newton cascade: stage 1 on the selected sequence entry (H itself for
     # a constant sequence), then the original H, each stage from the start
     # value its predecessor left
-    tol = params.tol if params.tol is not None else params.target_error
+    stages: list[dict] = []
     tori = [K0]
-    termination = "stage_cap"
-    failed_stage = None
+    termination, failed_stage = "stage_cap", None
     for k in range(1, MAX_STAGES + 1):
-        h_k, k_prev = start.model, start.K
-        rho_k = schedule.rho_k(k)
-        try:  # the frame the stage steps from, with its growth norms at rho_k
-            nd_k = start.frame_at(rho_k)
+        try:
+            record, res, start = _run_stage(k, start, hamiltonian, K0, freq,
+                                            schedule, params, c_value)
         except HypothesisError as exc:
             termination, failed_stage = f"{exc.status}_at_stage_{k}", k
             break
-        res = solve_torus(h_k, k_prev, freq, tol=tol, rho=rho_k, start=start)
         if k == 1:
             gate = cert["conditions_measured"] = _measured_conditions(res, params.r)
             for condition in ("condition2", "condition3"):
                 if not gate[condition + "_ok"]:
-                    cert["converged"] = False
-                    cert["termination_reason"] = condition + "_failed"
-                    return RunResult(K0, _jsonable(cert), stages)
-
-        r_prev = schedule.r_k(k - 1) if k > 1 else params.r
-        # the defect and the frame's growth norms at the width the stage solved at
-        e_k = start.error.at(rho_k).norm_rho.value
-        mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r))
-        methods["mu_k"].append(h_k.sup_method)
-        c_k = _lambda(mu_k, nd_k.norm_dk, nd_k.norm_n, nd_k.norm_s_inv)
-        delta_k = schedule.delta_k(k)
-        small = check_conditions(c_k, freq.gamma, params.sigma, delta_k, e_k,
-                                 schedule.r_k(k))
-
-        k_new = res.torus
-        step_norm = k_new.difference(k_prev).strip_norm(rho_k).value
-        drift = k_new.difference(K0).strip_norm(schedule.rho_k(k + 1)).value
-        drift_rhs = schedule.drift_budget(k)
-        # H's value at k_new starts the next stage: the solve's own value,
-        # except after a smoothed stage 1
-        start = _value(hamiltonian, k_new, freq, rho_k, res.value)
-        record = {
-            "stage": k,
-            "model": "limit" if h_k is hamiltonian else "smoothed",
-            "rho_k": rho_k,
-            "delta_k": delta_k,
-            "r_k": schedule.r_k(k),
-            "status": res.status,
-            "iterations": res.iterations,
-            "error_stage_model": res.error,
-            "error_vs_original_grid": start.error.norm_grid,
-            "e_k_rho": e_k,
-            "A1_lhs": drift,
-            "A1_rhs": drift_rhs,
-            "A1_ok": bool(drift <= drift_rhs),
-            "A2_c_k": c_k,
-            "A2_c": c_value,
-            "A2_ok": bool(c_k <= c_value),
-            "A3_lhs": small["condition2_lhs"],
-            "A3_ok": small["condition2_ok"],
-            "A4_lhs": small["condition3_lhs"],
-            "A4_rhs": schedule.r_k(k),
-            "A4_ok": small["condition3_ok"],
-            "mu_k": mu_k,
-            "d_k": nd_k.norm_dk,
-            "v_k": nd_k.norm_n,
-            "tau_k": nd_k.norm_s_inv,
-            "step_norm": step_norm,
-            "step_within_r_k": bool(step_norm <= schedule.r_k(k)),
-            "measured_quadratic": _quadratic_constant(res),
-            "trace": res.trace,
-        }
-        stages.append(_jsonable(record))
-        tori.append(k_new)
+                    return _ended(K0, cert, condition + "_failed")
+        methods["mu_k"].append(res.value.model.sup_method)
+        stages.append(record)
+        tori.append(res.torus)
 
         if res.status in ("diverged", *HYPOTHESIS_STATUSES):
-            termination = f"{res.status}_at_stage_{k}"
-            failed_stage = k
+            termination, failed_stage = f"{res.status}_at_stage_{k}", k
             break
         enough = len(tori) - 2 >= LEMMA4_GAPS
         if start.error.norm_grid <= params.target_error and enough:

@@ -226,6 +226,24 @@ class TestParseConfig:
             assert capsys.readouterr().err == f"config error: torus file does not parse: {reason}\n"
             assert not out.exists()
 
+    def test_absent_torus_file_rejected_before_any_output(self, write_files, capsys,
+                                                          tmp_path):
+        torus = tmp_path / "absent.csv"
+        cfg_path, out = write_files(PENDULUM, "out", torus_file=str(torus))
+        assert main(["verify", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: torus file not found: {torus}\n"
+        assert not out.exists()
+
+    def test_config_not_json_rejected_before_any_output(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text("hamiltonian = model.json\n")
+        assert main(["run", "--config", "c.json"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config is not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_torus_of_another_n_rejected_before_any_output(self, write_files, capsys,
                                                            tmp_path):
         K = TorusEmbedding.circle(np.array([GOLDEN, 0.4]), 8)
@@ -316,6 +334,7 @@ class TestParseConfig:
         (rough_model(0.7), "rough term coordinate must be an integer, got 0.7"),
         (rough_model(profile=dict(ROUGH["rough"][0]["profile"], degree=5.5)),
          "bspline degree must be an integer, got 5.5"),
+        (rough_model(profile={"type": "spline"}), "unknown rough profile type: 'spline'"),
     ]
 
     @pytest.mark.parametrize("model, reason", BAD_MODELS,
@@ -324,7 +343,7 @@ class TestParseConfig:
                                   "sinpower-power=nan", "sinpower-scale=inf",
                                   "sinpower-shift=nan", "n=1.9", "n=true", "k=1.5",
                                   "m=2.7", "k-string-m-bool", "coordinate=0.7",
-                                  "degree=5.5"])
+                                  "degree=5.5", "type=spline"])
     def test_bad_model_rejected_before_any_output(self, write_files, capsys,
                                                   model, reason):
         cfg_path, out = write_files(model, "out", y0=[0.4], rho=0.02, r=0.8)
@@ -479,6 +498,16 @@ class TestDispatch:
         assert cert["stages"] == []
         assert (out / "torus_final.csv").is_file()
 
+    def test_smooth_unachievable_ladder_writes_its_certificate(self, write_files,
+                                                               monkeypatch):
+        monkeypatch.setattr(smoothing, "MAX_DEGREE", 16)
+        cfg_path, out = write_files(ROUGH, "ladder", rho=0.02, r=0.8, target_error=1e-8)
+        assert main(["smooth", "--config", str(cfg_path)]) == 1
+        cert = json.loads((out / "certificate.json").read_text())
+        assert set(cert) == {"passed", "error"} and cert["passed"] is False
+        assert cert["error"].startswith("smoothing bound unachievable at max degree 16: ")
+        assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "config.json"]
+
     def test_run_pendulum_full_artifacts(self, write_files):
         cfg_path, out = write_files(PENDULUM, "run", target_error=1e-10)
         assert main(["run", "--config", str(cfg_path)]) == 0
@@ -565,10 +594,11 @@ class TestDispatch:
         assert [np.shape(f) for f in doc["factors"]] == [(1, 2 * N, 2)] * 2
         # README's formula on the payload is the ladder's first rung
         from kamtori.driver import smoothing_ladder
+        from kamtori.solver import Iterate
 
         cfg = parse_config(cfg_path)
-        rung = smoothing_ladder(cfg.model, cfg.torus, cfg.freq,
-                                cfg.params).seq.history["rungs"][0]
+        h0 = Iterate.evaluate(cfg.model, cfg.torus, cfg.freq, cfg.params.rho)
+        rung = smoothing_ladder(h0, cfg.params).seq.history["rungs"][0]
         lo, hi = np.array(doc["box"]["lo"]), np.array(doc["box"]["hi"])
         z = lo + (hi - lo) * np.random.default_rng(0).uniform(0, 1, (50, 2))
         t = (z - lo) / (hi - lo)

@@ -243,6 +243,14 @@ class TestFrequencyVector:
             with pytest.raises(ValueError, match="resonant within the horizon"):
                 FrequencyVector.estimated(np.array(omega), sigma, 10)
 
+    def test_compares_and_hashes_by_identity(self):
+        # an ndarray field has no truth value at n >= 2: a vector is equal
+        # to itself only, and can key a dict
+        omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+        a, b = (FrequencyVector.estimated(omega, 1.1, 16) for _ in range(2))
+        assert a == a and not a == b and a != b
+        assert {a: "a", b: "b"}[a] == "a"
+
     def test_none_gamma_is_the_scan_margin(self):
         # a null gamma is the worst margin, as estimated builds it
         omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])

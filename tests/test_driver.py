@@ -534,6 +534,35 @@ class TestRoughRuns:
         assert res.stages == [] and res.torus is K0
         json.dumps(cert)
 
+    def test_unachievable_ladder_takes_one_jet_at_k0(self, monkeypatch):
+        import kamtori.solver as solver
+
+        samples = []
+
+        def counted(h, z, jet=solver.jet_grid):
+            samples.append(np.array(z))
+            return jet(h, z)
+        monkeypatch.setattr(solver, "jet_grid", counted)
+        monkeypatch.setattr(smoothing, "MAX_DEGREE", 16)
+        K0, res = bspline_run([0], 1e-4, [GOLDEN])
+        assert res.certificate["termination_reason"] == "smoothing_unachievable"
+        # H's value at K0 anchors the ladder and is the e0_original record
+        k0 = K0.grid_samples()
+        assert sum(np.array_equal(z, k0) for z in samples) == 1
+
+    def test_no_admissible_k0_ends_with_a_certificate(self):
+        # beta grows as gamma^-2 into d, v and tau: at gamma = 1e-20
+        # inequalities (8) and (10) fail at every index
+        K0, res = bspline_run([0], 1e-4, [GOLDEN], gamma=1e-20)
+        cert = res.certificate
+        assert not res.converged and cert["converged"] is False
+        assert cert["termination_reason"] == "no_admissible_k0"
+        assert cert["k0"] == {"error": "no admissible k0 in a sequence of 2: blocked by "
+                                       "ineq10 (first at index 0), ineq8 (first at index 0)"}
+        assert cert["schedule"]["d"] > 1e30
+        assert res.stages == [] and res.torus is K0
+        json.dumps(cert)
+
     def test_rough_term_on_the_action_coordinate_converges(self):
         _, res = bspline_run([1], 1e-3, [0.4])
         cert = res.certificate

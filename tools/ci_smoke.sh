@@ -187,6 +187,14 @@ python -c 'import json; c = json.load(open("rough/certificate.json")); v = json.
 python -c 'import json; c = json.load(open("rough/certificate.json")); assert c["k0"]["index"] == 0, c["k0"]; m = c["c3_methods"]; assert {"rule", "gaps_c3", "gaps_c0", "ladder_gaps_c3", "tails_c3", "mu0", "mu_k"} <= set(m), m; assert len(m["mu_k"]) == len(c["stages"]), m'
 # the measured gate reads stage 1's first Newton step, which it took
 python -c 'import json; c = json.load(open("rough/certificate.json")); g = c["conditions_measured"]; assert g["quadratic_constant"] == c["stages"][0]["measured_quadratic"], (g, c["stages"][0]["measured_quadratic"]); assert g["vacuous"] is False, g'
+# at gamma = 1e-20 the schedule's beta ~ gamma^-2 enters d, v and tau, and
+# inequality (10) blocks every sequence index: the run ends before its
+# cascade (exit 1) with a certificate that names the blocking inequality
+sed 's/"out": "rough"}/"out": "rough-nok0", "gamma": 1e-20}/' rough-config.json > nok0.json
+code=0
+kamtori run --config nok0.json || code=$?
+test "$code" -eq 1
+python -c 'import json; c = json.load(open("rough-nok0/certificate.json")); assert c["termination_reason"] == "no_admissible_k0", c["termination_reason"]; assert c["stages"] == [], c["stages"]; assert "ineq10" in c["k0"]["error"], c["k0"]'
 
 # the 2-DOF rough cascade: B-spline terms of amplitude 1e-4 on both angles;
 # V_N on every rung axis anchors its ladder by degree 128
