@@ -144,19 +144,19 @@ _PARAM_KEYS = frozenset(f.name for f in fields(RunParams))
 def parse_config(path) -> RunConfig:
     """Read and validate a config file, reporting every violation at once.
 
-    The file's keys are the run knobs (driver.RunParams) and RunConfig's
-    own fields.  The model file and the torus file are loaded, so a model
-    it cannot build, or a torus file that does not parse or whose torus
-    is not of the model's n, is one violation.  omega and y0 must be
-    lists of finite numbers, one per degree of freedom of the model, as
-    every real run knob must be finite (driver._is_number), and trunc
-    an integer >= 1.  The smoothness class l, the model's own where the
-    file gives none, must be >= 4 and within the model's class.  A config
-    valid so far is then given its initial torus (the file's, or the
-    circle over y0, omega when None) and its FrequencyVector, whose
-    Diophantine scan may reject omega as one more violation, as may a
-    torus whose order reaches beyond the scan's horizon
-    (solver.check_horizon).
+    The file holds one JSON object, whose keys are the run knobs
+    (driver.RunParams) and RunConfig's own fields.  The model file and the
+    torus file are loaded, so a model it cannot build, or a torus file that
+    does not parse or whose torus is not of the model's n, is one violation.
+    omega and y0 must be lists of finite numbers, one per degree of freedom
+    of the model, as every real run knob must be finite (driver._is_number),
+    and trunc an integer >= 1.  The smoothness class l, the model's own
+    where the file gives none, must be >= 4 and within the model's class.  A
+    config valid so far is then given its FrequencyVector, whose Diophantine
+    scan may reject omega as one more violation, as may a torus order (the
+    file's, or trunc) that reaches beyond the scan's horizon
+    (solver.check_horizon), and then its initial torus: the file's, or the
+    circle over y0, omega when None, built only past that check.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -164,6 +164,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError([f"config file not found: {path}"])
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"])
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config must be a JSON object, got {type(raw).__name__}"])
 
     bad = []
     for key in sorted(set(raw) - _CLI_KEYS - _PARAM_KEYS):
@@ -245,14 +247,13 @@ def parse_config(path) -> RunConfig:
 
     if bad:
         raise ConfigError(bad)
-    if torus is None:
-        y0 = vals.get("y0") or vals["omega"]
-        torus = TorusEmbedding.circle(np.array(y0), trunc)
     try:
         freq = _frequency(np.array(vals["omega"]), params)
-        check_horizon(torus, freq)
+        check_horizon(n, trunc if torus is None else torus.trunc_order, freq)
     except ValueError as exc:  # resonant, gamma above the scan's, K0 beyond the horizon
         raise ConfigError([str(exc)])
+    if torus is None:  # built once its order is inside the horizon
+        torus = TorusEmbedding.circle(np.array(vals.get("y0") or vals["omega"]), trunc)
     return RunConfig(params=params, model=model, torus=torus, freq=freq, **vals)
 
 
@@ -335,8 +336,10 @@ def cmd_verify(args) -> int:
     cfg = parse_config(args.config)
     out = _prepare_out(cfg, args.out)
     H, K, freq = cfg.model, cfg.torus, cfg.freq
+    l, _ = _smoothness(H, cfg.params.l)
     try:
-        schedule, value = kam_schedule(H, K, freq, cfg.params)
+        value = Iterate.evaluate(H, K, freq, cfg.params.rho)
+        schedule = kam_schedule(value, H, freq.gamma, cfg.params, l)
     except ValueError as exc:  # a singular <S> or a rank-deficient DK
         _write_json(out / "certificate.json", {"passed": False, "error": str(exc)})
         return 1
@@ -348,10 +351,10 @@ def cmd_verify(args) -> int:
         {
             **_defect_record(err),
             "nondegeneracy": {
-                "norm_dk": nd.norm_dk,
-                "norm_n": nd.norm_n,
-                "norm_s_inv": nd.norm_s_inv,
-                "cond_dk": nd.cond_dk,
+                "norm_dk": schedule.d0,
+                "norm_n": schedule.v0,
+                "norm_s_inv": schedule.tau0,
+                "cond_dk": nd.frame.cond,
                 "lagrangian_defect": nd.lagrangian_defect,
                 "avg_s": nd.avg_s,
             },
@@ -373,11 +376,11 @@ def cmd_smooth(args) -> int:
     out = _prepare_out(cfg, args.out)
     try:
         h0 = Iterate.evaluate(cfg.model, cfg.torus, cfg.freq, cfg.params.rho)
-        ladder = smoothing_ladder(h0, cfg.params)
+        _, seq = smoothing_ladder(h0, cfg.params)
     except ValueError as exc:
         _write_json(out / "certificate.json", {"passed": False, "error": str(exc)})
         return 1
-    seq = ladder.seq
+    l, analytic = _smoothness(cfg.model, cfg.params.l)
 
     rows = io.StringIO()
     writer = csv.writer(rows)
@@ -416,10 +419,10 @@ def cmd_smooth(args) -> int:
         out / "certificate.json",
         {
             "passed": True,
-            "analytic_input": ladder.analytic_input,
+            "analytic_input": analytic,
             "e0_rho": h0.error.norm_rho.value,
             **_sequence_record(seq),
-            "l": ladder.l,
+            "l": l,
             "sigma": cfg.params.sigma,
         },
     )

@@ -73,6 +73,8 @@ def _validate(omega: np.ndarray, sigma: float, horizon: int) -> None:
         raise ValueError("omega must have at least one component")
     if not np.all(np.isfinite(omega)) or np.all(omega == 0):
         raise ValueError("omega must be a finite nonzero vector")
+    if not np.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma <= n - 1:
         raise ValueError(f"sigma must exceed n - 1 = {n - 1}, got {sigma}")
     if horizon < 1:
@@ -155,6 +157,8 @@ def check_diophantine(
     """Exhaustively verify the Diophantine bound up to the horizon."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     _validate(omega, sigma, horizon)
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     worst, worst_k = _scan(omega, sigma, horizon)

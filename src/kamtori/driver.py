@@ -34,18 +34,20 @@ before its cascade ends through _ended, with K0 and no stage records.
 
 Each (model, torus) pair is evaluated once, into a solver.Iterate that
 the stages pass on.  The schedule's frame is the first approximant's
-value at K0 (H's, the ladder's, for a constant sequence); the ladder's
-tails are the C^3 distances to the cut target that its construction
-bounded.  Stage 1 starts from the selected model's value at K0, and
-stage k >= 2 from H's value at stage k-1's torus: the one stage k-1's
-solve returned, or after a smoothed stage 1 a new one.  A stage's d_k,
-v_k, tau_k and e_k are norms of its start value at rho_k, the width its
-solve runs at; the final defect is the last stage's.
+value at K0 (H's own for a constant sequence), its mu0 the cut-off
+model's; the ladder's tails are the C^3 distances to the cut target that
+its construction bounded.  Stage 1 starts from the selected model's
+value at K0, and stage k >= 2 from H's value at stage k-1's torus: the
+one stage k-1's solve returned, or after a smoothed stage 1 a new one.
+A stage's d_k, v_k, tau_k and e_k are norms of its start value's frame
+and defect at rho_k, the width its solve runs at; the final defect is
+the last stage's.
 
 Every C^3 number (gaps, tails, mu0, mu_k) is a cl_bound from per-axis
 factor sups, and the certificate's c3_methods names how each was taken.
 The CLI's smooth and verify commands call smoothing_ladder and
-kam_schedule, the same code that run_scheme uses.
+kam_schedule, the same code that run_scheme uses; verify anchors its
+schedule at H's value and H's norm.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ __all__ = [
     "ConfigError",
     "DEFAULT_LAMBDA",
     "KamSchedule",
-    "Ladder",
     "RunParams",
     "RunResult",
     "check_conditions",
@@ -525,63 +526,33 @@ def _value(model, K: TorusEmbedding, freq: FrequencyVector, rho: float,
     return found[0] if found else Iterate.evaluate(model, K, freq, rho)
 
 
-@dataclass(frozen=True)
-class Ladder:
-    """The smoothing side of a run.
-
-    l is the resolved smoothness class, h0 the value of H at K0 (its
-    defect's strip norm at rho anchors the sequence), h_ext the cut-off
-    model (H itself for a model without rough terms) and seq its ladder.
-    """
-
-    l: int
-    analytic_input: bool
-    h0: Iterate
-    h_ext: object
-    seq: SmoothingSequence
-
-
-def smoothing_ladder(h0: Iterate, params: RunParams) -> Ladder:
-    """Resolve l of H = h0.model, and cut off and smooth its rough part,
-    if any, near K0 = h0.K; h0, H's value at K0, anchors the sequence."""
+def smoothing_ladder(h0: Iterate, params: RunParams) -> tuple[object, SmoothingSequence]:
+    """(h_ext, seq): H = h0.model cut off near K0 = h0.K (H itself for a
+    model without rough terms) and its smoothing sequence at H's class l,
+    which h0, H's value at K0, anchors."""
     hamiltonian = h0.model
     l, analytic = _smoothness(hamiltonian, params.l)
     if analytic or isinstance(hamiltonian, HamiltonianModel):
-        seq = SmoothingSequence.constant(hamiltonian, LADDER_COUNT, l, params.sigma)
-        return Ladder(l, analytic, h0, hamiltonian, seq)
+        return hamiltonian, SmoothingSequence.constant(
+            hamiltonian, LADDER_COUNT, l, params.sigma)
     h_ext = cutoff_extend(hamiltonian, h0.K, params.r)
-    seq = build_smoothing_sequence(
+    return h_ext, build_smoothing_sequence(
         h_ext, l, params.sigma, LADDER_COUNT, h0.error.norm_rho.value)
-    return Ladder(l, analytic, h0, h_ext, seq)
 
 
-def kam_schedule(hamiltonian, K: TorusEmbedding, freq: FrequencyVector,
-                 params: RunParams, ladder: Ladder | None = None
-                 ) -> tuple[KamSchedule, Iterate]:
-    """Schedule anchored at K, with the value its frame constants come from.
-
-    d0, v0, tau0 are the frame's growth norms at rho and mu0 the C^3 norm
-    within 2r of K.  Without a ladder both are measured on H itself; with
-    one, built at K, the frame is that of its first approximant (the
-    ladder's value of H on analytic input) and the norm that of its
-    cut-off model.  The frame model's value at K is returned, for a gate
-    or a solve that starts there.
+def kam_schedule(value: Iterate, norm_model, gamma: float, params: RunParams,
+                 l: int) -> KamSchedule:
+    """Schedule anchored at K = value.K: d0, v0, tau0 are the growth norms
+    of value's frame at params.rho, and mu0 the C^3 norm of norm_model
+    within 2r of K.  Raises the HypothesisError of a value with no frame.
     """
-    known = ()
-    if ladder is None:
-        l, _ = _smoothness(hamiltonian, params.l)
-        frame_model = norm_model = hamiltonian
-    else:
-        l, frame_model, norm_model = ladder.l, ladder.seq.approximants[0], ladder.h_ext
-        known = (ladder.h0,)
-    value = _value(frame_model, K, freq, params.rho, *known)
     nd = value.frame
-    mu0 = _c3_near(norm_model, K, 2 * params.r)
-    schedule = KamSchedule(
-        rho=params.rho, r=params.r, l=l, sigma=params.sigma, gamma=freq.gamma,
-        mu0=mu0, d0=nd.norm_dk, v0=nd.norm_n, tau0=nd.norm_s_inv,
+    d0, v0 = nd.norms(params.rho)
+    return KamSchedule(
+        rho=params.rho, r=params.r, l=l, sigma=params.sigma, gamma=gamma,
+        mu0=_c3_near(norm_model, value.K, 2 * params.r),
+        d0=d0, v0=v0, tau0=nd.norm_s_inv,
     )
-    return schedule, value
 
 
 def _ended(K0: TorusEmbedding, cert: dict, reason: str) -> RunResult:
@@ -601,7 +572,8 @@ def _run_stage(k: int, start: Iterate, hamiltonian, K0: TorusEmbedding,
     h_k, k_prev = start.model, start.K
     rho_k = schedule.rho_k(k)
     # the frame the stage steps from, with its growth norms at rho_k
-    nd_k = start.frame_at(rho_k)
+    nd_k = start.frame
+    d_k, v_k = nd_k.norms(rho_k)
     tol = params.tol if params.tol is not None else params.target_error
     res = solve_torus(h_k, k_prev, freq, tol=tol, rho=rho_k, start=start)
 
@@ -609,7 +581,7 @@ def _run_stage(k: int, start: Iterate, hamiltonian, K0: TorusEmbedding,
     # the defect and the frame's growth norms at the width the stage solved at
     e_k = start.error.at(rho_k).norm_rho.value
     mu_k = _c3_near(h_k, k_prev, min(r_prev, 2 * params.r))
-    c_k = _lambda(mu_k, nd_k.norm_dk, nd_k.norm_n, nd_k.norm_s_inv)
+    c_k = _lambda(mu_k, d_k, v_k, nd_k.norm_s_inv)
     delta_k = schedule.delta_k(k)
     small = check_conditions(c_k, freq.gamma, params.sigma, delta_k, e_k,
                              schedule.r_k(k))
@@ -644,8 +616,8 @@ def _run_stage(k: int, start: Iterate, hamiltonian, K0: TorusEmbedding,
         "A4_rhs": schedule.r_k(k),
         "A4_ok": small["condition3_ok"],
         "mu_k": mu_k,
-        "d_k": nd_k.norm_dk,
-        "v_k": nd_k.norm_n,
+        "d_k": d_k,
+        "v_k": v_k,
         "tau_k": nd_k.norm_s_inv,
         "step_norm": step_norm,
         "step_within_r_k": bool(step_norm <= schedule.r_k(k)),
@@ -663,7 +635,7 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     to direct Newton solves whose first stage reproduces solve_torus on H.
     """
     freq = _frequency(omega, params)
-    check_horizon(K0, freq)
+    check_horizon(K0.dim_domain, K0.trunc_order, freq)
     l, analytic_input = _smoothness(hamiltonian, params.l)
 
     # the certificate and every stage record go out in JSON form
@@ -682,11 +654,10 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
     h0 = Iterate.evaluate(hamiltonian, K0, freq, params.rho)
     cert["e0_original"] = _defect_record(h0.error)
     try:
-        ladder = smoothing_ladder(h0, params)
+        h_ext, seq = smoothing_ladder(h0, params)
     except SmoothingUnachievable as exc:
         cert["smoothing"] = {"error": str(exc)}
         return _ended(K0, cert, "smoothing_unachievable")
-    seq = ladder.seq
     cert["smoothing"] = {
         **_sequence_record(seq),
         "ladder_degrees": list(seq.history["ladder_degrees"]),
@@ -703,14 +674,16 @@ def run_scheme(hamiltonian, K0: TorusEmbedding, omega, params: RunParams) -> Run
         "gaps_c0": seq.methods["gaps"],
         "ladder_gaps_c3": seq.methods["gaps"],
         "tails_c3": seq.methods["tails"],
-        "mu0": ladder.h_ext.sup_method,
+        "mu0": h_ext.sup_method,
         "mu_k": [],
     }
     cert["c3_methods"] = methods
 
-    # base quantities for the first sequence entry
+    # the schedule's frame is the first approximant's value at K0 (H's on
+    # a constant sequence), its mu0 the cut-off model's
+    value0 = _value(seq.approximants[0], K0, freq, params.rho, h0)
     try:
-        schedule, value0 = kam_schedule(hamiltonian, K0, freq, params, ladder)
+        schedule = kam_schedule(value0, h_ext, freq.gamma, params, l)
     except HypothesisError as exc:  # no Newton step exists from K0
         cert["schedule"] = {"error": str(exc)}
         return _ended(K0, cert, exc.status)

@@ -75,8 +75,9 @@ H at K's grid samples, whose gradient gives the defect (invariance_error)
 and whose Hessian entries give the frame, built on first use
 (nondegeneracy), so an iterate that builds no frame, such as a solve's
 last one or one about to be resized, pays for no more than those entries;
-newton_step takes the Iterate it steps from.  Norms at another strip
-width come from the stored maps (ErrorField.at, Iterate.frame_at).
+newton_step takes the Iterate it steps from.  Norms at a strip width
+come from the stored maps, at the width a caller reads (ErrorField.at,
+NondegeneracyData.norms).
 solve_torus starts from a given Iterate and returns the Iterate of its
 torus, so a cascade hands evaluated iterates on.  A resized K is a new
 iterate.
@@ -444,9 +445,8 @@ class NondegeneracyData:
 
     n_map is N = (DK^T DK)^-1 as a map on the torus, and avg_s the grid
     average of the torsion S, which must be invertible for the Newton
-    step to exist.  dk_map is DK.  norm_n and norm_dk are coefficient
-    bounds of n_map and dk_map at the strip width rho (Iterate.frame_at
-    takes them at another), and norm_s_inv is |<S>^-1|_2.
+    step to exist.  dk_map is DK, norms(rho) the coefficient bounds of
+    dk_map and n_map at a strip width rho, and norm_s_inv is |<S>^-1|_2.
     lagrangian_defect is the grid max of |DK^T J DK|, zero on a Lagrangian
     torus, and frame_min_det the grid min of |det M|; where L is exactly
     zero they are 0 and 1 without a reduction.  frame and s hold the frame
@@ -458,15 +458,15 @@ class NondegeneracyData:
     dk_map: FourierMap
     avg_s: np.ndarray
     avg_s_inv: np.ndarray
-    rho: float
-    norm_n: float
-    norm_dk: float
     norm_s_inv: float
-    cond_dk: float
     frame_min_det: float
     lagrangian_defect: float
     frame: AdaptedFrame
     s: np.ndarray
+
+    def norms(self, rho: float) -> tuple[float, float]:
+        """(|DK|_rho, |N|_rho), the growth norms at strip width rho."""
+        return self.dk_map.strip_norm(rho).value, self.n_map.strip_norm(rho).value
 
 
 @lru_cache(maxsize=8)
@@ -523,9 +523,7 @@ def _twist(hess: dict, dk: np.ndarray) -> np.ndarray:
     return np.einsum("pji...,pjk...->ik...", blocks, q_dk)
 
 
-def nondegeneracy(
-    hamiltonian, K: TorusEmbedding, rho: float = 0.0, hess=None,
-) -> NondegeneracyData:
+def nondegeneracy(hamiltonian, K: TorusEmbedding, hess=None) -> NondegeneracyData:
     """Definition-level non-degeneracy check: frame rank and averaged twist.
 
     The frame is built on sampling_size(M) points per axis, and N and S
@@ -566,11 +564,7 @@ def nondegeneracy(
         dk_map=dk_map,
         avg_s=avg_s,
         avg_s_inv=avg_s_inv,
-        rho=rho,
-        norm_n=n_map.strip_norm(rho).value,
-        norm_dk=dk_map.strip_norm(rho).value,
         norm_s_inv=norm_s_inv,
-        cond_dk=frame.cond,
         frame_min_det=min_det,
         lagrangian_defect=lag_defect,
         frame=frame,
@@ -692,11 +686,11 @@ def newton_step(hamiltonian, K: TorusEmbedding, omega: FrequencyVector,
 @dataclass(frozen=True, eq=False)
 class Iterate:
     """One evaluation of a model on a torus K: its jet at K's samples on
-    the sampling grid gives the defect and the frame, built on first use at
-    the defect's rho.  The jet's gradient goes into the defect, so hess,
-    the dict of the Hessian entries the model couples (product_jet), is
-    all of the jet that is kept.  Norms at another rho come from error.at
-    and frame_at, never from H."""
+    the sampling grid gives the defect and the frame, built on first use.
+    The jet's gradient goes into the defect, so hess, the dict of the
+    Hessian entries the model couples (product_jet), is all of the jet
+    that is kept.  Norms at another rho come from error.at and
+    frame.norms, never from H."""
 
     model: object
     K: TorusEmbedding
@@ -711,15 +705,7 @@ class Iterate:
 
     @cached_property
     def frame(self) -> NondegeneracyData:
-        return nondegeneracy(self.model, self.K, rho=self.error.norm_rho.rho,
-                             hess=self.hess)
-
-    def frame_at(self, rho: float) -> NondegeneracyData:
-        """The frame with norm_n and norm_dk taken at rho from N and DK."""
-        nd = self.frame
-        return nd if rho == nd.rho else replace(
-            nd, rho=rho, norm_n=nd.n_map.strip_norm(rho).value,
-            norm_dk=nd.dk_map.strip_norm(rho).value)
+        return nondegeneracy(self.model, self.K, hess=self.hess)
 
 
 @dataclass
@@ -743,15 +729,15 @@ class SolveResult:
         return self.status == "converged"
 
 
-def check_horizon(K0: TorusEmbedding, omega: FrequencyVector) -> None:
-    """Reject a K0 whose modes reach |k|_1 = n M beyond omega's horizon."""
+def check_horizon(n: int, trunc_order: int, omega: FrequencyVector) -> None:
+    """Reject a K0 on T^n of order trunc_order = M whose modes reach
+    |k|_1 = n M beyond omega's horizon; it need not be built yet."""
     if not isinstance(omega, FrequencyVector):
         raise TypeError(f"omega must be a FrequencyVector, got {type(omega).__name__}")
-    n = K0.dim_domain
-    if n * K0.trunc_order > omega.horizon:
+    if n * trunc_order > omega.horizon:
         raise ValueError(
-            f"K0 truncation order {K0.trunc_order} on T^{n} reaches "
-            f"|k|_1 = {n * K0.trunc_order} beyond the Diophantine horizon "
+            f"K0 truncation order {trunc_order} on T^{n} reaches "
+            f"|k|_1 = {n * trunc_order} beyond the Diophantine horizon "
             f"{omega.horizon}"
         )
 
@@ -866,10 +852,10 @@ def solve_torus(
     and refinement stops at horizon // n.
     start, when given, is the Iterate of (hamiltonian, K0) on K0's
     sampling grid and serves as the first iterate; its norms are taken
-    again at rho.  A start value of another model, torus or grid raises
+    at rho.  A start value of another model, torus or grid raises
     ValueError.
     """
-    check_horizon(K0, omega)
+    check_horizon(K0.dim_domain, K0.trunc_order, omega)
     cap = omega.horizon // K0.dim_domain
     if max_trunc_order is not None:
         cap = min(cap, max_trunc_order)
@@ -908,18 +894,19 @@ def solve_torus(
             row["grid"] = err.values.shape[0]
             row["jets"] += 1
         try:
-            nd = value.frame_at(rho)
+            nd = value.frame
         except HypothesisError as exc:  # no step exists from this iterate
             trace.append({**row, "error": err.norm_grid, "hypothesis_failed": str(exc)})
             return SolveResult(exc.status, best, best_err, it, trace)
+        norm_dk, norm_n = nd.norms(rho)
         K, diag = newton_step(hamiltonian, K, omega, value)
         trace.append(
             {
                 **row,
                 "error": err.norm_grid,
                 "correction": diag.correction_sup,
-                "norm_dk": nd.norm_dk,
-                "norm_n": nd.norm_n,
+                "norm_dk": norm_dk,
+                "norm_n": norm_n,
                 "norm_s_inv": nd.norm_s_inv,
                 "min_divisor": diag.normal_divisors.min_divisor,
                 "frame_min_det": nd.frame_min_det,

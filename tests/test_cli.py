@@ -24,6 +24,9 @@ from kamtori.solver import invariance_error, newton_step
 from conftest import GOLDEN, REJECTED_IDS, REJECTED_KNOBS
 
 ROTATOR = {"n": 1, "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0}]}
+ROTOR2 = {"n": 2, "terms": [{"k": [0, 0], "m": [2, 0], "re": 0.5, "im": 0.0},
+                            {"k": [0, 0], "m": [0, 2], "re": 0.5, "im": 0.0}]}
+SILVER = math.sqrt(2.0) - 1.0
 PENDULUM = {
     "n": 1,
     "terms": [
@@ -234,15 +237,35 @@ class TestParseConfig:
         assert capsys.readouterr().err == f"config error: torus file not found: {torus}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text, violation", [
+        ("run", "hamiltonian = model.json\n",
+         "config is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("solve", "[1, 2]", "config must be a JSON object, got list"),
+        ("solve", "null", "config must be a JSON object, got NoneType"),
+        ("solve", '"x"', "config must be a JSON object, got str"),
+        ("solve", "3", "config must be a JSON object, got int"),
+    ], ids=["not-json", "list", "null", "string", "number"])
     def test_config_not_json_rejected_before_any_output(self, tmp_path, capsys,
-                                                        monkeypatch):
+                                                        monkeypatch, command, text,
+                                                        violation):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "c.json").write_text("hamiltonian = model.json\n")
-        assert main(["run", "--config", "c.json"]) == 1
-        assert capsys.readouterr().err == (
-            "config error: config is not valid JSON: "
-            "Expecting value: line 1 column 1 (char 0)\n")
+        (tmp_path / "c.json").write_text(text)
+        assert main([command, "--config", "c.json"]) == 1
+        assert capsys.readouterr().err == f"config error: {violation}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_trunc_beyond_horizon_rejected_before_the_circle(self, write_files, capsys,
+                                                             monkeypatch):
+        # at n = 2 a circle of order 5000 would take about 6 GiB
+        monkeypatch.setattr(TorusEmbedding, "circle",
+                            lambda *a: pytest.fail("circle built"))
+        cfg_path, out = write_files(ROTOR2, "out", omega=[GOLDEN, SILVER],
+                                    y0=[GOLDEN, SILVER], trunc=5000)
+        assert main(["solve", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: K0 truncation order 5000 on T^2 reaches |k|_1 = 10000 "
+            "beyond the Diophantine horizon 256\n")
+        assert not out.exists()
 
     def test_torus_of_another_n_rejected_before_any_output(self, write_files, capsys,
                                                            tmp_path):
@@ -598,7 +621,9 @@ class TestDispatch:
 
         cfg = parse_config(cfg_path)
         h0 = Iterate.evaluate(cfg.model, cfg.torus, cfg.freq, cfg.params.rho)
-        rung = smoothing_ladder(h0, cfg.params).seq.history["rungs"][0]
+        h_ext, seq = smoothing_ladder(h0, cfg.params)
+        assert h_ext is not cfg.model  # the rough term is cut off
+        rung = seq.history["rungs"][0]
         lo, hi = np.array(doc["box"]["lo"]), np.array(doc["box"]["hi"])
         z = lo + (hi - lo) * np.random.default_rng(0).uniform(0, 1, (50, 2))
         t = (z - lo) / (hi - lo)
@@ -696,7 +721,13 @@ class TestDispatch:
         (["--omega", "0,0"], "omega must be a finite nonzero vector"),
         (["--omega", "0.618,abc"],
          "omega must be comma-separated numbers, got '0.618,abc'"),
-    ], ids=["horizon=0", "sigma=-1", "gamma=-1", "omega=0,0", "omega=abc"])
+        (["--omega", "0.618,0.414", "--sigma", "nan"], "sigma must be finite, got nan"),
+        (["--omega", "0.618", "--sigma", "nan"], "sigma must be finite, got nan"),
+        (["--omega", "0.618,0.414", "--sigma", "inf"], "sigma must be finite, got inf"),
+        (["--omega", "0.618,0.414", "--gamma", "nan"], "gamma must be finite, got nan"),
+        (["--omega", "0.618,0.414", "--gamma", "inf"], "gamma must be finite, got inf"),
+    ], ids=["horizon=0", "sigma=-1", "gamma=-1", "omega=0,0", "omega=abc",
+            "sigma=nan", "sigma=nan-n1", "sigma=inf", "gamma=nan", "gamma=inf"])
     def test_diophantine_bad_flag_named(self, capsys, flags, violation):
         assert main(["diophantine", *flags]) == 1
         captured = capsys.readouterr()
@@ -745,6 +776,10 @@ class TestSharedDriverPath:
         assert ver["conditions"] == run["conditions_strict"]
         assert ver["c_value"] == run["c_value"]
         assert ver["mu0"] == run["schedule"]["mu0"]
+        # one kam_schedule path: verify's frame norms are run's d0, v0, tau0
+        nd, schedule = ver["nondegeneracy"], run["schedule"]
+        assert (nd["norm_dk"], nd["norm_n"], nd["norm_s_inv"]) == (
+            schedule["d0"], schedule["v0"], schedule["tau0"])
 
     def test_smooth_matches_run_on_rough_input(self, write_files):
         cfg_path, out = write_files(ROUGH, "run", y0=[0.4], rho=0.02, r=0.8,

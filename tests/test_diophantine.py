@@ -251,6 +251,17 @@ class TestFrequencyVector:
         assert a == a and not a == b and a != b
         assert {a: "a", b: "b"}[a] == "a"
 
+    @pytest.mark.parametrize("gamma, sigma, message", [
+        (None, np.nan, "sigma must be finite, got nan"),
+        (None, np.inf, "sigma must be finite, got inf"),
+        (np.nan, 1.1, "gamma must be finite, got nan"),
+        (np.inf, 1.1, "gamma must be finite, got inf"),
+    ], ids=["sigma=nan", "sigma=inf", "gamma=nan", "gamma=inf"])
+    def test_non_finite_sigma_or_gamma_named(self, gamma, sigma, message):
+        for omega in ([GOLDEN], [GOLDEN, np.sqrt(2.0) - 1.0]):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                FrequencyVector(np.array(omega), gamma, sigma, 40)
+
     def test_none_gamma_is_the_scan_margin(self):
         # a null gamma is the worst margin, as estimated builds it
         omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])

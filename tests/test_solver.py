@@ -181,7 +181,7 @@ class TestFrameData:
         want = nd.s.mean(axis=tuple(range(2, nd.s.ndim)))
         assert want.tobytes() == nd.avg_s.tobytes()
 
-    def test_frame_at_takes_dk_from_the_frame(self, monkeypatch, golden_freq):
+    def test_norms_take_dk_from_the_frame(self, monkeypatch, golden_freq):
         h = HamiltonianModel.pendulum(1e-3)
         value = Iterate.evaluate(h, TorusEmbedding.circle(GOLDEN, trunc_order=32),
                                  golden_freq)
@@ -190,10 +190,10 @@ class TestFrameData:
         monkeypatch.setattr(TorusEmbedding, "dk",
                             lambda K: calls.append(K) or dk(K))
         nd = value.frame
-        rhos = [value.frame_at(rho) for rho in (0.01, 0.02, 0.05)]
+        norms = [value.frame.norms(rho) for rho in (0.01, 0.02, 0.05)]
         assert len(calls) == 1
-        assert [r.norm_dk for r in rhos] == [
-            nd.dk_map.strip_norm(rho).value for rho in (0.01, 0.02, 0.05)]
+        assert norms == [(nd.dk_map.strip_norm(rho).value, nd.n_map.strip_norm(rho).value)
+                         for rho in (0.01, 0.02, 0.05)]
 
 
 class TestTwistBlocks:
@@ -487,14 +487,14 @@ def folded_torus(fold):
 
 
 class TestFrameConditioning:
-    def test_cond_dk_is_the_two_norm_condition_number(self):
+    def test_frame_cond_is_the_two_norm_condition_number(self):
         K = folded_torus(0.5)
-        nd = nondegeneracy(coupled_rotator(1e-3), K)
+        cond = nondegeneracy(coupled_rotator(1e-3), K).frame.cond
         dk = K.dk().synthesize()
         gram = np.swapaxes(dk, -1, -2) @ dk
-        assert nd.cond_dk == pytest.approx(np.max(np.linalg.cond(gram)), rel=1e-12)
+        assert cond == pytest.approx(np.max(np.linalg.cond(gram)), rel=1e-12)
         theta = np.arange(33) / 33
-        assert nd.cond_dk == pytest.approx(
+        assert cond == pytest.approx(
             np.max(1 / (1 + 0.5 * np.cos(2 * np.pi * theta)) ** 2), rel=1e-12
         )
 
@@ -1317,12 +1317,11 @@ class TestStartValue:
         K = res.torus
         value = Iterate.evaluate(h, K, golden_freq, rho=0.05)
         err = invariance_error(h, K, golden_freq, rho=0.02)
-        nd = nondegeneracy(h, K, rho=0.02)
+        nd = nondegeneracy(h, K)
         assert value.error.at(0.02).norm_rho == err.norm_rho
         assert value.error.at(0.05) is value.error
-        again = value.frame_at(0.02)
-        assert (again.norm_n, again.norm_dk, again.norm_s_inv) == (
-            nd.norm_n, nd.norm_dk, nd.norm_s_inv)
+        assert value.frame.norms(0.02) == nd.norms(0.02)
+        assert value.frame.norm_s_inv == nd.norm_s_inv
         assert value.frame is value.frame  # built once
 
 

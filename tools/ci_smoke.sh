@@ -87,11 +87,24 @@ cat > gamma-config.json <<'EOF'
 {"hamiltonian": "model.json", "omega": [0.6180339887498949], "gamma": 10.0,
  "out": "gamma"}
 EOF
+# so do a config that is valid JSON but no object, and a trunc of 5000 at
+# n = 2, refused by the horizon before its circle (about 6 GiB) is built
+echo "[1, 2]" > list-config.json
+cat > rotor2.json <<'EOF'
+{"n": 2, "terms": [{"k": [0, 0], "m": [2, 0], "re": 0.5, "im": 0.0},
+                   {"k": [0, 0], "m": [0, 2], "re": 0.5, "im": 0.0}]}
+EOF
+cat > trunc-config.json <<'EOF'
+{"hamiltonian": "rotor2.json", "omega": [0.6180339887498949, 0.41421356237309515],
+ "trunc": 5000, "out": "trunc"}
+EOF
 for case in "resonant|omega is resonant within the horizon" \
-            "gamma|omega fails the Diophantine bound: worst k=(1,) margin=3.820e-01 < gamma=1.000e+01"; do
+            "gamma|omega fails the Diophantine bound: worst k=(1,) margin=3.820e-01 < gamma=1.000e+01" \
+            "list|config must be a JSON object, got list" \
+            "trunc|K0 truncation order 5000 on T^2 reaches |k|_1 = 10000 beyond the Diophantine horizon 256"; do
   name=${case%%|*}
   code=0
-  kamtori solve --config "$name-config.json" 2> err.txt || code=$?
+  kamtori solve --config "$name-config.json" --out "$name" 2> err.txt || code=$?
   cat err.txt
   test "$code" -eq 1
   test "$(wc -l < err.txt)" -eq 1
@@ -332,4 +345,12 @@ cat err.txt
 test "$code" -eq 1
 grep -q "^config error: omega must be comma-separated numbers, got '0.618,abc'$" err.txt
 test ! -s dio-bad.json
+# a sigma that is not finite: exit 1, one named reason, nothing on stdout
+code=0
+kamtori diophantine --omega 0.618,0.414 --sigma nan > dio-nan.json 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(wc -l < err.txt)" -eq 1
+grep -qxF "config error: sigma must be finite, got nan" err.txt
+test ! -s dio-nan.json
 echo "console-script smoke checks passed"
