@@ -39,7 +39,6 @@ from .driver import (
     RunParams,
     _defect_record,
     _frequency,
-    _is_number,
     _jsonable,
     _sequence_record,
     _smoothness,
@@ -56,6 +55,8 @@ from .hamiltonian import (
     SinPowerProfile,
     _integer,
     _is_integer,
+    _is_number,
+    _records,
 )
 from .smoothing import SAMPLE_RULE
 from .solver import Iterate, check_horizon, solve_torus
@@ -100,22 +101,31 @@ def load_hamiltonian(path: str):
 
     The base document is the {n, terms, smoothness_class} form; an optional
     "rough" list adds 1-D profile summands, each
-    {coordinate, amplitude, profile: {type: bspline|sinpower, ...}}.  A
-    term's re and im, a rough amplitude and a profile's numbers must be
-    finite, and n, a term's k and m entries, a coordinate and a B-spline
-    degree JSON integers; a ValueError names the first that is not.
+    {coordinate, amplitude, profile: {type: bspline|sinpower, ...}}.  The
+    document, each term and each rough entry and its profile are JSON
+    objects, and terms and rough lists of them.  A term's re and im, a
+    rough amplitude and a profile's numbers must be finite numbers, n an
+    integer >= 1, a term's k and m entries and a coordinate JSON integers
+    and a B-spline degree one >= 0; a ValueError names the first that is
+    not.
     """
     doc = json.loads(Path(path).read_text())
-    rough_docs = doc.pop("rough", [])
+    if not isinstance(doc, dict):
+        raise ValueError(f"model must be a JSON object, got {type(doc).__name__}")
+    rough_docs = _records("rough", doc.pop("rough", []), "rough term",
+                          ("coordinate", "profile"))
     base = HamiltonianModel.from_json(json.dumps(doc))
     if not rough_docs:
         return base
     terms = []
     for rec in rough_docs:
         prof = rec["profile"]
+        if not isinstance(prof, dict):
+            raise ValueError(f"rough term profile must be an object, got {prof!r}")
         kind = prof.get("type")
         if kind == "bspline":
-            profile = BSplineProfile(_finite("bspline coefficients", prof["coefficients"]),
+            coefficients = _finite("bspline coefficients", prof.get("coefficients", []))
+            profile = BSplineProfile(coefficients,
                                      _integer("bspline degree", prof.get("degree", 5)))
         elif kind == "sinpower":
             profile = SinPowerProfile(*(
@@ -130,9 +140,10 @@ def load_hamiltonian(path: str):
 
 
 def _finite(name: str, value):
-    """value as it is; a ValueError names it where an entry is not finite."""
-    if not np.isfinite(np.asarray(value, dtype=float)).all():
-        raise ValueError(f"{name} must be finite, got {value}")
+    """value as it is; a ValueError names it where it, or an entry of its
+    list, is not a finite number (_is_number)."""
+    if not all(map(_is_number, value if isinstance(value, list) else [value])):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -149,7 +160,7 @@ def parse_config(path) -> RunConfig:
     torus file are loaded, so a model it cannot build, or a torus file that
     does not parse or whose torus is not of the model's n, is one violation.
     omega and y0 must be lists of finite numbers, one per degree of freedom
-    of the model, as every real run knob must be finite (driver._is_number),
+    of the model, as every real run knob must be finite (hamiltonian._is_number),
     and trunc an integer >= 1.  The smoothness class l, the model's own
     where the file gives none, must be >= 4 and within the model's class.  A
     config valid so far is then given its FrequencyVector, whose Diophantine
@@ -188,19 +199,19 @@ def parse_config(path) -> RunConfig:
                 bad.append(f"hamiltonian file does not parse: {exc}")
             else:
                 n = model.n
-    torus = None
+    torus_rows = None
     torus_file = raw.get("torus_file")
     if torus_file is not None:
         torus_file = str(Path(torus_file).absolute())
         if not Path(torus_file).is_file():
             bad.append(f"torus file not found: {torus_file}")
         else:
-            try:
-                torus = TorusEmbedding.from_csv(Path(torus_file).read_text())
+            try:  # its rows, folded onto a grid once their order passes
+                torus_rows = TorusEmbedding.read_csv(Path(torus_file).read_text())
             except (ValueError, LookupError) as exc:
                 bad.append(f"torus file does not parse: {exc}")
             else:
-                shape = (torus.dim_domain, torus.dim_range)
+                shape = torus_rows[0].shape[::-1]
                 if n is not None and shape != (n, 2 * n):
                     bad.append(f"torus file must embed T^{n} in R^{2 * n}, "
                                f"got T^{shape[0]} in R^{shape[1]}")
@@ -249,11 +260,14 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(bad)
     try:
         freq = _frequency(np.array(vals["omega"]), params)
-        check_horizon(n, trunc if torus is None else torus.trunc_order, freq)
+        check_horizon(n, trunc if torus_rows is None else torus_rows[-1], freq)
     except ValueError as exc:  # resonant, gamma above the scan's, K0 beyond the horizon
         raise ConfigError([str(exc)])
-    if torus is None:  # built once its order is inside the horizon
+    # K0 is built once its order is inside the horizon
+    if torus_rows is None:
         torus = TorusEmbedding.circle(np.array(vals.get("y0") or vals["omega"]), trunc)
+    else:
+        torus = TorusEmbedding.from_rows(*torus_rows)
     return RunConfig(params=params, model=model, torus=torus, freq=freq, **vals)
 
 

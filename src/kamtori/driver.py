@@ -60,7 +60,7 @@ import numpy as np
 
 from .diophantine import FrequencyVector
 from .fourier import TorusEmbedding
-from .hamiltonian import HamiltonianModel
+from .hamiltonian import HamiltonianModel, _is_number
 from .smoothing import (
     SAMPLE_RULE,
     SmoothingSequence,
@@ -343,13 +343,6 @@ _BOUNDS = (
     ("target_error must be positive, got {p.target_error}", lambda p: p.target_error > 0),
     ("tol must be positive, got {p.tol}", lambda p: p.tol is None or p.tol > 0),
 )
-
-
-def _is_number(value) -> bool:
-    """A finite real number: a bool is none, nor are the NaN and Infinity
-    that Python's json parses.  An int of any size is finite."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 @dataclass(frozen=True)

@@ -196,24 +196,33 @@ def _grid_major(x: np.ndarray, rank: int) -> np.ndarray:
     return x.transpose(_last_first(x.ndim, x.ndim - rank))
 
 
-def _fold(ks: np.ndarray, amps: np.ndarray, trunc_order: int | None) -> np.ndarray:
-    """The half of the modes k (rows of ks) with amplitudes amps (rows,
-    *range_shape) at trunc_order (default: the largest |k|_inf), a grid-major
-    view of a new component-major array: amp at k and conj(amp) at -k of the
-    full centered grid, a slot given twice averaged, one given once kept bit
-    for bit (sums start from -0.0); no k may be given twice, so each += is exact."""
-    n, rank, shape = ks.shape[1], amps.ndim - 1, amps.shape[1:]
+def _mode_order(ks: np.ndarray, trunc_order: int | None) -> int:
+    """The order of the modes k (rows of ks, integer-valued) at trunc_order
+    (default: the largest |k|_inf).  A ValueError names an order below the
+    largest |k|_inf or a k given twice; nothing of the grid's size is
+    allocated."""
     max_order = np.abs(ks).max(initial=0)
     m = int(max_order if trunc_order is None else trunc_order)
     if m < max_order:
         raise ValueError("trunc_order smaller than largest stored mode")
+    distinct, given = np.unique(ks.astype(np.intp), axis=0, return_counts=True)
+    if given.max(initial=0) > 1:
+        raise ValueError(f"wavevector {tuple(distinct[given.argmax()].tolist())} "
+                         "is given twice")
+    return m
+
+
+def _fold(ks: np.ndarray, amps: np.ndarray, m: int) -> np.ndarray:
+    """The half of the modes k (rows of ks, checked by _mode_order) with
+    amplitudes amps (rows, *range_shape) at order m, a grid-major view of a
+    new component-major array: amp at k and conj(amp) at -k of the full
+    centered grid, a slot given twice averaged, one given once kept bit for
+    bit (sums start from -0.0); no k is given twice, so each += is exact."""
+    n, rank, shape = ks.shape[1], amps.ndim - 1, amps.shape[1:]
     side = 2 * m + 1
     # k's flat index in the (2M+1)^n grid, k at k + M; -k's is its mirror
     slot = (ks.astype(np.intp) + m) @ side ** np.arange(n - 1, -1, -1)
     given = np.bincount(slot, minlength=side**n)
-    if given.max(initial=0) > 1:
-        k = np.subtract(np.unravel_index(given.argmax(), (side,) * n), m)
-        raise ValueError(f"wavevector {tuple(k.tolist())} is given twice")
     total = np.full((side**n,) + shape, complex(-0.0, -0.0))
     total[slot] += amps
     total[::-1][slot] += np.conj(amps)
@@ -292,7 +301,7 @@ class FourierMap:
             amps.append(amp)
         ks = np.array(ks, dtype=int).reshape(-1, dim_domain)
         amps = np.array(amps, dtype=complex).reshape((-1,) + range_shape)
-        self._adopt(dim_domain, _fold(ks, amps, trunc_order))
+        self._adopt(dim_domain, _fold(ks, amps, _mode_order(ks, trunc_order)))
 
     def _adopt(self, dim_domain: int, half: np.ndarray) -> None:
         """Hold a Hermitian half-spectrum array that no one else writes to,
@@ -565,10 +574,19 @@ class FourierMap:
 
     @classmethod
     def from_csv(cls, text: str) -> "FourierMap":
-        """The map of a :meth:`to_csv` text, its rows read by one np.loadtxt;
-        a ValueError names rows of the wrong field count, a wavevector entry
-        that is not an integer, an amplitude entry that is not finite and a
-        wavevector given twice."""
+        """The map of a :meth:`to_csv` text: read_csv's rows, folded."""
+        ks, amps, order = cls.read_csv(text)
+        return cls._wrap(ks.shape[1], _fold(ks, amps, order))
+
+    @staticmethod
+    def read_csv(text: str) -> tuple[np.ndarray, np.ndarray, int]:
+        """(ks, amps, trunc_order) of a :meth:`to_csv` text, its rows read by
+        one np.loadtxt and not yet folded onto the (2M+1)^n grid: the
+        integer wavevectors, their amplitudes (rows, *range_shape) and the
+        header's order.  A ValueError names rows of the wrong field count, a
+        wavevector entry that is not an integer, an amplitude entry that is
+        not finite, a wavevector given twice and an order below the largest
+        |k|_inf."""
         lines = text.splitlines()
         meta = {key: int(val) for key, _, val in
                 (token.partition("=") for token in lines[0].lstrip("# ").split())}
@@ -589,7 +607,8 @@ class FourierMap:
         # the (re, im) pairs as complex by a view, every bit kept
         amps = np.ascontiguousarray(parts).view(complex)
         amps = amps.reshape((-1,) + ((m,) if m > 1 else ()))
-        return cls._wrap(n, _fold(ks, amps, meta["trunc_order"]))
+        order = _mode_order(ks, meta["trunc_order"])
+        return ks.astype(np.intp), amps, order
 
     def __repr__(self) -> str:
         return (f"FourierMap(n={self.dim_domain}, range={self.range_shape}, "
@@ -733,9 +752,23 @@ class TorusEmbedding:
 
     @classmethod
     def from_csv(cls, text: str) -> "TorusEmbedding":
+        return cls.from_rows(*cls.read_csv(text))
+
+    @staticmethod
+    def read_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(winding, ks, amps, trunc_order) of a :meth:`to_csv` text: the
+        (m, n) winding and the periodic part's FourierMap.read_csv rows,
+        validated as those are and not yet folded, so that a caller can
+        check the order first."""
         head, _, table = text.partition("\n")
         if not head.startswith("# winding="):
             raise ValueError("torus csv must start with a '# winding=' line")
         winding = np.array([int(v) for v in head.split("=", 1)[1].split()], dtype=float)
-        per = FourierMap.from_csv(table)
-        return cls(winding.reshape(per.dim_range, per.dim_domain), per)
+        ks, amps, order = FourierMap.read_csv(table)
+        return winding.reshape(math.prod(amps.shape[1:]), ks.shape[1]), ks, amps, order
+
+    @classmethod
+    def from_rows(cls, winding: np.ndarray, ks: np.ndarray, amps: np.ndarray,
+                  trunc_order: int) -> "TorusEmbedding":
+        """The embedding of read_csv's (winding, ks, amps, trunc_order)."""
+        return cls(winding, FourierMap._wrap(ks.shape[1], _fold(ks, amps, trunc_order)))

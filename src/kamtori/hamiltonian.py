@@ -21,9 +21,9 @@ profiles of one coordinate; SumModel is the one sum of models.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -375,18 +375,16 @@ class HamiltonianModel(SumOfProducts):
         if "n" not in doc or "terms" not in doc:
             raise ValueError("hamiltonian spec needs keys 'n' and 'terms'")
         n = _integer("n", doc["n"])
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         terms = []
-        for rec in doc["terms"]:
-            missing = {"k", "m", "re", "im"} - set(rec)
-            if missing:
-                raise ValueError(f"term {rec} missing keys {sorted(missing)}")
+        for rec in _records("terms", doc["terms"], "term", ("k", "m", "re", "im")):
             if not all(isinstance(rec[key], list) and all(map(_is_integer, rec[key]))
                        for key in ("k", "m")):
                 raise ValueError(f"term {rec} needs integer lists k and m")
-            coef = complex(rec["re"], rec["im"])
-            if not cmath.isfinite(coef):
+            if not (_is_number(rec["re"]) and _is_number(rec["im"])):
                 raise ValueError(f"term {rec} needs a finite re and im")
-            terms.append((rec["k"], rec["m"], coef))
+            terms.append((rec["k"], rec["m"], complex(rec["re"], rec["im"])))
         sc = doc.get("smoothness_class")
         return cls(n, terms, math.inf if sc is None else float(sc))
 
@@ -418,6 +416,28 @@ def _integer(name: str, value) -> int:
     where it is not."""
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    """A finite real number: a bool is none, nor are the NaN and Infinity
+    that Python's json parses.  An int of any size is finite."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+
+
+def _records(key: str, value, name: str, keys) -> list:
+    """value where it is a list of JSON objects that each hold every key of
+    keys; a ValueError names the list (key) or the first entry (a name)
+    that is not."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of objects, got {value!r}")
+    for rec in value:
+        if not isinstance(rec, dict):
+            raise ValueError(f"{name} {rec!r} is not an object")
+        missing = set(keys) - set(rec)
+        if missing:
+            raise ValueError(f"{name} {rec} missing keys {sorted(missing)}")
     return value
 
 
@@ -496,6 +516,8 @@ class BSplineProfile:
     """
 
     def __init__(self, coefficients: Sequence[float], degree: int = 5):
+        if degree < 0:
+            raise ValueError(f"bspline degree must be >= 0, got {degree}")
         c = np.asarray(coefficients, dtype=float)
         if c.size < degree + 1:
             raise ValueError("need at least degree + 1 coefficients")

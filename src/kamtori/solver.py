@@ -44,8 +44,9 @@ check and |<S>^-1|_2, and its inverse: a 1 x 1 <S> = [s] takes |s| and
 1/s, bit for bit what LAPACK returns, a 2 x 2 one closed forms, and
 n >= 3 one SVD and one LAPACK inverse (_torsion_inverse).  A frame whose
 DK is rank-deficient or whose <S> is singular fails a hypothesis of the
-step and raises HypothesisError, whose status names which; solve_torus
-ends there with that status.
+step and raises HypothesisError, whose status names which, as does a
+step whose cohomological solve meets a divisor below its resonance
+guard; solve_torus ends there with that status.
 
 Every per-grid-point tensor of the frame is component-major: a contiguous
 (rows, cols, *grid) array, or (rows, *grid) for a vector field, so a
@@ -106,7 +107,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .cohomology import DivisorReport, solve_cohomological
+from .cohomology import DivisorReport, HypothesisError, solve_cohomological
 from .diophantine import FrequencyVector
 from .fourier import (
     FourierMap,
@@ -143,20 +144,11 @@ EPS = 2.0**-52  # the float64 machine epsilon, np.finfo(float).eps
 SVD_EXACT = (2.0**-400, 2.0**400)
 
 
-# the statuses of HypothesisError, each a failed hypothesis of the Newton step
-HYPOTHESIS_STATUSES = ("dk_rank_deficient", "torsion_singular")
-
-
-class HypothesisError(ValueError):
-    """A hypothesis of the Newton step fails at an iterate: its frame is
-    rank-deficient (status "dk_rank_deficient", cond(DK^T DK) above
-    COND_DK_LIMIT) or its averaged torsion <S> is singular (status
-    "torsion_singular", the twist condition).  status names the failure;
-    the message gives the number that failed."""
-
-    def __init__(self, status: str, message: str):
-        super().__init__(message)
-        self.status = status
+# the statuses of HypothesisError, each a failed hypothesis of the Newton
+# step: a rank-deficient frame (cond(DK^T DK) above COND_DK_LIMIT), a
+# singular averaged torsion <S> (the twist condition) and a divisor
+# |k . omega| below the cohomological solve's resonance guard
+HYPOTHESIS_STATUSES = ("dk_rank_deficient", "torsion_singular", "resonant_divisor")
 
 
 @dataclass(frozen=True)
@@ -645,7 +637,9 @@ def newton_step(hamiltonian, K: TorusEmbedding, omega: FrequencyVector,
     and every map it analyzes keeps K's order M.  value is the Iterate of
     (hamiltonian, K) it steps from: its defect, with the grid samples, and
     its frame (built on first use).  It is evaluated when omitted; a value
-    of another model, torus or grid raises ValueError.
+    of another model, torus or grid raises ValueError.  A frame that
+    fails a hypothesis of the step, or a divisor below the resonance
+    guard, raises HypothesisError.
     """
     n, m = K.dim_domain, K.trunc_order
     gs = sampling_size(m)
@@ -823,9 +817,10 @@ def solve_torus(
     that stalls or reaches max_iter with the refinement of its last
     iterate blocked returns its best iterate with status
     "truncation_capped" instead: the cap, not round-off, held it.  An
-    iterate whose frame fails a hypothesis of the step (HypothesisError)
-    ends the solve there, with the best iterate and the failure's status,
-    "dk_rank_deficient" or "torsion_singular".
+    iterate from which no step exists (HypothesisError: its frame fails a
+    hypothesis, or a cohomological solve of its step meets a resonant
+    divisor) ends the solve there, with the best iterate and the
+    failure's status, one of HYPOTHESIS_STATUSES.
 
     The trace has a row per Newton step and one for the last iterate it
     evaluated, whichever rule ended the solve, so each status can be read
@@ -843,7 +838,7 @@ def solve_torus(
     refines records the peaks its new order was read from,
     "refine_decay": [[o1, a1], [o2, a2]], and a row whose refinement was
     blocked records "refine_blocked": True; no other row has either key.
-    The row of an iterate whose frame failed a hypothesis records the
+    The row of an iterate from which no step exists records the
     failure's message as "hypothesis_failed".
 
     omega is a FrequencyVector (a bare array raises TypeError), and every
@@ -895,11 +890,11 @@ def solve_torus(
             row["jets"] += 1
         try:
             nd = value.frame
+            norm_dk, norm_n = nd.norms(rho)
+            K, diag = newton_step(hamiltonian, K, omega, value)
         except HypothesisError as exc:  # no step exists from this iterate
             trace.append({**row, "error": err.norm_grid, "hypothesis_failed": str(exc)})
             return SolveResult(exc.status, best, best_err, it, trace)
-        norm_dk, norm_n = nd.norms(rho)
-        K, diag = newton_step(hamiltonian, K, omega, value)
         trace.append(
             {
                 **row,

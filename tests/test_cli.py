@@ -267,6 +267,21 @@ class TestParseConfig:
             "beyond the Diophantine horizon 256\n")
         assert not out.exists()
 
+    def test_torus_order_beyond_horizon_rejected_before_the_fold(self, write_files, capsys,
+                                                                tmp_path, monkeypatch):
+        # folding one row at order 5000 on T^2 would take a (10001^2, 4) grid
+        monkeypatch.setattr(kamtori.fourier, "_fold", lambda *a: pytest.fail("rows folded"))
+        torus = self.write_torus(tmp_path, "far.csv", (
+            "# winding=1 0 0 1 0 0 0 0\n# n=2 m=4 trunc_order=5000 canonical=1\n"
+            "k0,k1,re0,im0,re1,im1,re2,im2,re3,im3\r\n0,0,0,0,0,0,0.5,0,0.5,0\r\n"))
+        cfg_path, out = write_files(ROTOR2, "out", omega=[GOLDEN, SILVER],
+                                    y0=[GOLDEN, SILVER], torus_file=torus)
+        assert main(["solve", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: K0 truncation order 5000 on T^2 reaches |k|_1 = 10000 "
+            "beyond the Diophantine horizon 256\n")
+        assert not out.exists()
+
     def test_torus_of_another_n_rejected_before_any_output(self, write_files, capsys,
                                                            tmp_path):
         K = TorusEmbedding.circle(np.array([GOLDEN, 0.4]), 8)
@@ -358,6 +373,26 @@ class TestParseConfig:
         (rough_model(profile=dict(ROUGH["rough"][0]["profile"], degree=5.5)),
          "bspline degree must be an integer, got 5.5"),
         (rough_model(profile={"type": "spline"}), "unknown rough profile type: 'spline'"),
+        # a file not of the documented form names the rule it breaks
+        ([1, 2], "model must be a JSON object, got list"),
+        (None, "model must be a JSON object, got NoneType"),
+        (dict(ROUGH, terms=5), "terms must be a list of objects, got 5"),
+        (dict(ROUGH, terms=[7]), "term 7 is not an object"),
+        (dict(ROUGH, rough=ROUGH["rough"][0]),
+         f"rough must be a list of objects, got {ROUGH['rough'][0]!r}"),
+        (dict(ROUGH, rough=[5]), "rough term 5 is not an object"),
+        (dict(ROUGH, rough=[{"coordinate": 0}]),
+         "rough term {'coordinate': 0} missing keys ['profile']"),
+        (dict(ROUGH, rough=[{"coordinate": 0, "profile": 5}]),
+         "rough term profile must be an object, got 5"),
+        (dict(ROUGH, terms=[{"k": [0], "m": [2], "re": "a", "im": 0.0}]),
+         "term {'k': [0], 'm': [2], 're': 'a', 'im': 0.0} needs a finite re and im"),
+        (dict(ROUGH, n=0), "n must be >= 1, got 0"),
+        (dict(ROUGH, n=-1), "n must be >= 1, got -1"),
+        (rough_model(profile=dict(ROUGH["rough"][0]["profile"], degree=-1)),
+         "bspline degree must be >= 0, got -1"),
+        (rough_model(profile={"type": "sinpower", "power": "a"}),
+         "sinpower power must be finite, got 'a'"),
     ]
 
     @pytest.mark.parametrize("model, reason", BAD_MODELS,
@@ -366,7 +401,10 @@ class TestParseConfig:
                                   "sinpower-power=nan", "sinpower-scale=inf",
                                   "sinpower-shift=nan", "n=1.9", "n=true", "k=1.5",
                                   "m=2.7", "k-string-m-bool", "coordinate=0.7",
-                                  "degree=5.5", "type=spline"])
+                                  "degree=5.5", "type=spline", "list", "null", "terms=5",
+                                  "terms=[7]", "rough-object", "rough=[5]", "no-profile",
+                                  "profile=5", "re=a", "n=0", "n=-1", "degree=-1",
+                                  "power=a"])
     def test_bad_model_rejected_before_any_output(self, write_files, capsys,
                                                   model, reason):
         cfg_path, out = write_files(model, "out", y0=[0.4], rho=0.02, r=0.8)
@@ -478,6 +516,35 @@ class TestDispatch:
             assert (cert["converged"], cert["termination_reason"]) == (False, status)
             assert cert["schedule"]["error"].startswith(reason)
             assert cert["stages"] == []
+
+    @pytest.mark.parametrize("command", ["solve", "run"])
+    def test_resonant_divisor_ends_solve_and_run_with_its_name(self, write_files, capsys,
+                                                               command):
+        # omega is certified up to |k|_1 = 8, yet the (1, -1) divisor that
+        # the model couples, 2^-49, lies below the resonance guard
+        omega = [1.0, 1.0 + 2.0**-49]
+        model = dict(ROTOR2, terms=ROTOR2["terms"] + [
+            {"k": [1, -1], "m": [0, 0], "re": 1e-3, "im": 0.0}])
+        cfg_path, out = write_files(model, command, omega=omega, y0=omega, sigma=2.1,
+                                    horizon=8, trunc=2)
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == ""
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (out / "torus_final.csv").is_file()
+        reason = ("resonant mode k = (1, -1): |k.omega| = 1.776e-15 below 1e-14, "
+                  "equation is not solvable")
+        if command == "solve":
+            assert (cert["status"], cert["iterations"]) == ("resonant_divisor", 0)
+            [row] = map(json.loads, (out / "trace.jsonl").read_text().splitlines())
+        else:
+            assert not cert["converged"]
+            assert cert["termination_reason"] == "resonant_divisor_at_stage_1"
+            assert cert["failed_stage"] == 1
+            [stage] = cert["stages"]
+            assert stage["status"] == "resonant_divisor"
+            rows = (out / "stages" / "stage_1.jsonl").read_text().splitlines()
+            row = json.loads(rows[-1])
+        assert row["hypothesis_failed"] == reason
 
     def test_solve_pendulum_artifacts(self, write_files):
         cfg_path, out = write_files(PENDULUM, "solve")

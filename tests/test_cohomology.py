@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kamtori import DivisorReport, FourierMap, FrequencyVector, solve_cohomological
-from kamtori.cohomology import RESONANCE_TOL, _divisor_table
+from kamtori.cohomology import RESONANCE_TOL, HypothesisError, _divisor_table
 from kamtori.fourier import canonical, half_wavevectors
 
 from conftest import GOLDEN, random_trig
@@ -35,7 +35,8 @@ class TestClosedForms:
         sol = solve_cohomological(g, certified([GOLDEN]))
         assert sol.solution.grid_sup() == 0.0
         assert sol.average == pytest.approx(2.5)
-        assert sol.report.max_amplification == 0.0
+        # no live mode: no divisor met
+        assert sol.report == DivisorReport(np.inf, 0)
 
     def test_solution_is_mean_free(self):
         rng = np.random.default_rng(11)
@@ -94,9 +95,7 @@ class TestCertifiedBound:
         g = FourierMap(1, (), {(1,): 0.5})
         omega = FrequencyVector.estimated(np.array([GOLDEN]), sigma=1.1, horizon=8)
         sol = solve_cohomological(g, omega)
-        assert sol.report.worst_k == (1,)
-        assert sol.report.min_divisor == pytest.approx(GOLDEN)
-        assert sol.report.max_order == 1
+        assert sol.report == DivisorReport(GOLDEN, 1)
 
     @pytest.mark.parametrize("omega, sigma, horizon", [
         ([GOLDEN], 1.1, 256),
@@ -107,22 +106,26 @@ class TestCertifiedBound:
     def test_certificate_bounds_every_divisor_inside_the_horizon(self, omega, sigma,
                                                                  horizon, gamma):
         # the solve trusts the certificate within its horizon: every named
-        # mode of the divisor table there meets gamma |k|_1^-sigma, by brute force
+        # mode of the divisor table there, one member of each conjugate pair
+        # (k_n > 0, and the canonical member on the k_n = 0 plane), meets
+        # gamma |k|_1^-sigma, by brute force
         freq = FrequencyVector.estimated(np.array(omega), sigma, horizon)
         if gamma == "just-below":
             freq = FrequencyVector(freq.omega, np.nextafter(freq.gamma, 0.0), sigma,
                                    horizon)
         n = len(omega)
-        table = _divisor_table(n, horizon, tuple(freq.omega.tolist()))
-        inside = (table.div_rank < table.div_rank.size) & (table.order <= horizon)
+        order, adiv, _ = _divisor_table(n, horizon, tuple(freq.omega.tolist()))
+        ks = half_wavevectors(n, horizon)
+        named = (canonical(ks) | (ks[..., -1] > 0)) & (order > 0)
+        inside = named & (order <= horizon)
         # one named mode per conjugate pair with 0 < |k|_1 <= horizon
         cube = np.indices((2 * horizon + 1,) * n).reshape(n, -1) - horizon
         pairs = (np.count_nonzero(np.abs(cube).sum(axis=0) <= horizon) - 1) // 2
         assert np.count_nonzero(inside) == pairs
-        floor = freq.gamma * table.order[inside].astype(float) ** -sigma
-        assert np.all(table.adiv[inside] >= floor * (1 - 1e-12))
+        floor = freq.gamma * order[inside].astype(float) ** -sigma
+        assert np.all(adiv[inside] >= floor * (1 - 1e-12))
         if n > 1:  # the scan's divisor is the table's, so the worst meets the floor
-            assert np.min(table.adiv[inside] / floor) <= 1 + 1e-12
+            assert np.min(adiv[inside] / floor) <= 1 + 1e-12
 
     def test_horizon_coverage_enforced(self):
         g = FourierMap(1, (), {(12,): 0.25})
@@ -138,10 +141,13 @@ class TestResonance:
         assert omega.gamma == 2.0**-49 * 2.0**omega.sigma
         g = FourierMap(2, (), {(3, -3): 0.5, (1, -1): 0.5, (1, 0): 0.25})
         with pytest.raises(ValueError, match=r"resonant mode k = \(1, -1\): "
-                           r"\|k.omega\| = 1.776e-15 below 1e-14"):
+                           r"\|k.omega\| = 1.776e-15 below 1e-14") as got:
             solve_cohomological(g, omega)
+        # a failed hypothesis of the Newton step, which solve_torus ends on
+        assert isinstance(got.value, HypothesisError)
+        assert got.value.status == "resonant_divisor"
         clear = FourierMap(2, (), {(1, 0): 0.25, (0, 1): 0.25})
-        assert solve_cohomological(clear, omega).report.worst_k == (1, 0)
+        assert solve_cohomological(clear, omega).report == DivisorReport(1.0, 1)
 
     def test_half_stored_mode_named_canonically(self):
         # the stored half keeps (-1, 1), the conjugate of the canonical (1, -1)
@@ -149,15 +155,9 @@ class TestResonance:
         assert g.half[0, 1] == 0.5 and g.half[2, 0] == 0
         omega = FrequencyVector.estimated(np.array([1.0, GOLDEN]), sigma=1.1,
                                           horizon=8)
-        assert solve_cohomological(g, omega).report.worst_k == (1, -1)
+        assert solve_cohomological(g, omega).report.min_divisor == abs(-1.0 + GOLDEN)
         with pytest.raises(ValueError, match=r"\(1, -1\)"):
             solve_cohomological(g, certified(NEAR_RESONANT, horizon=8))
-        # |k.omega| ties go to the first pair in k order, (0, 1), although
-        # the half stores (1, -1) as (-1, 1) ahead of it; omega = (1, 1/2)
-        # is certified up to |k|_1 = 2, short of its resonance (1, -2)
-        tie = FourierMap(2, (), {(1, -1): 0.5, (0, 1): 0.5})
-        half = certified([1.0, 0.5], horizon=2)
-        assert solve_cohomological(tie, half).report.worst_k == (0, 1)
 
     def test_divisor_table_cached_read_only(self):
         omega = FrequencyVector.estimated(np.array([1.0, GOLDEN]), sigma=1.1,
@@ -173,9 +173,9 @@ class TestResonance:
         again = FrequencyVector(omega.omega, omega.gamma / 2, 1.5, 8)
         solve_cohomological(FourierMap(2, (), {(1, 0): 1.0}, 3), again)
         assert _divisor_table.cache_info().hits == hits + 1
-        arrays = list(vars(table).values())
-        assert len(arrays) == 7
-        for value in arrays:
+        # |k|_1, |k . omega| and the divisor 2 pi i k . omega
+        assert len(table) == 3
+        for value in table:
             assert value.shape[:2] == (7, 4)
             assert not value.flags.writeable
             with pytest.raises(ValueError):
@@ -215,24 +215,17 @@ def reference_solve(g, omega):
         raise ValueError(f"retained modes reach |k|_1 = {max_order} but the Diophantine "
                          f"certificate only covers |k|_1 <= {omega.horizon}")
     named = live & (is_canonical | (ks[..., -1] > 0))
-
-    def first(bad):
+    bad = named & (adiv < RESONANCE_TOL)
+    if bad.any():
         i = np.unravel_index(np.argmin(np.where(bad, rank, rank.max() + 1)), bad.shape)
-        return tuple(canonical_k[i].tolist()), i
-
-    if (named & (adiv < RESONANCE_TOL)).any():
-        k, i = first(named & (adiv < RESONANCE_TOL))
-        raise ValueError(f"resonant mode k = {k}: |k.omega| = {adiv[i]:.3e} below "
+        raise ValueError(f"resonant mode k = {tuple(canonical_k[i].tolist())}: "
+                         f"|k.omega| = {adiv[i]:.3e} below "
                          f"{RESONANCE_TOL:.0e}, equation is not solvable")
-    min_div, worst_k, max_amp = np.inf, (), 0.0
-    if named.any():
-        min_div = float(adiv[named].min())
-        worst_k, _ = first(named & (adiv == min_div))
-        max_amp = 1.0 / (2 * np.pi * min_div)
+    min_div = float(adiv[named].min(initial=np.inf))
     divisor = np.where(div != 0, 2j * np.pi * div, 1.0)
     per_mode = (...,) + (None,) * len(g.range_shape)
     phi = np.where(live[per_mode], g.half / divisor[per_mode], 0.0)
-    return phi, DivisorReport(min_div, worst_k, max_amp, max_order)
+    return phi, DivisorReport(min_div, max_order)
 
 
 def outcome(solve, g, omega):
@@ -284,4 +277,4 @@ class TestReferenceSolve:
         freq = FrequencyVector.estimated(np.array([1.0 / (1.0 + GOLDEN)]), 1.1, 256)
         got = outcome(solve_cohomological, g, freq)
         assert got == outcome(reference_solve, g, freq)
-        assert got[1].worst_k == (1,) and got[1].max_order == 1
+        assert got[1] == DivisorReport(freq.omega[0], 1)

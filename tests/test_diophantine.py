@@ -8,6 +8,7 @@ import pytest
 import kamtori.diophantine as diophantine
 from kamtori import (FourierMap, FrequencyVector, check_diophantine, estimate_gamma,
                      solve_cohomological)
+from kamtori.cohomology import _divisor_table
 from kamtori.fourier import canonical
 
 from conftest import GOLDEN
@@ -118,7 +119,9 @@ class TestPrefixScan:
         freq = FrequencyVector.estimated(GOLDEN_SILVER, 1.1, 256)
         g = FourierMap(2, (), {(63, -94): 1.0}, trunc_order=128)
         report = solve_cohomological(g, freq).report
-        assert report.worst_k == (63, -94)
+        # the half stores (63, -94) as its conjugate (-63, 94)
+        _, adiv, _ = _divisor_table(2, 128, tuple(freq.omega.tolist()))
+        assert (report.min_divisor, report.max_order) == (adiv[128 - 63, 94], 157)
         assert report.min_divisor >= freq.gamma * 157.0**-1.1 * (1 - 1e-12)
 
 

@@ -890,6 +890,26 @@ class TestSolveTorus:
         assert row["hypothesis_failed"].startswith(message)
         assert status_from_rows(res.trace, 1e-12)[1] == res.error
 
+    def test_resonant_divisor_ends_with_its_status(self):
+        # omega = (1, 1 + 2^-49) is certified up to |k|_1 = 8, yet the
+        # divisor of the (1, -1) mode that H couples lies below the guard,
+        # so the first step's normal equation has no solution
+        omega = np.array([1.0, 1.0 + 2.0**-49])
+        freq = FrequencyVector.estimated(omega, 2.1, 8)
+        h = HamiltonianModel(2, [((0, 0), (2, 0), 0.5), ((0, 0), (0, 2), 0.5),
+                                 ((1, -1), (0, 0), 1e-3)])
+        K0 = TorusEmbedding.circle(omega, trunc_order=2)
+        start = Iterate.evaluate(h, K0, freq)
+        res = solve_torus(h, K0, freq, start=start)
+        assert "resonant_divisor" in solver_module.HYPOTHESIS_STATUSES
+        assert (res.status, res.iterations, res.value) == ("resonant_divisor", 0, start)
+        assert res.error == start.error.norm_grid
+        [row] = res.trace
+        assert row["hypothesis_failed"] == ("resonant mode k = (1, -1): |k.omega| = "
+                                            "1.776e-15 below 1e-14, equation is not "
+                                            "solvable")
+        assert status_from_rows(res.trace, 1e-12)[1] == res.error
+
 
 def coupled_rotator(eps):
     """|y|^2/2 + eps (cos 2pi x1 + cos 2pi x2 + cos 2pi (x1 - x2))."""

@@ -4,7 +4,8 @@
 # that must converge), `kamtori verify`, `kamtori smooth`, `kamtori run` (1-DOF and 2-DOF rough cascades) and
 # `kamtori diophantine`, with their reruns, named config errors and
 # certificate fields, and `kamtori solve` and `kamtori run` on a model
-# without twist, which must name that failure.
+# without twist and on a near-resonant frequency, which must name those
+# failures.
 #
 # Usage: tools/ci_smoke.sh   (with the package installed, e.g. pip install .)
 # Works in a fresh temporary directory and leaves the source tree alone.
@@ -98,10 +99,29 @@ cat > trunc-config.json <<'EOF'
 {"hamiltonian": "rotor2.json", "omega": [0.6180339887498949, 0.41421356237309515],
  "trunc": 5000, "out": "trunc"}
 EOF
+# and a torus file whose header order 200 at n = 2 lies beyond the horizon
+# 256, refused before its rows are folded onto the (2M + 1)^n grid, and a
+# model file that is not of the documented form
+cat > far.csv <<'EOF'
+# winding=1 0 0 1 0 0 0 0
+# n=2 m=4 trunc_order=200 canonical=1
+k0,k1,re0,im0,re1,im1,re2,im2,re3,im3
+0,0,0.0,0.0,0.0,0.0,0.5,0.0,0.5,0.0
+EOF
+cat > far-config.json <<'EOF'
+{"hamiltonian": "rotor2.json", "omega": [0.6180339887498949, 0.41421356237309515],
+ "torus_file": "far.csv", "out": "far"}
+EOF
+echo '{"n": 1, "terms": 5}' > malformed.json
+cat > malformed-config.json <<'EOF'
+{"hamiltonian": "malformed.json", "omega": [0.6180339887498949], "out": "malformed"}
+EOF
 for case in "resonant|omega is resonant within the horizon" \
             "gamma|omega fails the Diophantine bound: worst k=(1,) margin=3.820e-01 < gamma=1.000e+01" \
             "list|config must be a JSON object, got list" \
-            "trunc|K0 truncation order 5000 on T^2 reaches |k|_1 = 10000 beyond the Diophantine horizon 256"; do
+            "trunc|K0 truncation order 5000 on T^2 reaches |k|_1 = 10000 beyond the Diophantine horizon 256" \
+            "far|K0 truncation order 200 on T^2 reaches |k|_1 = 400 beyond the Diophantine horizon 256" \
+            "malformed|hamiltonian file does not parse: terms must be a list of objects, got 5"; do
   name=${case%%|*}
   code=0
   kamtori solve --config "$name-config.json" --out "$name" 2> err.txt || code=$?
@@ -164,6 +184,29 @@ for cmd in solve run; do
 done
 python -c 'import json; c = json.load(open("twistless-solve/certificate.json")); assert c["status"] == "torsion_singular", c'
 python -c 'import json; c = json.load(open("twistless-run/certificate.json")); assert c["converged"] is False and c["termination_reason"] == "torsion_singular", c'
+
+# a certified but near-resonant omega = (1, 1 + 2^-49): the (1, -1) divisor
+# that the model couples lies below the cohomological solve's resonance
+# guard, so no Newton step exists; solve and run each exit 1 with the
+# status named in their certificate, and no traceback
+cat > near.json <<'EOF'
+{"n": 2, "terms": [{"k": [0, 0], "m": [2, 0], "re": 0.5, "im": 0.0},
+                   {"k": [0, 0], "m": [0, 2], "re": 0.5, "im": 0.0},
+                   {"k": [1, -1], "m": [0, 0], "re": 1e-3, "im": 0.0}]}
+EOF
+cat > near-config.json <<'EOF'
+{"hamiltonian": "near.json", "omega": [1.0, 1.0000000000000018],
+ "sigma": 2.1, "horizon": 8, "trunc": 2}
+EOF
+for cmd in solve run; do
+  code=0
+  kamtori "$cmd" --config near-config.json --out "near-$cmd" 2> err.txt || code=$?
+  cat err.txt
+  test "$code" -eq 1
+  ! grep -q "Traceback" err.txt
+done
+python -c 'import json; c = json.load(open("near-solve/certificate.json")); assert c["status"] == "resonant_divisor", c'
+python -c 'import json; c = json.load(open("near-run/certificate.json")); assert (c["converged"], c["termination_reason"], c["failed_stage"]) == (False, "resonant_divisor_at_stage_1", 1), c'
 
 # the rough cascade: cutoff, smoothing ladder and staged solves on the free
 # rotator plus a C^4 B-spline term of amplitude 1e-4
