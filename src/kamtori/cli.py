@@ -12,6 +12,8 @@ run          full cascade (cutoff, smoothing, staged Newton, certificate).
 A config file is one flat JSON object: the run knobs, whose defaults and
 bounds live in driver.RunParams, beside the fields RunConfig adds (model
 file, frequency, initial torus, truncation order, output directory).
+The model file is read by hamiltonian.model_from_json, the one reader of
+its format.
 A config command takes that file (--config) and an output directory that
 replaces the file's (--out), and no other flag.  Every invocation that
 touches disk writes the echoed config next to its outputs, JSON is
@@ -47,17 +49,7 @@ from .driver import (
     smoothing_ladder,
 )
 from .fourier import TorusEmbedding
-from .hamiltonian import (
-    BSplineProfile,
-    CompositeHamiltonian,
-    HamiltonianModel,
-    RoughTerm,
-    SinPowerProfile,
-    _integer,
-    _is_integer,
-    _is_number,
-    _records,
-)
+from .hamiltonian import _is_integer, _is_number, model_from_json
 from .smoothing import SAMPLE_RULE
 from .solver import Iterate, check_horizon, solve_torus
 
@@ -96,57 +88,6 @@ class RunConfig:
         return _json_text(doc)
 
 
-def load_hamiltonian(path: str):
-    """Model file: analytic terms plus optional finitely smooth summands.
-
-    The base document is the {n, terms, smoothness_class} form; an optional
-    "rough" list adds 1-D profile summands, each
-    {coordinate, amplitude, profile: {type: bspline|sinpower, ...}}.  The
-    document, each term and each rough entry and its profile are JSON
-    objects, and terms and rough lists of them.  A term's re and im, a
-    rough amplitude and a profile's numbers must be finite numbers, n an
-    integer >= 1, a term's k and m entries and a coordinate JSON integers
-    and a B-spline degree one >= 0; a ValueError names the first that is
-    not.
-    """
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"model must be a JSON object, got {type(doc).__name__}")
-    rough_docs = _records("rough", doc.pop("rough", []), "rough term",
-                          ("coordinate", "profile"))
-    base = HamiltonianModel.from_json(json.dumps(doc))
-    if not rough_docs:
-        return base
-    terms = []
-    for rec in rough_docs:
-        prof = rec["profile"]
-        if not isinstance(prof, dict):
-            raise ValueError(f"rough term profile must be an object, got {prof!r}")
-        kind = prof.get("type")
-        if kind == "bspline":
-            coefficients = _finite("bspline coefficients", prof.get("coefficients", []))
-            profile = BSplineProfile(coefficients,
-                                     _integer("bspline degree", prof.get("degree", 5)))
-        elif kind == "sinpower":
-            profile = SinPowerProfile(*(
-                _finite(f"sinpower {key}", prof.get(key, default))
-                for key, default in (("power", 4.5), ("scale", 1.0), ("shift", 0.0))))
-        else:
-            raise ConfigError([f"unknown rough profile type: {kind!r}"])
-        amplitude = _finite("rough amplitude", rec.get("amplitude", 1.0))
-        terms.append(RoughTerm(_integer("rough term coordinate", rec["coordinate"]),
-                               profile, float(amplitude)))
-    return CompositeHamiltonian(analytic=base, rough=terms)
-
-
-def _finite(name: str, value):
-    """value as it is; a ValueError names it where it, or an entry of its
-    list, is not a finite number (_is_number)."""
-    if not all(map(_is_number, value if isinstance(value, list) else [value])):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 _UNECHOED = frozenset({"params", "model", "torus", "freq"})
 _CLI_KEYS = frozenset(f.name for f in fields(RunConfig)) - _UNECHOED
 _PARAM_KEYS = frozenset(f.name for f in fields(RunParams))
@@ -156,11 +97,12 @@ def parse_config(path) -> RunConfig:
     """Read and validate a config file, reporting every violation at once.
 
     The file holds one JSON object, whose keys are the run knobs
-    (driver.RunParams) and RunConfig's own fields.  The model file and the
-    torus file are loaded, so a model it cannot build, or a torus file that
-    does not parse or whose torus is not of the model's n, is one violation.
-    omega and y0 must be lists of finite numbers, one per degree of freedom
-    of the model, as every real run knob must be finite (hamiltonian._is_number),
+    (driver.RunParams) and RunConfig's own fields.  The model file
+    (hamiltonian.model_from_json) and the torus file are loaded, so a model
+    it cannot build, or a torus file that does not parse or whose torus is
+    not of the model's n, is one violation.  omega and y0 must be lists of
+    finite numbers, one per degree of freedom of the model, as every real
+    run knob must be finite (hamiltonian._is_number: within a float's range),
     and trunc an integer >= 1.  The smoothness class l, the model's own
     where the file gives none, must be >= 4 and within the model's class.  A
     config valid so far is then given its FrequencyVector, whose Diophantine
@@ -194,7 +136,7 @@ def parse_config(path) -> RunConfig:
             bad.append(f"hamiltonian file not found: {ham}")
         else:
             try:
-                model = load_hamiltonian(ham)
+                model = model_from_json(Path(ham).read_text())
             except Exception as exc:
                 bad.append(f"hamiltonian file does not parse: {exc}")
             else:

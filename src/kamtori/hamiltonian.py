@@ -15,8 +15,10 @@ on [lo, hi] for j <= q, the per-axis sups that smoothing's C^l bounds
 multiply out: closed forms or coefficient bounds where sup_method is
 "coefficient_bound", else sampled from axis_values (sampled_sups), whose
 grid tables a model keeps (grid_table).  The analytic model is a Fourier-Taylor term table
-sum c e^{2 pi i k.x} y^m (the file format); rough summands are 1-D C^l
-profiles of one coordinate; SumModel is the one sum of models.
+sum c e^{2 pi i k.x} y^m; rough summands are 1-D C^l profiles of one
+coordinate; SumModel is the one sum of models.  model_from_json is the one
+reader of the model file, which holds both: it builds the model and
+names the first rule the file breaks, an unknown key among them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -41,6 +44,7 @@ __all__ = [
     "RoughTerm",
     "SinPowerProfile",
     "SumModel",
+    "model_from_json",
     "product_jet",
 ]
 
@@ -367,27 +371,6 @@ class HamiltonianModel(SumOfProducts):
                 c *= m - j
         return out
 
-    # -- serialization ----------------------------------------------------
-
-    @classmethod
-    def from_json(cls, text: str) -> "HamiltonianModel":
-        doc = json.loads(text)
-        if "n" not in doc or "terms" not in doc:
-            raise ValueError("hamiltonian spec needs keys 'n' and 'terms'")
-        n = _integer("n", doc["n"])
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        terms = []
-        for rec in _records("terms", doc["terms"], "term", ("k", "m", "re", "im")):
-            if not all(isinstance(rec[key], list) and all(map(_is_integer, rec[key]))
-                       for key in ("k", "m")):
-                raise ValueError(f"term {rec} needs integer lists k and m")
-            if not (_is_number(rec["re"]) and _is_number(rec["im"])):
-                raise ValueError(f"term {rec} needs a finite re and im")
-            terms.append((rec["k"], rec["m"], complex(rec["re"], rec["im"])))
-        sc = doc.get("smoothness_class")
-        return cls(n, terms, math.inf if sc is None else float(sc))
-
     def __repr__(self):
         return f"HamiltonianModel(n={self.n}, {len(self.terms)} terms)"
 
@@ -420,16 +403,25 @@ def _integer(name: str, value) -> int:
 
 
 def _is_number(value) -> bool:
-    """A finite real number: a bool is none, nor are the NaN and Infinity
-    that Python's json parses.  An int of any size is finite."""
+    """A finite real number, one a float holds: a bool is none, nor are the
+    NaN and Infinity that Python's json parses, nor an int beyond the
+    largest float."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+            and abs(value) <= sys.float_info.max)
 
 
-def _records(key: str, value, name: str, keys) -> list:
+def _finite(name: str, value):
+    """value as it is; a ValueError names it where it, or an entry of its
+    list, is not a finite number (_is_number)."""
+    if not all(map(_is_number, value if isinstance(value, list) else [value])):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _records(key: str, value, name: str, keys, optional=()) -> list:
     """value where it is a list of JSON objects that each hold every key of
-    keys; a ValueError names the list (key) or the first entry (a name)
-    that is not."""
+    keys and no other but those of optional; a ValueError names the list
+    (key) or the first entry (a name) that is not."""
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list of objects, got {value!r}")
     for rec in value:
@@ -438,7 +430,15 @@ def _records(key: str, value, name: str, keys) -> list:
         missing = set(keys) - set(rec)
         if missing:
             raise ValueError(f"{name} {rec} missing keys {sorted(missing)}")
+        _known(f"{name} {rec}", rec, (*keys, *optional))
     return value
+
+
+def _known(name: str, doc: dict, keys) -> None:
+    """A ValueError names every key of doc outside keys, and where it sits."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"{name} has unknown keys {unknown}")
 
 
 # -- C^l profiles -----------------------------------------------------------
@@ -628,6 +628,66 @@ class CompositeHamiltonian(SumModel):
         self.rough = tuple(rough)
         classes = [t.profile.smoothness_class for t in self.rough]
         self.smoothness_class = min(classes) if classes else math.inf
+
+
+# -- the model file -------------------------------------------------------------
+
+
+def model_from_json(text: str):
+    """The model a model file's text holds: a HamiltonianModel of its n,
+    terms {k, m, re, im} and smoothness_class (null for analytic), or a
+    CompositeHamiltonian where its "rough" list adds profile summands
+    {coordinate, amplitude, profile: {type: bspline|sinpower, ...}}.
+    Each object holds only its own keys, numbers must be finite
+    (_is_number) and integers JSON integers; a ValueError names the first
+    rule broken, checked in order: the document, the rough list, n and
+    terms, then each rough profile.
+    """
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model must be a JSON object, got {type(doc).__name__}")
+    _known("model", doc, ("n", "terms", "smoothness_class", "rough"))
+    rough_docs = _records("rough", doc.get("rough", []), "rough term",
+                          ("coordinate", "profile"), ("amplitude",))
+    if "n" not in doc or "terms" not in doc:
+        raise ValueError("hamiltonian spec needs keys 'n' and 'terms'")
+    n = _integer("n", doc["n"])
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    terms = []
+    for rec in _records("terms", doc["terms"], "term", ("k", "m", "re", "im")):
+        if not all(isinstance(rec[key], list) and all(map(_is_integer, rec[key]))
+                   for key in ("k", "m")):
+            raise ValueError(f"term {rec} needs integer lists k and m")
+        if not (_is_number(rec["re"]) and _is_number(rec["im"])):
+            raise ValueError(f"term {rec} needs a finite re and im")
+        terms.append((rec["k"], rec["m"], complex(rec["re"], rec["im"])))
+    sc = doc.get("smoothness_class")
+    if not (sc is None or _is_number(sc)):
+        raise ValueError(f"smoothness_class must be null or a finite number, got {sc!r}")
+    base = HamiltonianModel(n, terms, math.inf if sc is None else float(sc))
+    rough = []
+    for rec in rough_docs:
+        prof = rec["profile"]
+        if not isinstance(prof, dict):
+            raise ValueError(f"rough term profile must be an object, got {prof!r}")
+        kind = prof.get("type")
+        if kind == "bspline":
+            _known(f"rough term profile {prof}", prof, ("type", "coefficients", "degree"))
+            coefficients = _finite("bspline coefficients", prof.get("coefficients", []))
+            profile = BSplineProfile(coefficients,
+                                     _integer("bspline degree", prof.get("degree", 5)))
+        elif kind == "sinpower":
+            _known(f"rough term profile {prof}", prof, ("type", "power", "scale", "shift"))
+            profile = SinPowerProfile(*(
+                _finite(f"sinpower {key}", prof.get(key, default))
+                for key, default in (("power", 4.5), ("scale", 1.0), ("shift", 0.0))))
+        else:
+            raise ValueError(f"unknown rough profile type: {kind!r}")
+        amplitude = _finite("rough amplitude", rec.get("amplitude", 1.0))
+        rough.append(RoughTerm(_integer("rough term coordinate", rec["coordinate"]),
+                               profile, float(amplitude)))
+    return CompositeHamiltonian(analytic=base, rough=rough) if rough else base
 
 
 # -- operations --------------------------------------------------------------

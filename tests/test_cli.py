@@ -332,7 +332,11 @@ class TestParseConfig:
                           "margin=3.820e-01 < gamma=1.000e+01"),
         ({"horizon": 10, "trunc": 16}, "K0 truncation order 16 on T^1 reaches "
                                        "|k|_1 = 16 beyond the Diophantine horizon 10"),
-    ], ids=["tol=true", "resonant", "gamma-above-margin", "trunc-beyond-horizon"])
+        # a number must fit a float: an integer beyond the largest is refused
+        ({"omega": [10**400]}, f"omega must be a list of numbers, got [{10**400}]"),
+        ({"rho": 10**400}, f"rho must be a number, got {10**400}"),
+    ], ids=["tol=true", "resonant", "gamma-above-margin", "trunc-beyond-horizon",
+            "omega-401-digits", "rho-401-digits"])
     def test_refused_config_writes_nothing(self, write_files, capsys, command,
                                            fields, violation):
         # parse_config refuses each, the frequency by its scan and K0 by its
@@ -393,6 +397,31 @@ class TestParseConfig:
          "bspline degree must be >= 0, got -1"),
         (rough_model(profile={"type": "sinpower", "power": "a"}),
          "sinpower power must be finite, got 'a'"),
+        # each object of the file holds its own keys and no other
+        ({"n": 1, "terms": ROUGH["terms"], "smoothnes_class": 3, "ruogh": ROUGH["rough"]},
+         "model has unknown keys ['ruogh', 'smoothnes_class']"),
+        (dict(ROUGH, terms=[{"k": [0], "m": [2], "re": 0.5, "im": 0.0, "scale": 2}]),
+         "term {'k': [0], 'm': [2], 're': 0.5, 'im': 0.0, 'scale': 2} "
+         "has unknown keys ['scale']"),
+        (dict(ROUGH, rough=[dict(ROUGH["rough"][0], shift=0.5)]),
+         f"rough term {dict(ROUGH['rough'][0], shift=0.5)} has unknown keys ['shift']"),
+        (rough_model(profile={"type": "bspline", "coefficient": [0.0] * 6}),
+         "rough term profile {'type': 'bspline', 'coefficient': [0.0, 0.0, 0.0, 0.0, "
+         "0.0, 0.0]} has unknown keys ['coefficient']"),
+        (rough_model(profile={"type": "sinpower", "degree": 5}),
+         "rough term profile {'type': 'sinpower', 'degree': 5} has unknown keys ['degree']"),
+        # a number must fit a float: an integer beyond the largest is refused
+        (dict(ROUGH, terms=[{"k": [0], "m": [2], "re": 10**400, "im": 0.0}]),
+         f"term {{'k': [0], 'm': [2], 're': {10**400}, 'im': 0.0}} needs a finite re and im"),
+        # the class is null (analytic) or a finite number, not a string or bool
+        (dict(PENDULUM, smoothness_class="a"),
+         "smoothness_class must be null or a finite number, got 'a'"),
+        (dict(PENDULUM, smoothness_class="5"),
+         "smoothness_class must be null or a finite number, got '5'"),
+        (dict(PENDULUM, smoothness_class=True),
+         "smoothness_class must be null or a finite number, got True"),
+        (dict(PENDULUM, smoothness_class=math.inf),
+         "smoothness_class must be null or a finite number, got inf"),
     ]
 
     @pytest.mark.parametrize("model, reason", BAD_MODELS,
@@ -404,7 +433,9 @@ class TestParseConfig:
                                   "degree=5.5", "type=spline", "list", "null", "terms=5",
                                   "terms=[7]", "rough-object", "rough=[5]", "no-profile",
                                   "profile=5", "re=a", "n=0", "n=-1", "degree=-1",
-                                  "power=a"])
+                                  "power=a", "model-keys", "term-key", "rough-term-key",
+                                  "bspline-key", "sinpower-key", "re-401-digits",
+                                  "class=a", "class-string", "class=true", "class=inf"])
     def test_bad_model_rejected_before_any_output(self, write_files, capsys,
                                                   model, reason):
         cfg_path, out = write_files(model, "out", y0=[0.4], rho=0.02, r=0.8)
@@ -817,13 +848,13 @@ class TestComputedOnce:
     def test_one_model_build_per_command(self, write_files, monkeypatch, command,
                                          model, extra):
         builds = []
-        load = cli.load_hamiltonian
+        read = cli.model_from_json
 
-        def counted(path):
-            builds.append(path)
-            return load(path)
+        def counted(text):
+            builds.append(text)
+            return read(text)
 
-        monkeypatch.setattr(cli, "load_hamiltonian", counted)
+        monkeypatch.setattr(cli, "model_from_json", counted)
         cfg_path, out = write_files(model, command, **extra)
         assert main([command, "--config", str(cfg_path)]) == 0
         assert len(builds) == 1

@@ -24,7 +24,7 @@ from kamtori import (
     build_smoothing_sequence,
     cutoff_extend,
 )
-from kamtori.hamiltonian import SumModel, jet_grid
+from kamtori.hamiltonian import SumModel, jet_grid, model_from_json
 from kamtori.smoothing import rung_nd
 
 from conftest import dense_hessian, dense_jet
@@ -179,13 +179,21 @@ class TestSerialization:
         h = HamiltonianModel.pendulum(0.25)
         terms = [{"k": list(k), "m": list(m), "re": c.real, "im": c.imag}
                  for (k, m), c in h.terms]
-        back = HamiltonianModel.from_json(json.dumps({"n": 1, "terms": terms}))
+        back = model_from_json(json.dumps({"n": 1, "terms": terms}))
+        assert type(back) is HamiltonianModel
         assert back.terms == h.terms and back.n == h.n
         assert math.isinf(back.smoothness_class)
 
     def test_missing_keys_named(self):
         with pytest.raises(ValueError, match="terms"):
-            HamiltonianModel.from_json('{"n": 1}')
+            model_from_json('{"n": 1}')
+
+    def test_unknown_profile_type_is_a_value_error(self):
+        doc = {"n": 1, "terms": [],
+               "rough": [{"coordinate": 0, "profile": {"type": "spline"}}]}
+        with pytest.raises(ValueError, match="unknown rough profile type: 'spline'") as exc:
+            model_from_json(json.dumps(doc))
+        assert type(exc.value) is ValueError
 
 
 # -- oracles for the one jet routine --------------------------------------------
@@ -440,8 +448,9 @@ class TestBSplineTable:
         code = (
             "import sys\n"
             "import numpy as np\n"
-            "from kamtori.cli import load_hamiltonian\n"
-            f"h = load_hamiltonian({str(model)!r})\n"
+            "import kamtori.cli\n"
+            "from kamtori.hamiltonian import model_from_json\n"
+            f"h = model_from_json(open({str(model)!r}).read())\n"
             "h.jet_batch(np.array([[0.3, 0.4]]))\n"
             "assert 'scipy.interpolate' not in sys.modules\n"
         )

@@ -11,6 +11,30 @@
 # Works in a fresh temporary directory and leaves the source tree alone.
 set -euo pipefail
 
+# refused OUT REASON COMMAND...: COMMAND must refuse its input with exit 1
+# and exactly one stderr line, "config error: REASON" (only its start where
+# REASON ends in "..."), and write nothing: OUT is the run directory it must
+# not create or, as stdout:FILE, the file its stdout goes to, which must
+# stay empty
+refused() {
+  local out=$1 reason=$2 code=0
+  shift 2
+  if [[ $out == stdout:* ]]; then
+    "$@" > "${out#stdout:}" 2> err.txt || code=$?
+  else
+    "$@" 2> err.txt || code=$?
+  fi
+  cat err.txt
+  test "$code" -eq 1
+  test "$(wc -l < err.txt)" -eq 1
+  if [[ $reason == *... ]]; then
+    [[ $(< err.txt) == "config error: ${reason%...}"* ]]
+  else
+    grep -qxF "config error: $reason" err.txt
+  fi
+  if [[ $out == stdout:* ]]; then test ! -s "${out#stdout:}"; else test ! -e "$out"; fi
+}
+
 kamtori --help > /dev/null
 python -c "import kamtori.cli"
 cd "$(mktemp -d)"
@@ -54,13 +78,8 @@ cat > bad-torus-config.json <<'EOF'
 {"hamiltonian": "model.json", "omega": [0.6180339887498949],
  "torus_file": "bad-torus.csv", "out": "bad-torus"}
 EOF
-code=0
-kamtori verify --config bad-torus-config.json 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(wc -l < err.txt)" -eq 1
-grep -q "^config error: torus file does not parse: " err.txt
-test ! -e bad-torus
+refused bad-torus "torus file does not parse: ..." \
+  kamtori verify --config bad-torus-config.json
 # a torus file with a NaN amplitude (np.loadtxt reads "nan"): exit 1, one
 # named reason, no output
 cat > nan-torus.csv <<'EOF'
@@ -71,13 +90,8 @@ k0,re0,im0,re1,im1
 1,nan,0.0,0.0,0.0
 EOF
 sed 's/bad-torus/nan-torus/g' bad-torus-config.json > nan-torus-config.json
-code=0
-kamtori verify --config nan-torus-config.json 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(wc -l < err.txt)" -eq 1
-grep -q "^config error: torus file does not parse: amplitude entry nan is not finite$" err.txt
-test ! -e nan-torus
+refused nan-torus "torus file does not parse: amplitude entry nan is not finite" \
+  kamtori verify --config nan-torus-config.json
 # the frequency is certified once, where the config is read, and nowhere
 # else: a resonant omega, and a gamma above the scan's worst margin, each
 # exit 1 with one named reason and write nothing
@@ -101,7 +115,8 @@ cat > trunc-config.json <<'EOF'
 EOF
 # and a torus file whose header order 200 at n = 2 lies beyond the horizon
 # 256, refused before its rows are folded onto the (2M + 1)^n grid, and a
-# model file that is not of the documented form
+# model file that is not of the documented form; so do a misspelled model
+# key, and an omega entry of 401 digits, an integer beyond the largest float
 cat > far.csv <<'EOF'
 # winding=1 0 0 1 0 0 0 0
 # n=2 m=4 trunc_order=200 canonical=1
@@ -116,20 +131,22 @@ echo '{"n": 1, "terms": 5}' > malformed.json
 cat > malformed-config.json <<'EOF'
 {"hamiltonian": "malformed.json", "omega": [0.6180339887498949], "out": "malformed"}
 EOF
+cat > misspelled.json <<'EOF'
+{"n": 1, "smoothnes_class": 5, "terms": [{"k": [0], "m": [2], "re": 0.5, "im": 0.0}]}
+EOF
+sed 's/malformed/misspelled/g' malformed-config.json > misspelled-config.json
+big=$(python -c 'print(10**400)')
+echo "{\"hamiltonian\": \"model.json\", \"omega\": [$big], \"out\": \"big\"}" > big-config.json
 for case in "resonant|omega is resonant within the horizon" \
             "gamma|omega fails the Diophantine bound: worst k=(1,) margin=3.820e-01 < gamma=1.000e+01" \
             "list|config must be a JSON object, got list" \
             "trunc|K0 truncation order 5000 on T^2 reaches |k|_1 = 10000 beyond the Diophantine horizon 256" \
             "far|K0 truncation order 200 on T^2 reaches |k|_1 = 400 beyond the Diophantine horizon 256" \
-            "malformed|hamiltonian file does not parse: terms must be a list of objects, got 5"; do
+            "malformed|hamiltonian file does not parse: terms must be a list of objects, got 5" \
+            "misspelled|hamiltonian file does not parse: model has unknown keys ['smoothnes_class']" \
+            "big|omega must be a list of numbers, got [$big]"; do
   name=${case%%|*}
-  code=0
-  kamtori solve --config "$name-config.json" --out "$name" 2> err.txt || code=$?
-  cat err.txt
-  test "$code" -eq 1
-  test "$(wc -l < err.txt)" -eq 1
-  grep -qxF "config error: ${case#*|}" err.txt
-  test ! -e "$name"
+  refused "$name" "${case#*|}" kamtori solve --config "$name-config.json" --out "$name"
 done
 
 # a libration torus of the pendulum H = y^2/2 + 0.06 cos 2 pi x, winding 0
@@ -305,34 +322,18 @@ kamtori run --config c5-config.json
 python -c 'import json; c = json.load(open("c5/certificate.json")); assert c["converged"] is True, c["termination_reason"]; assert c["analytic_input"] is False and c["l"] == 5, (c["analytic_input"], c["l"]); d = c["smoothing"]["degrees"]; assert d and set(d) == {0}, d'
 # a y0 of two components on a 1-DOF model: exit 1, named reason
 sed 's/"y0": \[0.4\]/"y0": [0.1, 0.2]/' rough-config.json > bad-y0.json
-code=0
-kamtori run --config bad-y0.json --out rough-rejected 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-grep -q "^config error: y0 must have n = 1 components, got 2$" err.txt
-test ! -e rough-rejected
+refused rough-rejected "y0 must have n = 1 components, got 2" \
+  kamtori run --config bad-y0.json --out rough-rejected
 # the lambda-form conditions are reported, never gated on: a strict
 # condition mode is no key of a config (exit 1, one named reason)
 sed 's/"out": "rough"}/"out": "rough-strict", "condition_mode": "strict"}/' rough-config.json > strict.json
-code=0
-kamtori run --config strict.json 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(wc -l < err.txt)" -eq 1
-grep -q "^config error: unknown key: condition_mode$" err.txt
-test ! -e rough-strict
+refused rough-strict "unknown key: condition_mode" kamtori run --config strict.json
 # the ladder's degrees and length, the cascade's stage cap and each solve's
 # Newton-step cap are constants, no keys of a config either (exit 1, one
 # named reason, no output)
 for knob in start_degree count max_stages max_degree max_iter; do
   sed "s/\"out\": \"rough\"}/\"out\": \"rough-$knob\", \"$knob\": 8}/" rough-config.json > knob.json
-  code=0
-  kamtori run --config knob.json 2> err.txt || code=$?
-  cat err.txt
-  test "$code" -eq 1
-  test "$(wc -l < err.txt)" -eq 1
-  grep -q "^config error: unknown key: $knob\$" err.txt
-  test ! -e "rough-$knob"
+  refused "rough-$knob" "unknown key: $knob" kamtori run --config knob.json
 done
 
 # the 3-DOF coupled rotator at eps = 1e-3 from the M = 8 circle (sigma 2.1,
@@ -382,18 +383,9 @@ timeout 120 kamtori diophantine --omega 0.6180339887498949,0.41421356237309515,0
 cat dio3.json
 python -c 'import json; d = json.load(open("dio3.json")); assert d["worst_k"] == [3, -14, 17], d'
 # a bad diophantine flag: exit 1, named reason, nothing on stdout
-code=0
-kamtori diophantine --omega 0.618,abc > dio-bad.json 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-grep -q "^config error: omega must be comma-separated numbers, got '0.618,abc'$" err.txt
-test ! -s dio-bad.json
+refused stdout:dio-bad.json "omega must be comma-separated numbers, got '0.618,abc'" \
+  kamtori diophantine --omega 0.618,abc
 # a sigma that is not finite: exit 1, one named reason, nothing on stdout
-code=0
-kamtori diophantine --omega 0.618,0.414 --sigma nan > dio-nan.json 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(wc -l < err.txt)" -eq 1
-grep -qxF "config error: sigma must be finite, got nan" err.txt
-test ! -s dio-nan.json
+refused stdout:dio-nan.json "sigma must be finite, got nan" \
+  kamtori diophantine --omega 0.618,0.414 --sigma nan
 echo "console-script smoke checks passed"
